@@ -10,7 +10,10 @@ The module provides nodal field containers, weighted mass/stiffness
 assembly, discrete norms, and a sparse symmetric-positive-definite solver
 (reverse Cuthill-McKee reordering + banded Cholesky, with a Jacobi
 preconditioned conjugate-gradient fallback for degenerate bandwidth).
-``Discretization`` caches everything tied to one (problem, mesh) pair.
+``Discretization`` caches everything tied to one (problem, mesh) pair,
+including one linearized operator ``K + M[h_y]``: the assembled matrix and
+its factorization are reused while the h_y quadrature weights asked for
+are bit-identical to the last ones (one entry per ``Discretization``).
 """
 
 from __future__ import annotations
@@ -257,7 +260,7 @@ def solve_spd(matrix, b: np.ndarray, factor: SpdFactorization | None = None
               ) -> np.ndarray:
     """Solve ``matrix @ x = b`` for SPD ``matrix``.
 
-    One step of iterative refinement secures the residual bound
+    Up to two steps of iterative refinement secure the residual bound
     ``||b - K x||_2 <= 1e-10 (1 + ||b||_2)``; failure to reach it raises
     ``FemError``.
     """
@@ -298,6 +301,11 @@ class Discretization:
     evaluation helpers that build numpy environments for the problem's
     expressions at interior quadrature points, boundary quadrature points,
     and boundary nodes.
+
+    It also keeps one linearized operator ``K + M[w]`` (see
+    :meth:`jacobian_matrix` and :meth:`jacobian_factor`), filled on first
+    use.  The entry is reused only when the weights ``w`` equal the cached
+    copy bit for bit (shape and values); any other weights replace it.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh, validate: bool = True):
@@ -319,6 +327,8 @@ class Discretization:
         self._edge_pos = np.column_stack([np.arange(nb), (np.arange(nb) + 1) % nb])
 
         self.form = self._assemble()
+        # [weights copy, K + M[weights], SpdFactorization or None]
+        self._jacobian: list | None = None
 
     # -- expression environments --------------------------------------------
 
@@ -460,19 +470,40 @@ class Discretization:
         return self._scatter_boundary(elem, self.mesh.boundary_edges,
                                       self.mesh.n_vertices)
 
+    def _jacobian_entry(self, w_qp: np.ndarray) -> list:
+        entry = self._jacobian
+        if entry is None or not np.array_equal(entry[0], w_qp):
+            w = np.array(w_qp, dtype=float)
+            entry = [w, self.form.stiffness + self.domain_mass_weighted(w),
+                     None]
+            self._jacobian = entry
+        return entry
+
+    def jacobian_matrix(self, w_qp: np.ndarray) -> sp.csr_matrix:
+        """Assembled ``K + M[w]`` for weights at interior quadrature points,
+        without factorizing it.  The matrix is shared: do not mutate it."""
+        return self._jacobian_entry(w_qp)[1]
+
+    def jacobian_factor(self, w_qp: np.ndarray) -> SpdFactorization:
+        """Factorized ``K + M[w]``, factorized at most once per cached
+        weights.  The factorization is shared: do not mutate it."""
+        entry = self._jacobian_entry(w_qp)
+        if entry[2] is None:
+            entry[2] = SpdFactorization(entry[1])
+        return entry[2]
+
     def domain_load(self, f_qp: np.ndarray) -> np.ndarray:
         """Assemble ``int f phi_a dx`` into a full nodal vector (V,)."""
         contrib = np.einsum("tq,qa->ta", self.tables.qw_dom * f_qp, TRI_BASIS)
-        out = np.zeros(self.mesh.n_vertices)
-        np.add.at(out, self.mesh.triangles, contrib)
-        return out
+        return np.bincount(self.mesh.triangles.ravel(), weights=contrib.ravel(),
+                           minlength=self.mesh.n_vertices)
 
     def boundary_load(self, f_qp: np.ndarray) -> np.ndarray:
         """Assemble ``int_boundary f phi_a ds`` into a full nodal vector."""
         contrib = np.einsum("eq,qa->ea", self.tables.qw_bnd * f_qp, EDGE_BASIS)
-        out = np.zeros(self.mesh.n_vertices)
-        np.add.at(out, self.mesh.boundary_edges, contrib)
-        return out
+        return np.bincount(self.mesh.boundary_edges.ravel(),
+                           weights=contrib.ravel(),
+                           minlength=self.mesh.n_vertices)
 
     def integrate_domain(self, f_qp: np.ndarray) -> float:
         return float(np.sum(self.tables.qw_dom * f_qp))

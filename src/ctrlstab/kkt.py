@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .fem import BoundaryFunction, Discretization, FeFunction
-from .pde import (adjoint_rhs, linearized_operator, solve_linearized_state,
+from .pde import (adjoint_residual_norm, linearized_operator,
                   state_residual_norm)
 from .problem import AdmissionError
 
@@ -158,10 +158,7 @@ def residuals(disc: Discretization, point: KktPoint) -> KktResiduals:
     adj = point.adjoint.values
 
     r_state = state_residual_norm(disc, y, u, lam)
-
-    op = linearized_operator(disc, y)
-    rhs = adjoint_rhs(disc, y, lam, point.multipliers)
-    r_adjoint = float(np.linalg.norm(op.matrix @ adj - rhs))
+    r_adjoint = adjoint_residual_norm(disc, y, lam, point.multipliers, adj)
 
     alpha = disc.eval_node(disc.problem.alpha, lam=lam)
     beta = disc.eval_node(disc.problem.beta, lam=lam)

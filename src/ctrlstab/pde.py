@@ -8,6 +8,10 @@ with ``a`` the diffusion + a0 reaction form.  Newton's method uses the exact
 consistent Jacobian ``K + M[h_y(., y)]`` (the h_y-weighted mass), which keeps
 the iteration quadratically convergent; steps are damped by halving on the
 residual norm.  Monotonicity of h (dh/dy >= 0) makes every Jacobian SPD.
+Newton, the adjoint and linearized solves (:func:`linearized_operator`) and
+the adjoint residual (:func:`adjoint_residual_norm`, matrix only) all read
+this operator from the one cached entry of the ``Discretization``, so a
+state whose h_y weights did not change is not assembled or factorized again.
 
 The adjoint problem is linear in the costate::
 
@@ -91,9 +95,8 @@ def solve_state(disc: Discretization, u, lam, y0=None,
         if iterations >= max_iter:
             raise StateSolveError("Newton iteration limit reached",
                                   iterations, res)
-        hy = disc.eval_dom(disc.problem.reaction_y, y=y)
-        jac = k_mat + disc.domain_mass_weighted(hy)
-        delta = solve_spd(jac, -f_vec)
+        jac = linearized_operator(disc, y)
+        delta = solve_spd(jac.matrix, -f_vec, factor=jac)
 
         sigma = 1.0
         for _ in range(30):
@@ -142,12 +145,34 @@ def adjoint_rhs(disc: Discretization, y: np.ndarray, lam: np.ndarray,
     return -disc.domain_load(ly) - disc.boundary_load(bnd)
 
 
-def linearized_operator(disc: Discretization, y) -> SpdFactorization:
-    """Factorized ``K + M[h_y(., y)]``, shared by adjoint and linearized
-    state solves at the same state."""
+def _reaction_y(disc: Discretization, y) -> np.ndarray:
     y = _nodal(y, disc.mesh.n_vertices)
-    hy = disc.eval_dom(disc.problem.reaction_y, y=y)
-    return SpdFactorization(disc.form.stiffness + disc.domain_mass_weighted(hy))
+    return disc.eval_dom(disc.problem.reaction_y, y=y)
+
+
+def linearized_operator(disc: Discretization, y) -> SpdFactorization:
+    """Factorized ``K + M[h_y(., y)]``, shared by Newton, adjoint and
+    linearized state solves at the same state.
+
+    The factorization is the ``Discretization``'s cached one whenever the
+    h_y weights at ``y`` are bit-identical to the cached weights, so the
+    returned object is shared: do not mutate it or its ``matrix``.
+    """
+    return disc.jacobian_factor(_reaction_y(disc, y))
+
+
+def adjoint_residual_norm(disc: Discretization, y, lam, multipliers,
+                          adjoint) -> float:
+    """Algebraic 2-norm of the discrete adjoint equation residual.
+
+    Reads the assembled ``K + M[h_y(., y)]`` without factorizing it.
+    """
+    y = _nodal(y, disc.mesh.n_vertices)
+    lam = _nodal(lam, disc.mesh.n_boundary)
+    adjoint = _nodal(adjoint, disc.mesh.n_vertices)
+    jac = disc.jacobian_matrix(_reaction_y(disc, y))
+    return float(np.linalg.norm(jac @ adjoint
+                                - adjoint_rhs(disc, y, lam, multipliers)))
 
 
 def solve_adjoint(disc: Discretization, y, lam, multipliers,
@@ -172,6 +197,7 @@ def solve_linearized_state(disc: Discretization, operator: SpdFactorization,
 __all__ = [
     "StateSolveError", "StateSolveReport",
     "solve_state", "state_residual_norm",
-    "adjoint_rhs", "linearized_operator", "solve_adjoint",
+    "adjoint_rhs", "adjoint_residual_norm", "linearized_operator",
+    "solve_adjoint",
     "solve_linearized_state",
 ]

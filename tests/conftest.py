@@ -13,7 +13,7 @@ if str(TESTS_DIR) not in sys.path:
     sys.path.insert(0, str(TESTS_DIR))
 
 from ctrlstab import (Discretization, ProblemSpec, SolveOptions,
-                      make_disk_mesh, parse, solve_kkt)
+                      SpdFactorization, make_disk_mesh, parse, solve_kkt)
 
 _DEFAULTS = dict(
     a11="1", a12="0", a22="1", a0="1", c0=1.0,
@@ -84,3 +84,17 @@ def lq_solved32(lq_disc32):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Records every ``SpdFactorization`` constructed while the test runs."""
+    made = []
+    init = SpdFactorization.__init__
+
+    def counting_init(self, matrix):
+        made.append(self)
+        init(self, matrix)
+
+    monkeypatch.setattr(SpdFactorization, "__init__", counting_init)
+    return made

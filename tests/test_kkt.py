@@ -13,6 +13,7 @@ from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
                       project_halfline, projection_identity_gap,
                       quadratic_form, recover_multipliers, solve_kkt)
 from ctrlstab.kkt import check_beta_floor, constraint_values, residuals
+from ctrlstab.pde import linearized_operator
 from ctrlstab.solver import SolveOptions, objective_value
 
 from conftest import make_spec
@@ -94,6 +95,36 @@ def test_residuals_match_dense_recomputation(lq_disc16):
                          got.complementarity, got.feasibility])
         assert np.max(np.abs(have - want)) <= 1e-12 * (1.0 + np.max(want))
         assert got.worst == float(np.max(have))
+
+
+def test_residuals_never_factorize(factorizations):
+    # cubic reaction: every random state has its own h_y weights, so none of
+    # them is the cached operator, which sits at the zero state
+    disc = Discretization(make_spec(reaction="y^3 + y"), make_disk_mesh(16, 0))
+    linearized_operator(disc, np.zeros(disc.mesh.n_vertices))
+    factorizations.clear()
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        point = _random_point(disc, rng)
+        got = residuals(disc, point)
+        want = dense_residuals(disc, point)
+        have = np.array([got.state, got.adjoint, got.stationarity,
+                         got.complementarity, got.feasibility])
+        assert np.max(np.abs(have - want)) <= 1e-12 * (1.0 + np.max(want))
+    assert factorizations == []
+
+
+def test_linear_reaction_factorizes_once_per_discretization(factorizations):
+    # h = y: h_y is the same at every state, so the Newton steps, adjoint
+    # solves, residuals and the SSC check all share one factorization
+    disc = Discretization(make_spec(), make_disk_mesh(16, 0))
+    rep = solve_kkt(disc, disc.param_reference(),
+                    options=SolveOptions(tol=1e-10))
+    residuals(disc, rep.point)
+    check_ssc(disc, rep.point, n_samples=20,
+              rng=np.random.default_rng(2))
+    assert rep.iterations > 1
+    assert len(factorizations) == 1
 
 
 def test_exact_zero_point_has_zero_residuals():

@@ -140,6 +140,26 @@ def test_adjoint_operator_self_adjoint(disc_cubic):
     assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
 
 
+def test_linearized_operator_follows_the_state(disc_cubic, factorizations):
+    # y1, y2, y1: each lookup must factorize the Jacobian at the state asked
+    # for, never return the one cached at the previous state
+    nb = disc_cubic.mesh.n_boundary
+    y1 = solve_state(disc_cubic, np.ones(nb), np.zeros(nb)).state.values
+    y2 = solve_state(disc_cubic, 2.0 * np.ones(nb), np.zeros(nb)).state.values
+    rng = np.random.default_rng(6)
+    factorizations.clear()
+    for y in (y1, y2, y1):
+        op = linearized_operator(disc_cubic, y)
+        assert linearized_operator(disc_cubic, y) is op
+        hy = disc_cubic.eval_dom(disc_cubic.problem.reaction_y, y=y)
+        fresh = disc_cubic.form.stiffness + disc_cubic.domain_mass_weighted(hy)
+        b = rng.standard_normal(disc_cubic.mesh.n_vertices)
+        x = op.solve(b)
+        assert float(np.linalg.norm(b - fresh @ x)) \
+            <= 1e-10 * (1.0 + float(np.linalg.norm(b)))
+    assert len(factorizations) == 3
+
+
 def test_adjoint_radial_against_bessel():
     # boundary tracking term only: the adjoint sees flux -1/2 through the
     # same radial operator as the linear state oracle
