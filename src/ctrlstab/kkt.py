@@ -215,38 +215,66 @@ def projection_identity_gap(disc: Discretization, point: KktPoint) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: entries of one sampled state block (V, k) in the sampled estimator:
+#: 64 columns on the 353-vertex reference mesh, never fewer than one
+_BLOCK_FLOATS = 64 * 353
+
+
+def _curvature_operator(disc: Discretization, point: KktPoint) -> tuple:
+    """The curvature form at ``point`` as two assembled matrices::
+
+        A_y = M[L_yy + adj h_yy] + M_B[l_yy + sum_i e_i g_iyy]   (V, V)
+        B_u = M_B[beta]                      (Nb, Nb), boundary numbering
+
+    The mass matrices use the module's quadrature rules, so
+    ``int w (sum_a y_a phi_a)^2 = y^T M[w] y`` holds exactly.
+    """
+    p = disc.problem
+    y_base = point.state.values
+    lam = point.param.values
+    w_dom = disc.eval_dom(p.obj_domain_yy, y=y_base) \
+        + disc.tri_interp(point.adjoint.values) \
+        * disc.eval_dom(p.reaction_yy, y=y_base)
+    w_bnd = disc.eval_bnd(p.obj_boundary_yy, y=y_base, lam=lam)
+    for gyy, e in zip(p.constraints_yy, point.multipliers):
+        w_bnd = w_bnd + disc.edge_interp(e.values) \
+            * disc.eval_bnd(gyy, y=y_base, lam=lam)
+    a_y = disc.domain_mass_weighted(w_dom) \
+        + disc.boundary_mass_weighted(w_bnd)
+    b_u = disc.boundary_mass_weighted(disc.eval_bnd(p.beta, lam=lam),
+                                      boundary_numbering=True)
+    return a_y, b_u
+
+
+def _curvature(operator: tuple, y: np.ndarray, u: np.ndarray):
+    """``y^T A_y y + u^T B_u u``, per column for blocks."""
+    a_y, b_u = operator
+    return np.sum(y * (a_y @ y), axis=0) + np.sum(u * (b_u @ u), axis=0)
+
+
 def quadratic_form(disc: Discretization, point: KktPoint,
                    y_dir: np.ndarray, u_dir: np.ndarray) -> float:
     """Curvature form of the optimality system at ``point``::
 
         Q(y, u) = int (L_yy + adj h_yy) y^2 dx
                 + int_bnd (l_yy y^2 + beta u^2 + sum_i e_i g_iyy y^2) ds.
+
+    Evaluated as ``y^T A_y y + u^T B_u u`` with the assembled curvature
+    operator; for these quadrature rules this is the quadrature sum, up to
+    rounding.  Each call assembles the operator; ``check_ssc`` assembles it
+    once per point.
     """
-    p = disc.problem
-    y_base = point.state.values
-    lam = point.param.values
-    y_dir = np.asarray(y_dir, float)
-    u_dir = np.asarray(u_dir, float)
-
-    w_dom = disc.eval_dom(p.obj_domain_yy, y=y_base)
-    w_dom = w_dom + disc.tri_interp(point.adjoint.values) \
-        * disc.eval_dom(p.reaction_yy, y=y_base)
-    yq = disc.tri_interp(y_dir)
-    q_val = disc.integrate_domain(w_dom * yq ** 2)
-
-    w_bnd = disc.eval_bnd(p.obj_boundary_yy, y=y_base, lam=lam)
-    for gyy, e in zip(p.constraints_yy, point.multipliers):
-        w_bnd = w_bnd + disc.edge_interp(e.values) \
-            * disc.eval_bnd(gyy, y=y_base, lam=lam)
-    ytq = disc.edge_interp(disc.trace(y_dir))
-    beta_q = disc.eval_bnd(p.beta, lam=lam)
-    uq = disc.edge_interp(u_dir)
-    q_val += disc.integrate_boundary(w_bnd * ytq ** 2 + beta_q * uq ** 2)
-    return float(q_val)
+    return float(_curvature(_curvature_operator(disc, point),
+                            np.asarray(y_dir, float),
+                            np.asarray(u_dir, float)))
 
 
 class _ConeGeometry:
-    """Active-set data shared by the sampling and subspace estimators."""
+    """Active-set data shared by the sampling and subspace estimators.
+
+    The sampling methods act on blocks with one direction per column:
+    controls (Nb, k) and linearized states (V, k).
+    """
 
     def __init__(self, disc: Discretization, point: KktPoint, tol: float):
         self.disc = disc
@@ -267,6 +295,14 @@ class _ConeGeometry:
         self.operator = linearized_operator(disc, point.state.values)
         self._t_mat = None
         self._z_mat = None
+        self._curvature = None
+
+    @property
+    def curvature(self) -> tuple:
+        """The assembled curvature operator ``(A_y, B_u)`` at the point."""
+        if self._curvature is None:
+            self._curvature = _curvature_operator(self.disc, self.point)
+        return self._curvature
 
     @property
     def t_mat(self) -> np.ndarray:
@@ -297,37 +333,55 @@ class _ConeGeometry:
                 self._z_mat = np.eye(nb)
         return self._z_mat
 
-    def project(self, u: np.ndarray, sweeps: int = 30) -> tuple:
-        """Project a control seed into the discrete critical cone.
+    def project(self, seeds: np.ndarray, sweeps: int = 30) -> tuple:
+        """Project control seeds (Nb, k) into the discrete critical cone.
 
         The strong equalities are enforced exactly by restricting to their
         nullspace basis; the remaining weakly active inequalities are handled
         by alternating the cap ``u <= -g_y y`` with re-projection onto the
-        subspace.  Returns the control and its linearized state.
+        subspace.  Each column stops at the first sweep whose cap moves it
+        by at most ``1e-14 (1 + max|u|)``, or after ``sweeps`` sweeps.
+        Returns the linearized states (V, k) and the controls (Nb, k).
         """
         disc = self.disc
         z = self.z_mat
         if z.shape[1] == 0:
             nv = disc.mesh.n_vertices
-            return np.zeros(nv), np.zeros_like(u)
-        u = z @ (z.T @ u)
+            return np.zeros((nv, seeds.shape[1])), np.zeros_like(seeds)
+        u = z @ (z.T @ seeds)
         y = self.t_mat @ u
-        weak = self.active & ~self.strong
+        weak = (self.active & ~self.strong)[:, :, None]
         if weak.any():
+            gy = self.gy[:, :, None]
+            live = np.arange(u.shape[1])
             for _ in range(sweeps):
-                yb = disc.trace(y)
-                bound = np.min(np.where(weak, -self.gy * yb, math.inf),
-                               axis=0)
-                u_new = np.minimum(u, bound)
-                if np.max(np.abs(u_new - u)) <= 1e-14 * (1.0 + np.max(np.abs(u))):
+                yb = disc.trace(y)[:, live]
+                bound = np.min(np.where(weak, -gy * yb, math.inf), axis=0)
+                u_live = u[:, live]
+                u_new = np.minimum(u_live, bound)
+                done = (np.max(np.abs(u_new - u_live), axis=0)
+                        <= 1e-14 * (1.0 + np.max(np.abs(u_live), axis=0)))
+                live = live[~done]
+                if live.size == 0:
                     break
-                u = z @ (z.T @ u_new)
-                y = self.t_mat @ u
+                u[:, live] = z @ (z.T @ u_new[:, ~done])
+                y[:, live] = self.t_mat @ u[:, live]
         return y, u
 
+    def size(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Per column ``||u||_L2bnd + ||y||_L2dom``, from the mass
+        matrices."""
+        form = self.disc.form
+
+        def l2(mass, x):
+            return np.sqrt(np.maximum(np.sum(x * (mass @ x), axis=0), 0.0))
+
+        return l2(form.mass_boundary_bb, u) + l2(form.mass_domain, y)
+
     def admissible(self, y: np.ndarray, u: np.ndarray,
-                   scale: float) -> bool:
-        """Check (iii) on active nodes and first-order criticality.
+                   scale: np.ndarray) -> np.ndarray:
+        """Check (iii) on active nodes and first-order criticality, per
+        column (``scale`` holds one value per column).
 
         Criticality is the nodal complementarity product: each multiplier
         weight must sit where the linearized constraint is tight.  (The
@@ -335,14 +389,13 @@ class _ConeGeometry:
         edges joining a strongly active node to an inactive one it picks up
         an interpolation cross term of order h^2 that never vanishes.)
         """
-        yb = self.disc.trace(y)
-        lin = self.gy * yb + u
-        viol = np.where(self.active, lin, -math.inf)
-        if float(np.max(viol, initial=-math.inf)) > self.tol * scale:
-            return False
-        defect = float(np.max(np.abs(self.mult * lin),
-                              initial=0.0))
-        return defect <= self.tol * scale * (1.0 + self.mult_scale)
+        lin = self.gy[:, :, None] * self.disc.trace(y) + u  # (m, Nb, k)
+        viol = np.max(np.where(self.active[:, :, None], lin, -math.inf),
+                      axis=(0, 1), initial=-math.inf)
+        defect = np.max(np.abs(self.mult[:, :, None] * lin), axis=(0, 1),
+                        initial=0.0)
+        return ((viol <= self.tol * scale)
+                & (defect <= self.tol * scale * (1.0 + self.mult_scale)))
 
 
 def critical_direction_sample(disc: Discretization, point: KktPoint,
@@ -354,36 +407,45 @@ def critical_direction_sample(disc: Discretization, point: KktPoint,
     normalization is ``||u||_L2bnd + ||y||_L2dom = 1``.  Directions that
     fail the cone checks after projection (and after retrying the flipped
     seed) are dropped, so fewer than ``n`` may return; an empty list means
-    the cone is numerically trivial.
+    the cone is numerically trivial.  The sampling runs in blocks and
+    draws from ``rng`` as ``check_ssc`` does.
     """
     cone = _ConeGeometry(disc, point, tol)
-    return _sample_directions(cone, n, rng)
+    return [(FeFunction(disc.mesh, y), BoundaryFunction(disc.mesh, u))
+            for ys, us in _critical_blocks(cone, n, rng)
+            for y, u in zip(ys.T.copy(), us.T.copy())]
 
 
-def _sample_directions(cone: _ConeGeometry, n: int,
-                       rng: np.random.Generator) -> list:
-    out = []
-    for _ in range(n):
-        seed = rng.standard_normal(cone.disc.mesh.n_boundary)
-        direction = _finish_direction(cone, seed)
-        if direction is None:
-            direction = _finish_direction(cone, -seed)
-        if direction is not None:
-            out.append(direction)
-    return out
+def _critical_blocks(cone: _ConeGeometry, n: int,
+                     rng: np.random.Generator):
+    """Yield the accepted unit directions as blocks ``(Y, U)``, in sample
+    order.
+
+    Seeds are drawn ``k`` at a time with ``rng.standard_normal((k, Nb))``,
+    the same stream as ``k`` draws of one seed each, so the result does not
+    depend on ``k``.  A seed whose projection fails the cone checks is
+    retried flipped; if that fails too, the sample is dropped.
+    """
+    mesh = cone.disc.mesh
+    width = max(1, _BLOCK_FLOATS // mesh.n_vertices)
+    for start in range(0, n, width):
+        seeds = rng.standard_normal((min(width, n - start),
+                                     mesh.n_boundary)).T
+        y, u, size, ok = _finish_block(cone, seeds)
+        retry = np.flatnonzero(~ok)
+        if retry.size:
+            y[:, retry], u[:, retry], size[retry], ok[retry] = \
+                _finish_block(cone, -seeds[:, retry])
+        yield y[:, ok] / size[ok], u[:, ok] / size[ok]
 
 
-def _finish_direction(cone: _ConeGeometry, seed: np.ndarray):
-    disc = cone.disc
-    y, u = cone.project(seed.copy())
-    size = disc.l2_boundary(u) + disc.l2_domain(y)
-    if size <= 1e-12 * (1.0 + float(np.max(np.abs(seed)))):
-        return None
-    if not cone.admissible(y, u, size):
-        return None
-    y = y / size
-    u = u / size
-    return (FeFunction(disc.mesh, y), BoundaryFunction(disc.mesh, u))
+def _finish_block(cone: _ConeGeometry, seeds: np.ndarray) -> tuple:
+    """Project seed columns and run the cone checks: ``(Y, U, size, ok)``
+    with ``ok`` marking the columns that pass."""
+    y, u = cone.project(seeds)
+    size = cone.size(y, u)
+    ok = size > 1e-12 * (1.0 + np.max(np.abs(seeds), axis=0))
+    return y, u, size, ok & cone.admissible(y, u, size)
 
 
 @dataclass
@@ -392,6 +454,8 @@ class SscReport:
 
     ``min_rayleigh``: smallest curvature value over the sampled unit
     directions (inf when the cone is numerically trivial).
+    ``n_samples``: the number of accepted sampled directions, plus one for
+    the subspace eigen-direction when that direction is admissible.
     ``subspace_min_eig``: smallest eigenvalue of the reduced Hessian on the
     strongly-active equality subspace, in the metric
     ``||u||^2 + ||y(u)||^2``.  ``positive`` holds when both estimators are
@@ -432,13 +496,25 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     direction is itself admissible), and the smallest reduced-Hessian
     eigenvalue on the strongly-active equality subspace via a shifted
     inverse power iteration.
+
+    Both read one curvature operator ``(A_y, B_u)`` assembled at the point,
+    and a direction's value is ``y^T A_y y + u^T B_u u`` (the curvature
+    integral of :func:`quadratic_form`, exact for these quadrature rules).
+    Samples are projected and evaluated in blocks of columns whose width
+    depends on the mesh size; only a running minimum and a count are kept.
+    The draws from ``rng`` come in the same order as one seed per sample,
+    so a seeded report does not depend on the block width.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     cone = _ConeGeometry(disc, point, tol)
-    dirs = _sample_directions(cone, n_samples, rng)
-    values = [quadratic_form(disc, point, y.values, u.values)
-              for y, u in dirs]
+    n_accepted = 0
+    min_rayleigh = math.inf
+    for y, u in _critical_blocks(cone, n_samples, rng):
+        if y.shape[1]:
+            n_accepted += y.shape[1]
+            values = _curvature(cone.curvature, y, u)
+            min_rayleigh = min(min_rayleigh, float(np.min(values)))
 
     # reduced Hessian on the strongly-active equality subspace
     t_mat = cone.t_mat
@@ -448,21 +524,8 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     if z_mat.shape[1] == 0:
         sub_min = math.inf
     else:
-        p = disc.problem
-        lam = point.param.values
-        y_base = point.state.values
-        w_dom = disc.eval_dom(p.obj_domain_yy, y=y_base) \
-            + disc.tri_interp(point.adjoint.values) \
-            * disc.eval_dom(p.reaction_yy, y=y_base)
-        a_dom = disc.domain_mass_weighted(w_dom)
-        w_bnd = disc.eval_bnd(p.obj_boundary_yy, y=y_base, lam=lam)
-        for gyy, e in zip(p.constraints_yy, point.multipliers):
-            w_bnd = w_bnd + disc.edge_interp(e.values) \
-                * disc.eval_bnd(gyy, y=y_base, lam=lam)
-        b_y = disc.boundary_mass_weighted(w_bnd)
-        b_u = disc.boundary_mass_weighted(
-            disc.eval_bnd(p.beta, lam=lam), boundary_numbering=True)
-        hess = t_mat.T @ ((a_dom + b_y) @ t_mat) + b_u.toarray()
+        a_y, b_u = cone.curvature
+        hess = t_mat.T @ (a_y @ t_mat) + b_u.toarray()
         metric = disc.form.mass_boundary_bb.toarray() \
             + t_mat.T @ (disc.form.mass_domain @ t_mat)
 
@@ -509,20 +572,18 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
 
         # the eigen-direction is a legal sample whenever it lies in the cone
         u_eig = z_mat @ (scipy.linalg.solve_triangular(
-            chol_b, x, lower=True, trans="T"))
+            chol_b, x[:, None], lower=True, trans="T"))
         y_eig = t_mat @ u_eig
-        size = disc.l2_boundary(u_eig) + disc.l2_domain(y_eig)
-        if size > 1e-12 and cone.admissible(y_eig, u_eig, size):
-            values.append(quadratic_form(disc, point, y_eig / size,
-                                         u_eig / size))
-            dirs.append((FeFunction(disc.mesh, y_eig / size),
-                         BoundaryFunction(disc.mesh, u_eig / size)))
+        size = cone.size(y_eig, u_eig)
+        if size[0] > 1e-12 and cone.admissible(y_eig, u_eig, size)[0]:
+            n_accepted += 1
+            value = _curvature(cone.curvature, y_eig / size, u_eig / size)
+            min_rayleigh = min(min_rayleigh, float(value[0]))
 
-    min_rayleigh = min(values) if values else math.inf
     positive = (min_rayleigh > 0.0) and (sub_min > 0.0)
     return SscReport(min_rayleigh=float(min_rayleigh),
                      subspace_min_eig=float(sub_min),
-                     n_samples=len(dirs), n_strong=n_strong,
+                     n_samples=n_accepted, n_strong=n_strong,
                      positive=positive)
 
 

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the package's own assembly and solver
 paths: dense Gaussian elimination instead of the banded Cholesky, a 1-D
 finite-volume radial solver instead of the 2-D triangulation, a power-series
-Bessel evaluation instead of any library special function, and a quasi-Newton
-penalty minimizer instead of the KKT fixed-point iteration.
+Bessel evaluation instead of any library special function, a quasi-Newton
+penalty minimizer instead of the KKT fixed-point iteration, and a
+direction-at-a-time critical cone sampler with a quadrature curvature form
+instead of the blocked sampler over the assembled curvature operator.
 """
 import math
 
@@ -125,3 +127,90 @@ def penalty_minimize(cost, violation, n_controls, weights, mu_path=None,
         u = res.x
         shift = np.maximum(shift + mu * violation(u), 0.0)
     return u
+
+
+def quadrature_curvature(disc, point, y_dir, u_dir):
+    """Curvature form summed at the quadrature points::
+
+        int (L_yy + adj h_yy) y^2 dx
+            + int_bnd (l_yy y^2 + beta u^2 + sum_i e_i g_iyy y^2) ds.
+    """
+    p = disc.problem
+    y_base = point.state.values
+    lam = point.param.values
+    w_dom = disc.eval_dom(p.obj_domain_yy, y=y_base) \
+        + disc.tri_interp(point.adjoint.values) \
+        * disc.eval_dom(p.reaction_yy, y=y_base)
+    q_val = disc.integrate_domain(w_dom * disc.tri_interp(y_dir) ** 2)
+    w_bnd = disc.eval_bnd(p.obj_boundary_yy, y=y_base, lam=lam)
+    for gyy, e in zip(p.constraints_yy, point.multipliers):
+        w_bnd = w_bnd + disc.edge_interp(e.values) \
+            * disc.eval_bnd(gyy, y=y_base, lam=lam)
+    ytq = disc.edge_interp(disc.trace(y_dir))
+    beta_q = disc.eval_bnd(p.beta, lam=lam)
+    uq = disc.edge_interp(u_dir)
+    q_val += disc.integrate_boundary(w_bnd * ytq ** 2 + beta_q * uq ** 2)
+    return float(q_val)
+
+
+def project_one(cone, u, sweeps=30):
+    """Project one control seed into the discrete critical cone described by
+    ``cone`` (a ``ctrlstab.kkt._ConeGeometry``), one vector at a time.
+
+    Returns ``(y, u, n_sweeps)``, where ``n_sweeps`` counts the cap sweeps
+    run before the cap stopped moving ``u`` (0 without weak nodes).
+    """
+    disc = cone.disc
+    z = cone.z_mat
+    if z.shape[1] == 0:
+        return np.zeros(disc.mesh.n_vertices), np.zeros_like(u), 0
+    u = z @ (z.T @ u)
+    y = cone.t_mat @ u
+    weak = cone.active & ~cone.strong
+    n_sweeps = 0
+    if weak.any():
+        for _ in range(sweeps):
+            n_sweeps += 1
+            yb = disc.trace(y)
+            bound = np.min(np.where(weak, -cone.gy * yb, math.inf), axis=0)
+            u_new = np.minimum(u, bound)
+            if np.max(np.abs(u_new - u)) <= 1e-14 * (1.0 + np.max(np.abs(u))):
+                break
+            u = z @ (z.T @ u_new)
+            y = cone.t_mat @ u
+    return y, u, n_sweeps
+
+
+def _admissible_one(cone, y, u, scale):
+    lin = cone.gy * cone.disc.trace(y) + u
+    viol = np.where(cone.active, lin, -math.inf)
+    if float(np.max(viol, initial=-math.inf)) > cone.tol * scale:
+        return False
+    defect = float(np.max(np.abs(cone.mult * lin), initial=0.0))
+    return defect <= cone.tol * scale * (1.0 + cone.mult_scale)
+
+
+def _finish_one(cone, seed):
+    disc = cone.disc
+    y, u, _ = project_one(cone, seed.copy())
+    size = disc.l2_boundary(u) + disc.l2_domain(y)
+    if size <= 1e-12 * (1.0 + float(np.max(np.abs(seed)))):
+        return None
+    if not _admissible_one(cone, y, u, size):
+        return None
+    return y / size, u / size
+
+
+def sample_directions_one_by_one(cone, n, rng):
+    """Critical directions drawn, projected and checked one seed at a time,
+    the flipped seed retried on rejection; returns ``[(y, u), ...]`` of unit
+    size (quadrature norms) in sample order."""
+    out = []
+    for _ in range(n):
+        seed = rng.standard_normal(cone.disc.mesh.n_boundary)
+        direction = _finish_one(cone, seed)
+        if direction is None:
+            direction = _finish_one(cone, -seed)
+        if direction is not None:
+            out.append(direction)
+    return out

@@ -3,6 +3,7 @@ partition on closed-form examples, multiplier recovery identities, the
 half-line projection, and both second-order estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
                       critical_direction_sample, make_disk_mesh, partition_at,
                       project_halfline, projection_identity_gap,
                       quadratic_form, recover_multipliers, solve_kkt)
-from ctrlstab.kkt import check_beta_floor, constraint_values, residuals
+from ctrlstab.kkt import (_BLOCK_FLOATS, _ConeGeometry, check_beta_floor,
+                          constraint_values, residuals)
 from ctrlstab.pde import linearized_operator
 from ctrlstab.solver import SolveOptions, objective_value
 
 from conftest import make_spec
+from oracles import (project_one, quadrature_curvature,
+                     sample_directions_one_by_one)
 
 
 def _zero_point(disc, m=None):
@@ -441,6 +445,134 @@ def test_check_ssc_flags_concave_objective():
                     rng=np.random.default_rng(8))
     assert not rep.positive
     assert min(rep.min_rayleigh, rep.subspace_min_eig) < 0.0
+
+
+def _double_well_point():
+    # no constraint is active and the domain objective is a double well,
+    # so the critical cone is the whole space and the curvature indefinite
+    spec = make_spec(obj_domain="0.25*(y^2 - 1)^2", alpha="0",
+                     constraints=("-1", "-2"))
+    disc = Discretization(spec, make_disk_mesh(16, 0))
+    point = _zero_point(disc)
+    assert residuals(disc, point).worst == 0.0
+    return disc, point
+
+
+def _weakly_active_point(mixed_active_solved):
+    # zeroing the multipliers on the second half of the boundary leaves
+    # active nodes there whose multiplier vanishes: weakly active
+    disc, solved = mixed_active_solved
+    point = solved.point
+    nb = disc.mesh.n_boundary
+    mults = tuple(BoundaryFunction(disc.mesh,
+                                   np.where(np.arange(nb) >= nb // 2,
+                                            0.0, e.values))
+                  for e in point.multipliers)
+    weak = KktPoint(point.state, point.control, point.adjoint, mults,
+                    point.param)
+    return disc, weak
+
+
+@pytest.mark.parametrize("case", ["mixed_active", "double_well",
+                                  "weakly_active"])
+def test_block_sampler_matches_one_by_one_reference(case,
+                                                    mixed_active_solved):
+    if case == "mixed_active":
+        disc, point = mixed_active_solved[0], mixed_active_solved[1].point
+    elif case == "double_well":
+        disc, point = _double_well_point()
+    else:
+        disc, point = _weakly_active_point(mixed_active_solved)
+    n = 300
+    cone = _ConeGeometry(disc, point, 1e-8)
+    ref = sample_directions_one_by_one(cone, n, np.random.default_rng(4))
+    ref_values = [quadrature_curvature(disc, point, y, u) for y, u in ref]
+    assert len(ref) > 0
+
+    dirs = critical_direction_sample(disc, point, n,
+                                     np.random.default_rng(4))
+    assert len(dirs) == len(ref)
+    for (y, u), (y_ref, u_ref) in zip(dirs, ref):
+        assert np.allclose(y.values, y_ref, rtol=0.0, atol=1e-12)
+        assert np.allclose(u.values, u_ref, rtol=0.0, atol=1e-12)
+
+    # the eigen-direction alone: what check_ssc adds to the samples
+    eig = check_ssc(disc, point, n_samples=0)
+    rep = check_ssc(disc, point, n_samples=n, rng=np.random.default_rng(4))
+    assert rep.n_samples == len(ref) + eig.n_samples
+    expected = min(min(ref_values), eig.min_rayleigh)
+    assert abs(rep.min_rayleigh - expected) <= 1e-12 * abs(expected)
+    if case == "weakly_active":
+        # the eigen-direction is not admissible here, so the minimum is
+        # the sampled one
+        assert eig.n_samples == 0
+
+
+def test_quadratic_form_equals_quadrature_sum(cubic_solved,
+                                              mixed_active_solved):
+    rng = np.random.default_rng(12)
+    for disc, rep in (cubic_solved, mixed_active_solved):
+        for _ in range(3):
+            yd = rng.standard_normal(disc.mesh.n_vertices)
+            ud = rng.standard_normal(disc.mesh.n_boundary)
+            q = quadratic_form(disc, rep.point, yd, ud)
+            ref = quadrature_curvature(disc, rep.point, yd, ud)
+            assert abs(q - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
+def test_block_projection_matches_per_vector_weak_path(mixed_active_solved):
+    disc, point = _weakly_active_point(mixed_active_solved)
+    cone = _ConeGeometry(disc, point, 1e-8)
+    assert (cone.active & ~cone.strong).any()
+    seeds = np.random.default_rng(0).standard_normal(
+        (60, disc.mesh.n_boundary)).T
+    y_block, u_block = cone.project(seeds)
+    sweeps = set()
+    for j in range(seeds.shape[1]):
+        y, u, n_sweeps = project_one(cone, seeds[:, j])
+        sweeps.add(n_sweeps)
+        assert np.allclose(y_block[:, j], y, rtol=0.0, atol=1e-12)
+        assert np.allclose(u_block[:, j], u, rtol=0.0, atol=1e-12)
+    # columns stop at different sweeps, so per-column stopping is exercised
+    assert len(sweeps) > 1
+
+
+def test_check_ssc_cost_does_not_grow_with_samples(mixed_active_solved,
+                                                   monkeypatch):
+    disc, solved = mixed_active_solved
+    calls = []
+    for name in ("eval_dom", "eval_bnd"):
+        original = getattr(Discretization, name)
+
+        def counting(self, *args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Discretization, name, counting)
+
+    def evaluations(n):
+        calls.clear()
+        check_ssc(disc, solved.point, n_samples=n,
+                  rng=np.random.default_rng(1))
+        return len(calls)
+
+    assert evaluations(50) == evaluations(500) > 0
+    monkeypatch.undo()
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            check_ssc(disc, solved.point, n_samples=n,
+                      rng=np.random.default_rng(1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    mesh = disc.mesh
+    width = max(1, _BLOCK_FLOATS // mesh.n_vertices)
+    block_bytes = 8 * width * (mesh.n_vertices + mesh.n_boundary)
+    assert 5000 > 500 > width
+    assert peak(5000) <= peak(500) + block_bytes
 
 
 def test_ssc_report_serialization(mixed_active_solved):
