@@ -141,7 +141,9 @@ def cmd_solve(args) -> int:
     part = h5_margins(disc, report.point)
     gap = projection_identity_gap(disc, report.point)
     obj = objective_value(disc, report.point.state, report.point.control, lam)
-    _say(args, f"converged in {report.iterations} iterations: "
+    _say(args, f"converged in {report.iterations} iterations "
+               f"({report.extrapolated} extrapolated, "
+               f"{report.restarts} restarts): "
                f"worst residual {report.residuals.worst:.3e}, "
                f"objective {obj:.9g}, sigma1 {part.sigma1:.6g}, "
                f"projection gap {gap:.3e}")

@@ -157,16 +157,25 @@ def parse_instance(path) -> InstanceConfig:
         name=str(path),
     )
 
-    options = SolveOptions(
-        max_outer=_number(cp, "solver", "max_outer", int, fallback=200),
-        tol=_number(cp, "solver", "tol", float, fallback=1e-9),
-        theta=_number(cp, "solver", "theta", float, fallback=0.5),
-        adaptive=_bool(cp, "solver", "adaptive", True),
-        theta_min=_number(cp, "solver", "theta_min", float, fallback=1e-3),
-        newton_tol=_number(cp, "solver", "newton_tol", float, fallback=1e-11),
-        newton_max_iter=_number(cp, "solver", "newton_max_iter", int,
-                                fallback=50),
-    ) if cp.has_section("solver") else SolveOptions()
+    options = SolveOptions()
+    if cp.has_section("solver"):
+        knobs = dict(
+            max_outer=_number(cp, "solver", "max_outer", int, fallback=200),
+            tol=_number(cp, "solver", "tol", float, fallback=1e-9),
+            theta=_number(cp, "solver", "theta", float, fallback=0.5),
+            adaptive=_bool(cp, "solver", "adaptive", True),
+            theta_min=_number(cp, "solver", "theta_min", float,
+                              fallback=1e-3),
+            newton_tol=_number(cp, "solver", "newton_tol", float,
+                               fallback=1e-11),
+            newton_max_iter=_number(cp, "solver", "newton_max_iter", int,
+                                    fallback=50),
+        )
+        try:
+            options = SolveOptions(**knobs)
+        except ValueError as exc:
+            # SolveOptions names the offending key first
+            raise ConfigError(f"[solver] {exc}") from exc
 
     sweep = None
     if cp.has_section("sweep"):

@@ -65,24 +65,31 @@ def _nodal(values, n: int) -> np.ndarray:
     return v
 
 
+def _finite(v: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} contains non-finite entries")
+    return v
+
+
 def solve_state(disc: Discretization, u, lam, y0=None,
                 tol: float = 1e-11, max_iter: int = 50) -> StateSolveReport:
     """Solve the semilinear state equation for boundary data ``u + lam``.
 
     ``tol`` is scaled by ``1 + ||b||_2`` with ``b`` the assembled load.
     Raises ``StateSolveError`` after ``max_iter`` Newton steps or a failed
-    line search (30 halvings without residual decrease).
+    line search (30 halvings without residual decrease), and ``ValueError``
+    when ``u``, ``lam`` or ``y0`` has a non-finite entry.
     """
     mesh = disc.mesh
     nb = mesh.n_boundary
-    u = _nodal(u, nb)
-    lam = _nodal(lam, nb)
+    u = _finite(_nodal(u, nb), "control")
+    lam = _finite(_nodal(lam, nb), "parameter")
     k_mat = disc.form.stiffness
     b = disc.form.mass_boundary @ disc.embed(u + lam)
     tol_abs = tol * (1.0 + float(np.linalg.norm(b)))
 
     y = np.zeros(mesh.n_vertices) if y0 is None \
-        else _nodal(y0, mesh.n_vertices).copy()
+        else _finite(_nodal(y0, mesh.n_vertices), "initial state").copy()
 
     def residual_vec(yv):
         hq = disc.eval_dom(disc.problem.reaction, y=yv)

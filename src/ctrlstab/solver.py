@@ -13,6 +13,18 @@ measure the distance to optimality at every iteration.  The damping adapts
 to the worst residual: halve on increase, grow by 1.2 (capped at 1) on
 decrease.
 
+Near a fold the damped map contracts slowly (thousands of iterations at
+theta = 0.05), so :func:`solve_kkt` applies type-II Anderson extrapolation
+(Walker & Ni 2011) to the iterate ``x = (u, e, p)`` of one damped
+iteration: control, damped multipliers and previous costate.  The history
+holds at most ``_ANDERSON_DEPTH`` differences of one map, so any change of
+theta clears it.  The extrapolation is safeguarded by a restart, not a
+roll-back: an extrapolated iterate whose worst residual rises above the
+previous iterate's clears the history and the iteration continues with the
+damped step from it.  An extrapolation that is not finite, or at which the
+state solve or the partition fails, is replaced by the plain damped step.
+The stopping rule and the residuals are those of the damped iteration.
+
 The module also provides the objective value and the adjoint-based reduced
 gradient of the control-to-cost map (with inactive constraints), which the
 derivative integrity checks difference against.
@@ -20,15 +32,20 @@ derivative integrity checks difference against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import BoundaryFunction, Discretization, FeFunction
+from .fem import BoundaryFunction, Discretization, FeFunction, FemError
 from .kkt import (KktPoint, KktResiduals, check_beta_floor,
                   constraint_values, partition_at, recover_multipliers,
                   residuals)
-from .pde import linearized_operator, solve_adjoint, solve_state
+from .pde import (StateSolveError, linearized_operator, solve_adjoint,
+                  solve_state)
+
+#: number of differences in the Anderson history
+_ANDERSON_DEPTH = 10
 
 
 class SolverError(RuntimeError):
@@ -52,7 +69,11 @@ class SolveOptions:
     """Outer solver knobs.
 
     ``tol`` bounds the worst of the five residuals; ``theta`` is the initial
-    damping factor, adapted when ``adaptive`` is set.
+    damping factor, adapted within ``[theta_min, 1]`` when ``adaptive`` is
+    set.  ``max_outer`` bounds the evaluated iterates, extrapolated ones
+    included; Anderson extrapolation has no knob and runs whenever theta
+    holds for two iterations.  A violated bound raises ``ValueError``
+    naming the field first.
     """
 
     max_outer: int = 200
@@ -65,11 +86,17 @@ class SolveOptions:
 
     def __post_init__(self):
         if not self.tol > 0:
-            raise ValueError("tol must be positive")
+            raise ValueError("tol: must be positive")
         if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must lie in (0, 1]")
+            raise ValueError("theta: must lie in (0, 1]")
         if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+            raise ValueError("max_outer: must be at least 1")
+        if not 0.0 < self.theta_min <= 1.0:
+            raise ValueError("theta_min: must lie in (0, 1]")
+        if not self.newton_tol > 0:
+            raise ValueError("newton_tol: must be positive")
+        if self.newton_max_iter < 1:
+            raise ValueError("newton_max_iter: must be at least 1")
 
     def to_dict(self) -> dict:
         return {"max_outer": self.max_outer, "tol": self.tol,
@@ -80,7 +107,14 @@ class SolveOptions:
 
 @dataclass
 class KktSolveReport:
-    """Solver outcome: the point, its residuals, and iteration diagnostics."""
+    """Solver outcome: the point, its residuals, and iteration diagnostics.
+
+    ``iterations`` counts evaluated iterates and ``history`` holds the
+    worst residual of each.  ``extrapolated`` of them were Anderson
+    extrapolations; ``restarts`` counts the extrapolations rejected (worst
+    residual above the previous iterate's, not finite, or a failed state
+    solve or partition), each of which cleared the history.
+    """
 
     point: KktPoint
     residuals: KktResiduals
@@ -88,6 +122,8 @@ class KktSolveReport:
     theta: float
     sigma1: float
     history: list = field(default_factory=list, repr=False)
+    extrapolated: int = 0
+    restarts: int = 0
 
 
 def _boundary(disc: Discretization, values) -> np.ndarray:
@@ -100,36 +136,71 @@ def _boundary(disc: Discretization, values) -> np.ndarray:
     return v
 
 
+def _extrapolate(pairs: list) -> np.ndarray:
+    """Type-II Anderson step from ``[(g_j, f_j), ...]`` (oldest first),
+    ``g_j`` the damped step from ``x_j`` and ``f_j = g_j - x_j``::
+
+        gamma = argmin || f_k - dF gamma ||,   x = g_k - dG gamma,
+
+    with ``dF``, ``dG`` the consecutive differences of the history."""
+    g = np.array([pair[0] for pair in pairs])
+    f = np.array([pair[1] for pair in pairs])
+    gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
+    return g[-1] - np.diff(g, axis=0).T @ gamma
+
+
 def solve_kkt(disc: Discretization, lam, u0=None,
               options: SolveOptions | None = None) -> KktSolveReport:
-    """Drive the damped projection iteration to a KKT point at ``lam``.
+    """Drive the Anderson-accelerated damped projection iteration to a KKT
+    point at ``lam``.
+
+    The iterate is ``x = (u, e, p)``: the control, the damped multipliers
+    and the previous costate.  One damped outer iteration maps it to
+    ``g(x)``; the next iterate is the type-II Anderson extrapolation of the
+    last ``_ANDERSON_DEPTH + 1`` pairs ``(x, g(x))`` while theta stays
+    unchanged, and a change of theta starts a new history.  An
+    extrapolated iterate whose worst residual exceeds the previous
+    iterate's restarts the history from itself, so the iteration goes on
+    with the damped step from that iterate.  One that is not finite, or
+    whose state solve or partition fails, is replaced by the damped step it
+    was extrapolated from.  ``iterations`` counts the iterates whose
+    residuals were evaluated.
 
     Raises ``SolverError`` when ``max_outer`` iterations do not reach
     ``tol`` and ``PartitionError`` when the dominance margin sigma1 drops
-    to zero or below along the way.
+    to zero or below at a damped iterate.
     """
     opts = options or SolveOptions()
     lam = _boundary(disc, lam)
-    u = np.zeros_like(lam) if u0 is None else _boundary(disc, u0).copy()
+    u0 = np.zeros_like(lam) if u0 is None else _boundary(disc, u0)
     check_beta_floor(disc, lam)
     alpha = disc.eval_node(disc.problem.alpha, lam=lam)
     beta = disc.eval_node(disc.problem.beta, lam=lam)
 
-    adjoint = np.zeros(disc.mesh.n_vertices)
-    e_vals = np.zeros((disc.problem.m, disc.mesh.n_boundary))
+    nb = disc.mesh.n_boundary
+    m = disc.problem.m
+    # x = [u (nb) | e_1 .. e_m (m nb) | previous costate (n_vertices)]; the
+    # whole costate, not just the trace the map reads, so that it carries
+    # its weight in the least-squares fit
+    x = np.concatenate([u0, np.zeros(m * nb + disc.mesh.n_vertices)])
     y_warm = None
     theta = opts.theta
     best: KktResiduals | None = None
     history: list = []
     lam_fn = BoundaryFunction(disc.mesh, lam)
+    pairs: list = []
+    damped = None  # the damped step an extrapolated x replaced
+    extrapolated = restarts = 0
 
-    for it in range(1, opts.max_outer + 1):
+    def evaluate(x, it):
+        # one damped iteration up to its residuals, at the current theta
+        # and Newton warm start
+        u = x[:nb]
         state = solve_state(disc, u, lam, y0=y_warm,
                             tol=opts.newton_tol,
                             max_iter=opts.newton_max_iter)
-        y_warm = state.state.values
-
-        part = partition_at(disc, y_warm, lam)
+        y = state.state.values
+        part = partition_at(disc, y, lam)
         if not (part.sigma1 > 0.0):
             raise PartitionError(
                 f"constraint separation margin sigma1 = {part.sigma1:.3e} "
@@ -138,36 +209,80 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         # the multiplier refresh shares the damping factor: the undamped
         # costate/multiplier alternation has loop gain above 1 on active
         # sets, while the damped update keeps the same fixed points
-        raw = recover_multipliers(disc, y_warm, u, adjoint, lam, part)
-        e_vals = (1.0 - theta) * e_vals \
+        raw = recover_multipliers(disc, y, u, x[(m + 1) * nb:], lam, part)
+        e_vals = (1.0 - theta) * x[nb:(m + 1) * nb].reshape(m, nb) \
             + theta * np.stack([e.values for e in raw])
         mults = tuple(BoundaryFunction(disc.mesh, row.copy())
                       for row in e_vals)
-        op = linearized_operator(disc, y_warm)
-        adj_fn = solve_adjoint(disc, y_warm, lam, mults, operator=op)
-        adjoint = adj_fn.values
+        op = linearized_operator(disc, y)
+        adj_fn = solve_adjoint(disc, y, lam, mults, operator=op)
 
         point = KktPoint(state=state.state,
                          control=BoundaryFunction(disc.mesh, u.copy()),
                          adjoint=adj_fn, multipliers=mults, param=lam_fn)
-        res = residuals(disc, point)
+        return point, residuals(disc, point), part, e_vals
+
+    for it in range(1, opts.max_outer + 1):
+        step = None
+        if damped is not None:
+            try:
+                step = evaluate(x, it)
+            except (StateSolveError, PartitionError, FemError, ValueError):
+                # ValueError covers non-finite states and EvalError
+                pass
+            if step is not None and math.isfinite(step[1].worst):
+                extrapolated += 1
+            else:
+                step, x = None, damped
+                restarts += 1
+                pairs.clear()
+        accelerated = step is not None
+        if step is None:
+            step = evaluate(x, it)
+        point, res, part, e_vals = step
+        y_warm = point.state.values
+
         history.append(res.worst)
         if best is None or res.worst < best.worst:
             best = res
         if res.worst <= opts.tol:
             return KktSolveReport(point=point, residuals=res, iterations=it,
                                   theta=theta, sigma1=part.sigma1,
-                                  history=history)
+                                  history=history, extrapolated=extrapolated,
+                                  restarts=restarts)
+        if accelerated and res.worst > history[-2]:
+            restarts += 1
+            pairs.clear()
 
+        new_theta = theta
         if opts.adaptive and len(history) >= 2:
             if history[-1] > history[-2]:
-                theta = max(opts.theta_min, 0.5 * theta)
+                new_theta = max(opts.theta_min, 0.5 * theta)
             else:
-                theta = min(1.0, 1.2 * theta)
+                new_theta = min(1.0, 1.2 * theta)
 
+        adjoint = point.adjoint.values
         g_max = np.max(constraint_values(disc, y_warm, lam), axis=0)
         target = np.minimum(-g_max, (disc.trace(adjoint) - alpha) / beta)
-        u = (1.0 - theta) * u + theta * target
+        u = (1.0 - new_theta) * x[:nb] + new_theta * target
+        g = np.concatenate([u, e_vals.ravel(), adjoint])
+
+        # a pair belongs to the map of one theta only if the multiplier
+        # damping (old theta) and the control damping (new theta) agree
+        if new_theta != theta:
+            pairs.clear()
+        else:
+            pairs.append((g, g - x))
+            del pairs[:-_ANDERSON_DEPTH - 1]
+        theta = new_theta
+        x, damped = g, None
+        if len(pairs) >= 2:
+            x_next = _extrapolate(pairs)
+            if np.all(np.isfinite(x_next)):
+                x, damped = x_next, g
+            else:
+                restarts += 1
+                del pairs[:-1]
 
     raise SolverError("outer iteration did not converge",
                       opts.max_outer, best)

@@ -9,8 +9,9 @@ distances to the reference solution are recorded::
     d_W1r  = ||y_t - y_ref||_W1r
 
 A log-log least-squares fit of each distance column against t estimates the
-growth exponent; the square-root law predicts exponents near 1/2 and a
-bounded Holder quotient ``d_Linf / sqrt(t)``.  The second-order check runs
+growth exponent.  Local Holder continuity of order 1/2 bounds the exponents
+from below by 1/2 and keeps the quotient ``d_Linf / sqrt(t)`` bounded; a
+locally Lipschitz solution map fits exponents near 1.  The second-order check runs
 once at the reference point before the sweep: a nonpositive curvature
 minimum aborts with ``SscHypothesisError`` since the stability theory has
 nothing to say there.

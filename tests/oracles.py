@@ -4,9 +4,11 @@ Everything here deliberately avoids the package's own assembly and solver
 paths: dense Gaussian elimination instead of the banded Cholesky, a 1-D
 finite-volume radial solver instead of the 2-D triangulation, a power-series
 Bessel evaluation instead of any library special function, a quasi-Newton
-penalty minimizer instead of the KKT fixed-point iteration, and a
+penalty minimizer instead of the KKT fixed-point iteration, a
 direction-at-a-time critical cone sampler with a quadrature curvature form
-instead of the blocked sampler over the assembled curvature operator.
+instead of the blocked sampler over the assembled curvature operator, and
+the plain damped projection iteration instead of its Anderson-accelerated
+form.
 """
 import math
 
@@ -214,3 +216,73 @@ def sample_directions_one_by_one(cone, n, rng):
         if direction is not None:
             out.append(direction)
     return out
+
+
+def damped_solve_kkt(disc, lam, u0=None, options=None):
+    """The damped projection fixed-point iteration without extrapolation:
+    every outer iteration takes the damped step ``u <- (1 - theta) u +
+    theta u_target`` (multipliers damped alike), with the same adaptive
+    damping and stopping rule as ``solve_kkt``.  Returns a
+    ``KktSolveReport``; raises ``SolverError`` or ``PartitionError`` as the
+    solver does.
+    """
+    from ctrlstab import (BoundaryFunction, KktPoint, KktSolveReport,
+                          PartitionError, SolveOptions, SolverError)
+    from ctrlstab.kkt import (check_beta_floor, constraint_values,
+                              partition_at, recover_multipliers, residuals)
+    from ctrlstab.pde import linearized_operator, solve_adjoint, solve_state
+
+    opts = options or SolveOptions()
+    lam = np.asarray(getattr(lam, "values", lam), dtype=float)
+    u = np.zeros_like(lam) if u0 is None \
+        else np.array(getattr(u0, "values", u0), dtype=float)
+    check_beta_floor(disc, lam)
+    alpha = disc.eval_node(disc.problem.alpha, lam=lam)
+    beta = disc.eval_node(disc.problem.beta, lam=lam)
+
+    adjoint = np.zeros(disc.mesh.n_vertices)
+    e_vals = np.zeros((disc.problem.m, disc.mesh.n_boundary))
+    y_warm = None
+    theta = opts.theta
+    best = None
+    history = []
+    lam_fn = BoundaryFunction(disc.mesh, lam)
+
+    for it in range(1, opts.max_outer + 1):
+        state = solve_state(disc, u, lam, y0=y_warm, tol=opts.newton_tol,
+                            max_iter=opts.newton_max_iter)
+        y_warm = state.state.values
+        part = partition_at(disc, y_warm, lam)
+        if not (part.sigma1 > 0.0):
+            raise PartitionError(f"sigma1 = {part.sigma1:.3e} at "
+                                 f"iteration {it}")
+        raw = recover_multipliers(disc, y_warm, u, adjoint, lam, part)
+        e_vals = (1.0 - theta) * e_vals \
+            + theta * np.stack([e.values for e in raw])
+        mults = tuple(BoundaryFunction(disc.mesh, row.copy())
+                      for row in e_vals)
+        op = linearized_operator(disc, y_warm)
+        adj_fn = solve_adjoint(disc, y_warm, lam, mults, operator=op)
+        adjoint = adj_fn.values
+        point = KktPoint(state=state.state,
+                         control=BoundaryFunction(disc.mesh, u.copy()),
+                         adjoint=adj_fn, multipliers=mults, param=lam_fn)
+        res = residuals(disc, point)
+        history.append(res.worst)
+        if best is None or res.worst < best.worst:
+            best = res
+        if res.worst <= opts.tol:
+            return KktSolveReport(point=point, residuals=res, iterations=it,
+                                  theta=theta, sigma1=part.sigma1,
+                                  history=history)
+        if opts.adaptive and len(history) >= 2:
+            if history[-1] > history[-2]:
+                theta = max(opts.theta_min, 0.5 * theta)
+            else:
+                theta = min(1.0, 1.2 * theta)
+        g_max = np.max(constraint_values(disc, y_warm, lam), axis=0)
+        target = np.minimum(-g_max, (disc.trace(adjoint) - alpha) / beta)
+        u = (1.0 - theta) * u + theta * target
+
+    raise SolverError("outer iteration did not converge", opts.max_outer,
+                      best)

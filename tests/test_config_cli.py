@@ -251,6 +251,7 @@ def test_solve_then_verify_round_trip(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     seen = capsys.readouterr().out
     assert "converged in" in seen
+    assert "extrapolated" in seen and "restarts" in seen
     assert (out / "point.txt").exists()
     payload = json.loads((out / "residuals.json").read_text())
     assert max(payload[k] for k in ("state", "adjoint", "stationarity",
@@ -292,6 +293,18 @@ def test_invalid_configs_exit_2(tmp_path, capsys):
     assert main(["solve", "--config", missing, "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("theta", "0"), ("theta_min", "1.5"), ("tol", "0"),
+    ("newton_tol", "0"), ("newton_max_iter", "0"), ("max_outer", "0")])
+def test_invalid_solver_values_exit_2(tmp_path, capsys, key, value):
+    path = write_ini(tmp_path / "s.ini", solver={key: value})
+    with pytest.raises(ConfigError, match=rf"\[solver\] {key}:"):
+        parse_instance(path)
+    assert main(["solve", "--config", path, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"[solver] {key}:" in err and "Traceback" not in err
 
 
 def test_nonconvergence_exits_3(tmp_path, capsys):

@@ -35,6 +35,18 @@ def test_zero_data_gives_zero_state(lq_disc16):
     assert rep.ratio == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["u", "lam", "y0"])
+def test_non_finite_data_rejected(lq_disc16, bad, where):
+    # a NaN norm would skip Newton and return a silent all-zero state
+    nb = lq_disc16.mesh.n_boundary
+    data = {"u": np.zeros(nb), "lam": np.zeros(nb),
+            "y0": np.zeros(lq_disc16.mesh.n_vertices)}
+    data[where][3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_state(lq_disc16, data["u"], data["lam"], y0=data["y0"])
+
+
 def test_radial_linear_against_bessel(disc_linear):
     # constant flux b=1 with -div grad y + 2 y = 0: the boundary value has
     # the closed form b I0(sqrt(2)) / (sqrt(2) I1(sqrt(2)))

@@ -8,11 +8,16 @@ import pytest
 
 from ctrlstab import (BoundaryFunction, Discretization, FeFunction,
                       PartitionError, SolveOptions, SolverError,
-                      make_disk_mesh, solve_kkt)
+                      build_discretization, make_disk_mesh, parse_instance,
+                      solve_kkt)
+from ctrlstab import solver
+from ctrlstab.kkt import projection_identity_gap
+from ctrlstab.pde import StateSolveError
 from ctrlstab.solver import (objective_value, pair_boundary, reduced_cost,
                              reduced_gradient)
 
-from conftest import make_spec
+from conftest import CONFIG_DIR, make_spec
+from oracles import damped_solve_kkt
 
 
 def test_converges_on_reference(lq_solved32):
@@ -97,6 +102,14 @@ def test_solve_options_validation():
         SolveOptions(theta=1.5)
     with pytest.raises(ValueError):
         SolveOptions(max_outer=0)
+    for theta_min in (1.5, 0.0, -1.0):
+        with pytest.raises(ValueError, match="theta_min"):
+            SolveOptions(theta_min=theta_min)
+    with pytest.raises(ValueError, match="newton_tol"):
+        SolveOptions(newton_tol=0.0)
+    with pytest.raises(ValueError, match="newton_max_iter"):
+        SolveOptions(newton_max_iter=0)
+    assert SolveOptions(theta_min=1.0).theta_min == 1.0
     opts = SolveOptions()
     assert opts.to_dict()["theta"] == 0.5
 
@@ -104,6 +117,117 @@ def test_solve_options_validation():
 def test_lambda_shape_checked(lq_disc16):
     with pytest.raises(ValueError):
         solve_kkt(lq_disc16, np.zeros(7))
+
+
+# ---------------------------------------------------------------------------
+# Anderson extrapolation against the plain damped iteration
+# ---------------------------------------------------------------------------
+
+#: (config, lambda_bar override); 0.6 is the benchmark's ssc_sample point
+CASES = [("lq_reference", None), ("oracle_box", None),
+         ("oracle_state", None), ("oracle_mixed", None),
+         ("stability_reference", None), ("stability_reference", 0.6)]
+
+
+def _instance(name, lam_bar):
+    cfg = parse_instance(CONFIG_DIR / f"{name}.ini")
+    disc = build_discretization(cfg)
+    lam = disc.param_reference().values
+    if lam_bar is not None:
+        lam = np.full_like(lam, lam_bar)
+    return disc, lam, cfg.solve_options
+
+
+@pytest.fixture(scope="module")
+def accelerated_and_damped():
+    """Both solvers from the same cold start on every case."""
+    out = {}
+    for case in CASES:
+        disc, lam, opts = _instance(*case)
+        out[case] = (disc, opts, solve_kkt(disc, lam, options=opts),
+                     damped_solve_kkt(disc, lam, options=opts))
+    return out
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_accelerated_solve_matches_damped_oracle(accelerated_and_damped,
+                                                 case):
+    disc, opts, rep, ref = accelerated_and_damped[case]
+    gap = rep.point.control.values - ref.point.control.values
+    assert float(np.max(np.abs(gap))) <= 1e-7
+    # the `ctrlstab verify` rule
+    assert rep.residuals.worst <= opts.tol
+    assert projection_identity_gap(disc, rep.point) <= 10.0 * opts.tol
+    assert rep.iterations <= opts.max_outer
+    assert len(rep.history) == rep.iterations
+    assert rep.extrapolated <= rep.iterations
+
+
+def test_fold_cold_solve_needs_few_iterations(accelerated_and_damped):
+    _, _, rep, ref = accelerated_and_damped[("stability_reference", None)]
+    assert ref.iterations > 2000
+    assert rep.iterations <= 300
+    assert rep.restarts > 0
+    assert rep.extrapolated > rep.iterations // 2
+
+
+def test_adaptive_damping_never_extrapolates(accelerated_and_damped):
+    # theta changes at every lq_reference iteration: no history ever holds
+    # two pairs of one map, so the point is the damped one bit for bit
+    _, _, rep, ref = accelerated_and_damped[("lq_reference", None)]
+    assert rep.extrapolated == rep.restarts == 0
+    assert rep.iterations == ref.iterations
+    assert np.array_equal(rep.point.control.values, ref.point.control.values)
+
+
+def test_nan_coefficients_fall_back_to_damped_steps(monkeypatch):
+    disc, lam, opts = _instance("stability_reference", 0.6)
+    ref = damped_solve_kkt(disc, lam, options=opts)
+
+    def nan_lstsq(a, b, rcond=None):
+        return np.full(a.shape[1], np.nan), None, 0, None
+
+    calls = []
+    solve_state = solver.solve_state
+
+    def counted(*args, **kw):
+        calls.append(None)
+        return solve_state(*args, **kw)
+
+    monkeypatch.setattr(solver.np.linalg, "lstsq", nan_lstsq)
+    monkeypatch.setattr(solver, "solve_state", counted)
+    rep = solve_kkt(disc, lam, options=opts)
+    assert rep.extrapolated == 0
+    assert rep.restarts > 0
+    assert rep.iterations == ref.iterations
+    # a non-finite extrapolation is dropped before any evaluation
+    assert len(calls) == rep.iterations
+    gap = rep.point.control.values - ref.point.control.values
+    assert float(np.max(np.abs(gap))) <= 1e-7
+
+
+def test_failed_state_solve_at_extrapolation_falls_back(monkeypatch):
+    disc, lam, opts = _instance("stability_reference", 0.6)
+    ref = damped_solve_kkt(disc, lam, options=opts)
+    solve_state = solver.solve_state
+
+    def far_away(pairs):
+        x = pairs[-1][0].copy()
+        x[:disc.mesh.n_boundary] = 1e7
+        return x
+
+    def failing_far_away(disc_, u, lam_, **kw):
+        if np.max(np.abs(u)) > 1e6:
+            raise StateSolveError("line search failed", 0, np.inf)
+        return solve_state(disc_, u, lam_, **kw)
+
+    monkeypatch.setattr(solver, "_extrapolate", far_away)
+    monkeypatch.setattr(solver, "solve_state", failing_far_away)
+    rep = solve_kkt(disc, lam, options=opts)
+    assert rep.extrapolated == 0
+    assert rep.restarts > 0
+    assert rep.iterations == ref.iterations
+    assert np.array_equal(rep.point.control.values, ref.point.control.values)
 
 
 # ---------------------------------------------------------------------------
