@@ -8,9 +8,10 @@ Subcommands::
     sweep      stability sweep (requires the [sweep] section)
     mesh-dump  write the node/element file of the instance mesh
 
-Exit codes: 0 success, 1 verification failed, 2 invalid configuration or
-shape mismatch, 3 solver non-convergence or a failed second-order
-hypothesis.
+Exit codes: 0 success, 1 verification failed, 2 invalid configuration,
+command line or point file, 3 solver non-convergence, a failed
+second-order hypothesis or a linear-algebra failure (``FemError``, such as
+a mesh too large for the banded factorization's byte budget).
 
 Point files are plain text: a one-line header naming the mesh hash and the
 field sizes, then one value per line in fixed order: state (one per
@@ -103,10 +104,13 @@ def load_point(path, disc: Discretization, lam: BoundaryFunction) -> KktPoint:
         pos += count
         return block
 
-    state = FeFunction(mesh, take(nv))
-    control = BoundaryFunction(mesh, take(nb))
-    adjoint = FeFunction(mesh, take(nv))
-    mults = tuple(BoundaryFunction(mesh, take(nb)) for _ in range(m))
+    try:
+        state = FeFunction(mesh, take(nv))
+        control = BoundaryFunction(mesh, take(nb))
+        adjoint = FeFunction(mesh, take(nv))
+        mults = tuple(BoundaryFunction(mesh, take(nb)) for _ in range(m))
+    except ValueError as exc:  # a non-finite value
+        raise PointFileError(f"{path}: {exc}") from exc
     return KktPoint(state=state, control=control, adjoint=adjoint,
                     multipliers=mults, param=lam)
 
@@ -233,6 +237,13 @@ def cmd_mesh_dump(args) -> int:
     return 0
 
 
+def _sample_count(text: str) -> int:
+    count = int(text)
+    if count < 100:
+        raise argparse.ArgumentTypeError(f"must be >= 100, got {count}")
+    return count
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ctrlstab",
@@ -240,14 +251,18 @@ def make_parser() -> argparse.ArgumentParser:
                     "solve, verify, second-order check, stability sweep.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out_help):
+    def common(p, out_help=None, seed=False, tol=True):
+        """Register the shared flags that the subcommand reads."""
         p.add_argument("--config", required=True,
                        help="instance file (INI)")
-        p.add_argument("--out", default=None, help=out_help)
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed override")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override")
+        if out_help:
+            p.add_argument("--out", default=None, help=out_help)
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="random seed override")
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="tolerance override")
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress lines")
 
@@ -256,22 +271,22 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="verify a stored point")
-    common(p, "(unused)")
+    common(p)
     p.add_argument("--point", required=True, help="point file to check")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ssc", help="second-order condition estimators")
-    common(p, "directory for ssc.json")
-    p.add_argument("--samples", type=int, default=200,
+    common(p, "directory for ssc.json", seed=True)
+    p.add_argument("--samples", type=_sample_count, default=200,
                    help="critical directions to sample (>= 100)")
     p.set_defaults(func=cmd_ssc)
 
     p = sub.add_parser("sweep", help="parametric stability sweep")
-    common(p, "directory for sweep.csv and sweep.json")
+    common(p, "directory for sweep.csv and sweep.json", seed=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("mesh-dump", help="write the node/element file")
-    common(p, "output path (stdout when omitted)")
+    common(p, "output path (stdout when omitted)", tol=False)
     p.set_defaults(func=cmd_mesh_dump)
     return ap
 

@@ -15,13 +15,14 @@ Sections and keys::
 Coefficient values are expressions in the grammar of :mod:`ctrlstab.expr`;
 ``t`` is a whitespace- or comma-separated list of step sizes.  The sweep
 direction ``delta`` is normalized to sup-norm 1 at the mesh nodes.  Every
-violation raises ``ConfigError`` naming the section and key.
+violation, including an unknown key in ``[solver]`` or ``[sweep]``, raises
+``ConfigError`` naming the section and key.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .fem import BoundaryFunction, Discretization
 from .geometry import Mesh, make_disk_mesh
 from .problem import ProblemSpec
 from .solver import SolveOptions
-from .stability import SweepPlan
+from .stability import SweepPlan, SweepPlanError
 
 
 class ConfigError(ValueError):
@@ -102,6 +103,13 @@ def _bool(cp, section, key, fallback: bool) -> bool:
     raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
 
 
+def _reject_unknown(cp, section, known) -> None:
+    for key in cp.options(section):
+        if key not in known:
+            raise ConfigError(f"[{section}] {key}: unknown key; expected "
+                              f"one of {', '.join(known)}")
+
+
 def parse_instance(path) -> InstanceConfig:
     """Read and validate an instance file (see module docstring)."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
@@ -159,18 +167,13 @@ def parse_instance(path) -> InstanceConfig:
 
     options = SolveOptions()
     if cp.has_section("solver"):
-        knobs = dict(
-            max_outer=_number(cp, "solver", "max_outer", int, fallback=200),
-            tol=_number(cp, "solver", "tol", float, fallback=1e-9),
-            theta=_number(cp, "solver", "theta", float, fallback=0.5),
-            adaptive=_bool(cp, "solver", "adaptive", True),
-            theta_min=_number(cp, "solver", "theta_min", float,
-                              fallback=1e-3),
-            newton_tol=_number(cp, "solver", "newton_tol", float,
-                               fallback=1e-11),
-            newton_max_iter=_number(cp, "solver", "newton_max_iter", int,
-                                    fallback=50),
-        )
+        # the keys, their types and their defaults are those of SolveOptions
+        kinds = {f.name: type(f.default) for f in fields(SolveOptions)}
+        _reject_unknown(cp, "solver", kinds)
+        knobs = {key: (_bool(cp, "solver", key, None) if kind is bool
+                       else _number(cp, "solver", key, kind))
+                 for key, kind in kinds.items()
+                 if cp.has_option("solver", key)}
         try:
             options = SolveOptions(**knobs)
         except ValueError as exc:
@@ -179,6 +182,8 @@ def parse_instance(path) -> InstanceConfig:
 
     sweep = None
     if cp.has_section("sweep"):
+        _reject_unknown(cp, "sweep",
+                        ("delta", "t", "seed", "warm_start", "ssc_samples"))
         t_raw = _get(cp, "sweep", "t").replace(",", " ").split()
         try:
             t_values = np.array([float(v) for v in t_raw])
@@ -230,10 +235,13 @@ def sweep_plan(config: InstanceConfig, disc: Discretization,
         raise ConfigError("[sweep] delta: direction vanishes at every "
                           "boundary node")
     delta = BoundaryFunction(disc.mesh, vals / sup)
-    return SweepPlan(delta=delta, t_values=config.sweep.t_values,
-                     seed=config.sweep.seed if seed is None else seed,
-                     warm_start=config.sweep.warm_start,
-                     ssc_samples=config.sweep.ssc_samples)
+    try:
+        return SweepPlan(delta=delta, t_values=config.sweep.t_values,
+                         seed=config.sweep.seed if seed is None else seed,
+                         warm_start=config.sweep.warm_start,
+                         ssc_samples=config.sweep.ssc_samples)
+    except SweepPlanError as exc:
+        raise ConfigError(f"[sweep] {exc}") from exc
 
 
 __all__ = ["ConfigError", "SweepConfig", "InstanceConfig", "parse_instance",

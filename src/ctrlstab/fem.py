@@ -7,9 +7,10 @@ Fixed quadrature rules (exact for the P1 products they integrate):
 * boundary: 2-point Gauss per edge (exact through cubics).
 
 The module provides nodal field containers, weighted mass/stiffness
-assembly, discrete norms, and a sparse symmetric-positive-definite solver
-(reverse Cuthill-McKee reordering + banded Cholesky, with a Jacobi
-preconditioned conjugate-gradient fallback for degenerate bandwidth).
+assembly, discrete norms, and a sparse symmetric-positive-definite solver:
+reverse Cuthill-McKee reordering, then banded Cholesky.  That is the only
+solver path; a matrix whose band would exceed a fixed byte budget raises
+``FemError`` before the band is allocated.
 ``Discretization`` caches everything tied to one (problem, mesh) pair,
 including one linearized operator ``K + M[h_y]``: the assembled matrix and
 its factorization are reused while the h_y quadrature weights asked for
@@ -25,7 +26,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import cg as _sparse_cg
 
 from .geometry import Mesh
 from .problem import AdmissionError, ProblemSpec
@@ -51,10 +51,19 @@ class NotSpdError(FemError):
     definite."""
 
 
-def _as_values(values, n, what):
+def nodal_values(values, n: int, what: str = "nodal values") -> np.ndarray:
+    """A nodal argument, field or array-like, as a float array of shape
+    ``(n,)``.  Finiteness is not checked here."""
+    if isinstance(values, (FeFunction, BoundaryFunction)):
+        values = values.values
     v = np.asarray(values, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"{what} needs shape ({n},), got {v.shape}")
+    return v
+
+
+def _as_values(values, n, what):
+    v = nodal_values(values, n, what)
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{what} contains non-finite entries")
     return v
@@ -103,10 +112,7 @@ class _MeshTables:
         self.mesh = mesh
         tris = mesh.triangles
         p = mesh.vertices[tris]  # (T, 3, 2)
-
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        self.areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        self.areas = mesh.triangle_areas()
 
         # grad phi_i = (y_{i+1} - y_{i+2}, x_{i+2} - x_{i+1}) / (2 area)
         grads = np.empty((len(tris), 3, 2))
@@ -123,9 +129,12 @@ class _MeshTables:
 
         # boundary quadrature
         ep = mesh.vertices[mesh.boundary_edges]  # (Nb, 2, 2)
-        self.edge_len = np.linalg.norm(ep[:, 1] - ep[:, 0], axis=1)
         self.qp_bnd = np.einsum("qn,end->eqd", EDGE_BASIS, ep)
-        self.qw_bnd = np.repeat(self.edge_len[:, None] / 2.0, 2, axis=1)
+        self.qw_bnd = np.repeat(mesh.edge_lengths()[:, None] / 2.0, 2, axis=1)
+        # edge j joins boundary nodes j and j+1, in boundary numbering
+        nb = mesh.n_boundary
+        self.edge_pos = np.column_stack([np.arange(nb),
+                                         (np.arange(nb) + 1) % nb])
 
         # arc parameter at edge quadrature points; the closing edge wraps
         s0 = mesh.boundary_s
@@ -153,6 +162,11 @@ def _tables(mesh: Mesh) -> _MeshTables:
 # ---------------------------------------------------------------------------
 
 
+def _l2(weights: np.ndarray, vals: np.ndarray) -> float:
+    """L2 norm from values at quadrature points and their weights."""
+    return float(np.sqrt(np.sum(weights * vals ** 2)))
+
+
 def norm(f, kind: str, r: float = 3.0) -> float:
     """Discrete norm of a nodal field.
 
@@ -168,7 +182,7 @@ def norm(f, kind: str, r: float = 3.0) -> float:
         t = _tables(f.mesh)
         vals = f.values[f.mesh.triangles] @ TRI_BASIS.T  # (T, 3)
         if kind == "l2":
-            return float(np.sqrt(np.sum(t.qw_dom * vals ** 2)))
+            return _l2(t.qw_dom, vals)
         if kind == "w1r":
             if not (2.0 < r < 4.0):
                 raise ValueError(f"W^(1,r) exponent must lie in (2, 4), got {r}")
@@ -179,11 +193,7 @@ def norm(f, kind: str, r: float = 3.0) -> float:
     elif isinstance(f, BoundaryFunction):
         if kind == "l2":
             t = _tables(f.mesh)
-            idx = np.arange(f.mesh.n_boundary)
-            ev = np.column_stack([f.values[idx],
-                                  f.values[(idx + 1) % f.mesh.n_boundary]])
-            vals = ev @ EDGE_BASIS.T  # (Nb, 2)
-            return float(np.sqrt(np.sum(t.qw_bnd * vals ** 2)))
+            return _l2(t.qw_bnd, f.values[t.edge_pos] @ EDGE_BASIS.T)
         if kind == "w1r":
             raise ValueError("w1r is a domain norm; got a boundary field")
     else:
@@ -195,17 +205,20 @@ def norm(f, kind: str, r: float = 3.0) -> float:
 # SPD solver
 # ---------------------------------------------------------------------------
 
-#: above this (permuted) bandwidth the banded factorization is abandoned for
-#: preconditioned CG
-_BAND_LIMIT = 2000
+#: largest band array, in bytes, that a factorization may allocate; disk
+#: meshes have bandwidth about 0.39 * n_boundary and about
+#: 0.08 * n_boundary**2 vertices, so this admits n_boundary up to about 2000
+_BAND_BUDGET = 2 ** 31
 
 
 class SpdFactorization:
     """Cholesky factorization of a sparse SPD matrix.
 
     Reverse Cuthill-McKee reordering keeps the band thin on mesh matrices;
-    the band is then factorized with LAPACK.  A non-positive pivot surfaces
-    as ``NotSpdError``.
+    the band is then factorized with LAPACK.  A band of more than
+    ``_BAND_BUDGET`` bytes raises ``FemError`` (naming n, the bandwidth and
+    the bytes needed) before it is allocated.  A non-positive pivot
+    surfaces as ``NotSpdError``.
     """
 
     def __init__(self, matrix):
@@ -224,14 +237,11 @@ class SpdFactorization:
         ap = a[perm, :][:, perm].tocoo()
         bw = int(np.max(np.abs(ap.row - ap.col))) if ap.nnz else 0
         self._perm = perm
-        self._cg = bw > _BAND_LIMIT
-        if self._cg:
-            d = a.diagonal()
-            if np.any(d <= 0.0):
-                raise NotSpdError("non-positive diagonal entry")
-            self._diag = d
-            return
-
+        need = (bw + 1) * n * 8
+        if need > _BAND_BUDGET:
+            raise FemError(f"banded Cholesky of n={n} with bandwidth {bw} "
+                           f"needs {need} bytes, above the budget of "
+                           f"{_BAND_BUDGET} bytes")
         ab = np.zeros((bw + 1, n))
         up = ap.row <= ap.col
         ab[bw + ap.row[up] - ap.col[up], ap.col[up]] = ap.data[up]
@@ -242,14 +252,6 @@ class SpdFactorization:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        if self._cg:
-            if b.ndim == 2:
-                return np.column_stack([self.solve(col) for col in b.T])
-            x, info = _sparse_cg(self.matrix, b, rtol=1e-13, atol=0.0,
-                                 M=sp.diags(1.0 / self._diag), maxiter=20 * self.n)
-            if info != 0:
-                raise NotSpdError(f"conjugate gradient failed (info={info})")
-            return x
         z = scipy.linalg.cho_solve_banded((self._chol, False), b[self._perm])
         x = np.empty_like(z)
         x[self._perm] = z
@@ -284,6 +286,15 @@ def solve_spd(matrix, b: np.ndarray, factor: SpdFactorization | None = None
 # ---------------------------------------------------------------------------
 
 
+def _scatter(elem: np.ndarray, cells: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sum element matrices ``elem`` (C, k, k) over the node lists ``cells``
+    (C, k) into an (n, n) CSR matrix."""
+    k = cells.shape[1]
+    rows = np.repeat(cells, k, axis=1).ravel()
+    cols = np.tile(cells, (1, k)).ravel()
+    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
 @dataclass
 class EllipticForm:
     """Assembled matrices of the linear part of the state operator."""
@@ -308,9 +319,8 @@ class Discretization:
     copy bit for bit (shape and values); any other weights replace it.
     """
 
-    def __init__(self, problem: ProblemSpec, mesh: Mesh, validate: bool = True):
-        if validate:
-            problem.validate()
+    def __init__(self, problem: ProblemSpec, mesh: Mesh):
+        problem.validate()
         self.problem = problem
         self.mesh = mesh
         t = _tables(mesh)
@@ -323,8 +333,6 @@ class Discretization:
         self._env_node = {"x1": mesh.vertices[bv, 0],
                           "x2": mesh.vertices[bv, 1],
                           "s": mesh.boundary_s}
-        nb = mesh.n_boundary
-        self._edge_pos = np.column_stack([np.arange(nb), (np.arange(nb) + 1) % nb])
 
         self.form = self._assemble()
         # [weights copy, K + M[weights], SpdFactorization or None]
@@ -340,18 +348,16 @@ class Discretization:
         out = np.asarray(e.eval(env), dtype=float)
         return np.broadcast_to(out, self.tables.qw_dom.shape)
 
-    def eval_bnd(self, e, y=None, lam=None, u=None) -> np.ndarray:
+    def eval_bnd(self, e, y=None, lam=None) -> np.ndarray:
         """Evaluate ``e`` at boundary quadrature points, (Nb, 2).
 
-        ``y`` is a full nodal array (traced), ``lam``/``u`` boundary nodal.
+        ``y`` is a full nodal array (traced), ``lam`` boundary nodal.
         """
         env = dict(self._env_bnd)
         if y is not None:
             env["y"] = self.edge_interp(self.trace(y))
         if lam is not None:
             env["lam"] = self.edge_interp(lam)
-        if u is not None:
-            env["u"] = self.edge_interp(u)
         out = np.asarray(e.eval(env), dtype=float)
         return np.broadcast_to(out, self.tables.qw_bnd.shape)
 
@@ -371,7 +377,7 @@ class Discretization:
 
     def edge_interp(self, w: np.ndarray) -> np.ndarray:
         """Boundary nodal (Nb,) -> values at edge quadrature points (Nb, 2)."""
-        return np.asarray(w, float)[self._edge_pos] @ EDGE_BASIS.T
+        return np.asarray(w, float)[self.tables.edge_pos] @ EDGE_BASIS.T
 
     def trace(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v, float)[self.mesh.boundary_vertices]
@@ -419,45 +425,28 @@ class Discretization:
         elem += np.einsum("tq,qa,qb->tab", t.qw_dom * a0, TRI_BASIS, TRI_BASIS)
         # duplicate summation order in the scatter perturbs symmetry at
         # machine level; the averaged form is symmetric bit for bit
-        stiffness = self._scatter_domain(elem)
+        mesh = self.mesh
+        stiffness = _scatter(elem, mesh.triangles, mesh.n_vertices)
         stiffness = 0.5 * (stiffness + stiffness.T).tocsr()
 
         mass_elem = np.einsum("tq,qa,qb->tab",
                               t.qw_dom, TRI_BASIS, TRI_BASIS)
-        mass_domain = self._scatter_domain(mass_elem)
+        mass_domain = _scatter(mass_elem, mesh.triangles, mesh.n_vertices)
 
         edge_elem = np.einsum("eq,qa,qb->eab",
                               t.qw_bnd, EDGE_BASIS, EDGE_BASIS)
-        mass_boundary = self._scatter_boundary(edge_elem,
-                                               self.mesh.boundary_edges,
-                                               self.mesh.n_vertices)
-        mass_boundary_bb = self._scatter_boundary(edge_elem, self._edge_pos,
-                                                  self.mesh.n_boundary)
+        mass_boundary = _scatter(edge_elem, mesh.boundary_edges,
+                                 mesh.n_vertices)
+        mass_boundary_bb = _scatter(edge_elem, t.edge_pos, mesh.n_boundary)
         return EllipticForm(stiffness, mass_domain, mass_boundary,
                             mass_boundary_bb)
-
-    def _scatter_domain(self, elem: np.ndarray) -> sp.csr_matrix:
-        tris = self.mesh.triangles
-        rows = np.repeat(tris, 3, axis=1).ravel()
-        cols = np.tile(tris, (1, 3)).ravel()
-        n = self.mesh.n_vertices
-        return sp.coo_matrix((elem.ravel(), (rows, cols)),
-                             shape=(n, n)).tocsr()
-
-    @staticmethod
-    def _scatter_boundary(elem: np.ndarray, edges: np.ndarray,
-                          n: int) -> sp.csr_matrix:
-        rows = np.repeat(edges, 2, axis=1).ravel()
-        cols = np.tile(edges, (1, 2)).ravel()
-        return sp.coo_matrix((elem.ravel(), (rows, cols)),
-                             shape=(n, n)).tocsr()
 
     def domain_mass_weighted(self, w_qp: np.ndarray) -> sp.csr_matrix:
         """Assemble ``int w phi_a phi_b dx`` from weight values at interior
         quadrature points."""
         elem = np.einsum("tq,qa,qb->tab", self.tables.qw_dom * w_qp,
                          TRI_BASIS, TRI_BASIS)
-        return self._scatter_domain(elem)
+        return _scatter(elem, self.mesh.triangles, self.mesh.n_vertices)
 
     def boundary_mass_weighted(self, w_qp: np.ndarray,
                                boundary_numbering: bool = False) -> sp.csr_matrix:
@@ -465,10 +454,8 @@ class Discretization:
         elem = np.einsum("eq,qa,qb->eab", self.tables.qw_bnd * w_qp,
                          EDGE_BASIS, EDGE_BASIS)
         if boundary_numbering:
-            return self._scatter_boundary(elem, self._edge_pos,
-                                          self.mesh.n_boundary)
-        return self._scatter_boundary(elem, self.mesh.boundary_edges,
-                                      self.mesh.n_vertices)
+            return _scatter(elem, self.tables.edge_pos, self.mesh.n_boundary)
+        return _scatter(elem, self.mesh.boundary_edges, self.mesh.n_vertices)
 
     def _jacobian_entry(self, w_qp: np.ndarray) -> list:
         entry = self._jacobian
@@ -513,18 +500,16 @@ class Discretization:
 
     def l2_boundary(self, w: np.ndarray) -> float:
         """L2 boundary norm of a boundary nodal array."""
-        vals = self.edge_interp(w)
-        return float(np.sqrt(np.sum(self.tables.qw_bnd * vals ** 2)))
+        return _l2(self.tables.qw_bnd, self.edge_interp(w))
 
     def l2_domain(self, v: np.ndarray) -> float:
-        vals = self.tri_interp(np.asarray(v, float))
-        return float(np.sqrt(np.sum(self.tables.qw_dom * vals ** 2)))
+        return _l2(self.tables.qw_dom, self.tri_interp(np.asarray(v, float)))
 
 
 __all__ = [
     "TRI_BASIS", "EDGE_T", "EDGE_BASIS",
     "FemError", "NotSpdError",
-    "FeFunction", "BoundaryFunction",
+    "FeFunction", "BoundaryFunction", "nodal_values",
     "norm", "SpdFactorization", "solve_spd",
     "EllipticForm", "Discretization",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .fem import BoundaryFunction, Discretization, FeFunction
+from .fem import BoundaryFunction, Discretization, FeFunction, nodal_values
 from .pde import (adjoint_residual_norm, linearized_operator,
                   state_residual_norm)
 from .problem import AdmissionError
@@ -99,8 +99,8 @@ class PartitionH5:
 
 def constraint_values(disc: Discretization, y, lam) -> np.ndarray:
     """Nodal values g_i(x, y, lam) on the boundary, shape (m, Nb)."""
-    y = y.values if isinstance(y, FeFunction) else np.asarray(y, float)
-    lam = lam.values if isinstance(lam, BoundaryFunction) else np.asarray(lam, float)
+    y = nodal_values(y, disc.mesh.n_vertices)
+    lam = nodal_values(lam, disc.mesh.n_boundary)
     return np.stack([disc.eval_node(g, y=y, lam=lam)
                      for g in disc.problem.constraints])
 
@@ -136,10 +136,10 @@ def recover_multipliers(disc: Discretization, y, u, adjoint, lam,
     """Multipliers from the separation formula: on its own cell each
     constraint carries ``(adjoint - alpha(lam) - beta(lam) u)_+``, elsewhere
     zero."""
-    y = y.values if isinstance(y, FeFunction) else np.asarray(y, float)
-    u = u.values if isinstance(u, BoundaryFunction) else np.asarray(u, float)
-    lam = lam.values if isinstance(lam, BoundaryFunction) else np.asarray(lam, float)
-    adj = adjoint.values if isinstance(adjoint, FeFunction) else np.asarray(adjoint, float)
+    y = nodal_values(y, disc.mesh.n_vertices)
+    u = nodal_values(u, disc.mesh.n_boundary)
+    lam = nodal_values(lam, disc.mesh.n_boundary)
+    adj = nodal_values(adjoint, disc.mesh.n_vertices)
     alpha = disc.eval_node(disc.problem.alpha, lam=lam)
     beta = disc.eval_node(disc.problem.beta, lam=lam)
     w = np.maximum(disc.trace(adj) - alpha - beta * u, 0.0)
@@ -182,7 +182,7 @@ def residuals(disc: Discretization, point: KktPoint) -> KktResiduals:
 def check_beta_floor(disc: Discretization, lam) -> np.ndarray:
     """Nodal beta(lam); rejects the instance when the quadratic weight drops
     to gamma/2 or below at the perturbed parameter."""
-    lam = lam.values if isinstance(lam, BoundaryFunction) else np.asarray(lam, float)
+    lam = nodal_values(lam, disc.mesh.n_boundary)
     beta = disc.eval_node(disc.problem.beta, lam=lam)
     floor = 0.5 * disc.problem.gamma
     if float(np.min(beta)) <= floor:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (BoundaryFunction, Discretization, FeFunction,
-                  SpdFactorization, norm, solve_spd)
+from .fem import (Discretization, FeFunction, SpdFactorization,
+                  nodal_values, norm, solve_spd)
 
 
 class StateSolveError(RuntimeError):
@@ -54,17 +54,6 @@ class StateSolveReport:
     ratio: float
 
 
-def _nodal(values, n: int) -> np.ndarray:
-    if isinstance(values, BoundaryFunction):
-        values = values.values
-    if isinstance(values, FeFunction):
-        values = values.values
-    v = np.asarray(values, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"expected shape ({n},), got {v.shape}")
-    return v
-
-
 def _finite(v: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{what} contains non-finite entries")
@@ -82,14 +71,14 @@ def solve_state(disc: Discretization, u, lam, y0=None,
     """
     mesh = disc.mesh
     nb = mesh.n_boundary
-    u = _finite(_nodal(u, nb), "control")
-    lam = _finite(_nodal(lam, nb), "parameter")
+    u = _finite(nodal_values(u, nb), "control")
+    lam = _finite(nodal_values(lam, nb), "parameter")
     k_mat = disc.form.stiffness
     b = disc.form.mass_boundary @ disc.embed(u + lam)
     tol_abs = tol * (1.0 + float(np.linalg.norm(b)))
 
     y = np.zeros(mesh.n_vertices) if y0 is None \
-        else _finite(_nodal(y0, mesh.n_vertices), "initial state").copy()
+        else _finite(nodal_values(y0, mesh.n_vertices), "initial state").copy()
 
     def residual_vec(yv):
         hq = disc.eval_dom(disc.problem.reaction, y=yv)
@@ -131,9 +120,9 @@ def solve_state(disc: Discretization, u, lam, y0=None,
 
 def state_residual_norm(disc: Discretization, y, u, lam) -> float:
     """Algebraic 2-norm of the discrete state equation residual."""
-    y = _nodal(y, disc.mesh.n_vertices)
-    u = _nodal(u, disc.mesh.n_boundary)
-    lam = _nodal(lam, disc.mesh.n_boundary)
+    y = nodal_values(y, disc.mesh.n_vertices)
+    u = nodal_values(u, disc.mesh.n_boundary)
+    lam = nodal_values(lam, disc.mesh.n_boundary)
     hq = disc.eval_dom(disc.problem.reaction, y=y)
     vec = (disc.form.stiffness @ y + disc.domain_load(hq)
            - disc.form.mass_boundary @ disc.embed(u + lam))
@@ -147,13 +136,13 @@ def adjoint_rhs(disc: Discretization, y: np.ndarray, lam: np.ndarray,
     ly = disc.eval_dom(p.obj_domain_y, y=y)
     bnd = disc.eval_bnd(p.obj_boundary_y, y=y, lam=lam)
     for gy, e in zip(p.constraints_y, multipliers):
-        e_vals = e.values if isinstance(e, BoundaryFunction) else np.asarray(e, float)
+        e_vals = nodal_values(e, disc.mesh.n_boundary)
         bnd = bnd + disc.eval_bnd(gy, y=y, lam=lam) * disc.edge_interp(e_vals)
     return -disc.domain_load(ly) - disc.boundary_load(bnd)
 
 
 def _reaction_y(disc: Discretization, y) -> np.ndarray:
-    y = _nodal(y, disc.mesh.n_vertices)
+    y = nodal_values(y, disc.mesh.n_vertices)
     return disc.eval_dom(disc.problem.reaction_y, y=y)
 
 
@@ -174,9 +163,9 @@ def adjoint_residual_norm(disc: Discretization, y, lam, multipliers,
 
     Reads the assembled ``K + M[h_y(., y)]`` without factorizing it.
     """
-    y = _nodal(y, disc.mesh.n_vertices)
-    lam = _nodal(lam, disc.mesh.n_boundary)
-    adjoint = _nodal(adjoint, disc.mesh.n_vertices)
+    y = nodal_values(y, disc.mesh.n_vertices)
+    lam = nodal_values(lam, disc.mesh.n_boundary)
+    adjoint = nodal_values(adjoint, disc.mesh.n_vertices)
     jac = disc.jacobian_matrix(_reaction_y(disc, y))
     return float(np.linalg.norm(jac @ adjoint
                                 - adjoint_rhs(disc, y, lam, multipliers)))
@@ -185,8 +174,8 @@ def adjoint_residual_norm(disc: Discretization, y, lam, multipliers,
 def solve_adjoint(disc: Discretization, y, lam, multipliers,
                   operator: SpdFactorization | None = None) -> FeFunction:
     """Solve the adjoint system at state ``y`` with boundary multipliers."""
-    y = _nodal(y, disc.mesh.n_vertices)
-    lam = _nodal(lam, disc.mesh.n_boundary)
+    y = nodal_values(y, disc.mesh.n_vertices)
+    lam = nodal_values(lam, disc.mesh.n_boundary)
     op = operator if operator is not None else linearized_operator(disc, y)
     rhs = adjoint_rhs(disc, y, lam, multipliers)
     sol = solve_spd(op.matrix, rhs, factor=op)
@@ -196,7 +185,7 @@ def solve_adjoint(disc: Discretization, y, lam, multipliers,
 def solve_linearized_state(disc: Discretization, operator: SpdFactorization,
                            u) -> np.ndarray:
     """Solve the linearized state equation ``(K + M[h_y]) y = M_bnd u``."""
-    u = _nodal(u, disc.mesh.n_boundary)
+    u = nodal_values(u, disc.mesh.n_boundary)
     rhs = disc.form.mass_boundary @ disc.embed(u)
     return solve_spd(operator.matrix, rhs, factor=operator)
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import BoundaryFunction, Discretization, FeFunction, FemError
+from .fem import BoundaryFunction, Discretization, FemError, nodal_values
 from .kkt import (KktPoint, KktResiduals, check_beta_floor,
                   constraint_values, partition_at, recover_multipliers,
                   residuals)
@@ -126,16 +126,6 @@ class KktSolveReport:
     restarts: int = 0
 
 
-def _boundary(disc: Discretization, values) -> np.ndarray:
-    if isinstance(values, BoundaryFunction):
-        values = values.values
-    v = np.asarray(values, dtype=float)
-    if v.shape != (disc.mesh.n_boundary,):
-        raise ValueError(f"expected boundary shape ({disc.mesh.n_boundary},), "
-                         f"got {v.shape}")
-    return v
-
-
 def _extrapolate(pairs: list) -> np.ndarray:
     """Type-II Anderson step from ``[(g_j, f_j), ...]`` (oldest first),
     ``g_j`` the damped step from ``x_j`` and ``f_j = g_j - x_j``::
@@ -171,13 +161,13 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     to zero or below at a damped iterate.
     """
     opts = options or SolveOptions()
-    lam = _boundary(disc, lam)
-    u0 = np.zeros_like(lam) if u0 is None else _boundary(disc, u0)
+    nb = disc.mesh.n_boundary
+    lam = nodal_values(lam, nb)
+    u0 = np.zeros_like(lam) if u0 is None else nodal_values(u0, nb)
     check_beta_floor(disc, lam)
     alpha = disc.eval_node(disc.problem.alpha, lam=lam)
     beta = disc.eval_node(disc.problem.beta, lam=lam)
 
-    nb = disc.mesh.n_boundary
     m = disc.problem.m
     # x = [u (nb) | e_1 .. e_m (m nb) | previous costate (n_vertices)]; the
     # whole costate, not just the trace the map reads, so that it carries
@@ -295,9 +285,9 @@ def objective_value(disc: Discretization, y, u, lam) -> float:
           + int_bnd (l(x, y, lam) + alpha(lam) u + beta(lam) u^2 / 2) ds.
     """
     p = disc.problem
-    y = y.values if isinstance(y, FeFunction) else np.asarray(y, float)
-    u = u.values if isinstance(u, BoundaryFunction) else np.asarray(u, float)
-    lam = lam.values if isinstance(lam, BoundaryFunction) else np.asarray(lam, float)
+    y = nodal_values(y, disc.mesh.n_vertices)
+    u = nodal_values(u, disc.mesh.n_boundary)
+    lam = nodal_values(lam, disc.mesh.n_boundary)
     val = disc.integrate_domain(disc.eval_dom(p.obj_domain, y=y))
     uq = disc.edge_interp(u)
     bnd = disc.eval_bnd(p.obj_boundary, y=y, lam=lam) \
@@ -309,8 +299,8 @@ def objective_value(disc: Discretization, y, u, lam) -> float:
 def reduced_cost(disc: Discretization, lam, u,
                  newton_tol: float = 1e-12) -> float:
     """Cost of the control ``u`` at parameter ``lam`` through the state map."""
-    lam = _boundary(disc, lam)
-    u = _boundary(disc, u)
+    lam = nodal_values(lam, disc.mesh.n_boundary)
+    u = nodal_values(u, disc.mesh.n_boundary)
     state = solve_state(disc, u, lam, tol=newton_tol)
     return objective_value(disc, state.state, u, lam)
 
@@ -323,8 +313,8 @@ def reduced_gradient(disc: Discretization, lam, u,
     the constraint-free adjoint): the directional derivative along ``du`` is
     its boundary L2 pairing with ``du``.  Returns ``(value, gradient)``.
     """
-    lam = _boundary(disc, lam)
-    u = _boundary(disc, u)
+    lam = nodal_values(lam, disc.mesh.n_boundary)
+    u = nodal_values(u, disc.mesh.n_boundary)
     state = solve_state(disc, u, lam, tol=newton_tol)
     zero = tuple(BoundaryFunction(disc.mesh, np.zeros_like(lam))
                  for _ in range(disc.problem.m))
@@ -338,8 +328,8 @@ def reduced_gradient(disc: Discretization, lam, u,
 
 def pair_boundary(disc: Discretization, f, g) -> float:
     """Boundary L2 pairing of two boundary nodal fields."""
-    f = _boundary(disc, f)
-    g = _boundary(disc, g)
+    f = nodal_values(f, disc.mesh.n_boundary)
+    g = nodal_values(g, disc.mesh.n_boundary)
     return float(f @ (disc.form.mass_boundary_bb @ g))
 
 

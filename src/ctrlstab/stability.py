@@ -72,7 +72,7 @@ class SweepPlan:
             raise SweepPlanError(
                 f"perturbation direction must have sup-norm 1, got {sup!r}")
         if self.ssc_samples < 100:
-            raise SweepPlanError("ssc_samples must be >= 100")
+            raise SweepPlanError("ssc_samples: must be >= 100")
 
 
 @dataclass

@@ -12,6 +12,7 @@ from ctrlstab.cli import PointFileError, load_point, main, save_point
 from ctrlstab.geometry import mesh_hash, mesh_text
 from ctrlstab.kkt import KktPoint
 from ctrlstab.fem import BoundaryFunction, FeFunction
+from ctrlstab.solver import SolveOptions
 
 from conftest import CONFIG_DIR
 
@@ -87,6 +88,9 @@ def test_defaults_without_optional_sections(tmp_path):
     assert cfg.solve_options.tol == 1e-9
     assert cfg.sweep is None
     assert cfg.refinement == 0
+    # keys absent from a [solver] section keep the SolveOptions defaults
+    partial = parse_instance(write_ini(tmp_path / "p.ini"))
+    assert partial.solve_options == SolveOptions(max_outer=300, tol=1e-10)
 
 
 @pytest.mark.parametrize("drop,needle", [
@@ -113,6 +117,9 @@ def test_missing_pieces_are_named(tmp_path, drop, needle):
     ({"sweep": {**SWEEP_SMALL, "t": "0.01 0.02"}}, "at least 4"),
     ({"sweep": {**SWEEP_SMALL, "t": "0.04 0.02 0.01 0.08"}}, "increasing"),
     ({"sweep": {**SWEEP_SMALL, "delta": "sin(y)"}}, "may only use x1, x2, s"),
+    ({"solver": {"max_outr": "5"}}, "[solver] max_outr: unknown key"),
+    ({"sweep": {**SWEEP_SMALL, "samples": "500"}},
+     "[sweep] samples: unknown key"),
 ])
 def test_bad_values_are_named(tmp_path, overrides, needle):
     path = write_ini(tmp_path / "i.ini", **overrides)
@@ -156,6 +163,11 @@ def test_sweep_plan_requires_section_and_nonzero_delta(tmp_path):
                                     sweep={**SWEEP_SMALL, "delta": "0"}))
     with pytest.raises(ConfigError, match="vanishes"):
         sweep_plan(cfg0, build_discretization(cfg0))
+    cfg50 = parse_instance(write_ini(tmp_path / "c.ini",
+                                     sweep={**SWEEP_SMALL,
+                                            "ssc_samples": "50"}))
+    with pytest.raises(ConfigError, match=r"\[sweep\] ssc_samples: must be"):
+        sweep_plan(cfg50, build_discretization(cfg50))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +218,7 @@ def _tamper(path, mutate):
     (lambda ls: [ls[0].replace("mesh=", "mesh=dead")] + ls[1:], "mesh hash"),
     (lambda ls: ls[:-1], "expected"),
     (lambda ls: [ls[0]] + ["abc"] + ls[2:], "could not convert"),
+    (lambda ls: [ls[0]] + ["nan"] + ls[2:], "non-finite"),
     (lambda ls: [ls[0].replace("constraints=2", "constraints=3")] + ls[1:],
      "header sizes"),
     (lambda ls: [ls[0].replace(" constraints=2", "")] + ls[1:],
@@ -289,6 +302,9 @@ def test_invalid_configs_exit_2(tmp_path, capsys):
     bad_t = write_ini(tmp_path / "t.ini",
                       sweep={**SWEEP_SMALL, "t": "0.01 0.02"})
     assert main(["sweep", "--config", bad_t, "--quiet"]) == 2
+    few = write_ini(tmp_path / "n.ini",
+                    sweep={**SWEEP_SMALL, "ssc_samples": "50"})
+    assert main(["sweep", "--config", few, "--quiet"]) == 2
     missing = str(tmp_path / "absent.ini")
     assert main(["solve", "--config", missing, "--quiet"]) == 2
     err = capsys.readouterr().err
@@ -305,6 +321,43 @@ def test_invalid_solver_values_exit_2(tmp_path, capsys, key, value):
     assert main(["solve", "--config", path, "--quiet"]) == 2
     err = capsys.readouterr().err
     assert f"[solver] {key}:" in err and "Traceback" not in err
+
+
+def test_verify_non_finite_point_exits_2(tmp_path, capsys):
+    cfg = write_ini(tmp_path / "inst.ini")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 0
+    point = out / "point.txt"
+    lines = point.read_text().splitlines()
+    lines[1] = "nan"
+    point.write_text("\n".join(lines) + "\n")
+    code = main(["verify", "--config", cfg, "--point", str(point),
+                 "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "non-finite" in err and "Traceback" not in err
+
+
+def test_ssc_rejects_fewer_than_100_samples(tmp_path, capsys):
+    cfg = write_ini(tmp_path / "inst.ini")
+    for samples in ("-5", "99"):
+        with pytest.raises(SystemExit) as exc:
+            main(["ssc", "--config", cfg, "--samples", samples])
+        assert exc.value.code == 2
+        assert "must be >= 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--seed", "1"], ["verify", "--point", "p.txt", "--seed", "1"],
+    ["verify", "--point", "p.txt", "--out", "d"],
+    ["mesh-dump", "--seed", "1"], ["mesh-dump", "--tol", "1e-3"]])
+def test_flags_only_on_subcommands_that_read_them(tmp_path, capsys, argv):
+    cfg = write_ini(tmp_path / "inst.ini")
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", cfg, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_nonconvergence_exits_3(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Assembly and linear algebra: mass/stiffness identities with closed-form
-totals, the SPD solver against a dense elimination oracle, norm formulas,
-and the banded-to-CG fallback."""
+totals, the SPD solver against a dense elimination oracle, the byte budget
+of the banded factorization, and norm formulas."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,13 +109,27 @@ def test_multiple_rhs(disc):
     assert float(np.max(np.abs(k @ x - b))) <= 1e-8
 
 
-def test_cg_fallback(disc, monkeypatch):
-    monkeypatch.setattr(fem_mod, "_BAND_LIMIT", 0)
-    k = disc.form.stiffness
-    rng = np.random.default_rng(6)
-    b = rng.standard_normal(disc.mesh.n_vertices)
-    x = solve_spd(k, b)
-    assert float(np.linalg.norm(b - k @ x)) <= 1e-10 * (1.0 + np.linalg.norm(b))
+def test_band_over_budget_raises_before_allocation(monkeypatch):
+    monkeypatch.setattr(fem_mod, "_BAND_BUDGET", 0)
+    # 5-point grid Laplacian plus identity: its band (101 x 10^4 doubles,
+    # 8 MB) is several times the sparse matrix, so a traced peak below half
+    # of it shows the band was never allocated
+    g = 100
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(g, g))
+    a = (sp.kron(lap, sp.eye(g)) + sp.kron(sp.eye(g), lap)
+         + sp.eye(g * g)).tocsr()
+    tracemalloc.start()
+    try:
+        with pytest.raises(FemError) as err:
+            SpdFactorization(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = str(err.value)
+    assert "n=10000" in message and "bandwidth 100" in message
+    need = int(re.search(r"needs (\d+) bytes", message).group(1))
+    assert need == 101 * 10000 * 8
+    assert peak < need / 2
 
 
 def test_boundary_l2_of_one_is_sqrt_perimeter(disc):
@@ -129,6 +145,14 @@ def test_w1r_of_constant(disc):
     for r in (2.5, 3.0, 3.5):
         assert norm(f, "w1r", r) == pytest.approx(abs(c) * area ** (1.0 / r),
                                                   rel=1e-13)
+
+
+def test_norm_l2_is_the_discretization_l2(disc):
+    rng = np.random.default_rng(10)
+    v = rng.standard_normal(disc.mesh.n_vertices)
+    w = rng.standard_normal(disc.mesh.n_boundary)
+    assert norm(FeFunction(disc.mesh, v), "l2") == disc.l2_domain(v)
+    assert norm(BoundaryFunction(disc.mesh, w), "l2") == disc.l2_boundary(w)
 
 
 def test_domain_l2_of_constant(disc):
