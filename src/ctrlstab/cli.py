@@ -251,7 +251,7 @@ def make_parser() -> argparse.ArgumentParser:
                     "solve, verify, second-order check, stability sweep.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out_help=None, seed=False, tol=True):
+    def common(p, out_help=None, seed=False, tol=True, quiet=True):
         """Register the shared flags that the subcommand reads."""
         p.add_argument("--config", required=True,
                        help="instance file (INI)")
@@ -263,8 +263,9 @@ def make_parser() -> argparse.ArgumentParser:
         if tol:
             p.add_argument("--tol", type=float, default=None,
                            help="tolerance override")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress progress lines")
+        if quiet:
+            p.add_argument("--quiet", action="store_true",
+                           help="suppress progress lines")
 
     p = sub.add_parser("solve", help="solve at the reference parameter")
     common(p, "directory for point.txt and residuals.json")
@@ -276,7 +277,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ssc", help="second-order condition estimators")
-    common(p, "directory for ssc.json", seed=True)
+    common(p, "directory for ssc.json", seed=True, quiet=False)
     p.add_argument("--samples", type=_sample_count, default=200,
                    help="critical directions to sample (>= 100)")
     p.set_defaults(func=cmd_ssc)

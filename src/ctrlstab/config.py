@@ -3,7 +3,7 @@
 Sections and keys::
 
     [domain]      n_boundary, refinement, r
-    [operator]    a11, a12, a22, a0, c0
+    [operator]    a11, a12, a22, a0, c0 (or c_0)
     [cost]        L, ell, alpha, beta, gamma
     [state]       h
     [constraints] g_1 ... g_m           (consecutive indices from 1)
@@ -15,8 +15,8 @@ Sections and keys::
 Coefficient values are expressions in the grammar of :mod:`ctrlstab.expr`;
 ``t`` is a whitespace- or comma-separated list of step sizes.  The sweep
 direction ``delta`` is normalized to sup-norm 1 at the mesh nodes.  Every
-violation, including an unknown key in ``[solver]`` or ``[sweep]``, raises
-``ConfigError`` naming the section and key.
+violation, including an unknown key in any section and an unknown section,
+raises ``ConfigError`` naming the section (and the key).
 """
 
 from __future__ import annotations
@@ -103,9 +103,24 @@ def _bool(cp, section, key, fallback: bool) -> bool:
     raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
 
 
+#: the keys of every section but [constraints] (g_1 .. g_m) and [solver]
+#: (the fields of SolveOptions); [operator] takes c0 or c_0
+_KEYS = {
+    "domain": ("n_boundary", "refinement", "r"),
+    "operator": ("a11", "a12", "a22", "a0", "c0", "c_0"),
+    "cost": ("L", "ell", "alpha", "beta", "gamma"),
+    "state": ("h",),
+    "parameter": ("lambda_bar",),
+    "sweep": ("delta", "t", "seed", "warm_start", "ssc_samples"),
+}
+_SECTIONS = (*_KEYS, "constraints", "solver")
+
+
 def _reject_unknown(cp, section, known) -> None:
+    # option names are case-folded by the parser, so compare folded names
+    allowed = {cp.optionxform(k) for k in known}
     for key in cp.options(section):
-        if key not in known:
+        if key not in allowed:
             raise ConfigError(f"[{section}] {key}: unknown key; expected "
                               f"one of {', '.join(known)}")
 
@@ -121,6 +136,13 @@ def parse_instance(path) -> InstanceConfig:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"[{section}]: unknown section; expected one "
+                              f"of {', '.join(_SECTIONS)}")
+    for section, known in _KEYS.items():
+        if cp.has_section(section):
+            _reject_unknown(cp, section, known)
 
     n_boundary = _number(cp, "domain", "n_boundary", int)
     refinement = _number(cp, "domain", "refinement", int, fallback=0)
@@ -182,8 +204,6 @@ def parse_instance(path) -> InstanceConfig:
 
     sweep = None
     if cp.has_section("sweep"):
-        _reject_unknown(cp, "sweep",
-                        ("delta", "t", "seed", "warm_start", "ssc_samples"))
         t_raw = _get(cp, "sweep", "t").replace(",", " ").split()
         try:
             t_values = np.array([float(v) for v in t_raw])

@@ -9,12 +9,17 @@ Fixed quadrature rules (exact for the P1 products they integrate):
 The module provides nodal field containers, weighted mass/stiffness
 assembly, discrete norms, and a sparse symmetric-positive-definite solver:
 reverse Cuthill-McKee reordering, then banded Cholesky.  That is the only
-solver path; a matrix whose band would exceed a fixed byte budget raises
-``FemError`` before the band is allocated.
+factorization; a matrix whose band would exceed a fixed byte budget raises
+``FemError`` before the band is allocated.  :func:`solve_spd` runs
+conjugate gradients preconditioned by such a factorization, which may be
+one of another matrix; with the matrix's own factor it stops after the
+first step.
 ``Discretization`` caches everything tied to one (problem, mesh) pair,
 including one linearized operator ``K + M[h_y]``: the assembled matrix and
 its factorization are reused while the h_y quadrature weights asked for
-are bit-identical to the last ones (one entry per ``Discretization``).
+are bit-identical to the last ones (one entry per ``Discretization``).  It
+also keeps the last factorization it took, the anchor, to precondition
+solves at weights that have no factorization of their own.
 """
 
 from __future__ import annotations
@@ -258,25 +263,56 @@ class SpdFactorization:
         return x
 
 
+#: conjugate-gradient steps a preconditioned solve may take after the
+#: preconditioner's first step; a stale factor close to the matrix needs
+#: two or three
+_CG_MAX_ITER = 8
+
+#: relative residual a solve with a factor of another matrix must reach;
+#: the absolute contract alone lets Newton take extra steps and moves the
+#: solved points by about 1e-12
+_STALE_RTOL = 1e-13
+
+
 def solve_spd(matrix, b: np.ndarray, factor: SpdFactorization | None = None
               ) -> np.ndarray:
-    """Solve ``matrix @ x = b`` for SPD ``matrix``.
+    """Solve ``matrix @ x = b`` for SPD ``matrix``: conjugate gradients
+    preconditioned by ``factor`` (a fresh factorization of ``matrix`` when
+    omitted), started from ``factor.solve(b)``.
 
-    Up to two steps of iterative refinement secure the residual bound
-    ``||b - K x||_2 <= 1e-10 (1 + ||b||_2)``; failure to reach it raises
-    ``FemError``.
+    The residual is always taken with ``matrix``, and the solve stops once
+    ``||b - matrix x||_2 <= 1e-10 (1 + ||b||_2)``.  When ``factor.matrix``
+    is another object than ``matrix`` (say, a factorization taken at another
+    state), it must also reach ``||b - matrix x||_2 <= 1e-13 ||b||_2``.  With
+    an exact factor the first step meets the bound.  Failure to meet it
+    within a few conjugate-gradient steps raises ``FemError``.
     """
     f = factor if factor is not None else SpdFactorization(matrix)
     b = np.asarray(b, dtype=float)
+    b_norm = float(np.linalg.norm(b))
+    tol = 1e-10 * (1.0 + b_norm)
+    if factor is not None and factor.matrix is not matrix:
+        tol = min(tol, _STALE_RTOL * b_norm)
     x = f.solve(b)
-    tol = 1e-10 * (1.0 + float(np.linalg.norm(b)))
-    for _ in range(2):
-        res = b - f.matrix @ x
-        if float(np.linalg.norm(res)) <= tol:
+    r = b - matrix @ x
+    res = float(np.linalg.norm(r))
+    p = rz = None
+    for _ in range(_CG_MAX_ITER):
+        if res <= tol:
             return x
-        x = x + f.solve(res)
-    res = float(np.linalg.norm(b - f.matrix @ x))
-    if res > tol:
+        z = f.solve(r)
+        rz_new = float(r @ z)
+        p = z if rz is None else z + (rz_new / rz) * p
+        rz = rz_new
+        q = matrix @ p
+        curv = float(p @ q)
+        if not curv > 0.0:
+            break
+        step = rz / curv
+        x = x + step * p
+        r = r - step * q
+        res = float(np.linalg.norm(r))
+    if not res <= tol:
         raise FemError(f"linear solve residual {res:.3e} exceeds {tol:.3e}")
     return x
 
@@ -317,6 +353,10 @@ class Discretization:
     :meth:`jacobian_matrix` and :meth:`jacobian_factor`), filled on first
     use.  The entry is reused only when the weights ``w`` equal the cached
     copy bit for bit (shape and values); any other weights replace it.
+    Next to it sits the anchor, the last factorization built.
+    :meth:`jacobian_solve` uses it to precondition conjugate gradients on
+    an entry that has no factorization of its own, so a state that moves
+    a little costs an assembly and a few band solves, not a factorization.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh):
@@ -337,6 +377,7 @@ class Discretization:
         self.form = self._assemble()
         # [weights copy, K + M[weights], SpdFactorization or None]
         self._jacobian: list | None = None
+        self._anchor: SpdFactorization | None = None
 
     # -- expression environments --------------------------------------------
 
@@ -473,11 +514,31 @@ class Discretization:
 
     def jacobian_factor(self, w_qp: np.ndarray) -> SpdFactorization:
         """Factorized ``K + M[w]``, factorized at most once per cached
-        weights.  The factorization is shared: do not mutate it."""
-        entry = self._jacobian_entry(w_qp)
+        weights; a new factorization becomes the anchor.  The factorization
+        is shared: do not mutate it."""
+        return self._factor(self._jacobian_entry(w_qp))
+
+    def _factor(self, entry: list) -> SpdFactorization:
         if entry[2] is None:
-            entry[2] = SpdFactorization(entry[1])
+            entry[2] = self._anchor = SpdFactorization(entry[1])
         return entry[2]
+
+    def jacobian_solve(self, w_qp: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Solve ``(K + M[w]) x = b`` to the :func:`solve_spd` bounds.
+
+        Uses the factorization at ``w`` when the entry holds one.  Otherwise
+        runs conjugate gradients on the assembled matrix, preconditioned by
+        the anchor; only when that fails, or no anchor exists yet, is
+        ``K + M[w]`` factorized (and becomes the anchor).
+        """
+        entry = self._jacobian_entry(w_qp)
+        if entry[2] is None and self._anchor is not None:
+            try:
+                return solve_spd(entry[1], b, factor=self._anchor)
+            except FemError:
+                pass
+        factor = self._factor(entry)
+        return solve_spd(factor.matrix, b, factor=factor)
 
     def domain_load(self, f_qp: np.ndarray) -> np.ndarray:
         """Assemble ``int f phi_a dx`` into a full nodal vector (V,)."""

@@ -479,10 +479,7 @@ class SscReport:
 
 
 def _control_to_state_matrix(disc: Discretization, operator) -> np.ndarray:
-    nb = disc.mesh.n_boundary
-    rhs = np.zeros((disc.mesh.n_vertices, nb))
-    cols = disc.form.mass_boundary[:, disc.mesh.boundary_vertices].toarray()
-    rhs[:, :] = cols
+    rhs = disc.form.mass_boundary[:, disc.mesh.boundary_vertices].toarray()
     return operator.solve(rhs)
 
 

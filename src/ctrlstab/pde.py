@@ -8,10 +8,22 @@ with ``a`` the diffusion + a0 reaction form.  Newton's method uses the exact
 consistent Jacobian ``K + M[h_y(., y)]`` (the h_y-weighted mass), which keeps
 the iteration quadratically convergent; steps are damped by halving on the
 residual norm.  Monotonicity of h (dh/dy >= 0) makes every Jacobian SPD.
-Newton, the adjoint and linearized solves (:func:`linearized_operator`) and
-the adjoint residual (:func:`adjoint_residual_norm`, matrix only) all read
-this operator from the one cached entry of the ``Discretization``, so a
-state whose h_y weights did not change is not assembled or factorized again.
+Every solve with this operator reads the one cached entry of the
+``Discretization``, so a state whose h_y weights did not change is not
+assembled again:
+
+* Newton steps and :func:`solve_adjoint` call
+  ``Discretization.jacobian_solve``.  At a state without its own
+  factorization it runs conjugate gradients preconditioned by the last
+  factorization taken (the anchor, from another state), and factorizes only
+  when that fails within a few steps: chord-type reuse of the factor
+  (Kelley, *Iterative Methods for Linear and Nonlinear Equations*, SIAM
+  1995).  Its relative target 1e-13 keeps each step equal to the exact
+  Newton step up to rounding (inexact Newton; Dembo, Eisenstat & Steihaug,
+  SIAM J. Numer. Anal. 19:400, 1982).
+* :func:`linearized_operator` returns an exact factorization at ``y``, for
+  linearized solves with many right-hand sides.
+* :func:`adjoint_residual_norm` reads the assembled matrix only.
 
 The adjoint problem is linear in the costate::
 
@@ -91,8 +103,7 @@ def solve_state(disc: Discretization, u, lam, y0=None,
         if iterations >= max_iter:
             raise StateSolveError("Newton iteration limit reached",
                                   iterations, res)
-        jac = linearized_operator(disc, y)
-        delta = solve_spd(jac.matrix, -f_vec, factor=jac)
+        delta = disc.jacobian_solve(_reaction_y(disc, y), -f_vec)
 
         sigma = 1.0
         for _ in range(30):
@@ -173,12 +184,19 @@ def adjoint_residual_norm(disc: Discretization, y, lam, multipliers,
 
 def solve_adjoint(disc: Discretization, y, lam, multipliers,
                   operator: SpdFactorization | None = None) -> FeFunction:
-    """Solve the adjoint system at state ``y`` with boundary multipliers."""
+    """Solve the adjoint system at state ``y`` with boundary multipliers.
+
+    Without ``operator`` the solve goes through
+    :meth:`Discretization.jacobian_solve`: the cached factorization at
+    ``y``, or CG preconditioned by the anchor.
+    """
     y = nodal_values(y, disc.mesh.n_vertices)
     lam = nodal_values(lam, disc.mesh.n_boundary)
-    op = operator if operator is not None else linearized_operator(disc, y)
     rhs = adjoint_rhs(disc, y, lam, multipliers)
-    sol = solve_spd(op.matrix, rhs, factor=op)
+    if operator is None:
+        sol = disc.jacobian_solve(_reaction_y(disc, y), rhs)
+    else:
+        sol = solve_spd(operator.matrix, rhs, factor=operator)
     return FeFunction(disc.mesh, sol)
 
 

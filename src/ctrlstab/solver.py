@@ -41,8 +41,7 @@ from .fem import BoundaryFunction, Discretization, FemError, nodal_values
 from .kkt import (KktPoint, KktResiduals, check_beta_floor,
                   constraint_values, partition_at, recover_multipliers,
                   residuals)
-from .pde import (StateSolveError, linearized_operator, solve_adjoint,
-                  solve_state)
+from .pde import StateSolveError, solve_adjoint, solve_state
 
 #: number of differences in the Anderson history
 _ANDERSON_DEPTH = 10
@@ -204,8 +203,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             + theta * np.stack([e.values for e in raw])
         mults = tuple(BoundaryFunction(disc.mesh, row.copy())
                       for row in e_vals)
-        op = linearized_operator(disc, y)
-        adj_fn = solve_adjoint(disc, y, lam, mults, operator=op)
+        adj_fn = solve_adjoint(disc, y, lam, mults)
 
         point = KktPoint(state=state.state,
                          control=BoundaryFunction(disc.mesh, u.copy()),

@@ -120,12 +120,21 @@ def test_missing_pieces_are_named(tmp_path, drop, needle):
     ({"solver": {"max_outr": "5"}}, "[solver] max_outr: unknown key"),
     ({"sweep": {**SWEEP_SMALL, "samples": "500"}},
      "[sweep] samples: unknown key"),
+    ({"domain": {"refinment": "2"}}, "[domain] refinment: unknown key"),
+    ({"cost": {"Lx": "0"}}, "[cost] lx: unknown key"),
+    ({"solvr": {"tol": "1e-3"}}, "[solvr]: unknown section"),
 ])
 def test_bad_values_are_named(tmp_path, overrides, needle):
     path = write_ini(tmp_path / "i.ini", **overrides)
     with pytest.raises(ConfigError) as err:
         parse_instance(path)
     assert needle in str(err.value)
+
+
+def test_c0_and_c_0_both_parse(tmp_path):
+    path = write_ini(tmp_path / "i.ini", drop=("operator.c0",),
+                     operator={"c_0": "0.5"})
+    assert parse_instance(path).problem.c0 == 0.5
 
 
 def test_unreadable_path_is_config_error(tmp_path):
@@ -351,7 +360,8 @@ def test_ssc_rejects_fewer_than_100_samples(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "--seed", "1"], ["verify", "--point", "p.txt", "--seed", "1"],
     ["verify", "--point", "p.txt", "--out", "d"],
-    ["mesh-dump", "--seed", "1"], ["mesh-dump", "--tol", "1e-3"]])
+    ["mesh-dump", "--seed", "1"], ["mesh-dump", "--tol", "1e-3"],
+    ["ssc", "--quiet"]])
 def test_flags_only_on_subcommands_that_read_them(tmp_path, capsys, argv):
     cfg = write_ini(tmp_path / "inst.ini")
     with pytest.raises(SystemExit) as exc:
@@ -369,15 +379,14 @@ def test_nonconvergence_exits_3(tmp_path, capsys):
 
 def test_ssc_subcommand_reports_sign(tmp_path, capsys):
     good = write_ini(tmp_path / "good.ini")
-    assert main(["ssc", "--config", good, "--quiet",
-                 "--samples", "100"]) == 0
+    assert main(["ssc", "--config", good, "--samples", "100"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["positive"] is True
     concave = write_ini(tmp_path / "bad.ini",
                         cost={"L": "-2*y^2", "alpha": "0"},
                         constraints={"g_1": "-1", "g_2": "-2"})
     out = tmp_path / "sscout"
-    assert main(["ssc", "--config", concave, "--quiet",
+    assert main(["ssc", "--config", concave,
                  "--samples", "100", "--out", str(out)]) == 1
     stored = json.loads((out / "ssc.json").read_text())
     assert stored["positive"] is False

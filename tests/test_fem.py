@@ -92,6 +92,19 @@ def test_factorization_reuse(disc):
         assert float(np.linalg.norm(b - k @ x)) <= 1e-10 * (1.0 + np.linalg.norm(b))
 
 
+def test_solve_spd_preconditioned_by_another_matrix(disc):
+    # the factor belongs to K + 0.5 M; the solve is with K + 0.8 M, so the
+    # residual must be taken with the matrix passed, not the factor's
+    k, m = disc.form.stiffness, disc.form.mass_domain
+    f = SpdFactorization(k + 0.5 * m)
+    a = (k + 0.8 * m).tocsr()
+    b = np.random.default_rng(10).standard_normal(disc.mesh.n_vertices)
+    x = solve_spd(a, b, factor=f)
+    res = float(np.linalg.norm(b - a @ x))
+    assert res <= 1e-13 * float(np.linalg.norm(b))
+    assert float(np.max(np.abs(x - dense_solve(a.toarray(), b)))) <= 1e-9
+
+
 def test_not_spd_rejected():
     with pytest.raises(NotSpdError):
         SpdFactorization(sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])))

@@ -131,6 +131,17 @@ def test_linear_reaction_factorizes_once_per_discretization(factorizations):
     assert len(factorizations) == 1
 
 
+def test_cubic_reaction_solve_factorizes_at_most_twice(factorizations):
+    # h = y + y^3: h_y moves with every state, so Newton steps and adjoint
+    # solves run CG preconditioned by the factorization of an earlier state
+    disc = Discretization(make_spec(reaction="y^3 + y"), make_disk_mesh(32, 0))
+    rep = solve_kkt(disc, disc.param_reference(),
+                    options=SolveOptions(tol=1e-10))
+    assert rep.iterations > 1
+    assert rep.residuals.worst <= 1e-10
+    assert len(factorizations) <= 2
+
+
 def test_exact_zero_point_has_zero_residuals():
     spec = make_spec(obj_domain="-2*y^2", alpha="0",
                      constraints=("-1", "-2"))

@@ -8,6 +8,7 @@ both written independently of the package's assembly."""
 import numpy as np
 import pytest
 
+import ctrlstab.fem as fem_mod
 from ctrlstab import (BoundaryFunction, Discretization, StateSolveError,
                       linearized_operator, make_disk_mesh, solve_adjoint,
                       solve_linearized_state, solve_state)
@@ -170,6 +171,56 @@ def test_linearized_operator_follows_the_state(disc_cubic, factorizations):
         assert float(np.linalg.norm(b - fresh @ x)) \
             <= 1e-10 * (1.0 + float(np.linalg.norm(b)))
     assert len(factorizations) == 3
+
+
+def _fresh_jacobian(disc, w):
+    return disc.form.stiffness + disc.domain_mass_weighted(w)
+
+
+def _meets_contract(matrix, x, b, rtol=None):
+    res = float(np.linalg.norm(b - matrix @ x))
+    b_norm = float(np.linalg.norm(b))
+    ok = res <= 1e-10 * (1.0 + b_norm)
+    return ok and (rtol is None or res <= rtol * b_norm)
+
+
+def test_stale_anchor_solve_needs_no_factorization(disc_cubic,
+                                                   factorizations):
+    # the anchor is factorized at y1; the solve at y2 runs CG on the
+    # matrix at y2 and must meet the tight relative target against it
+    nb = disc_cubic.mesh.n_boundary
+    y1 = solve_state(disc_cubic, np.ones(nb), np.zeros(nb)).state.values
+    y2 = solve_state(disc_cubic, 1.5 * np.ones(nb), np.zeros(nb)).state.values
+    hy = disc_cubic.problem.reaction_y
+    w1 = disc_cubic.eval_dom(hy, y=y1)
+    w2 = disc_cubic.eval_dom(hy, y=y2)
+    disc_cubic.jacobian_factor(w1)
+    factorizations.clear()
+    b = np.random.default_rng(8).standard_normal(disc_cubic.mesh.n_vertices)
+    x = disc_cubic.jacobian_solve(w2, b)
+    assert _meets_contract(_fresh_jacobian(disc_cubic, w2), x, b, rtol=1e-13)
+    assert factorizations == []
+
+
+@pytest.mark.parametrize("case", ["far_anchor", "no_cg_steps"])
+def test_failed_stale_solve_factorizes_once(disc_cubic, factorizations,
+                                           monkeypatch, case):
+    nb = disc_cubic.mesh.n_boundary
+    y = solve_state(disc_cubic, 1.5 * np.ones(nb), np.zeros(nb)).state.values
+    w = disc_cubic.eval_dom(disc_cubic.problem.reaction_y, y=y)
+    if case == "far_anchor":
+        disc_cubic.jacobian_factor(np.full_like(w, 1e4))
+    else:
+        disc_cubic.jacobian_factor(np.ones_like(w))
+        monkeypatch.setattr(fem_mod, "_CG_MAX_ITER", 0)
+    factorizations.clear()
+    b = np.random.default_rng(9).standard_normal(disc_cubic.mesh.n_vertices)
+    x = disc_cubic.jacobian_solve(w, b)
+    assert len(factorizations) == 1
+    # the factorization is taken at the current state and becomes the
+    # exact factor of its entry
+    assert disc_cubic.jacobian_factor(w) is factorizations[0]
+    assert _meets_contract(_fresh_jacobian(disc_cubic, w), x, b)
 
 
 def test_adjoint_radial_against_bessel():
