@@ -223,7 +223,8 @@ class SpdFactorization:
     the band is then factorized with LAPACK.  A band of more than
     ``_BAND_BUDGET`` bytes raises ``FemError`` (naming n, the bandwidth and
     the bytes needed) before it is allocated.  A non-positive pivot
-    surfaces as ``NotSpdError``.
+    surfaces as ``NotSpdError``, and a right-hand side with a non-finite
+    entry as ``ValueError``.
     """
 
     def __init__(self, matrix):
@@ -256,8 +257,13 @@ class SpdFactorization:
             raise NotSpdError(f"matrix is not positive definite: {exc}") from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        # the band was checked when it was factorized; only b can bring
+        # in a non-finite entry
         b = np.asarray(b, dtype=float)
-        z = scipy.linalg.cho_solve_banded((self._chol, False), b[self._perm])
+        if not np.all(np.isfinite(b)):
+            raise ValueError("right-hand side contains non-finite entries")
+        z = scipy.linalg.cho_solve_banded((self._chol, False), b[self._perm],
+                                          check_finite=False)
         x = np.empty_like(z)
         x[self._perm] = z
         return x

@@ -10,20 +10,24 @@ toward the half-line projection target::
 by a damped step ``u <- (1 - theta) u + theta u_target``.  Fixed points of
 the undamped map are exactly the discrete KKT points, so the five residuals
 measure the distance to optimality at every iteration.  The damping adapts
-to the worst residual: halve on increase, grow by 1.2 (capped at 1) on
-decrease.
+to the worst residual: halve on increase; on decrease, grow by 1.2 (capped
+at 1) only while the Anderson history below is empty.
 
 Near a fold the damped map contracts slowly (thousands of iterations at
 theta = 0.05), so :func:`solve_kkt` applies type-II Anderson extrapolation
 (Walker & Ni 2011) to the iterate ``x = (u, e, p)`` of one damped
 iteration: control, damped multipliers and previous costate.  The history
 holds at most ``_ANDERSON_DEPTH`` differences of one map, so any change of
-theta clears it.  The extrapolation is safeguarded by a restart, not a
-roll-back: an extrapolated iterate whose worst residual rises above the
-previous iterate's clears the history and the iteration continues with the
-damped step from it.  An extrapolation that is not finite, or at which the
-state solve or the partition fails, is replaced by the plain damped step.
-The stopping rule and the residuals are those of the damped iteration.
+theta clears it (keeping the pairs across one mixes two maps in one
+history, and the iteration can then stall).  The extrapolation is
+safeguarded by a restart, not a roll-back: an extrapolated iterate whose
+worst residual rises above the previous iterate's clears the history and
+the iteration continues with the damped step from it.  An extrapolation
+that is not finite, or at which the state solve or the partition fails,
+is replaced by the plain damped step.
+The stopping rule and the residuals are those of the damped iteration;
+each state solve is held to a tenth of ``tol`` in absolute terms, so that
+Newton's relative bound never stops it above the rule.
 
 The module also provides the objective value and the adjoint-based reduced
 gradient of the control-to-cost map (with inactive constraints), which the
@@ -69,10 +73,13 @@ class SolveOptions:
 
     ``tol`` bounds the worst of the five residuals; ``theta`` is the initial
     damping factor, adapted within ``[theta_min, 1]`` when ``adaptive`` is
-    set.  ``max_outer`` bounds the evaluated iterates, extrapolated ones
-    included; Anderson extrapolation has no knob and runs whenever theta
-    holds for two iterations.  A violated bound raises ``ValueError``
-    naming the field first.
+    set: halved when the worst residual rises, grown while no Anderson
+    history is live.  ``max_outer`` bounds the evaluated iterates,
+    extrapolated ones included; Anderson extrapolation has no knob and
+    runs whenever theta holds for two iterations.  ``newton_tol`` is
+    relative to the boundary load; inside :func:`solve_kkt` it is capped so
+    that a state solve ends at ``0.1 * tol`` or below.  A violated bound
+    raises ``ValueError`` naming the field first.
     """
 
     max_outer: int = 200
@@ -147,7 +154,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     and the previous costate.  One damped outer iteration maps it to
     ``g(x)``; the next iterate is the type-II Anderson extrapolation of the
     last ``_ANDERSON_DEPTH + 1`` pairs ``(x, g(x))`` while theta stays
-    unchanged, and a change of theta starts a new history.  An
+    unchanged, and a change of theta starts a new history; adaptive
+    damping grows theta only while no history is live.  An
     extrapolated iterate whose worst residual exceeds the previous
     iterate's restarts the history from itself, so the iteration goes on
     with the damped step from that iterate.  One that is not finite, or
@@ -185,8 +193,14 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         # one damped iteration up to its residuals, at the current theta
         # and Newton warm start
         u = x[:nb]
+        # Newton stops at newton_tol (1 + ||b||), b the boundary load, but
+        # the stopping rule bounds the state residual by tol itself: cap
+        # Newton's bound at a tenth of tol whatever ||b||
+        b_norm = float(np.linalg.norm(
+            disc.form.mass_boundary @ disc.embed(u + lam)))
         state = solve_state(disc, u, lam, y0=y_warm,
-                            tol=opts.newton_tol,
+                            tol=min(opts.newton_tol,
+                                    0.1 * opts.tol / (1.0 + b_norm)),
                             max_iter=opts.newton_max_iter)
         y = state.state.values
         part = partition_at(disc, y, lam)
@@ -246,7 +260,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         if opts.adaptive and len(history) >= 2:
             if history[-1] > history[-2]:
                 new_theta = max(opts.theta_min, 0.5 * theta)
-            else:
+            elif not pairs:
+                # growth would clear a live history, undoing its speed-up
                 new_theta = min(1.0, 1.2 * theta)
 
         adjoint = point.adjoint.values

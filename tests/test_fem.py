@@ -105,6 +105,22 @@ def test_solve_spd_preconditioned_by_another_matrix(disc):
     assert float(np.max(np.abs(x - dense_solve(a.toarray(), b)))) <= 1e-9
 
 
+def test_non_finite_rhs_rejected(disc):
+    # the band is checked once, when it is factorized; a right-hand side is
+    # checked at every solve, and solve_kkt relies on the ValueError
+    k = disc.form.stiffness
+    f = SpdFactorization(k)
+    for bad in (np.nan, np.inf):
+        b = np.ones(disc.mesh.n_vertices)
+        b[3] = bad
+        with pytest.raises(ValueError):
+            f.solve(b)
+        with pytest.raises(ValueError):
+            solve_spd(k, b, factor=f)
+        with pytest.raises(ValueError):
+            solve_spd(k, b)
+
+
 def test_not_spd_rejected():
     with pytest.raises(NotSpdError):
         SpdFactorization(sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])))

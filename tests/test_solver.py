@@ -9,7 +9,7 @@ import pytest
 from ctrlstab import (BoundaryFunction, Discretization, FeFunction,
                       PartitionError, SolveOptions, SolverError,
                       build_discretization, make_disk_mesh, parse_instance,
-                      solve_kkt)
+                      solve_kkt, sweep_plan)
 from ctrlstab import solver
 from ctrlstab.kkt import projection_identity_gap
 from ctrlstab.pde import StateSolveError
@@ -20,10 +20,22 @@ from conftest import CONFIG_DIR, make_spec
 from oracles import damped_solve_kkt
 
 
-def test_converges_on_reference(lq_solved32):
+def test_converges_on_reference(lq_disc32, lq_solved32):
     assert lq_solved32.residuals.worst <= 1e-10
     assert lq_solved32.iterations <= 200
-    assert lq_solved32.sigma1 == 1.0
+    # sigma1 is the smallest nodal margin fl(y - 0.05) - fl(y - 1.05) of
+    # g_1 = y - 0.05 over g_2 = y - 1.05 at the returned state
+    y = lq_disc32.trace(lq_solved32.point.state.values)
+    margins = (y - 0.05) - (y - 1.05)
+    assert lq_solved32.sigma1 == np.min(margins)
+    # Which double each margin is depends on the rounding of y, so pin the
+    # set, not the value.  For 0.025 <= y < 2**-5: y - 0.05 is exact
+    # (Sterbenz); y - 1.05 lies in [1, 2) in magnitude, where its error d
+    # is at most 2**-53; and fl(1.05) - fl(0.05) = 1 + 3 * 2**-56.  So the
+    # exact margin 1 + 3 * 2**-56 - d lies in [1 - 5 * 2**-56,
+    # 1 + 11 * 2**-56], which rounds to one of the three doubles below.
+    assert np.all((0.025 <= y) & (y < 2.0 ** -5))
+    assert np.all(np.isin(margins, [1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52]))
     assert len(lq_solved32.history) == lq_solved32.iterations
     assert lq_solved32.history[-1] == lq_solved32.residuals.worst
     assert 0.0 < lq_solved32.theta <= 1.0
@@ -171,13 +183,68 @@ def test_fold_cold_solve_needs_few_iterations(accelerated_and_damped):
     assert rep.extrapolated > rep.iterations // 2
 
 
-def test_adaptive_damping_never_extrapolates(accelerated_and_damped):
-    # theta changes at every lq_reference iteration: no history ever holds
-    # two pairs of one map, so the point is the damped one bit for bit
-    _, _, rep, ref = accelerated_and_damped[("lq_reference", None)]
-    assert rep.extrapolated == rep.restarts == 0
-    assert rep.iterations == ref.iterations
-    assert np.array_equal(rep.point.control.values, ref.point.control.values)
+def test_adaptive_damping_holds_theta_for_extrapolation(
+        accelerated_and_damped):
+    # lq_reference adapts theta; the worst residual never rises and no
+    # extrapolation is rejected, so theta is never halved and, with a live
+    # history from the second iterate on, never grows: it holds at
+    # opts.theta and every iterate after the second is extrapolated
+    _, opts, rep, ref = accelerated_and_damped[("lq_reference", None)]
+    assert opts.adaptive
+    assert rep.extrapolated > 0
+    assert rep.iterations <= 12 < ref.iterations
+    assert rep.restarts == 0
+    assert all(b <= a for a, b in zip(rep.history, rep.history[1:]))
+    assert rep.theta == opts.theta
+
+
+def test_adaptive_warm_resolve_needs_few_iterations(accelerated_and_damped):
+    disc, opts, rep, _ = accelerated_and_damped[("lq_reference", None)]
+    cfg = parse_instance(CONFIG_DIR / "lq_reference.ini")
+    plan = sweep_plan(cfg, disc)
+    lam = disc.param_reference().values + plan.t_values[0] * plan.delta.values
+    warm = solve_kkt(disc, lam, u0=rep.point.control.values, options=opts)
+    assert warm.residuals.worst <= opts.tol
+    assert warm.iterations <= 12
+
+
+def test_newton_stops_below_outer_tolerance(lq_disc16):
+    # the state solve stops at newton_tol (1 + ||b||) = 1.035e-11 here; a
+    # warm Newton start that meets that bound takes no step, so unless the
+    # solver caps it below tol the state residual stays at 1.009e-11
+    disc = lq_disc16
+    lam0 = disc.param_reference().values
+    base = solve_kkt(disc, lam0, options=SolveOptions(tol=1e-11))
+    s = disc.mesh.boundary_s
+    delta = np.sin(s) / np.max(np.abs(np.sin(s)))
+    opts = SolveOptions(tol=1e-11, adaptive=False, theta=0.5)
+    rep = solve_kkt(disc, lam0 + 0.01 * delta,
+                    u0=base.point.control.values, options=opts)
+    assert rep.residuals.worst <= opts.tol
+    assert rep.residuals.state <= 0.1 * opts.tol
+
+
+def test_newton_bound_below_tol_for_large_loads(monkeypatch):
+    # alpha = -20 and inactive constraints drive u to about 20, so the
+    # boundary load reaches ||b|| = 21: Newton's relative bound alone,
+    # even capped at 0.1 tol, would stop at 2.2 tol
+    spec = make_spec(alpha="-20", constraints=("-100", "-200"))
+    disc = Discretization(spec, make_disk_mesh(16, 0))
+    bounds = []
+    solve_state = solver.solve_state
+
+    def recorded(*args, **kw):
+        rep = solve_state(*args, **kw)
+        bounds.append(rep.tolerance)
+        return rep
+
+    monkeypatch.setattr(solver, "solve_state", recorded)
+    opts = SolveOptions()
+    rep = solve_kkt(disc, disc.param_reference(), options=opts)
+    u = rep.point.control.values
+    assert np.linalg.norm(disc.form.mass_boundary @ disc.embed(u)) > 20.0
+    # a tenth of tol, up to the rounding of the division and the product
+    assert max(bounds) <= 0.1 * opts.tol * (1.0 + 1e-15)
 
 
 def test_nan_coefficients_fall_back_to_damped_steps(monkeypatch):
