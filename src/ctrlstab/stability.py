@@ -142,8 +142,9 @@ class StabilityReport:
         def safe(x):
             return x if math.isfinite(x) else None
         return {
-            "rows": [{"t": r.t, "d_L2": r.d_l2, "d_Linf": r.d_linf,
-                      "d_W1r": r.d_w1r, "kkt_ok": r.kkt_ok}
+            "rows": [{"t": r.t, "d_L2": safe(r.d_l2),
+                      "d_Linf": safe(r.d_linf), "d_W1r": safe(r.d_w1r),
+                      "kkt_ok": r.kkt_ok}
                      for r in self.rows],
             "base_residuals": self.base_residuals.to_dict(),
             "ssc": self.ssc.to_dict(),
@@ -240,7 +241,8 @@ def write_sweep_csv(report: StabilityReport, path) -> None:
 
 def write_sweep_json(report: StabilityReport, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(report.to_dict(), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

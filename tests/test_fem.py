@@ -2,9 +2,11 @@
 totals, the SPD solver against a dense elimination oracle, the byte budget
 of the banded factorization, and norm formulas."""
 
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ import scipy.sparse as sp
 
 import ctrlstab.fem as fem_mod
 from ctrlstab import (BoundaryFunction, Discretization, FemError, FeFunction,
-                      NotSpdError, SpdFactorization, norm, solve_spd)
+                      NotSpdError, SpdFactorization, make_disk_mesh, norm,
+                      solve_spd)
 
 from conftest import make_spec
 from oracles import dense_solve
@@ -278,3 +281,99 @@ def test_operator_coefficients_enter_stiffness():
     k1 = (d1.form.stiffness - m).toarray()   # a0 = 1 contributes the mass
     k2 = (d2.form.stiffness - m).toarray()
     assert np.allclose(k2, 2.0 * k1, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# fixed-pattern assembly
+# ---------------------------------------------------------------------------
+
+
+def _coo_sum(elem, cells, n):
+    """The COO-to-CSR conversion the pattern replaces."""
+    k = cells.shape[1]
+    rows = np.repeat(cells, k, axis=1).ravel()
+    cols = np.tile(cells, (1, k)).ravel()
+    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _assert_same_csr(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("n_boundary,refinement",
+                         [(8, 0), (16, 1), (32, 2), (64, 0)])
+@pytest.mark.parametrize("cells_of", ["triangles", "boundary_edges",
+                                      "boundary_numbering"])
+def test_pattern_assembly_equals_coo_conversion(n_boundary, refinement,
+                                                cells_of):
+    # Exact equality is the contract, not closeness: the order in which
+    # duplicates are summed decides the last bit of each entry, and the
+    # solver's iteration counts (fold's cold solve moved from 124 to 113
+    # under another order) and the benchmark's bit-identical jobs rest on it
+    mesh = make_disk_mesh(n_boundary, refinement)
+    t = fem_mod._tables(mesh)
+    cells, n, pattern = {
+        "triangles": (mesh.triangles, mesh.n_vertices, t.tri_pattern),
+        "boundary_edges": (mesh.boundary_edges, mesh.n_vertices,
+                           t.bnd_pattern),
+        "boundary_numbering": (t.edge_pos, mesh.n_boundary, t.bb_pattern),
+    }[cells_of]
+    rng = np.random.default_rng(n_boundary + refinement)
+    k = cells.shape[1]
+    # entries over many magnitudes, so that every summation order rounds
+    # differently
+    elem = (rng.standard_normal((len(cells), k, k))
+            * 10.0 ** rng.integers(-6, 7, size=(len(cells), k, k)))
+    _assert_same_csr(pattern.assemble(elem), _coo_sum(elem, cells, n))
+
+
+def test_jacobian_equals_scipy_addition(disc):
+    w = np.random.default_rng(5).uniform(0.5, 3.0, disc.tables.qw_dom.shape)
+    want = disc.form.stiffness + disc.domain_mass_weighted(w)
+    _assert_same_csr(disc.jacobian_matrix(w), want)
+
+
+def test_new_state_makes_no_coo_conversion(lq_spec, monkeypatch):
+    calls = []
+    original = sp.coo_matrix.tocsr
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.shape)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.coo_matrix, "tocsr", counted)
+    d = Discretization(lq_spec, make_disk_mesh(16, 1))
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        d.jacobian_matrix(rng.uniform(0.5, 3.0, d.tables.qw_dom.shape))
+    assert calls == []
+
+
+def test_changing_a_matrix_structure_spares_the_next(lq_spec):
+    d = Discretization(lq_spec, make_disk_mesh(16, 0))
+    w = np.full(d.tables.qw_dom.shape, 2.0)
+    mass = d.domain_mass_weighted(w)
+    want = mass.copy()
+    k_want = d.form.stiffness.copy()
+
+    mass.indices[:] = 0
+    mass.indptr[1:] = mass.indptr[-1]
+    jac = d.jacobian_matrix(w)
+    jac.eliminate_zeros()
+    jac.indices[::2] = 1
+    _assert_same_csr(d.domain_mass_weighted(w), want)
+    _assert_same_csr(d.jacobian_matrix(2.0 * w),
+                     k_want + d.domain_mass_weighted(2.0 * w))
+    _assert_same_csr(d.form.stiffness, k_want)
+
+
+def test_tables_die_with_their_mesh(lq_spec):
+    mesh = make_disk_mesh(16, 0)
+    d = Discretization(lq_spec, mesh)
+    norm(FeFunction(mesh, np.ones(mesh.n_vertices)), "l2")
+    ref = weakref.ref(mesh)
+    del mesh, d
+    gc.collect()
+    assert ref() is None

@@ -211,6 +211,29 @@ def test_failed_rows_marked_and_excluded():
         assert fit.n_points == 4
 
 
+def test_failed_row_writes_valid_json(tmp_path):
+    # the failing instance of test_failed_rows_marked_and_excluded: its
+    # NaN distances must reach sweep.json as null, not as bare NaN tokens
+    spec = make_spec(beta="0.6 - 1*lam", gamma=0.5)
+    disc = Discretization(spec, make_disk_mesh(16, 0))
+    delta = BoundaryFunction(disc.mesh, np.ones(disc.mesh.n_boundary))
+    plan = SweepPlan(delta, [0.05, 0.1, 0.2, 0.3, 0.4])
+    report = run_sweep(disc, plan, options=SolveOptions(tol=1e-10))
+    path = tmp_path / "sweep.json"
+    write_sweep_json(report, path)
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    with open(path) as fh:
+        data = json.load(fh, parse_constant=reject)
+    bad = data["rows"][-1]
+    assert bad["kkt_ok"] is False
+    assert bad["d_L2"] is None and bad["d_Linf"] is None
+    assert bad["d_W1r"] is None
+    assert all(row["d_L2"] is not None for row in data["rows"][:-1])
+
+
 def test_all_rows_failing_is_an_error():
     spec = make_spec(beta="0.6 - 1*lam", gamma=0.5)
     disc = Discretization(spec, make_disk_mesh(16, 0))
