@@ -142,21 +142,20 @@ def cmd_solve(args) -> int:
     lam = disc.param_reference()
 
     report = solve_kkt(disc, lam, options=cfg.solve_options)
-    part = h5_margins(disc, report.point)
     gap = projection_identity_gap(disc, report.point)
     obj = objective_value(disc, report.point.state, report.point.control, lam)
     _say(args, f"converged in {report.iterations} iterations "
                f"({report.extrapolated} extrapolated, "
                f"{report.restarts} restarts): "
                f"worst residual {report.residuals.worst:.3e}, "
-               f"objective {obj:.9g}, sigma1 {part.sigma1:.6g}, "
+               f"objective {obj:.9g}, sigma1 {report.sigma1:.6g}, "
                f"projection gap {gap:.3e}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         point_path = os.path.join(args.out, "point.txt")
         save_point(report.point, point_path)
         with open(os.path.join(args.out, "residuals.json"), "w") as fh:
-            json.dump(_residual_payload(report.residuals, part.sigma1),
+            json.dump(_residual_payload(report.residuals, report.sigma1),
                       fh, indent=2, sort_keys=True)
             fh.write("\n")
         _say(args, f"wrote {point_path}")

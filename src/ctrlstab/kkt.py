@@ -20,8 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .fem import BoundaryFunction, Discretization, FeFunction, nodal_values
-from .pde import (adjoint_residual_norm, linearized_operator,
-                  state_residual_norm)
+from .pde import adjoint_system, linearized_operator, state_residual_norm
 from .problem import AdmissionError
 
 
@@ -111,7 +110,12 @@ def h5_margins(disc: Discretization, point: KktPoint) -> PartitionH5:
 
 def partition_at(disc: Discretization, y, lam) -> PartitionH5:
     """Dominance partition at a given state/parameter (see PartitionH5)."""
-    g = constraint_values(disc, y, lam)
+    return partition_of(constraint_values(disc, y, lam))
+
+
+def partition_of(g: np.ndarray) -> PartitionH5:
+    """Dominance partition of constraint values ``g``, shape (m, Nb), as
+    :func:`constraint_values` returns them (see PartitionH5)."""
     m, nb = g.shape
     labels = np.argmax(g, axis=0)
     margins = np.full((m, m), math.nan)
@@ -136,47 +140,80 @@ def recover_multipliers(disc: Discretization, y, u, adjoint, lam,
     """Multipliers from the separation formula: on its own cell each
     constraint carries ``(adjoint - alpha(lam) - beta(lam) u)_+``, elsewhere
     zero."""
-    y = nodal_values(y, disc.mesh.n_vertices)
     u = nodal_values(u, disc.mesh.n_boundary)
     lam = nodal_values(lam, disc.mesh.n_boundary)
     adj = nodal_values(adjoint, disc.mesh.n_vertices)
     alpha = disc.eval_node(disc.problem.alpha, lam=lam)
     beta = disc.eval_node(disc.problem.beta, lam=lam)
-    w = np.maximum(disc.trace(adj) - alpha - beta * u, 0.0)
-    out = []
-    for i in range(disc.problem.m):
-        vals = np.where(partition.labels == i, w, 0.0)
-        out.append(BoundaryFunction(disc.mesh, vals))
-    return tuple(out)
+    rows = _separated_multipliers(disc.trace(adj), alpha, beta, u,
+                                 partition.labels, disc.problem.m)
+    return tuple(BoundaryFunction(disc.mesh, row) for row in rows)
+
+
+def _separated_multipliers(adjoint_trace, alpha, beta, u, labels,
+                          m: int) -> np.ndarray:
+    """The separation formula of :func:`recover_multipliers` on nodal
+    values: row ``i`` of the (m, Nb) result is
+    ``(adjoint_trace - alpha - beta u)_+`` where ``labels == i``, else 0."""
+    w = np.maximum(adjoint_trace - alpha - beta * u, 0.0)
+    return np.stack([np.where(labels == i, w, 0.0) for i in range(m)])
 
 
 def residuals(disc: Discretization, point: KktPoint) -> KktResiduals:
-    """The five first-order residuals at ``point``."""
+    """The five first-order residuals at ``point``: the ``ctrlstab verify``
+    rule.
+
+    Evaluates the pieces at the point and builds the record with the
+    builder ``solve_kkt`` calls on the pieces of its own solves, so the
+    solver's record at the point it returns is this one, bit for bit.
+    Raises ``ValueError`` unless the point carries one multiplier per
+    constraint.
+    """
     y = point.state.values
     u = point.control.values
     lam = point.param.values
+    w_adj, rhs = adjoint_system(disc, y, lam, point.multipliers)
+    return _residual_record(
+        disc, point, state_residual_norm(disc, y, u, lam), w_adj, rhs,
+        constraint_values(disc, y, lam),
+        disc.eval_node(disc.problem.alpha, lam=lam),
+        disc.eval_node(disc.problem.beta, lam=lam))
+
+
+def _residual_record(disc: Discretization, point: KktPoint, r_state: float,
+                    w_adj: np.ndarray, rhs: np.ndarray, g: np.ndarray,
+                    alpha: np.ndarray, beta: np.ndarray) -> KktResiduals:
+    """The five residuals at ``point`` from its pieces: the state residual
+    norm, the adjoint system of :func:`ctrlstab.pde.adjoint_system`, the
+    constraint values and the nodal alpha, beta, all at the point."""
+    _require_multipliers(disc, point)
+    u = point.control.values
     adj = point.adjoint.values
-
-    r_state = state_residual_norm(disc, y, u, lam)
-    r_adjoint = adjoint_residual_norm(disc, y, lam, point.multipliers, adj)
-
-    alpha = disc.eval_node(disc.problem.alpha, lam=lam)
-    beta = disc.eval_node(disc.problem.beta, lam=lam)
+    r_adjoint = float(np.linalg.norm(disc.jacobian_matrix(w_adj) @ adj
+                                     - rhs))
     e_sum = np.sum([e.values for e in point.multipliers], axis=0)
     r_stat = float(np.max(np.abs(-disc.trace(adj) + alpha + beta * u + e_sum)))
 
-    g = constraint_values(disc, y, lam)
     r_comp = 0.0
     r_feas = 0.0
-    for i, e in enumerate(point.multipliers):
+    for g_i, e in zip(g, point.multipliers):
         r_comp = max(r_comp,
-                     float(np.max(np.abs(e.values * (g[i] + u)))),
+                     float(np.max(np.abs(e.values * (g_i + u)))),
                      float(np.max(-e.values, initial=0.0)))
-        r_feas = max(r_feas, float(np.max(g[i] + u, initial=0.0)))
+        r_feas = max(r_feas, float(np.max(g_i + u, initial=0.0)))
     r_feas = max(r_feas, 0.0)
     return KktResiduals(state=r_state, adjoint=r_adjoint,
                         stationarity=r_stat, complementarity=r_comp,
                         feasibility=r_feas)
+
+
+def _require_multipliers(disc: Discretization, point: KktPoint) -> None:
+    """Reject a point whose multipliers do not pair one to one with the
+    problem's constraints; pairing them by position would check a
+    truncated problem, or pair e_i with another constraint."""
+    if point.m != disc.problem.m:
+        raise ValueError(f"the point carries {point.m} multipliers, the "
+                         f"problem has {disc.problem.m} constraints")
 
 
 def check_beta_floor(disc: Discretization, lam) -> np.ndarray:
@@ -262,8 +299,10 @@ def quadratic_form(disc: Discretization, point: KktPoint,
     Evaluated as ``y^T A_y y + u^T B_u u`` with the assembled curvature
     operator; for these quadrature rules this is the quadrature sum, up to
     rounding.  Each call assembles the operator; ``check_ssc`` assembles it
-    once per point.
+    once per point.  Raises ``ValueError`` unless the point carries one
+    multiplier per constraint.
     """
+    _require_multipliers(disc, point)
     return float(_curvature(_curvature_operator(disc, point),
                             np.asarray(y_dir, float),
                             np.asarray(u_dir, float)))
@@ -277,6 +316,7 @@ class _ConeGeometry:
     """
 
     def __init__(self, disc: Discretization, point: KktPoint, tol: float):
+        _require_multipliers(disc, point)
         self.disc = disc
         self.point = point
         self.tol = tol
@@ -500,7 +540,8 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     Samples are projected and evaluated in blocks of columns whose width
     depends on the mesh size; only a running minimum and a count are kept.
     The draws from ``rng`` come in the same order as one seed per sample,
-    so a seeded report does not depend on the block width.
+    so a seeded report does not depend on the block width.  Raises
+    ``ValueError`` unless the point carries one multiplier per constraint.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -586,7 +627,7 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
 
 __all__ = [
     "KktPoint", "KktResiduals", "PartitionH5", "SscReport",
-    "constraint_values", "partition_at", "h5_margins",
+    "constraint_values", "partition_at", "partition_of", "h5_margins",
     "recover_multipliers", "residuals", "check_beta_floor",
     "projection_identity_gap", "quadratic_form",
     "critical_direction_sample", "check_ssc",

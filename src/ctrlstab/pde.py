@@ -23,7 +23,9 @@ assembled again:
   SIAM J. Numer. Anal. 19:400, 1982).
 * :func:`linearized_operator` returns an exact factorization at ``y``, for
   linearized solves with many right-hand sides.
-* :func:`adjoint_residual_norm` reads the assembled matrix only.
+* :func:`adjoint_system` returns the h_y weights at ``y`` and the adjoint
+  right-hand side, so that a caller can solve the adjoint system and
+  measure its residual ``||(K + M[h_y]) p - rhs||`` from one evaluation.
 
 The adjoint problem is linear in the costate::
 
@@ -32,7 +34,9 @@ The adjoint problem is linear in the costate::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -54,16 +58,25 @@ class StateSolveError(RuntimeError):
 class StateSolveReport:
     """Converged state with iteration diagnostics.
 
-    ``ratio`` is the a-priori quotient ``||y||_W1r / (||u|| + ||lam||)``
-    (both control norms in L2 of the boundary); it is 0 for zero data and
-    inf if a nonzero state came from zero data.
+    ``residual`` is the 2-norm of the discrete state equation at the
+    returned state, the expression of :func:`state_residual_norm`, so the
+    two agree bit for bit.  ``ratio`` is the a-priori quotient
+    ``||y||_W1r / (||u|| + ||lam||)`` (both control norms in L2 of the
+    boundary); it is 0 for zero data and inf if a nonzero state came from
+    zero data.  It is computed on first access, from copies taken at the
+    solve, so it holds the value of the call whatever happens to the
+    arrays afterwards.
     """
 
     state: FeFunction
     iterations: int
     residual: float
     tolerance: float
-    ratio: float
+    _ratio: Callable[[], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def ratio(self) -> float:
+        return self._ratio()
 
 
 def _finite(v: np.ndarray, what: str) -> np.ndarray:
@@ -118,15 +131,18 @@ def solve_state(disc: Discretization, u, lam, y0=None,
         y, f_vec, res = y_try, f_try, res_try
         iterations += 1
 
-    state = FeFunction(mesh, y)
-    num = norm(state, "w1r", disc.problem.r)
+    return StateSolveReport(state=FeFunction(mesh, y), iterations=iterations,
+                            residual=res, tolerance=tol_abs,
+                            _ratio=partial(_a_priori_ratio, disc, y.copy(),
+                                           u.copy(), lam.copy()))
+
+
+def _a_priori_ratio(disc: Discretization, y, u, lam) -> float:
+    num = norm(FeFunction(disc.mesh, y), "w1r", disc.problem.r)
     den = disc.l2_boundary(u) + disc.l2_boundary(lam)
     if den > 0.0:
-        ratio = num / den
-    else:
-        ratio = 0.0 if num <= 1e-10 else float("inf")
-    return StateSolveReport(state=state, iterations=iterations, residual=res,
-                            tolerance=tol_abs, ratio=ratio)
+        return num / den
+    return 0.0 if num <= 1e-10 else float("inf")
 
 
 def state_residual_norm(disc: Discretization, y, u, lam) -> float:
@@ -152,6 +168,18 @@ def adjoint_rhs(disc: Discretization, y: np.ndarray, lam: np.ndarray,
     return -disc.domain_load(ly) - disc.boundary_load(bnd)
 
 
+def adjoint_system(disc: Discretization, y, lam, multipliers) -> tuple:
+    """The adjoint system at state ``y``: ``(w, rhs)`` with ``w`` the h_y
+    weights of ``K + M[w]`` and ``rhs`` from :func:`adjoint_rhs`.
+
+    ``disc.jacobian_solve(w, rhs)`` is the costate of :func:`solve_adjoint`,
+    and ``||disc.jacobian_matrix(w) @ p - rhs||`` is the adjoint residual.
+    """
+    y = nodal_values(y, disc.mesh.n_vertices)
+    lam = nodal_values(lam, disc.mesh.n_boundary)
+    return _reaction_y(disc, y), adjoint_rhs(disc, y, lam, multipliers)
+
+
 def _reaction_y(disc: Discretization, y) -> np.ndarray:
     y = nodal_values(y, disc.mesh.n_vertices)
     return disc.eval_dom(disc.problem.reaction_y, y=y)
@@ -166,20 +194,6 @@ def linearized_operator(disc: Discretization, y) -> SpdFactorization:
     returned object is shared: do not mutate it or its ``matrix``.
     """
     return disc.jacobian_factor(_reaction_y(disc, y))
-
-
-def adjoint_residual_norm(disc: Discretization, y, lam, multipliers,
-                          adjoint) -> float:
-    """Algebraic 2-norm of the discrete adjoint equation residual.
-
-    Reads the assembled ``K + M[h_y(., y)]`` without factorizing it.
-    """
-    y = nodal_values(y, disc.mesh.n_vertices)
-    lam = nodal_values(lam, disc.mesh.n_boundary)
-    adjoint = nodal_values(adjoint, disc.mesh.n_vertices)
-    jac = disc.jacobian_matrix(_reaction_y(disc, y))
-    return float(np.linalg.norm(jac @ adjoint
-                                - adjoint_rhs(disc, y, lam, multipliers)))
 
 
 def solve_adjoint(disc: Discretization, y, lam, multipliers,
@@ -211,7 +225,7 @@ def solve_linearized_state(disc: Discretization, operator: SpdFactorization,
 __all__ = [
     "StateSolveError", "StateSolveReport",
     "solve_state", "state_residual_norm",
-    "adjoint_rhs", "adjoint_residual_norm", "linearized_operator",
+    "adjoint_rhs", "adjoint_system", "linearized_operator",
     "solve_adjoint",
     "solve_linearized_state",
 ]

@@ -29,6 +29,14 @@ The stopping rule and the residuals are those of the damped iteration;
 each state solve is held to a tenth of ``tol`` in absolute terms, so that
 Newton's relative bound never stops it above the rule.
 
+One iteration evaluates each quantity at its state once: the state
+residual is Newton's final one, the constraint values serve the partition,
+the residuals and the projection target, the h_y weights and the adjoint
+right-hand side serve the adjoint solve and its residual, and alpha, beta
+are evaluated once per solve.  The record is built by the builder that
+:func:`ctrlstab.kkt.residuals` (the ``ctrlstab verify`` rule) calls on the
+same pieces, so it is the verify rule's record at the iterate, bit for bit.
+
 The module also provides the objective value and the adjoint-based reduced
 gradient of the control-to-cost map (with inactive constraints), which the
 derivative integrity checks difference against.
@@ -41,11 +49,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import BoundaryFunction, Discretization, FemError, nodal_values
-from .kkt import (KktPoint, KktResiduals, check_beta_floor,
-                  constraint_values, partition_at, recover_multipliers,
-                  residuals)
-from .pde import StateSolveError, solve_adjoint, solve_state
+from .fem import (BoundaryFunction, Discretization, FeFunction, FemError,
+                  nodal_values)
+from .kkt import (KktPoint, KktResiduals, _residual_record,
+                  _separated_multipliers, check_beta_floor, constraint_values,
+                  partition_of)
+from .pde import StateSolveError, adjoint_system, solve_adjoint, solve_state
 
 #: number of differences in the Anderson history
 _ANDERSON_DEPTH = 10
@@ -161,7 +170,11 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     with the damped step from that iterate.  One that is not finite, or
     whose state solve or partition fails, is replaced by the damped step it
     was extrapolated from.  ``iterations`` counts the iterates whose
-    residuals were evaluated.
+    residuals were evaluated.  Each iterate's record is built from the
+    solves of its own iteration and equals ``residuals(disc, point)`` at
+    its point bit for bit; so ``report.residuals`` is the verify rule's
+    record at ``report.point``, and ``report.sigma1`` is
+    ``h5_margins(disc, report.point).sigma1``.
 
     Raises ``SolverError`` when ``max_outer`` iterations do not reach
     ``tol`` and ``PartitionError`` when the dominance margin sigma1 drops
@@ -171,9 +184,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     nb = disc.mesh.n_boundary
     lam = nodal_values(lam, nb)
     u0 = np.zeros_like(lam) if u0 is None else nodal_values(u0, nb)
-    check_beta_floor(disc, lam)
+    beta = check_beta_floor(disc, lam)
     alpha = disc.eval_node(disc.problem.alpha, lam=lam)
-    beta = disc.eval_node(disc.problem.beta, lam=lam)
 
     m = disc.problem.m
     # x = [u (nb) | e_1 .. e_m (m nb) | previous costate (n_vertices)]; the
@@ -203,7 +215,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
                                     0.1 * opts.tol / (1.0 + b_norm)),
                             max_iter=opts.newton_max_iter)
         y = state.state.values
-        part = partition_at(disc, y, lam)
+        g_con = constraint_values(disc, y, lam)
+        part = partition_of(g_con)
         if not (part.sigma1 > 0.0):
             raise PartitionError(
                 f"constraint separation margin sigma1 = {part.sigma1:.3e} "
@@ -212,17 +225,23 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         # the multiplier refresh shares the damping factor: the undamped
         # costate/multiplier alternation has loop gain above 1 on active
         # sets, while the damped update keeps the same fixed points
-        raw = recover_multipliers(disc, y, u, x[(m + 1) * nb:], lam, part)
+        raw = _separated_multipliers(disc.trace(x[(m + 1) * nb:]), alpha,
+                                     beta, u, part.labels, m)
         e_vals = (1.0 - theta) * x[nb:(m + 1) * nb].reshape(m, nb) \
-            + theta * np.stack([e.values for e in raw])
+            + theta * raw
         mults = tuple(BoundaryFunction(disc.mesh, row.copy())
                       for row in e_vals)
-        adj_fn = solve_adjoint(disc, y, lam, mults)
+        w_adj, rhs = adjoint_system(disc, y, lam, mults)
+        adj_fn = FeFunction(disc.mesh, disc.jacobian_solve(w_adj, rhs))
 
         point = KktPoint(state=state.state,
                          control=BoundaryFunction(disc.mesh, u.copy()),
                          adjoint=adj_fn, multipliers=mults, param=lam_fn)
-        return point, residuals(disc, point), part, e_vals
+        # Newton's final residual is the state residual at y, and the
+        # pieces are those of the solves above: the verify rule's record
+        res = _residual_record(disc, point, state.residual, w_adj, rhs,
+                               g_con, alpha, beta)
+        return point, res, part, e_vals, g_con
 
     for it in range(1, opts.max_outer + 1):
         step = None
@@ -241,7 +260,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         accelerated = step is not None
         if step is None:
             step = evaluate(x, it)
-        point, res, part, e_vals = step
+        point, res, part, e_vals, g_con = step
         y_warm = point.state.values
 
         history.append(res.worst)
@@ -265,8 +284,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
                 new_theta = min(1.0, 1.2 * theta)
 
         adjoint = point.adjoint.values
-        g_max = np.max(constraint_values(disc, y_warm, lam), axis=0)
-        target = np.minimum(-g_max, (disc.trace(adjoint) - alpha) / beta)
+        target = np.minimum(-np.max(g_con, axis=0),
+                            (disc.trace(adjoint) - alpha) / beta)
         u = (1.0 - new_theta) * x[:nb] + new_theta * target
         g = np.concatenate([u, e_vals.ravel(), adjoint])
 

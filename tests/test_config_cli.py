@@ -286,6 +286,10 @@ def test_solve_then_verify_round_trip(tmp_path, capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["stationarity"] <= 1e-10
     assert verdict["projection_gap"] <= 1e-9
+    # the point file holds every double exactly, and the solver's record
+    # and sigma1 are the verify rule's at the point it returns
+    for key, value in payload.items():
+        assert verdict[key] == value, key
 
 
 def test_verify_rejects_tampered_point(tmp_path, capsys):

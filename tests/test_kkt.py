@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
-                      FeFunction, KktPoint, check_ssc,
-                      critical_direction_sample, make_disk_mesh, partition_at,
+                      FeFunction, KktPoint, build_discretization, check_ssc,
+                      critical_direction_sample, make_disk_mesh,
+                      parse_instance, partition_at,
                       project_halfline, projection_identity_gap,
                       quadratic_form, recover_multipliers, solve_kkt)
 from ctrlstab.kkt import (_BLOCK_FLOATS, _ConeGeometry, check_beta_floor,
@@ -18,7 +19,7 @@ from ctrlstab.kkt import (_BLOCK_FLOATS, _ConeGeometry, check_beta_floor,
 from ctrlstab.pde import linearized_operator
 from ctrlstab.solver import SolveOptions, objective_value
 
-from conftest import make_spec
+from conftest import CONFIG_DIR, make_spec
 from oracles import (project_one, quadrature_curvature,
                      sample_directions_one_by_one)
 
@@ -608,3 +609,29 @@ def test_kkt_point_mesh_validation(lq_disc16, lq_disc32):
                  param=BoundaryFunction(mesh, np.zeros(mesh.n_boundary)))
     pt = _zero_point(lq_disc16)
     assert pt.m == 2
+
+
+@pytest.mark.parametrize("keep", [slice(0, 1), slice(1, 2), slice(0, 3)],
+                         ids=["first-only", "second-only", "extra"])
+def test_point_needs_one_multiplier_per_constraint(keep):
+    # pairing multipliers with constraints by position would check a
+    # truncated problem (constraint 2 never looked at) or pair e_2 with g_1
+    cfg = parse_instance(CONFIG_DIR / "lq_reference.ini")
+    disc = build_discretization(cfg)
+    point = solve_kkt(disc, disc.param_reference(),
+                      options=cfg.solve_options).point
+    mults = point.multipliers + point.multipliers[:1]
+    bad = KktPoint(state=point.state, control=point.control,
+                   adjoint=point.adjoint, multipliers=mults[keep],
+                   param=point.param)
+    assert bad.m != disc.problem.m
+    nb = disc.mesh.n_boundary
+    for check in (lambda: residuals(disc, bad),
+                  lambda: check_ssc(disc, bad, n_samples=2),
+                  lambda: critical_direction_sample(
+                      disc, bad, 2, np.random.default_rng(0)),
+                  lambda: quadratic_form(disc, bad,
+                                         np.zeros(disc.mesh.n_vertices),
+                                         np.zeros(nb))):
+        with pytest.raises(ValueError, match="multipliers"):
+            check()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ctrlstab.fem as fem_mod
+import ctrlstab.pde as pde_mod
 from ctrlstab import (BoundaryFunction, Discretization, StateSolveError,
                       linearized_operator, make_disk_mesh, solve_adjoint,
                       solve_linearized_state, solve_state)
@@ -129,6 +130,47 @@ def test_a_priori_ratio_stable(disc_cubic):
         assert rep.ratio > 0.0
         ratios.append(rep.ratio)
     assert max(ratios) / min(ratios) <= 50.0
+
+
+def _eager_ratio(disc, rep, u, lam):
+    # the a-priori quotient as solve_state used to compute it on every call
+    num = fem_mod.norm(rep.state, "w1r", disc.problem.r)
+    den = disc.l2_boundary(u) + disc.l2_boundary(lam)
+    if den > 0.0:
+        return num / den
+    return 0.0 if num <= 1e-10 else float("inf")
+
+
+def test_ratio_is_computed_on_first_access(monkeypatch, lq_disc16,
+                                           disc_linear, disc_cubic):
+    # the data of the cases above: zero, the radial flux, random
+    norms = []
+    norm = pde_mod.norm
+
+    def counted(*args, **kwargs):
+        norms.append(args)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(pde_mod, "norm", counted)
+    rng = np.random.default_rng(11)
+    nb16, nb128 = lq_disc16.mesh.n_boundary, disc_linear.mesh.n_boundary
+    nb = disc_cubic.mesh.n_boundary
+    cases = [(lq_disc16, np.zeros(nb16), np.zeros(nb16)),
+             (disc_linear, np.ones(nb128), np.zeros(nb128))]
+    cases += [(disc_cubic, rng.standard_normal(nb), rng.standard_normal(nb))
+              for _ in range(5)]
+    for disc, u, lam in cases:
+        rep = solve_state(disc, u, lam)
+        assert norms == []
+        want = _eager_ratio(disc, rep, u, lam)
+        # the value is the call's, whatever happens to the arrays later
+        u += 1.0
+        lam -= 1.0
+        rep.state.values[:] *= 2.0
+        assert rep.ratio == want
+        assert rep.ratio == want
+        assert len(norms) == 1
+        norms.clear()
 
 
 def test_newton_iteration_limit_raises(disc_cubic):

@@ -2,6 +2,8 @@
 the unconstrained fixed point, reduced-cost calculus, and failure modes."""
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from ctrlstab import (BoundaryFunction, Discretization, FeFunction,
                       PartitionError, SolveOptions, SolverError,
                       build_discretization, make_disk_mesh, parse_instance,
                       solve_kkt, sweep_plan)
-from ctrlstab import solver
-from ctrlstab.kkt import projection_identity_gap
+from ctrlstab import fem, kkt, solver
+from ctrlstab.kkt import h5_margins, projection_identity_gap, residuals
 from ctrlstab.pde import StateSolveError
 from ctrlstab.solver import (objective_value, pair_boundary, reduced_cost,
                              reduced_gradient)
@@ -295,6 +297,73 @@ def test_failed_state_solve_at_extrapolation_falls_back(monkeypatch):
     assert rep.restarts > 0
     assert rep.iterations == ref.iterations
     assert np.array_equal(rep.point.control.values, ref.point.control.values)
+
+
+# ---------------------------------------------------------------------------
+# the solver's residual record is the verify rule's
+# ---------------------------------------------------------------------------
+
+CONFIGS = sorted(path.stem for path in CONFIG_DIR.glob("*.ini"))
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_solver_record_is_the_verify_rule(name):
+    # the solver builds its record from its own solves; `residuals`
+    # evaluates every piece again at the point: both must agree exactly,
+    # for a cold solve and a warm re-solve
+    cfg = parse_instance(CONFIG_DIR / f"{name}.ini")
+    disc = build_discretization(cfg)
+    opts = cfg.solve_options
+    lam = disc.param_reference().values
+    cold = solve_kkt(disc, lam, options=opts)
+    s = disc.mesh.boundary_s
+    delta = np.sin(s) / np.max(np.abs(np.sin(s)))
+    warm = solve_kkt(disc, lam + 0.01 * delta,
+                     u0=cold.point.control.values, options=opts)
+    for rep in (cold, warm):
+        verify = residuals(disc, rep.point)
+        assert verify.to_dict() == rep.residuals.to_dict()
+        assert rep.history[-1] == rep.residuals.worst
+        assert rep.sigma1 == h5_margins(disc, rep.point).sigma1
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    """Count calls of ``module.name`` through every binding of it in the
+    package, so that names bound at import are counted too."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for mod in [m for key, m in sys.modules.items()
+                if key == "ctrlstab" or key.startswith("ctrlstab.")]:
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, counted)
+
+
+def test_solver_evaluates_each_state_once(monkeypatch):
+    disc, lam, opts = _instance("lq_reference", None)
+    calls = Counter()
+    _count_calls(monkeypatch, calls, kkt, "residuals")
+    _count_calls(monkeypatch, calls, fem, "norm")
+    for name in ("eval_dom", "eval_bnd", "eval_node"):
+        method = getattr(fem.Discretization, name)
+
+        def counted(*args, _method=method, **kwargs):
+            calls["eval"] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(fem.Discretization, name, counted)
+    rep = solve_kkt(disc, lam, options=opts)
+    assert calls["residuals"] == 0
+    assert calls["norm"] == 0
+    # expression evaluations per outer iteration: 24 when the residuals
+    # evaluated h, h_y, the adjoint loads, g, alpha and beta again at each
+    # state the iteration had just solved; about 10 when each is evaluated
+    # once (Newton's h and h_y, g, the adjoint system)
+    assert calls["eval"] <= 12 * rep.iterations
 
 
 # ---------------------------------------------------------------------------
