@@ -14,7 +14,6 @@ from .fem import (BoundaryFunction, Discretization, EllipticForm, FemError,
 from .pde import (StateSolveError, StateSolveReport, linearized_operator,
                   solve_adjoint, solve_linearized_state, solve_state)
 from .kkt import (KktPoint, KktResiduals, PartitionH5, SscReport, check_ssc,
-                  project_halfline,
                   critical_direction_sample, h5_margins, partition_at,
                   projection_identity_gap, quadratic_form,
                   recover_multipliers, residuals)
@@ -39,7 +38,7 @@ __all__ = [
     "linearized_operator", "solve_linearized_state",
     "KktPoint", "KktResiduals", "PartitionH5", "SscReport",
     "residuals", "recover_multipliers", "h5_margins", "partition_at",
-    "projection_identity_gap", "project_halfline", "quadratic_form",
+    "projection_identity_gap", "quadratic_form",
     "critical_direction_sample", "check_ssc",
     "SolveOptions", "KktSolveReport", "SolverError", "PartitionError",
     "solve_kkt", "objective_value", "reduced_cost", "reduced_gradient",

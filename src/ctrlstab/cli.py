@@ -82,8 +82,11 @@ def load_point(path, disc: Discretization, lam: BoundaryFunction) -> KktPoint:
             f"instance mesh {mesh_hash(mesh)}")
     nv, nb = mesh.n_vertices, mesh.n_boundary
     m = disc.problem.m
-    shape = (int(meta["vertices"]), int(meta["boundary"]),
-             int(meta["constraints"]))
+    try:
+        shape = (int(meta["vertices"]), int(meta["boundary"]),
+                 int(meta["constraints"]))
+    except ValueError as exc:
+        raise PointFileError(f"{path}: header sizes: {exc}") from exc
     if shape != (nv, nb, m):
         raise PointFileError(
             f"{path}: header sizes {shape} do not match the instance "

@@ -3,13 +3,12 @@
 Sections and keys::
 
     [domain]      n_boundary, refinement, r
-    [operator]    a11, a12, a22, a0, c0 (or c_0)
+    [operator]    a11, a12, a22, a0, c0
     [cost]        L, ell, alpha, beta, gamma
     [state]       h
     [constraints] g_1 ... g_m           (consecutive indices from 1)
     [parameter]   lambda_bar
-    [solver]      max_outer, tol, theta, adaptive, theta_min,
-                  newton_tol, newton_max_iter          (all optional)
+    [solver]      max_outer, tol, theta, adaptive          (all optional)
     [sweep]       delta, t, seed, warm_start, ssc_samples   (optional section)
 
 Coefficient values are expressions in the grammar of :mod:`ctrlstab.expr`;
@@ -104,10 +103,10 @@ def _bool(cp, section, key, fallback: bool) -> bool:
 
 
 #: the keys of every section but [constraints] (g_1 .. g_m) and [solver]
-#: (the fields of SolveOptions); [operator] takes c0 or c_0
+#: (the fields of SolveOptions)
 _KEYS = {
     "domain": ("n_boundary", "refinement", "r"),
-    "operator": ("a11", "a12", "a22", "a0", "c0", "c_0"),
+    "operator": ("a11", "a12", "a22", "a0", "c0"),
     "cost": ("L", "ell", "alpha", "beta", "gamma"),
     "state": ("h",),
     "parameter": ("lambda_bar",),
@@ -168,13 +167,12 @@ def parse_instance(path) -> InstanceConfig:
     if len(constraints) < 2:
         raise ConfigError("[constraints]: need at least g_1 and g_2")
 
-    c0_key = "c0" if cp.has_option("operator", "c0") else "c_0"
     problem = ProblemSpec(
         a11=_expr(cp, "operator", "a11"),
         a12=_expr(cp, "operator", "a12"),
         a22=_expr(cp, "operator", "a22"),
         a0=_expr(cp, "operator", "a0"),
-        c0=_number(cp, "operator", c0_key, float),
+        c0=_number(cp, "operator", "c0", float),
         obj_domain=_expr(cp, "cost", "L"),
         obj_boundary=_expr(cp, "cost", "ell"),
         alpha=_expr(cp, "cost", "alpha"),

@@ -13,6 +13,7 @@ Hessian restricted to the strongly-active equality subspace.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -229,11 +230,6 @@ def check_beta_floor(disc: Discretization, lam) -> np.ndarray:
     return beta
 
 
-def project_halfline(a):
-    """Pointwise projection onto the half-line (-inf, 0]: min(a, 0)."""
-    return np.minimum(np.asarray(a, float), 0.0)
-
-
 def projection_identity_gap(disc: Discretization, point: KktPoint) -> float:
     """Max nodal gap in the half-line projection identity
     ``g + u = P_(-inf, 0]((adjoint - alpha)/beta + g)`` with ``g`` the
@@ -251,6 +247,12 @@ def projection_identity_gap(disc: Discretization, point: KktPoint) -> float:
 # second order
 # ---------------------------------------------------------------------------
 
+
+#: tolerance of the critical cone checks, relative to the direction size
+_CONE_TOL = 1e-8
+
+#: cap sweeps of the weak-inequality projection onto the critical cone
+_CONE_SWEEPS = 30
 
 #: entries of one sampled state block (V, k) in the sampled estimator:
 #: 64 columns on the 353-vertex reference mesh, never fewer than one
@@ -315,11 +317,10 @@ class _ConeGeometry:
     controls (Nb, k) and linearized states (V, k).
     """
 
-    def __init__(self, disc: Discretization, point: KktPoint, tol: float):
+    def __init__(self, disc: Discretization, point: KktPoint):
         _require_multipliers(disc, point)
         self.disc = disc
         self.point = point
-        self.tol = tol
         u = point.control.values
         lam = point.param.values
         self.eps_act = 1e-8 * (1.0 + float(np.max(np.abs(u))))
@@ -333,54 +334,42 @@ class _ConeGeometry:
         self.gy = np.stack([disc.eval_node(gy, y=point.state.values, lam=lam)
                             for gy in disc.problem.constraints_y])
         self.operator = linearized_operator(disc, point.state.values)
-        self._t_mat = None
-        self._z_mat = None
-        self._curvature = None
 
-    @property
+    @functools.cached_property
     def curvature(self) -> tuple:
         """The assembled curvature operator ``(A_y, B_u)`` at the point."""
-        if self._curvature is None:
-            self._curvature = _curvature_operator(self.disc, self.point)
-        return self._curvature
+        return _curvature_operator(self.disc, self.point)
 
-    @property
+    @functools.cached_property
     def t_mat(self) -> np.ndarray:
         """Dense control-to-linearized-state map, (V, Nb)."""
-        if self._t_mat is None:
-            self._t_mat = _control_to_state_matrix(self.disc, self.operator)
-        return self._t_mat
+        return _control_to_state_matrix(self.disc, self.operator)
 
-    @property
+    @functools.cached_property
     def z_mat(self) -> np.ndarray:
         """Orthonormal basis of the strong-equality subspace: controls u
         with ``g_y (T u) + u = 0`` at every strongly active node."""
-        if self._z_mat is None:
-            nb = self.disc.mesh.n_boundary
-            tb = self.t_mat[self.disc.mesh.boundary_vertices, :]
-            rows = []
-            for i in range(self.disc.problem.m):
-                for j in np.flatnonzero(self.strong[i]):
-                    row = self.gy[i, j] * tb[j, :]
-                    row[j] += 1.0
-                    rows.append(row)
-            if rows:
-                c_mat = np.vstack(rows)
-                _, sv, vt = np.linalg.svd(c_mat, full_matrices=True)
-                rank = int(np.sum(sv > 1e-12 * (sv[0] if len(sv) else 1.0)))
-                self._z_mat = vt[rank:].T  # (Nb, nz)
-            else:
-                self._z_mat = np.eye(nb)
-        return self._z_mat
+        tb = self.t_mat[self.disc.mesh.boundary_vertices, :]
+        rows = []
+        for i in range(self.disc.problem.m):
+            for j in np.flatnonzero(self.strong[i]):
+                row = self.gy[i, j] * tb[j, :]
+                row[j] += 1.0
+                rows.append(row)
+        if not rows:
+            return np.eye(self.disc.mesh.n_boundary)
+        _, sv, vt = np.linalg.svd(np.vstack(rows), full_matrices=True)
+        rank = int(np.sum(sv > 1e-12 * (sv[0] if len(sv) else 1.0)))
+        return vt[rank:].T  # (Nb, nz)
 
-    def project(self, seeds: np.ndarray, sweeps: int = 30) -> tuple:
+    def project(self, seeds: np.ndarray) -> tuple:
         """Project control seeds (Nb, k) into the discrete critical cone.
 
         The strong equalities are enforced exactly by restricting to their
         nullspace basis; the remaining weakly active inequalities are handled
         by alternating the cap ``u <= -g_y y`` with re-projection onto the
         subspace.  Each column stops at the first sweep whose cap moves it
-        by at most ``1e-14 (1 + max|u|)``, or after ``sweeps`` sweeps.
+        by at most ``1e-14 (1 + max|u|)``, or after ``_CONE_SWEEPS`` sweeps.
         Returns the linearized states (V, k) and the controls (Nb, k).
         """
         disc = self.disc
@@ -394,7 +383,7 @@ class _ConeGeometry:
         if weak.any():
             gy = self.gy[:, :, None]
             live = np.arange(u.shape[1])
-            for _ in range(sweeps):
+            for _ in range(_CONE_SWEEPS):
                 yb = disc.trace(y)[:, live]
                 bound = np.min(np.where(weak, -gy * yb, math.inf), axis=0)
                 u_live = u[:, live]
@@ -434,13 +423,12 @@ class _ConeGeometry:
                       axis=(0, 1), initial=-math.inf)
         defect = np.max(np.abs(self.mult[:, :, None] * lin), axis=(0, 1),
                         initial=0.0)
-        return ((viol <= self.tol * scale)
-                & (defect <= self.tol * scale * (1.0 + self.mult_scale)))
+        return ((viol <= _CONE_TOL * scale)
+                & (defect <= _CONE_TOL * scale * (1.0 + self.mult_scale)))
 
 
 def critical_direction_sample(disc: Discretization, point: KktPoint,
-                              n: int, rng: np.random.Generator,
-                              tol: float = 1e-8) -> list:
+                              n: int, rng: np.random.Generator) -> list:
     """Sample up to ``n`` unit directions from the critical cone.
 
     Each direction pairs a boundary control with its linearized state;
@@ -450,7 +438,7 @@ def critical_direction_sample(disc: Discretization, point: KktPoint,
     the cone is numerically trivial.  The sampling runs in blocks and
     draws from ``rng`` as ``check_ssc`` does.
     """
-    cone = _ConeGeometry(disc, point, tol)
+    cone = _ConeGeometry(disc, point)
     return [(FeFunction(disc.mesh, y), BoundaryFunction(disc.mesh, u))
             for ys, us in _critical_blocks(cone, n, rng)
             for y, u in zip(ys.T.copy(), us.T.copy())]
@@ -524,15 +512,16 @@ def _control_to_state_matrix(disc: Discretization, operator) -> np.ndarray:
 
 
 def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
-              rng: np.random.Generator | None = None,
-              tol: float = 1e-8) -> SscReport:
+              rng: np.random.Generator | None = None) -> SscReport:
     """Estimate the minimum of the curvature form over the critical cone.
 
     Two estimators: the sampled minimum over ``n_samples`` projected random
     directions (enriched with the subspace eigen-direction when that
     direction is itself admissible), and the smallest reduced-Hessian
     eigenvalue on the strongly-active equality subspace via a shifted
-    inverse power iteration.
+    inverse power iteration.  A direction is in the cone when its
+    linearized constraints and complementarity defect stay within
+    ``_CONE_TOL`` times its size.
 
     Both read one curvature operator ``(A_y, B_u)`` assembled at the point,
     and a direction's value is ``y^T A_y y + u^T B_u u`` (the curvature
@@ -545,7 +534,7 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    cone = _ConeGeometry(disc, point, tol)
+    cone = _ConeGeometry(disc, point)
     n_accepted = 0
     min_rayleigh = math.inf
     for y, u in _critical_blocks(cone, n_samples, rng):

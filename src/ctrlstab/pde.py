@@ -196,22 +196,15 @@ def linearized_operator(disc: Discretization, y) -> SpdFactorization:
     return disc.jacobian_factor(_reaction_y(disc, y))
 
 
-def solve_adjoint(disc: Discretization, y, lam, multipliers,
-                  operator: SpdFactorization | None = None) -> FeFunction:
+def solve_adjoint(disc: Discretization, y, lam, multipliers) -> FeFunction:
     """Solve the adjoint system at state ``y`` with boundary multipliers.
 
-    Without ``operator`` the solve goes through
-    :meth:`Discretization.jacobian_solve`: the cached factorization at
-    ``y``, or CG preconditioned by the anchor.
+    The solve goes through :meth:`Discretization.jacobian_solve`: the
+    cached factorization at ``y`` (the one :func:`linearized_operator`
+    returns, once taken), or CG preconditioned by the anchor.
     """
-    y = nodal_values(y, disc.mesh.n_vertices)
-    lam = nodal_values(lam, disc.mesh.n_boundary)
-    rhs = adjoint_rhs(disc, y, lam, multipliers)
-    if operator is None:
-        sol = disc.jacobian_solve(_reaction_y(disc, y), rhs)
-    else:
-        sol = solve_spd(operator.matrix, rhs, factor=operator)
-    return FeFunction(disc.mesh, sol)
+    w, rhs = adjoint_system(disc, y, lam, multipliers)
+    return FeFunction(disc.mesh, disc.jacobian_solve(w, rhs))
 
 
 def solve_linearized_state(disc: Discretization, operator: SpdFactorization,

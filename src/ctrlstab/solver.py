@@ -59,6 +59,12 @@ from .pde import StateSolveError, adjoint_system, solve_adjoint, solve_state
 #: number of differences in the Anderson history
 _ANDERSON_DEPTH = 10
 
+#: floor of the adaptive damping factor
+_THETA_MIN = 1e-3
+
+#: Newton tolerance of the state solves, relative to the boundary load
+_NEWTON_TOL = 1e-11
+
 
 class SolverError(RuntimeError):
     """Outer iteration failure; carries the best residuals seen."""
@@ -81,23 +87,20 @@ class SolveOptions:
     """Outer solver knobs.
 
     ``tol`` bounds the worst of the five residuals; ``theta`` is the initial
-    damping factor, adapted within ``[theta_min, 1]`` when ``adaptive`` is
+    damping factor, adapted within ``[_THETA_MIN, 1]`` when ``adaptive`` is
     set: halved when the worst residual rises, grown while no Anderson
     history is live.  ``max_outer`` bounds the evaluated iterates,
     extrapolated ones included; Anderson extrapolation has no knob and
-    runs whenever theta holds for two iterations.  ``newton_tol`` is
-    relative to the boundary load; inside :func:`solve_kkt` it is capped so
-    that a state solve ends at ``0.1 * tol`` or below.  A violated bound
-    raises ``ValueError`` naming the field first.
+    runs whenever theta holds for two iterations.  Each state solve stops
+    at a residual of ``min(_NEWTON_TOL (1 + ||b||), 0.1 tol)``, ``b`` the
+    boundary load.  A violated bound raises ``ValueError`` naming the
+    field first.
     """
 
     max_outer: int = 200
     tol: float = 1e-9
     theta: float = 0.5
     adaptive: bool = True
-    theta_min: float = 1e-3
-    newton_tol: float = 1e-11
-    newton_max_iter: int = 50
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -106,18 +109,6 @@ class SolveOptions:
             raise ValueError("theta: must lie in (0, 1]")
         if self.max_outer < 1:
             raise ValueError("max_outer: must be at least 1")
-        if not 0.0 < self.theta_min <= 1.0:
-            raise ValueError("theta_min: must lie in (0, 1]")
-        if not self.newton_tol > 0:
-            raise ValueError("newton_tol: must be positive")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter: must be at least 1")
-
-    def to_dict(self) -> dict:
-        return {"max_outer": self.max_outer, "tol": self.tol,
-                "theta": self.theta, "adaptive": self.adaptive,
-                "theta_min": self.theta_min, "newton_tol": self.newton_tol,
-                "newton_max_iter": self.newton_max_iter}
 
 
 @dataclass
@@ -205,15 +196,14 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         # one damped iteration up to its residuals, at the current theta
         # and Newton warm start
         u = x[:nb]
-        # Newton stops at newton_tol (1 + ||b||), b the boundary load, but
+        # Newton stops at _NEWTON_TOL (1 + ||b||), b the boundary load, but
         # the stopping rule bounds the state residual by tol itself: cap
         # Newton's bound at a tenth of tol whatever ||b||
         b_norm = float(np.linalg.norm(
             disc.form.mass_boundary @ disc.embed(u + lam)))
         state = solve_state(disc, u, lam, y0=y_warm,
-                            tol=min(opts.newton_tol,
-                                    0.1 * opts.tol / (1.0 + b_norm)),
-                            max_iter=opts.newton_max_iter)
+                            tol=min(_NEWTON_TOL,
+                                    0.1 * opts.tol / (1.0 + b_norm)))
         y = state.state.values
         g_con = constraint_values(disc, y, lam)
         part = partition_of(g_con)
@@ -278,7 +268,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         new_theta = theta
         if opts.adaptive and len(history) >= 2:
             if history[-1] > history[-2]:
-                new_theta = max(opts.theta_min, 0.5 * theta)
+                new_theta = max(_THETA_MIN, 0.5 * theta)
             elif not pairs:
                 # growth would clear a live history, undoing its speed-up
                 new_theta = min(1.0, 1.2 * theta)

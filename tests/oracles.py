@@ -16,6 +16,10 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
+# the reference loops share the library's constants, so they cannot drift
+from ctrlstab.kkt import _CONE_SWEEPS, _CONE_TOL
+from ctrlstab.solver import _NEWTON_TOL, _THETA_MIN
+
 
 def dense_solve(a, b):
     """Gaussian elimination with partial pivoting, no library solver."""
@@ -155,7 +159,7 @@ def quadrature_curvature(disc, point, y_dir, u_dir):
     return float(q_val)
 
 
-def project_one(cone, u, sweeps=30):
+def project_one(cone, u):
     """Project one control seed into the discrete critical cone described by
     ``cone`` (a ``ctrlstab.kkt._ConeGeometry``), one vector at a time.
 
@@ -171,7 +175,7 @@ def project_one(cone, u, sweeps=30):
     weak = cone.active & ~cone.strong
     n_sweeps = 0
     if weak.any():
-        for _ in range(sweeps):
+        for _ in range(_CONE_SWEEPS):
             n_sweeps += 1
             yb = disc.trace(y)
             bound = np.min(np.where(weak, -cone.gy * yb, math.inf), axis=0)
@@ -186,10 +190,10 @@ def project_one(cone, u, sweeps=30):
 def _admissible_one(cone, y, u, scale):
     lin = cone.gy * cone.disc.trace(y) + u
     viol = np.where(cone.active, lin, -math.inf)
-    if float(np.max(viol, initial=-math.inf)) > cone.tol * scale:
+    if float(np.max(viol, initial=-math.inf)) > _CONE_TOL * scale:
         return False
     defect = float(np.max(np.abs(cone.mult * lin), initial=0.0))
-    return defect <= cone.tol * scale * (1.0 + cone.mult_scale)
+    return defect <= _CONE_TOL * scale * (1.0 + cone.mult_scale)
 
 
 def _finish_one(cone, seed):
@@ -249,8 +253,7 @@ def damped_solve_kkt(disc, lam, u0=None, options=None):
     lam_fn = BoundaryFunction(disc.mesh, lam)
 
     for it in range(1, opts.max_outer + 1):
-        state = solve_state(disc, u, lam, y0=y_warm, tol=opts.newton_tol,
-                            max_iter=opts.newton_max_iter)
+        state = solve_state(disc, u, lam, y0=y_warm, tol=_NEWTON_TOL)
         y_warm = state.state.values
         part = partition_at(disc, y_warm, lam)
         if not (part.sigma1 > 0.0):
@@ -261,8 +264,9 @@ def damped_solve_kkt(disc, lam, u0=None, options=None):
             + theta * np.stack([e.values for e in raw])
         mults = tuple(BoundaryFunction(disc.mesh, row.copy())
                       for row in e_vals)
-        op = linearized_operator(disc, y_warm)
-        adj_fn = solve_adjoint(disc, y_warm, lam, mults, operator=op)
+        # factorize at y_warm, so that the adjoint solve uses that factor
+        linearized_operator(disc, y_warm)
+        adj_fn = solve_adjoint(disc, y_warm, lam, mults)
         adjoint = adj_fn.values
         point = KktPoint(state=state.state,
                          control=BoundaryFunction(disc.mesh, u.copy()),
@@ -277,7 +281,7 @@ def damped_solve_kkt(disc, lam, u0=None, options=None):
                                   history=history)
         if opts.adaptive and len(history) >= 2:
             if history[-1] > history[-2]:
-                theta = max(opts.theta_min, 0.5 * theta)
+                theta = max(_THETA_MIN, 0.5 * theta)
             else:
                 theta = min(1.0, 1.2 * theta)
         g_max = np.max(constraint_values(disc, y_warm, lam), axis=0)

@@ -123,6 +123,13 @@ def test_missing_pieces_are_named(tmp_path, drop, needle):
     ({"domain": {"refinment": "2"}}, "[domain] refinment: unknown key"),
     ({"cost": {"Lx": "0"}}, "[cost] lx: unknown key"),
     ({"solvr": {"tol": "1e-3"}}, "[solvr]: unknown section"),
+    # the damping floor and the Newton settings are solver constants
+    ({"solver": {"theta_min": "0.01"}},
+     "[solver] theta_min: unknown key; expected one of max_outer, tol, "
+     "theta, adaptive"),
+    ({"solver": {"newton_tol": "1e-12"}}, "[solver] newton_tol: unknown key"),
+    ({"solver": {"newton_max_iter": "20"}},
+     "[solver] newton_max_iter: unknown key"),
 ])
 def test_bad_values_are_named(tmp_path, overrides, needle):
     path = write_ini(tmp_path / "i.ini", **overrides)
@@ -131,10 +138,11 @@ def test_bad_values_are_named(tmp_path, overrides, needle):
     assert needle in str(err.value)
 
 
-def test_c0_and_c_0_both_parse(tmp_path):
-    path = write_ini(tmp_path / "i.ini", drop=("operator.c0",),
-                     operator={"c_0": "0.5"})
-    assert parse_instance(path).problem.c0 == 0.5
+def test_c_0_is_an_unknown_key(tmp_path):
+    # beside c0, a c_0 spelling would be silently dropped: c0 is the only key
+    path = write_ini(tmp_path / "i.ini", operator={"c_0": "0.25"})
+    with pytest.raises(ConfigError, match=r"\[operator\] c_0: unknown key"):
+        parse_instance(path)
 
 
 def test_unreadable_path_is_config_error(tmp_path):
@@ -232,6 +240,8 @@ def _tamper(path, mutate):
      "header sizes"),
     (lambda ls: [ls[0].replace(" constraints=2", "")] + ls[1:],
      "header lacks 'constraints'"),
+    (lambda ls: [ls[0].replace("vertices=", "vertices=x")] + ls[1:],
+     "header sizes: invalid literal"),
 ])
 def test_corrupt_point_files_rejected(small_disc, tmp_path, rng,
                                       mutate, needle):
@@ -324,6 +334,8 @@ def test_invalid_configs_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+# theta_min, newton_tol and newton_max_iter are no longer [solver] keys: they
+# are rejected as unknown keys, with the same exit code and key prefix
 @pytest.mark.parametrize("key,value", [
     ("theta", "0"), ("theta_min", "1.5"), ("tol", "0"),
     ("newton_tol", "0"), ("newton_max_iter", "0"), ("max_outer", "0")])

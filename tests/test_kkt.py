@@ -11,8 +11,7 @@ import pytest
 from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
                       FeFunction, KktPoint, build_discretization, check_ssc,
                       critical_direction_sample, make_disk_mesh,
-                      parse_instance, partition_at,
-                      project_halfline, projection_identity_gap,
+                      parse_instance, partition_at, projection_identity_gap,
                       quadratic_form, recover_multipliers, solve_kkt)
 from ctrlstab.kkt import (_BLOCK_FLOATS, _ConeGeometry, check_beta_floor,
                           constraint_values, residuals)
@@ -250,17 +249,6 @@ def test_recovery_stationarity_equals_clamp_loss(lq_disc16):
     assert np.array_equal(defect, clamp)
 
 
-def test_projection_halfline_values_and_nonexpansive():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal(1000)
-    b = rng.standard_normal(1000)
-    pa = project_halfline(a)
-    pb = project_halfline(b)
-    assert np.array_equal(pa, np.minimum(a, 0.0))
-    assert np.all(np.abs(pa - pb) <= np.abs(a - b) + 1e-15)
-    assert np.all(pa <= 0.0)
-
-
 def test_projection_gap_two_forms_agree():
     # |g + u - min(0, w + g)| == |u - min(-g, w)| pointwise, up to the
     # rounding of (w + g) - g
@@ -496,7 +484,7 @@ def test_block_sampler_matches_one_by_one_reference(case,
     else:
         disc, point = _weakly_active_point(mixed_active_solved)
     n = 300
-    cone = _ConeGeometry(disc, point, 1e-8)
+    cone = _ConeGeometry(disc, point)
     ref = sample_directions_one_by_one(cone, n, np.random.default_rng(4))
     ref_values = [quadrature_curvature(disc, point, y, u) for y, u in ref]
     assert len(ref) > 0
@@ -534,7 +522,7 @@ def test_quadratic_form_equals_quadrature_sum(cubic_solved,
 
 def test_block_projection_matches_per_vector_weak_path(mixed_active_solved):
     disc, point = _weakly_active_point(mixed_active_solved)
-    cone = _ConeGeometry(disc, point, 1e-8)
+    cone = _ConeGeometry(disc, point)
     assert (cone.active & ~cone.strong).any()
     seeds = np.random.default_rng(0).standard_normal(
         (60, disc.mesh.n_boundary)).T

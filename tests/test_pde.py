@@ -13,7 +13,8 @@ import ctrlstab.pde as pde_mod
 from ctrlstab import (BoundaryFunction, Discretization, StateSolveError,
                       linearized_operator, make_disk_mesh, solve_adjoint,
                       solve_linearized_state, solve_state)
-from ctrlstab.pde import state_residual_norm
+from ctrlstab.fem import solve_spd
+from ctrlstab.pde import adjoint_rhs, state_residual_norm
 
 from conftest import make_spec
 from oracles import radial_solve, radial_trace_linear
@@ -292,6 +293,22 @@ def test_adjoint_sees_multipliers(disc_cubic):
     # constraints are y - c with dg/dy = 1: each unit multiplier adds the
     # same boundary load, so the difference solves a nonzero problem
     assert float(np.max(np.abs(a1.values - a0.values))) > 1e-3
+
+
+def test_adjoint_solve_uses_the_linearized_operator_factor(disc_cubic):
+    # after linearized_operator at y, the adjoint solve reads the cached
+    # factor at y: the same bits as a solve with that factor
+    nb = disc_cubic.mesh.n_boundary
+    rng = np.random.default_rng(17)
+    y = 0.3 * rng.standard_normal(disc_cubic.mesh.n_vertices)
+    lam = rng.standard_normal(nb)
+    mults = tuple(BoundaryFunction(disc_cubic.mesh, rng.random(nb))
+                  for _ in range(2))
+    op = linearized_operator(disc_cubic, y)
+    rhs = adjoint_rhs(disc_cubic, y, lam, mults)
+    expected = solve_spd(op.matrix, rhs, factor=op)
+    adj = solve_adjoint(disc_cubic, y, lam, mults)
+    assert np.array_equal(adj.values, expected)
 
 
 def test_linearized_state_matches_difference_quotient(disc_cubic):

@@ -116,16 +116,7 @@ def test_solve_options_validation():
         SolveOptions(theta=1.5)
     with pytest.raises(ValueError):
         SolveOptions(max_outer=0)
-    for theta_min in (1.5, 0.0, -1.0):
-        with pytest.raises(ValueError, match="theta_min"):
-            SolveOptions(theta_min=theta_min)
-    with pytest.raises(ValueError, match="newton_tol"):
-        SolveOptions(newton_tol=0.0)
-    with pytest.raises(ValueError, match="newton_max_iter"):
-        SolveOptions(newton_max_iter=0)
-    assert SolveOptions(theta_min=1.0).theta_min == 1.0
-    opts = SolveOptions()
-    assert opts.to_dict()["theta"] == 0.5
+    assert SolveOptions(theta=1.0).theta == 1.0
 
 
 def test_lambda_shape_checked(lq_disc16):
