@@ -22,6 +22,7 @@ each multiplier (one per boundary node).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -134,13 +135,15 @@ def _residual_payload(res, sigma1: float) -> dict:
 
 
 def _load_instance(args) -> InstanceConfig:
-    return parse_instance(args.config)
+    cfg = parse_instance(args.config)
+    tol = getattr(args, "tol", None)
+    if tol is not None:
+        cfg.solve_options = dataclasses.replace(cfg.solve_options, tol=tol)
+    return cfg
 
 
 def cmd_solve(args) -> int:
     cfg = _load_instance(args)
-    if args.tol is not None:
-        cfg.solve_options.tol = args.tol
     disc = build_discretization(cfg)
     lam = disc.param_reference()
 
@@ -177,7 +180,7 @@ def cmd_verify(args) -> int:
     payload = _residual_payload(res, part.sigma1)
     payload["projection_gap"] = gap
     _emit_json(payload)
-    tol = args.tol if args.tol is not None else cfg.solve_options.tol
+    tol = cfg.solve_options.tol
     ok = res.worst <= tol and gap <= 10.0 * tol
     _say(args, f"verification {'passed' if ok else 'FAILED'} at "
                f"tolerance {tol:g}")
@@ -186,8 +189,6 @@ def cmd_verify(args) -> int:
 
 def cmd_ssc(args) -> int:
     cfg = _load_instance(args)
-    if args.tol is not None:
-        cfg.solve_options.tol = args.tol
     disc = build_discretization(cfg)
     lam = disc.param_reference()
 
@@ -205,8 +206,6 @@ def cmd_ssc(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_instance(args)
-    if args.tol is not None:
-        cfg.solve_options.tol = args.tol
     disc = build_discretization(cfg)
     plan = sweep_plan(cfg, disc, seed=args.seed)
 
@@ -246,6 +245,13 @@ def _sample_count(text: str) -> int:
     return count
 
 
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 < tol < np.inf:
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
+    return tol
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ctrlstab",
@@ -263,8 +269,8 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None,
                            help="random seed override")
         if tol:
-            p.add_argument("--tol", type=float, default=None,
-                           help="tolerance override")
+            p.add_argument("--tol", type=_tolerance, default=None,
+                           help="tolerance override (positive, finite)")
         if quiet:
             p.add_argument("--quiet", action="store_true",
                            help="suppress progress lines")

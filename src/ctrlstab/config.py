@@ -9,8 +9,9 @@ Sections and keys::
     [constraints] g_1 ... g_m           (consecutive indices from 1)
     [parameter]   lambda_bar
     [solver]      max_outer, tol, theta, adaptive          (all optional)
-    [sweep]       delta, t, seed, warm_start, ssc_samples   (optional section)
+    [sweep]       delta, t, seed, ssc_samples               (optional section)
 
+Sweeps always warm-start; ``[sweep] warm_start`` may only say so (true).
 Coefficient values are expressions in the grammar of :mod:`ctrlstab.expr`;
 ``t`` is a whitespace- or comma-separated list of step sizes.  The sweep
 direction ``delta`` is normalized to sup-norm 1 at the mesh nodes.  Every
@@ -42,7 +43,6 @@ class SweepConfig:
     delta: Expr
     t_values: np.ndarray
     seed: int
-    warm_start: bool
     ssc_samples: int
 
 
@@ -217,11 +217,12 @@ def parse_instance(path) -> InstanceConfig:
         if bad:
             raise ConfigError(f"[sweep] delta: may only use x1, x2, s; "
                               f"found {sorted(bad)}")
+        if not _bool(cp, "sweep", "warm_start", True):
+            raise ConfigError("[sweep] warm_start: only true is accepted")
         sweep = SweepConfig(
             delta=delta,
             t_values=t_values,
             seed=_number(cp, "sweep", "seed", int, fallback=0),
-            warm_start=_bool(cp, "sweep", "warm_start", True),
             ssc_samples=_number(cp, "sweep", "ssc_samples", int,
                                 fallback=200),
         )
@@ -256,7 +257,6 @@ def sweep_plan(config: InstanceConfig, disc: Discretization,
     try:
         return SweepPlan(delta=delta, t_values=config.sweep.t_values,
                          seed=config.sweep.seed if seed is None else seed,
-                         warm_start=config.sweep.warm_start,
                          ssc_samples=config.sweep.ssc_samples)
     except SweepPlanError as exc:
         raise ConfigError(f"[sweep] {exc}") from exc

@@ -5,10 +5,11 @@ multiplier per constraint.  First-order checks: equation residuals
 (algebraic 2-norms), nodal stationarity/complementarity/feasibility
 (max norms), the half-line projection identity for the control, and the
 partition margins that quantify which constraint dominates where.  Second
-order: sampling of critical directions (linearized states driven by
-projected boundary controls) and two estimators for the minimum of the
+order: sampling of critical directions (projected boundary controls u with
+their linearized states T u) and two estimators for the minimum of the
 curvature form on the critical cone, one sampled, one via the reduced
-Hessian restricted to the strongly-active equality subspace.
+Hessian restricted to the strongly-active equality subspace, both on
+boundary-sized forms in the controls.
 """
 
 from __future__ import annotations
@@ -254,9 +255,9 @@ _CONE_TOL = 1e-8
 #: cap sweeps of the weak-inequality projection onto the critical cone
 _CONE_SWEEPS = 30
 
-#: entries of one sampled state block (V, k) in the sampled estimator:
-#: 64 columns on the 353-vertex reference mesh, never fewer than one
-_BLOCK_FLOATS = 64 * 353
+#: entries of one control block (Nb, k) in the sampled estimator:
+#: 128 columns on the 64-node reference boundary, never fewer than one
+_BLOCK_FLOATS = 128 * 64
 
 
 def _curvature_operator(disc: Discretization, point: KktPoint) -> tuple:
@@ -285,12 +286,6 @@ def _curvature_operator(disc: Discretization, point: KktPoint) -> tuple:
     return a_y, b_u
 
 
-def _curvature(operator: tuple, y: np.ndarray, u: np.ndarray):
-    """``y^T A_y y + u^T B_u u``, per column for blocks."""
-    a_y, b_u = operator
-    return np.sum(y * (a_y @ y), axis=0) + np.sum(u * (b_u @ u), axis=0)
-
-
 def quadratic_form(disc: Discretization, point: KktPoint,
                    y_dir: np.ndarray, u_dir: np.ndarray) -> float:
     """Curvature form of the optimality system at ``point``::
@@ -299,22 +294,27 @@ def quadratic_form(disc: Discretization, point: KktPoint,
                 + int_bnd (l_yy y^2 + beta u^2 + sum_i e_i g_iyy y^2) ds.
 
     Evaluated as ``y^T A_y y + u^T B_u u`` with the assembled curvature
-    operator; for these quadrature rules this is the quadrature sum, up to
-    rounding.  Each call assembles the operator; ``check_ssc`` assembles it
-    once per point.  Raises ``ValueError`` unless the point carries one
-    multiplier per constraint.
+    operator, for any ``y`` (V,) and ``u`` (Nb,); for these quadrature rules
+    this is the quadrature sum, up to rounding.  Each call assembles the
+    operator.  ``check_ssc`` evaluates the same form at ``y = T u`` as
+    ``u^T H u`` (see ``_ConeGeometry``).  Raises ``ValueError`` unless the
+    point carries one multiplier per constraint.
     """
     _require_multipliers(disc, point)
-    return float(_curvature(_curvature_operator(disc, point),
-                            np.asarray(y_dir, float),
-                            np.asarray(u_dir, float)))
+    a_y, b_u = _curvature_operator(disc, point)
+    y, u = np.asarray(y_dir, float), np.asarray(u_dir, float)
+    return float(np.sum(y * (a_y @ y)) + np.sum(u * (b_u @ u)))
 
 
 class _ConeGeometry:
-    """Active-set data shared by the sampling and subspace estimators.
+    """Active-set data and boundary-sized forms shared by both estimators.
 
-    The sampling methods act on blocks with one direction per column:
-    controls (Nb, k) and linearized states (V, k).
+    A critical direction is a control ``u`` with linearized state ``T u``
+    (``T`` the dense (V, Nb) control-to-state map).  Every method reads it
+    through (Nb, Nb) matrices built on first use: ``Tb = T[boundary]`` (the
+    trace), ``H`` (curvature ``u^T H u``), ``M_bb`` and ``T^T M T`` (the
+    squared norms of ``u`` and ``T u``), so a sample costs O(Nb^2), not
+    O(V).  The sampling methods act on control blocks (Nb, k).
     """
 
     def __init__(self, disc: Discretization, point: KktPoint):
@@ -324,69 +324,72 @@ class _ConeGeometry:
         u = point.control.values
         lam = point.param.values
         self.eps_act = 1e-8 * (1.0 + float(np.max(np.abs(u))))
-        g = constraint_values(disc, point.state.values, lam)
-        slack = g + u  # <= 0 feasible
+        slack = constraint_values(disc, point.state.values, lam) + u  # <= 0
         self.active = slack >= -self.eps_act  # (m, Nb)
-        mult = np.stack([e.values for e in point.multipliers])
-        self.mult = mult
-        self.mult_scale = float(np.max(mult, initial=0.0))
-        self.strong = self.active & (mult > self.eps_act)
+        self.mult = np.stack([e.values for e in point.multipliers])
+        self.mult_scale = float(np.max(self.mult, initial=0.0))
+        self.strong = self.active & (self.mult > self.eps_act)
         self.gy = np.stack([disc.eval_node(gy, y=point.state.values, lam=lam)
                             for gy in disc.problem.constraints_y])
-        self.operator = linearized_operator(disc, point.state.values)
-
-    @functools.cached_property
-    def curvature(self) -> tuple:
-        """The assembled curvature operator ``(A_y, B_u)`` at the point."""
-        return _curvature_operator(self.disc, self.point)
 
     @functools.cached_property
     def t_mat(self) -> np.ndarray:
-        """Dense control-to-linearized-state map, (V, Nb)."""
-        return _control_to_state_matrix(self.disc, self.operator)
+        """Dense control-to-linearized-state map ``T``, (V, Nb)."""
+        rhs = self.disc.form.mass_boundary[:, self.disc.mesh.boundary_vertices]
+        return linearized_operator(self.disc, self.point.state.values).solve(
+            rhs.toarray())
+
+    @functools.cached_property
+    def t_bnd(self) -> np.ndarray:
+        """``Tb = T[boundary]``, (Nb, Nb)."""
+        return self.t_mat[self.disc.mesh.boundary_vertices, :]
+
+    @functools.cached_property
+    def hess(self) -> np.ndarray:
+        """Reduced Hessian ``H = T^T (A_y T) + B_u``, (Nb, Nb)."""
+        a_y, b_u = _curvature_operator(self.disc, self.point)
+        return self.t_mat.T @ (a_y @ self.t_mat) + b_u.toarray()
+
+    @functools.cached_property
+    def masses(self) -> tuple:
+        """``(M_bb, T^T M T)``: the squared L2 norms of ``u`` and ``T u``."""
+        form = self.disc.form
+        return (form.mass_boundary_bb.toarray(),
+                self.t_mat.T @ (form.mass_domain @ self.t_mat))
 
     @functools.cached_property
     def z_mat(self) -> np.ndarray:
         """Orthonormal basis of the strong-equality subspace: controls u
-        with ``g_y (T u) + u = 0`` at every strongly active node."""
-        tb = self.t_mat[self.disc.mesh.boundary_vertices, :]
-        rows = []
-        for i in range(self.disc.problem.m):
-            for j in np.flatnonzero(self.strong[i]):
-                row = self.gy[i, j] * tb[j, :]
-                row[j] += 1.0
-                rows.append(row)
-        if not rows:
+        with ``g_y (Tb u) + u = 0`` at every strongly active node."""
+        i, j = np.nonzero(self.strong)  # one row per strong pair, in order
+        if j.size == 0:
             return np.eye(self.disc.mesh.n_boundary)
-        _, sv, vt = np.linalg.svd(np.vstack(rows), full_matrices=True)
-        rank = int(np.sum(sv > 1e-12 * (sv[0] if len(sv) else 1.0)))
+        rows = self.gy[i, j, None] * self.t_bnd[j, :]
+        rows[np.arange(j.size), j] += 1.0
+        _, sv, vt = np.linalg.svd(rows, full_matrices=True)
+        rank = int(np.sum(sv > 1e-12 * sv[0]))
         return vt[rank:].T  # (Nb, nz)
 
-    def project(self, seeds: np.ndarray) -> tuple:
+    def project(self, seeds: np.ndarray) -> np.ndarray:
         """Project control seeds (Nb, k) into the discrete critical cone.
 
         The strong equalities are enforced exactly by restricting to their
         nullspace basis; the remaining weakly active inequalities are handled
-        by alternating the cap ``u <= -g_y y`` with re-projection onto the
+        by alternating the cap ``u <= -g_y Tb u`` with re-projection onto the
         subspace.  Each column stops at the first sweep whose cap moves it
         by at most ``1e-14 (1 + max|u|)``, or after ``_CONE_SWEEPS`` sweeps.
-        Returns the linearized states (V, k) and the controls (Nb, k).
+        Returns the controls (Nb, k).
         """
-        disc = self.disc
         z = self.z_mat
-        if z.shape[1] == 0:
-            nv = disc.mesh.n_vertices
-            return np.zeros((nv, seeds.shape[1])), np.zeros_like(seeds)
         u = z @ (z.T @ seeds)
-        y = self.t_mat @ u
         weak = (self.active & ~self.strong)[:, :, None]
         if weak.any():
             gy = self.gy[:, :, None]
             live = np.arange(u.shape[1])
             for _ in range(_CONE_SWEEPS):
-                yb = disc.trace(y)[:, live]
-                bound = np.min(np.where(weak, -gy * yb, math.inf), axis=0)
                 u_live = u[:, live]
+                bound = np.min(np.where(weak, -gy * (self.t_bnd @ u_live),
+                                        math.inf), axis=0)
                 u_new = np.minimum(u_live, bound)
                 done = (np.max(np.abs(u_new - u_live), axis=0)
                         <= 1e-14 * (1.0 + np.max(np.abs(u_live), axis=0)))
@@ -394,21 +397,20 @@ class _ConeGeometry:
                 if live.size == 0:
                     break
                 u[:, live] = z @ (z.T @ u_new[:, ~done])
-                y[:, live] = self.t_mat @ u[:, live]
-        return y, u
+        return u
 
-    def size(self, y: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Per column ``||u||_L2bnd + ||y||_L2dom``, from the mass
-        matrices."""
-        form = self.disc.form
+    def size(self, u: np.ndarray) -> np.ndarray:
+        """Per column ``||u||_L2bnd + ||T u||_L2dom``, from ``M_bb`` and
+        ``T^T M T``."""
+        norms = [np.sqrt(np.maximum(np.sum(u * (mass @ u), axis=0), 0.0))
+                 for mass in self.masses]
+        return norms[0] + norms[1]
 
-        def l2(mass, x):
-            return np.sqrt(np.maximum(np.sum(x * (mass @ x), axis=0), 0.0))
+    def value(self, u: np.ndarray) -> np.ndarray:
+        """Per column curvature ``Q(T u, u) = u^T H u``."""
+        return np.sum(u * (self.hess @ u), axis=0)
 
-        return l2(form.mass_boundary_bb, u) + l2(form.mass_domain, y)
-
-    def admissible(self, y: np.ndarray, u: np.ndarray,
-                   scale: np.ndarray) -> np.ndarray:
+    def admissible(self, u: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """Check (iii) on active nodes and first-order criticality, per
         column (``scale`` holds one value per column).
 
@@ -418,7 +420,7 @@ class _ConeGeometry:
         edges joining a strongly active node to an inactive one it picks up
         an interpolation cross term of order h^2 that never vanishes.)
         """
-        lin = self.gy[:, :, None] * self.disc.trace(y) + u  # (m, Nb, k)
+        lin = self.gy[:, :, None] * (self.t_bnd @ u) + u  # (m, Nb, k)
         viol = np.max(np.where(self.active[:, :, None], lin, -math.inf),
                       axis=(0, 1), initial=-math.inf)
         defect = np.max(np.abs(self.mult[:, :, None] * lin), axis=(0, 1),
@@ -435,45 +437,45 @@ def critical_direction_sample(disc: Discretization, point: KktPoint,
     normalization is ``||u||_L2bnd + ||y||_L2dom = 1``.  Directions that
     fail the cone checks after projection (and after retrying the flipped
     seed) are dropped, so fewer than ``n`` may return; an empty list means
-    the cone is numerically trivial.  The sampling runs in blocks and
-    draws from ``rng`` as ``check_ssc`` does.
+    the cone is numerically trivial.  The sampling draws from ``rng`` as
+    ``check_ssc`` does; states are formed for accepted controls only.
     """
     cone = _ConeGeometry(disc, point)
     return [(FeFunction(disc.mesh, y), BoundaryFunction(disc.mesh, u))
-            for ys, us in _critical_blocks(cone, n, rng)
-            for y, u in zip(ys.T.copy(), us.T.copy())]
+            for us in _critical_blocks(cone, n, rng)
+            for y, u in zip((cone.t_mat @ us).T.copy(), us.T.copy())]
 
 
 def _critical_blocks(cone: _ConeGeometry, n: int,
                      rng: np.random.Generator):
-    """Yield the accepted unit directions as blocks ``(Y, U)``, in sample
-    order.
+    """Yield the accepted unit controls as blocks (Nb, k), in sample order.
 
     Seeds are drawn ``k`` at a time with ``rng.standard_normal((k, Nb))``,
     the same stream as ``k`` draws of one seed each, so the result does not
     depend on ``k``.  A seed whose projection fails the cone checks is
     retried flipped; if that fails too, the sample is dropped.
     """
-    mesh = cone.disc.mesh
-    width = max(1, _BLOCK_FLOATS // mesh.n_vertices)
+    nb = cone.disc.mesh.n_boundary
+    width = max(1, _BLOCK_FLOATS // nb)
     for start in range(0, n, width):
-        seeds = rng.standard_normal((min(width, n - start),
-                                     mesh.n_boundary)).T
-        y, u, size, ok = _finish_block(cone, seeds)
+        seeds = rng.standard_normal((min(width, n - start), nb)).T
+        if cone.z_mat.shape[1] == 0:  # the cone is {0}: only draw
+            continue
+        u, size, ok = _finish_block(cone, seeds)
         retry = np.flatnonzero(~ok)
         if retry.size:
-            y[:, retry], u[:, retry], size[retry], ok[retry] = \
+            u[:, retry], size[retry], ok[retry] = \
                 _finish_block(cone, -seeds[:, retry])
-        yield y[:, ok] / size[ok], u[:, ok] / size[ok]
+        yield u[:, ok] / size[ok]
 
 
 def _finish_block(cone: _ConeGeometry, seeds: np.ndarray) -> tuple:
-    """Project seed columns and run the cone checks: ``(Y, U, size, ok)``
-    with ``ok`` marking the columns that pass."""
-    y, u = cone.project(seeds)
-    size = cone.size(y, u)
+    """Project seed columns and run the cone checks: ``(U, size, ok)`` with
+    ``ok`` marking the columns that pass."""
+    u = cone.project(seeds)
+    size = cone.size(u)
     ok = size > 1e-12 * (1.0 + np.max(np.abs(seeds), axis=0))
-    return y, u, size, ok & cone.admissible(y, u, size)
+    return u, size, ok & cone.admissible(u, size)
 
 
 @dataclass
@@ -506,11 +508,6 @@ class SscReport:
                 "positive": self.positive}
 
 
-def _control_to_state_matrix(disc: Discretization, operator) -> np.ndarray:
-    rhs = disc.form.mass_boundary[:, disc.mesh.boundary_vertices].toarray()
-    return operator.solve(rhs)
-
-
 def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
               rng: np.random.Generator | None = None) -> SscReport:
     """Estimate the minimum of the curvature form over the critical cone.
@@ -523,41 +520,41 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     linearized constraints and complementarity defect stay within
     ``_CONE_TOL`` times its size.
 
-    Both read one curvature operator ``(A_y, B_u)`` assembled at the point,
-    and a direction's value is ``y^T A_y y + u^T B_u u`` (the curvature
-    integral of :func:`quadratic_form`, exact for these quadrature rules).
-    Samples are projected and evaluated in blocks of columns whose width
-    depends on the mesh size; only a running minimum and a count are kept.
-    The draws from ``rng`` come in the same order as one seed per sample,
-    so a seeded report does not depend on the block width.  Raises
-    ``ValueError`` unless the point carries one multiplier per constraint.
+    Both read the boundary-sized forms of ``_ConeGeometry``: a unit
+    sample's value is ``u^T H u``, ``H = T^T A_y T + B_u`` (the integral of
+    :func:`quadratic_form` at ``(T u, u)``), and the subspace metric is
+    ``M_bb + T^T M T``.  A fully pinned point assembles no curvature
+    operator.  Samples run in blocks of controls, keeping only a running
+    minimum and a count; the draws from ``rng`` come in the same order as
+    one seed per sample, so a seeded report does not depend on the block
+    width.  Raises ``ValueError`` unless the point carries one multiplier
+    per constraint.
+
+    The inverse iteration stops after 50 steps, converged or not.  On the
+    ssc_sample benchmark instance (eigen-gap 7.2e-8) it returns
+    1.0000599..., above the 1.0000097... of a dense ``scipy.linalg.eigh``.
+    It stays until a benchmark-only change regenerates
+    ``perfbench/reference.json``, which pins the unconverged value.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     cone = _ConeGeometry(disc, point)
     n_accepted = 0
     min_rayleigh = math.inf
-    for y, u in _critical_blocks(cone, n_samples, rng):
-        if y.shape[1]:
-            n_accepted += y.shape[1]
-            values = _curvature(cone.curvature, y, u)
-            min_rayleigh = min(min_rayleigh, float(np.min(values)))
+    for u in _critical_blocks(cone, n_samples, rng):
+        if u.shape[1]:
+            n_accepted += u.shape[1]
+            min_rayleigh = min(min_rayleigh, float(np.min(cone.value(u))))
 
     # reduced Hessian on the strongly-active equality subspace
-    t_mat = cone.t_mat
     z_mat = cone.z_mat
     n_strong = int(np.sum(cone.strong))
 
     if z_mat.shape[1] == 0:
         sub_min = math.inf
     else:
-        a_y, b_u = cone.curvature
-        hess = t_mat.T @ (a_y @ t_mat) + b_u.toarray()
-        metric = disc.form.mass_boundary_bb.toarray() \
-            + t_mat.T @ (disc.form.mass_domain @ t_mat)
-
-        a_red = z_mat.T @ hess @ z_mat
-        b_red = z_mat.T @ metric @ z_mat
+        a_red = z_mat.T @ cone.hess @ z_mat
+        b_red = z_mat.T @ np.add(*cone.masses) @ z_mat
         a_red = 0.5 * (a_red + a_red.T)
         b_red = 0.5 * (b_red + b_red.T)
         chol_b = np.linalg.cholesky(b_red)
@@ -600,12 +597,11 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
         # the eigen-direction is a legal sample whenever it lies in the cone
         u_eig = z_mat @ (scipy.linalg.solve_triangular(
             chol_b, x[:, None], lower=True, trans="T"))
-        y_eig = t_mat @ u_eig
-        size = cone.size(y_eig, u_eig)
-        if size[0] > 1e-12 and cone.admissible(y_eig, u_eig, size)[0]:
+        size = cone.size(u_eig)
+        if size[0] > 1e-12 and cone.admissible(u_eig, size)[0]:
             n_accepted += 1
-            value = _curvature(cone.curvature, y_eig / size, u_eig / size)
-            min_rayleigh = min(min_rayleigh, float(value[0]))
+            min_rayleigh = min(min_rayleigh,
+                               float(cone.value(u_eig / size)[0]))
 
     positive = (min_rayleigh > 0.0) and (sub_min > 0.0)
     return SscReport(min_rayleigh=float(min_rayleigh),

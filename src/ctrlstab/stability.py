@@ -56,7 +56,6 @@ class SweepPlan:
     delta: BoundaryFunction
     t_values: np.ndarray
     seed: int = 0
-    warm_start: bool = True
     ssc_samples: int = 200
 
     def __post_init__(self):
@@ -160,6 +159,7 @@ def run_sweep(disc: Discretization, plan: SweepPlan,
               options: SolveOptions | None = None) -> StabilityReport:
     """Solve at the reference parameter, check the second-order condition,
     then solve at each perturbed parameter and report distances and fits.
+    Each perturbed solve starts from the last converged control.
 
     Rows where the inner solve fails are kept with ``kkt_ok = False`` and
     excluded from the fits; if every row fails, that is an error.
@@ -183,9 +183,7 @@ def run_sweep(disc: Discretization, plan: SweepPlan,
     for t in plan.t_values:
         lam_t = lam_ref.values + t * plan.delta.values
         try:
-            rep = solve_kkt(disc, lam_t,
-                            u0=u_warm if plan.warm_start else u_ref,
-                            options=options)
+            rep = solve_kkt(disc, lam_t, u0=u_warm, options=options)
         except (SolverError, PartitionError, StateSolveError,
                 AdmissionError):
             rows.append(SweepRow(t=float(t), d_l2=math.nan, d_linf=math.nan,
@@ -199,8 +197,7 @@ def run_sweep(disc: Discretization, plan: SweepPlan,
             d_linf=float(np.max(np.abs(du))),
             d_w1r=norm(FeFunction(disc.mesh, dy), "w1r", disc.problem.r),
             kkt_ok=True))
-        if plan.warm_start:
-            u_warm = rep.point.control.values
+        u_warm = rep.point.control.values
 
     ok = [r for r in rows if r.kkt_ok]
     if not ok:

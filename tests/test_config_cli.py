@@ -78,7 +78,6 @@ def test_reference_fields():
     assert cfg.sweep is not None
     assert list(cfg.sweep.t_values) == [0.001, 0.003, 0.01, 0.03, 0.1]
     assert cfg.sweep.ssc_samples == 120
-    assert cfg.sweep.warm_start is True
 
 
 def test_defaults_without_optional_sections(tmp_path):
@@ -136,6 +135,18 @@ def test_bad_values_are_named(tmp_path, overrides, needle):
     with pytest.raises(ConfigError) as err:
         parse_instance(path)
     assert needle in str(err.value)
+
+
+def test_sweep_warm_start_is_not_a_knob(tmp_path):
+    # sweeps always warm-start: older files may still say so, but a file
+    # asking for cold starts must not get warm ones silently
+    path = write_ini(tmp_path / "w.ini",
+                     sweep={**SWEEP_SMALL, "warm_start": "true"})
+    assert not hasattr(parse_instance(path).sweep, "warm_start")
+    path = write_ini(tmp_path / "c.ini",
+                     sweep={**SWEEP_SMALL, "warm_start": "false"})
+    with pytest.raises(ConfigError, match=r"\[sweep\] warm_start: only true"):
+        parse_instance(path)
 
 
 def test_c_0_is_an_unknown_key(tmp_path):
@@ -480,3 +491,16 @@ def test_tol_override_applies(tmp_path, capsys):
     tight = capsys.readouterr().out
     its_tight = int(tight.split("converged in ")[1].split()[0])
     assert its_loose < its_tight
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["solve", "ssc", "sweep", "verify"])
+def test_bad_tol_exits_2_naming_the_flag(tmp_path, capsys, command, tol):
+    cfg = write_ini(tmp_path / "inst.ini", sweep=SWEEP_SMALL)
+    point = ["--point", str(tmp_path / "p.txt")] if command == "verify" \
+        else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, *point, "--tol", tol])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --tol: must be > 0 and finite" in err

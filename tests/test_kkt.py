@@ -13,6 +13,7 @@ from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
                       critical_direction_sample, make_disk_mesh,
                       parse_instance, partition_at, projection_identity_gap,
                       quadratic_form, recover_multipliers, solve_kkt)
+from ctrlstab import kkt
 from ctrlstab.kkt import (_BLOCK_FLOATS, _ConeGeometry, check_beta_floor,
                           constraint_values, residuals)
 from ctrlstab.pde import linearized_operator
@@ -526,7 +527,8 @@ def test_block_projection_matches_per_vector_weak_path(mixed_active_solved):
     assert (cone.active & ~cone.strong).any()
     seeds = np.random.default_rng(0).standard_normal(
         (60, disc.mesh.n_boundary)).T
-    y_block, u_block = cone.project(seeds)
+    u_block = cone.project(seeds)
+    y_block = cone.t_mat @ u_block
     sweeps = set()
     for j in range(seeds.shape[1]):
         y, u, n_sweeps = project_one(cone, seeds[:, j])
@@ -568,11 +570,64 @@ def test_check_ssc_cost_does_not_grow_with_samples(mixed_active_solved,
         finally:
             tracemalloc.stop()
 
-    mesh = disc.mesh
-    width = max(1, _BLOCK_FLOATS // mesh.n_vertices)
-    block_bytes = 8 * width * (mesh.n_vertices + mesh.n_boundary)
+    nb = disc.mesh.n_boundary
+    width = max(1, _BLOCK_FLOATS // nb)
+    block_bytes = 8 * width * nb
     assert 5000 > 500 > width
     assert peak(5000) <= peak(500) + block_bytes
+
+
+@pytest.mark.parametrize("case", ["mixed_active", "double_well",
+                                  "weakly_active"])
+def test_ssc_report_does_not_depend_on_block_width(case, mixed_active_solved,
+                                                   monkeypatch):
+    if case == "mixed_active":
+        disc, point = mixed_active_solved[0], mixed_active_solved[1].point
+    elif case == "double_well":
+        disc, point = _double_well_point()
+    else:
+        disc, point = _weakly_active_point(mixed_active_solved)
+    nb = disc.mesh.n_boundary
+    n = 1200
+    reports = []
+    for block_floats in (nb, 7 * nb, _BLOCK_FLOATS):
+        monkeypatch.setattr(kkt, "_BLOCK_FLOATS", block_floats)
+        reports.append(check_ssc(disc, point, n_samples=n,
+                                 rng=np.random.default_rng(5)))
+    ref = reports[-1]
+    assert n > _BLOCK_FLOATS // nb > 7
+    assert ref.n_samples > 0
+    for rep in reports[:-1]:
+        assert (rep.n_samples, rep.n_strong, rep.subspace_min_eig) \
+            == (ref.n_samples, ref.n_strong, ref.subspace_min_eig)
+        assert abs(rep.min_rayleigh - ref.min_rayleigh) \
+            <= 1e-14 * abs(ref.min_rayleigh)
+
+
+def test_curvature_operator_assembled_only_when_needed(
+        mixed_active_solved, lq_disc32, lq_solved32, monkeypatch):
+    calls = []
+    original = kkt._curvature_operator
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(kkt, "_curvature_operator", counting)
+    disc, point = mixed_active_solved[0], mixed_active_solved[1].point
+    dirs = critical_direction_sample(disc, point, 50,
+                                     np.random.default_rng(2))
+    assert dirs and not calls
+    check_ssc(disc, point, n_samples=50, rng=np.random.default_rng(2))
+    assert len(calls) == 1
+
+    # every node strongly active: the cone is {0}, and neither the
+    # curvature operator nor H is needed
+    calls.clear()
+    rep = check_ssc(lq_disc32, lq_solved32.point, n_samples=50,
+                    rng=np.random.default_rng(2))
+    assert rep.n_strong == lq_disc32.mesh.n_boundary
+    assert rep.n_samples == 0 and not calls
 
 
 def test_ssc_report_serialization(mixed_active_solved):

@@ -11,7 +11,7 @@ import pytest
 from ctrlstab import (BoundaryFunction, Discretization, SolveOptions,
                       SolverError, SscHypothesisError, SweepPlan,
                       SweepPlanError, fit_exponent, make_disk_mesh, run_sweep,
-                      write_sweep_csv, write_sweep_json)
+                      solve_kkt, write_sweep_csv, write_sweep_json)
 from ctrlstab.stability import CSV_HEADER
 
 from conftest import make_spec
@@ -168,15 +168,21 @@ def test_sign_symmetry_of_perturbation(lq_disc16):
 
 
 def test_warm_and_cold_sweeps_agree(lq_disc16):
-    delta = _unit_delta(lq_disc16.mesh)
+    # each sweep step starts from the previous step's control; its row must
+    # match a cold solve at the same parameter
+    disc = lq_disc16
+    delta = _unit_delta(disc.mesh)
     opts = SolveOptions(tol=1e-11)
-    warm = run_sweep(lq_disc16, SweepPlan(delta, T_SMALL, warm_start=True),
-                     options=opts)
-    cold = run_sweep(lq_disc16, SweepPlan(delta, T_SMALL, warm_start=False),
-                     options=opts)
-    for rw, rc in zip(warm.rows, cold.rows):
-        assert abs(rw.d_linf - rc.d_linf) <= 1e-6 * (1.0 + rw.d_linf)
-        assert abs(rw.d_l2 - rc.d_l2) <= 1e-6 * (1.0 + rw.d_l2)
+    warm = run_sweep(disc, SweepPlan(delta, T_SMALL), options=opts)
+    lam_ref = disc.param_reference().values
+    u_ref = solve_kkt(disc, lam_ref, options=opts).point.control.values
+    assert [rw.t for rw in warm.rows] == list(T_SMALL)
+    for rw in warm.rows:
+        cold = solve_kkt(disc, lam_ref + rw.t * delta.values, options=opts)
+        du = cold.point.control.values - u_ref
+        d_linf = float(np.max(np.abs(du)))
+        assert abs(rw.d_linf - d_linf) <= 1e-6 * (1.0 + rw.d_linf)
+        assert abs(rw.d_l2 - disc.l2_boundary(du)) <= 1e-6 * (1.0 + rw.d_l2)
 
 
 def test_base_solve_failure_propagates(lq_disc16):
