@@ -151,7 +151,7 @@ def cmd_solve(args) -> int:
     gap = projection_identity_gap(disc, report.point)
     obj = objective_value(disc, report.point.state, report.point.control, lam)
     _say(args, f"converged in {report.iterations} iterations "
-               f"({report.extrapolated} extrapolated, "
+               f"({report.newton} Newton, {report.extrapolated} extrapolated, "
                f"{report.restarts} restarts): "
                f"worst residual {report.residuals.worst:.3e}, "
                f"objective {obj:.9g}, sigma1 {report.sigma1:.6g}, "

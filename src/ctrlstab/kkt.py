@@ -306,31 +306,21 @@ def quadratic_form(disc: Discretization, point: KktPoint,
     return float(np.sum(y * (a_y @ y)) + np.sum(u * (b_u @ u)))
 
 
-class _ConeGeometry:
-    """Active-set data and boundary-sized forms shared by both estimators.
+class _ReducedForms:
+    """Boundary-sized forms of the reduced problem at ``point``.
 
-    A critical direction is a control ``u`` with linearized state ``T u``
-    (``T`` the dense (V, Nb) control-to-state map).  Every method reads it
-    through (Nb, Nb) matrices built on first use: ``Tb = T[boundary]`` (the
-    trace), ``H`` (curvature ``u^T H u``), ``M_bb`` and ``T^T M T`` (the
-    squared norms of ``u`` and ``T u``), so a sample costs O(Nb^2), not
-    O(V).  The sampling methods act on control blocks (Nb, k).
+    A control ``u`` has the linearized state ``T u`` (``T`` the dense
+    (V, Nb) control-to-state map).  Built on first use: ``T``,
+    ``Tb = T[boundary]`` (the trace), the reduced Hessian ``H`` (curvature
+    ``u^T H u``, with the point's multipliers), and ``M_bb`` and
+    ``T^T M T`` (the squared norms of ``u`` and ``T u``).  ``H`` is the SSC
+    curvature in :func:`check_ssc` and, at zero multipliers, the Newton
+    matrix of :func:`ctrlstab.solver.solve_kkt`.
     """
 
     def __init__(self, disc: Discretization, point: KktPoint):
-        _require_multipliers(disc, point)
         self.disc = disc
         self.point = point
-        u = point.control.values
-        lam = point.param.values
-        self.eps_act = 1e-8 * (1.0 + float(np.max(np.abs(u))))
-        slack = constraint_values(disc, point.state.values, lam) + u  # <= 0
-        self.active = slack >= -self.eps_act  # (m, Nb)
-        self.mult = np.stack([e.values for e in point.multipliers])
-        self.mult_scale = float(np.max(self.mult, initial=0.0))
-        self.strong = self.active & (self.mult > self.eps_act)
-        self.gy = np.stack([disc.eval_node(gy, y=point.state.values, lam=lam)
-                            for gy in disc.problem.constraints_y])
 
     @functools.cached_property
     def t_mat(self) -> np.ndarray:
@@ -356,6 +346,30 @@ class _ConeGeometry:
         form = self.disc.form
         return (form.mass_boundary_bb.toarray(),
                 self.t_mat.T @ (form.mass_domain @ self.t_mat))
+
+
+class _ConeGeometry(_ReducedForms):
+    """Active-set data and the reduced forms shared by both estimators.
+
+    A critical direction is a control ``u`` with linearized state ``T u``;
+    every method reads it through the (Nb, Nb) forms of
+    :class:`_ReducedForms`, so a sample costs O(Nb^2), not O(V).  The
+    sampling methods act on control blocks (Nb, k).
+    """
+
+    def __init__(self, disc: Discretization, point: KktPoint):
+        _require_multipliers(disc, point)
+        super().__init__(disc, point)
+        u = point.control.values
+        lam = point.param.values
+        self.eps_act = 1e-8 * (1.0 + float(np.max(np.abs(u))))
+        slack = constraint_values(disc, point.state.values, lam) + u  # <= 0
+        self.active = slack >= -self.eps_act  # (m, Nb)
+        self.mult = np.stack([e.values for e in point.multipliers])
+        self.mult_scale = float(np.max(self.mult, initial=0.0))
+        self.strong = self.active & (self.mult > self.eps_act)
+        self.gy = np.stack([disc.eval_node(gy, y=point.state.values, lam=lam)
+                            for gy in disc.problem.constraints_y])
 
     @functools.cached_property
     def z_mat(self) -> np.ndarray:

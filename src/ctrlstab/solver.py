@@ -1,4 +1,5 @@
-"""Damped projection fixed-point solver for the optimality system.
+"""Damped projection fixed-point solver for the optimality system, with
+reduced Newton steps where no constraint binds.
 
 Each outer iteration solves the state equation at the current control,
 recovers multipliers from the previous costate through the cell-wise
@@ -25,6 +26,27 @@ worst residual rises above the previous iterate's clears the history and
 the iteration continues with the damped step from it.  An extrapolation
 that is not finite, or at which the state solve or the partition fails,
 is replaced by the plain damped step.
+
+Where the projection target binds at no boundary node,
+``(adjoint - alpha) / beta < -g_max`` at every node, every multiplier of
+the KKT point is zero and the optimality system is the stationarity of the
+reduced cost ``J(u)``.  At such an iterate :func:`solve_kkt` sets the
+multipliers to zero and takes a reduced Newton step::
+
+    H du = -M_bb (alpha + beta u - adjoint|_B),   H = T^T A_y T + B_u,
+
+with ``H`` the reduced Hessian that the second-order check assembles
+(``ctrlstab.kkt._ReducedForms``).  Where ``H`` is not positive definite the
+step is the eigenvalue-modified one (Nocedal & Wright, *Numerical
+Optimization*, Sec. 3.4), so it always descends.  Its line search halves
+the step until the reduced cost meets the Armijo condition or the worst
+residual drops; the second test accepts a step whose cost decrease falls
+below the rounding of ``J``.  Each trial is a full evaluation and counts
+as an iteration.  A Newton iterate at which the projection binds, or
+whose line search fails, goes on with the damped step from itself.
+Where the projection binds somewhere at every iterate, the iteration is
+the damped/Anderson one, step for step.
+
 The stopping rule and the residuals are those of the damped iteration;
 each state solve is held to a tenth of ``tol`` in absolute terms, so that
 Newton's relative bound never stops it above the rule.
@@ -45,13 +67,14 @@ derivative integrity checks difference against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from .fem import (BoundaryFunction, Discretization, FeFunction, FemError,
                   nodal_values)
-from .kkt import (KktPoint, KktResiduals, _residual_record,
+from .kkt import (KktPoint, KktResiduals, _ReducedForms, _residual_record,
                   _separated_multipliers, check_beta_floor, constraint_values,
                   partition_of)
 from .pde import StateSolveError, adjoint_system, solve_adjoint, solve_state
@@ -64,6 +87,12 @@ _THETA_MIN = 1e-3
 
 #: Newton tolerance of the state solves, relative to the boundary load
 _NEWTON_TOL = 1e-11
+
+#: sufficient-decrease constant of the reduced Newton line search
+_ARMIJO = 1e-4
+
+#: halvings of a reduced Newton step before the damped step takes over
+_NEWTON_HALVINGS = 20
 
 
 class SolverError(RuntimeError):
@@ -90,10 +119,12 @@ class SolveOptions:
     damping factor, adapted within ``[_THETA_MIN, 1]`` when ``adaptive`` is
     set: halved when the worst residual rises, grown while no Anderson
     history is live.  ``max_outer`` bounds the evaluated iterates,
-    extrapolated ones included; Anderson extrapolation has no knob and
-    runs whenever theta holds for two iterations.  Each state solve stops
-    at a residual of ``min(_NEWTON_TOL (1 + ||b||), 0.1 tol)``, ``b`` the
-    boundary load.  A violated bound raises ``ValueError`` naming the
+    extrapolated ones and the trials of the Newton line search included.
+    Anderson extrapolation has no knob and runs whenever theta holds for
+    two iterations; a reduced Newton step has none either and is taken at
+    every iterate where the projection binds at no node.  Each state solve
+    stops at a residual of ``min(_NEWTON_TOL (1 + ||b||), 0.1 tol)``, ``b``
+    the boundary load.  A violated bound raises ``ValueError`` naming the
     field first.
     """
 
@@ -115,11 +146,14 @@ class SolveOptions:
 class KktSolveReport:
     """Solver outcome: the point, its residuals, and iteration diagnostics.
 
-    ``iterations`` counts evaluated iterates and ``history`` holds the
-    worst residual of each.  ``extrapolated`` of them were Anderson
-    extrapolations; ``restarts`` counts the extrapolations rejected (worst
-    residual above the previous iterate's, not finite, or a failed state
-    solve or partition), each of which cleared the history.
+    ``iterations`` counts evaluated iterates, the trials of the Newton
+    line search included, and ``history`` holds the worst residual of
+    each.  ``extrapolated`` of them were Anderson extrapolations;
+    ``restarts`` counts the extrapolations rejected (worst residual above
+    the previous iterate's, not finite, or a failed state solve or
+    partition), each of which cleared the history.  ``newton`` counts the
+    reduced Newton steps, one per direction computed, whatever the number
+    of its line-search trials.
     """
 
     point: KktPoint
@@ -130,6 +164,7 @@ class KktSolveReport:
     history: list = field(default_factory=list, repr=False)
     extrapolated: int = 0
     restarts: int = 0
+    newton: int = 0
 
 
 def _extrapolate(pairs: list) -> np.ndarray:
@@ -145,10 +180,27 @@ def _extrapolate(pairs: list) -> np.ndarray:
     return g[-1] - np.diff(g, axis=0).T @ gamma
 
 
+def _newton_direction(forms: _ReducedForms, grad: np.ndarray) -> np.ndarray:
+    """Solve ``H du = -grad`` with the reduced Hessian ``H`` of ``forms``.
+    Where ``H`` is not positive definite, take the eigenvalue-modified step
+    ``du = -V |Lambda|^-1 V^T grad`` of ``H V = M_bb V Lambda`` instead
+    (Nocedal & Wright, *Numerical Optimization*, Sec. 3.4): a descent
+    direction of the reduced cost whatever the inertia of ``H``."""
+    hess = forms.hess
+    hess = 0.5 * (hess + hess.T)
+    try:
+        return -scipy.linalg.cho_solve(scipy.linalg.cho_factor(hess), grad)
+    except np.linalg.LinAlgError:
+        eig, vec = scipy.linalg.eigh(
+            hess, forms.disc.form.mass_boundary_bb.toarray())
+        return -vec @ ((vec.T @ grad) / np.abs(eig))
+
+
 def solve_kkt(disc: Discretization, lam, u0=None,
               options: SolveOptions | None = None) -> KktSolveReport:
-    """Drive the Anderson-accelerated damped projection iteration to a KKT
-    point at ``lam``.
+    """Drive the Anderson-accelerated damped projection iteration, with
+    reduced Newton steps where no constraint binds, to a KKT point at
+    ``lam``.
 
     The iterate is ``x = (u, e, p)``: the control, the damped multipliers
     and the previous costate.  One damped outer iteration maps it to
@@ -160,12 +212,26 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     iterate's restarts the history from itself, so the iteration goes on
     with the damped step from that iterate.  One that is not finite, or
     whose state solve or partition fails, is replaced by the damped step it
-    was extrapolated from.  ``iterations`` counts the iterates whose
-    residuals were evaluated.  Each iterate's record is built from the
-    solves of its own iteration and equals ``residuals(disc, point)`` at
-    its point bit for bit; so ``report.residuals`` is the verify rule's
-    record at ``report.point``, and ``report.sigma1`` is
-    ``h5_margins(disc, report.point).sigma1``.
+    was extrapolated from.
+
+    At an iterate whose projection target binds at no node,
+    ``(trace(p) - alpha) / beta < -max_i g_i`` everywhere, every multiplier
+    of the KKT point is zero, and the iteration takes a reduced Newton step
+    instead: ``H du = -M_bb (alpha + beta u - trace(p))`` with ``H`` the
+    reduced Hessian at zero multipliers (see :func:`_newton_direction`).
+    Its trials ``u + s du``, ``s = 1, 1/2, ...``, are evaluated with zero
+    multipliers, and the first whose reduced cost meets the Armijo
+    condition or whose worst residual is below the iterate's is the next
+    iterate.  A Newton iterate at which the projection binds, or whose line
+    search fails ``_NEWTON_HALVINGS`` times, goes on with the damped step
+    from itself, with a new Anderson history.
+
+    ``iterations`` counts the iterates whose residuals were evaluated,
+    Newton trials included, and ``max_outer`` bounds it.  Each iterate's
+    record is built from the solves of its own iteration and equals
+    ``residuals(disc, point)`` at its point bit for bit; so
+    ``report.residuals`` is the verify rule's record at ``report.point``,
+    and ``report.sigma1`` is ``h5_margins(disc, report.point).sigma1``.
 
     Raises ``SolverError`` when ``max_outer`` iterations do not reach
     ``tol`` and ``PartitionError`` when the dominance margin sigma1 drops
@@ -190,12 +256,17 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     lam_fn = BoundaryFunction(disc.mesh, lam)
     pairs: list = []
     damped = None  # the damped step an extrapolated x replaced
-    extrapolated = restarts = 0
+    extrapolated = restarts = newton = 0
+    prev_worst = math.inf  # worst residual of the previous iterate
+    m_bb = disc.form.mass_boundary_bb
+    no_mults = tuple(BoundaryFunction(disc.mesh, np.zeros(nb))
+                     for _ in range(m))
 
-    def evaluate(x, it):
+    def evaluate(x, free=False):
         # one damped iteration up to its residuals, at the current theta
-        # and Newton warm start
+        # and Newton warm start; a free iterate has zero multipliers
         u = x[:nb]
+        it = len(history) + 1
         # Newton stops at _NEWTON_TOL (1 + ||b||), b the boundary load, but
         # the stopping rule bounds the state residual by tol itself: cap
         # Newton's bound at a tenth of tol whatever ||b||
@@ -212,13 +283,17 @@ def solve_kkt(disc: Discretization, lam, u0=None,
                 f"constraint separation margin sigma1 = {part.sigma1:.3e} "
                 f"at iteration {it}; the dominance partition is degenerate")
 
-        # the multiplier refresh shares the damping factor: the undamped
-        # costate/multiplier alternation has loop gain above 1 on active
-        # sets, while the damped update keeps the same fixed points
-        raw = _separated_multipliers(disc.trace(x[(m + 1) * nb:]), alpha,
-                                     beta, u, part.labels, m)
-        e_vals = (1.0 - theta) * x[nb:(m + 1) * nb].reshape(m, nb) \
-            + theta * raw
+        if free:
+            e_vals = np.zeros((m, nb))
+        else:
+            # the multiplier refresh shares the damping factor: the
+            # undamped costate/multiplier alternation has loop gain above 1
+            # on active sets, while the damped update keeps the same fixed
+            # points
+            raw = _separated_multipliers(disc.trace(x[(m + 1) * nb:]),
+                                         alpha, beta, u, part.labels, m)
+            e_vals = (1.0 - theta) * x[nb:(m + 1) * nb].reshape(m, nb) \
+                + theta * raw
         mults = tuple(BoundaryFunction(disc.mesh, row.copy())
                       for row in e_vals)
         w_adj, rhs = adjoint_system(disc, y, lam, mults)
@@ -233,11 +308,61 @@ def solve_kkt(disc: Discretization, lam, u0=None,
                                g_con, alpha, beta)
         return point, res, part, e_vals, g_con
 
-    for it in range(1, opts.max_outer + 1):
+    def record(step) -> bool:
+        # append an evaluated iterate; True when it meets the stopping rule
+        nonlocal best, y_warm
+        res = step[1]
+        y_warm = step[0].state.values
+        history.append(res.worst)
+        if best is None or res.worst < best.worst:
+            best = res
+        return res.worst <= opts.tol
+
+    # the rest of a Newton trial's x: zero multipliers, and a previous
+    # costate that a free evaluation does not read
+    x_tail = np.zeros(m * nb + disc.mesh.n_vertices)
+
+    def newton_step(step):
+        # the reduced Newton step from the iterate of ``step`` and its line
+        # search: the first trial u + s du, s = 1, 1/2, ..., that meets
+        # Armijo on the reduced cost or lowers the worst residual, as
+        # (x, step); None when every trial fails
+        point, res = step[:2]
+        u = point.control.values
+        grad = m_bb @ (alpha + beta * u - disc.trace(point.adjoint.values))
+        du = _newton_direction(
+            _ReducedForms(disc, replace(point, multipliers=no_mults)), grad)
+        cost = objective_value(disc, point.state, u, lam)
+        slope = float(grad @ du)
+        s = 1.0
+        for _ in range(_NEWTON_HALVINGS + 1):
+            if len(history) >= opts.max_outer:
+                return None
+            x_try = np.concatenate([u + s * du, x_tail])
+            try:
+                trial = evaluate(x_try, free=True)
+            except (StateSolveError, PartitionError, FemError, ValueError):
+                trial = None
+            if trial is not None and math.isfinite(trial[1].worst) and (
+                    record(trial) or trial[1].worst < res.worst
+                    or objective_value(disc, trial[0].state, x_try[:nb], lam)
+                    <= cost + _ARMIJO * s * slope):
+                return x_try, trial
+            s *= 0.5
+        return None
+
+    def report(step) -> KktSolveReport:
+        return KktSolveReport(point=step[0], residuals=step[1],
+                              iterations=len(history), theta=theta,
+                              sigma1=step[2].sigma1, history=history,
+                              extrapolated=extrapolated, restarts=restarts,
+                              newton=newton)
+
+    while len(history) < opts.max_outer:
         step = None
         if damped is not None:
             try:
-                step = evaluate(x, it)
+                step = evaluate(x)
             except (StateSolveError, PartitionError, FemError, ValueError):
                 # ValueError covers non-finite states and EvalError
                 pass
@@ -249,39 +374,49 @@ def solve_kkt(disc: Discretization, lam, u0=None,
                 pairs.clear()
         accelerated = step is not None
         if step is None:
-            step = evaluate(x, it)
-        point, res, part, e_vals, g_con = step
-        y_warm = point.state.values
-
-        history.append(res.worst)
-        if best is None or res.worst < best.worst:
-            best = res
-        if res.worst <= opts.tol:
-            return KktSolveReport(point=point, residuals=res, iterations=it,
-                                  theta=theta, sigma1=part.sigma1,
-                                  history=history, extrapolated=extrapolated,
-                                  restarts=restarts)
-        if accelerated and res.worst > history[-2]:
+            step = evaluate(x)
+        if record(step):
+            return report(step)
+        if accelerated and step[1].worst > prev_worst:
             restarts += 1
             pairs.clear()
 
+        # reduced Newton steps while the projection binds at no node
+        free = False  # the iterate has zero multipliers: a Newton trial
+        while True:
+            point, res, part, e_vals, g_con = step
+            adjoint = point.adjoint.values
+            cap = -np.max(g_con, axis=0)
+            proj = (disc.trace(adjoint) - alpha) / beta
+            if not np.all(proj < cap):
+                break
+            newton += 1
+            pairs.clear()
+            found = newton_step(step)
+            if found is None:
+                break
+            prev_worst = res.worst
+            (x, step), free = found, True
+            if step[1].worst <= opts.tol:
+                return report(step)
+
         new_theta = theta
         if opts.adaptive and len(history) >= 2:
-            if history[-1] > history[-2]:
+            if res.worst > prev_worst:
                 new_theta = max(_THETA_MIN, 0.5 * theta)
             elif not pairs:
                 # growth would clear a live history, undoing its speed-up
                 new_theta = min(1.0, 1.2 * theta)
+        prev_worst = res.worst
 
-        adjoint = point.adjoint.values
-        target = np.minimum(-np.max(g_con, axis=0),
-                            (disc.trace(adjoint) - alpha) / beta)
+        target = np.minimum(cap, proj)
         u = (1.0 - new_theta) * x[:nb] + new_theta * target
         g = np.concatenate([u, e_vals.ravel(), adjoint])
 
         # a pair belongs to the map of one theta only if the multiplier
-        # damping (old theta) and the control damping (new theta) agree
-        if new_theta != theta:
+        # damping (old theta) and the control damping (new theta) agree;
+        # a free iterate is not an iterate of the damped map
+        if new_theta != theta or free:
             pairs.clear()
         else:
             pairs.append((g, g - x))

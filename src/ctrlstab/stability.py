@@ -74,13 +74,32 @@ class SweepPlan:
             raise SweepPlanError("ssc_samples: must be >= 100")
 
 
+def _safe(x: float) -> float | None:
+    """JSON value of a float: ``None`` for NaN and infinities."""
+    return x if math.isfinite(x) else None
+
+
 @dataclass
 class SweepRow:
+    """One sweep step.  A failed step (``kkt_ok`` false, NaN distances)
+    carries the class name of the error that stopped its solve and, where
+    that error counts them, the solver or Newton iterations it took."""
+
     t: float
     d_l2: float
     d_linf: float
     d_w1r: float
     kkt_ok: bool
+    error: str | None = None
+    iterations: int | None = None
+
+    def to_dict(self) -> dict:
+        row = {"t": self.t, "d_L2": _safe(self.d_l2),
+               "d_Linf": _safe(self.d_linf), "d_W1r": _safe(self.d_w1r),
+               "kkt_ok": self.kkt_ok}
+        if not self.kkt_ok:
+            row.update(error=self.error, iterations=self.iterations)
+        return row
 
 
 @dataclass
@@ -138,18 +157,13 @@ class StabilityReport:
     seed: int
 
     def to_dict(self) -> dict:
-        def safe(x):
-            return x if math.isfinite(x) else None
         return {
-            "rows": [{"t": r.t, "d_L2": safe(r.d_l2),
-                      "d_Linf": safe(r.d_linf), "d_W1r": safe(r.d_w1r),
-                      "kkt_ok": r.kkt_ok}
-                     for r in self.rows],
+            "rows": [r.to_dict() for r in self.rows],
             "base_residuals": self.base_residuals.to_dict(),
             "ssc": self.ssc.to_dict(),
             "fits": {k: f.to_dict() for k, f in self.fits.items()},
-            "holder_constant": safe(self.holder_constant),
-            "quotient_ratio": safe(self.quotient_ratio),
+            "holder_constant": _safe(self.holder_constant),
+            "quotient_ratio": _safe(self.quotient_ratio),
             "holder_bounded": self.holder_bounded,
             "seed": self.seed,
         }
@@ -161,7 +175,8 @@ def run_sweep(disc: Discretization, plan: SweepPlan,
     then solve at each perturbed parameter and report distances and fits.
     Each perturbed solve starts from the last converged control.
 
-    Rows where the inner solve fails are kept with ``kkt_ok = False`` and
+    Rows where the inner solve fails are kept with ``kkt_ok = False``, the
+    error's class name and its iteration count (see :class:`SweepRow`), and
     excluded from the fits; if every row fails, that is an error.
     """
     if plan.delta.mesh is not disc.mesh:
@@ -185,9 +200,11 @@ def run_sweep(disc: Discretization, plan: SweepPlan,
         try:
             rep = solve_kkt(disc, lam_t, u0=u_warm, options=options)
         except (SolverError, PartitionError, StateSolveError,
-                AdmissionError):
+                AdmissionError) as exc:
             rows.append(SweepRow(t=float(t), d_l2=math.nan, d_linf=math.nan,
-                                 d_w1r=math.nan, kkt_ok=False))
+                                 d_w1r=math.nan, kkt_ok=False,
+                                 error=type(exc).__name__,
+                                 iterations=getattr(exc, "iterations", None)))
             continue
         du = rep.point.control.values - u_ref
         dy = rep.point.state.values - y_ref

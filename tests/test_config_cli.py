@@ -2,12 +2,14 @@
 command line subcommands driven in process through ``main``."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from ctrlstab import (AdmissionError, ConfigError, build_discretization,
-                      build_mesh, make_disk_mesh, parse_instance, sweep_plan)
+                      build_mesh, make_disk_mesh, parse_instance, solve_kkt,
+                      sweep_plan)
 from ctrlstab.cli import PointFileError, load_point, main, save_point
 from ctrlstab.geometry import mesh_hash, mesh_text
 from ctrlstab.kkt import KktPoint
@@ -288,13 +290,38 @@ def test_point_from_other_mesh_rejected(small_disc, tmp_path, rng):
 # ---------------------------------------------------------------------------
 
 
+def _printed_counts(out: str) -> tuple:
+    """Iterations, Newton steps, extrapolations and restarts from the
+    "converged in" line of ``ctrlstab solve``."""
+    counts = re.search(r"converged in (\d+) iterations \((\d+) Newton, "
+                       r"(\d+) extrapolated, (\d+) restarts\)", out)
+    assert counts is not None, out
+    return tuple(map(int, counts.groups()))
+
+
+def _library_counts(path) -> tuple:
+    cfg = parse_instance(path)
+    disc = build_discretization(cfg)
+    rep = solve_kkt(disc, disc.param_reference(), options=cfg.solve_options)
+    return rep.iterations, rep.newton, rep.extrapolated, rep.restarts
+
+
+def test_solve_prints_newton_steps(tmp_path, capsys):
+    # constraints far below the state bind nowhere: Newton steps
+    cfg = write_ini(tmp_path / "free.ini",
+                    constraints={"g_1": "y - 50", "g_2": "y - 52"})
+    assert main(["solve", "--config", cfg]) == 0
+    counts = _printed_counts(capsys.readouterr().out)
+    assert counts[1] > 0
+    assert counts == _library_counts(cfg)
+
+
 def test_solve_then_verify_round_trip(tmp_path, capsys):
     cfg = write_ini(tmp_path / "inst.ini")
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     seen = capsys.readouterr().out
-    assert "converged in" in seen
-    assert "extrapolated" in seen and "restarts" in seen
+    assert _printed_counts(seen) == _library_counts(cfg)
     assert (out / "point.txt").exists()
     payload = json.loads((out / "residuals.json").read_text())
     assert max(payload[k] for k in ("state", "adjoint", "stationarity",

@@ -1,6 +1,7 @@
 """Outer iteration: convergence on convex instances, start invariance,
 the unconstrained fixed point, reduced-cost calculus, and failure modes."""
 
+import dataclasses
 import math
 import sys
 from collections import Counter
@@ -169,11 +170,97 @@ def test_accelerated_solve_matches_damped_oracle(accelerated_and_damped,
 
 
 def test_fold_cold_solve_needs_few_iterations(accelerated_and_damped):
+    # no constraint binds near the fold, so reduced Newton steps take the
+    # cold solve from u = 0 (about 9 evaluations, line-search trials
+    # included) where the damped iteration needs thousands
     _, _, rep, ref = accelerated_and_damped[("stability_reference", None)]
     assert ref.iterations > 2000
-    assert rep.iterations <= 300
-    assert rep.restarts > 0
-    assert rep.extrapolated > rep.iterations // 2
+    assert rep.iterations <= 15
+    assert 0 < rep.newton < rep.iterations
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_newton_gate_is_an_input_property(accelerated_and_damped, case):
+    # Newton steps are taken exactly where the projection binds at no
+    # node: never on the instances whose constraints bind at the solution,
+    # from the first iterate on where none does
+    _, _, rep, _ = accelerated_and_damped[case]
+    binds = case[0] in ("lq_reference", "oracle_box", "oracle_state")
+    assert (rep.newton == 0) == binds
+    if binds:
+        assert rep.extrapolated > 0
+
+
+def test_newton_on_semilinear_state_matches_damped_oracle():
+    # a cubic reaction puts adjoint * h_yy into the reduced Hessian, and a
+    # parameter-dependent beta makes M_bb (beta u) differ from B_u u; the
+    # one constraint that could bind stays far above the state
+    spec = make_spec(reaction="y + y^3", obj_domain="0.5*(y - 2)^2",
+                     alpha="0.1 + 0.2*lam", beta="1 + 0.5*lam",
+                     constraints=("y - 10", "-20"))
+    disc = Discretization(spec, make_disk_mesh(16, 0))
+    lam = 0.3 * np.cos(disc.mesh.boundary_s)
+    opts = SolveOptions(tol=1e-10)
+    rep = solve_kkt(disc, lam, options=opts)
+    ref = damped_solve_kkt(disc, lam, options=opts)
+    assert rep.newton > 0
+    assert rep.iterations <= 10 < ref.iterations
+    gap = rep.point.control.values - ref.point.control.values
+    assert float(np.max(np.abs(gap))) <= 1e-7
+    assert projection_identity_gap(disc, rep.point) <= 10.0 * opts.tol
+
+
+def _fold_resolve(t):
+    """Warm re-solve of ``stability_reference`` at ``lambda_bar + t delta``
+    from its base point: the first step of the stability sweep."""
+    disc, lam, opts = _instance("stability_reference", None)
+    plan = sweep_plan(parse_instance(CONFIG_DIR / "stability_reference.ini"),
+                      disc)
+    base = solve_kkt(disc, lam, options=opts)
+    return disc, lam + t * plan.delta.values, base.point.control.values, opts
+
+
+def test_newton_resolve_across_indefinite_hessian_stays_on_branch():
+    # the first Newton step of this re-solve meets an indefinite reduced
+    # Hessian: the plain Newton step would go to another KKT point, 0.48
+    # away, and the modified step with its line search must land on the
+    # damped iteration's point
+    disc, lam_t, u_base, opts = _fold_resolve(0.1)
+    rep = solve_kkt(disc, lam_t, u0=u_base, options=opts)
+    ref = damped_solve_kkt(disc, lam_t, u0=u_base, options=opts)
+    assert rep.newton > 0
+    assert rep.residuals.worst <= opts.tol
+    gap = rep.point.control.values - ref.point.control.values
+    assert float(np.max(np.abs(gap))) <= 1e-7
+
+
+def test_newton_line_search_accepts_residual_decrease(monkeypatch):
+    # near the solution the decrease of the reduced cost along a Newton
+    # step falls below the rounding of its value, so an Armijo test on the
+    # cost alone can stall where the residuals still fall.  The line
+    # search also accepts a step that lowers the worst residual: the
+    # re-solve reaches tol in about six evaluations, and as many when the
+    # cost is replaced by one that rises at every evaluation, so that
+    # Armijo never holds.  max_outer keeps a stalled search short.
+    disc, lam_t, u_base, opts = _fold_resolve(0.01)
+    opts = dataclasses.replace(opts, max_outer=50)
+    plain = solve_kkt(disc, lam_t, u0=u_base, options=opts)
+
+    calls = []
+
+    def rising(*args):
+        calls.append(None)
+        return float(len(calls))
+
+    monkeypatch.setattr(solver, "objective_value", rising)
+    no_decrease = solve_kkt(disc, lam_t, u0=u_base, options=opts)
+    assert calls
+    for rep in (plain, no_decrease):
+        assert rep.newton > 0
+        assert rep.residuals.worst <= opts.tol
+        assert rep.iterations <= 10
+    gap = no_decrease.point.control.values - plain.point.control.values
+    assert float(np.max(np.abs(gap))) <= 1e-7
 
 
 def test_adaptive_damping_holds_theta_for_extrapolation(
@@ -240,8 +327,16 @@ def test_newton_bound_below_tol_for_large_loads(monkeypatch):
     assert max(bounds) <= 0.1 * opts.tol * (1.0 + 1e-15)
 
 
+def _binding_instance():
+    """``lq_reference`` with fixed damping: the projection binds at every
+    iterate, so every step is a damped or an extrapolated one, and with
+    theta fixed the damped oracle takes the same damped steps."""
+    disc, lam, opts = _instance("lq_reference", None)
+    return disc, lam, dataclasses.replace(opts, adaptive=False)
+
+
 def test_nan_coefficients_fall_back_to_damped_steps(monkeypatch):
-    disc, lam, opts = _instance("stability_reference", 0.6)
+    disc, lam, opts = _binding_instance()
     ref = damped_solve_kkt(disc, lam, options=opts)
 
     def nan_lstsq(a, b, rcond=None):
@@ -257,6 +352,7 @@ def test_nan_coefficients_fall_back_to_damped_steps(monkeypatch):
     monkeypatch.setattr(solver.np.linalg, "lstsq", nan_lstsq)
     monkeypatch.setattr(solver, "solve_state", counted)
     rep = solve_kkt(disc, lam, options=opts)
+    assert rep.newton == 0
     assert rep.extrapolated == 0
     assert rep.restarts > 0
     assert rep.iterations == ref.iterations
@@ -267,7 +363,7 @@ def test_nan_coefficients_fall_back_to_damped_steps(monkeypatch):
 
 
 def test_failed_state_solve_at_extrapolation_falls_back(monkeypatch):
-    disc, lam, opts = _instance("stability_reference", 0.6)
+    disc, lam, opts = _binding_instance()
     ref = damped_solve_kkt(disc, lam, options=opts)
     solve_state = solver.solve_state
 
@@ -284,6 +380,7 @@ def test_failed_state_solve_at_extrapolation_falls_back(monkeypatch):
     monkeypatch.setattr(solver, "_extrapolate", far_away)
     monkeypatch.setattr(solver, "solve_state", failing_far_away)
     rep = solve_kkt(disc, lam, options=opts)
+    assert rep.newton == 0
     assert rep.extrapolated == 0
     assert rep.restarts > 0
     assert rep.iterations == ref.iterations

@@ -12,9 +12,13 @@ from ctrlstab import (BoundaryFunction, Discretization, SolveOptions,
                       SolverError, SscHypothesisError, SweepPlan,
                       SweepPlanError, fit_exponent, make_disk_mesh, run_sweep,
                       solve_kkt, write_sweep_csv, write_sweep_json)
+from ctrlstab import stability
 from ctrlstab.stability import CSV_HEADER
 
 from conftest import make_spec
+
+#: the keys of a sweep.json row; a failed row adds "error" and "iterations"
+ROW_KEYS = {"t", "d_L2", "d_Linf", "d_W1r", "kkt_ok"}
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +217,10 @@ def test_failed_rows_marked_and_excluded():
     assert flags == [True, True, True, True, False]
     bad = report.rows[-1]
     assert math.isnan(bad.d_l2) and math.isnan(bad.d_linf)
+    # the admission error counts no iterations
+    assert (bad.error, bad.iterations) == ("AdmissionError", None)
+    assert all(r.error is None and r.iterations is None
+               for r in report.rows[:-1])
     for fit in report.fits.values():
         assert fit.n_points == 4
 
@@ -237,7 +245,36 @@ def test_failed_row_writes_valid_json(tmp_path):
     assert bad["kkt_ok"] is False
     assert bad["d_L2"] is None and bad["d_Linf"] is None
     assert bad["d_W1r"] is None
+    assert bad["error"] == "AdmissionError" and bad["iterations"] is None
     assert all(row["d_L2"] is not None for row in data["rows"][:-1])
+    # only failed rows carry the reason
+    assert all(set(row) == ROW_KEYS for row in data["rows"][:-1])
+
+
+def test_failed_row_carries_solver_iterations(monkeypatch, tmp_path):
+    # a solve that runs out of iterations: the row names the error class
+    # and the iterations it took
+    spec = make_spec(beta="0.6 - 1*lam", gamma=0.5)
+    disc = Discretization(spec, make_disk_mesh(16, 0))
+    delta = BoundaryFunction(disc.mesh, np.ones(disc.mesh.n_boundary))
+    plan = SweepPlan(delta, [0.05, 0.1, 0.2, 0.3, 0.4])
+    solve = stability.solve_kkt
+
+    def out_of_iterations(disc_, lam, u0=None, options=None):
+        if u0 is not None and lam[0] > 0.35:
+            raise SolverError("outer iteration did not converge", 7, None)
+        return solve(disc_, lam, u0=u0, options=options)
+
+    monkeypatch.setattr(stability, "solve_kkt", out_of_iterations)
+    report = run_sweep(disc, plan, options=SolveOptions(tol=1e-10))
+    assert [(r.kkt_ok, r.error, r.iterations) for r in report.rows] == [
+        (True, None, None)] * 4 + [(False, "SolverError", 7)]
+    path = tmp_path / "sweep.json"
+    write_sweep_json(report, path)
+    rows = json.loads(path.read_text())["rows"]
+    assert all(set(row) == ROW_KEYS for row in rows[:-1])
+    assert set(rows[-1]) == ROW_KEYS | {"error", "iterations"}
+    assert (rows[-1]["error"], rows[-1]["iterations"]) == ("SolverError", 7)
 
 
 def test_all_rows_failing_is_an_error():
@@ -291,4 +328,5 @@ def test_json_writer_round_trips(swept, tmp_path):
                          "holder_constant", "quotient_ratio",
                          "holder_bounded", "seed"}
     assert data["rows"][0]["kkt_ok"] is True
+    assert all(set(row) == ROW_KEYS for row in data["rows"])
     assert data["fits"]["d_Linf"]["n_points"] == len(T_SMALL)
