@@ -245,6 +245,13 @@ def _sample_count(text: str) -> int:
     return count
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not 0.0 < tol < np.inf:
@@ -266,8 +273,8 @@ def make_parser() -> argparse.ArgumentParser:
         if out_help:
             p.add_argument("--out", default=None, help=out_help)
         if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="random seed override")
+            p.add_argument("--seed", type=_seed, default=None,
+                           help="random seed override (>= 0)")
         if tol:
             p.add_argument("--tol", type=_tolerance, default=None,
                            help="tolerance override (positive, finite)")

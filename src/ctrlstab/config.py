@@ -8,10 +8,12 @@ Sections and keys::
     [state]       h
     [constraints] g_1 ... g_m           (consecutive indices from 1)
     [parameter]   lambda_bar
-    [solver]      max_outer, tol, theta, adaptive          (all optional)
+    [solver]      max_outer, tol, theta                     (all optional)
     [sweep]       delta, t, seed, ssc_samples               (optional section)
 
-Sweeps always warm-start; ``[sweep] warm_start`` may only say so (true).
+The retired keys ``[sweep] warm_start`` and ``[solver] adaptive`` accept
+only ``true`` and ``false``: sweeps always warm-start, and a solve runs at
+one fixed damping factor.
 Coefficient values are expressions in the grammar of :mod:`ctrlstab.expr`;
 ``t`` is a whitespace- or comma-separated list of step sizes.  The sweep
 direction ``delta`` is normalized to sup-norm 1 at the mesh nodes.  Every
@@ -102,17 +104,21 @@ def _bool(cp, section, key, fallback: bool) -> bool:
     raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
 
 
-#: the keys of every section but [constraints] (g_1 .. g_m) and [solver]
-#: (the fields of SolveOptions)
+#: the keys of every section but [constraints] (g_1 .. g_m); those of
+#: [solver] are the fields of SolveOptions
 _KEYS = {
     "domain": ("n_boundary", "refinement", "r"),
     "operator": ("a11", "a12", "a22", "a0", "c0"),
     "cost": ("L", "ell", "alpha", "beta", "gamma"),
     "state": ("h",),
     "parameter": ("lambda_bar",),
-    "sweep": ("delta", "t", "seed", "warm_start", "ssc_samples"),
+    "solver": tuple(f.name for f in fields(SolveOptions)),
+    "sweep": ("delta", "t", "seed", "ssc_samples"),
 }
-_SECTIONS = (*_KEYS, "constraints", "solver")
+_SECTIONS = (*_KEYS, "constraints")
+
+#: retired keys by section, each with the only value it accepts
+_RETIRED = {"solver": {"adaptive": False}, "sweep": {"warm_start": True}}
 
 
 def _reject_unknown(cp, section, known) -> None:
@@ -140,8 +146,14 @@ def parse_instance(path) -> InstanceConfig:
             raise ConfigError(f"[{section}]: unknown section; expected one "
                               f"of {', '.join(_SECTIONS)}")
     for section, known in _KEYS.items():
-        if cp.has_section(section):
-            _reject_unknown(cp, section, known)
+        if not cp.has_section(section):
+            continue
+        retired = _RETIRED.get(section, {})
+        _reject_unknown(cp, section, (*known, *retired))
+        for key, only in retired.items():
+            if _bool(cp, section, key, only) != only:
+                raise ConfigError(f"[{section}] {key}: only "
+                                  f"{str(only).lower()} is accepted")
 
     n_boundary = _number(cp, "domain", "n_boundary", int)
     refinement = _number(cp, "domain", "refinement", int, fallback=0)
@@ -188,12 +200,9 @@ def parse_instance(path) -> InstanceConfig:
     options = SolveOptions()
     if cp.has_section("solver"):
         # the keys, their types and their defaults are those of SolveOptions
-        kinds = {f.name: type(f.default) for f in fields(SolveOptions)}
-        _reject_unknown(cp, "solver", kinds)
-        knobs = {key: (_bool(cp, "solver", key, None) if kind is bool
-                       else _number(cp, "solver", key, kind))
-                 for key, kind in kinds.items()
-                 if cp.has_option("solver", key)}
+        knobs = {f.name: _number(cp, "solver", f.name, type(f.default))
+                 for f in fields(SolveOptions)
+                 if cp.has_option("solver", f.name)}
         try:
             options = SolveOptions(**knobs)
         except ValueError as exc:
@@ -209,16 +218,15 @@ def parse_instance(path) -> InstanceConfig:
             raise ConfigError(f"[sweep] t: {exc}") from exc
         if len(t_values) < 4:
             raise ConfigError("[sweep] t: need at least 4 step sizes")
-        if np.any(t_values <= 0) or np.any(np.diff(t_values) <= 0):
-            raise ConfigError("[sweep] t: must be positive and strictly "
-                              "increasing")
+        if not np.all((0.0 < t_values) & (t_values < np.inf)) \
+                or np.any(np.diff(t_values) <= 0):
+            raise ConfigError("[sweep] t: must be positive, finite and "
+                              "strictly increasing")
         delta = _expr(cp, "sweep", "delta")
         bad = delta.free_vars() - {"x1", "x2", "s"}
         if bad:
             raise ConfigError(f"[sweep] delta: may only use x1, x2, s; "
                               f"found {sorted(bad)}")
-        if not _bool(cp, "sweep", "warm_start", True):
-            raise ConfigError("[sweep] warm_start: only true is accepted")
         sweep = SweepConfig(
             delta=delta,
             t_values=t_values,

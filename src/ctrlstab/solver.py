@@ -10,18 +10,16 @@ toward the half-line projection target::
 
 by a damped step ``u <- (1 - theta) u + theta u_target``.  Fixed points of
 the undamped map are exactly the discrete KKT points, so the five residuals
-measure the distance to optimality at every iteration.  The damping adapts
-to the worst residual: halve on increase; on decrease, grow by 1.2 (capped
-at 1) only while the Anderson history below is empty.
+measure the distance to optimality at every iteration.  The damping factor
+theta is fixed for the whole solve.
 
 Near a fold the damped map contracts slowly (thousands of iterations at
 theta = 0.05), so :func:`solve_kkt` applies type-II Anderson extrapolation
 (Walker & Ni 2011) to the iterate ``x = (u, e, p)`` of one damped
 iteration: control, damped multipliers and previous costate.  The history
-holds at most ``_ANDERSON_DEPTH`` differences of one map, so any change of
-theta clears it (keeping the pairs across one mixes two maps in one
-history, and the iteration can then stall).  The extrapolation is
-safeguarded by a restart, not a roll-back: an extrapolated iterate whose
+holds at most ``_ANDERSON_DEPTH`` differences of that one map; a Newton
+iterate, which is not an iterate of the map, clears it.  The extrapolation
+is safeguarded by a restart, not a roll-back: an extrapolated iterate whose
 worst residual rises above the previous iterate's clears the history and
 the iteration continues with the damped step from it.  An extrapolation
 that is not finite, or at which the state solve or the partition fails,
@@ -82,9 +80,6 @@ from .pde import StateSolveError, adjoint_system, solve_adjoint, solve_state
 #: number of differences in the Anderson history
 _ANDERSON_DEPTH = 10
 
-#: floor of the adaptive damping factor
-_THETA_MIN = 1e-3
-
 #: Newton tolerance of the state solves, relative to the boundary load
 _NEWTON_TOL = 1e-11
 
@@ -115,27 +110,24 @@ class PartitionError(RuntimeError):
 class SolveOptions:
     """Outer solver knobs.
 
-    ``tol`` bounds the worst of the five residuals; ``theta`` is the initial
-    damping factor, adapted within ``[_THETA_MIN, 1]`` when ``adaptive`` is
-    set: halved when the worst residual rises, grown while no Anderson
-    history is live.  ``max_outer`` bounds the evaluated iterates,
-    extrapolated ones and the trials of the Newton line search included.
-    Anderson extrapolation has no knob and runs whenever theta holds for
-    two iterations; a reduced Newton step has none either and is taken at
-    every iterate where the projection binds at no node.  Each state solve
-    stops at a residual of ``min(_NEWTON_TOL (1 + ||b||), 0.1 tol)``, ``b``
-    the boundary load.  A violated bound raises ``ValueError`` naming the
-    field first.
+    ``tol`` bounds the worst of the five residuals; ``theta`` is the
+    damping factor of every damped step of the solve.  ``max_outer`` bounds
+    the evaluated iterates, extrapolated ones and the trials of the Newton
+    line search included.  Anderson extrapolation has no knob and runs
+    once its history holds two damped steps; a reduced Newton step has none
+    either and is taken at every iterate where the projection binds at no
+    node.  Each state solve stops at a residual of
+    ``min(_NEWTON_TOL (1 + ||b||), 0.1 tol)``, ``b`` the boundary load.  A
+    violated bound raises ``ValueError`` naming the field first.
     """
 
     max_outer: int = 200
     tol: float = 1e-9
     theta: float = 0.5
-    adaptive: bool = True
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol: must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol: must be positive and finite")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta: must lie in (0, 1]")
         if self.max_outer < 1:
@@ -159,7 +151,6 @@ class KktSolveReport:
     point: KktPoint
     residuals: KktResiduals
     iterations: int
-    theta: float
     sigma1: float
     history: list = field(default_factory=list, repr=False)
     extrapolated: int = 0
@@ -205,14 +196,12 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     The iterate is ``x = (u, e, p)``: the control, the damped multipliers
     and the previous costate.  One damped outer iteration maps it to
     ``g(x)``; the next iterate is the type-II Anderson extrapolation of the
-    last ``_ANDERSON_DEPTH + 1`` pairs ``(x, g(x))`` while theta stays
-    unchanged, and a change of theta starts a new history; adaptive
-    damping grows theta only while no history is live.  An
-    extrapolated iterate whose worst residual exceeds the previous
-    iterate's restarts the history from itself, so the iteration goes on
-    with the damped step from that iterate.  One that is not finite, or
-    whose state solve or partition fails, is replaced by the damped step it
-    was extrapolated from.
+    last ``_ANDERSON_DEPTH + 1`` pairs ``(x, g(x))``, all at the one
+    damping factor ``options.theta``.  An extrapolated iterate whose worst
+    residual exceeds the previous iterate's restarts the history from
+    itself, so the iteration goes on with the damped step from that
+    iterate.  One that is not finite, or whose state solve or partition
+    fails, is replaced by the damped step it was extrapolated from.
 
     At an iterate whose projection target binds at no node,
     ``(trace(p) - alpha) / beta < -max_i g_i`` everywhere, every multiplier
@@ -263,8 +252,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
                      for _ in range(m))
 
     def evaluate(x, free=False):
-        # one damped iteration up to its residuals, at the current theta
-        # and Newton warm start; a free iterate has zero multipliers
+        # one damped iteration up to its residuals, at the current Newton
+        # warm start; a free iterate has zero multipliers
         u = x[:nb]
         it = len(history) + 1
         # Newton stops at _NEWTON_TOL (1 + ||b||), b the boundary load, but
@@ -353,7 +342,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
 
     def report(step) -> KktSolveReport:
         return KktSolveReport(point=step[0], residuals=step[1],
-                              iterations=len(history), theta=theta,
+                              iterations=len(history),
                               sigma1=step[2].sigma1, history=history,
                               extrapolated=extrapolated, restarts=restarts,
                               newton=newton)
@@ -400,28 +389,18 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             if step[1].worst <= opts.tol:
                 return report(step)
 
-        new_theta = theta
-        if opts.adaptive and len(history) >= 2:
-            if res.worst > prev_worst:
-                new_theta = max(_THETA_MIN, 0.5 * theta)
-            elif not pairs:
-                # growth would clear a live history, undoing its speed-up
-                new_theta = min(1.0, 1.2 * theta)
         prev_worst = res.worst
 
         target = np.minimum(cap, proj)
-        u = (1.0 - new_theta) * x[:nb] + new_theta * target
+        u = (1.0 - theta) * x[:nb] + theta * target
         g = np.concatenate([u, e_vals.ravel(), adjoint])
 
-        # a pair belongs to the map of one theta only if the multiplier
-        # damping (old theta) and the control damping (new theta) agree;
         # a free iterate is not an iterate of the damped map
-        if new_theta != theta or free:
+        if free:
             pairs.clear()
         else:
             pairs.append((g, g - x))
             del pairs[:-_ANDERSON_DEPTH - 1]
-        theta = new_theta
         x, damped = g, None
         if len(pairs) >= 2:
             x_next = _extrapolate(pairs)

@@ -49,8 +49,8 @@ class SweepPlan:
     """Perturbation direction, step list, and reproducibility knobs.
 
     ``delta`` must have sup-norm 1; ``t_values`` must be strictly
-    increasing and positive, with at least 4 entries so the exponent fit is
-    determined.
+    increasing, positive and finite, with at least 4 entries so the
+    exponent fit is determined; ``seed`` must be >= 0.
     """
 
     delta: BoundaryFunction
@@ -62,8 +62,8 @@ class SweepPlan:
         self.t_values = np.asarray(self.t_values, dtype=float)
         if self.t_values.ndim != 1 or len(self.t_values) < 4:
             raise SweepPlanError("need at least 4 step sizes")
-        if np.any(self.t_values <= 0.0):
-            raise SweepPlanError("step sizes must be positive")
+        if not np.all((0.0 < self.t_values) & (self.t_values < np.inf)):
+            raise SweepPlanError("step sizes must be positive and finite")
         if np.any(np.diff(self.t_values) <= 0.0):
             raise SweepPlanError("step sizes must be strictly increasing")
         sup = float(np.max(np.abs(self.delta.values)))
@@ -72,6 +72,8 @@ class SweepPlan:
                 f"perturbation direction must have sup-norm 1, got {sup!r}")
         if self.ssc_samples < 100:
             raise SweepPlanError("ssc_samples: must be >= 100")
+        if self.seed < 0:
+            raise SweepPlanError("seed: must be >= 0")
 
 
 def _safe(x: float) -> float | None:

@@ -18,7 +18,7 @@ import scipy.optimize
 
 # the reference loops share the library's constants, so they cannot drift
 from ctrlstab.kkt import _CONE_SWEEPS, _CONE_TOL
-from ctrlstab.solver import _NEWTON_TOL, _THETA_MIN
+from ctrlstab.solver import _NEWTON_TOL
 
 
 def dense_solve(a, b):
@@ -225,8 +225,8 @@ def sample_directions_one_by_one(cone, n, rng):
 def damped_solve_kkt(disc, lam, u0=None, options=None):
     """The damped projection fixed-point iteration without extrapolation:
     every outer iteration takes the damped step ``u <- (1 - theta) u +
-    theta u_target`` (multipliers damped alike), with the same adaptive
-    damping and stopping rule as ``solve_kkt``.  Returns a
+    theta u_target`` (multipliers damped alike), with the same fixed
+    damping factor and stopping rule as ``solve_kkt``.  Returns a
     ``KktSolveReport``; raises ``SolverError`` or ``PartitionError`` as the
     solver does.
     """
@@ -277,13 +277,7 @@ def damped_solve_kkt(disc, lam, u0=None, options=None):
             best = res
         if res.worst <= opts.tol:
             return KktSolveReport(point=point, residuals=res, iterations=it,
-                                  theta=theta, sigma1=part.sigma1,
-                                  history=history)
-        if opts.adaptive and len(history) >= 2:
-            if history[-1] > history[-2]:
-                theta = max(_THETA_MIN, 0.5 * theta)
-            else:
-                theta = min(1.0, 1.2 * theta)
+                                  sigma1=part.sigma1, history=history)
         g_max = np.max(constraint_values(disc, y_warm, lam), axis=0)
         target = np.minimum(-g_max, (disc.trace(adjoint) - alpha) / beta)
         u = (1.0 - theta) * u + theta * target

@@ -61,12 +61,19 @@ SWEEP_SMALL = {"delta": "1", "t": "0.01 0.02 0.04 0.08", "seed": "0",
 
 
 def test_shipped_configs_parse_and_build():
-    for name in ("lq_reference", "oracle_box", "oracle_state",
-                 "oracle_mixed", "stability_reference"):
-        cfg = parse_instance(CONFIG_DIR / f"{name}.ini")
+    # the benchmark's instance files too: they carry retired keys, and an
+    # instance file that stops parsing fails every benchmark set-up
+    paths = [*sorted(CONFIG_DIR.glob("*.ini")),
+             *sorted((CONFIG_DIR.parent / "perfbench" / "instances")
+                     .glob("*.ini"))]
+    assert len(paths) == 8
+    for path in paths:
+        cfg = parse_instance(path)
         disc = build_discretization(cfg)
-        assert disc.mesh.n_boundary == cfg.n_boundary
-        assert cfg.problem.m == 2
+        # each refinement level halves every boundary edge
+        split = 2 ** cfg.refinement
+        assert disc.mesh.n_boundary == cfg.n_boundary * split, path
+        assert cfg.problem.m == 2, path
 
 
 def test_reference_fields():
@@ -139,16 +146,25 @@ def test_bad_values_are_named(tmp_path, overrides, needle):
     assert needle in str(err.value)
 
 
-def test_sweep_warm_start_is_not_a_knob(tmp_path):
-    # sweeps always warm-start: older files may still say so, but a file
-    # asking for cold starts must not get warm ones silently
-    path = write_ini(tmp_path / "w.ini",
-                     sweep={**SWEEP_SMALL, "warm_start": "true"})
-    assert not hasattr(parse_instance(path).sweep, "warm_start")
-    path = write_ini(tmp_path / "c.ini",
-                     sweep={**SWEEP_SMALL, "warm_start": "false"})
-    with pytest.raises(ConfigError, match=r"\[sweep\] warm_start: only true"):
-        parse_instance(path)
+@pytest.mark.parametrize("section,key,kept,other,attr", [
+    ("sweep", "warm_start", "true", "false", "sweep"),
+    ("solver", "adaptive", "false", "true", "solve_options"),
+], ids=["sweep-warm_start", "solver-adaptive"])
+def test_retired_keys_take_one_value(tmp_path, section, key, kept, other,
+                                     attr):
+    # sweeps always warm-start and a solve runs at one damping factor:
+    # older files may still say so, but a file asking for cold starts or
+    # adaptive damping must not get the other silently
+    def ini(name, value):
+        overrides = {"sweep": dict(SWEEP_SMALL)}
+        overrides.setdefault(section, {})[key] = value
+        return write_ini(tmp_path / name, **overrides)
+
+    assert not hasattr(getattr(parse_instance(ini("k.ini", kept)), attr),
+                       key)
+    with pytest.raises(ConfigError,
+                       match=rf"\[{section}\] {key}: only {kept} is"):
+        parse_instance(ini("o.ini", other))
 
 
 def test_c_0_is_an_unknown_key(tmp_path):
@@ -372,10 +388,38 @@ def test_invalid_configs_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("t", "0.01 0.02 0.04 nan"), ("t", "0.01 0.02 0.04 inf"),
+    ("seed", "-3")])
+def test_bad_sweep_values_exit_2_before_any_solve(tmp_path, capsys,
+                                                  monkeypatch, key, value):
+    path = write_ini(tmp_path / "s.ini", sweep={**SWEEP_SMALL, key: value})
+    with pytest.raises(ConfigError, match=rf"\[sweep\] {key}: must be"):
+        cfg = parse_instance(path)
+        sweep_plan(cfg, build_discretization(cfg))
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("ctrlstab.cli.run_sweep", no_sweep)
+    assert main(["sweep", "--config", path, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert f"[sweep] {key}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["ssc", "sweep"])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
+    cfg = write_ini(tmp_path / "inst.ini", sweep=SWEEP_SMALL)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0" in capsys.readouterr().err
+
+
 # theta_min, newton_tol and newton_max_iter are no longer [solver] keys: they
 # are rejected as unknown keys, with the same exit code and key prefix
 @pytest.mark.parametrize("key,value", [
-    ("theta", "0"), ("theta_min", "1.5"), ("tol", "0"),
+    ("theta", "0"), ("theta_min", "1.5"), ("tol", "0"), ("tol", "inf"),
     ("newton_tol", "0"), ("newton_max_iter", "0"), ("max_outer", "0")])
 def test_invalid_solver_values_exit_2(tmp_path, capsys, key, value):
     path = write_ini(tmp_path / "s.ini", solver={key: value})

@@ -41,7 +41,6 @@ def test_converges_on_reference(lq_disc32, lq_solved32):
     assert np.all(np.isin(margins, [1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52]))
     assert len(lq_solved32.history) == lq_solved32.iterations
     assert lq_solved32.history[-1] == lq_solved32.residuals.worst
-    assert 0.0 < lq_solved32.theta <= 1.0
 
 
 def test_trivial_instance_lands_at_zero():
@@ -263,22 +262,18 @@ def test_newton_line_search_accepts_residual_decrease(monkeypatch):
     assert float(np.max(np.abs(gap))) <= 1e-7
 
 
-def test_adaptive_damping_holds_theta_for_extrapolation(
-        accelerated_and_damped):
-    # lq_reference adapts theta; the worst residual never rises and no
-    # extrapolation is rejected, so theta is never halved and, with a live
-    # history from the second iterate on, never grows: it holds at
-    # opts.theta and every iterate after the second is extrapolated
-    _, opts, rep, ref = accelerated_and_damped[("lq_reference", None)]
-    assert opts.adaptive
+def test_fixed_damping_extrapolates_without_restarts(accelerated_and_damped):
+    # on lq_reference at its one damping factor the worst residual never
+    # rises and no extrapolation is rejected, so the history is never
+    # cleared and every iterate after the second is extrapolated
+    _, _, rep, ref = accelerated_and_damped[("lq_reference", None)]
     assert rep.extrapolated > 0
     assert rep.iterations <= 12 < ref.iterations
     assert rep.restarts == 0
     assert all(b <= a for a, b in zip(rep.history, rep.history[1:]))
-    assert rep.theta == opts.theta
 
 
-def test_adaptive_warm_resolve_needs_few_iterations(accelerated_and_damped):
+def test_warm_resolve_needs_few_iterations(accelerated_and_damped):
     disc, opts, rep, _ = accelerated_and_damped[("lq_reference", None)]
     cfg = parse_instance(CONFIG_DIR / "lq_reference.ini")
     plan = sweep_plan(cfg, disc)
@@ -297,7 +292,7 @@ def test_newton_stops_below_outer_tolerance(lq_disc16):
     base = solve_kkt(disc, lam0, options=SolveOptions(tol=1e-11))
     s = disc.mesh.boundary_s
     delta = np.sin(s) / np.max(np.abs(np.sin(s)))
-    opts = SolveOptions(tol=1e-11, adaptive=False, theta=0.5)
+    opts = SolveOptions(tol=1e-11)
     rep = solve_kkt(disc, lam0 + 0.01 * delta,
                     u0=base.point.control.values, options=opts)
     assert rep.residuals.worst <= opts.tol
@@ -328,11 +323,10 @@ def test_newton_bound_below_tol_for_large_loads(monkeypatch):
 
 
 def _binding_instance():
-    """``lq_reference`` with fixed damping: the projection binds at every
-    iterate, so every step is a damped or an extrapolated one, and with
-    theta fixed the damped oracle takes the same damped steps."""
-    disc, lam, opts = _instance("lq_reference", None)
-    return disc, lam, dataclasses.replace(opts, adaptive=False)
+    """``lq_reference``: the projection binds at every iterate, so every
+    step is a damped or an extrapolated one, and the damped oracle takes
+    the same damped steps."""
+    return _instance("lq_reference", None)
 
 
 def test_nan_coefficients_fall_back_to_damped_steps(monkeypatch):

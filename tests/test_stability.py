@@ -88,8 +88,14 @@ def test_plan_rejects_bad_inputs(mesh16):
         SweepPlan(delta, [0.0, 0.02, 0.04, 0.08])
     with pytest.raises(SweepPlanError, match="increasing"):
         SweepPlan(delta, [0.01, 0.04, 0.02, 0.08])
+    # NaN fails every comparison, so only a finiteness test rejects it
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SweepPlanError, match="finite"):
+            SweepPlan(delta, [0.01, 0.02, 0.04, bad])
     with pytest.raises(SweepPlanError, match="ssc_samples"):
         SweepPlan(delta, good_t, ssc_samples=50)
+    with pytest.raises(SweepPlanError, match="seed: must be >= 0"):
+        SweepPlan(delta, good_t, seed=-1)
     assert isinstance(SweepPlanError("x"), ValueError)
 
 
