@@ -92,18 +92,6 @@ def _number(cp, section, key, cast, fallback=None):
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
-def _bool(cp, section, key, fallback: bool) -> bool:
-    raw = _get(cp, section, key, required=False)
-    if raw is None:
-        return fallback
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
-
-
 #: the keys of every section but [constraints] (g_1 .. g_m); those of
 #: [solver] are the fields of SolveOptions
 _KEYS = {
@@ -151,7 +139,12 @@ def parse_instance(path) -> InstanceConfig:
         retired = _RETIRED.get(section, {})
         _reject_unknown(cp, section, (*known, *retired))
         for key, only in retired.items():
-            if _bool(cp, section, key, only) != only:
+            try:
+                value = cp.getboolean(section, key, fallback=only)
+            except ValueError:
+                raise ConfigError(f"[{section}] {key}: expected a boolean, "
+                                  f"got {cp.get(section, key)!r}") from None
+            if value != only:
                 raise ConfigError(f"[{section}] {key}: only "
                                   f"{str(only).lower()} is accepted")
 

@@ -13,7 +13,10 @@ sqrt``.  Non-smooth primitives (min, max, abs, ...) are rejected at parse
 time: every admissible expression is C^2 on its evaluation domain, which the
 symbolic differentiation below relies on.
 
-Expressions are immutable trees.  ``Expr.eval`` is numpy-vectorized and
+Expressions are trees of frozen, slotted dataclass nodes: assigning to a
+node's field raises ``AttributeError``, two nodes are equal and hash alike
+when they have the same type and equal fields, and ``repr`` shows the
+printed form, as in ``Add(x1 + y)``.  ``Expr.eval`` is numpy-vectorized and
 raises ``EvalError`` on domain violations (ln of a non-positive value, sqrt
 of a negative value, division by zero, fractional power of a negative base).
 ``differentiate`` returns a new tree in the same grammar; the only
@@ -23,8 +26,8 @@ identities, so derivative trees stay printable and re-parseable.
 
 from __future__ import annotations
 
-import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +62,12 @@ class EvalError(ExprError):
 
 
 class Expr:
-    """Base node.  Subclasses are immutable and hashable by structure."""
+    """Base node.  Subclasses are frozen, slotted dataclasses: their fields
+    are the node's data, and equality and hashing follow type and
+    structure.  ``_children`` names the fields that hold sub-expressions."""
 
     __slots__ = ()
+    _children = ()
 
     def eval(self, env):
         """Evaluate with ``env`` mapping variable names to floats/arrays."""
@@ -71,35 +77,19 @@ class Expr:
         raise NotImplementedError
 
     def free_vars(self) -> frozenset:
-        raise NotImplementedError
-
-    def _prec(self) -> int:
-        raise NotImplementedError
-
-    def __str__(self) -> str:
-        raise NotImplementedError
+        return frozenset().union(
+            *(getattr(self, name).free_vars() for name in self._children))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
 
-    def __hash__(self):
-        return hash((type(self).__name__, self._key()))
-
-    def _key(self):
-        raise NotImplementedError
-
-
+@dataclass(frozen=True, slots=True, repr=False)
 class Const(Expr):
-    __slots__ = ("value",)
+    value: float
 
-    def __init__(self, value: float):
-        object.__setattr__(self, "value", float(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Const is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
 
     def eval(self, env):
         return self.value
@@ -107,29 +97,20 @@ class Const(Expr):
     def diff(self, var):
         return Const(0.0)
 
-    def free_vars(self):
-        return frozenset()
-
     def _prec(self):
         return 5 if self.value >= 0 else 1
 
     def __str__(self):
         return repr(self.value)
 
-    def _key(self):
-        return (self.value,)
 
-
+@dataclass(frozen=True, slots=True, repr=False)
 class Var(Expr):
-    __slots__ = ("name",)
+    name: str
 
-    def __init__(self, name: str):
-        if name not in VARIABLES:
-            raise ExprError(f"unknown variable {name!r}")
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Var is immutable")
+    def __post_init__(self):
+        if self.name not in VARIABLES:
+            raise ExprError(f"unknown variable {self.name!r}")
 
     def eval(self, env):
         try:
@@ -149,26 +130,13 @@ class Var(Expr):
     def __str__(self):
         return self.name
 
-    def _key(self):
-        return (self.name,)
 
-
+@dataclass(frozen=True, slots=True, repr=False)
 class _Binary(Expr):
-    __slots__ = ("left", "right")
+    left: Expr
+    right: Expr
+    _children = ("left", "right")
     op = "?"
-
-    def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
-
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
-
-    def _key(self):
-        return (self.left, self.right)
 
     def __str__(self):
         lp, rp = self._prec(), self._prec()
@@ -246,14 +214,10 @@ class Div(_Binary):
         return 2
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Neg(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
+    arg: Expr
+    _children = ("arg",)
 
     def eval(self, env):
         return -self.arg.eval(env)
@@ -261,30 +225,23 @@ class Neg(Expr):
     def diff(self, var):
         return neg(self.arg.diff(var))
 
-    def free_vars(self):
-        return self.arg.free_vars()
-
     def _prec(self):
         return 2
 
     def __str__(self):
         return f"-{_paren(self.arg, 3)}"
 
-    def _key(self):
-        return (self.arg,)
 
-
+@dataclass(frozen=True, slots=True, repr=False)
 class Pow(Expr):
     """Power with a constant real exponent."""
 
-    __slots__ = ("base", "exponent")
+    base: Expr
+    exponent: float
+    _children = ("base",)
 
-    def __init__(self, base: Expr, exponent: float):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", float(exponent))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "exponent", float(self.exponent))
 
     def eval(self, env):
         b = self.base.eval(env)
@@ -305,9 +262,6 @@ class Pow(Expr):
         return mul(mul(Const(p), power(self.base, p - 1.0)),
                    self.base.diff(var))
 
-    def free_vars(self):
-        return self.base.free_vars()
-
     def _prec(self):
         return 4
 
@@ -316,24 +270,19 @@ class Pow(Expr):
             else f"({self.exponent!r})"
         return f"{_paren(self.base, 5)}^{expo}"
 
-    def _key(self):
-        return (self.base, self.exponent)
 
-
+@dataclass(frozen=True, slots=True, repr=False)
 class Call(Expr):
-    __slots__ = ("func", "arg")
+    func: str
+    arg: Expr
+    _children = ("arg",)
 
     _np = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
            "ln": np.log, "sqrt": np.sqrt}
 
-    def __init__(self, func: str, arg: Expr):
-        if func not in FUNCTIONS:
-            raise ExprError(f"unknown function {func!r}")
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expression nodes are immutable")
+    def __post_init__(self):
+        if self.func not in FUNCTIONS:
+            raise ExprError(f"unknown function {self.func!r}")
 
     def eval(self, env):
         x = self.arg.eval(env)
@@ -358,17 +307,11 @@ class Call(Expr):
             outer = div(Const(1.0), mul(Const(2.0), self))
         return mul(outer, du)
 
-    def free_vars(self):
-        return self.arg.free_vars()
-
     def _prec(self):
         return 5
 
     def __str__(self):
         return f"{self.func}({self.arg})"
-
-    def _key(self):
-        return (self.func, self.arg)
 
 
 # ---------------------------------------------------------------------------

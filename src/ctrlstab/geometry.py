@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -46,13 +46,6 @@ class Mesh:
     boundary_edges: np.ndarray
     edge_normals: np.ndarray
     boundary_s: np.ndarray
-    boundary_pos: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.boundary_pos is None:
-            pos = np.full(len(self.vertices), -1, dtype=int)
-            pos[self.boundary_vertices] = np.arange(len(self.boundary_vertices))
-            object.__setattr__(self, "boundary_pos", pos)
 
     @property
     def n_vertices(self) -> int:

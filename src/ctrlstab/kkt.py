@@ -93,10 +93,6 @@ class PartitionH5:
     sigma1: float
     counts: np.ndarray = field(default=None)
 
-    def to_dict(self) -> dict:
-        return {"sigma1": self.sigma1,
-                "counts": [int(c) for c in self.counts]}
-
 
 def constraint_values(disc: Discretization, y, lam) -> np.ndarray:
     """Nodal values g_i(x, y, lam) on the boundary, shape (m, Nb)."""
@@ -492,6 +488,11 @@ def _finish_block(cone: _ConeGeometry, seeds: np.ndarray) -> tuple:
     return u, size, ok & cone.admissible(u, size)
 
 
+def _safe(x: float) -> float | None:
+    """JSON value of a float: ``None`` for NaN and infinities."""
+    return x if math.isfinite(x) else None
+
+
 @dataclass
 class SscReport:
     """Second-order check summary.
@@ -513,10 +514,8 @@ class SscReport:
     positive: bool
 
     def to_dict(self) -> dict:
-        def safe(x):
-            return x if math.isfinite(x) else None
-        return {"min_rayleigh": safe(self.min_rayleigh),
-                "subspace_min_eig": safe(self.subspace_min_eig),
+        return {"min_rayleigh": _safe(self.min_rayleigh),
+                "subspace_min_eig": _safe(self.subspace_min_eig),
                 "n_samples": self.n_samples,
                 "n_strong": self.n_strong,
                 "positive": self.positive}

@@ -33,9 +33,10 @@ multipliers to zero and takes a reduced Newton step::
 
     H du = -M_bb (alpha + beta u - adjoint|_B),   H = T^T A_y T + B_u,
 
-with ``H`` the reduced Hessian that the second-order check assembles
-(``ctrlstab.kkt._ReducedForms``).  Where ``H`` is not positive definite the
-step is the eigenvalue-modified one (Nocedal & Wright, *Numerical
+with the adjoint and ``H`` at zero multipliers, and ``H`` the reduced
+Hessian that the second-order check assembles
+(``ctrlstab.kkt._ReducedForms``).  Where ``H`` is not positive definite
+the step is the eigenvalue-modified one (Nocedal & Wright, *Numerical
 Optimization*, Sec. 3.4), so it always descends.  Its line search halves
 the step until the reduced cost meets the Armijo condition or the worst
 residual drops; the second test accepts a step whose cost decrease falls
@@ -206,8 +207,10 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     At an iterate whose projection target binds at no node,
     ``(trace(p) - alpha) / beta < -max_i g_i`` everywhere, every multiplier
     of the KKT point is zero, and the iteration takes a reduced Newton step
-    instead: ``H du = -M_bb (alpha + beta u - trace(p))`` with ``H`` the
-    reduced Hessian at zero multipliers (see :func:`_newton_direction`).
+    instead: ``H du = -M_bb (alpha + beta u - trace(p0))`` with ``p0`` the
+    costate and ``H`` the reduced Hessian at zero multipliers (see
+    :func:`_newton_direction`); ``p0`` is ``p`` unless the iterate's damped
+    multipliers are nonzero, when it is solved once more.
     Its trials ``u + s du``, ``s = 1, 1/2, ...``, are evaluated with zero
     multipliers, and the first whose reduced cost meets the Armijo
     condition or whose worst residual is below the iterate's is the next
@@ -317,10 +320,16 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         # Armijo on the reduced cost or lowers the worst residual, as
         # (x, step); None when every trial fails
         point, res = step[:2]
+        adjoint = point.adjoint
+        if any(np.any(e.values) for e in point.multipliers):
+            # the costate of the reduced cost is the adjoint at zero
+            # multipliers, not the one the damped multipliers gave
+            adjoint = FeFunction(disc.mesh, disc.jacobian_solve(
+                *adjoint_system(disc, point.state.values, lam, no_mults)))
+        point = replace(point, adjoint=adjoint, multipliers=no_mults)
         u = point.control.values
-        grad = m_bb @ (alpha + beta * u - disc.trace(point.adjoint.values))
-        du = _newton_direction(
-            _ReducedForms(disc, replace(point, multipliers=no_mults)), grad)
+        grad = m_bb @ (alpha + beta * u - disc.trace(adjoint.values))
+        du = _newton_direction(_ReducedForms(disc, point), grad)
         cost = objective_value(disc, point.state, u, lam)
         slope = float(grad @ du)
         s = 1.0
@@ -384,7 +393,6 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             found = newton_step(step)
             if found is None:
                 break
-            prev_worst = res.worst
             (x, step), free = found, True
             if step[1].worst <= opts.tol:
                 return report(step)
@@ -395,10 +403,9 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         u = (1.0 - theta) * x[:nb] + theta * target
         g = np.concatenate([u, e_vals.ravel(), adjoint])
 
-        # a free iterate is not an iterate of the damped map
-        if free:
-            pairs.clear()
-        else:
+        # a free iterate is not an iterate of the damped map, and the
+        # Newton step that made it cleared the history
+        if not free:
             pairs.append((g, g - x))
             del pairs[:-_ANDERSON_DEPTH - 1]
         x, damped = g, None

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import BoundaryFunction, Discretization, FeFunction, norm
-from .kkt import KktResiduals, SscReport, check_ssc
+from .kkt import KktResiduals, SscReport, _safe, check_ssc
 from .pde import StateSolveError
 from .problem import AdmissionError
 from .solver import (KktSolveReport, PartitionError, SolveOptions,
@@ -74,11 +74,6 @@ class SweepPlan:
             raise SweepPlanError("ssc_samples: must be >= 100")
         if self.seed < 0:
             raise SweepPlanError("seed: must be >= 0")
-
-
-def _safe(x: float) -> float | None:
-    """JSON value of a float: ``None`` for NaN and infinities."""
-    return x if math.isfinite(x) else None
 
 
 @dataclass

@@ -6,13 +6,17 @@ numeric witness.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ctrlstab import (EvalError, ExprError, ParseError, differentiate,
-                      parse)
-from ctrlstab.expr import NON_SMOOTH, evaluate
+                      parse, parse_instance)
+from ctrlstab.expr import (NON_SMOOTH, VARIABLES, Add, Call, Const, Div, Mul,
+                           Neg, Pow, Sub, Var, evaluate)
+
+from conftest import CONFIG_DIR
 
 # (text, python lambda, variables used)
 CORPUS = [
@@ -193,3 +197,67 @@ def test_vectorized_broadcast():
     out = evaluate(e, x1=np.zeros(5), y=2.0)
     assert out.shape == (5,)
     assert np.all(out == 2.0)
+
+
+# --- the node contract: immutable, equal and hashed by type and structure
+
+
+INSTANCE_FILES = sorted(CONFIG_DIR.glob("*.ini")) + sorted(
+    (CONFIG_DIR.parent / "perfbench" / "instances").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda p: p.stem)
+def test_instance_expressions_reparse_to_equal_trees(path):
+    # the printed form of every expression of an instance file and of its
+    # y-derivatives parses back to an equal tree, and the free variables
+    # are exactly the variable names of the printed form
+    cfg = parse_instance(path)
+    spec = cfg.problem
+    exprs = [getattr(spec, k) for k in (
+        "a11", "a12", "a22", "a0", "obj_domain", "obj_boundary", "alpha",
+        "beta", "reaction", "param_ref")] + list(spec.constraints)
+    if cfg.sweep is not None:
+        exprs.append(cfg.sweep.delta)
+    for e in exprs:
+        for tree in (e, differentiate(e, "y"), differentiate(e, "y", 2)):
+            text = str(tree)
+            assert parse(text) == tree, text
+            assert hash(parse(text)) == hash(tree)
+            names = set(re.findall(r"[A-Za-z_]\w*", text)) & set(VARIABLES)
+            assert tree.free_vars() == names, text
+
+
+def test_nodes_are_immutable():
+    nodes = {"value": Const(2.0), "name": Var("y"),
+             "left": Add(Var("y"), Const(1.0)), "arg": Neg(Var("y")),
+             "exponent": Pow(Var("y"), 3.0), "func": Call("sin", Var("s"))}
+    for field, node in nodes.items():
+        text = str(node)
+        with pytest.raises(AttributeError):
+            setattr(node, field, Const(0.0))
+        # some CPython versions raise TypeError for a new attribute of a
+        # frozen slotted dataclass
+        with pytest.raises((AttributeError, TypeError)):
+            node.extra = 1
+        assert str(node) == text
+
+
+def test_equality_and_hash_follow_type_and_structure():
+    a, b = Var("x1"), Var("y")
+    assert Add(a, b) == Add(Var("x1"), Var("y"))
+    assert Add(a, b) != Sub(a, b)
+    assert Add(a, b) != Add(b, a)
+    assert Mul(a, b) != Div(a, b)
+    assert Const(1) == Const(1.0) and Pow(b, 2) == Pow(b, 2.0)
+    assert Call("sin", b) != Call("cos", b)
+    table = {parse("x1 + y"): "sum", parse("x1 - y"): "difference"}
+    assert table[Add(a, b)] == "sum"
+    assert table[parse("x1 - y")] == "difference"
+    assert len({parse("sin(s)^2"), parse("sin(s)^2.0")}) == 1
+
+
+def test_repr_shows_class_and_printed_form():
+    assert repr(parse("x1 + y")) == "Add(x1 + y)"
+    assert repr(parse("2.5")) == "Const(2.5)"
+    assert repr(parse("ln(y)")) == "Call(ln(y))"
+    assert repr(parse("-(y - 1)")) == "Neg(-(y - 1.0))"

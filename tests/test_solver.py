@@ -262,6 +262,29 @@ def test_newton_line_search_accepts_residual_decrease(monkeypatch):
     assert float(np.max(np.abs(gap))) <= 1e-7
 
 
+def test_newton_gradient_is_the_reduced_gradient(monkeypatch):
+    # from u0 = -3 the damped multipliers are still nonzero when the
+    # projection first binds nowhere; the Newton step must read the
+    # costate at zero multipliers, the one of the reduced cost, and not
+    # the one those multipliers gave (2.7e-2 apart, relative)
+    disc, lam, opts = _instance("stability_reference", None)
+    seen = []
+
+    def captured(forms, grad):
+        seen.append((forms.point, grad))
+        return direction(forms, grad)
+
+    direction = solver._newton_direction
+    monkeypatch.setattr(solver, "_newton_direction", captured)
+    solve_kkt(disc, lam, u0=np.full_like(lam, -3.0), options=opts)
+    point, grad = seen[0]
+    u = point.control.values
+    assert all(not np.any(e.values) for e in point.multipliers)
+    _, ref = reduced_gradient(disc, lam, u)
+    ref = disc.form.mass_boundary_bb @ ref.values
+    assert np.max(np.abs(grad - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
 def test_fixed_damping_extrapolates_without_restarts(accelerated_and_damped):
     # on lq_reference at its one damping factor the worst residual never
     # rises and no extrapolation is rejected, so the history is never
