@@ -323,10 +323,16 @@ def _const(e: Expr):
     return e.value if isinstance(e, Const) else None
 
 
+def _folded(value: float) -> Const:
+    if not np.isfinite(value):
+        raise ExprError("constant overflows the float range")
+    return Const(value)
+
+
 def add(a: Expr, b: Expr) -> Expr:
     ca, cb = _const(a), _const(b)
     if ca is not None and cb is not None:
-        return Const(ca + cb)
+        return _folded(ca + cb)
     if ca == 0.0:
         return b
     if cb == 0.0:
@@ -337,7 +343,7 @@ def add(a: Expr, b: Expr) -> Expr:
 def sub(a: Expr, b: Expr) -> Expr:
     ca, cb = _const(a), _const(b)
     if ca is not None and cb is not None:
-        return Const(ca - cb)
+        return _folded(ca - cb)
     if cb == 0.0:
         return a
     if ca == 0.0:
@@ -348,7 +354,7 @@ def sub(a: Expr, b: Expr) -> Expr:
 def mul(a: Expr, b: Expr) -> Expr:
     ca, cb = _const(a), _const(b)
     if ca is not None and cb is not None:
-        return Const(ca * cb)
+        return _folded(ca * cb)
     if ca == 0.0 or cb == 0.0:
         return Const(0.0)
     if ca == 1.0:
@@ -363,7 +369,7 @@ def div(a: Expr, b: Expr) -> Expr:
     if cb == 0.0:
         raise ExprError("division by the constant zero")
     if ca is not None and cb is not None:
-        return Const(ca / cb)
+        return _folded(ca / cb)
     if ca == 0.0:
         return Const(0.0)
     if cb == 1.0:
@@ -391,7 +397,10 @@ def power(base: Expr, exponent: float) -> Expr:
             raise ExprError("fractional power of a negative constant")
         if cb == 0.0 and exponent < 0.0:
             raise ExprError("negative power of zero")
-        return Const(cb ** exponent)
+        try:
+            return _folded(cb ** exponent)
+        except OverflowError:
+            raise ExprError("constant overflows the float range") from None
     return Pow(base, exponent)
 
 
@@ -451,14 +460,22 @@ class _Parser:
             raise ParseError(f"unexpected {val!r}", self.text, pos)
         return e
 
+    def build(self, make, *args, pos: int) -> Expr:
+        # a node from the constructors above; what they reject (division
+        # by zero, a constant that overflows) is a ParseError at ``pos``
+        try:
+            return make(*args)
+        except ExprError as exc:
+            raise ParseError(str(exc), self.text, pos) from None
+
     def expr(self) -> Expr:
         e = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                rhs = self.term()
-                e = add(e, rhs) if val == "+" else sub(e, rhs)
+                e = self.build(add if val == "+" else sub, e, self.term(),
+                               pos=pos)
             else:
                 return e
 
@@ -468,11 +485,8 @@ class _Parser:
             kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
-                rhs = self.factor()
-                try:
-                    e = mul(e, rhs) if val == "*" else div(e, rhs)
-                except ExprError as exc:
-                    raise ParseError(str(exc), self.text, pos) from None
+                e = self.build(mul if val == "*" else div, e, self.factor(),
+                               pos=pos)
             else:
                 return e
 
@@ -492,13 +506,13 @@ class _Parser:
             if not isinstance(expo, Const):
                 raise ParseError("exponent must be a constant",
                                  self.text, pos)
-            return power(base, expo.value)
+            return self.build(power, base, expo.value, pos=pos)
         return base
 
     def atom(self) -> Expr:
         kind, val, pos = self.next()
         if kind == "num":
-            return Const(float(val))
+            return self.build(_folded, float(val), pos=pos)
         if kind == "name":
             if val in VARIABLES:
                 return Var(val)
@@ -527,8 +541,9 @@ def parse(text: str) -> Expr:
     Raises
     ------
     ParseError
-        On syntax errors, unknown identifiers, non-constant exponents, or
-        non-smooth primitives; the message carries the character position.
+        On syntax errors, unknown identifiers, non-constant exponents,
+        non-smooth primitives, or a number or folded constant outside the
+        float range; the message carries the character position.
     """
     if not isinstance(text, str):
         raise TypeError("expression source must be a string")

@@ -19,8 +19,14 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 
+#: largest boundary point count ``make_disk_mesh`` builds: twice what the
+#: banded factorization's byte budget admits (``fem._BAND_BUDGET``), so the
+#: budget decides for every mesh that can be built
+_MAX_BOUNDARY = 4096
+
+
 class MeshError(ValueError):
-    """Raised when construction produces an invalid triangulation."""
+    """Raised for invalid mesh arguments or an invalid triangulation."""
 
 
 @dataclass(frozen=True)
@@ -35,7 +41,6 @@ class Mesh:
         angle 0
     boundary_edges : (Nb, 2) int array, edge j runs from boundary vertex j to
         boundary vertex j+1 (mod Nb)
-    edge_normals : (Nb, 2) float array, outward unit normal of each edge
     boundary_s : (Nb,) float array, arc parameter (vertex angle in [0, 2*pi))
         aligned with ``boundary_vertices``
     """
@@ -44,7 +49,6 @@ class Mesh:
     triangles: np.ndarray
     boundary_vertices: np.ndarray
     boundary_edges: np.ndarray
-    edge_normals: np.ndarray
     boundary_s: np.ndarray
 
     @property
@@ -81,11 +85,18 @@ def make_disk_mesh(n_boundary: int, refinement: int = 0) -> Mesh:
     refinement : int, >= 0
         Each level doubles the boundary point count (and scales the interior
         grading with it).
+
+    A refined count above 4096 is a ``MeshError`` before any point is
+    placed.
     """
     if n_boundary < 8:
         raise MeshError(f"n_boundary must be >= 8, got {n_boundary}")
     if refinement < 0:
         raise MeshError(f"refinement must be >= 0, got {refinement}")
+    # the bound is shifted, so a huge refinement builds no huge integer
+    if n_boundary > _MAX_BOUNDARY >> int(refinement):
+        raise MeshError(f"n_boundary * 2**refinement must be <= "
+                        f"{_MAX_BOUNDARY}, got {n_boundary} * 2**{refinement}")
     n = int(n_boundary) << int(refinement)
 
     rings = max(1, round(n / (2.0 * math.pi)))
@@ -119,15 +130,12 @@ def make_disk_mesh(n_boundary: int, refinement: int = 0) -> Mesh:
         raise MeshError("triangulation dropped a vertex")
 
     edges = np.column_stack([boundary, np.roll(boundary, -1)])
-    chord = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-    chord /= np.linalg.norm(chord, axis=1)[:, None]
-    normals = np.column_stack([chord[:, 1], -chord[:, 0]])
 
     s = 2.0 * math.pi * np.arange(n) / n
 
     mesh = Mesh(vertices=vertices, triangles=triangles,
                 boundary_vertices=boundary, boundary_edges=edges,
-                edge_normals=normals, boundary_s=s)
+                boundary_s=s)
     _validate(mesh)
     return mesh
 

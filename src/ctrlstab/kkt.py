@@ -4,7 +4,8 @@ A candidate bundles state, control, adjoint, parameter, and one boundary
 multiplier per constraint.  First-order checks: equation residuals
 (algebraic 2-norms), nodal stationarity/complementarity/feasibility
 (max norms), the half-line projection identity for the control, and the
-partition margins that quantify which constraint dominates where.  Second
+dominance partition: which constraint is largest at each boundary node,
+and by how much at the closest node (the margin sigma1).  Second
 order: sampling of critical directions (projected boundary controls u with
 their linearized states T u) and two estimators for the minimum of the
 curvature form on the critical cone, one sampled, one via the reduced
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -82,16 +83,14 @@ class PartitionH5:
     """Dominance partition of the boundary by the constraint functions.
 
     ``labels[j]`` is the index of the largest constraint value at node j
-    (ties to the lowest index).  ``margins[i, k]`` is ``max over cell i of
-    (g_k - g_i)`` (NaN when cell i is empty or k == i); the separation
-    margin ``sigma1`` is ``-max`` of all finite off-diagonal margins, so the
-    partition assumption holds strictly iff ``sigma1 > 0``.
+    (ties to the lowest index).  The separation margin ``sigma1`` is the
+    smallest gap, over the nodes, between the largest constraint value
+    and the next one, so the partition assumption holds strictly iff
+    ``sigma1 > 0``.
     """
 
     labels: np.ndarray
-    margins: np.ndarray
     sigma1: float
-    counts: np.ndarray = field(default=None)
 
 
 def constraint_values(disc: Discretization, y, lam) -> np.ndarray:
@@ -112,25 +111,11 @@ def partition_at(disc: Discretization, y, lam) -> PartitionH5:
 
 
 def partition_of(g: np.ndarray) -> PartitionH5:
-    """Dominance partition of constraint values ``g``, shape (m, Nb), as
-    :func:`constraint_values` returns them (see PartitionH5)."""
-    m, nb = g.shape
-    labels = np.argmax(g, axis=0)
-    margins = np.full((m, m), math.nan)
-    counts = np.bincount(labels, minlength=m)
-    worst = -math.inf
-    for i in range(m):
-        cell = labels == i
-        if not np.any(cell):
-            continue
-        for k in range(m):
-            if k == i:
-                continue
-            margins[i, k] = float(np.max(g[k, cell] - g[i, cell]))
-            worst = max(worst, margins[i, k])
-    sigma1 = -worst if math.isfinite(worst) else math.inf
-    return PartitionH5(labels=labels, margins=margins, sigma1=sigma1,
-                       counts=counts)
+    """Dominance partition of constraint values ``g``, shape (m, Nb) with
+    m >= 2, as :func:`constraint_values` returns them (see PartitionH5)."""
+    second, top = np.sort(g, axis=0)[-2:]
+    return PartitionH5(labels=np.argmax(g, axis=0),
+                       sigma1=-float(np.max(second - top)))
 
 
 def recover_multipliers(disc: Discretization, y, u, adjoint, lam,

@@ -34,13 +34,11 @@ The adjoint problem is linear in the costate::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (Discretization, FeFunction, SpdFactorization,
+from .fem import (Discretization, FeFunction, SpdFactorization, _as_values,
                   nodal_values, norm, solve_spd)
 
 
@@ -60,29 +58,20 @@ class StateSolveReport:
 
     ``residual`` is the 2-norm of the discrete state equation at the
     returned state, the expression of :func:`state_residual_norm`, so the
-    two agree bit for bit.  ``ratio`` is the a-priori quotient
-    ``||y||_W1r / (||u|| + ||lam||)`` (both control norms in L2 of the
-    boundary); it is 0 for zero data and inf if a nonzero state came from
-    zero data.  It is computed on first access, from copies taken at the
-    solve, so it holds the value of the call whatever happens to the
-    arrays afterwards.
+    two agree bit for bit; ``tolerance`` is the absolute bound it met.
     """
 
     state: FeFunction
     iterations: int
     residual: float
     tolerance: float
-    _ratio: Callable[[], float] = field(repr=False, compare=False)
-
-    @cached_property
-    def ratio(self) -> float:
-        return self._ratio()
 
 
-def _finite(v: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{what} contains non-finite entries")
-    return v
+def _state_residual(disc: Discretization, y: np.ndarray,
+                    b: np.ndarray) -> np.ndarray:
+    """The discrete state equation at ``y`` for the boundary load ``b``."""
+    hq = disc.eval_dom(disc.problem.reaction, y=y)
+    return disc.form.stiffness @ y + disc.domain_load(hq) - b
 
 
 def solve_state(disc: Discretization, u, lam, y0=None,
@@ -96,20 +85,15 @@ def solve_state(disc: Discretization, u, lam, y0=None,
     """
     mesh = disc.mesh
     nb = mesh.n_boundary
-    u = _finite(nodal_values(u, nb), "control")
-    lam = _finite(nodal_values(lam, nb), "parameter")
-    k_mat = disc.form.stiffness
+    u = _as_values(u, nb, "control")
+    lam = _as_values(lam, nb, "parameter")
     b = disc.form.mass_boundary @ disc.embed(u + lam)
     tol_abs = tol * (1.0 + float(np.linalg.norm(b)))
 
     y = np.zeros(mesh.n_vertices) if y0 is None \
-        else _finite(nodal_values(y0, mesh.n_vertices), "initial state").copy()
+        else _as_values(y0, mesh.n_vertices, "initial state").copy()
 
-    def residual_vec(yv):
-        hq = disc.eval_dom(disc.problem.reaction, y=yv)
-        return k_mat @ yv + disc.domain_load(hq) - b
-
-    f_vec = residual_vec(y)
+    f_vec = _state_residual(disc, y, b)
     res = float(np.linalg.norm(f_vec))
     iterations = 0
     while res > tol_abs:
@@ -121,7 +105,7 @@ def solve_state(disc: Discretization, u, lam, y0=None,
         sigma = 1.0
         for _ in range(30):
             y_try = y + sigma * delta
-            f_try = residual_vec(y_try)
+            f_try = _state_residual(disc, y_try, b)
             res_try = float(np.linalg.norm(f_try))
             if res_try <= (1.0 - 1e-4 * sigma) * res:
                 break
@@ -132,17 +116,7 @@ def solve_state(disc: Discretization, u, lam, y0=None,
         iterations += 1
 
     return StateSolveReport(state=FeFunction(mesh, y), iterations=iterations,
-                            residual=res, tolerance=tol_abs,
-                            _ratio=partial(_a_priori_ratio, disc, y.copy(),
-                                           u.copy(), lam.copy()))
-
-
-def _a_priori_ratio(disc: Discretization, y, u, lam) -> float:
-    num = norm(FeFunction(disc.mesh, y), "w1r", disc.problem.r)
-    den = disc.l2_boundary(u) + disc.l2_boundary(lam)
-    if den > 0.0:
-        return num / den
-    return 0.0 if num <= 1e-10 else float("inf")
+                            residual=res, tolerance=tol_abs)
 
 
 def state_residual_norm(disc: Discretization, y, u, lam) -> float:
@@ -150,10 +124,19 @@ def state_residual_norm(disc: Discretization, y, u, lam) -> float:
     y = nodal_values(y, disc.mesh.n_vertices)
     u = nodal_values(u, disc.mesh.n_boundary)
     lam = nodal_values(lam, disc.mesh.n_boundary)
-    hq = disc.eval_dom(disc.problem.reaction, y=y)
-    vec = (disc.form.stiffness @ y + disc.domain_load(hq)
-           - disc.form.mass_boundary @ disc.embed(u + lam))
-    return float(np.linalg.norm(vec))
+    b = disc.form.mass_boundary @ disc.embed(u + lam)
+    return float(np.linalg.norm(_state_residual(disc, y, b)))
+
+
+def a_priori_ratio(disc: Discretization, y, u, lam) -> float:
+    """The a-priori quotient ``||y||_W1r / (||u|| + ||lam||)`` of a state
+    and its boundary nodal data, both control norms in L2 of the boundary;
+    0 for zero data and inf if a nonzero state came from zero data."""
+    num = norm(FeFunction(disc.mesh, y), "w1r", disc.problem.r)
+    den = disc.l2_boundary(u) + disc.l2_boundary(lam)
+    if den > 0.0:
+        return num / den
+    return 0.0 if num <= 1e-10 else float("inf")
 
 
 def adjoint_rhs(disc: Discretization, y: np.ndarray, lam: np.ndarray,
@@ -217,7 +200,7 @@ def solve_linearized_state(disc: Discretization, operator: SpdFactorization,
 
 __all__ = [
     "StateSolveError", "StateSolveReport",
-    "solve_state", "state_residual_norm",
+    "solve_state", "state_residual_norm", "a_priori_ratio",
     "adjoint_rhs", "adjoint_system", "linearized_operator",
     "solve_adjoint",
     "solve_linearized_state",

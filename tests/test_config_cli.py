@@ -138,6 +138,10 @@ def test_missing_pieces_are_named(tmp_path, drop, needle):
     ({"solver": {"newton_tol": "1e-12"}}, "[solver] newton_tol: unknown key"),
     ({"solver": {"newton_max_iter": "20"}},
      "[solver] newton_max_iter: unknown key"),
+    # constants outside the float range, as a literal or folded
+    ({"cost": {"L": "10^400*y"}}, "[cost] L: constant overflows"),
+    ({"cost": {"L": "1e308*10*y"}}, "[cost] L: constant overflows"),
+    ({"state": {"h": "y + 1e400"}}, "[state] h: constant overflows"),
 ])
 def test_bad_values_are_named(tmp_path, overrides, needle):
     path = write_ini(tmp_path / "i.ini", **overrides)
@@ -384,8 +388,14 @@ def test_invalid_configs_exit_2(tmp_path, capsys):
     assert main(["sweep", "--config", few, "--quiet"]) == 2
     missing = str(tmp_path / "absent.ini")
     assert main(["solve", "--config", missing, "--quiet"]) == 2
+    # refused before any mesh point is placed
+    huge = write_ini(tmp_path / "r.ini", domain={"refinement": "40"})
+    assert main(["solve", "--config", huge, "--quiet"]) == 2
+    overflow = write_ini(tmp_path / "L.ini", cost={"L": "10^400*y"})
+    assert main(["solve", "--config", overflow, "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    assert "n_boundary * 2**refinement must be <= 4096" in err
 
 
 @pytest.mark.parametrize("key,value", [

@@ -136,10 +136,22 @@ def test_diff_var_restricted_to_unknowns():
 @pytest.mark.parametrize("bad", [
     "", "x1 +", "(y", "y))", "2 **", "sin", "sin 2", "1..2", "y ^ lam",
     "foo(2)", "x3", "u",
+    # numbers and folded constants outside the float range
+    "1e400", "10^400", "(1e200)^2", "1e308*10", "1e308/1e-10",
+    "1e308 + 1e308", "-1e308 - 1e308",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse(bad)
+
+
+@pytest.mark.parametrize("text,pos", [
+    ("y + 1e400", 4), ("y * 10^400", 6), ("(1e200)^2", 7), ("1e308*10", 5),
+    ("2 + 1e308 + 1e308", 10)])
+def test_overflowing_constant_is_a_parse_error_at_its_operator(text, pos):
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse(text)
+    assert err.value.pos == pos
 
 
 def test_parse_error_position():

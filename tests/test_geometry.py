@@ -77,20 +77,6 @@ def test_boundary_cycle_and_angles():
                           np.roll(mesh.boundary_vertices, -1))
 
 
-def test_outward_unit_normals():
-    mesh = make_disk_mesh(20, 0)
-    mids = 0.5 * (mesh.vertices[mesh.boundary_edges[:, 0]]
-                  + mesh.vertices[mesh.boundary_edges[:, 1]])
-    norms = np.linalg.norm(mesh.edge_normals, axis=1)
-    assert np.max(np.abs(norms - 1.0)) <= 1e-12
-    outward = np.sum(mesh.edge_normals * mids, axis=1)
-    assert np.all(outward > 0.0)
-    # orthogonal to the edge direction
-    chords = (mesh.vertices[mesh.boundary_edges[:, 1]]
-              - mesh.vertices[mesh.boundary_edges[:, 0]])
-    assert np.max(np.abs(np.sum(mesh.edge_normals * chords, axis=1))) <= 1e-12
-
-
 def test_interior_vertices_strictly_inside():
     mesh = make_disk_mesh(16, 0)
     interior = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
@@ -118,7 +104,9 @@ def test_refinement_matches_direct_construction():
     assert mesh_hash(a) == mesh_hash(b)
 
 
-@pytest.mark.parametrize("n,refinement", [(7, 0), (0, 0), (16, -1)])
+@pytest.mark.parametrize("n,refinement",
+                         [(7, 0), (0, 0), (16, -1), (8, 40), (4097, 0),
+                          (8, 10 ** 9)])
 def test_invalid_arguments(n, refinement):
     with pytest.raises(MeshError):
         make_disk_mesh(n, refinement)

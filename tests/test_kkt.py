@@ -20,7 +20,7 @@ from ctrlstab.pde import linearized_operator
 from ctrlstab.solver import SolveOptions, objective_value
 
 from conftest import CONFIG_DIR, make_spec
-from oracles import (project_one, quadrature_curvature,
+from oracles import (partition_margin, project_one, quadrature_curvature,
                      sample_directions_one_by_one)
 
 
@@ -177,7 +177,8 @@ def test_partition_clear_dominance(lq_disc16):
                         np.zeros(disc.mesh.n_boundary))
     assert np.all(part.labels == 0)
     assert part.sigma1 == 1.0
-    assert list(part.counts) == [disc.mesh.n_boundary, 0]
+    assert list(np.bincount(part.labels, minlength=2)) == [
+        disc.mesh.n_boundary, 0]
 
 
 def test_partition_identical_constraints_degenerate(lq_disc16):
@@ -198,15 +199,27 @@ def test_partition_sine_crossing():
     want = np.where(np.sin(s) >= 0.0, 0, 1)  # ties at s in {0, pi} go to 1st
     assert np.array_equal(part.labels, want)
     assert part.sigma1 == 0.0  # the margin vanishes at the crossings
-    assert part.counts[0] > 0 and part.counts[1] > 0
+    counts = np.bincount(part.labels, minlength=2)
+    assert counts[0] > 0 and counts[1] > 0
 
 
-def test_margin_matrix_shape(lq_disc16):
-    part = partition_at(lq_disc16, np.zeros(lq_disc16.mesh.n_vertices),
-                        np.zeros(lq_disc16.mesh.n_boundary))
-    m = lq_disc16.problem.m
-    assert part.margins.shape == (m, m)
-    assert np.all(np.isnan(np.diagonal(part.margins)))
+def test_partition_matches_cell_by_cell_margins():
+    # entries rounded to a tenth on a small range, so that ties between
+    # constraints, and cells left empty, are common
+    rng = np.random.default_rng(7)
+    ties = empty = 0
+    for trial in range(10000):
+        m = 2 + trial % 3
+        g = np.round(rng.uniform(-1.0, 1.0, (m, int(rng.integers(1, 12)))),
+                     1)
+        labels, sigma1 = partition_margin(g)
+        part = kkt.partition_of(g)
+        assert np.array_equal(part.labels, labels)
+        # equal as numbers; the sign of a zero margin may differ
+        assert part.sigma1 == sigma1, (g, part.sigma1, sigma1)
+        ties += sigma1 == 0.0
+        empty += len(np.unique(labels)) < m
+    assert ties > 1000 and empty > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 import ctrlstab.fem as fem_mod
-import ctrlstab.pde as pde_mod
 from ctrlstab import (BoundaryFunction, Discretization, StateSolveError,
                       linearized_operator, make_disk_mesh, solve_adjoint,
                       solve_linearized_state, solve_state)
 from ctrlstab.fem import solve_spd
-from ctrlstab.pde import adjoint_rhs, state_residual_norm
+from ctrlstab.pde import a_priori_ratio, adjoint_rhs, state_residual_norm
 
 from conftest import make_spec
 from oracles import radial_solve, radial_trace_linear
@@ -35,7 +34,8 @@ def test_zero_data_gives_zero_state(lq_disc16):
     rep = solve_state(lq_disc16, np.zeros(nb), np.zeros(nb))
     assert np.all(rep.state.values == 0.0)
     assert rep.iterations == 0
-    assert rep.ratio == 0.0
+    assert a_priori_ratio(lq_disc16, rep.state, np.zeros(nb),
+                          np.zeros(nb)) == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -128,50 +128,27 @@ def test_a_priori_ratio_stable(disc_cubic):
         total = disc_cubic.l2_boundary(u) + disc_cubic.l2_boundary(lam)
         scale = rng.uniform(0.05, 1.0) * 10.0 / total
         rep = solve_state(disc_cubic, scale * u, scale * lam)
-        assert rep.ratio > 0.0
-        ratios.append(rep.ratio)
+        ratio = a_priori_ratio(disc_cubic, rep.state, scale * u, scale * lam)
+        assert ratio > 0.0
+        ratios.append(ratio)
     assert max(ratios) / min(ratios) <= 50.0
 
 
-def _eager_ratio(disc, rep, u, lam):
-    # the a-priori quotient as solve_state used to compute it on every call
-    num = fem_mod.norm(rep.state, "w1r", disc.problem.r)
-    den = disc.l2_boundary(u) + disc.l2_boundary(lam)
-    if den > 0.0:
-        return num / den
-    return 0.0 if num <= 1e-10 else float("inf")
+def test_a_priori_ratio_of_nonzero_state_from_zero_data(lq_disc16):
+    nb = lq_disc16.mesh.n_boundary
+    y = np.ones(lq_disc16.mesh.n_vertices)
+    assert a_priori_ratio(lq_disc16, y, np.zeros(nb), np.zeros(nb)) == np.inf
 
 
-def test_ratio_is_computed_on_first_access(monkeypatch, lq_disc16,
-                                           disc_linear, disc_cubic):
-    # the data of the cases above: zero, the radial flux, random
-    norms = []
-    norm = pde_mod.norm
-
-    def counted(*args, **kwargs):
-        norms.append(args)
-        return norm(*args, **kwargs)
-
-    monkeypatch.setattr(pde_mod, "norm", counted)
-    rng = np.random.default_rng(11)
-    nb16, nb128 = lq_disc16.mesh.n_boundary, disc_linear.mesh.n_boundary
+def test_reported_residual_is_state_residual_norm(disc_cubic):
+    # the solver's stopping value is the verify rule's state residual
+    rng = np.random.default_rng(5)
     nb = disc_cubic.mesh.n_boundary
-    cases = [(lq_disc16, np.zeros(nb16), np.zeros(nb16)),
-             (disc_linear, np.ones(nb128), np.zeros(nb128))]
-    cases += [(disc_cubic, rng.standard_normal(nb), rng.standard_normal(nb))
-              for _ in range(5)]
-    for disc, u, lam in cases:
-        rep = solve_state(disc, u, lam)
-        assert norms == []
-        want = _eager_ratio(disc, rep, u, lam)
-        # the value is the call's, whatever happens to the arrays later
-        u += 1.0
-        lam -= 1.0
-        rep.state.values[:] *= 2.0
-        assert rep.ratio == want
-        assert rep.ratio == want
-        assert len(norms) == 1
-        norms.clear()
+    for _ in range(5):
+        u, lam = rng.standard_normal(nb), rng.standard_normal(nb)
+        rep = solve_state(disc_cubic, u, lam)
+        assert rep.residual == state_residual_norm(disc_cubic, rep.state,
+                                                   u, lam)
 
 
 def test_newton_iteration_limit_raises(disc_cubic):
