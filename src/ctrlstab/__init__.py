@@ -12,14 +12,12 @@ from .problem import AdmissionError, ProblemSpec
 from .fem import (BoundaryFunction, Discretization, EllipticForm, FemError,
                   FeFunction, NotSpdError, SpdFactorization, norm, solve_spd)
 from .pde import (StateSolveError, StateSolveReport, linearized_operator,
-                  solve_adjoint, solve_linearized_state, solve_state)
+                  solve_adjoint, solve_state)
 from .kkt import (KktPoint, KktResiduals, PartitionH5, SscReport, check_ssc,
-                  critical_direction_sample, h5_margins, partition_at,
-                  projection_identity_gap, quadratic_form,
+                  partition_at, projection_identity_gap, quadratic_form,
                   recover_multipliers, residuals)
 from .solver import (KktSolveReport, PartitionError, SolveOptions,
-                     SolverError, objective_value, reduced_cost,
-                     reduced_gradient, solve_kkt)
+                     SolverError, objective_value, solve_kkt)
 from .stability import (ExponentFit, SscHypothesisError, StabilityReport,
                         SweepPlan, SweepPlanError, SweepRow, fit_exponent,
                         run_sweep, write_sweep_csv, write_sweep_json)
@@ -35,13 +33,12 @@ __all__ = [
     "FeFunction", "BoundaryFunction", "EllipticForm", "Discretization",
     "FemError", "NotSpdError", "SpdFactorization", "norm", "solve_spd",
     "StateSolveError", "StateSolveReport", "solve_state", "solve_adjoint",
-    "linearized_operator", "solve_linearized_state",
+    "linearized_operator",
     "KktPoint", "KktResiduals", "PartitionH5", "SscReport",
-    "residuals", "recover_multipliers", "h5_margins", "partition_at",
-    "projection_identity_gap", "quadratic_form",
-    "critical_direction_sample", "check_ssc",
+    "residuals", "recover_multipliers", "partition_at",
+    "projection_identity_gap", "quadratic_form", "check_ssc",
     "SolveOptions", "KktSolveReport", "SolverError", "PartitionError",
-    "solve_kkt", "objective_value", "reduced_cost", "reduced_gradient",
+    "solve_kkt", "objective_value",
     "SweepPlan", "SweepRow", "SweepPlanError", "ExponentFit",
     "StabilityReport", "SscHypothesisError", "fit_exponent", "run_sweep",
     "write_sweep_csv", "write_sweep_json",

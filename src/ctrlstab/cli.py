@@ -9,7 +9,8 @@ Subcommands::
     mesh-dump  write the node/element file of the instance mesh
 
 Exit codes: 0 success, 1 verification failed, 2 invalid configuration,
-command line or point file, 3 solver non-convergence, a failed
+command line or point file, or an output path that cannot be written (any
+``OSError``), 3 solver non-convergence, a failed
 second-order hypothesis or a linear-algebra failure (``FemError``, such as
 a mesh too large for the banded factorization's byte budget).
 
@@ -34,8 +35,8 @@ from .config import (ConfigError, InstanceConfig, build_discretization,
 from .expr import ExprError
 from .fem import BoundaryFunction, Discretization, FemError, FeFunction
 from .geometry import MeshError, dump_mesh, mesh_hash, mesh_text
-from .kkt import (KktPoint, h5_margins, projection_identity_gap, residuals,
-                  check_ssc)
+from .kkt import (KktPoint, check_ssc, partition_at, projection_identity_gap,
+                  residuals)
 from .pde import StateSolveError
 from .problem import AdmissionError
 from .solver import (PartitionError, SolverError, objective_value, solve_kkt)
@@ -175,7 +176,7 @@ def cmd_verify(args) -> int:
     point = load_point(args.point, disc, lam)
 
     res = residuals(disc, point)
-    part = h5_margins(disc, point)
+    part = partition_at(disc, point.state.values, lam.values)
     gap = projection_identity_gap(disc, point)
     payload = _residual_payload(res, part.sigma1)
     payload["projection_gap"] = gap
@@ -312,7 +313,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ExprError, AdmissionError, MeshError,
-            PointFileError) as exc:
+            PointFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, PartitionError, StateSolveError,

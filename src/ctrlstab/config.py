@@ -250,6 +250,9 @@ def sweep_plan(config: InstanceConfig, disc: Discretization,
     if config.sweep is None:
         raise ConfigError("instance file has no [sweep] section")
     vals = disc.eval_node(config.sweep.delta)
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError("[sweep] delta: direction is not finite at a "
+                          "boundary node")
     sup = float(np.max(np.abs(vals)))
     if sup <= 0.0:
         raise ConfigError("[sweep] delta: direction vanishes at every "

@@ -95,9 +95,6 @@ class FeFunction:
         self.values = _as_values(self.values, self.mesh.n_vertices,
                                  "FeFunction values")
 
-    def copy(self) -> "FeFunction":
-        return FeFunction(self.mesh, self.values.copy())
-
 
 @dataclass
 class BoundaryFunction:
@@ -110,9 +107,6 @@ class BoundaryFunction:
     def __post_init__(self):
         self.values = _as_values(self.values, self.mesh.n_boundary,
                                  "BoundaryFunction values")
-
-    def copy(self) -> "BoundaryFunction":
-        return BoundaryFunction(self.mesh, self.values.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +504,13 @@ class Discretization:
         return full
 
     def param_reference(self) -> BoundaryFunction:
-        """Reference parameter evaluated at the boundary nodes."""
-        return BoundaryFunction(self.mesh,
-                                self.eval_node(self.problem.param_ref))
+        """Reference parameter evaluated at the boundary nodes; raises
+        ``AdmissionError`` where it is not finite."""
+        lam = self.eval_node(self.problem.param_ref)
+        if not np.all(np.isfinite(lam)):
+            raise AdmissionError("parameter", "reference parameter is not "
+                                              "finite at a boundary node")
+        return BoundaryFunction(self.mesh, lam)
 
     # -- assembly -------------------------------------------------------------
 
@@ -522,11 +520,19 @@ class Discretization:
         a12 = self.eval_dom(self.problem.a12)
         a22 = self.eval_dom(self.problem.a22)
         a0 = self.eval_dom(self.problem.a0)
+        for name, coef in (("a11", a11), ("a12", a12), ("a22", a22),
+                           ("a0", a0)):
+            if not np.all(np.isfinite(coef)):
+                raise AdmissionError("(C0)", f"operator coefficient {name} "
+                                             "is not finite at a quadrature "
+                                             "point")
 
+        # huge finite entries can overflow eig_min to NaN, which the
+        # negated comparison rejects
         eig_min = 0.5 * (a11 + a22) - np.sqrt(
             (0.5 * (a11 - a22)) ** 2 + a12 ** 2)
         worst = float(np.min(eig_min))
-        if worst < self.problem.c0 - 1e-12:
+        if not worst >= self.problem.c0 - 1e-12:
             raise AdmissionError(
                 "(C0)", f"tensor eigenvalue {worst:.6g} below declared "
                         f"constant {self.problem.c0} at a quadrature point")

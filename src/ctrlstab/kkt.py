@@ -101,10 +101,6 @@ def constraint_values(disc: Discretization, y, lam) -> np.ndarray:
                      for g in disc.problem.constraints])
 
 
-def h5_margins(disc: Discretization, point: KktPoint) -> PartitionH5:
-    return partition_at(disc, point.state.values, point.param.values)
-
-
 def partition_at(disc: Discretization, y, lam) -> PartitionH5:
     """Dominance partition at a given state/parameter (see PartitionH5)."""
     return partition_of(constraint_values(disc, y, lam))
@@ -424,23 +420,6 @@ class _ConeGeometry(_ReducedForms):
                 & (defect <= _CONE_TOL * scale * (1.0 + self.mult_scale)))
 
 
-def critical_direction_sample(disc: Discretization, point: KktPoint,
-                              n: int, rng: np.random.Generator) -> list:
-    """Sample up to ``n`` unit directions from the critical cone.
-
-    Each direction pairs a boundary control with its linearized state;
-    normalization is ``||u||_L2bnd + ||y||_L2dom = 1``.  Directions that
-    fail the cone checks after projection (and after retrying the flipped
-    seed) are dropped, so fewer than ``n`` may return; an empty list means
-    the cone is numerically trivial.  The sampling draws from ``rng`` as
-    ``check_ssc`` does; states are formed for accepted controls only.
-    """
-    cone = _ConeGeometry(disc, point)
-    return [(FeFunction(disc.mesh, y), BoundaryFunction(disc.mesh, u))
-            for us in _critical_blocks(cone, n, rng)
-            for y, u in zip((cone.t_mat @ us).T.copy(), us.T.copy())]
-
-
 def _critical_blocks(cone: _ConeGeometry, n: int,
                      rng: np.random.Generator):
     """Yield the accepted unit controls as blocks (Nb, k), in sample order.
@@ -610,8 +589,7 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
 
 __all__ = [
     "KktPoint", "KktResiduals", "PartitionH5", "SscReport",
-    "constraint_values", "partition_at", "partition_of", "h5_margins",
+    "constraint_values", "partition_at", "partition_of",
     "recover_multipliers", "residuals", "check_beta_floor",
-    "projection_identity_gap", "quadratic_form",
-    "critical_direction_sample", "check_ssc",
+    "projection_identity_gap", "quadratic_form", "check_ssc",
 ]

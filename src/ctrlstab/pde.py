@@ -1,4 +1,4 @@
-"""State, adjoint, and linearized solves for the semilinear Neumann problem.
+"""State and adjoint solves for the semilinear Neumann problem.
 
 Weak state equation (P1, fixed quadrature)::
 
@@ -22,7 +22,8 @@ assembled again:
   Newton step up to rounding (inexact Newton; Dembo, Eisenstat & Steihaug,
   SIAM J. Numer. Anal. 19:400, 1982).
 * :func:`linearized_operator` returns an exact factorization at ``y``, for
-  linearized solves with many right-hand sides.
+  the many right-hand sides of the control-to-state map of
+  :mod:`ctrlstab.kkt`.
 * :func:`adjoint_system` returns the h_y weights at ``y`` and the adjoint
   right-hand side, so that a caller can solve the adjoint system and
   measure its residual ``||(K + M[h_y]) p - rhs||`` from one evaluation.
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import (Discretization, FeFunction, SpdFactorization, _as_values,
-                  nodal_values, norm, solve_spd)
+                  nodal_values)
 
 
 class StateSolveError(RuntimeError):
@@ -128,39 +129,23 @@ def state_residual_norm(disc: Discretization, y, u, lam) -> float:
     return float(np.linalg.norm(_state_residual(disc, y, b)))
 
 
-def a_priori_ratio(disc: Discretization, y, u, lam) -> float:
-    """The a-priori quotient ``||y||_W1r / (||u|| + ||lam||)`` of a state
-    and its boundary nodal data, both control norms in L2 of the boundary;
-    0 for zero data and inf if a nonzero state came from zero data."""
-    num = norm(FeFunction(disc.mesh, y), "w1r", disc.problem.r)
-    den = disc.l2_boundary(u) + disc.l2_boundary(lam)
-    if den > 0.0:
-        return num / den
-    return 0.0 if num <= 1e-10 else float("inf")
+def adjoint_system(disc: Discretization, y, lam, multipliers) -> tuple:
+    """The adjoint system at state ``y``: ``(w, rhs)`` with ``w`` the h_y
+    weights of ``K + M[w]`` and ``rhs`` the negative gradient loads.
 
-
-def adjoint_rhs(disc: Discretization, y: np.ndarray, lam: np.ndarray,
-                multipliers) -> np.ndarray:
-    """Right-hand side of the adjoint system (negative gradient loads)."""
+    ``disc.jacobian_solve(w, rhs)`` is the costate of :func:`solve_adjoint`,
+    and ``||disc.jacobian_matrix(w) @ p - rhs||`` is the adjoint residual.
+    """
     p = disc.problem
+    y = nodal_values(y, disc.mesh.n_vertices)
+    lam = nodal_values(lam, disc.mesh.n_boundary)
     ly = disc.eval_dom(p.obj_domain_y, y=y)
     bnd = disc.eval_bnd(p.obj_boundary_y, y=y, lam=lam)
     for gy, e in zip(p.constraints_y, multipliers):
         e_vals = nodal_values(e, disc.mesh.n_boundary)
         bnd = bnd + disc.eval_bnd(gy, y=y, lam=lam) * disc.edge_interp(e_vals)
-    return -disc.domain_load(ly) - disc.boundary_load(bnd)
-
-
-def adjoint_system(disc: Discretization, y, lam, multipliers) -> tuple:
-    """The adjoint system at state ``y``: ``(w, rhs)`` with ``w`` the h_y
-    weights of ``K + M[w]`` and ``rhs`` from :func:`adjoint_rhs`.
-
-    ``disc.jacobian_solve(w, rhs)`` is the costate of :func:`solve_adjoint`,
-    and ``||disc.jacobian_matrix(w) @ p - rhs||`` is the adjoint residual.
-    """
-    y = nodal_values(y, disc.mesh.n_vertices)
-    lam = nodal_values(lam, disc.mesh.n_boundary)
-    return _reaction_y(disc, y), adjoint_rhs(disc, y, lam, multipliers)
+    return (_reaction_y(disc, y),
+            -disc.domain_load(ly) - disc.boundary_load(bnd))
 
 
 def _reaction_y(disc: Discretization, y) -> np.ndarray:
@@ -170,7 +155,7 @@ def _reaction_y(disc: Discretization, y) -> np.ndarray:
 
 def linearized_operator(disc: Discretization, y) -> SpdFactorization:
     """Factorized ``K + M[h_y(., y)]``, shared by Newton, adjoint and
-    linearized state solves at the same state.
+    control-to-state solves at the same state.
 
     The factorization is the ``Discretization``'s cached one whenever the
     h_y weights at ``y`` are bit-identical to the cached weights, so the
@@ -190,18 +175,8 @@ def solve_adjoint(disc: Discretization, y, lam, multipliers) -> FeFunction:
     return FeFunction(disc.mesh, disc.jacobian_solve(w, rhs))
 
 
-def solve_linearized_state(disc: Discretization, operator: SpdFactorization,
-                           u) -> np.ndarray:
-    """Solve the linearized state equation ``(K + M[h_y]) y = M_bnd u``."""
-    u = nodal_values(u, disc.mesh.n_boundary)
-    rhs = disc.form.mass_boundary @ disc.embed(u)
-    return solve_spd(operator.matrix, rhs, factor=operator)
-
-
 __all__ = [
     "StateSolveError", "StateSolveReport",
-    "solve_state", "state_residual_norm", "a_priori_ratio",
-    "adjoint_rhs", "adjoint_system", "linearized_operator",
-    "solve_adjoint",
-    "solve_linearized_state",
+    "solve_state", "state_residual_norm", "adjoint_system",
+    "linearized_operator", "solve_adjoint",
 ]

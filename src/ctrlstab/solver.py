@@ -57,10 +57,6 @@ right-hand side serve the adjoint solve and its residual, and alpha, beta
 are evaluated once per solve.  The record is built by the builder that
 :func:`ctrlstab.kkt.residuals` (the ``ctrlstab verify`` rule) calls on the
 same pieces, so it is the verify rule's record at the iterate, bit for bit.
-
-The module also provides the objective value and the adjoint-based reduced
-gradient of the control-to-cost map (with inactive constraints), which the
-derivative integrity checks difference against.
 """
 
 from __future__ import annotations
@@ -76,7 +72,7 @@ from .fem import (BoundaryFunction, Discretization, FeFunction, FemError,
 from .kkt import (KktPoint, KktResiduals, _ReducedForms, _residual_record,
                   _separated_multipliers, check_beta_floor, constraint_values,
                   partition_of)
-from .pde import StateSolveError, adjoint_system, solve_adjoint, solve_state
+from .pde import StateSolveError, adjoint_system, solve_state
 
 #: number of differences in the Anderson history
 _ANDERSON_DEPTH = 10
@@ -223,7 +219,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     record is built from the solves of its own iteration and equals
     ``residuals(disc, point)`` at its point bit for bit; so
     ``report.residuals`` is the verify rule's record at ``report.point``,
-    and ``report.sigma1`` is ``h5_margins(disc, report.point).sigma1``.
+    and ``report.sigma1`` is ``partition_at(disc, y, lam).sigma1`` at its
+    state and parameter.
 
     Raises ``SolverError`` when ``max_outer`` iterations do not reach
     ``tol`` and ``PartitionError`` when the dominance margin sigma1 drops
@@ -439,45 +436,7 @@ def objective_value(disc: Discretization, y, u, lam) -> float:
     return float(val + disc.integrate_boundary(bnd))
 
 
-def reduced_cost(disc: Discretization, lam, u,
-                 newton_tol: float = 1e-12) -> float:
-    """Cost of the control ``u`` at parameter ``lam`` through the state map."""
-    lam = nodal_values(lam, disc.mesh.n_boundary)
-    u = nodal_values(u, disc.mesh.n_boundary)
-    state = solve_state(disc, u, lam, tol=newton_tol)
-    return objective_value(disc, state.state, u, lam)
-
-
-def reduced_gradient(disc: Discretization, lam, u,
-                     newton_tol: float = 1e-12):
-    """Value and adjoint-based gradient of the reduced cost.
-
-    The gradient is the boundary density ``alpha + beta u - adjoint`` (with
-    the constraint-free adjoint): the directional derivative along ``du`` is
-    its boundary L2 pairing with ``du``.  Returns ``(value, gradient)``.
-    """
-    lam = nodal_values(lam, disc.mesh.n_boundary)
-    u = nodal_values(u, disc.mesh.n_boundary)
-    state = solve_state(disc, u, lam, tol=newton_tol)
-    zero = tuple(BoundaryFunction(disc.mesh, np.zeros_like(lam))
-                 for _ in range(disc.problem.m))
-    adj = solve_adjoint(disc, state.state.values, lam, zero)
-    alpha = disc.eval_node(disc.problem.alpha, lam=lam)
-    beta = disc.eval_node(disc.problem.beta, lam=lam)
-    grad = alpha + beta * u - disc.trace(adj.values)
-    value = objective_value(disc, state.state, u, lam)
-    return value, BoundaryFunction(disc.mesh, grad)
-
-
-def pair_boundary(disc: Discretization, f, g) -> float:
-    """Boundary L2 pairing of two boundary nodal fields."""
-    f = nodal_values(f, disc.mesh.n_boundary)
-    g = nodal_values(g, disc.mesh.n_boundary)
-    return float(f @ (disc.form.mass_boundary_bb @ g))
-
-
 __all__ = [
     "SolverError", "PartitionError", "SolveOptions", "KktSolveReport",
-    "solve_kkt", "objective_value", "reduced_cost", "reduced_gradient",
-    "pair_boundary",
+    "solve_kkt", "objective_value",
 ]

@@ -1,6 +1,7 @@
 """Shared fixtures: meshes, a compact linear-quadratic instance, and the
 solved reference point reused across the first- and second-order tests."""
 
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -23,6 +24,16 @@ _DEFAULTS = dict(
     constraints=("y - 0.05", "y - 1.05"),
     param_ref="0", r=3.0,
 )
+
+
+def load_spans():
+    """``perfbench/spans.py`` loaded from its file, unchanged: its
+    ``TARGETS`` are the functions the benchmark's tracer rebinds."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", TESTS_DIR.parent / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_spec(**overrides) -> ProblemSpec:

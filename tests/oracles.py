@@ -9,6 +9,11 @@ direction-at-a-time critical cone sampler with a quadrature curvature form
 instead of the blocked sampler over the assembled curvature operator, the
 plain damped projection iteration instead of its Anderson-accelerated
 form, and a cell-by-cell table of partition margins instead of one sort.
+
+The reduced cost and its adjoint-based gradient, the boundary pairing and
+the a-priori quotient are test references of another kind: they compose the
+package's state and adjoint solves into the quantities that the derivative
+and stability checks difference and bound, and no library path needs them.
 """
 import math
 
@@ -17,8 +22,10 @@ import scipy.linalg
 import scipy.optimize
 
 # the reference loops share the library's constants, so they cannot drift
+from ctrlstab.fem import BoundaryFunction, FeFunction, nodal_values, norm
 from ctrlstab.kkt import _CONE_SWEEPS, _CONE_TOL
-from ctrlstab.solver import _NEWTON_TOL
+from ctrlstab.pde import solve_adjoint, solve_state
+from ctrlstab.solver import _NEWTON_TOL, objective_value
 
 
 def dense_solve(a, b):
@@ -60,6 +67,52 @@ def partition_margin(g):
             if k != i:
                 worst = max(worst, float(np.max(g[k, cell] - g[i, cell])))
     return labels, -worst
+
+
+def reduced_cost(disc, lam, u, newton_tol=1e-12):
+    """Cost of the control ``u`` at parameter ``lam`` through the state map."""
+    lam = nodal_values(lam, disc.mesh.n_boundary)
+    u = nodal_values(u, disc.mesh.n_boundary)
+    state = solve_state(disc, u, lam, tol=newton_tol)
+    return objective_value(disc, state.state, u, lam)
+
+
+def reduced_gradient(disc, lam, u, newton_tol=1e-12):
+    """Value and adjoint-based gradient of the reduced cost.
+
+    The gradient is the boundary density ``alpha + beta u - adjoint`` (with
+    the constraint-free adjoint): the directional derivative along ``du`` is
+    its boundary L2 pairing with ``du``.  Returns ``(value, gradient)``.
+    """
+    lam = nodal_values(lam, disc.mesh.n_boundary)
+    u = nodal_values(u, disc.mesh.n_boundary)
+    state = solve_state(disc, u, lam, tol=newton_tol)
+    zero = tuple(BoundaryFunction(disc.mesh, np.zeros_like(lam))
+                 for _ in range(disc.problem.m))
+    adj = solve_adjoint(disc, state.state.values, lam, zero)
+    alpha = disc.eval_node(disc.problem.alpha, lam=lam)
+    beta = disc.eval_node(disc.problem.beta, lam=lam)
+    grad = alpha + beta * u - disc.trace(adj.values)
+    value = objective_value(disc, state.state, u, lam)
+    return value, BoundaryFunction(disc.mesh, grad)
+
+
+def pair_boundary(disc, f, g):
+    """Boundary L2 pairing of two boundary nodal fields."""
+    f = nodal_values(f, disc.mesh.n_boundary)
+    g = nodal_values(g, disc.mesh.n_boundary)
+    return float(f @ (disc.form.mass_boundary_bb @ g))
+
+
+def a_priori_ratio(disc, y, u, lam):
+    """The a-priori quotient ``||y||_W1r / (||u|| + ||lam||)`` of a state
+    and its boundary nodal data, both control norms in L2 of the boundary;
+    0 for zero data and inf if a nonzero state came from zero data."""
+    num = norm(FeFunction(disc.mesh, y), "w1r", disc.problem.r)
+    den = disc.l2_boundary(u) + disc.l2_boundary(lam)
+    if den > 0.0:
+        return num / den
+    return 0.0 if num <= 1e-10 else float("inf")
 
 
 def bessel_i(nu, x, terms=60):

@@ -21,12 +21,12 @@ from ctrlstab.expr import differentiate, evaluate
 from ctrlstab.kkt import (KktPoint, constraint_values, partition_at,
                           projection_identity_gap, residuals)
 from ctrlstab.pde import solve_state
-from ctrlstab.solver import (objective_value, pair_boundary, reduced_cost,
-                             reduced_gradient)
+from ctrlstab.solver import objective_value
 from ctrlstab.stability import run_sweep
 
 from conftest import CONFIG_DIR, make_spec
-from oracles import penalty_minimize, radial_solve
+from oracles import (pair_boundary, penalty_minimize, radial_solve,
+                     reduced_cost, reduced_gradient)
 
 
 def _report(n, ok, detail):

@@ -1,4 +1,5 @@
-"""The package API the benchmark calls must exist and take its arguments.
+"""The package API the benchmark calls must exist and take its arguments,
+and the package exports no function that only the tests call.
 
 ``perfbench/bench.py`` reaches the package only as ``cs.<name>``, so a
 removed or renamed name, or a keyword a function no longer takes, would
@@ -14,7 +15,10 @@ import pytest
 
 import ctrlstab
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "bench.py"
+from conftest import load_spans
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_PATH = ROOT / "perfbench" / "bench.py"
 TREE = ast.parse(BENCH_PATH.read_text())
 
 
@@ -48,3 +52,29 @@ def test_bench_passes_the_solver_and_ssc_keywords():
                 for c in CALLS}
     assert ("solve_kkt", ("options", "u0")) in keywords
     assert ("check_ssc", ("n_samples", "rng")) in keywords
+
+
+def _referenced_names(path) -> set:
+    # names read as code: docstrings, ``__all__`` strings and import
+    # statements are not Name or Attribute nodes, so they do not count
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_exported_function_has_a_caller():
+    # a function that neither the package, its CLI nor the benchmark calls
+    # is a test reference, and belongs in tests/oracles.py; the benchmark
+    # tracer's targets stay until the library emits its own events
+    used = _referenced_names(BENCH_PATH) | {
+        attr.rpartition(".")[2] for _, _, attr in load_spans().TARGETS}
+    for path in sorted((ROOT / "src" / "ctrlstab").glob("*.py")):
+        used |= _referenced_names(path)
+    exported = [name for name in ctrlstab.__all__
+                if inspect.isfunction(getattr(ctrlstab, name))]
+    assert len(exported) > 20
+    assert [name for name in exported if name not in used] == []

@@ -393,9 +393,32 @@ def test_invalid_configs_exit_2(tmp_path, capsys):
     assert main(["solve", "--config", huge, "--quiet"]) == 2
     overflow = write_ini(tmp_path / "L.ini", cost={"L": "10^400*y"})
     assert main(["solve", "--config", overflow, "--quiet"]) == 2
+    # data that overflows to inf on part of the disk; numpy's overflow
+    # warnings on the way are not under test
+    with np.errstate(over="ignore", invalid="ignore"):
+        for section, key in (("parameter", "lambda_bar"), ("operator", "a0"),
+                             ("operator", "a11")):
+            path = write_ini(tmp_path / f"{key}.ini",
+                             **{section: {key: "exp(1000*x1)"}})
+            assert main(["solve", "--config", path, "--quiet"]) == 2
+        # finite, but eigenvalues 0 and 2e308: the eigenvalue formula
+        # overflows to NaN, which must not pass the (C0) gate
+        flat = write_ini(tmp_path / "flat.ini", operator={
+            **BASE["operator"], "a11": "1e308", "a12": "1e308",
+            "a22": "1e308"})
+        assert main(["solve", "--config", flat, "--quiet"]) == 2
+        delta = write_ini(tmp_path / "delta.ini",
+                          sweep={**SWEEP_SMALL, "delta": "exp(1000*x1)"})
+        assert main(["sweep", "--config", delta, "--out",
+                     str(tmp_path / "sweep"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
     assert "n_boundary * 2**refinement must be <= 4096" in err
+    assert "reference parameter is not finite" in err
+    assert "operator coefficient a0 is not finite" in err
+    assert "operator coefficient a11 is not finite" in err
+    assert "tensor eigenvalue nan below declared constant" in err
+    assert "[sweep] delta: direction is not finite" in err
 
 
 @pytest.mark.parametrize("key,value", [
@@ -560,6 +583,19 @@ def test_mesh_dump_stdout_and_file(tmp_path, capsys):
     capsys.readouterr()
     assert target.read_text() == text
     assert text.startswith(f"# disk mesh {mesh_hash(make_disk_mesh(16, 0))}")
+
+
+@pytest.mark.parametrize("command,out", [
+    ("solve", "taken"), ("mesh-dump", "missing/mesh.txt")])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, out):
+    # an existing file where solve wants its directory, and a file in a
+    # directory that does not exist
+    cfg = write_ini(tmp_path / "inst.ini")
+    (tmp_path / "taken").write_text("")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / out),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path / out) in err
 
 
 def test_tol_override_applies(tmp_path, capsys):

@@ -10,12 +10,12 @@ import pytest
 
 from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
                       FeFunction, KktPoint, build_discretization, check_ssc,
-                      critical_direction_sample, make_disk_mesh,
-                      parse_instance, partition_at, projection_identity_gap,
-                      quadratic_form, recover_multipliers, solve_kkt)
+                      make_disk_mesh, parse_instance, partition_at,
+                      projection_identity_gap, quadratic_form,
+                      recover_multipliers, solve_kkt)
 from ctrlstab import kkt
-from ctrlstab.kkt import (_BLOCK_FLOATS, _ConeGeometry, check_beta_floor,
-                          constraint_values, residuals)
+from ctrlstab.kkt import (_BLOCK_FLOATS, _ConeGeometry, _critical_blocks,
+                          check_beta_floor, constraint_values, residuals)
 from ctrlstab.pde import linearized_operator
 from ctrlstab.solver import SolveOptions, objective_value
 
@@ -35,6 +35,14 @@ def _zero_point(disc, m=None):
         multipliers=tuple(BoundaryFunction(mesh, np.zeros(nb))
                           for _ in range(m)),
         param=BoundaryFunction(mesh, np.zeros(nb)))
+
+
+def _critical_directions(disc, point, n, rng):
+    """The unit directions ``(T u, u)`` that the sampler of ``check_ssc``
+    accepts, in sample order."""
+    cone = _ConeGeometry(disc, point)
+    return [(y, u) for us in _critical_blocks(cone, n, rng)
+            for y, u in zip((cone.t_mat @ us).T, us.T)]
 
 
 def _random_point(disc, rng):
@@ -373,7 +381,7 @@ def test_critical_directions_satisfy_cone_conditions(mixed_active_solved):
     disc, rep = mixed_active_solved
     point = rep.point
     rng = np.random.default_rng(6)
-    dirs = critical_direction_sample(disc, point, 20, rng)
+    dirs = _critical_directions(disc, point, 20, rng)
     assert len(dirs) > 0
     from ctrlstab.pde import linearized_operator
     op = linearized_operator(disc, point.state.values)
@@ -387,15 +395,14 @@ def test_critical_directions_satisfy_cone_conditions(mixed_active_solved):
                    for gyc in disc.problem.constraints_y])
     for y_d, u_d in dirs:
         # (ii) normalization
-        size = disc.l2_boundary(u_d.values) + disc.l2_domain(y_d.values)
+        size = disc.l2_boundary(u_d) + disc.l2_domain(y_d)
         assert abs(size - 1.0) <= 1e-9
         # (i) linearized state equation
-        res = (op.matrix @ y_d.values
-               - disc.form.mass_boundary @ disc.embed(u_d.values))
+        res = op.matrix @ y_d - disc.form.mass_boundary @ disc.embed(u_d)
         assert float(np.linalg.norm(res)) <= 1e-8
         # (iii) cone inequalities on active nodes
-        yb = disc.trace(y_d.values)
-        lin = gy * yb + u_d.values
+        yb = disc.trace(y_d)
+        lin = gy * yb + u_d
         assert float(np.max(np.where(active, lin, -np.inf))) <= 1e-7
         if strong.any():
             assert float(np.max(np.abs(lin[strong]))) <= 1e-7
@@ -503,12 +510,11 @@ def test_block_sampler_matches_one_by_one_reference(case,
     ref_values = [quadrature_curvature(disc, point, y, u) for y, u in ref]
     assert len(ref) > 0
 
-    dirs = critical_direction_sample(disc, point, n,
-                                     np.random.default_rng(4))
+    dirs = _critical_directions(disc, point, n, np.random.default_rng(4))
     assert len(dirs) == len(ref)
     for (y, u), (y_ref, u_ref) in zip(dirs, ref):
-        assert np.allclose(y.values, y_ref, rtol=0.0, atol=1e-12)
-        assert np.allclose(u.values, u_ref, rtol=0.0, atol=1e-12)
+        assert np.allclose(y, y_ref, rtol=0.0, atol=1e-12)
+        assert np.allclose(u, u_ref, rtol=0.0, atol=1e-12)
 
     # the eigen-direction alone: what check_ssc adds to the samples
     eig = check_ssc(disc, point, n_samples=0)
@@ -628,8 +634,7 @@ def test_curvature_operator_assembled_only_when_needed(
 
     monkeypatch.setattr(kkt, "_curvature_operator", counting)
     disc, point = mixed_active_solved[0], mixed_active_solved[1].point
-    dirs = critical_direction_sample(disc, point, 50,
-                                     np.random.default_rng(2))
+    dirs = _critical_directions(disc, point, 50, np.random.default_rng(2))
     assert dirs and not calls
     check_ssc(disc, point, n_samples=50, rng=np.random.default_rng(2))
     assert len(calls) == 1
@@ -684,8 +689,7 @@ def test_point_needs_one_multiplier_per_constraint(keep):
     nb = disc.mesh.n_boundary
     for check in (lambda: residuals(disc, bad),
                   lambda: check_ssc(disc, bad, n_samples=2),
-                  lambda: critical_direction_sample(
-                      disc, bad, 2, np.random.default_rng(0)),
+                  lambda: _ConeGeometry(disc, bad),
                   lambda: quadratic_form(disc, bad,
                                          np.zeros(disc.mesh.n_vertices),
                                          np.zeros(nb))):

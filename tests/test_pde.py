@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 
 import ctrlstab.fem as fem_mod
-from ctrlstab import (BoundaryFunction, Discretization, StateSolveError,
-                      linearized_operator, make_disk_mesh, solve_adjoint,
-                      solve_linearized_state, solve_state)
+from ctrlstab import (BoundaryFunction, Discretization, FeFunction, KktPoint,
+                      StateSolveError, linearized_operator, make_disk_mesh,
+                      solve_adjoint, solve_state)
 from ctrlstab.fem import solve_spd
-from ctrlstab.pde import a_priori_ratio, adjoint_rhs, state_residual_norm
+from ctrlstab.kkt import _ReducedForms
+from ctrlstab.pde import adjoint_system, state_residual_norm
 
 from conftest import make_spec
-from oracles import radial_solve, radial_trace_linear
+from oracles import a_priori_ratio, radial_solve, radial_trace_linear
 
 
 @pytest.fixture(scope="module")
@@ -282,10 +283,21 @@ def test_adjoint_solve_uses_the_linearized_operator_factor(disc_cubic):
     mults = tuple(BoundaryFunction(disc_cubic.mesh, rng.random(nb))
                   for _ in range(2))
     op = linearized_operator(disc_cubic, y)
-    rhs = adjoint_rhs(disc_cubic, y, lam, mults)
+    _, rhs = adjoint_system(disc_cubic, y, lam, mults)
     expected = solve_spd(op.matrix, rhs, factor=op)
     adj = solve_adjoint(disc_cubic, y, lam, mults)
     assert np.array_equal(adj.values, expected)
+
+
+def _control_to_state(disc, y):
+    """The map ``T`` of the reduced forms at state ``y``: the one that the
+    Newton step and ``check_ssc`` read."""
+    mesh = disc.mesh
+    zero = BoundaryFunction(mesh, np.zeros(mesh.n_boundary))
+    point = KktPoint(state=FeFunction(mesh, y), control=zero,
+                     adjoint=FeFunction(mesh, np.zeros(mesh.n_vertices)),
+                     multipliers=(zero,) * disc.problem.m, param=zero)
+    return _ReducedForms(disc, point).t_mat
 
 
 def test_linearized_state_matches_difference_quotient(disc_cubic):
@@ -293,28 +305,36 @@ def test_linearized_state_matches_difference_quotient(disc_cubic):
     u = np.ones(nb)
     lam = np.zeros(nb)
     rep = solve_state(disc_cubic, u, lam)
-    op = linearized_operator(disc_cubic, rep.state.values)
+    t_mat = _control_to_state(disc_cubic, rep.state.values)
     rng = np.random.default_rng(4)
-    du = rng.standard_normal(nb)
-    dy = solve_linearized_state(disc_cubic, op, du)
-    eps = 1e-5
-    yp = solve_state(disc_cubic, u + eps * du, lam, tol=1e-13).state.values
-    ym = solve_state(disc_cubic, u - eps * du, lam, tol=1e-13).state.values
-    fd = (yp - ym) / (2.0 * eps)
-    scale = float(np.max(np.abs(dy)))
-    assert float(np.max(np.abs(fd - dy))) <= 1e-6 * (1.0 + scale)
+    # a random control and the unit control at one node (a column of T)
+    for du in (rng.standard_normal(nb), np.eye(nb)[nb // 3]):
+        dy = t_mat @ du
+        eps = 1e-5
+        yp = solve_state(disc_cubic, u + eps * du, lam,
+                         tol=1e-13).state.values
+        ym = solve_state(disc_cubic, u - eps * du, lam,
+                         tol=1e-13).state.values
+        fd = (yp - ym) / (2.0 * eps)
+        scale = float(np.max(np.abs(dy)))
+        assert float(np.max(np.abs(fd - dy))) <= 1e-6 * (1.0 + scale)
 
 
 def test_linearized_state_is_linear(disc_cubic):
+    # every column of T solves the linearized state equation with its unit
+    # boundary control, so T u does for every u
     nb = disc_cubic.mesh.n_boundary
     rep = solve_state(disc_cubic, np.ones(nb), np.zeros(nb))
     op = linearized_operator(disc_cubic, rep.state.values)
+    t_mat = _control_to_state(disc_cubic, rep.state.values)
+    rhs = disc_cubic.form.mass_boundary[:, disc_cubic.mesh.boundary_vertices]
+    assert np.allclose(op.matrix @ t_mat, rhs.toarray(), rtol=0.0, atol=1e-12)
     rng = np.random.default_rng(5)
     a = rng.standard_normal(nb)
     b = rng.standard_normal(nb)
-    ya = solve_linearized_state(disc_cubic, op, a)
-    yb = solve_linearized_state(disc_cubic, op, b)
-    yab = solve_linearized_state(disc_cubic, op, 2.0 * a - 3.0 * b)
+    ya = t_mat @ a
+    yb = t_mat @ b
+    yab = t_mat @ (2.0 * a - 3.0 * b)
     assert np.allclose(yab, 2.0 * ya - 3.0 * yb, atol=1e-9)
 
 

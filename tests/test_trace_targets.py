@@ -5,26 +5,15 @@ table at run time, so a renamed or deleted target would only fail a traced
 benchmark run.  The module is loaded from its file, unchanged."""
 
 import importlib
-import importlib.util
 import inspect
-from pathlib import Path
 
 import pytest
 
 from ctrlstab import check_ssc
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from conftest import load_spans
 
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-SPANS = _load_spans()
+SPANS = load_spans()
 
 
 @pytest.mark.parametrize("name,module_name,attr", SPANS.TARGETS,
