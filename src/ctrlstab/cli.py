@@ -147,18 +147,20 @@ def cmd_solve(args) -> int:
     cfg = _load_instance(args)
     disc = build_discretization(cfg)
     lam = disc.param_reference()
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
 
     report = solve_kkt(disc, lam, options=cfg.solve_options)
     gap = projection_identity_gap(disc, report.point)
     obj = objective_value(disc, report.point.state, report.point.control, lam)
     _say(args, f"converged in {report.iterations} iterations "
-               f"({report.newton} Newton, {report.extrapolated} extrapolated, "
+               f"({report.newton} Newton, {report.pinned} pinned, "
+               f"{report.extrapolated} extrapolated, "
                f"{report.restarts} restarts): "
                f"worst residual {report.residuals.worst:.3e}, "
                f"objective {obj:.9g}, sigma1 {report.sigma1:.6g}, "
                f"projection gap {gap:.3e}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         point_path = os.path.join(args.out, "point.txt")
         save_point(report.point, point_path)
         with open(os.path.join(args.out, "residuals.json"), "w") as fh:
@@ -192,13 +194,14 @@ def cmd_ssc(args) -> int:
     cfg = _load_instance(args)
     disc = build_discretization(cfg)
     lam = disc.param_reference()
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
 
     report = solve_kkt(disc, lam, options=cfg.solve_options)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     ssc = check_ssc(disc, report.point, n_samples=args.samples, rng=rng)
     _emit_json(ssc.to_dict())
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "ssc.json"), "w") as fh:
             json.dump(ssc.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -209,10 +212,10 @@ def cmd_sweep(args) -> int:
     cfg = _load_instance(args)
     disc = build_discretization(cfg)
     plan = sweep_plan(cfg, disc, seed=args.seed)
-
-    report = run_sweep(disc, plan, options=cfg.solve_options)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
+
+    report = run_sweep(disc, plan, options=cfg.solve_options)
     csv_path = os.path.join(out_dir, "sweep.csv")
     write_sweep_csv(report, csv_path)
     write_sweep_json(report, os.path.join(out_dir, "sweep.json"))

@@ -23,17 +23,21 @@ factorization, which may be one of another matrix; with the matrix's own
 factor it stops after the first step.
 
 ``Discretization`` caches everything tied to one (problem, mesh) pair,
-including one linearized operator ``K + M[h_y]``, formed by adding the
-values of ``K`` and ``M[h_y]`` on the shared triangle pattern.  The
-assembled matrix and its factorization are reused while the h_y quadrature
-weights asked for are bit-identical to the last ones (one entry per
-``Discretization``).  It also keeps the last factorization it took, the
-anchor, to precondition solves at weights that have no factorization of
-their own.
+including the linearized operators ``K + M[h_y] + c M_B``, formed by
+adding the values of ``K``, ``M[h_y]`` and ``c M_B`` on the shared triangle
+pattern.  ``c = 0`` is the state and adjoint operator; a nonzero ``c`` is
+the pinned operator, in which a constraint ``g + u <= 0`` that binds at
+every boundary node substitutes ``u = -g(y)`` with ``dg/dy = c``.  Each
+``c`` has one entry: the assembled matrix and its factorization are reused
+while the h_y quadrature weights asked for are bit-identical to the last
+ones of that ``c``.  Each ``c`` also keeps the last factorization taken for
+it, its anchor, to precondition solves at weights that have no
+factorization of their own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -155,6 +159,17 @@ class _MeshTables:
         self.tri_pattern = _Pattern(tris, mesh.n_vertices)
         self.bnd_pattern = _Pattern(mesh.boundary_edges, mesh.n_vertices)
         self.bb_pattern = _Pattern(self.edge_pos, nb)
+
+    @functools.cached_property
+    def bnd_in_tri(self) -> np.ndarray:
+        """Position in the triangle pattern of each boundary-edge pattern
+        entry: every boundary edge is a triangle edge, so the boundary mass
+        adds onto the triangle pattern's values."""
+        def keys(pat):
+            rows = np.repeat(np.arange(pat.shape[0], dtype=np.int64),
+                             np.diff(pat.indptr))
+            return rows * pat.shape[0] + pat.indices
+        return np.searchsorted(keys(self.tri_pattern), keys(self.bnd_pattern))
 
 
 def _tables(mesh: Mesh) -> _MeshTables:
@@ -419,18 +434,24 @@ class Discretization:
     expressions at interior quadrature points, boundary quadrature points,
     and boundary nodes.
 
-    It also keeps one linearized operator ``K + M[w]`` (see
-    :meth:`jacobian_matrix` and :meth:`jacobian_factor`), filled on first
-    use.  Its values are ``K.data + M[w].data`` on the triangle pattern,
-    the sums scipy's ``K + M[w]`` computes, with no COO-to-CSR conversion;
-    an entry that sums to exactly zero stays as an explicit zero, where
-    scipy's addition would drop it.  The entry is reused only when the
-    weights ``w`` equal the cached copy bit for bit (shape and values); any
-    other weights replace it.
-    Next to it sits the anchor, the last factorization built.
-    :meth:`jacobian_solve` uses it to precondition conjugate gradients on
-    an entry that has no factorization of its own, so a state that moves
-    a little costs an assembly and a few band solves, not a factorization.
+    It also keeps one linearized operator ``K + M[w] + c M_B`` per
+    boundary weight ``c`` (see :meth:`jacobian_matrix` and
+    :meth:`jacobian_factor`), each filled on first use.  ``c = 0`` is the
+    state and adjoint operator ``K + M[h_y]``; the pinned step of
+    :func:`ctrlstab.solver.solve_kkt` uses ``c = dg/dy``.  Its values are
+    ``K.data + M[w].data`` on the triangle pattern, the sums scipy's
+    ``K + M[w]`` computes, with no COO-to-CSR conversion, plus
+    ``c M_B.data`` on the boundary edges; an entry that sums to exactly
+    zero stays as an explicit zero, where scipy's addition would drop it.
+    An entry is reused only when its ``c`` and the weights ``w`` equal the
+    cached ones bit for bit (shape and values); other weights replace the
+    entry of that ``c`` and leave the others alone.
+    Next to each entry sits its anchor, the last factorization built for
+    that ``c``.  :meth:`jacobian_solve` uses it to precondition conjugate
+    gradients on an entry of the same ``c`` that has no factorization of
+    its own, so a state that moves a little costs an assembly and a few
+    band solves, not a factorization.  No anchor preconditions another
+    ``c``: ``M_B`` is not a small perturbation.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh):
@@ -449,9 +470,10 @@ class Discretization:
                           "s": mesh.boundary_s}
 
         self.form = self._assemble()
-        # [weights copy, K + M[weights], SpdFactorization or None]
-        self._jacobian: list | None = None
-        self._anchor: SpdFactorization | None = None
+        # c -> [weights copy, K + M[weights] + c M_B, SpdFactorization or
+        # None], and c -> the last factorization of that c
+        self._jacobian: dict = {}
+        self._anchor: dict = {}
 
     # -- expression environments --------------------------------------------
 
@@ -587,50 +609,59 @@ class Discretization:
         pat = t.bb_pattern if boundary_numbering else t.bnd_pattern
         return pat.assemble(elem)
 
-    def _jacobian_entry(self, w_qp: np.ndarray) -> list:
-        entry = self._jacobian
+    def _jacobian_entry(self, w_qp: np.ndarray, c: float) -> list:
+        entry = self._jacobian.get(c)
         if entry is None or not np.array_equal(entry[0], w_qp):
             w = np.array(w_qp, dtype=float)
             # both on the triangle pattern: adding the values adds as
-            # scipy's K + M[w] would
+            # scipy's K + M[w] would; c M_B adds onto the boundary edges
             mass = self.domain_mass_weighted(w)
-            jac = self.tables.tri_pattern.matrix(self.form.stiffness.data
-                                                 + mass.data)
-            entry = [w, jac, None]
-            self._jacobian = entry
+            data = self.form.stiffness.data + mass.data
+            if c:
+                data[self.tables.bnd_in_tri] += \
+                    c * self.form.mass_boundary.data
+            entry = [w, self.tables.tri_pattern.matrix(data), None]
+            self._jacobian[c] = entry
         return entry
 
-    def jacobian_matrix(self, w_qp: np.ndarray) -> sp.csr_matrix:
-        """Assembled ``K + M[w]`` for weights at interior quadrature points,
-        without factorizing it.  The matrix is shared: do not mutate it."""
-        return self._jacobian_entry(w_qp)[1]
+    def jacobian_matrix(self, w_qp: np.ndarray, c: float = 0.0
+                        ) -> sp.csr_matrix:
+        """Assembled ``K + M[w] + c M_B`` for weights at interior quadrature
+        points, without factorizing it.  The matrix is shared: do not
+        mutate it."""
+        return self._jacobian_entry(w_qp, c)[1]
 
-    def jacobian_factor(self, w_qp: np.ndarray) -> SpdFactorization:
-        """Factorized ``K + M[w]``, factorized at most once per cached
-        weights; a new factorization becomes the anchor.  The factorization
-        is shared: do not mutate it."""
-        return self._factor(self._jacobian_entry(w_qp))
+    def jacobian_factor(self, w_qp: np.ndarray, c: float = 0.0
+                        ) -> SpdFactorization:
+        """Factorized ``K + M[w] + c M_B``, factorized at most once per
+        cached weights; a new factorization becomes the anchor of ``c``.
+        The factorization is shared: do not mutate it."""
+        return self._factor(self._jacobian_entry(w_qp, c), c)
 
-    def _factor(self, entry: list) -> SpdFactorization:
+    def _factor(self, entry: list, c: float) -> SpdFactorization:
         if entry[2] is None:
-            entry[2] = self._anchor = SpdFactorization(entry[1])
+            entry[2] = self._anchor[c] = SpdFactorization(entry[1])
         return entry[2]
 
-    def jacobian_solve(self, w_qp: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Solve ``(K + M[w]) x = b`` to the :func:`solve_spd` bounds.
+    def jacobian_solve(self, w_qp: np.ndarray, b: np.ndarray,
+                       c: float = 0.0) -> np.ndarray:
+        """Solve ``(K + M[w] + c M_B) x = b`` to the :func:`solve_spd`
+        bounds.
 
-        Uses the factorization at ``w`` when the entry holds one.  Otherwise
-        runs conjugate gradients on the assembled matrix, preconditioned by
-        the anchor; only when that fails, or no anchor exists yet, is
-        ``K + M[w]`` factorized (and becomes the anchor).
+        Uses the factorization at ``(w, c)`` when the entry holds one.
+        Otherwise runs conjugate gradients on the assembled matrix,
+        preconditioned by the anchor of ``c``; only when that fails, or
+        ``c`` has no anchor yet, is the matrix factorized (and becomes the
+        anchor of ``c``).
         """
-        entry = self._jacobian_entry(w_qp)
-        if entry[2] is None and self._anchor is not None:
+        entry = self._jacobian_entry(w_qp, c)
+        anchor = self._anchor.get(c)
+        if entry[2] is None and anchor is not None:
             try:
-                return solve_spd(entry[1], b, factor=self._anchor)
+                return solve_spd(entry[1], b, factor=anchor)
             except FemError:
                 pass
-        factor = self._factor(entry)
+        factor = self._factor(entry, c)
         return solve_spd(factor.matrix, b, factor=factor)
 
     def domain_load(self, f_qp: np.ndarray) -> np.ndarray:

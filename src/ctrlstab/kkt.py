@@ -201,7 +201,7 @@ def check_beta_floor(disc: Discretization, lam) -> np.ndarray:
     lam = nodal_values(lam, disc.mesh.n_boundary)
     beta = disc.eval_node(disc.problem.beta, lam=lam)
     floor = 0.5 * disc.problem.gamma
-    if float(np.min(beta)) <= floor:
+    if not float(np.min(beta)) > floor:
         raise AdmissionError(
             "(H3)", f"beta(lambda) reaches {float(np.min(beta)):.6g} "
                     f"<= gamma/2 = {floor:.6g} at a boundary node")

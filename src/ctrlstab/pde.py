@@ -8,9 +8,12 @@ with ``a`` the diffusion + a0 reaction form.  Newton's method uses the exact
 consistent Jacobian ``K + M[h_y(., y)]`` (the h_y-weighted mass), which keeps
 the iteration quadratically convergent; steps are damped by halving on the
 residual norm.  Monotonicity of h (dh/dy >= 0) makes every Jacobian SPD.
-Every solve with this operator reads the one cached entry of the
-``Discretization``, so a state whose h_y weights did not change is not
-assembled again:
+Every solve with this operator reads its cached entry of the
+``Discretization`` (the ``c = 0`` one), so a state whose h_y weights did
+not change is not assembled again.  The pinned step of
+:func:`ctrlstab.solver.solve_kkt` runs the same Newton iteration on a load
+that moves with the state, ``M_B (lam - g(y))``, with the Jacobian
+``K + M[h_y] + c M_B`` of its own entry, ``c = dg/dy``:
 
 * Newton steps and :func:`solve_adjoint` call
   ``Discretization.jacobian_solve``.  At a state without its own
@@ -93,20 +96,32 @@ def solve_state(disc: Discretization, u, lam, y0=None,
 
     y = np.zeros(mesh.n_vertices) if y0 is None \
         else _as_values(y0, mesh.n_vertices, "initial state").copy()
+    return _newton(disc, y, lambda _: b, tol_abs, max_iter)
 
-    f_vec = _state_residual(disc, y, b)
+
+def _newton(disc: Discretization, y: np.ndarray, load, tol_abs: float,
+            max_iter: int = 50, c: float = 0.0) -> StateSolveReport:
+    """Newton's method from ``y`` on the state equation with the boundary
+    load ``load(y)``, to the absolute residual bound ``tol_abs``.
+
+    ``K + M[h_y] + c M_B`` is its Jacobian: ``c = 0`` for a fixed load, and
+    ``c = dg/dy`` for the pinned load ``M_B (lam - g(y))`` of
+    :func:`ctrlstab.solver.solve_kkt`.  Steps halve until the residual
+    norm decreases; errors as in :func:`solve_state`.
+    """
+    f_vec = _state_residual(disc, y, load(y))
     res = float(np.linalg.norm(f_vec))
     iterations = 0
     while res > tol_abs:
         if iterations >= max_iter:
             raise StateSolveError("Newton iteration limit reached",
                                   iterations, res)
-        delta = disc.jacobian_solve(_reaction_y(disc, y), -f_vec)
+        delta = disc.jacobian_solve(_reaction_y(disc, y), -f_vec, c)
 
         sigma = 1.0
         for _ in range(30):
             y_try = y + sigma * delta
-            f_try = _state_residual(disc, y_try, b)
+            f_try = _state_residual(disc, y_try, load(y_try))
             res_try = float(np.linalg.norm(f_try))
             if res_try <= (1.0 - 1e-4 * sigma) * res:
                 break
@@ -116,8 +131,9 @@ def solve_state(disc: Discretization, u, lam, y0=None,
         y, f_vec, res = y_try, f_try, res_try
         iterations += 1
 
-    return StateSolveReport(state=FeFunction(mesh, y), iterations=iterations,
-                            residual=res, tolerance=tol_abs)
+    return StateSolveReport(state=FeFunction(disc.mesh, y),
+                            iterations=iterations, residual=res,
+                            tolerance=tol_abs)
 
 
 def state_residual_norm(disc: Discretization, y, u, lam) -> float:
@@ -136,16 +152,31 @@ def adjoint_system(disc: Discretization, y, lam, multipliers) -> tuple:
     ``disc.jacobian_solve(w, rhs)`` is the costate of :func:`solve_adjoint`,
     and ``||disc.jacobian_matrix(w) @ p - rhs||`` is the adjoint residual.
     """
+    pieces = _adjoint_pieces(disc, y, lam)
+    return pieces[0], _adjoint_rhs(disc, pieces, multipliers)
+
+
+def _adjoint_pieces(disc: Discretization, y, lam) -> tuple:
+    """What the adjoint system reads of the state ``y``: the h_y weights,
+    ``dL/dy`` at interior quadrature points, ``dl/dy`` and each ``dg_i/dy``
+    at boundary quadrature points."""
     p = disc.problem
     y = nodal_values(y, disc.mesh.n_vertices)
     lam = nodal_values(lam, disc.mesh.n_boundary)
-    ly = disc.eval_dom(p.obj_domain_y, y=y)
-    bnd = disc.eval_bnd(p.obj_boundary_y, y=y, lam=lam)
-    for gy, e in zip(p.constraints_y, multipliers):
+    return (_reaction_y(disc, y), disc.eval_dom(p.obj_domain_y, y=y),
+            disc.eval_bnd(p.obj_boundary_y, y=y, lam=lam),
+            [disc.eval_bnd(gy, y=y, lam=lam) for gy in p.constraints_y])
+
+
+def _adjoint_rhs(disc: Discretization, pieces: tuple,
+                 multipliers) -> np.ndarray:
+    """The adjoint right-hand side from :func:`_adjoint_pieces`; a
+    constraint without a multiplier in ``multipliers`` adds nothing."""
+    _, ly, bnd, gys = pieces
+    for gq, e in zip(gys, multipliers):
         e_vals = nodal_values(e, disc.mesh.n_boundary)
-        bnd = bnd + disc.eval_bnd(gy, y=y, lam=lam) * disc.edge_interp(e_vals)
-    return (_reaction_y(disc, y),
-            -disc.domain_load(ly) - disc.boundary_load(bnd))
+        bnd = bnd + gq * disc.edge_interp(e_vals)
+    return -disc.domain_load(ly) - disc.boundary_load(bnd)
 
 
 def _reaction_y(disc: Discretization, y) -> np.ndarray:

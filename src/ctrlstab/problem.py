@@ -160,6 +160,8 @@ class ProblemSpec:
         _check_vars(self.param_ref, xx | {"s"}, "parameter",
                     "reference parameter")
 
+        # every sampled gate is a negated comparison, so that a NaN sample
+        # (say, inf - inf from an overflow) fails it instead of passing
         rng = np.random.default_rng(_GATE_SEED)
         # random interior points (uniform on the disk) and boundary points
         t = 2.0 * math.pi * rng.random(GATE_SAMPLES)
@@ -181,39 +183,39 @@ class ProblemSpec:
         eig_min = 0.5 * (a11 + a22) - np.sqrt(
             (0.5 * (a11 - a22)) ** 2 + a12 ** 2)
         worst = float(np.min(eig_min))
-        if worst < self.c0 - 1e-12:
+        if not worst >= self.c0 - 1e-12:
             raise AdmissionError(
                 "(C0)", f"sampled ellipticity {worst:.6g} below "
                         f"declared constant {self.c0}")
 
         a0 = sampled(self.a0, xd)
-        if np.min(a0) < -1e-12:
+        if not np.min(a0) >= -1e-12:
             raise AdmissionError("a_0 >= 0",
                                  f"a_0 reaches {float(np.min(a0)):.6g}")
-        if np.max(a0) <= 0.0:
+        if not np.max(a0) > 0.0:
             raise AdmissionError("a_0 != 0",
                                  "a_0 vanishes at all sample points")
 
         # (H3): beta along the reference parameter stays above gamma
         lam_ref = sampled(self.param_ref, xb)
         beta_ref = sampled(self.beta, {"lam": lam_ref})
-        if np.min(beta_ref) < self.gamma - 1e-12:
+        if not np.min(beta_ref) >= self.gamma - 1e-12:
             raise AdmissionError(
                 "(H3)", f"beta(lambda_ref) reaches "
                         f"{float(np.min(beta_ref)):.6g} < gamma = {self.gamma}")
 
         # (H4): h(x, 0) = 0, dh/dy >= 0, dg_i/dy >= 0
         h0 = sampled(self.reaction, {**xd, "y": np.zeros(GATE_SAMPLES)})
-        if np.max(np.abs(h0)) > 1e-12:
+        if not np.max(np.abs(h0)) <= 1e-12:
             raise AdmissionError(
                 "(H4)", f"h(x, 0) reaches {float(np.max(np.abs(h0))):.6g}")
         hy = sampled(self.reaction_y, {**xd, "y": yv})
-        if np.min(hy) < -1e-12:
+        if not np.min(hy) >= -1e-12:
             raise AdmissionError(
                 "(H4)", f"dh/dy reaches {float(np.min(hy)):.6g}")
         for i, gy in enumerate(self.constraints_y, start=1):
             gyv = sampled(gy, {**xb, "y": yv, "lam": lv})
-            if np.min(gyv) < -1e-12:
+            if not np.min(gyv) >= -1e-12:
                 raise AdmissionError(
                     "(H4)", f"dg_{i}/dy reaches {float(np.min(gyv)):.6g}")
 

@@ -1,5 +1,6 @@
 """Damped projection fixed-point solver for the optimality system, with
-reduced Newton steps where no constraint binds.
+reduced Newton steps where no constraint binds and a pinned step where one
+binds at every node.
 
 Each outer iteration solves the state equation at the current control,
 recovers multipliers from the previous costate through the cell-wise
@@ -43,8 +44,30 @@ residual drops; the second test accepts a step whose cost decrease falls
 below the rounding of ``J``.  Each trial is a full evaluation and counts
 as an iteration.  A Newton iterate at which the projection binds, or
 whose line search fails, goes on with the damped step from itself.
-Where the projection binds somewhere at every iterate, the iteration is
-the damped/Anderson one, step for step.
+
+Where the projection target binds at every boundary node,
+``(adjoint - alpha) / beta >= -g_max``, the control of a KKT point whose
+constraints all bind strongly is ``u = -g_l(y)``, ``l`` the label of each
+node in the dominance partition; this is the primal-dual active-set step
+(Hintermueller, Ito & Kunisch, SIAM J. Optim. 13:865, 2002) with every
+node active.  When ``dg_l/dy`` takes one value ``c`` at every boundary
+node and quadrature point, :func:`solve_kkt` takes it once per solve, at
+the first such iterate: Newton on the state equation with ``u = -g_l(y)``
+substituted, from the iterate's state, whose Jacobian is
+``K + M[h_y] + c M_B``, then the adjoint with the multiplier
+``e = trace(p) - alpha - beta u`` eliminated, which has the same symmetric
+operator::
+
+    (K + M[h_y] + c M_B) p = rhs(e = 0) + c M_B (alpha + beta u).
+
+Its record is built from these solves and the adjoint system at ``e``,
+like any iterate's.  The step is accepted only when that record meets the
+stopping rule; a negative multiplier (a node that should be free), an
+infeasible node or a failed solve rejects it.  A rejected step is not an
+iterate: the iteration goes on from the iterate it was tried at, with its
+Anderson history, as if it had not been tried.  Where the projection binds
+somewhere at every iterate and no pinned step is accepted, the iteration
+is the damped/Anderson one, step for step.
 
 The stopping rule and the residuals are those of the damped iteration;
 each state solve is held to a tenth of ``tol`` in absolute terms, so that
@@ -72,7 +95,8 @@ from .fem import (BoundaryFunction, Discretization, FeFunction, FemError,
 from .kkt import (KktPoint, KktResiduals, _ReducedForms, _residual_record,
                   _separated_multipliers, check_beta_floor, constraint_values,
                   partition_of)
-from .pde import StateSolveError, adjoint_system, solve_state
+from .pde import (StateSolveError, _adjoint_pieces, _adjoint_rhs, _newton,
+                  adjoint_system, solve_state)
 
 #: number of differences in the Anderson history
 _ANDERSON_DEPTH = 10
@@ -113,7 +137,8 @@ class SolveOptions:
     line search included.  Anderson extrapolation has no knob and runs
     once its history holds two damped steps; a reduced Newton step has none
     either and is taken at every iterate where the projection binds at no
-    node.  Each state solve stops at a residual of
+    node, nor has the pinned step, tried once at the first iterate where it
+    binds at every node.  Each state solve stops at a residual of
     ``min(_NEWTON_TOL (1 + ||b||), 0.1 tol)``, ``b`` the boundary load.  A
     violated bound raises ``ValueError`` naming the field first.
     """
@@ -142,7 +167,10 @@ class KktSolveReport:
     the previous iterate's, not finite, or a failed state solve or
     partition), each of which cleared the history.  ``newton`` counts the
     reduced Newton steps, one per direction computed, whatever the number
-    of its line-search trials.
+    of its line-search trials.  ``pinned`` counts the pinned steps taken,
+    at most one per solve: accepted, it is the last iterate; rejected or
+    failed, it is not an iterate and adds nothing to ``iterations`` or
+    ``history``.
     """
 
     point: KktPoint
@@ -153,6 +181,7 @@ class KktSolveReport:
     extrapolated: int = 0
     restarts: int = 0
     newton: int = 0
+    pinned: int = 0
 
 
 def _extrapolate(pairs: list) -> np.ndarray:
@@ -184,11 +213,26 @@ def _newton_direction(forms: _ReducedForms, grad: np.ndarray) -> np.ndarray:
         return -vec @ ((vec.T @ grad) / np.abs(eig))
 
 
+def _pinned_slope(disc: Discretization, y: np.ndarray, lam: np.ndarray,
+                  labels: np.ndarray) -> float | None:
+    """The one value ``c`` that ``dg_i/dy`` takes, for every constraint
+    ``i`` among ``labels``, at every boundary node and boundary quadrature
+    point at the state ``y``; None when there is no such finite value."""
+    gys = disc.problem.constraints_y
+    vals = np.concatenate([
+        np.ravel(f(gys[i], y=y, lam=lam))
+        for i in np.unique(labels) for f in (disc.eval_node, disc.eval_bnd)])
+    c = vals[0]
+    if not (math.isfinite(c) and np.all(vals == c)):
+        return None
+    return float(c)
+
+
 def solve_kkt(disc: Discretization, lam, u0=None,
               options: SolveOptions | None = None) -> KktSolveReport:
     """Drive the Anderson-accelerated damped projection iteration, with
-    reduced Newton steps where no constraint binds, to a KKT point at
-    ``lam``.
+    reduced Newton steps where no constraint binds and a pinned step where
+    one binds at every node, to a KKT point at ``lam``.
 
     The iterate is ``x = (u, e, p)``: the control, the damped multipliers
     and the previous costate.  One damped outer iteration maps it to
@@ -214,8 +258,20 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     search fails ``_NEWTON_HALVINGS`` times, goes on with the damped step
     from itself, with a new Anderson history.
 
+    At the first iterate whose projection target binds at every node,
+    ``(trace(p) - alpha) / beta >= -max_i g_i`` everywhere, the pinned step
+    is tried when the label constraints' ``dg/dy`` is one value ``c`` (see
+    the module docstring): ``u = -g_label(y)`` with ``y`` solved by Newton
+    on ``K + M[h_y] + c M_B`` from the iterate's state, the costate from
+    the same operator with the multiplier eliminated, and
+    ``e = trace(p) - alpha - beta u`` on each node's label.  It is returned
+    when its record meets ``tol``; otherwise it is dropped, and the
+    iteration goes on from the iterate, history and warm start unchanged.
+    ``report.pinned`` counts it either way.
+
     ``iterations`` counts the iterates whose residuals were evaluated,
-    Newton trials included, and ``max_outer`` bounds it.  Each iterate's
+    Newton trials and an accepted pinned step included, and ``max_outer``
+    bounds it.  Each iterate's
     record is built from the solves of its own iteration and equals
     ``residuals(disc, point)`` at its point bit for bit; so
     ``report.residuals`` is the verify rule's record at ``report.point``,
@@ -245,7 +301,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     lam_fn = BoundaryFunction(disc.mesh, lam)
     pairs: list = []
     damped = None  # the damped step an extrapolated x replaced
-    extrapolated = restarts = newton = 0
+    extrapolated = restarts = newton = pinned = 0
+    pinned_gate = False  # the pinned gate has fired
     prev_worst = math.inf  # worst residual of the previous iterate
     m_bb = disc.form.mass_boundary_bb
     no_mults = tuple(BoundaryFunction(disc.mesh, np.zeros(nb))
@@ -346,12 +403,66 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             s *= 0.5
         return None
 
+    def pinned_step(step):
+        # the pinned step from the iterate of ``step``, as a step; None when
+        # dg/dy is not one value c or a solve fails
+        nonlocal pinned
+        y0 = step[0].state.values
+        labels = step[2].labels
+        c = _pinned_slope(disc, y0, lam, labels)
+        if c is None:
+            return None
+        pinned += 1
+        nodes = np.arange(nb)
+        # the constraint values at the state the load was last formed at,
+        # matched by identity: Newton forms it once at each trial state,
+        # and the iterate's own values serve its state
+        seen = [y0, step[4]]
+
+        def load(y):
+            if y is not seen[0]:
+                seen[:] = y, constraint_values(disc, y, lam)
+            return disc.form.mass_boundary @ disc.embed(
+                -seen[1][labels, nodes] + lam)
+
+        tol_abs = min(_NEWTON_TOL * (1.0 + float(np.linalg.norm(load(y0)))),
+                      0.1 * opts.tol)
+        try:
+            state = _newton(disc, y0, load, tol_abs, c=c)
+            y = state.state.values
+            g = seen[1]
+            part = partition_of(g)
+            if not part.sigma1 > 0.0:
+                return None
+            u = -g[labels, nodes]
+            # the adjoint with e = trace(p) - alpha - beta u eliminated:
+            # (K + M[h_y] + c M_B) p = rhs(e = 0) + c M_B (alpha + beta u)
+            pieces = _adjoint_pieces(disc, y, lam)
+            w_adj = pieces[0]
+            rhs = _adjoint_rhs(disc, pieces, ()) + c * (
+                disc.form.mass_boundary @ disc.embed(alpha + beta * u))
+            adjoint = disc.jacobian_solve(w_adj, rhs, c)
+            e = disc.trace(adjoint) - alpha - beta * u
+            mults = tuple(BoundaryFunction(disc.mesh,
+                                           np.where(labels == i, e, 0.0))
+                          for i in range(m))
+            point = KktPoint(state=state.state,
+                             control=BoundaryFunction(disc.mesh, u),
+                             adjoint=FeFunction(disc.mesh, adjoint),
+                             multipliers=mults, param=lam_fn)
+        except (StateSolveError, FemError, ValueError):
+            return None
+        res = _residual_record(disc, point, state.residual, w_adj,
+                               _adjoint_rhs(disc, pieces, mults), g, alpha,
+                               beta)
+        return point, res, part, None, g
+
     def report(step) -> KktSolveReport:
         return KktSolveReport(point=step[0], residuals=step[1],
                               iterations=len(history),
                               sigma1=step[2].sigma1, history=history,
                               extrapolated=extrapolated, restarts=restarts,
-                              newton=newton)
+                              newton=newton, pinned=pinned)
 
     while len(history) < opts.max_outer:
         step = None
@@ -393,6 +504,17 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             (x, step), free = found, True
             if step[1].worst <= opts.tol:
                 return report(step)
+
+        # the pinned gate, at the first iterate where the projection binds
+        # at every node; a rejected step is not an iterate, and the
+        # iteration goes on from this one as if it had not been tried
+        if not pinned_gate and np.all(proj >= cap) \
+                and len(history) < opts.max_outer:
+            pinned_gate = True
+            trial = pinned_step(step)
+            if trial is not None and trial[1].worst <= opts.tol:
+                record(trial)
+                return report(trial)
 
         prev_worst = res.worst
 

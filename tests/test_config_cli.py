@@ -10,6 +10,7 @@ import pytest
 from ctrlstab import (AdmissionError, ConfigError, build_discretization,
                       build_mesh, make_disk_mesh, parse_instance, solve_kkt,
                       sweep_plan)
+from ctrlstab import cli, stability
 from ctrlstab.cli import PointFileError, load_point, main, save_point
 from ctrlstab.geometry import mesh_hash, mesh_text
 from ctrlstab.kkt import KktPoint
@@ -50,6 +51,9 @@ def write_ini(path, drop=(), **section_overrides):
     path.write_text("\n".join(lines))
     return str(path)
 
+
+#: constraints whose first binds on part of the boundary at the solution
+MIXED = {"g_1": "y - 0.55 + 0.5*sin(s)", "g_2": "y - 3"}
 
 SWEEP_SMALL = {"delta": "1", "t": "0.01 0.02 0.04 0.08", "seed": "0",
                "ssc_samples": "100"}
@@ -311,10 +315,11 @@ def test_point_from_other_mesh_rejected(small_disc, tmp_path, rng):
 
 
 def _printed_counts(out: str) -> tuple:
-    """Iterations, Newton steps, extrapolations and restarts from the
-    "converged in" line of ``ctrlstab solve``."""
+    """Iterations, Newton steps, pinned steps, extrapolations and restarts
+    from the "converged in" line of ``ctrlstab solve``."""
     counts = re.search(r"converged in (\d+) iterations \((\d+) Newton, "
-                       r"(\d+) extrapolated, (\d+) restarts\)", out)
+                       r"(\d+) pinned, (\d+) extrapolated, "
+                       r"(\d+) restarts\)", out)
     assert counts is not None, out
     return tuple(map(int, counts.groups()))
 
@@ -323,7 +328,8 @@ def _library_counts(path) -> tuple:
     cfg = parse_instance(path)
     disc = build_discretization(cfg)
     rep = solve_kkt(disc, disc.param_reference(), options=cfg.solve_options)
-    return rep.iterations, rep.newton, rep.extrapolated, rep.restarts
+    return (rep.iterations, rep.newton, rep.pinned, rep.extrapolated,
+            rep.restarts)
 
 
 def test_solve_prints_newton_steps(tmp_path, capsys):
@@ -341,6 +347,8 @@ def test_solve_then_verify_round_trip(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     seen = capsys.readouterr().out
+    # the lower constraint binds at every node: the pinned step
+    assert _printed_counts(seen)[2] == 1
     assert _printed_counts(seen) == _library_counts(cfg)
     assert (out / "point.txt").exists()
     payload = json.loads((out / "residuals.json").read_text())
@@ -402,7 +410,9 @@ def test_invalid_configs_exit_2(tmp_path, capsys):
                              **{section: {key: "exp(1000*x1)"}})
             assert main(["solve", "--config", path, "--quiet"]) == 2
         # finite, but eigenvalues 0 and 2e308: the eigenvalue formula
-        # overflows to NaN, which must not pass the (C0) gate
+        # overflows to NaN, which must not pass the (C0) gate; the sampled
+        # gate of ProblemSpec.validate catches it, as it catches the NaN
+        # eigenvalue of a11 = exp(1000 x1), before any assembly
         flat = write_ini(tmp_path / "flat.ini", operator={
             **BASE["operator"], "a11": "1e308", "a12": "1e308",
             "a22": "1e308"})
@@ -416,8 +426,8 @@ def test_invalid_configs_exit_2(tmp_path, capsys):
     assert "n_boundary * 2**refinement must be <= 4096" in err
     assert "reference parameter is not finite" in err
     assert "operator coefficient a0 is not finite" in err
-    assert "operator coefficient a11 is not finite" in err
-    assert "tensor eigenvalue nan below declared constant" in err
+    assert err.count("(C0) violated: sampled ellipticity nan below "
+                     "declared constant") == 2
     assert "[sweep] delta: direction is not finite" in err
 
 
@@ -502,7 +512,8 @@ def test_flags_only_on_subcommands_that_read_them(tmp_path, capsys, argv):
 
 
 def test_nonconvergence_exits_3(tmp_path, capsys):
-    cfg = write_ini(tmp_path / "inst.ini",
+    # the constraint binds on part of the boundary: no pinned step
+    cfg = write_ini(tmp_path / "inst.ini", constraints=MIXED,
                     solver={"max_outer": "2", "tol": "1e-13"})
     assert main(["solve", "--config", cfg, "--quiet"]) == 3
     assert "error:" in capsys.readouterr().err
@@ -598,8 +609,31 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, out):
     assert err.startswith("error:") and str(tmp_path / out) in err
 
 
+@pytest.mark.parametrize("command", ["solve", "ssc", "sweep"])
+def test_out_is_made_before_the_solve(tmp_path, capsys, monkeypatch,
+                                      command):
+    # an existing file where the command wants its directory: exit 2
+    # before any solve runs
+    cfg = write_ini(tmp_path / "inst.ini", sweep=SWEEP_SMALL)
+    (tmp_path / "taken").write_text("")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve_kkt(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_kkt", counted)
+    monkeypatch.setattr(stability, "solve_kkt", counted)
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "taken")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert calls == []
+
+
 def test_tol_override_applies(tmp_path, capsys):
-    cfg = write_ini(tmp_path / "inst.ini")
+    # on the mixed boundary the damped/Anderson iteration runs, and a
+    # looser tol stops it sooner
+    cfg = write_ini(tmp_path / "inst.ini", constraints=MIXED)
     assert main(["solve", "--config", cfg, "--tol", "1e-4"]) == 0
     loose = capsys.readouterr().out
     assert "converged in" in loose

@@ -129,7 +129,9 @@ def test_residuals_never_factorize(factorizations):
 
 def test_linear_reaction_factorizes_once_per_discretization(factorizations):
     # h = y: h_y is the same at every state, so the Newton steps, adjoint
-    # solves, residuals and the SSC check all share one factorization
+    # solves, residuals and the SSC check all share one factorization of
+    # K + M[h_y], and the pinned step's Newton steps and adjoint solve
+    # share one of K + M[h_y] + M_B: one per operator
     disc = Discretization(make_spec(), make_disk_mesh(16, 0))
     rep = solve_kkt(disc, disc.param_reference(),
                     options=SolveOptions(tol=1e-10))
@@ -137,7 +139,11 @@ def test_linear_reaction_factorizes_once_per_discretization(factorizations):
     check_ssc(disc, rep.point, n_samples=20,
               rng=np.random.default_rng(2))
     assert rep.iterations > 1
-    assert len(factorizations) == 1
+    assert rep.pinned == 1
+    w = np.ones_like(disc.tables.qw_dom)
+    assert len(factorizations) == 2
+    for f, c in zip(factorizations, (0.0, 1.0)):
+        assert (f.matrix != disc.jacobian_matrix(w, c)).nnz == 0
 
 
 def test_cubic_reaction_solve_factorizes_at_most_twice(factorizations):
@@ -298,6 +304,18 @@ def test_projection_gap_detects_off_solution(lq_solved32, lq_disc32):
         lq_disc32.mesh, u), adjoint=base.adjoint,
         multipliers=base.multipliers, param=base.param)
     assert projection_identity_gap(lq_disc32, moved) >= 0.005
+
+
+def test_beta_floor_guard_rejects_nan():
+    # beta is 1 at the reference and NaN (inf - inf) at lambda = 2
+    spec = make_spec(beta="1 + exp(1000*(lam - 1)) - exp(1000*(lam - 1))")
+    disc = Discretization(spec, make_disk_mesh(16, 0))
+    nb = disc.mesh.n_boundary
+    check_beta_floor(disc, np.zeros(nb))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(AdmissionError) as err:
+            check_beta_floor(disc, np.full(nb, 2.0))
+    assert err.value.label == "(H3)"
 
 
 def test_beta_floor_guard():

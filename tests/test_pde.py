@@ -10,8 +10,8 @@ import pytest
 
 import ctrlstab.fem as fem_mod
 from ctrlstab import (BoundaryFunction, Discretization, FeFunction, KktPoint,
-                      StateSolveError, linearized_operator, make_disk_mesh,
-                      solve_adjoint, solve_state)
+                      SolveOptions, StateSolveError, linearized_operator,
+                      make_disk_mesh, solve_adjoint, solve_kkt, solve_state)
 from ctrlstab.fem import solve_spd
 from ctrlstab.kkt import _ReducedForms
 from ctrlstab.pde import adjoint_system, state_residual_norm
@@ -242,6 +242,59 @@ def test_failed_stale_solve_factorizes_once(disc_cubic, factorizations,
     # exact factor of its entry
     assert disc_cubic.jacobian_factor(w) is factorizations[0]
     assert _meets_contract(_fresh_jacobian(disc_cubic, w), x, b)
+
+
+def _pinned_solved():
+    """A cubic instance on a fresh discretization after a solve that the
+    pinned step finished: the point's state, its h_y weights, and the
+    pinned operator ``K + M[h_y] + M_B`` there, freshly assembled."""
+    disc = Discretization(make_spec(reaction="y^3 + y"), make_disk_mesh(32, 0))
+    rep = solve_kkt(disc, disc.param_reference(),
+                    options=SolveOptions(tol=1e-10))
+    y = rep.point.state.values
+    w = disc.eval_dom(disc.problem.reaction_y, y=y)
+    return disc, rep, w, _fresh_jacobian(disc, w) + disc.form.mass_boundary
+
+
+def test_state_operator_after_pinned_solve_is_not_pinned():
+    # a pinned solve with K + M[h_y] + M_B at a state that no entry holds,
+    # then the state operator at the same state: it stays K + M[h_y]
+    disc, rep, _, _ = _pinned_solved()
+    y = 1.01 * rep.point.state.values
+    w = disc.eval_dom(disc.problem.reaction_y, y=y)
+    b = np.random.default_rng(11).standard_normal(disc.mesh.n_vertices)
+    disc.jacobian_solve(w, b, 1.0)
+    x = linearized_operator(disc, y).solve(b)
+    assert _meets_contract(_fresh_jacobian(disc, w), x, b)
+    assert (rep.pinned, rep.iterations) == (1, 2)
+
+
+def test_pinned_solve_does_not_read_the_state_entry():
+    # the state operator's entry at y holds a factorization; a pinned
+    # solve at bit-identical weights must solve its own matrix
+    disc, rep, w, pinned = _pinned_solved()
+    linearized_operator(disc, rep.point.state.values)
+    b = np.random.default_rng(12).standard_normal(disc.mesh.n_vertices)
+    assert _meets_contract(pinned, disc.jacobian_solve(w, b, 1.0), b)
+
+
+def test_each_operator_preconditions_on_its_own_anchor(factorizations):
+    # at a state close to the solved one, each operator's solve runs CG
+    # on the factorization of its own c, and takes no factorization
+    disc, rep, w, _ = _pinned_solved()
+    y = rep.point.state.values
+    linearized_operator(disc, y)
+    nb = disc.mesh.n_boundary
+    y2 = solve_state(disc, rep.point.control.values + 1e-3, np.zeros(nb),
+                     y0=y).state.values
+    w2 = disc.eval_dom(disc.problem.reaction_y, y=y2)
+    b = np.random.default_rng(13).standard_normal(disc.mesh.n_vertices)
+    factorizations.clear()
+    for c in (0.0, 1.0, 0.0):
+        x = disc.jacobian_solve(w2, b, c)
+        fresh = _fresh_jacobian(disc, w2) + c * disc.form.mass_boundary
+        assert _meets_contract(fresh, x, b, rtol=1e-13)
+    assert factorizations == []
 
 
 def test_adjoint_radial_against_bessel():

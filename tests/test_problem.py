@@ -2,6 +2,7 @@
 instance with an error naming that assumption, and the default instance
 must pass untouched."""
 
+import numpy as np
 import pytest
 
 from ctrlstab import AdmissionError
@@ -40,6 +41,24 @@ def test_error_carries_label():
 def test_gate_violations(overrides, label):
     with pytest.raises(AdmissionError) as err:
         make_spec(**overrides).validate()
+    assert err.value.label == label
+
+
+#: inf - inf: NaN wherever exp(1000 z) overflows
+_NAN = "(exp(1000*{0}) - exp(1000*{0}))"
+
+
+@pytest.mark.parametrize("overrides,label", [
+    (dict(a11=_NAN.format("x1")), "(C0)"),
+    (dict(beta=_NAN.format("(lam + 1)")), "(H3)"),
+    (dict(reaction=f"y + {_NAN.format('y')}"), "(H4)"),       # h(x, 0) = 0
+    (dict(constraints=(f"y - 1 + {_NAN.format('y')}", "y - 2")), "(H4)"),
+])
+def test_nan_samples_fail_their_gate(overrides, label):
+    # a comparison with NaN is false, so each gate must be a negated one
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(AdmissionError) as err:
+            make_spec(**overrides).validate()
     assert err.value.label == label
 
 

@@ -92,10 +92,11 @@ def test_warm_start_not_slower(lq_disc32, lq_solved32):
 
 
 def test_solver_error_carries_best_residuals(lq_disc32):
+    # one iterate: the pinned step would reach tol at the second
     with pytest.raises(SolverError) as err:
         solve_kkt(lq_disc32, np.zeros(lq_disc32.mesh.n_boundary),
-                  options=SolveOptions(max_outer=2, tol=1e-12))
-    assert err.value.iterations == 2
+                  options=SolveOptions(max_outer=1, tol=1e-12))
+    assert err.value.iterations == 1
     assert err.value.best_residuals is not None
     assert err.value.best_residuals.worst > 1e-12
 
@@ -127,6 +128,10 @@ def test_lambda_shape_checked(lq_disc16):
 # ---------------------------------------------------------------------------
 # Anderson extrapolation against the plain damped iteration
 # ---------------------------------------------------------------------------
+
+#: constraints of the mixed boundary: at the solution the first binds on
+#: 17 of 32 nodes and is free on the others
+MIXED_CONSTRAINTS = ("y - 0.55 + 0.5*sin(s)", "y - 3")
 
 #: (config, lambda_bar override); 0.6 is the benchmark's ssc_sample point
 CASES = [("lq_reference", None), ("oracle_box", None),
@@ -182,12 +187,23 @@ def test_fold_cold_solve_needs_few_iterations(accelerated_and_damped):
 def test_newton_gate_is_an_input_property(accelerated_and_damped, case):
     # Newton steps are taken exactly where the projection binds at no
     # node: never on the instances whose constraints bind at the solution,
-    # from the first iterate on where none does
+    # from the first iterate on where none does.  The pinned step is its
+    # mirror: taken, and accepted at the second iterate, on the instances
+    # whose constraint binds at every node, never on the others
     _, _, rep, _ = accelerated_and_damped[case]
     binds = case[0] in ("lq_reference", "oracle_box", "oracle_state")
     assert (rep.newton == 0) == binds
+    assert (rep.pinned > 0) == binds
     if binds:
-        assert rep.extrapolated > 0
+        assert rep.iterations == 2
+
+
+def test_mixed_boundary_takes_anderson_steps(mixed_binding):
+    # the constraint binds on part of the boundary at the solution: no
+    # reduced Newton step, and the iteration extrapolates
+    _, _, _, rep, _ = mixed_binding
+    assert rep.newton == 0
+    assert rep.extrapolated > 0
 
 
 def test_newton_on_semilinear_state_matches_damped_oracle():
@@ -285,15 +301,18 @@ def test_newton_gradient_is_the_reduced_gradient(monkeypatch):
     assert np.max(np.abs(grad - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
-def test_fixed_damping_extrapolates_without_restarts(accelerated_and_damped):
-    # on lq_reference at its one damping factor the worst residual never
-    # rises and no extrapolation is rejected, so the history is never
-    # cleared and every iterate after the second is extrapolated
-    _, _, rep, ref = accelerated_and_damped[("lq_reference", None)]
+def test_fixed_damping_extrapolates_without_restarts(mixed_binding):
+    # on the mixed boundary from u0 = 5 at its one damping factor the
+    # worst residual never rises and no extrapolation is rejected, so the
+    # history is never cleared and every iterate after the second is
+    # extrapolated (23 iterations, 21 extrapolated); the rejected pinned
+    # step at the first iterate is not an iterate and changes none of this
+    _, _, _, rep, ref = mixed_binding
     assert rep.extrapolated > 0
-    assert rep.iterations <= 12 < ref.iterations
+    assert rep.iterations <= 25 < ref.iterations
     assert rep.restarts == 0
     assert all(b <= a for a, b in zip(rep.history, rep.history[1:]))
+    assert rep.extrapolated == rep.iterations - 2
 
 
 def test_warm_resolve_needs_few_iterations(accelerated_and_damped):
@@ -346,15 +365,68 @@ def test_newton_bound_below_tol_for_large_loads(monkeypatch):
 
 
 def _binding_instance():
-    """``lq_reference``: the projection binds at every iterate, so every
-    step is a damped or an extrapolated one, and the damped oracle takes
-    the same damped steps."""
-    return _instance("lq_reference", None)
+    """The mixed boundary from u0 = 5: the projection binds at every
+    iterate and no pinned step is accepted, so every step is a damped or
+    an extrapolated one, and the damped oracle takes the same damped
+    steps."""
+    spec = make_spec(constraints=MIXED_CONSTRAINTS)
+    disc = Discretization(spec, make_disk_mesh(32, 0))
+    nb = disc.mesh.n_boundary
+    return disc, np.zeros(nb), np.full(nb, 5.0), SolveOptions(tol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def mixed_binding():
+    """The solver and the damped oracle on :func:`_binding_instance`."""
+    disc, lam, u0, opts = _binding_instance()
+    return (disc, lam, opts, solve_kkt(disc, lam, u0=u0, options=opts),
+            damped_solve_kkt(disc, lam, u0=u0, options=opts))
+
+
+def test_rejected_pinned_step_changes_nothing(mixed_binding, monkeypatch):
+    # from u0 = 5 every node is pinned at the first iterate, so the gate
+    # fires; the pinned point has a negative multiplier at 13 nodes
+    # (complementarity 0.135), its record fails, and the iteration goes on
+    # from the first iterate bit for bit as without the gate
+    disc, lam, opts, rep, ref = mixed_binding
+    assert rep.pinned == 1
+    assert rep.iterations > 2
+    gap = rep.point.control.values - ref.point.control.values
+    assert float(np.max(np.abs(gap))) <= 1e-7
+    monkeypatch.setattr(solver, "_pinned_slope", lambda *args: None)
+    plain = solve_kkt(disc, lam, u0=np.full_like(lam, 5.0), options=opts)
+    assert plain.pinned == 0
+    assert plain.history == rep.history
+    assert (plain.extrapolated, plain.restarts) == (rep.extrapolated,
+                                                    rep.restarts)
+    assert np.array_equal(plain.point.control.values,
+                          rep.point.control.values)
+
+
+def test_pinned_step_on_cubic_reaction_matches_damped_oracle():
+    # h = y + y^3: the pinned state solve is nonlinear, and its Jacobian
+    # K + M[h_y] + M_B moves with the state
+    spec = make_spec(reaction="y + y^3")
+    disc = Discretization(spec, make_disk_mesh(16, 0))
+    lam = disc.param_reference().values
+    opts = SolveOptions(tol=1e-10)
+    rep = solve_kkt(disc, lam, options=opts)
+    ref = damped_solve_kkt(disc, lam, options=opts)
+    assert rep.pinned == 1
+    assert rep.iterations <= 3 < ref.iterations
+    gap = rep.point.control.values - ref.point.control.values
+    assert float(np.max(np.abs(gap))) <= 1e-7
+    assert residuals(disc, rep.point).to_dict() == rep.residuals.to_dict()
+    assert projection_identity_gap(disc, rep.point) <= 10.0 * opts.tol
+    # every node strongly active: u = -g(y) and a positive multiplier
+    y = disc.trace(rep.point.state.values)
+    assert np.array_equal(rep.point.control.values, -(y - 0.05))
+    assert np.min(rep.point.multipliers[0].values) > 0.0
 
 
 def test_nan_coefficients_fall_back_to_damped_steps(monkeypatch):
-    disc, lam, opts = _binding_instance()
-    ref = damped_solve_kkt(disc, lam, options=opts)
+    disc, lam, u0, opts = _binding_instance()
+    ref = damped_solve_kkt(disc, lam, u0=u0, options=opts)
 
     def nan_lstsq(a, b, rcond=None):
         return np.full(a.shape[1], np.nan), None, 0, None
@@ -368,7 +440,7 @@ def test_nan_coefficients_fall_back_to_damped_steps(monkeypatch):
 
     monkeypatch.setattr(solver.np.linalg, "lstsq", nan_lstsq)
     monkeypatch.setattr(solver, "solve_state", counted)
-    rep = solve_kkt(disc, lam, options=opts)
+    rep = solve_kkt(disc, lam, u0=u0, options=opts)
     assert rep.newton == 0
     assert rep.extrapolated == 0
     assert rep.restarts > 0
@@ -380,8 +452,8 @@ def test_nan_coefficients_fall_back_to_damped_steps(monkeypatch):
 
 
 def test_failed_state_solve_at_extrapolation_falls_back(monkeypatch):
-    disc, lam, opts = _binding_instance()
-    ref = damped_solve_kkt(disc, lam, options=opts)
+    disc, lam, u0, opts = _binding_instance()
+    ref = damped_solve_kkt(disc, lam, u0=u0, options=opts)
     solve_state = solver.solve_state
 
     def far_away(pairs):
@@ -396,7 +468,7 @@ def test_failed_state_solve_at_extrapolation_falls_back(monkeypatch):
 
     monkeypatch.setattr(solver, "_extrapolate", far_away)
     monkeypatch.setattr(solver, "solve_state", failing_far_away)
-    rep = solve_kkt(disc, lam, options=opts)
+    rep = solve_kkt(disc, lam, u0=u0, options=opts)
     assert rep.newton == 0
     assert rep.extrapolated == 0
     assert rep.restarts > 0
