@@ -242,9 +242,9 @@ class SpdFactorization:
     Reverse Cuthill-McKee reordering keeps the band thin on mesh matrices;
     the band is then factorized with LAPACK.  A band of more than
     ``_BAND_BUDGET`` bytes raises ``FemError`` (naming n, the bandwidth and
-    the bytes needed) before it is allocated.  A non-positive pivot
-    surfaces as ``NotSpdError``, and a right-hand side with a non-finite
-    entry as ``ValueError``.
+    the bytes needed) before it is allocated.  A non-finite entry or a
+    non-positive pivot surfaces as ``NotSpdError``, and a right-hand side
+    with a non-finite entry as ``ValueError``.
     """
 
     def __init__(self, matrix):
@@ -252,6 +252,10 @@ class SpdFactorization:
         n = a.shape[0]
         if a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
+        # before the symmetry test, which a NaN passes: NaN > tol is false
+        bad = int(np.count_nonzero(~np.isfinite(a.data)))
+        if bad:
+            raise NotSpdError(f"matrix has {bad} non-finite entries")
         asym = abs(a - a.T)
         scale = max(1.0, float(np.max(np.abs(a.data))) if a.nnz else 0.0)
         if asym.nnz and asym.data.max() > 1e-12 * scale:

@@ -12,19 +12,9 @@ toward the half-line projection target::
 by a damped step ``u <- (1 - theta) u + theta u_target``.  Fixed points of
 the undamped map are exactly the discrete KKT points, so the five residuals
 measure the distance to optimality at every iteration.  The damping factor
-theta is fixed for the whole solve.
-
-Near a fold the damped map contracts slowly (thousands of iterations at
-theta = 0.05), so :func:`solve_kkt` applies type-II Anderson extrapolation
-(Walker & Ni 2011) to the iterate ``x = (u, e, p)`` of one damped
-iteration: control, damped multipliers and previous costate.  The history
-holds at most ``_ANDERSON_DEPTH`` differences of that one map; a Newton
-iterate, which is not an iterate of the map, clears it.  The extrapolation
-is safeguarded by a restart, not a roll-back: an extrapolated iterate whose
-worst residual rises above the previous iterate's clears the history and
-the iteration continues with the damped step from it.  An extrapolation
-that is not finite, or at which the state solve or the partition fails,
-is replaced by the plain damped step.
+theta is fixed for the whole solve.  The damped map contracts slowly (near
+a fold, thousands of iterations at theta = 0.05); the two steps below
+replace it where the active set is empty or full.
 
 Where the projection target binds at no boundary node,
 ``(adjoint - alpha) / beta < -g_max`` at every node, every multiplier of
@@ -64,10 +54,10 @@ Its record is built from these solves and the adjoint system at ``e``,
 like any iterate's.  The step is accepted only when that record meets the
 stopping rule; a negative multiplier (a node that should be free), an
 infeasible node or a failed solve rejects it.  A rejected step is not an
-iterate: the iteration goes on from the iterate it was tried at, with its
-Anderson history, as if it had not been tried.  Where the projection binds
-somewhere at every iterate and no pinned step is accepted, the iteration
-is the damped/Anderson one, step for step.
+iterate: the iteration goes on from the iterate it was tried at as if it
+had not been tried.  Where the projection binds somewhere at every iterate
+and no pinned step is accepted, the iteration is the damped one, step for
+step.
 
 The stopping rule and the residuals are those of the damped iteration;
 each state solve is held to a tenth of ``tol`` in absolute terms, so that
@@ -97,9 +87,6 @@ from .kkt import (KktPoint, KktResiduals, _ReducedForms, _residual_record,
                   partition_of)
 from .pde import (StateSolveError, _adjoint_pieces, _adjoint_rhs, _newton,
                   adjoint_system, solve_state)
-
-#: number of differences in the Anderson history
-_ANDERSON_DEPTH = 10
 
 #: Newton tolerance of the state solves, relative to the boundary load
 _NEWTON_TOL = 1e-11
@@ -133,12 +120,11 @@ class SolveOptions:
 
     ``tol`` bounds the worst of the five residuals; ``theta`` is the
     damping factor of every damped step of the solve.  ``max_outer`` bounds
-    the evaluated iterates, extrapolated ones and the trials of the Newton
-    line search included.  Anderson extrapolation has no knob and runs
-    once its history holds two damped steps; a reduced Newton step has none
-    either and is taken at every iterate where the projection binds at no
-    node, nor has the pinned step, tried once at the first iterate where it
-    binds at every node.  Each state solve stops at a residual of
+    the evaluated iterates, the trials of the Newton line search included.
+    A reduced Newton step has no knob and is taken at every iterate where
+    the projection binds at no node, nor has the pinned step, tried once at
+    the first iterate where it binds at every node.  Each state solve stops
+    at a residual of
     ``min(_NEWTON_TOL (1 + ||b||), 0.1 tol)``, ``b`` the boundary load.  A
     violated bound raises ``ValueError`` naming the field first.
     """
@@ -162,15 +148,11 @@ class KktSolveReport:
 
     ``iterations`` counts evaluated iterates, the trials of the Newton
     line search included, and ``history`` holds the worst residual of
-    each.  ``extrapolated`` of them were Anderson extrapolations;
-    ``restarts`` counts the extrapolations rejected (worst residual above
-    the previous iterate's, not finite, or a failed state solve or
-    partition), each of which cleared the history.  ``newton`` counts the
-    reduced Newton steps, one per direction computed, whatever the number
-    of its line-search trials.  ``pinned`` counts the pinned steps taken,
-    at most one per solve: accepted, it is the last iterate; rejected or
-    failed, it is not an iterate and adds nothing to ``iterations`` or
-    ``history``.
+    each.  ``newton`` counts the reduced Newton steps, one per direction
+    computed, whatever the number of its line-search trials.  ``pinned``
+    counts the pinned steps taken, at most one per solve: accepted, it is
+    the last iterate; rejected or failed, it is not an iterate and adds
+    nothing to ``iterations`` or ``history``.
     """
 
     point: KktPoint
@@ -178,23 +160,8 @@ class KktSolveReport:
     iterations: int
     sigma1: float
     history: list = field(default_factory=list, repr=False)
-    extrapolated: int = 0
-    restarts: int = 0
     newton: int = 0
     pinned: int = 0
-
-
-def _extrapolate(pairs: list) -> np.ndarray:
-    """Type-II Anderson step from ``[(g_j, f_j), ...]`` (oldest first),
-    ``g_j`` the damped step from ``x_j`` and ``f_j = g_j - x_j``::
-
-        gamma = argmin || f_k - dF gamma ||,   x = g_k - dG gamma,
-
-    with ``dF``, ``dG`` the consecutive differences of the history."""
-    g = np.array([pair[0] for pair in pairs])
-    f = np.array([pair[1] for pair in pairs])
-    gamma = np.linalg.lstsq(np.diff(f, axis=0).T, f[-1], rcond=None)[0]
-    return g[-1] - np.diff(g, axis=0).T @ gamma
 
 
 def _newton_direction(forms: _ReducedForms, grad: np.ndarray) -> np.ndarray:
@@ -230,19 +197,15 @@ def _pinned_slope(disc: Discretization, y: np.ndarray, lam: np.ndarray,
 
 def solve_kkt(disc: Discretization, lam, u0=None,
               options: SolveOptions | None = None) -> KktSolveReport:
-    """Drive the Anderson-accelerated damped projection iteration, with
-    reduced Newton steps where no constraint binds and a pinned step where
-    one binds at every node, to a KKT point at ``lam``.
+    """Drive the damped projection iteration, with reduced Newton steps
+    where no constraint binds and a pinned step where one binds at every
+    node, to a KKT point at ``lam``.
 
-    The iterate is ``x = (u, e, p)``: the control, the damped multipliers
-    and the previous costate.  One damped outer iteration maps it to
-    ``g(x)``; the next iterate is the type-II Anderson extrapolation of the
-    last ``_ANDERSON_DEPTH + 1`` pairs ``(x, g(x))``, all at the one
-    damping factor ``options.theta``.  An extrapolated iterate whose worst
-    residual exceeds the previous iterate's restarts the history from
-    itself, so the iteration goes on with the damped step from that
-    iterate.  One that is not finite, or whose state solve or partition
-    fails, is replaced by the damped step it was extrapolated from.
+    One damped iteration solves the state at the control ``u``, damps the
+    multipliers separated from the previous costate toward their new
+    values and solves the adjoint; the next control is
+    ``(1 - theta) u + theta min(-max_i g_i, (trace(p) - alpha) / beta)``,
+    ``theta = options.theta``.
 
     At an iterate whose projection target binds at no node,
     ``(trace(p) - alpha) / beta < -max_i g_i`` everywhere, every multiplier
@@ -256,7 +219,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     condition or whose worst residual is below the iterate's is the next
     iterate.  A Newton iterate at which the projection binds, or whose line
     search fails ``_NEWTON_HALVINGS`` times, goes on with the damped step
-    from itself, with a new Anderson history.
+    from itself.
 
     At the first iterate whose projection target binds at every node,
     ``(trace(p) - alpha) / beta >= -max_i g_i`` everywhere, the pinned step
@@ -266,7 +229,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     the same operator with the multiplier eliminated, and
     ``e = trace(p) - alpha - beta u`` on each node's label.  It is returned
     when its record meets ``tol``; otherwise it is dropped, and the
-    iteration goes on from the iterate, history and warm start unchanged.
+    iteration goes on from the iterate and warm start unchanged.
     ``report.pinned`` counts it either way.
 
     ``iterations`` counts the iterates whose residuals were evaluated,
@@ -290,28 +253,22 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     alpha = disc.eval_node(disc.problem.alpha, lam=lam)
 
     m = disc.problem.m
-    # x = [u (nb) | e_1 .. e_m (m nb) | previous costate (n_vertices)]; the
-    # whole costate, not just the trace the map reads, so that it carries
-    # its weight in the least-squares fit
-    x = np.concatenate([u0, np.zeros(m * nb + disc.mesh.n_vertices)])
     y_warm = None
     theta = opts.theta
     best: KktResiduals | None = None
     history: list = []
     lam_fn = BoundaryFunction(disc.mesh, lam)
-    pairs: list = []
-    damped = None  # the damped step an extrapolated x replaced
-    extrapolated = restarts = newton = pinned = 0
+    newton = pinned = 0
     pinned_gate = False  # the pinned gate has fired
-    prev_worst = math.inf  # worst residual of the previous iterate
     m_bb = disc.form.mass_boundary_bb
     no_mults = tuple(BoundaryFunction(disc.mesh, np.zeros(nb))
                      for _ in range(m))
 
-    def evaluate(x, free=False):
-        # one damped iteration up to its residuals, at the current Newton
-        # warm start; a free iterate has zero multipliers
-        u = x[:nb]
+    def evaluate(u, e_prev, p_prev):
+        # one damped iteration up to its residuals from the control u, the
+        # damped multipliers e_prev and the costate p_prev of the previous
+        # iterate, at the current Newton warm start; a Newton trial
+        # (e_prev None) has zero multipliers
         it = len(history) + 1
         # Newton stops at _NEWTON_TOL (1 + ||b||), b the boundary load, but
         # the stopping rule bounds the state residual by tol itself: cap
@@ -329,17 +286,16 @@ def solve_kkt(disc: Discretization, lam, u0=None,
                 f"constraint separation margin sigma1 = {part.sigma1:.3e} "
                 f"at iteration {it}; the dominance partition is degenerate")
 
-        if free:
+        if e_prev is None:
             e_vals = np.zeros((m, nb))
         else:
             # the multiplier refresh shares the damping factor: the
             # undamped costate/multiplier alternation has loop gain above 1
             # on active sets, while the damped update keeps the same fixed
             # points
-            raw = _separated_multipliers(disc.trace(x[(m + 1) * nb:]),
-                                         alpha, beta, u, part.labels, m)
-            e_vals = (1.0 - theta) * x[nb:(m + 1) * nb].reshape(m, nb) \
-                + theta * raw
+            raw = _separated_multipliers(disc.trace(p_prev), alpha, beta, u,
+                                         part.labels, m)
+            e_vals = (1.0 - theta) * e_prev + theta * raw
         mults = tuple(BoundaryFunction(disc.mesh, row.copy())
                       for row in e_vals)
         w_adj, rhs = adjoint_system(disc, y, lam, mults)
@@ -364,15 +320,11 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             best = res
         return res.worst <= opts.tol
 
-    # the rest of a Newton trial's x: zero multipliers, and a previous
-    # costate that a free evaluation does not read
-    x_tail = np.zeros(m * nb + disc.mesh.n_vertices)
-
     def newton_step(step):
         # the reduced Newton step from the iterate of ``step`` and its line
         # search: the first trial u + s du, s = 1, 1/2, ..., that meets
-        # Armijo on the reduced cost or lowers the worst residual, as
-        # (x, step); None when every trial fails
+        # Armijo on the reduced cost or lowers the worst residual; None
+        # when every trial fails
         point, res = step[:2]
         adjoint = point.adjoint
         if any(np.any(e.values) for e in point.multipliers):
@@ -390,16 +342,16 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         for _ in range(_NEWTON_HALVINGS + 1):
             if len(history) >= opts.max_outer:
                 return None
-            x_try = np.concatenate([u + s * du, x_tail])
+            u_try = u + s * du
             try:
-                trial = evaluate(x_try, free=True)
+                trial = evaluate(u_try, None, None)
             except (StateSolveError, PartitionError, FemError, ValueError):
                 trial = None
             if trial is not None and math.isfinite(trial[1].worst) and (
                     record(trial) or trial[1].worst < res.worst
-                    or objective_value(disc, trial[0].state, x_try[:nb], lam)
+                    or objective_value(disc, trial[0].state, u_try, lam)
                     <= cost + _ARMIJO * s * slope):
-                return x_try, trial
+                return trial
             s *= 0.5
         return None
 
@@ -461,47 +413,27 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         return KktSolveReport(point=step[0], residuals=step[1],
                               iterations=len(history),
                               sigma1=step[2].sigma1, history=history,
-                              extrapolated=extrapolated, restarts=restarts,
                               newton=newton, pinned=pinned)
 
+    u, e_prev, p_prev = u0, np.zeros((m, nb)), np.zeros(disc.mesh.n_vertices)
     while len(history) < opts.max_outer:
-        step = None
-        if damped is not None:
-            try:
-                step = evaluate(x)
-            except (StateSolveError, PartitionError, FemError, ValueError):
-                # ValueError covers non-finite states and EvalError
-                pass
-            if step is not None and math.isfinite(step[1].worst):
-                extrapolated += 1
-            else:
-                step, x = None, damped
-                restarts += 1
-                pairs.clear()
-        accelerated = step is not None
-        if step is None:
-            step = evaluate(x)
+        step = evaluate(u, e_prev, p_prev)
         if record(step):
             return report(step)
-        if accelerated and step[1].worst > prev_worst:
-            restarts += 1
-            pairs.clear()
 
         # reduced Newton steps while the projection binds at no node
-        free = False  # the iterate has zero multipliers: a Newton trial
         while True:
-            point, res, part, e_vals, g_con = step
+            point, _, _, e_vals, g_con = step
             adjoint = point.adjoint.values
             cap = -np.max(g_con, axis=0)
             proj = (disc.trace(adjoint) - alpha) / beta
             if not np.all(proj < cap):
                 break
             newton += 1
-            pairs.clear()
             found = newton_step(step)
             if found is None:
                 break
-            (x, step), free = found, True
+            step = found
             if step[1].worst <= opts.tol:
                 return report(step)
 
@@ -516,25 +448,9 @@ def solve_kkt(disc: Discretization, lam, u0=None,
                 record(trial)
                 return report(trial)
 
-        prev_worst = res.worst
-
-        target = np.minimum(cap, proj)
-        u = (1.0 - theta) * x[:nb] + theta * target
-        g = np.concatenate([u, e_vals.ravel(), adjoint])
-
-        # a free iterate is not an iterate of the damped map, and the
-        # Newton step that made it cleared the history
-        if not free:
-            pairs.append((g, g - x))
-            del pairs[:-_ANDERSON_DEPTH - 1]
-        x, damped = g, None
-        if len(pairs) >= 2:
-            x_next = _extrapolate(pairs)
-            if np.all(np.isfinite(x_next)):
-                x, damped = x_next, g
-            else:
-                restarts += 1
-                del pairs[:-1]
+        u = (1.0 - theta) * point.control.values \
+            + theta * np.minimum(cap, proj)
+        e_prev, p_prev = e_vals, adjoint
 
     raise SolverError("outer iteration did not converge",
                       opts.max_outer, best)

@@ -7,8 +7,9 @@ Bessel evaluation instead of any library special function, a quasi-Newton
 penalty minimizer instead of the KKT fixed-point iteration, a
 direction-at-a-time critical cone sampler with a quadrature curvature form
 instead of the blocked sampler over the assembled curvature operator, the
-plain damped projection iteration instead of its Anderson-accelerated
-form, and a cell-by-cell table of partition margins instead of one sort.
+plain damped projection iteration instead of the solver's with its Newton
+and pinned steps, and a cell-by-cell table of partition margins instead of
+one sort.
 
 The reduced cost and its adjoint-based gradient, the boundary pairing and
 the a-priori quotient are test references of another kind: they compose the
@@ -295,8 +296,8 @@ def sample_directions_one_by_one(cone, n, rng):
 
 
 def damped_solve_kkt(disc, lam, u0=None, options=None):
-    """The damped projection fixed-point iteration without extrapolation:
-    every outer iteration takes the damped step ``u <- (1 - theta) u +
+    """The damped projection fixed-point iteration alone: every outer
+    iteration takes the damped step ``u <- (1 - theta) u +
     theta u_target`` (multipliers damped alike), with the same fixed
     damping factor and stopping rule as ``solve_kkt``.  Returns a
     ``KktSolveReport``; raises ``SolverError`` or ``PartitionError`` as the

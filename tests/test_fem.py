@@ -131,6 +131,18 @@ def test_not_spd_rejected():
         SpdFactorization(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
 
 
+@pytest.mark.parametrize("entries, count", [
+    ([[np.nan, 0.0], [0.0, 1.0]], 1),
+    ([[1.0, np.nan], [np.nan, 1.0]], 2),
+    ([[1.0, np.inf], [np.inf, 1.0]], 2),
+], ids=["nan-diagonal", "nan-symmetric", "inf-symmetric"])
+def test_non_finite_entry_rejected(entries, count):
+    # a NaN passes the symmetry test (NaN > tol is false), and so does a
+    # symmetric pair of infs (inf - inf is NaN)
+    with pytest.raises(NotSpdError, match=f"has {count} non-finite entries"):
+        SpdFactorization(sp.csr_matrix(np.array(entries)))
+
+
 def test_multiple_rhs(disc):
     k = disc.form.stiffness
     f = SpdFactorization(k)

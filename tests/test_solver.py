@@ -2,7 +2,6 @@
 the unconstrained fixed point, reduced-cost calculus, and failure modes."""
 
 import dataclasses
-import math
 import sys
 from collections import Counter
 
@@ -15,7 +14,6 @@ from ctrlstab import (BoundaryFunction, Discretization, FeFunction,
                       solve_kkt, sweep_plan)
 from ctrlstab import fem, kkt, solver
 from ctrlstab.kkt import partition_at, projection_identity_gap, residuals
-from ctrlstab.pde import StateSolveError
 from ctrlstab.solver import objective_value
 
 from conftest import CONFIG_DIR, make_spec
@@ -126,7 +124,7 @@ def test_lambda_shape_checked(lq_disc16):
 
 
 # ---------------------------------------------------------------------------
-# Anderson extrapolation against the plain damped iteration
+# the Newton and pinned steps against the plain damped iteration
 # ---------------------------------------------------------------------------
 
 #: constraints of the mixed boundary: at the solution the first binds on
@@ -170,7 +168,6 @@ def test_accelerated_solve_matches_damped_oracle(accelerated_and_damped,
     assert projection_identity_gap(disc, rep.point) <= 10.0 * opts.tol
     assert rep.iterations <= opts.max_outer
     assert len(rep.history) == rep.iterations
-    assert rep.extrapolated <= rep.iterations
 
 
 def test_fold_cold_solve_needs_few_iterations(accelerated_and_damped):
@@ -196,14 +193,6 @@ def test_newton_gate_is_an_input_property(accelerated_and_damped, case):
     assert (rep.pinned > 0) == binds
     if binds:
         assert rep.iterations == 2
-
-
-def test_mixed_boundary_takes_anderson_steps(mixed_binding):
-    # the constraint binds on part of the boundary at the solution: no
-    # reduced Newton step, and the iteration extrapolates
-    _, _, _, rep, _ = mixed_binding
-    assert rep.newton == 0
-    assert rep.extrapolated > 0
 
 
 def test_newton_on_semilinear_state_matches_damped_oracle():
@@ -301,20 +290,6 @@ def test_newton_gradient_is_the_reduced_gradient(monkeypatch):
     assert np.max(np.abs(grad - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
-def test_fixed_damping_extrapolates_without_restarts(mixed_binding):
-    # on the mixed boundary from u0 = 5 at its one damping factor the
-    # worst residual never rises and no extrapolation is rejected, so the
-    # history is never cleared and every iterate after the second is
-    # extrapolated (23 iterations, 21 extrapolated); the rejected pinned
-    # step at the first iterate is not an iterate and changes none of this
-    _, _, _, rep, ref = mixed_binding
-    assert rep.extrapolated > 0
-    assert rep.iterations <= 25 < ref.iterations
-    assert rep.restarts == 0
-    assert all(b <= a for a, b in zip(rep.history, rep.history[1:]))
-    assert rep.extrapolated == rep.iterations - 2
-
-
 def test_warm_resolve_needs_few_iterations(accelerated_and_damped):
     disc, opts, rep, _ = accelerated_and_damped[("lq_reference", None)]
     cfg = parse_instance(CONFIG_DIR / "lq_reference.ini")
@@ -366,9 +341,8 @@ def test_newton_bound_below_tol_for_large_loads(monkeypatch):
 
 def _binding_instance():
     """The mixed boundary from u0 = 5: the projection binds at every
-    iterate and no pinned step is accepted, so every step is a damped or
-    an extrapolated one, and the damped oracle takes the same damped
-    steps."""
+    iterate and no pinned step is accepted, so every step is a damped one,
+    and the damped oracle takes the same steps."""
     spec = make_spec(constraints=MIXED_CONSTRAINTS)
     disc = Discretization(spec, make_disk_mesh(32, 0))
     nb = disc.mesh.n_boundary
@@ -397,8 +371,6 @@ def test_rejected_pinned_step_changes_nothing(mixed_binding, monkeypatch):
     plain = solve_kkt(disc, lam, u0=np.full_like(lam, 5.0), options=opts)
     assert plain.pinned == 0
     assert plain.history == rep.history
-    assert (plain.extrapolated, plain.restarts) == (rep.extrapolated,
-                                                    rep.restarts)
     assert np.array_equal(plain.point.control.values,
                           rep.point.control.values)
 
@@ -424,13 +396,18 @@ def test_pinned_step_on_cubic_reaction_matches_damped_oracle():
     assert np.min(rep.point.multipliers[0].values) > 0.0
 
 
-def test_nan_coefficients_fall_back_to_damped_steps(monkeypatch):
-    disc, lam, u0, opts = _binding_instance()
+@pytest.mark.parametrize("u0", [None, 5.0], ids=["cold", "u0=5"])
+def test_mixed_boundary_is_the_damped_oracle(mixed_binding, monkeypatch,
+                                             u0):
+    # the constraint binds on 17 of 32 nodes at the solution: neither the
+    # Newton step nor the pinned one applies, so every iterate is the
+    # oracle's damped one, one state solve each (58 from u0 = 0, 60 from
+    # u0 = 5, where the rejected pinned step solves the state by its own
+    # Newton loop)
+    disc, lam, opts, _, _ = mixed_binding
+    if u0 is not None:
+        u0 = np.full_like(lam, u0)
     ref = damped_solve_kkt(disc, lam, u0=u0, options=opts)
-
-    def nan_lstsq(a, b, rcond=None):
-        return np.full(a.shape[1], np.nan), None, 0, None
-
     calls = []
     solve_state = solver.solve_state
 
@@ -438,42 +415,14 @@ def test_nan_coefficients_fall_back_to_damped_steps(monkeypatch):
         calls.append(None)
         return solve_state(*args, **kw)
 
-    monkeypatch.setattr(solver.np.linalg, "lstsq", nan_lstsq)
     monkeypatch.setattr(solver, "solve_state", counted)
     rep = solve_kkt(disc, lam, u0=u0, options=opts)
     assert rep.newton == 0
-    assert rep.extrapolated == 0
-    assert rep.restarts > 0
     assert rep.iterations == ref.iterations
-    # a non-finite extrapolation is dropped before any evaluation
     assert len(calls) == rep.iterations
-    gap = rep.point.control.values - ref.point.control.values
-    assert float(np.max(np.abs(gap))) <= 1e-7
-
-
-def test_failed_state_solve_at_extrapolation_falls_back(monkeypatch):
-    disc, lam, u0, opts = _binding_instance()
-    ref = damped_solve_kkt(disc, lam, u0=u0, options=opts)
-    solve_state = solver.solve_state
-
-    def far_away(pairs):
-        x = pairs[-1][0].copy()
-        x[:disc.mesh.n_boundary] = 1e7
-        return x
-
-    def failing_far_away(disc_, u, lam_, **kw):
-        if np.max(np.abs(u)) > 1e6:
-            raise StateSolveError("line search failed", 0, np.inf)
-        return solve_state(disc_, u, lam_, **kw)
-
-    monkeypatch.setattr(solver, "_extrapolate", far_away)
-    monkeypatch.setattr(solver, "solve_state", failing_far_away)
-    rep = solve_kkt(disc, lam, u0=u0, options=opts)
-    assert rep.newton == 0
-    assert rep.extrapolated == 0
-    assert rep.restarts > 0
-    assert rep.iterations == ref.iterations
-    assert np.array_equal(rep.point.control.values, ref.point.control.values)
+    assert rep.history == ref.history
+    assert np.array_equal(rep.point.control.values,
+                          ref.point.control.values)
 
 
 # ---------------------------------------------------------------------------
