@@ -130,7 +130,7 @@ def _emit_json(payload: dict) -> None:
 
 
 def _residual_payload(res, sigma1: float) -> dict:
-    payload = res.to_dict()
+    payload = dataclasses.asdict(res)
     payload["sigma1"] = sigma1
     return payload
 

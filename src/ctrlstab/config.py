@@ -62,22 +62,19 @@ class InstanceConfig:
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str,
-         fallback=None, required: bool = True) -> str:
+         required: bool = True) -> str | None:
     if not cp.has_section(section):
         raise ConfigError(f"missing section [{section}]")
     if not cp.has_option(section, key):
         if required:
             raise ConfigError(f"missing key '{key}' in [{section}]")
-        return fallback
+        return None
     return cp.get(section, key)
 
 
-def _expr(cp, section, key, fallback=None) -> Expr:
-    raw = _get(cp, section, key, required=fallback is None)
-    if raw is None:
-        raw = fallback
+def _expr(cp, section, key) -> Expr:
     try:
-        return parse(raw)
+        return parse(_get(cp, section, key))
     except ExprError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
@@ -236,11 +233,9 @@ def build_mesh(config: InstanceConfig) -> Mesh:
     return make_disk_mesh(config.n_boundary, config.refinement)
 
 
-def build_discretization(config: InstanceConfig,
-                         mesh: Mesh | None = None) -> Discretization:
+def build_discretization(config: InstanceConfig) -> Discretization:
     """Mesh the instance and run all admission gates."""
-    mesh = mesh if mesh is not None else build_mesh(config)
-    return Discretization(config.problem, mesh)
+    return Discretization(config.problem, build_mesh(config))
 
 
 def sweep_plan(config: InstanceConfig, disc: Discretization,

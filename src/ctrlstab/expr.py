@@ -246,11 +246,9 @@ class Pow(Expr):
     def eval(self, env):
         b = self.base.eval(env)
         p = self.exponent
-        if p != round(p):
-            if np.any(np.asarray(b) < 0.0):
-                raise EvalError(
-                    f"fractional power of a negative base in {self}")
-        elif p < 0 and np.any(np.asarray(b) == 0.0):
+        if p != round(p) and np.any(np.asarray(b) < 0.0):
+            raise EvalError(f"fractional power of a negative base in {self}")
+        if p < 0 and np.any(np.asarray(b) == 0.0):
             raise EvalError(f"negative power of zero in {self}")
         return b ** p
 
@@ -569,14 +567,9 @@ def differentiate(e: Expr, var: str, order: int = 1) -> Expr:
     return result
 
 
-def evaluate(e: Expr, **env) -> np.ndarray | float:
-    """Convenience wrapper: ``evaluate(e, x1=..., y=...)``."""
-    return e.eval(env)
-
-
 __all__ = [
     "VARIABLES", "FUNCTIONS", "NON_SMOOTH",
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow", "Call",
     "ExprError", "ParseError", "EvalError",
-    "parse", "differentiate", "evaluate",
+    "parse", "differentiate",
 ]

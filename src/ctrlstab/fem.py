@@ -47,7 +47,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .geometry import Mesh
-from .problem import AdmissionError, ProblemSpec
+from .problem import AdmissionError, ProblemSpec, check_operator
 
 #: interior quadrature: barycentric coordinates (rows: points, cols: nodes)
 TRI_BASIS = np.array([[2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
@@ -304,11 +304,9 @@ _CG_MAX_ITER = 8
 _STALE_RTOL = 1e-13
 
 
-def solve_spd(matrix, b: np.ndarray, factor: SpdFactorization | None = None
-              ) -> np.ndarray:
+def solve_spd(matrix, b: np.ndarray, factor: SpdFactorization) -> np.ndarray:
     """Solve ``matrix @ x = b`` for SPD ``matrix``: conjugate gradients
-    preconditioned by ``factor`` (a fresh factorization of ``matrix`` when
-    omitted), started from ``factor.solve(b)``.
+    preconditioned by ``factor``, started from ``factor.solve(b)``.
 
     The residual is always taken with ``matrix``, and the solve stops once
     ``||b - matrix x||_2 <= 1e-10 (1 + ||b||_2)``.  When ``factor.matrix``
@@ -317,20 +315,19 @@ def solve_spd(matrix, b: np.ndarray, factor: SpdFactorization | None = None
     an exact factor the first step meets the bound.  Failure to meet it
     within a few conjugate-gradient steps raises ``FemError``.
     """
-    f = factor if factor is not None else SpdFactorization(matrix)
     b = np.asarray(b, dtype=float)
     b_norm = float(np.linalg.norm(b))
     tol = 1e-10 * (1.0 + b_norm)
-    if factor is not None and factor.matrix is not matrix:
+    if factor.matrix is not matrix:
         tol = min(tol, _STALE_RTOL * b_norm)
-    x = f.solve(b)
+    x = factor.solve(b)
     r = b - matrix @ x
     res = float(np.linalg.norm(r))
     p = rz = None
     for _ in range(_CG_MAX_ITER):
         if res <= tol:
             return x
-        z = f.solve(r)
+        z = factor.solve(r)
         rz_new = float(r @ z)
         p = z if rz is None else z + (rz_new / rz) * p
         rz = rz_new
@@ -553,18 +550,7 @@ class Discretization:
                                              "is not finite at a quadrature "
                                              "point")
 
-        # huge finite entries can overflow eig_min to NaN, which the
-        # negated comparison rejects
-        eig_min = 0.5 * (a11 + a22) - np.sqrt(
-            (0.5 * (a11 - a22)) ** 2 + a12 ** 2)
-        worst = float(np.min(eig_min))
-        if not worst >= self.problem.c0 - 1e-12:
-            raise AdmissionError(
-                "(C0)", f"tensor eigenvalue {worst:.6g} below declared "
-                        f"constant {self.problem.c0} at a quadrature point")
-        if float(np.min(a0)) < -1e-12:
-            raise AdmissionError("a_0 >= 0", "negative reaction coefficient "
-                                             "at a quadrature point")
+        check_operator(a11, a12, a22, a0, self.problem.c0, quadrature=True)
 
         i11 = np.sum(t.qw_dom * a11, axis=1)
         i12 = np.sum(t.qw_dom * a12, axis=1)
@@ -690,9 +676,6 @@ class Discretization:
     def l2_boundary(self, w: np.ndarray) -> float:
         """L2 boundary norm of a boundary nodal array."""
         return _l2(self.tables.qw_bnd, self.edge_interp(w))
-
-    def l2_domain(self, v: np.ndarray) -> float:
-        return _l2(self.tables.qw_dom, self.tri_interp(np.asarray(v, float)))
 
 
 __all__ = [

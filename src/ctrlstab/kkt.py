@@ -71,12 +71,6 @@ class KktResiduals:
         return max(self.state, self.adjoint, self.stationarity,
                    self.complementarity, self.feasibility)
 
-    def to_dict(self) -> dict:
-        return {"state": self.state, "adjoint": self.adjoint,
-                "stationarity": self.stationarity,
-                "complementarity": self.complementarity,
-                "feasibility": self.feasibility}
-
 
 @dataclass
 class PartitionH5:

@@ -39,6 +39,28 @@ class AdmissionError(ValueError):
         super().__init__(f"assumption {label} violated: {message}")
 
 
+def check_operator(a11, a12, a22, a0, c0: float, quadrature: bool) -> None:
+    """The (C0) and ``a_0 >= 0`` gates on coefficient values at a set of
+    points: the smallest eigenvalue of the tensor ``[[a11, a12], [a12,
+    a22]]`` stays at or above ``c0`` and ``a0`` stays nonnegative, both to
+    1e-12.  The points are the sampled ones of :meth:`ProblemSpec.validate`,
+    or the quadrature points of the assembly when ``quadrature`` is set.
+
+    Both tests are negated comparisons, so a NaN (say, an eigenvalue whose
+    formula overflows on huge finite entries) fails them instead of
+    passing."""
+    what, where = (("tensor eigenvalue", " at a quadrature point")
+                   if quadrature else ("sampled ellipticity", ""))
+    radius = np.sqrt((0.5 * (a11 - a22)) ** 2 + a12 ** 2)
+    worst = float(np.min(0.5 * (a11 + a22) - radius))
+    if not worst >= c0 - 1e-12:
+        raise AdmissionError("(C0)", f"{what} {worst:.6g} below declared "
+                                     f"constant {c0}{where}")
+    a0_min = float(np.min(a0))
+    if not a0_min >= -1e-12:
+        raise AdmissionError("a_0 >= 0", f"a_0 reaches {a0_min:.6g}{where}")
+
+
 def _check_vars(e: Expr, allowed: set, label: str, what: str) -> None:
     extra = e.free_vars() - allowed
     if extra:
@@ -176,22 +198,10 @@ class ProblemSpec:
             return np.broadcast_to(
                 np.asarray(e.eval(env), dtype=float), (GATE_SAMPLES,))
 
-        # (C0): smallest eigenvalue of the 2x2 tensor at interior samples
-        a11 = sampled(self.a11, xd)
-        a12 = sampled(self.a12, xd)
-        a22 = sampled(self.a22, xd)
-        eig_min = 0.5 * (a11 + a22) - np.sqrt(
-            (0.5 * (a11 - a22)) ** 2 + a12 ** 2)
-        worst = float(np.min(eig_min))
-        if not worst >= self.c0 - 1e-12:
-            raise AdmissionError(
-                "(C0)", f"sampled ellipticity {worst:.6g} below "
-                        f"declared constant {self.c0}")
-
+        # (C0) and a_0 >= 0 at interior samples
         a0 = sampled(self.a0, xd)
-        if not np.min(a0) >= -1e-12:
-            raise AdmissionError("a_0 >= 0",
-                                 f"a_0 reaches {float(np.min(a0)):.6g}")
+        check_operator(sampled(self.a11, xd), sampled(self.a12, xd),
+                       sampled(self.a22, xd), a0, self.c0, quadrature=False)
         if not np.max(a0) > 0.0:
             raise AdmissionError("a_0 != 0",
                                  "a_0 vanishes at all sample points")
@@ -220,4 +230,5 @@ class ProblemSpec:
                     "(H4)", f"dg_{i}/dy reaches {float(np.min(gyv)):.6g}")
 
 
-__all__ = ["ProblemSpec", "AdmissionError", "GATE_SAMPLES", "GATE_RANGE"]
+__all__ = ["ProblemSpec", "AdmissionError", "check_operator", "GATE_SAMPLES",
+           "GATE_RANGE"]

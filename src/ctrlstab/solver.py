@@ -264,12 +264,36 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     no_mults = tuple(BoundaryFunction(disc.mesh, np.zeros(nb))
                      for _ in range(m))
 
+    def partition(g):
+        # the dominance partition of the constraint values g at the next
+        # iterate; PartitionError where it is degenerate
+        part = partition_of(g)
+        if not part.sigma1 > 0.0:
+            raise PartitionError(
+                f"constraint separation margin sigma1 = {part.sigma1:.3e} "
+                f"at iteration {len(history) + 1}; the dominance partition "
+                f"is degenerate")
+        return part
+
+    def iterate(state, u, adjoint, mults, w_adj, rhs, g, part, e_vals):
+        # the iterate (point, record, partition, damped multipliers,
+        # constraint values) from the solves of its iteration: Newton's
+        # final residual is the state residual at y, and (w_adj, rhs) is
+        # the adjoint system at the multipliers, so the record is the
+        # verify rule's
+        point = KktPoint(state=state.state,
+                         control=BoundaryFunction(disc.mesh, u.copy()),
+                         adjoint=FeFunction(disc.mesh, adjoint),
+                         multipliers=mults, param=lam_fn)
+        return (point, _residual_record(disc, point, state.residual, w_adj,
+                                        rhs, g, alpha, beta), part, e_vals, g)
+
     def evaluate(u, e_prev, p_prev):
         # one damped iteration up to its residuals from the control u, the
         # damped multipliers e_prev and the costate p_prev of the previous
         # iterate, at the current Newton warm start; a Newton trial
         # (e_prev None) has zero multipliers
-        it = len(history) + 1
+        #
         # Newton stops at _NEWTON_TOL (1 + ||b||), b the boundary load, but
         # the stopping rule bounds the state residual by tol itself: cap
         # Newton's bound at a tenth of tol whatever ||b||
@@ -280,11 +304,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
                                     0.1 * opts.tol / (1.0 + b_norm)))
         y = state.state.values
         g_con = constraint_values(disc, y, lam)
-        part = partition_of(g_con)
-        if not (part.sigma1 > 0.0):
-            raise PartitionError(
-                f"constraint separation margin sigma1 = {part.sigma1:.3e} "
-                f"at iteration {it}; the dominance partition is degenerate")
+        part = partition(g_con)
 
         if e_prev is None:
             e_vals = np.zeros((m, nb))
@@ -299,16 +319,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         mults = tuple(BoundaryFunction(disc.mesh, row.copy())
                       for row in e_vals)
         w_adj, rhs = adjoint_system(disc, y, lam, mults)
-        adj_fn = FeFunction(disc.mesh, disc.jacobian_solve(w_adj, rhs))
-
-        point = KktPoint(state=state.state,
-                         control=BoundaryFunction(disc.mesh, u.copy()),
-                         adjoint=adj_fn, multipliers=mults, param=lam_fn)
-        # Newton's final residual is the state residual at y, and the
-        # pieces are those of the solves above: the verify rule's record
-        res = _residual_record(disc, point, state.residual, w_adj, rhs,
-                               g_con, alpha, beta)
-        return point, res, part, e_vals, g_con
+        return iterate(state, u, disc.jacobian_solve(w_adj, rhs), mults,
+                       w_adj, rhs, g_con, part, e_vals)
 
     def record(step) -> bool:
         # append an evaluated iterate; True when it meets the stopping rule
@@ -357,7 +369,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
 
     def pinned_step(step):
         # the pinned step from the iterate of ``step``, as a step; None when
-        # dg/dy is not one value c or a solve fails
+        # dg/dy is not one value c, a solve fails or the partition
+        # degenerates
         nonlocal pinned
         y0 = step[0].state.values
         labels = step[2].labels
@@ -383,9 +396,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             state = _newton(disc, y0, load, tol_abs, c=c)
             y = state.state.values
             g = seen[1]
-            part = partition_of(g)
-            if not part.sigma1 > 0.0:
-                return None
+            part = partition(g)
             u = -g[labels, nodes]
             # the adjoint with e = trace(p) - alpha - beta u eliminated:
             # (K + M[h_y] + c M_B) p = rhs(e = 0) + c M_B (alpha + beta u)
@@ -398,16 +409,10 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             mults = tuple(BoundaryFunction(disc.mesh,
                                            np.where(labels == i, e, 0.0))
                           for i in range(m))
-            point = KktPoint(state=state.state,
-                             control=BoundaryFunction(disc.mesh, u),
-                             adjoint=FeFunction(disc.mesh, adjoint),
-                             multipliers=mults, param=lam_fn)
-        except (StateSolveError, FemError, ValueError):
+            return iterate(state, u, adjoint, mults, w_adj,
+                           _adjoint_rhs(disc, pieces, mults), g, part, None)
+        except (StateSolveError, PartitionError, FemError, ValueError):
             return None
-        res = _residual_record(disc, point, state.residual, w_adj,
-                               _adjoint_rhs(disc, pieces, mults), g, alpha,
-                               beta)
-        return point, res, part, None, g
 
     def report(step) -> KktSolveReport:
         return KktSolveReport(point=step[0], residuals=step[1],

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -108,10 +108,6 @@ class ExponentFit:
     r2: float
     n_points: int
 
-    def to_dict(self) -> dict:
-        return {"slope": self.slope, "constant": self.constant,
-                "r2": self.r2, "n_points": self.n_points}
-
 
 def fit_exponent(t_values, distances) -> ExponentFit:
     """Fit the growth exponent of ``distances`` against ``t_values`` in
@@ -156,9 +152,9 @@ class StabilityReport:
     def to_dict(self) -> dict:
         return {
             "rows": [r.to_dict() for r in self.rows],
-            "base_residuals": self.base_residuals.to_dict(),
+            "base_residuals": asdict(self.base_residuals),
             "ssc": self.ssc.to_dict(),
-            "fits": {k: f.to_dict() for k, f in self.fits.items()},
+            "fits": {k: asdict(f) for k, f in self.fits.items()},
             "holder_constant": _safe(self.holder_constant),
             "quotient_ratio": _safe(self.quotient_ratio),
             "holder_bounded": self.holder_bounded,

@@ -272,7 +272,7 @@ def _admissible_one(cone, y, u, scale):
 def _finish_one(cone, seed):
     disc = cone.disc
     y, u, _ = project_one(cone, seed.copy())
-    size = disc.l2_boundary(u) + disc.l2_domain(y)
+    size = disc.l2_boundary(u) + norm(FeFunction(disc.mesh, y), "l2")
     if size <= 1e-12 * (1.0 + float(np.max(np.abs(seed)))):
         return None
     if not _admissible_one(cone, y, u, size):

@@ -487,6 +487,20 @@ def test_verify_non_finite_point_exits_2(tmp_path, capsys):
     assert "non-finite" in err and "Traceback" not in err
 
 
+def test_negative_power_of_zero_exits_2(tmp_path, capsys):
+    # h is monotone and no gate sample is exactly 0, so the instance is
+    # admitted; Newton starts at y = 0, where h_y holds 0 * (0)^-0.75
+    text = (CONFIG_DIR / "lq_reference.ini").read_text()
+    text, count = re.subn(r"(?m)^h = .*$", "h = y + y*(y^2)^0.25", text)
+    assert count == 1
+    path = tmp_path / "inst.ini"
+    path.write_text(text)
+    assert main(["solve", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "error: negative power of zero in (y^2.0)^(-0.75)" in err
+    assert "Traceback" not in err
+
+
 def test_ssc_rejects_fewer_than_100_samples(tmp_path, capsys):
     cfg = write_ini(tmp_path / "inst.ini")
     for samples in ("-5", "99"):

@@ -388,7 +388,7 @@ def test_pinned_step_on_cubic_reaction_matches_damped_oracle():
     assert rep.iterations <= 3 < ref.iterations
     gap = rep.point.control.values - ref.point.control.values
     assert float(np.max(np.abs(gap))) <= 1e-7
-    assert residuals(disc, rep.point).to_dict() == rep.residuals.to_dict()
+    assert residuals(disc, rep.point) == rep.residuals
     assert projection_identity_gap(disc, rep.point) <= 10.0 * opts.tol
     # every node strongly active: u = -g(y) and a positive multiplier
     y = disc.trace(rep.point.state.values)
@@ -448,7 +448,7 @@ def test_solver_record_is_the_verify_rule(name):
                      u0=cold.point.control.values, options=opts)
     for rep in (cold, warm):
         verify = residuals(disc, rep.point)
-        assert verify.to_dict() == rep.residuals.to_dict()
+        assert verify == rep.residuals
         assert rep.history[-1] == rep.residuals.worst
         assert rep.sigma1 == partition_at(disc, rep.point.state.values,
                                           rep.point.param.values).sigma1
