@@ -10,7 +10,9 @@ order: sampling of critical directions (projected boundary controls u with
 their linearized states T u) and two estimators for the minimum of the
 curvature form on the critical cone, one sampled, one via the reduced
 Hessian restricted to the strongly-active equality subspace, both on
-boundary-sized forms in the controls.
+boundary-sized forms in the controls.  Where every boundary node is pinned,
+one factorization of the pinned operator shows that subspace is {0}, and
+neither ``T`` nor the forms are built.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fem import BoundaryFunction, Discretization, FeFunction, nodal_values
-from .pde import adjoint_system, linearized_operator, state_residual_norm
+from .fem import (BoundaryFunction, Discretization, FeFunction, FemError,
+                  nodal_values)
+from .pde import (_reaction_y, adjoint_system, linearized_operator,
+                  state_residual_norm)
 from .problem import AdmissionError
 
 
@@ -189,6 +193,27 @@ def _require_multipliers(disc: Discretization, point: KktPoint) -> None:
                          f"problem has {disc.problem.m} constraints")
 
 
+def _pinned_slope(disc: Discretization, y: np.ndarray, lam: np.ndarray,
+                  labels: np.ndarray, gy_node: np.ndarray | None = None
+                  ) -> float | None:
+    """The one value ``c`` that ``dg_i/dy`` takes, for every constraint
+    ``i`` among ``labels``, at every boundary node and boundary quadrature
+    point at the state ``y``; None when there is no such finite value.
+    ``gy_node``, the nodal ``dg_i/dy`` (m, Nb) of every constraint at
+    ``y``, spares their evaluation when the caller holds them."""
+    gys = disc.problem.constraints_y
+    vals = []
+    for i in np.unique(labels):
+        node = disc.eval_node(gys[i], y=y, lam=lam) if gy_node is None \
+            else gy_node[i]
+        vals += [np.ravel(node), np.ravel(disc.eval_bnd(gys[i], y=y, lam=lam))]
+    vals = np.concatenate(vals)
+    c = vals[0]
+    if not (math.isfinite(c) and np.all(vals == c)):
+        return None
+    return float(c)
+
+
 def check_beta_floor(disc: Discretization, lam) -> np.ndarray:
     """Nodal beta(lam); rejects the instance when the quadratic weight drops
     to gamma/2 or below at the perturbed parameter."""
@@ -345,7 +370,14 @@ class _ConeGeometry(_ReducedForms):
     @functools.cached_property
     def z_mat(self) -> np.ndarray:
         """Orthonormal basis of the strong-equality subspace: controls u
-        with ``g_y (Tb u) + u = 0`` at every strongly active node."""
+        with ``g_y (Tb u) + u = 0`` at every strongly active node.
+
+        Empty, and ``T`` never built, when :meth:`_pinned_certificate`
+        shows the subspace is {0}; otherwise the null space, by an SVD, of
+        the strong rows, which read ``Tb``.
+        """
+        if self._pinned_certificate():
+            return np.zeros((self.disc.mesh.n_boundary, 0))
         i, j = np.nonzero(self.strong)  # one row per strong pair, in order
         if j.size == 0:
             return np.eye(self.disc.mesh.n_boundary)
@@ -354,6 +386,39 @@ class _ConeGeometry(_ReducedForms):
         _, sv, vt = np.linalg.svd(rows, full_matrices=True)
         rank = int(np.sum(sv > 1e-12 * sv[0]))
         return vt[rank:].T  # (Nb, nz)
+
+    def _pinned_certificate(self) -> bool:
+        """True when the strong-equality subspace is {0} by one
+        factorization: every boundary node carries a strong pair, the
+        strong pairs' ``dg/dy`` is one value ``c >= 0`` (see
+        :func:`_pinned_slope`), the h_y weights are nonnegative and the
+        pinned operator ``J = K + M[h_y] + c M_B`` factorizes.
+
+        A control ``u`` in the subspace has ``y = T u`` with
+        ``(K + M[h_y]) y = M_B u`` and ``u = -c y|_B``, so ``J y = 0``:
+        ``y = 0`` and ``u = 0``.  The SVD of :attr:`z_mat` would find the
+        same: the strong rows are those of
+        ``I + c Tb = M_bb^-1/2 (I + c M_bb^1/2 S M_bb^1/2) M_bb^1/2``,
+        ``S = P (K + M[h_y])^-1 P^T`` (``P`` the trace) SPD, so their
+        smallest singular value is at least ``1 / sqrt(cond(M_bb))``.
+        Where ``h_y < 0``, ``K + M[h_y]`` can be indefinite while ``J`` is
+        SPD; the T path raises there, and the certificate leaves it to it.
+        The factorization is the ``Discretization``'s entry of ``c``, the
+        one the pinned step of :func:`ctrlstab.solver.solve_kkt` uses.
+        """
+        if not self.strong.any(axis=0).all():
+            return False
+        y = self.point.state.values
+        c = _pinned_slope(self.disc, y, self.point.param.values,
+                          np.nonzero(self.strong)[0], self.gy)
+        w = _reaction_y(self.disc, y)
+        if c is None or c < 0.0 or not np.min(w) >= 0.0:
+            return False
+        try:
+            self.disc.jacobian_factor(w, c)
+        except FemError:
+            return False
+        return True
 
     def project(self, seeds: np.ndarray) -> np.ndarray:
         """Project control seeds (Nb, k) into the discrete critical cone.
@@ -494,12 +559,18 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     Both read the boundary-sized forms of ``_ConeGeometry``: a unit
     sample's value is ``u^T H u``, ``H = T^T A_y T + B_u`` (the integral of
     :func:`quadratic_form` at ``(T u, u)``), and the subspace metric is
-    ``M_bb + T^T M T``.  A fully pinned point assembles no curvature
-    operator.  Samples run in blocks of controls, keeping only a running
-    minimum and a count; the draws from ``rng`` come in the same order as
-    one seed per sample, so a seeded report does not depend on the block
-    width.  Raises ``ValueError`` unless the point carries one multiplier
-    per constraint.
+    ``M_bb + T^T M T``.  ``T`` is built only where the strong-equality
+    subspace needs it: at a point where every boundary node is strongly
+    active, the strong constraints' ``dg/dy`` is one value ``c >= 0`` and
+    ``h_y >= 0``, one Cholesky of ``K + M[h_y] + c M_B`` shows the
+    subspace is {0} (see ``_ConeGeometry._pinned_certificate``), and the
+    report ``(inf, inf, 0, n_strong, True)`` comes without ``T``, ``H`` or
+    the curvature operator.  Samples run in blocks of controls, keeping
+    only a running minimum and a count; the draws from ``rng`` come in the
+    same order as one seed per sample, and are drawn even where the cone
+    is {0}, so a seeded report and the draws after it do not depend on the
+    block width or on the certificate.  Raises ``ValueError`` unless the
+    point carries one multiplier per constraint.
 
     The inverse iteration stops after 50 steps, converged or not.  On the
     ssc_sample benchmark instance (eigen-gap 7.2e-8) it returns

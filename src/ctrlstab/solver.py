@@ -82,9 +82,9 @@ import scipy.linalg
 
 from .fem import (BoundaryFunction, Discretization, FeFunction, FemError,
                   nodal_values)
-from .kkt import (KktPoint, KktResiduals, _ReducedForms, _residual_record,
-                  _separated_multipliers, check_beta_floor, constraint_values,
-                  partition_of)
+from .kkt import (KktPoint, KktResiduals, _ReducedForms, _pinned_slope,
+                  _residual_record, _separated_multipliers, check_beta_floor,
+                  constraint_values, partition_of)
 from .pde import (StateSolveError, _adjoint_pieces, _adjoint_rhs, _newton,
                   adjoint_system, solve_state)
 
@@ -178,21 +178,6 @@ def _newton_direction(forms: _ReducedForms, grad: np.ndarray) -> np.ndarray:
         eig, vec = scipy.linalg.eigh(
             hess, forms.disc.form.mass_boundary_bb.toarray())
         return -vec @ ((vec.T @ grad) / np.abs(eig))
-
-
-def _pinned_slope(disc: Discretization, y: np.ndarray, lam: np.ndarray,
-                  labels: np.ndarray) -> float | None:
-    """The one value ``c`` that ``dg_i/dy`` takes, for every constraint
-    ``i`` among ``labels``, at every boundary node and boundary quadrature
-    point at the state ``y``; None when there is no such finite value."""
-    gys = disc.problem.constraints_y
-    vals = np.concatenate([
-        np.ravel(f(gys[i], y=y, lam=lam))
-        for i in np.unique(labels) for f in (disc.eval_node, disc.eval_bnd)])
-    c = vals[0]
-    if not (math.isfinite(c) and np.all(vals == c)):
-        return None
-    return float(c)
 
 
 def solve_kkt(disc: Discretization, lam, u0=None,

@@ -6,10 +6,12 @@ finite-volume radial solver instead of the 2-D triangulation, a power-series
 Bessel evaluation instead of any library special function, a quasi-Newton
 penalty minimizer instead of the KKT fixed-point iteration, a
 direction-at-a-time critical cone sampler with a quadrature curvature form
-instead of the blocked sampler over the assembled curvature operator, the
-plain damped projection iteration instead of the solver's with its Newton
-and pinned steps, and a cell-by-cell table of partition margins instead of
-one sort.
+instead of the blocked sampler over the assembled curvature operator, a
+control-to-state map by dense elimination and a null space by
+``scipy.linalg.null_space`` instead of the band solve and the pinned-point
+certificate, the plain damped projection iteration instead of the
+solver's with its Newton and pinned steps, and a cell-by-cell table of
+partition margins instead of one sort.
 
 The reduced cost and its adjoint-based gradient, the boundary pairing and
 the a-priori quotient are test references of another kind: they compose the
@@ -230,6 +232,34 @@ def quadrature_curvature(disc, point, y_dir, u_dir):
     uq = disc.edge_interp(u_dir)
     q_val += disc.integrate_boundary(w_bnd * ytq ** 2 + beta_q * uq ** 2)
     return float(q_val)
+
+
+def strong_equality_nullspace(disc, point):
+    """Orthonormal basis (Nb, nz) of the strong-equality subspace at
+    ``point``: the null space of the rows ``g_iy (T u)|_B + u`` at the
+    strongly active pairs ``(i, j)``, ``T`` the dense control-to-state map
+    from Gaussian elimination on ``K + M[h_y]``, and activity read with the
+    tolerances of ``check_ssc``."""
+    p = disc.problem
+    y = point.state.values
+    lam = point.param.values
+    u = point.control.values
+    bv = disc.mesh.boundary_vertices
+    op = disc.form.stiffness.toarray() + disc.domain_mass_weighted(
+        disc.eval_dom(p.reaction_y, y=y)).toarray()
+    t_bnd = dense_solve(op, disc.form.mass_boundary.toarray()[:, bv])[bv]
+    eps = 1e-8 * (1.0 + float(np.max(np.abs(u))))
+    rows = []
+    for g, gy, e in zip(p.constraints, p.constraints_y, point.multipliers):
+        slack = disc.eval_node(g, y=y, lam=lam) + u
+        gy_node = disc.eval_node(gy, y=y, lam=lam)
+        for j in np.flatnonzero((slack >= -eps) & (e.values > eps)):
+            row = gy_node[j] * t_bnd[j]
+            row[j] += 1.0
+            rows.append(row)
+    if not rows:
+        return np.eye(len(bv))
+    return scipy.linalg.null_space(np.array(rows), rcond=1e-12)
 
 
 def project_one(cone, u):

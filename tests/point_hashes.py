@@ -20,6 +20,11 @@ Each line holds 16-hex-digit SHA-256 prefixes of:
   ``run_sweep`` does (a failed step contributes its error class);
 * ``ssc``: ``check_ssc`` at the cold point with ``default_rng([0, 0])`` and
   the file's ``ssc_samples`` (200 when the file sets none);
+* ``chain``: on a new discretization, in the order of ``run_sweep`` and of
+  the benchmark's jobs, the cold solve, ``check_ssc`` at its point (as for
+  ``ssc``) and then the warm chain (as for ``warm``), so that what the
+  check leaves in the discretization's factorization cache shows in the
+  warm solves;
 
 and ``verify=eq`` when the cold residual record equals
 ``residuals(disc, point)`` bit for bit (``verify=ne`` otherwise).  pytest
@@ -59,37 +64,53 @@ def _digest(parts) -> str:
     return h.hexdigest()[:16]
 
 
+def _warm_parts(cs, cfg, disc, cold) -> list:
+    """The fingerprint parts of the warm chain from the cold solve."""
+    plan = cs.sweep_plan(cfg, disc)
+    lam_ref = disc.param_reference()
+    parts = []
+    u_warm = cold.point.control.values
+    for t in plan.t_values:
+        lam_t = lam_ref.values + t * plan.delta.values
+        try:
+            rep = cs.solve_kkt(disc, lam_t, u0=u_warm,
+                               options=cfg.solve_options)
+        except (cs.SolverError, cs.PartitionError, cs.StateSolveError,
+                cs.AdmissionError) as exc:
+            parts.append(type(exc).__name__)
+            continue
+        parts.extend(_solve_parts(rep))
+        u_warm = rep.point.control.values
+    return parts
+
+
+def _ssc(cs, cfg, disc, cold):
+    n_samples = cfg.sweep.ssc_samples if cfg.sweep is not None else 200
+    return dataclasses.astuple(cs.check_ssc(
+        disc, cold.point, n_samples=n_samples,
+        rng=np.random.default_rng([0, 0])))
+
+
 def fingerprint(cs, path: Path) -> str:
-    """The ``cold=… warm=… ssc=… verify=…`` fields of one instance file."""
+    """The ``cold=… warm=… ssc=… chain=… verify=…`` fields of one instance
+    file."""
     cfg = cs.parse_instance(path)
     disc = cs.build_discretization(cfg)
-    opts = cfg.solve_options
-    lam_ref = disc.param_reference()
-    cold = cs.solve_kkt(disc, lam_ref, options=opts)
+    cold = cs.solve_kkt(disc, disc.param_reference(),
+                        options=cfg.solve_options)
     same = cs.residuals(disc, cold.point) == cold.residuals
+    warm = "-" if cfg.sweep is None \
+        else _digest(_warm_parts(cs, cfg, disc, cold))
+    ssc = _ssc(cs, cfg, disc, cold)
 
-    warm = "-"
+    disc = cs.build_discretization(cfg)
+    first = cs.solve_kkt(disc, disc.param_reference(),
+                         options=cfg.solve_options)
+    chain = [*_solve_parts(first), _ssc(cs, cfg, disc, first)]
     if cfg.sweep is not None:
-        plan = cs.sweep_plan(cfg, disc)
-        parts = []
-        u_warm = cold.point.control.values
-        for t in plan.t_values:
-            lam_t = lam_ref.values + t * plan.delta.values
-            try:
-                rep = cs.solve_kkt(disc, lam_t, u0=u_warm, options=opts)
-            except (cs.SolverError, cs.PartitionError, cs.StateSolveError,
-                    cs.AdmissionError) as exc:
-                parts.append(type(exc).__name__)
-                continue
-            parts.extend(_solve_parts(rep))
-            u_warm = rep.point.control.values
-        warm = _digest(parts)
-
-    n_samples = cfg.sweep.ssc_samples if cfg.sweep is not None else 200
-    ssc = cs.check_ssc(disc, cold.point, n_samples=n_samples,
-                       rng=np.random.default_rng([0, 0]))
+        chain.extend(_warm_parts(cs, cfg, disc, first))
     return (f"cold={_digest(_solve_parts(cold))} warm={warm} "
-            f"ssc={_digest(dataclasses.astuple(ssc))} "
+            f"ssc={_digest(ssc)} chain={_digest(chain)} "
             f"verify={'eq' if same else 'ne'}")
 
 

@@ -4,15 +4,16 @@ half-line projection, and both second-order estimators."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
-                      FeFunction, KktPoint, build_discretization, check_ssc,
-                      make_disk_mesh, norm, parse_instance, partition_at,
-                      projection_identity_gap, quadratic_form,
-                      recover_multipliers, solve_kkt)
+                      FeFunction, KktPoint, NotSpdError, ProblemSpec,
+                      build_discretization, check_ssc, make_disk_mesh, norm,
+                      parse_instance, partition_at, projection_identity_gap,
+                      quadratic_form, recover_multipliers, solve_kkt)
 from ctrlstab import kkt
 from ctrlstab.kkt import (_BLOCK_FLOATS, _ConeGeometry, _critical_blocks,
                           check_beta_floor, constraint_values, residuals)
@@ -21,7 +22,7 @@ from ctrlstab.solver import SolveOptions, objective_value
 
 from conftest import CONFIG_DIR, make_spec
 from oracles import (partition_margin, project_one, quadrature_curvature,
-                     sample_directions_one_by_one)
+                     sample_directions_one_by_one, strong_equality_nullspace)
 
 
 def _zero_point(disc, m=None):
@@ -450,6 +451,151 @@ def test_check_ssc_vacuous_when_fully_pinned(lq_solved32, lq_disc32):
     assert rep.positive
     d = rep.to_dict()
     assert d["min_rayleigh"] is None and d["subspace_min_eig"] is None
+
+
+@pytest.fixture(scope="module")
+def cubic_pinned():
+    # h = y + y^3 on the lq instance: the first constraint binds strongly
+    # at every boundary node of the solution
+    spec = make_spec(reaction="y^3 + y")
+    mesh = make_disk_mesh(32, 0)
+    disc = Discretization(spec, mesh)
+    rep = solve_kkt(disc, disc.param_reference(),
+                    options=SolveOptions(tol=1e-10))
+    return spec, mesh, rep.point
+
+
+def _no_map(*args):
+    raise AssertionError("the control-to-state map was built")
+
+
+def test_pinned_certificate_replaces_control_to_state_map(
+        cubic_pinned, factorizations, monkeypatch):
+    spec, mesh, point = cubic_pinned
+    nb = mesh.n_boundary
+    with monkeypatch.context() as mp:
+        # the report of the T path, the certificate switched off
+        mp.setattr(_ConeGeometry, "_pinned_certificate", lambda self: False)
+        ref = check_ssc(Discretization(spec, mesh), point, n_samples=50,
+                        rng=np.random.default_rng(3))
+    assert ref.n_strong == nb and ref.positive
+
+    monkeypatch.setattr(kkt, "linearized_operator", _no_map)
+    disc = Discretization(spec, mesh)
+    factorizations.clear()
+    rep = check_ssc(disc, point, n_samples=50, rng=np.random.default_rng(3))
+    assert rep == ref
+    # one factorization, of the pinned operator K + M[h_y] + c M_B, c = 1
+    (made,) = factorizations
+    w = disc.eval_dom(spec.reaction_y, y=point.state.values)
+    want = disc.form.stiffness + disc.domain_mass_weighted(w) \
+        + disc.form.mass_boundary
+    assert abs(made.matrix - want).max() <= 1e-12 * abs(want).max()
+
+    cone = _ConeGeometry(disc, point)
+    assert cone.z_mat.shape == (nb, 0)
+    assert "t_mat" not in cone.__dict__
+    assert len(factorizations) == 1  # the cached entry serves again
+
+
+def test_pinned_check_draws_every_seed_block(cubic_pinned, monkeypatch):
+    # the cone is {0}, yet the seeds are drawn, so the draws after the
+    # check (run_sweep's, the CLI's) do not depend on the certificate
+    spec, mesh, point = cubic_pinned
+    monkeypatch.setattr(kkt, "linearized_operator", _no_map)
+    nb = mesh.n_boundary
+    n = 300
+    width = max(1, _BLOCK_FLOATS // nb)
+    assert n > width and n % width
+    rng = np.random.default_rng(11)
+    check_ssc(Discretization(spec, mesh), point, n_samples=n, rng=rng)
+    ref = np.random.default_rng(11)
+    for start in range(0, n, width):
+        ref.standard_normal((min(width, n - start), nb))
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+def _unvalidated_disc(monkeypatch, **overrides):
+    # dg/dy < 0 or dh/dy < 0 fails the (H4) gates; these points are built
+    # to reach the fallbacks of the certificate past them
+    with monkeypatch.context() as mp:
+        mp.setattr(ProblemSpec, "validate", lambda self: None)
+        return Discretization(make_spec(**overrides), make_disk_mesh(16, 0))
+
+
+def _pinned_point(disc, y, i=0):
+    # constraint i binds at every node with a unit multiplier, the others
+    # carry none: pinned everywhere, though not a KKT point
+    mesh = disc.mesh
+    nb = mesh.n_boundary
+    lam = np.zeros(nb)
+    g = constraint_values(disc, y, lam)
+    mults = [BoundaryFunction(mesh, np.full(nb, float(k == i)))
+             for k in range(disc.problem.m)]
+    return KktPoint(state=FeFunction(mesh, y),
+                    control=BoundaryFunction(mesh, -g[i]),
+                    adjoint=FeFunction(mesh, np.zeros(mesh.n_vertices)),
+                    multipliers=mults, param=BoundaryFunction(mesh, lam))
+
+
+def _sloped_state(disc):
+    return 0.3 + 0.1 * disc.mesh.vertices[:, 0]
+
+
+@pytest.mark.parametrize("case", ["negative_slope", "varying_slope",
+                                  "free_node", "factor_fails"])
+def test_pinned_certificate_fallbacks_build_the_map(case, lq_disc32,
+                                                    lq_solved32, monkeypatch):
+    if case == "negative_slope":
+        disc = _unvalidated_disc(
+            monkeypatch, constraints=("-0.5*y - 0.05", "-0.5*y - 1.05"))
+        point = _pinned_point(disc, _sloped_state(disc))
+    elif case == "varying_slope":
+        # the binding constraint is the second; the first has dg/dy = 1
+        disc = Discretization(
+            make_spec(constraints=("y - 1.05", "(1 + 0.5*sin(s))*y - 0.05")),
+            make_disk_mesh(16, 0))
+        point = _pinned_point(disc, _sloped_state(disc), i=1)
+    else:
+        disc, point = lq_disc32, lq_solved32.point
+    if case == "free_node":
+        # a zero multiplier leaves node 0 weakly active
+        point = replace(point, multipliers=tuple(
+            BoundaryFunction(disc.mesh, np.where(
+                np.arange(disc.mesh.n_boundary) == 0, 0.0, e.values))
+            for e in point.multipliers))
+    if case == "factor_fails":
+        original = Discretization.jacobian_factor
+
+        def failing(self, w_qp, c=0.0):
+            if c:
+                raise NotSpdError("pinned operator")
+            return original(self, w_qp, c)
+
+        monkeypatch.setattr(Discretization, "jacobian_factor", failing)
+
+    cone = _ConeGeometry(disc, point)
+    assert cone.strong.any(axis=0).all() == (case != "free_node")
+    z = cone.z_mat
+    assert "t_mat" in cone.__dict__
+    ref = strong_equality_nullspace(disc, point)
+    assert z.shape == ref.shape
+    assert z.shape[1] == (case == "free_node")
+    assert np.allclose(z @ z.T, ref @ ref.T, rtol=0.0, atol=1e-10)
+
+
+def test_pinned_point_with_indefinite_linearization_still_raises(
+        monkeypatch):
+    # a_0 + h_y = 2 - 1.5 y^2 < 0 at y = 1.25: K + M[h_y] is indefinite,
+    # though the pinned operator K + M[h_y] + M_B is SPD; the certificate
+    # does not apply where h_y < 0, and the T path raises as it always has
+    disc = _unvalidated_disc(monkeypatch, reaction="y - 0.5*y^3")
+    point = _pinned_point(disc, np.full(disc.mesh.n_vertices, 1.25))
+    w = disc.eval_dom(disc.problem.reaction_y, y=point.state.values)
+    disc.jacobian_factor(w, 1.0)
+    assert _ConeGeometry(disc, point).strong.any(axis=0).all()
+    with pytest.raises(NotSpdError):
+        check_ssc(disc, point, n_samples=10)
 
 
 def test_check_ssc_subspace_estimator_start_independent(mixed_active_solved):
