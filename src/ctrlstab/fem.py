@@ -11,9 +11,11 @@ assembly, discrete norms, and a sparse symmetric-positive-definite solver.
 
 Assembly has one path: each mesh keeps a fixed CSR pattern for its
 triangles, its boundary edges and its boundary numbering, and a matrix is
-one ``bincount`` of element matrices into a pattern, summed in the order
-of scipy's COO-to-CSR conversion and so equal to it bit for bit (see
-``_Pattern``).
+one ``bincount`` of element matrices into a pattern, which sums the
+duplicates of an entry in element order (see ``_Pattern``).  A mass
+element matrix is one product of weighted quadrature values with a table
+of basis products, and a load vector's element part one product with the
+basis.
 
 The solver reorders by reverse Cuthill-McKee, then factorizes by banded
 Cholesky.  That is the only factorization; a matrix whose band would exceed
@@ -37,7 +39,6 @@ factorization of their own.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,11 @@ EDGE_T = np.array([0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)])
 
 #: boundary basis values (rows: points, cols: edge endpoints)
 EDGE_BASIS = np.column_stack([1.0 - EDGE_T, EDGE_T])
+
+#: basis products phi_a phi_b at the quadrature points (rows: points, cols:
+#: entry a k + b of a k-node element matrix)
+_TRI_PRODUCTS = np.einsum("qa,qb->qab", TRI_BASIS, TRI_BASIS).reshape(3, 9)
+_EDGE_PRODUCTS = np.einsum("qa,qb->qab", EDGE_BASIS, EDGE_BASIS).reshape(2, 4)
 
 
 class FemError(RuntimeError):
@@ -159,17 +165,11 @@ class _MeshTables:
         self.tri_pattern = _Pattern(tris, mesh.n_vertices)
         self.bnd_pattern = _Pattern(mesh.boundary_edges, mesh.n_vertices)
         self.bb_pattern = _Pattern(self.edge_pos, nb)
-
-    @functools.cached_property
-    def bnd_in_tri(self) -> np.ndarray:
-        """Position in the triangle pattern of each boundary-edge pattern
-        entry: every boundary edge is a triangle edge, so the boundary mass
-        adds onto the triangle pattern's values."""
-        def keys(pat):
-            rows = np.repeat(np.arange(pat.shape[0], dtype=np.int64),
-                             np.diff(pat.indptr))
-            return rows * pat.shape[0] + pat.indices
-        return np.searchsorted(keys(self.tri_pattern), keys(self.bnd_pattern))
+        # every boundary edge is a triangle edge: the position in the
+        # triangle pattern of each boundary-edge pattern entry, so that the
+        # boundary mass adds onto the triangle pattern's values
+        self.bnd_in_tri = np.searchsorted(self.tri_pattern.keys,
+                                          self.bnd_pattern.keys)
 
 
 def _tables(mesh: Mesh) -> _MeshTables:
@@ -352,56 +352,28 @@ def solve_spd(matrix, b: np.ndarray, factor: SpdFactorization) -> np.ndarray:
 class _Pattern:
     """Fixed CSR pattern of element matrices over one list of cells.
 
-    Built once from the node lists ``cells`` (C, k) of an (n, n) matrix.
-    :meth:`sum` adds element matrices (C, k, k) into the pattern's data
-    with one ``bincount``, and the matrix of that data equals
-    ``coo_matrix((elem.ravel(), (rows, cols))).tocsr()`` bit for bit
-    (indptr, indices and data): the scatter map replays scipy's summation
-    order.  scipy buckets the entries by row with a stable counting sort,
-    sorts each row's columns with ``std::sort``, which is not stable, and
-    adds duplicates left to right.  The pattern runs the first step in
-    numpy, lets scipy's own ``sort_indices`` run the second on entry
-    numbers, and ``bincount`` adds left to right as well.  Another order
-    changes the rounding, and the solver's iteration counts with it.
+    Built once from the node lists ``cells`` (C, k) of an (n, n) matrix:
+    entry (t, a, b) of the element matrices has the scalar key
+    ``cells[t, a] n + cells[t, b]``, and the sorted distinct keys are the
+    pattern's entries in CSR order.  :meth:`sum` adds element matrices
+    into the pattern's data with one ``bincount``, which sums the
+    duplicates of an entry in element order.
     """
 
     def __init__(self, cells: np.ndarray, n: int):
-        k = cells.shape[1]
-        nodes = cells.ravel()
-        # entry (t, a, b) of elem.ravel() is number (t k + a) k + b, in row
-        # cells[t, a]; the k entries of one (t, a) are consecutive, so a
-        # stable sort of the C k nodes orders all C k k entries by row
-        by_row = np.argsort(nodes, kind="stable").astype(np.int32)
-        entry = (by_row[:, None] * k + np.arange(k, dtype=np.int32)).ravel()
-        cols = np.take(cells, by_row // k, axis=0).ravel()
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(nodes, minlength=n) * k, out=indptr[1:])
-        dup = sp.csr_matrix((entry.astype(float), cols.astype(np.int32),
-                             indptr), shape=(n, n))
-        dup.sort_indices()
-        # perm and pos are intp: bincount and the gather convert int32
-        # indices on every call, which made a sum on fine_sweep's mesh
-        # three times slower (1.3 against 0.45 ms)
-        self.perm = dup.data.astype(np.intp)
-
-        cols = dup.indices
-        new = np.empty(len(cols), dtype=bool)
-        new[0] = True
-        np.not_equal(cols[1:], cols[:-1], out=new[1:])
-        new[indptr[:-1][np.diff(indptr) > 0]] = True
-        upto = np.zeros(len(cols) + 1, dtype=np.intp)
-        np.cumsum(new, out=upto[1:])
-        self.pos = upto[1:] - 1
-        self.indices = cols[new]
-        self.indptr = upto[indptr].astype(np.int32)
+        c = cells.astype(np.int64)
+        self.keys, self.pos = np.unique(
+            (c[:, :, None] * n + c[:, None, :]).ravel(), return_inverse=True)
+        self.indices = (self.keys % n).astype(np.int32)
+        self.indptr = np.searchsorted(self.keys,
+                                      np.arange(n + 1) * n).astype(np.int32)
         self.shape = (n, n)
-        self.nnz = len(self.indices)
+        self.nnz = len(self.keys)
 
     def sum(self, elem: np.ndarray) -> np.ndarray:
-        """Sum element matrices ``elem`` (C, k, k) into values (nnz,) on
-        this pattern."""
-        return np.bincount(self.pos, weights=elem.ravel()[self.perm],
-                           minlength=self.nnz)
+        """Sum element matrices ``elem``, (C, k, k) or (C, k k), into values
+        (nnz,) on this pattern."""
+        return np.bincount(self.pos, weights=elem.ravel(), minlength=self.nnz)
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """A CSR matrix with values ``data`` (nnz,) on this pattern.  It owns
@@ -413,7 +385,8 @@ class _Pattern:
         return m
 
     def assemble(self, elem: np.ndarray) -> sp.csr_matrix:
-        """The CSR matrix of element matrices ``elem`` (C, k, k)."""
+        """The CSR matrix of element matrices ``elem``, (C, k, k) or
+        (C, k k)."""
         return self.matrix(self.sum(elem))
 
 
@@ -439,11 +412,13 @@ class Discretization:
     boundary weight ``c`` (see :meth:`jacobian_matrix` and
     :meth:`jacobian_factor`), each filled on first use.  ``c = 0`` is the
     state and adjoint operator ``K + M[h_y]``; the pinned step of
-    :func:`ctrlstab.solver.solve_kkt` uses ``c = dg/dy``.  Its values are
+    :func:`ctrlstab.solver.solve_kkt` uses ``c = dg/dy``.  ``K`` and
+    ``M[w]`` each sum their element matrices in element order, with no
+    COO-to-CSR conversion.  The operator's values are
     ``K.data + M[w].data`` on the triangle pattern, the sums scipy's
-    ``K + M[w]`` computes, with no COO-to-CSR conversion, plus
-    ``c M_B.data`` on the boundary edges; an entry that sums to exactly
-    zero stays as an explicit zero, where scipy's addition would drop it.
+    ``K + M[w]`` computes, plus ``c M_B.data`` on the boundary edges; an
+    entry that sums to exactly zero stays as an explicit zero, where
+    scipy's addition would drop it.
     An entry is reused only when its ``c`` and the weights ``w`` equal the
     cached ones bit for bit (shape and values); other weights replace the
     entry of that ``c`` and leave the others alone.
@@ -561,43 +536,35 @@ class Discretization:
                 + np.einsum("t,ta,tb->tab", i12, gx, gy)
                 + np.einsum("t,ta,tb->tab", i12, gy, gx)
                 + np.einsum("t,ta,tb->tab", i22, gy, gy))
-        elem += np.einsum("tq,qa,qb->tab", t.qw_dom * a0, TRI_BASIS, TRI_BASIS)
+        elem = elem.reshape(-1, 9) + (t.qw_dom * a0) @ _TRI_PRODUCTS
         # the summation order perturbs symmetry at machine level; the
-        # average 0.5 (S + S^T), with each pair added in the order scipy's
-        # S + S.T adds it, is symmetric bit for bit.  The triangle pattern
-        # is symmetric, and transposing entry numbers gives each entry the
-        # position of its mirror
+        # average 0.5 (S + S^T) is symmetric bit for bit.  The triangle
+        # pattern is symmetric, and the key of an entry's mirror swaps its
+        # row and column
         pat = t.tri_pattern
+        n = pat.shape[0]
         s = pat.sum(elem)
-        mirror = pat.matrix(np.arange(pat.nnz, dtype=float)).T.tocsr().data
-        stiffness = pat.matrix(0.5 * (s + s[mirror.astype(np.intp)]))
+        mirror = np.searchsorted(pat.keys, pat.keys % n * n + pat.keys // n)
+        stiffness = pat.matrix(0.5 * (s + s[mirror]))
 
-        mass_elem = np.einsum("tq,qa,qb->tab",
-                              t.qw_dom, TRI_BASIS, TRI_BASIS)
-        mass_domain = pat.assemble(mass_elem)
-
-        edge_elem = np.einsum("eq,qa,qb->eab",
-                              t.qw_bnd, EDGE_BASIS, EDGE_BASIS)
-        mass_boundary = t.bnd_pattern.assemble(edge_elem)
-        mass_boundary_bb = t.bb_pattern.assemble(edge_elem)
-        return EllipticForm(stiffness, mass_domain, mass_boundary,
-                            mass_boundary_bb)
+        unit = np.ones_like(t.qw_bnd)
+        return EllipticForm(
+            stiffness, self.domain_mass_weighted(np.ones_like(t.qw_dom)),
+            self.boundary_mass_weighted(unit),
+            self.boundary_mass_weighted(unit, boundary_numbering=True))
 
     def domain_mass_weighted(self, w_qp: np.ndarray) -> sp.csr_matrix:
         """Assemble ``int w phi_a phi_b dx`` from weight values at interior
         quadrature points."""
-        elem = np.einsum("tq,qa,qb->tab", self.tables.qw_dom * w_qp,
-                         TRI_BASIS, TRI_BASIS)
+        elem = (self.tables.qw_dom * w_qp) @ _TRI_PRODUCTS
         return self.tables.tri_pattern.assemble(elem)
 
     def boundary_mass_weighted(self, w_qp: np.ndarray,
                                boundary_numbering: bool = False) -> sp.csr_matrix:
         """Assemble ``int_boundary w phi_a phi_b ds``."""
-        elem = np.einsum("eq,qa,qb->eab", self.tables.qw_bnd * w_qp,
-                         EDGE_BASIS, EDGE_BASIS)
         t = self.tables
         pat = t.bb_pattern if boundary_numbering else t.bnd_pattern
-        return pat.assemble(elem)
+        return pat.assemble((t.qw_bnd * w_qp) @ _EDGE_PRODUCTS)
 
     def _jacobian_entry(self, w_qp: np.ndarray, c: float) -> list:
         entry = self._jacobian.get(c)
@@ -656,13 +623,13 @@ class Discretization:
 
     def domain_load(self, f_qp: np.ndarray) -> np.ndarray:
         """Assemble ``int f phi_a dx`` into a full nodal vector (V,)."""
-        contrib = np.einsum("tq,qa->ta", self.tables.qw_dom * f_qp, TRI_BASIS)
+        contrib = (self.tables.qw_dom * f_qp) @ TRI_BASIS
         return np.bincount(self.mesh.triangles.ravel(), weights=contrib.ravel(),
                            minlength=self.mesh.n_vertices)
 
     def boundary_load(self, f_qp: np.ndarray) -> np.ndarray:
         """Assemble ``int_boundary f phi_a ds`` into a full nodal vector."""
-        contrib = np.einsum("eq,qa->ea", self.tables.qw_bnd * f_qp, EDGE_BASIS)
+        contrib = (self.tables.qw_bnd * f_qp) @ EDGE_BASIS
         return np.bincount(self.mesh.boundary_edges.ravel(),
                            weights=contrib.ravel(),
                            minlength=self.mesh.n_vertices)

@@ -141,25 +141,21 @@ def make_disk_mesh(n_boundary: int, refinement: int = 0) -> Mesh:
 
 
 def _validate(mesh: Mesh) -> None:
-    # Euler characteristic of a disk: V - E + T = 1
-    tris = mesh.triangles
-    all_edges = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    all_edges.sort(axis=1)
-    n_edges = len(np.unique(all_edges, axis=0))
-    euler = mesh.n_vertices - n_edges + mesh.n_triangles
+    # Euler characteristic of a disk: V - E + T = 1; the edge of nodes
+    # a < b has the key a V + b
+    v = mesh.n_vertices
+    tris = mesh.triangles.astype(np.int64)
+    ends = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)]), axis=0)
+    keys, counts = np.unique(ends[0] * v + ends[1], return_counts=True)
+    euler = v - len(keys) + mesh.n_triangles
     if euler != 1:
         raise MeshError(f"Euler characteristic {euler} != 1")
 
-    # boundary edges of the triangulation = the declared boundary cycle
-    order = np.lexsort(all_edges.T[::-1])
-    se = all_edges[order]
-    is_dup = np.zeros(len(se), dtype=bool)
-    same = np.all(se[1:] == se[:-1], axis=1)
-    is_dup[1:] |= same
-    is_dup[:-1] |= same
-    hull = {tuple(e) for e in se[~is_dup]}
-    declared = {tuple(sorted(e)) for e in mesh.boundary_edges}
-    if hull != declared:
+    # boundary edges of the triangulation (those of one triangle) = the
+    # declared boundary cycle
+    declared = np.sort(mesh.boundary_edges.astype(np.int64), axis=1)
+    if not np.array_equal(keys[counts == 1],
+                          np.unique(declared[:, 0] * v + declared[:, 1])):
         raise MeshError("triangulation boundary does not match the declared cycle")
 
     radii = np.linalg.norm(mesh.vertices[mesh.boundary_vertices], axis=1)

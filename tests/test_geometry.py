@@ -2,13 +2,14 @@
 topology invariants, boundary cycle structure, refinement behavior, and the
 deterministic mesh fingerprint."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ctrlstab import MeshError, dump_mesh, make_disk_mesh, mesh_hash
-from ctrlstab.geometry import mesh_text
+from ctrlstab.geometry import _validate, mesh_text
 
 
 def polygon_perimeter(n):
@@ -102,6 +103,30 @@ def test_refinement_matches_direct_construction():
     a = make_disk_mesh(16, 2)
     b = make_disk_mesh(64, 0)
     assert mesh_hash(a) == mesh_hash(b)
+
+
+def test_validation_rejects_a_hole():
+    # an interior triangle dropped: every edge stays, one face goes
+    mesh = make_disk_mesh(16, 0)
+    interior = ~np.isin(mesh.triangles, mesh.boundary_vertices).any(axis=1)
+    hole = np.flatnonzero(interior)[0]
+    holed = dataclasses.replace(
+        mesh, triangles=np.delete(mesh.triangles, hole, axis=0))
+    with pytest.raises(MeshError, match="Euler characteristic 0 != 1"):
+        _validate(holed)
+
+
+def test_validation_rejects_another_boundary_cycle():
+    # two boundary vertices swapped in the declared cycle: the same
+    # vertices, but two declared edges are no hull edges
+    mesh = make_disk_mesh(16, 0)
+    cycle = mesh.boundary_vertices.copy()
+    cycle[[1, 2]] = cycle[[2, 1]]
+    swapped = dataclasses.replace(
+        mesh, boundary_vertices=cycle,
+        boundary_edges=np.column_stack([cycle, np.roll(cycle, -1)]))
+    with pytest.raises(MeshError, match="does not match the declared cycle"):
+        _validate(swapped)
 
 
 @pytest.mark.parametrize("n,refinement",
