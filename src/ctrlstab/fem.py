@@ -171,6 +171,11 @@ class _MeshTables:
         self.bnd_in_tri = np.searchsorted(self.tri_pattern.keys,
                                           self.bnd_pattern.keys)
 
+    def l2_boundary(self, w) -> float:
+        """L2 boundary norm of a boundary nodal array."""
+        vals = np.asarray(w, float)[self.edge_pos] @ EDGE_BASIS.T
+        return float(np.sqrt(np.sum(self.qw_bnd * vals ** 2)))
+
 
 def _tables(mesh: Mesh) -> _MeshTables:
     """The tables of ``mesh``, built on first use and kept on the mesh, so
@@ -185,11 +190,6 @@ def _tables(mesh: Mesh) -> _MeshTables:
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
-
-
-def _l2(weights: np.ndarray, vals: np.ndarray) -> float:
-    """L2 norm from values at quadrature points and their weights."""
-    return float(np.sqrt(np.sum(weights * vals ** 2)))
 
 
 def norm(f, kind: str, r: float = 3.0) -> float:
@@ -207,7 +207,7 @@ def norm(f, kind: str, r: float = 3.0) -> float:
         t = _tables(f.mesh)
         vals = f.values[f.mesh.triangles] @ TRI_BASIS.T  # (T, 3)
         if kind == "l2":
-            return _l2(t.qw_dom, vals)
+            return float(np.sqrt(np.sum(t.qw_dom * vals ** 2)))
         if kind == "w1r":
             if not (2.0 < r < 4.0):
                 raise ValueError(f"W^(1,r) exponent must lie in (2, 4), got {r}")
@@ -217,8 +217,7 @@ def norm(f, kind: str, r: float = 3.0) -> float:
             return float(total ** (1.0 / r))
     elif isinstance(f, BoundaryFunction):
         if kind == "l2":
-            t = _tables(f.mesh)
-            return _l2(t.qw_bnd, f.values[t.edge_pos] @ EDGE_BASIS.T)
+            return _tables(f.mesh).l2_boundary(f.values)
         if kind == "w1r":
             raise ValueError("w1r is a domain norm; got a boundary field")
     else:
@@ -642,7 +641,7 @@ class Discretization:
 
     def l2_boundary(self, w: np.ndarray) -> float:
         """L2 boundary norm of a boundary nodal array."""
-        return _l2(self.tables.qw_bnd, self.edge_interp(w))
+        return self.tables.l2_boundary(w)
 
 
 __all__ = [

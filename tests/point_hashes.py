@@ -1,23 +1,19 @@
-"""Print one fingerprint line per shipped instance file, to check that a
-change keeps every solver output bit for bit.
+"""Check that a change keeps every solver output of every shipped instance
+file bit for bit, or measure how far it moves them.
 
 Usage::
 
     python tests/point_hashes.py [REPO_ROOT]
+    python tests/point_hashes.py --against OTHER_ROOT
 
-``REPO_ROOT`` (default: this checkout) is the tree whose ``src/`` is
-imported and whose ``configs/*.ini`` and ``perfbench/instances/*.ini`` are
-read, so the same script run against another checkout (say, the parent
-commit in a separate clone) prints lines that compare with ``diff``.
-
-Each line holds 16-hex-digit SHA-256 prefixes of:
+The instance files are ``configs/*.ini`` and ``perfbench/instances/*.ini``
+of the tree whose ``src/`` is imported.  ``record`` runs, for one file:
 
 * ``cold``: the solve at the reference parameter with the file's solver
-  options: state, control, adjoint, multipliers, iteration/Newton/pinned
-  counts, sigma1, history and the residual record;
-* ``warm``: the same fields of every solve of the chain at the file's
-  ``[sweep] t``, each started from the last converged control as
-  ``run_sweep`` does (a failed step contributes its error class);
+  options;
+* ``warm``: every solve of the chain at the file's ``[sweep] t``, each
+  started from the last converged control as ``run_sweep`` does (none
+  without a sweep);
 * ``ssc``: ``check_ssc`` at the cold point with ``default_rng([0, 0])`` and
   the file's ``ssc_samples`` (200 when the file sets none);
 * ``chain``: on a new discretization, in the order of ``run_sweep`` and of
@@ -25,51 +21,65 @@ Each line holds 16-hex-digit SHA-256 prefixes of:
   ``ssc``) and then the warm chain (as for ``warm``), so that what the
   check leaves in the discretization's factorization cache shows in the
   warm solves;
+* ``verify``: whether the cold residual record equals
+  ``residuals(disc, point)`` bit for bit.
 
-and ``verify=eq`` when the cold residual record equals
-``residuals(disc, point)`` bit for bit (``verify=ne`` otherwise).  pytest
-does not collect this file; it runs in well under a minute.
+Each solve is recorded as its state, control, adjoint and multiplier
+arrays, its (iterations, newton, pinned) counts, sigma1, history and
+residual record, or as its error class name when it failed.
+
+The first form reads ``REPO_ROOT`` (default: this checkout) and prints one
+line per file: 16-hex-digit SHA-256 prefixes of ``cold``, ``warm`` (``-``
+without a sweep), ``ssc`` and ``chain``, and ``verify=eq`` (``verify=ne``
+otherwise).  Lines printed from two trees compare with ``diff``.
+
+``--against`` records this checkout and ``OTHER_ROOT``, each in its own
+subprocess that imports that tree's ``src/``, and prints per file whether
+the counts of all solves agree and, for every field that the fingerprint
+hashes, ``=`` when it is bit-identical in every solve, or else its largest
+absolute move.  A field that no pair of successful solves carries reads
+``-``.
+
+With one BLAS thread on a 2-CPU machine the first form takes about 2 s
+for all instance files and ``--against`` about 3 s;
+``tests/test_point_hashes.py`` runs both reports on one file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
+import pickle
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
-
-def _update(h, part) -> None:
-    if isinstance(part, np.ndarray):
-        h.update(np.ascontiguousarray(part, dtype=float).tobytes())
-    else:
-        h.update(repr(part).encode())
-    h.update(b"|")
+#: the fields of a solve record, in the fingerprint's order
+FIELDS = ("state", "control", "adjoint", "multipliers", "counts", "sigma1",
+          "history", "residuals")
 
 
-def _solve_parts(rep) -> list:
-    point = rep.point
-    return [point.state.values, point.control.values, point.adjoint.values,
-            *(e.values for e in point.multipliers),
-            (rep.iterations, rep.newton, rep.pinned), rep.sigma1,
-            list(rep.history), dataclasses.astuple(rep.residuals)]
+def _fields(rep) -> dict:
+    """The record of one solve."""
+    p = rep.point
+    return dict(zip(FIELDS, (
+        p.state.values, p.control.values, p.adjoint.values,
+        np.array([e.values for e in p.multipliers]),
+        (rep.iterations, rep.newton, rep.pinned), rep.sigma1,
+        list(rep.history), dataclasses.astuple(rep.residuals))))
 
 
-def _digest(parts) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        _update(h, part)
-    return h.hexdigest()[:16]
-
-
-def _warm_parts(cs, cfg, disc, cold) -> list:
-    """The fingerprint parts of the warm chain from the cold solve."""
+def _warm(cs, cfg, disc, cold) -> list | None:
+    """The records of the warm chain from the cold solve (None without a
+    sweep)."""
+    if cfg.sweep is None:
+        return None
     plan = cs.sweep_plan(cfg, disc)
     lam_ref = disc.param_reference()
-    parts = []
-    u_warm = cold.point.control.values
+    out, u_warm = [], cold.point.control.values
     for t in plan.t_values:
         lam_t = lam_ref.values + t * plan.delta.values
         try:
@@ -77,54 +87,164 @@ def _warm_parts(cs, cfg, disc, cold) -> list:
                                options=cfg.solve_options)
         except (cs.SolverError, cs.PartitionError, cs.StateSolveError,
                 cs.AdmissionError) as exc:
-            parts.append(type(exc).__name__)
+            out.append(type(exc).__name__)
             continue
-        parts.extend(_solve_parts(rep))
+        out.append(_fields(rep))
         u_warm = rep.point.control.values
-    return parts
+    return out
 
 
-def _ssc(cs, cfg, disc, cold):
+def _ssc(cs, cfg, disc, rep) -> dict:
     n_samples = cfg.sweep.ssc_samples if cfg.sweep is not None else 200
-    return dataclasses.astuple(cs.check_ssc(
-        disc, cold.point, n_samples=n_samples,
+    return dataclasses.asdict(cs.check_ssc(
+        disc, rep.point, n_samples=n_samples,
         rng=np.random.default_rng([0, 0])))
 
 
-def fingerprint(cs, path: Path) -> str:
-    """The ``cold=… warm=… ssc=… chain=… verify=…`` fields of one instance
-    file."""
+def record(cs, path: Path) -> dict:
+    """Every solve and SSC report of one instance file, with ``cs`` the
+    imported ``ctrlstab``; the cold solves must succeed."""
     cfg = cs.parse_instance(path)
     disc = cs.build_discretization(cfg)
     cold = cs.solve_kkt(disc, disc.param_reference(),
                         options=cfg.solve_options)
-    same = cs.residuals(disc, cold.point) == cold.residuals
-    warm = "-" if cfg.sweep is None \
-        else _digest(_warm_parts(cs, cfg, disc, cold))
-    ssc = _ssc(cs, cfg, disc, cold)
-
+    out = {"cold": _fields(cold),
+           "verify": cs.residuals(disc, cold.point) == cold.residuals,
+           "warm": _warm(cs, cfg, disc, cold),
+           "ssc": _ssc(cs, cfg, disc, cold)}
     disc = cs.build_discretization(cfg)
     first = cs.solve_kkt(disc, disc.param_reference(),
                          options=cfg.solve_options)
-    chain = [*_solve_parts(first), _ssc(cs, cfg, disc, first)]
-    if cfg.sweep is not None:
-        chain.extend(_warm_parts(cs, cfg, disc, first))
-    return (f"cold={_digest(_solve_parts(cold))} warm={warm} "
-            f"ssc={_digest(ssc)} chain={_digest(chain)} "
-            f"verify={'eq' if same else 'ne'}")
+    out["chain_cold"] = _fields(first)
+    out["chain_ssc"] = _ssc(cs, cfg, disc, first)
+    out["chain_warm"] = _warm(cs, cfg, disc, first)
+    return out
 
 
-def main(argv: list) -> int:
-    root = Path(argv[1] if len(argv) > 1 else
-                Path(__file__).resolve().parent.parent).resolve()
+# --- the fingerprint line
+
+
+def _hashed(part) -> bytes:
+    if isinstance(part, np.ndarray):
+        return np.ascontiguousarray(part, dtype=float).tobytes()
+    return repr(part).encode()
+
+
+def _digest(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(_hashed(part) + b"|")
+    return h.hexdigest()[:16]
+
+
+def _parts(solves) -> list:
+    """The hashed parts of solve records: the fields in order, the
+    multipliers one array each, or the error class name."""
+    out = []
+    for s in solves:
+        if isinstance(s, str):
+            out.append(s)
+            continue
+        for key in FIELDS:
+            out.extend(s[key] if key == "multipliers" else [s[key]])
+    return out
+
+
+def line(rec: dict) -> str:
+    """The ``cold=… warm=… ssc=… chain=… verify=…`` fields of a record."""
+    warm = "-" if rec["warm"] is None else _digest(_parts(rec["warm"]))
+    chain = [*_parts([rec["chain_cold"]]), tuple(rec["chain_ssc"].values()),
+             *_parts(rec["chain_warm"] or [])]
+    return (f"cold={_digest(_parts([rec['cold']]))} warm={warm} "
+            f"ssc={_digest(rec['ssc'].values())} chain={_digest(chain)} "
+            f"verify={'eq' if rec['verify'] else 'ne'}")
+
+
+# --- the move report
+
+
+def _move(a, b) -> float | None:
+    """None when ``a`` and ``b`` hash alike, else their largest absolute
+    difference (inf when their shapes differ or they are not numbers)."""
+    if _hashed(a) == _hashed(b):
+        return None
+    try:
+        if np.shape(a) == np.shape(b):
+            return float(np.max(np.abs(np.subtract(a, b, dtype=float))))
+    except (TypeError, ValueError):
+        pass
+    return math.inf
+
+
+def _field(moves) -> str:
+    """``=`` when no pair moved, else the largest move; ``-`` without a
+    pair."""
+    moves = list(moves)
+    found = [m for m in moves if m is not None]
+    return "-" if not moves else f"{max(found):.2e}" if found else "="
+
+
+def compare(mine: dict, other: dict) -> str:
+    """Whether the counts of two records of one instance file agree, and
+    the move of every hashed field."""
+    a, b = ([r["cold"], *(r["warm"] or []), r["chain_cold"],
+             *(r["chain_warm"] or [])] for r in (mine, other))
+    counts = [" ".join(s if isinstance(s, str) else "/".join(
+        map(str, s["counts"])) for s in x) for x in (a, b)]
+    out = ["counts " + ("same" if counts[0] == counts[1]
+                        else f"{counts[0]} vs {counts[1]}")]
+    pairs = [(x, y) for x, y in zip(a, b)
+             if not isinstance(x, str) and not isinstance(y, str)]
+    out += [f"{key} {_field(_move(x[key], y[key]) for x, y in pairs)}"
+            for key in FIELDS if key != "counts"]
+    sscs = [(mine[s], other[s]) for s in ("ssc", "chain_ssc")]
+    out += [f"{key} {_field(_move(x[key], y.get(key)) for x, y in sscs)}"
+            for key in mine["ssc"]]
+    out.append(f"verify {_field([_move(mine['verify'], other['verify'])])}")
+    return ", ".join(out)
+
+
+# --- command line
+
+
+def _records(root: Path):
+    """(file name, record) of every instance file of the tree at ``root``,
+    with its ``src/`` imported."""
     sys.path.insert(0, str(root / "src"))
     import ctrlstab as cs
 
-    files = sorted((root / "configs").glob("*.ini")) \
-        + sorted((root / "perfbench" / "instances").glob("*.ini"))
-    for path in files:
-        print(f"{path.relative_to(root)} {fingerprint(cs, path)}",
-              flush=True)
+    for path in sorted((root / "configs").glob("*.ini")) \
+            + sorted((root / "perfbench" / "instances").glob("*.ini")):
+        yield str(path.relative_to(root)), record(cs, path)
+
+
+def main(argv: list) -> int:
+    here = Path(__file__).resolve().parent.parent
+    if argv[1:2] in (["--against"], ["--collect"]) and len(argv) != 3:
+        print("usage: python tests/point_hashes.py [REPO_ROOT | --against "
+              "OTHER_ROOT]", file=sys.stderr)
+        return 2
+    if argv[1:2] == ["--collect"]:
+        pickle.dump(dict(_records(Path(argv[2]))), sys.stdout.buffer)
+        return 0
+    if argv[1:2] != ["--against"]:
+        root = Path(argv[1]).resolve() if len(argv) > 1 else here
+        for name, rec in _records(root):
+            print(f"{name} {line(rec)}", flush=True)
+        return 0
+    procs = [subprocess.Popen([sys.executable, __file__, "--collect",
+                               str(root)], stdout=subprocess.PIPE)
+             for root in (here, Path(argv[2]).resolve())]
+    outputs = [proc.communicate()[0] for proc in procs]
+    if any(proc.returncode for proc in procs):
+        return 1
+    mine, other = (pickle.loads(out) for out in outputs)
+    for name in sorted(mine.keys() | other.keys()):
+        if name in mine and name in other:
+            print(f"{name} {compare(mine[name], other[name])}")
+        else:
+            print(f"{name} only in {'this' if name in mine else 'the other'}"
+                  " tree")
     return 0
 
 

@@ -70,7 +70,7 @@ def test_shipped_configs_parse_and_build():
     paths = [*sorted(CONFIG_DIR.glob("*.ini")),
              *sorted((CONFIG_DIR.parent / "perfbench" / "instances")
                      .glob("*.ini"))]
-    assert len(paths) == 8
+    assert len(paths) == 9
     for path in paths:
         cfg = parse_instance(path)
         disc = build_discretization(cfg)

@@ -1,0 +1,78 @@
+"""The same-bits harness ``tests/point_hashes.py``, in-process on one small
+instance file: its fingerprint layout and its move report."""
+
+import copy
+import dataclasses
+
+import numpy as np
+import pytest
+
+import ctrlstab as cs
+import point_hashes
+
+from conftest import CONFIG_DIR
+
+PATH = CONFIG_DIR / "oracle_box.ini"
+
+
+@pytest.fixture(scope="module")
+def record():
+    return point_hashes.record(cs, PATH)
+
+
+def _report(text: str) -> dict:
+    return dict(item.split(" ", 1) for item in text.split(", "))
+
+
+def test_line_hashes_the_documented_fields(record):
+    # the layout written out again: a solve's arrays, counts, sigma1,
+    # history and residual record; the seeded SSC report; the chain's cold
+    # solve and its SSC report (oracle_box has no sweep, so no warm chain)
+    cfg = cs.parse_instance(PATH)
+    disc = cs.build_discretization(cfg)
+    rep = cs.solve_kkt(disc, disc.param_reference(),
+                       options=cfg.solve_options)
+    p = rep.point
+    cold = [p.state.values, p.control.values, p.adjoint.values,
+            *(e.values for e in p.multipliers),
+            (rep.iterations, rep.newton, rep.pinned), rep.sigma1,
+            list(rep.history), dataclasses.astuple(rep.residuals)]
+    ssc = dataclasses.astuple(cs.check_ssc(
+        disc, p, n_samples=200, rng=np.random.default_rng([0, 0])))
+    fields = dict(item.split("=") for item in
+                  point_hashes.line(record).split())
+    assert fields == {"cold": point_hashes._digest(cold), "warm": "-",
+                      "ssc": point_hashes._digest(ssc),
+                      "chain": point_hashes._digest([*cold, ssc]),
+                      "verify": "eq"}
+
+
+def test_record_against_itself_is_bit_identical(record):
+    report = _report(point_hashes.compare(record, record))
+    assert report.pop("counts") == "same"
+    assert set(report) == {
+        *point_hashes.FIELDS, *(f.name for f in dataclasses.fields(
+            cs.SscReport)), "verify"} - {"counts"}
+    assert set(report.values()) == {"="}
+
+
+def test_control_nudge_is_the_only_move(record):
+    other = copy.deepcopy(record)
+    other["cold"]["control"][3] += 1e-12
+    report = _report(point_hashes.compare(record, other))
+    assert report.pop("counts") == "same"
+    assert float(report.pop("control")) == pytest.approx(1e-12, rel=1e-3)
+    assert set(report.values()) == {"="}
+
+
+def test_failed_solve_on_one_side_is_reported(record):
+    other = copy.deepcopy(record)
+    other["chain_cold"] = "SolverError"
+    report = _report(point_hashes.compare(record, other))
+    assert "SolverError" in report.pop("counts")
+    assert set(report.values()) == {"="}
+    # with no pair of successful solves left, the solve fields read "-"
+    other["cold"] = "PartitionError"
+    report = _report(point_hashes.compare(other, record))
+    assert {report[key] for key in ("state", "residuals")} == {"-"}
+    assert point_hashes.line(other).endswith("verify=eq")

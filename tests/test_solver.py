@@ -134,7 +134,8 @@ MIXED_CONSTRAINTS = ("y - 0.55 + 0.5*sin(s)", "y - 3")
 #: (config, lambda_bar override); 0.6 is the benchmark's ssc_sample point
 CASES = [("lq_reference", None), ("oracle_box", None),
          ("oracle_state", None), ("oracle_mixed", None),
-         ("stability_reference", None), ("stability_reference", 0.6)]
+         ("stability_reference", None), ("stability_reference", 0.6),
+         ("mixed_reference", None)]
 
 
 def _instance(name, lam_bar):
@@ -186,10 +187,13 @@ def test_newton_gate_is_an_input_property(accelerated_and_damped, case):
     # node: never on the instances whose constraints bind at the solution,
     # from the first iterate on where none does.  The pinned step is its
     # mirror: taken, and accepted at the second iterate, on the instances
-    # whose constraint binds at every node, never on the others
+    # whose constraint binds at every node, never on the others.  Where
+    # the constraint binds at some nodes but not at all (mixed), neither
+    # is taken
     _, _, rep, _ = accelerated_and_damped[case]
     binds = case[0] in ("lq_reference", "oracle_box", "oracle_state")
-    assert (rep.newton == 0) == binds
+    mixed = case[0] == "mixed_reference"
+    assert (rep.newton == 0) == (binds or mixed)
     assert (rep.pinned > 0) == binds
     if binds:
         assert rep.iterations == 2
