@@ -466,27 +466,21 @@ class _Parser:
         except ExprError as exc:
             raise ParseError(str(exc), self.text, pos) from None
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
+    def chain(self, operand, makers: dict) -> Expr:
+        # operands joined left-associatively by the operators of ``makers``
+        e = operand()
+        kind, val, pos = self.peek()
+        while kind == "op" and val in makers:
+            self.next()
+            e = self.build(makers[val], e, operand(), pos=pos)
             kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                e = self.build(add if val == "+" else sub, e, self.term(),
-                               pos=pos)
-            else:
-                return e
+        return e
+
+    def expr(self) -> Expr:
+        return self.chain(self.term, {"+": add, "-": sub})
 
     def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                e = self.build(mul if val == "*" else div, e, self.factor(),
-                               pos=pos)
-            else:
-                return e
+        return self.chain(self.factor, {"*": mul, "/": div})
 
     def factor(self) -> Expr:
         kind, val, _ = self.peek()

@@ -193,27 +193,6 @@ def _require_multipliers(disc: Discretization, point: KktPoint) -> None:
                          f"problem has {disc.problem.m} constraints")
 
 
-def _pinned_slope(disc: Discretization, y: np.ndarray, lam: np.ndarray,
-                  labels: np.ndarray, gy_node: np.ndarray | None = None
-                  ) -> float | None:
-    """The one value ``c`` that ``dg_i/dy`` takes, for every constraint
-    ``i`` among ``labels``, at every boundary node and boundary quadrature
-    point at the state ``y``; None when there is no such finite value.
-    ``gy_node``, the nodal ``dg_i/dy`` (m, Nb) of every constraint at
-    ``y``, spares their evaluation when the caller holds them."""
-    gys = disc.problem.constraints_y
-    vals = []
-    for i in np.unique(labels):
-        node = disc.eval_node(gys[i], y=y, lam=lam) if gy_node is None \
-            else gy_node[i]
-        vals += [np.ravel(node), np.ravel(disc.eval_bnd(gys[i], y=y, lam=lam))]
-    vals = np.concatenate(vals)
-    c = vals[0]
-    if not (math.isfinite(c) and np.all(vals == c)):
-        return None
-    return float(c)
-
-
 def check_beta_floor(disc: Discretization, lam) -> np.ndarray:
     """Nodal beta(lam); rejects the instance when the quadratic weight drops
     to gamma/2 or below at the perturbed parameter."""
@@ -390,9 +369,12 @@ class _ConeGeometry(_ReducedForms):
     def _pinned_certificate(self) -> bool:
         """True when the strong-equality subspace is {0} by one
         factorization: every boundary node carries a strong pair, the
-        strong pairs' ``dg/dy`` is one value ``c >= 0`` (see
-        :func:`_pinned_slope`), the h_y weights are nonnegative and the
-        pinned operator ``J = K + M[h_y] + c M_B`` factorizes.
+        strong pairs' constraints have a ``y``-derivative that folds to one
+        constant ``c >= 0`` (see
+        :meth:`ctrlstab.problem.ProblemSpec.common_slope`), the h_y weights
+        are nonnegative and the pinned operator ``J = K + M[h_y] + c M_B``
+        factorizes.  A derivative that takes one value without folding to a
+        constant gets no certificate, and its subspace comes from ``T``.
 
         A control ``u`` in the subspace has ``y = T u`` with
         ``(K + M[h_y]) y = M_B u`` and ``u = -c y|_B``, so ``J y = 0``:
@@ -408,10 +390,8 @@ class _ConeGeometry(_ReducedForms):
         """
         if not self.strong.any(axis=0).all():
             return False
-        y = self.point.state.values
-        c = _pinned_slope(self.disc, y, self.point.param.values,
-                          np.nonzero(self.strong)[0], self.gy)
-        w = _reaction_y(self.disc, y)
+        c = self.disc.problem.common_slope(np.nonzero(self.strong)[0])
+        w = _reaction_y(self.disc, self.point.state.values)
         if c is None or c < 0.0 or not np.min(w) >= 0.0:
             return False
         try:
@@ -561,11 +541,12 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     :func:`quadratic_form` at ``(T u, u)``), and the subspace metric is
     ``M_bb + T^T M T``.  ``T`` is built only where the strong-equality
     subspace needs it: at a point where every boundary node is strongly
-    active, the strong constraints' ``dg/dy`` is one value ``c >= 0`` and
-    ``h_y >= 0``, one Cholesky of ``K + M[h_y] + c M_B`` shows the
-    subspace is {0} (see ``_ConeGeometry._pinned_certificate``), and the
-    report ``(inf, inf, 0, n_strong, True)`` comes without ``T``, ``H`` or
-    the curvature operator.  Samples run in blocks of controls, keeping
+    active, the strong constraints have a ``y``-derivative that folds to
+    one constant ``c >= 0`` and ``h_y >= 0``, one Cholesky of
+    ``K + M[h_y] + c M_B`` shows the subspace is {0} (see
+    ``_ConeGeometry._pinned_certificate``), and the report
+    ``(inf, inf, 0, n_strong, True)`` comes without ``T``, ``H`` or the
+    curvature operator.  Samples run in blocks of controls, keeping
     only a running minimum and a count; the draws from ``rng`` come in the
     same order as one seed per sample, and are drawn even where the cone
     is {0}, so a seeded report and the draws after it do not depend on the

@@ -45,6 +45,9 @@ import numpy as np
 from .fem import (Discretization, FeFunction, SpdFactorization, _as_values,
                   nodal_values)
 
+#: Newton steps of a state solve before it raises
+_NEWTON_MAX_ITER = 50
+
 
 class StateSolveError(RuntimeError):
     """Newton did not reach the state tolerance."""
@@ -79,13 +82,13 @@ def _state_residual(disc: Discretization, y: np.ndarray,
 
 
 def solve_state(disc: Discretization, u, lam, y0=None,
-                tol: float = 1e-11, max_iter: int = 50) -> StateSolveReport:
+                tol: float = 1e-11) -> StateSolveReport:
     """Solve the semilinear state equation for boundary data ``u + lam``.
 
     ``tol`` is scaled by ``1 + ||b||_2`` with ``b`` the assembled load.
-    Raises ``StateSolveError`` after ``max_iter`` Newton steps or a failed
-    line search (30 halvings without residual decrease), and ``ValueError``
-    when ``u``, ``lam`` or ``y0`` has a non-finite entry.
+    Raises ``StateSolveError`` after ``_NEWTON_MAX_ITER`` Newton steps or a
+    failed line search (30 halvings without residual decrease), and
+    ``ValueError`` when ``u``, ``lam`` or ``y0`` has a non-finite entry.
     """
     mesh = disc.mesh
     nb = mesh.n_boundary
@@ -96,11 +99,11 @@ def solve_state(disc: Discretization, u, lam, y0=None,
 
     y = np.zeros(mesh.n_vertices) if y0 is None \
         else _as_values(y0, mesh.n_vertices, "initial state").copy()
-    return _newton(disc, y, lambda _: b, tol_abs, max_iter)
+    return _newton(disc, y, lambda _: b, tol_abs)
 
 
 def _newton(disc: Discretization, y: np.ndarray, load, tol_abs: float,
-            max_iter: int = 50, c: float = 0.0) -> StateSolveReport:
+            c: float = 0.0) -> StateSolveReport:
     """Newton's method from ``y`` on the state equation with the boundary
     load ``load(y)``, to the absolute residual bound ``tol_abs``.
 
@@ -113,7 +116,7 @@ def _newton(disc: Discretization, y: np.ndarray, load, tol_abs: float,
     res = float(np.linalg.norm(f_vec))
     iterations = 0
     while res > tol_abs:
-        if iterations >= max_iter:
+        if iterations >= _NEWTON_MAX_ITER:
             raise StateSolveError("Newton iteration limit reached",
                                   iterations, res)
         delta = disc.jacobian_solve(_reaction_y(disc, y), -f_vec, c)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import Expr, differentiate
+from .expr import Const, Expr, differentiate
 
 #: sample count per admission gate
 GATE_SAMPLES = 1000
@@ -153,6 +153,26 @@ class ProblemSpec:
     @cached_property
     def constraints_yy(self) -> tuple:
         return tuple(differentiate(g, "y", 2) for g in self.constraints)
+
+    @cached_property
+    def constraint_slopes(self) -> tuple:
+        """Per constraint, the constant ``c_i`` to which ``dg_i/dy`` folds,
+        or None when the folded derivative is not a ``Const``."""
+        return tuple(gy.value if isinstance(gy, Const) else None
+                     for gy in self.constraints_y)
+
+    def common_slope(self, indices) -> float | None:
+        """The one constant slope ``c = dg_i/dy`` shared by the constraints
+        ``indices``, or None when one of them has no constant slope or two
+        differ.
+
+        The slope is read from the folded derivative, not sampled: a
+        derivative that takes one value but does not fold to a ``Const``
+        (say, that of ``y*exp(0) - 3``, as ``exp(0)`` is not folded) has
+        none.  The pinned step of :func:`ctrlstab.solver.solve_kkt` and the
+        pinned certificate of :func:`ctrlstab.kkt.check_ssc` read it."""
+        slopes = {self.constraint_slopes[i] for i in indices}
+        return slopes.pop() if len(slopes) == 1 else None
 
     def validate(self) -> None:
         """Run all admission gates; raise ``AdmissionError`` on failure."""

@@ -40,13 +40,14 @@ Where the projection target binds at every boundary node,
 constraints all bind strongly is ``u = -g_l(y)``, ``l`` the label of each
 node in the dominance partition; this is the primal-dual active-set step
 (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13:865, 2002) with every
-node active.  When ``dg_l/dy`` takes one value ``c`` at every boundary
-node and quadrature point, :func:`solve_kkt` takes it once per solve, at
-the first such iterate: Newton on the state equation with ``u = -g_l(y)``
-substituted, from the iterate's state, whose Jacobian is
-``K + M[h_y] + c M_B``, then the adjoint with the multiplier
-``e = trace(p) - alpha - beta u`` eliminated, which has the same symmetric
-operator::
+node active.  When the label constraints have a ``y``-derivative that
+folds to one constant ``c`` (``ProblemSpec.common_slope``; a derivative
+that takes one value without folding to a constant does not count),
+:func:`solve_kkt` takes it once per solve, at the first such iterate:
+Newton on the state equation with ``u = -g_l(y)`` substituted, from the
+iterate's state, whose Jacobian is ``K + M[h_y] + c M_B``, then the
+adjoint with the multiplier ``e = trace(p) - alpha - beta u`` eliminated,
+which has the same symmetric operator::
 
     (K + M[h_y] + c M_B) p = rhs(e = 0) + c M_B (alpha + beta u).
 
@@ -82,9 +83,9 @@ import scipy.linalg
 
 from .fem import (BoundaryFunction, Discretization, FeFunction, FemError,
                   nodal_values)
-from .kkt import (KktPoint, KktResiduals, _ReducedForms, _pinned_slope,
-                  _residual_record, _separated_multipliers, check_beta_floor,
-                  constraint_values, partition_of)
+from .kkt import (KktPoint, KktResiduals, _ReducedForms, _residual_record,
+                  _separated_multipliers, check_beta_floor, constraint_values,
+                  partition_of)
 from .pde import (StateSolveError, _adjoint_pieces, _adjoint_rhs, _newton,
                   adjoint_system, solve_state)
 
@@ -208,11 +209,12 @@ def solve_kkt(disc: Discretization, lam, u0=None,
 
     At the first iterate whose projection target binds at every node,
     ``(trace(p) - alpha) / beta >= -max_i g_i`` everywhere, the pinned step
-    is tried when the label constraints' ``dg/dy`` is one value ``c`` (see
-    the module docstring): ``u = -g_label(y)`` with ``y`` solved by Newton
-    on ``K + M[h_y] + c M_B`` from the iterate's state, the costate from
-    the same operator with the multiplier eliminated, and
-    ``e = trace(p) - alpha - beta u`` on each node's label.  It is returned
+    is tried when the label constraints have a ``y``-derivative that folds
+    to one constant ``c`` (see the module docstring): ``u = -g_label(y)``
+    with ``y`` solved by Newton on ``K + M[h_y] + c M_B`` from the
+    iterate's state, the costate from the same operator with the
+    multiplier eliminated, and ``e = trace(p) - alpha - beta u`` on each
+    node's label.  It is returned
     when its record meets ``tol``; otherwise it is dropped, and the
     iteration goes on from the iterate and warm start unchanged.
     ``report.pinned`` counts it either way.
@@ -354,12 +356,12 @@ def solve_kkt(disc: Discretization, lam, u0=None,
 
     def pinned_step(step):
         # the pinned step from the iterate of ``step``, as a step; None when
-        # dg/dy is not one value c, a solve fails or the partition
-        # degenerates
+        # the label constraints' dg/dy does not fold to one constant c, a
+        # solve fails or the partition degenerates
         nonlocal pinned
         y0 = step[0].state.values
         labels = step[2].labels
-        c = _pinned_slope(disc, y0, lam, labels)
+        c = disc.problem.common_slope(labels)
         if c is None:
             return None
         pinned += 1

@@ -20,6 +20,7 @@ from ctrlstab.kkt import (_BLOCK_FLOATS, _ConeGeometry, _critical_blocks,
 from ctrlstab.pde import linearized_operator
 from ctrlstab.solver import SolveOptions, objective_value
 
+import oracles
 from conftest import CONFIG_DIR, make_spec
 from oracles import (partition_margin, project_one, quadrature_curvature,
                      sample_directions_one_by_one, strong_equality_nullspace)
@@ -691,6 +692,60 @@ def test_block_sampler_matches_one_by_one_reference(case,
         # the eigen-direction is not admissible here, so the minimum is
         # the sampled one
         assert eig.n_samples == 0
+
+
+def test_flipped_seed_retry_matches_one_by_one_reference(mixed_active_solved,
+                                                        monkeypatch):
+    # no shipped instance rejects a seed whose flip is admitted, so force
+    # it: a direction whose first node is positive fails admission, in the
+    # block checks and the one-by-one reference alike.  The projection is
+    # linear here (no weak node), so the flip of a rejected seed passes
+    disc, solved = mixed_active_solved
+    point = solved.point
+    admissible = _ConeGeometry.admissible
+    admissible_one = oracles._admissible_one
+    monkeypatch.setattr(_ConeGeometry, "admissible",
+                        lambda self, u, scale:
+                        admissible(self, u, scale) & (u[0] <= 0.0))
+    monkeypatch.setattr(oracles, "_admissible_one",
+                        lambda cone, y, u, scale:
+                        admissible_one(cone, y, u, scale) and u[0] <= 0.0)
+    blocks = []
+    finish_block = kkt._finish_block
+
+    def recorded(cone, seeds):
+        u, size, ok = finish_block(cone, seeds)
+        blocks.append(int(np.sum(ok)))
+        return u, size, ok
+
+    monkeypatch.setattr(kkt, "_finish_block", recorded)
+    n = 300
+    nb = disc.mesh.n_boundary
+    cone = _ConeGeometry(disc, point)
+    assert not (cone.active & ~cone.strong).any()
+    ref = sample_directions_one_by_one(cone, n, np.random.default_rng(4))
+    assert len(ref) > 0
+    assert all(u[0] <= 0.0 for _, u in ref)
+
+    rng = np.random.default_rng(4)
+    dirs = _critical_directions(disc, point, n, rng)
+    width = max(1, _BLOCK_FLOATS // nb)
+    n_blocks = -(-n // width)
+    # every block retried some columns, and some flipped seeds passed
+    assert len(blocks) == 2 * n_blocks
+    assert sum(blocks[1::2]) > 0
+    assert len(dirs) == len(ref) == sum(blocks)
+    for (y, u), (y_ref, u_ref) in zip(dirs, ref):
+        assert np.allclose(y, y_ref, rtol=0.0, atol=1e-12)
+        assert np.allclose(u, u_ref, rtol=0.0, atol=1e-12)
+    # the retry draws nothing: the stream goes on as after n seeds
+    after = np.random.default_rng(4)
+    after.standard_normal((n, nb))
+    assert rng.standard_normal() == after.standard_normal()
+
+    eig = check_ssc(disc, point, n_samples=0)
+    rep = check_ssc(disc, point, n_samples=n, rng=np.random.default_rng(4))
+    assert rep.n_samples == len(ref) + eig.n_samples
 
 
 def test_quadratic_form_equals_quadrature_sum(cubic_solved,

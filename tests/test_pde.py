@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ctrlstab.fem as fem_mod
+import ctrlstab.pde as pde_mod
 from ctrlstab import (BoundaryFunction, Discretization, FeFunction, KktPoint,
                       SolveOptions, StateSolveError, linearized_operator,
                       make_disk_mesh, solve_adjoint, solve_kkt, solve_state)
@@ -152,10 +153,11 @@ def test_reported_residual_is_state_residual_norm(disc_cubic):
                                                    u, lam)
 
 
-def test_newton_iteration_limit_raises(disc_cubic):
+def test_newton_iteration_limit_raises(disc_cubic, monkeypatch):
     nb = disc_cubic.mesh.n_boundary
+    monkeypatch.setattr(pde_mod, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(StateSolveError) as err:
-        solve_state(disc_cubic, 5.0 * np.ones(nb), np.zeros(nb), max_iter=1)
+        solve_state(disc_cubic, 5.0 * np.ones(nb), np.zeros(nb))
     assert err.value.iterations == 1
     assert err.value.residual > 0.0
 

@@ -5,9 +5,12 @@ must pass untouched."""
 import numpy as np
 import pytest
 
-from ctrlstab import AdmissionError
+from ctrlstab import AdmissionError, parse_instance
 
-from conftest import make_spec
+from conftest import CONFIG_DIR, make_spec
+
+INSTANCE_FILES = sorted(CONFIG_DIR.glob("*.ini")) + sorted(
+    (CONFIG_DIR.parent / "perfbench" / "instances").glob("*.ini"))
 
 
 def test_default_instance_admitted(lq_spec):
@@ -92,6 +95,29 @@ def test_m_and_derivative_caches(lq_spec):
     assert str(lq_spec.reaction_y) == "1.0"
     assert len(lq_spec.constraints_y) == 2
     assert len(lq_spec.constraints_yy) == 2
+
+
+def test_slopes_are_read_from_the_folded_derivative():
+    # dg/dy of y*exp(0) - 3 is exp(0.0), one value everywhere, but no
+    # constant: exp(0) is not folded, so that constraint has no slope
+    spec = make_spec(constraints=("y - 0.05", "2*y - 1", "0.3*cos(2*s) - 1",
+                                  "y*exp(0) - 3", "(1 + 0.5*sin(s))*y"))
+    assert spec.constraint_slopes == (1.0, 2.0, 0.0, None, None)
+    assert spec.common_slope(np.array([0, 0, 0])) == 1.0
+    assert spec.common_slope([2]) == 0.0
+    assert spec.common_slope([0, 1]) is None
+    assert spec.common_slope([3]) is None
+    assert spec.common_slope([0, 3]) is None
+    assert spec.common_slope([4]) is None
+
+
+@pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda p: p.stem)
+def test_instance_constraints_have_constant_slopes(path):
+    # the pinned step and its SSC certificate apply only where dg/dy folds
+    # to a constant; every constraint of the shipped and benchmark
+    # instances must keep them reachable
+    spec = parse_instance(path).problem
+    assert None not in spec.constraint_slopes, path
 
 
 def test_admission_is_deterministic():

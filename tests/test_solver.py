@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from ctrlstab import (BoundaryFunction, Discretization, FeFunction,
-                      PartitionError, SolveOptions, SolverError,
-                      build_discretization, make_disk_mesh, parse_instance,
-                      solve_kkt, sweep_plan)
-from ctrlstab import fem, kkt, solver
+                      PartitionError, ProblemSpec, SolveOptions, SolverError,
+                      StateSolveError, build_discretization, check_ssc,
+                      make_disk_mesh, parse_instance, solve_kkt, sweep_plan)
+from ctrlstab import fem, kkt, pde, solver
 from ctrlstab.kkt import partition_at, projection_identity_gap, residuals
 from ctrlstab.solver import objective_value
 
@@ -294,6 +294,74 @@ def test_newton_gradient_is_the_reduced_gradient(monkeypatch):
     assert np.max(np.abs(grad - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+def _recorded_controls(monkeypatch, module):
+    """The control of every state solve that ``module`` calls, in order."""
+    controls = []
+    solve_state = module.solve_state
+
+    def recorded(disc, u, *args, **kw):
+        controls.append(np.array(u, dtype=float))
+        return solve_state(disc, u, *args, **kw)
+
+    monkeypatch.setattr(module, "solve_state", recorded)
+    return controls
+
+
+@pytest.mark.parametrize("trials", ["raise", "fail"])
+def test_failed_line_search_takes_the_damped_step(monkeypatch, trials):
+    # the projection binds at no node along oracle_mixed's damped
+    # iteration, so every iterate tries a reduced Newton step.  Along a NaN
+    # direction every trial raises; along +10 at every node, halved twice,
+    # every trial is evaluated and rejected, its residual and cost higher.
+    # Either way the direction is dropped, and the next control is the
+    # damped step from the iterate it was tried at
+    disc, lam, opts = _instance("oracle_mixed", None)
+    damped = _recorded_controls(monkeypatch, pde)
+    ref = damped_solve_kkt(disc, lam, options=opts)
+    controls = _recorded_controls(monkeypatch, solver)
+    step = np.nan if trials == "raise" else 10.0
+    if trials == "fail":
+        monkeypatch.setattr(solver, "_NEWTON_HALVINGS", 2)
+    monkeypatch.setattr(solver, "_newton_direction",
+                        lambda forms, grad: np.full_like(grad, step))
+    rep = solve_kkt(disc, lam, options=opts)
+
+    n = solver._NEWTON_HALVINGS + 1  # trials per line search
+    assert np.array_equal(controls[0], damped[0])
+    for k in range(n):
+        assert np.array_equal(controls[1 + k], damped[0] + 0.5 ** k * step,
+                              equal_nan=True)
+    assert np.array_equal(controls[n + 1], damped[1])
+    if trials == "raise":
+        # no trial is an iterate: the solve is the damped one, bit for bit
+        assert rep.newton == ref.iterations - 1
+        assert rep.history == ref.history
+        assert np.array_equal(rep.point.control.values,
+                              ref.point.control.values)
+    else:
+        # every trial is an iterate, above the one it was tried from; the
+        # trial states warm-start the next solve, so the damped iterates
+        # match the oracle's up to rounding
+        assert rep.iterations == rep.newton + 1 + n * rep.newton
+        assert min(rep.history[1:n + 1]) > rep.history[0]
+        assert rep.history[::n + 1] == pytest.approx(ref.history, rel=1e-6)
+        gap = rep.point.control.values - ref.point.control.values
+        assert float(np.max(np.abs(gap))) <= 1e-7
+
+
+def test_line_search_stops_at_the_iteration_budget(monkeypatch):
+    # max_outer runs out inside the line search: the search stops before
+    # its next trial, and the solve raises after the damped step
+    disc, lam, opts = _instance("oracle_mixed", None)
+    controls = _recorded_controls(monkeypatch, solver)
+    monkeypatch.setattr(solver, "_newton_direction",
+                        lambda forms, grad: np.full_like(grad, 10.0))
+    with pytest.raises(SolverError) as err:
+        solve_kkt(disc, lam, options=dataclasses.replace(opts, max_outer=3))
+    assert err.value.iterations == 3
+    assert len(controls) == 3  # the first iterate and two trials
+
+
 def test_warm_resolve_needs_few_iterations(accelerated_and_damped):
     disc, opts, rep, _ = accelerated_and_damped[("lq_reference", None)]
     cfg = parse_instance(CONFIG_DIR / "lq_reference.ini")
@@ -365,18 +433,43 @@ def test_rejected_pinned_step_changes_nothing(mixed_binding, monkeypatch):
     # from u0 = 5 every node is pinned at the first iterate, so the gate
     # fires; the pinned point has a negative multiplier at 13 nodes
     # (complementarity 0.135), its record fails, and the iteration goes on
-    # from the first iterate bit for bit as without the gate
+    # from the first iterate bit for bit as without the gate.  A pinned
+    # step whose Newton solve raises, or whose operator K + M[h_y] + c M_B
+    # fails, is counted and dropped the same way
     disc, lam, opts, rep, ref = mixed_binding
+    u0 = np.full_like(lam, 5.0)
     assert rep.pinned == 1
     assert rep.iterations > 2
     gap = rep.point.control.values - ref.point.control.values
     assert float(np.max(np.abs(gap))) <= 1e-7
-    monkeypatch.setattr(solver, "_pinned_slope", lambda *args: None)
-    plain = solve_kkt(disc, lam, u0=np.full_like(lam, 5.0), options=opts)
+    with monkeypatch.context() as mp:
+        mp.setattr(ProblemSpec, "common_slope", lambda self, indices: None)
+        plain = solve_kkt(disc, lam, u0=u0, options=opts)
     assert plain.pinned == 0
     assert plain.history == rep.history
     assert np.array_equal(plain.point.control.values,
                           rep.point.control.values)
+
+    def failing_state(*args, **kw):
+        raise StateSolveError("forced", 0, 1.0)
+
+    jacobian_solve = Discretization.jacobian_solve
+
+    def failing_operator(self, w_qp, b, c=0.0):
+        if c:
+            raise fem.NotSpdError("forced")
+        return jacobian_solve(self, w_qp, b, c)
+
+    for owner, name, failing in ((solver, "_newton", failing_state),
+                                 (Discretization, "jacobian_solve",
+                                  failing_operator)):
+        with monkeypatch.context() as mp:
+            mp.setattr(owner, name, failing)
+            raised = solve_kkt(disc, lam, u0=u0, options=opts)
+        assert raised.pinned == 1
+        assert raised.history == plain.history
+        assert np.array_equal(raised.point.control.values,
+                              plain.point.control.values)
 
 
 def test_pinned_step_on_cubic_reaction_matches_damped_oracle():
@@ -398,6 +491,31 @@ def test_pinned_step_on_cubic_reaction_matches_damped_oracle():
     y = disc.trace(rep.point.state.values)
     assert np.array_equal(rep.point.control.values, -(y - 0.05))
     assert np.min(rep.point.multipliers[0].values) > 0.0
+
+
+def test_unfolded_slope_takes_neither_pinned_path():
+    # y*exp(0) - 0.05 is the lq instance's binding constraint, but its
+    # dg/dy, exp(0.0), does not fold to a constant: neither the pinned step
+    # nor the SSC certificate applies, and the damped iteration and the
+    # control-to-state map reach the same point and report
+    lam = np.zeros(32)
+    opts = SolveOptions(tol=1e-10)
+    reps = []
+    for g in ("y - 0.05", "y*exp(0) - 0.05"):
+        disc = Discretization(make_spec(constraints=(g, "y*exp(0) - 3")),
+                              make_disk_mesh(32, 0))
+        rep = solve_kkt(disc, lam, options=opts)
+        cone = kkt._ConeGeometry(disc, rep.point)
+        assert cone.strong.any(axis=0).all()
+        assert cone.z_mat.shape == (32, 0)
+        reps.append((rep, "t_mat" in cone.__dict__,
+                     check_ssc(disc, rep.point, n_samples=20)))
+    (pinned, pinned_map, pinned_ssc), (plain, plain_map, plain_ssc) = reps
+    assert (pinned.pinned, pinned.iterations, pinned_map) == (1, 2, False)
+    assert plain.pinned == 0 and plain.iterations > 2 and plain_map
+    gap = plain.point.control.values - pinned.point.control.values
+    assert float(np.max(np.abs(gap))) <= 1e-7
+    assert plain_ssc == pinned_ssc
 
 
 @pytest.mark.parametrize("u0", [None, 5.0], ids=["cold", "u0=5"])
