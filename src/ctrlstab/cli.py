@@ -35,8 +35,8 @@ from .config import (ConfigError, InstanceConfig, build_discretization,
 from .expr import ExprError
 from .fem import BoundaryFunction, Discretization, FemError, FeFunction
 from .geometry import MeshError, dump_mesh, mesh_hash, mesh_text
-from .kkt import (KktPoint, check_ssc, partition_at, projection_identity_gap,
-                  residuals)
+from .kkt import (KktPoint, _safe, check_ssc, partition_at,
+                  projection_identity_gap, residuals)
 from .pde import StateSolveError
 from .problem import AdmissionError
 from .solver import (PartitionError, SolverError, objective_value, solve_kkt)
@@ -125,8 +125,11 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _write_json(payload: dict, fh=None) -> None:
+    """Write the flat ``payload`` as strict JSON to ``fh`` (stdout by
+    default): a non-finite float is written as ``null``."""
+    print(json.dumps({k: _safe(v) for k, v in payload.items()}, indent=2,
+                     sort_keys=True, allow_nan=False), file=fh)
 
 
 def _residual_payload(res, sigma1: float) -> dict:
@@ -162,9 +165,8 @@ def cmd_solve(args) -> int:
         point_path = os.path.join(args.out, "point.txt")
         save_point(report.point, point_path)
         with open(os.path.join(args.out, "residuals.json"), "w") as fh:
-            json.dump(_residual_payload(report.residuals, report.sigma1),
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _write_json(_residual_payload(report.residuals, report.sigma1),
+                        fh)
         _say(args, f"wrote {point_path}")
     return 0
 
@@ -180,7 +182,7 @@ def cmd_verify(args) -> int:
     gap = projection_identity_gap(disc, point)
     payload = _residual_payload(res, part.sigma1)
     payload["projection_gap"] = gap
-    _emit_json(payload)
+    _write_json(payload)
     tol = cfg.solve_options.tol
     ok = res.worst <= tol and gap <= 10.0 * tol
     _say(args, f"verification {'passed' if ok else 'FAILED'} at "
@@ -198,11 +200,10 @@ def cmd_ssc(args) -> int:
     report = solve_kkt(disc, lam, options=cfg.solve_options)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     ssc = check_ssc(disc, report.point, n_samples=args.samples, rng=rng)
-    _emit_json(ssc.to_dict())
+    _write_json(ssc.to_dict())
     if args.out:
         with open(os.path.join(args.out, "ssc.json"), "w") as fh:
-            json.dump(ssc.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _write_json(ssc.to_dict(), fh)
     return 0 if ssc.positive else 1
 
 

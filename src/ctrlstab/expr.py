@@ -26,6 +26,7 @@ identities, so derivative trees stay printable and re-parseable.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -64,7 +65,8 @@ class EvalError(ExprError):
 class Expr:
     """Base node.  Subclasses are frozen, slotted dataclasses: their fields
     are the node's data, and equality and hashing follow type and
-    structure.  ``_children`` names the fields that hold sub-expressions."""
+    structure.  ``_children`` names the fields that hold sub-expressions,
+    and ``prec`` is the node's binding strength in printed form."""
 
     __slots__ = ()
     _children = ()
@@ -97,7 +99,8 @@ class Const(Expr):
     def diff(self, var):
         return Const(0.0)
 
-    def _prec(self):
+    @property
+    def prec(self):
         return 5 if self.value >= 0 else 1
 
     def __str__(self):
@@ -107,6 +110,7 @@ class Const(Expr):
 @dataclass(frozen=True, slots=True, repr=False)
 class Var(Expr):
     name: str
+    prec = 5
 
     def __post_init__(self):
         if self.name not in VARIABLES:
@@ -124,79 +128,62 @@ class Var(Expr):
     def free_vars(self):
         return frozenset((self.name,))
 
-    def _prec(self):
-        return 5
-
     def __str__(self):
         return self.name
 
 
 @dataclass(frozen=True, slots=True, repr=False)
 class _Binary(Expr):
+    """A binary operator: subclasses set its symbol ``op``, ``prec`` and
+    the function ``fn`` that :meth:`eval` applies to the operands' values
+    (``Div`` evaluates itself, to check the denominator)."""
+
     left: Expr
     right: Expr
     _children = ("left", "right")
-    op = "?"
+
+    def eval(self, env):
+        return self.fn(self.left.eval(env), self.right.eval(env))
 
     def __str__(self):
-        lp, rp = self._prec(), self._prec()
         # left-associative chains: right operand needs strictly higher binding
-        left = _paren(self.left, lp)
-        right = _paren(self.right, rp + 1)
-        return f"{left} {self.op} {right}"
+        return (f"{_paren(self.left, self.prec)} {self.op} "
+                f"{_paren(self.right, self.prec + 1)}")
 
 
 def _paren(e: Expr, minimum: int) -> str:
     s = str(e)
-    return f"({s})" if e._prec() < minimum else s
+    return f"({s})" if e.prec < minimum else s
 
 
 class Add(_Binary):
     __slots__ = ()
-    op = "+"
-
-    def eval(self, env):
-        return self.left.eval(env) + self.right.eval(env)
+    op, fn, prec = "+", operator.add, 1
 
     def diff(self, var):
         return add(self.left.diff(var), self.right.diff(var))
 
-    def _prec(self):
-        return 1
-
 
 class Sub(_Binary):
     __slots__ = ()
-    op = "-"
-
-    def eval(self, env):
-        return self.left.eval(env) - self.right.eval(env)
+    op, fn, prec = "-", operator.sub, 1
 
     def diff(self, var):
         return sub(self.left.diff(var), self.right.diff(var))
 
-    def _prec(self):
-        return 1
-
 
 class Mul(_Binary):
     __slots__ = ()
-    op = "*"
-
-    def eval(self, env):
-        return self.left.eval(env) * self.right.eval(env)
+    op, fn, prec = "*", operator.mul, 2
 
     def diff(self, var):
         return add(mul(self.left.diff(var), self.right),
                    mul(self.left, self.right.diff(var)))
 
-    def _prec(self):
-        return 2
-
 
 class Div(_Binary):
     __slots__ = ()
-    op = "/"
+    op, prec = "/", 2
 
     def eval(self, env):
         den = self.right.eval(env)
@@ -210,23 +197,18 @@ class Div(_Binary):
         return sub(div(u.diff(var), v),
                    div(mul(u, v.diff(var)), mul(v, v)))
 
-    def _prec(self):
-        return 2
-
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Neg(Expr):
     arg: Expr
     _children = ("arg",)
+    prec = 2
 
     def eval(self, env):
         return -self.arg.eval(env)
 
     def diff(self, var):
         return neg(self.arg.diff(var))
-
-    def _prec(self):
-        return 2
 
     def __str__(self):
         return f"-{_paren(self.arg, 3)}"
@@ -239,6 +221,7 @@ class Pow(Expr):
     base: Expr
     exponent: float
     _children = ("base",)
+    prec = 4
 
     def __post_init__(self):
         object.__setattr__(self, "exponent", float(self.exponent))
@@ -260,9 +243,6 @@ class Pow(Expr):
         return mul(mul(Const(p), power(self.base, p - 1.0)),
                    self.base.diff(var))
 
-    def _prec(self):
-        return 4
-
     def __str__(self):
         expo = repr(self.exponent) if self.exponent >= 0 \
             else f"({self.exponent!r})"
@@ -274,9 +254,20 @@ class Call(Expr):
     func: str
     arg: Expr
     _children = ("arg",)
+    prec = 5
 
-    _np = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
-           "ln": np.log, "sqrt": np.sqrt}
+    #: per function: its numpy ufunc; the test that flags an argument
+    #: outside the domain, with what it flags (None: no such argument);
+    #: and the outer derivative ``f'(arg)`` built from the node
+    _table = {
+        "sin": (np.sin, None, lambda f: Call("cos", f.arg)),
+        "cos": (np.cos, None, lambda f: neg(Call("sin", f.arg))),
+        "exp": (np.exp, None, lambda f: f),
+        "ln": (np.log, (np.less_equal, "a non-positive value"),
+               lambda f: div(Const(1.0), f.arg)),
+        "sqrt": (np.sqrt, (np.less, "a negative value"),
+                 lambda f: div(Const(1.0), mul(Const(2.0), f))),
+    }
 
     def __post_init__(self):
         if self.func not in FUNCTIONS:
@@ -284,29 +275,13 @@ class Call(Expr):
 
     def eval(self, env):
         x = self.arg.eval(env)
-        if self.func == "ln" and np.any(np.asarray(x) <= 0.0):
-            raise EvalError(f"ln of a non-positive value in {self}")
-        if self.func == "sqrt" and np.any(np.asarray(x) < 0.0):
-            raise EvalError(f"sqrt of a negative value in {self}")
-        return self._np[self.func](x)
+        fn, domain, _ = self._table[self.func]
+        if domain and np.any(domain[0](np.asarray(x), 0.0)):
+            raise EvalError(f"{self.func} of {domain[1]} in {self}")
+        return fn(x)
 
     def diff(self, var):
-        u = self.arg
-        du = u.diff(var)
-        if self.func == "sin":
-            outer = Call("cos", u)
-        elif self.func == "cos":
-            outer = neg(Call("sin", u))
-        elif self.func == "exp":
-            outer = self
-        elif self.func == "ln":
-            outer = div(Const(1.0), u)
-        else:  # sqrt
-            outer = div(Const(1.0), mul(Const(2.0), self))
-        return mul(outer, du)
-
-    def _prec(self):
-        return 5
+        return mul(self._table[self.func][2](self), self.arg.diff(var))
 
     def __str__(self):
         return f"{self.func}({self.arg})"

@@ -30,11 +30,13 @@ adding the values of ``K``, ``M[h_y]`` and ``c M_B`` on the shared triangle
 pattern.  ``c = 0`` is the state and adjoint operator; a nonzero ``c`` is
 the pinned operator, in which a constraint ``g + u <= 0`` that binds at
 every boundary node substitutes ``u = -g(y)`` with ``dg/dy = c``.  Each
-``c`` has one entry: the assembled matrix and its factorization are reused
-while the h_y quadrature weights asked for are bit-identical to the last
-ones of that ``c``.  Each ``c`` also keeps the last factorization taken for
-it, its anchor, to precondition solves at weights that have no
-factorization of their own.
+``c`` has one entry, its assembled matrix, reused while the h_y quadrature
+weights asked for are bit-identical to the last ones of that ``c``, and one
+factorization, its anchor: the last one taken for that ``c``.  A solve is
+exact when the anchor factorizes the entry's matrix (the same object), and
+otherwise runs conjugate gradients preconditioned by the anchor.  The
+dense control-to-state map ``T`` is kept with the factorization of
+``c = 0`` that it was solved with.
 """
 
 from __future__ import annotations
@@ -244,10 +246,16 @@ class SpdFactorization:
     the bytes needed) before it is allocated.  A non-finite entry or a
     non-positive pivot surfaces as ``NotSpdError``, and a right-hand side
     with a non-finite entry as ``ValueError``.
+
+    ``matrix`` is the CSR matrix factorized: the argument itself when it is
+    a ``csr_matrix`` (so ``factor.matrix is A`` tells that ``factor``
+    factorizes ``A``, the test :func:`solve_spd` makes), else its CSR
+    conversion.
     """
 
     def __init__(self, matrix):
-        a = sp.csr_matrix(matrix)
+        a = matrix if isinstance(matrix, sp.csr_matrix) \
+            else sp.csr_matrix(matrix)
         n = a.shape[0]
         if a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
@@ -421,12 +429,14 @@ class Discretization:
     An entry is reused only when its ``c`` and the weights ``w`` equal the
     cached ones bit for bit (shape and values); other weights replace the
     entry of that ``c`` and leave the others alone.
-    Next to each entry sits its anchor, the last factorization built for
-    that ``c``.  :meth:`jacobian_solve` uses it to precondition conjugate
-    gradients on an entry of the same ``c`` that has no factorization of
-    its own, so a state that moves a little costs an assembly and a few
-    band solves, not a factorization.  No anchor preconditions another
-    ``c``: ``M_B`` is not a small perturbation.
+    The only factorization of each ``c`` is its anchor, the last one built
+    for that ``c``.  It is exact for the entry whose matrix it factorizes
+    (``anchor.matrix is matrix``); on a newer entry of the same ``c``,
+    :meth:`jacobian_solve` uses it to precondition conjugate gradients, so
+    a state that moves a little costs an assembly and a few band solves,
+    not a factorization.  No anchor preconditions another ``c``: ``M_B``
+    is not a small perturbation.  :meth:`control_to_state` keeps ``T``
+    next to the factorization of ``c = 0`` that it was solved with.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh):
@@ -445,10 +455,11 @@ class Discretization:
                           "s": mesh.boundary_s}
 
         self.form = self._assemble()
-        # c -> [weights copy, K + M[weights] + c M_B, SpdFactorization or
-        # None], and c -> the last factorization of that c
+        # c -> (weights copy, K + M[weights] + c M_B); c -> the last
+        # factorization of that c; and (factorization, T) of c = 0
         self._jacobian: dict = {}
         self._anchor: dict = {}
+        self._t_map = None
 
     # -- expression environments --------------------------------------------
 
@@ -565,7 +576,11 @@ class Discretization:
         pat = t.bb_pattern if boundary_numbering else t.bnd_pattern
         return pat.assemble((t.qw_bnd * w_qp) @ _EDGE_PRODUCTS)
 
-    def _jacobian_entry(self, w_qp: np.ndarray, c: float) -> list:
+    def jacobian_matrix(self, w_qp: np.ndarray, c: float = 0.0
+                        ) -> sp.csr_matrix:
+        """Assembled ``K + M[w] + c M_B`` for weights at interior quadrature
+        points, without factorizing it.  The matrix is shared: do not
+        mutate it."""
         entry = self._jacobian.get(c)
         if entry is None or not np.array_equal(entry[0], w_qp):
             w = np.array(w_qp, dtype=float)
@@ -576,49 +591,55 @@ class Discretization:
             if c:
                 data[self.tables.bnd_in_tri] += \
                     c * self.form.mass_boundary.data
-            entry = [w, self.tables.tri_pattern.matrix(data), None]
+            entry = (w, self.tables.tri_pattern.matrix(data))
             self._jacobian[c] = entry
-        return entry
-
-    def jacobian_matrix(self, w_qp: np.ndarray, c: float = 0.0
-                        ) -> sp.csr_matrix:
-        """Assembled ``K + M[w] + c M_B`` for weights at interior quadrature
-        points, without factorizing it.  The matrix is shared: do not
-        mutate it."""
-        return self._jacobian_entry(w_qp, c)[1]
+            if not c:
+                self._t_map = None
+        return entry[1]
 
     def jacobian_factor(self, w_qp: np.ndarray, c: float = 0.0
                         ) -> SpdFactorization:
-        """Factorized ``K + M[w] + c M_B``, factorized at most once per
-        cached weights; a new factorization becomes the anchor of ``c``.
-        The factorization is shared: do not mutate it."""
-        return self._factor(self._jacobian_entry(w_qp, c), c)
-
-    def _factor(self, entry: list, c: float) -> SpdFactorization:
-        if entry[2] is None:
-            entry[2] = self._anchor[c] = SpdFactorization(entry[1])
-        return entry[2]
+        """Factorized ``K + M[w] + c M_B``: the anchor of ``c`` when it
+        factorizes this matrix, else a new factorization, which becomes the
+        anchor of ``c``.  The factorization is shared: do not mutate it."""
+        matrix = self.jacobian_matrix(w_qp, c)
+        anchor = self._anchor.get(c)
+        if anchor is None or anchor.matrix is not matrix:
+            anchor = self._anchor[c] = SpdFactorization(matrix)
+        return anchor
 
     def jacobian_solve(self, w_qp: np.ndarray, b: np.ndarray,
                        c: float = 0.0) -> np.ndarray:
         """Solve ``(K + M[w] + c M_B) x = b`` to the :func:`solve_spd`
         bounds.
 
-        Uses the factorization at ``(w, c)`` when the entry holds one.
-        Otherwise runs conjugate gradients on the assembled matrix,
-        preconditioned by the anchor of ``c``; only when that fails, or
-        ``c`` has no anchor yet, is the matrix factorized (and becomes the
-        anchor of ``c``).
+        Uses the anchor of ``c`` when it factorizes this matrix.  Otherwise
+        runs conjugate gradients on the assembled matrix, preconditioned by
+        the anchor of ``c``; only when that fails, or ``c`` has no anchor
+        yet, is the matrix factorized (and becomes the anchor of ``c``).
         """
-        entry = self._jacobian_entry(w_qp, c)
+        matrix = self.jacobian_matrix(w_qp, c)
         anchor = self._anchor.get(c)
-        if entry[2] is None and anchor is not None:
+        if anchor is not None and anchor.matrix is not matrix:
             try:
-                return solve_spd(entry[1], b, factor=anchor)
+                return solve_spd(matrix, b, factor=anchor)
             except FemError:
                 pass
-        factor = self._factor(entry, c)
-        return solve_spd(factor.matrix, b, factor=factor)
+        return solve_spd(matrix, b, factor=self.jacobian_factor(w_qp, c))
+
+    def control_to_state(self, factor: SpdFactorization) -> np.ndarray:
+        """The dense control-to-state map ``T = A^-1 M_B[:, boundary]``,
+        (V, Nb), with ``factor`` a factorization of ``A = K + M[h_y]``
+        (as :func:`ctrlstab.pde.linearized_operator` returns).
+
+        ``T`` is solved once per factorization: it is kept with the
+        factorization it was solved with, and dropped when the weights of
+        ``c = 0`` change.  The array is shared: do not mutate it.
+        """
+        if self._t_map is None or self._t_map[0] is not factor:
+            rhs = self.form.mass_boundary[:, self.mesh.boundary_vertices]
+            self._t_map = (factor, factor.solve(rhs.toarray()))
+        return self._t_map[1]
 
     def domain_load(self, f_qp: np.ndarray) -> np.ndarray:
         """Assemble ``int f phi_a dx`` into a full nodal vector (V,)."""

@@ -290,7 +290,9 @@ class _ReducedForms:
     ``u^T H u``, with the point's multipliers), and ``M_bb`` and
     ``T^T M T`` (the squared norms of ``u`` and ``T u``).  ``H`` is the SSC
     curvature in :func:`check_ssc` and, at zero multipliers, the Newton
-    matrix of :func:`ctrlstab.solver.solve_kkt`.
+    matrix of :func:`ctrlstab.solver.solve_kkt`.  ``T`` itself lives in the
+    ``Discretization``, next to the factorization at the point's state, so
+    the forms of points that share that factorization share one ``T``.
     """
 
     def __init__(self, disc: Discretization, point: KktPoint):
@@ -299,10 +301,11 @@ class _ReducedForms:
 
     @functools.cached_property
     def t_mat(self) -> np.ndarray:
-        """Dense control-to-linearized-state map ``T``, (V, Nb)."""
-        rhs = self.disc.form.mass_boundary[:, self.disc.mesh.boundary_vertices]
-        return linearized_operator(self.disc, self.point.state.values).solve(
-            rhs.toarray())
+        """Dense control-to-linearized-state map ``T``, (V, Nb), from
+        :meth:`ctrlstab.fem.Discretization.control_to_state`; shared, so
+        do not mutate it."""
+        op = linearized_operator(self.disc, self.point.state.values)
+        return self.disc.control_to_state(op)
 
     @functools.cached_property
     def t_bnd(self) -> np.ndarray:
@@ -343,8 +346,14 @@ class _ConeGeometry(_ReducedForms):
         self.mult = np.stack([e.values for e in point.multipliers])
         self.mult_scale = float(np.max(self.mult, initial=0.0))
         self.strong = self.active & (self.mult > self.eps_act)
-        self.gy = np.stack([disc.eval_node(gy, y=point.state.values, lam=lam)
-                            for gy in disc.problem.constraints_y])
+
+    @functools.cached_property
+    def gy(self) -> np.ndarray:
+        """``dg_i/dy`` at the boundary nodes, (m, Nb); not evaluated where
+        :meth:`_pinned_certificate` makes the cone {0}."""
+        y, lam = self.point.state.values, self.point.param.values
+        return np.stack([self.disc.eval_node(gy, y=y, lam=lam)
+                         for gy in self.disc.problem.constraints_y])
 
     @functools.cached_property
     def z_mat(self) -> np.ndarray:
@@ -491,9 +500,10 @@ def _finish_block(cone: _ConeGeometry, seeds: np.ndarray) -> tuple:
     return u, size, ok & cone.admissible(u, size)
 
 
-def _safe(x: float) -> float | None:
-    """JSON value of a float: ``None`` for NaN and infinities."""
-    return x if math.isfinite(x) else None
+def _safe(x):
+    """JSON value of ``x``: ``None`` for a float NaN or infinity, else
+    ``x``."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 @dataclass

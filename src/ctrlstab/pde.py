@@ -16,17 +16,19 @@ that moves with the state, ``M_B (lam - g(y))``, with the Jacobian
 ``K + M[h_y] + c M_B`` of its own entry, ``c = dg/dy``:
 
 * Newton steps and :func:`solve_adjoint` call
-  ``Discretization.jacobian_solve``.  At a state without its own
-  factorization it runs conjugate gradients preconditioned by the last
-  factorization taken (the anchor, from another state), and factorizes only
-  when that fails within a few steps: chord-type reuse of the factor
+  ``Discretization.jacobian_solve``.  Each ``c`` keeps one factorization,
+  the last one taken (its anchor).  At a state whose matrix the anchor
+  does not factorize, the solve runs conjugate gradients preconditioned by
+  the anchor, and factorizes only when that fails within a few steps:
+  chord-type reuse of the factor
   (Kelley, *Iterative Methods for Linear and Nonlinear Equations*, SIAM
   1995).  Its relative target 1e-13 keeps each step equal to the exact
   Newton step up to rounding (inexact Newton; Dembo, Eisenstat & Steihaug,
   SIAM J. Numer. Anal. 19:400, 1982).
 * :func:`linearized_operator` returns an exact factorization at ``y``, for
-  the many right-hand sides of the control-to-state map of
-  :mod:`ctrlstab.kkt`.
+  the many right-hand sides of the control-to-state map ``T`` of
+  :mod:`ctrlstab.kkt`; ``Discretization.control_to_state`` keeps ``T``
+  with that factorization, so it is solved once per factorization.
 * :func:`adjoint_system` returns the h_y weights at ``y`` and the adjoint
   right-hand side, so that a caller can solve the adjoint system and
   measure its residual ``||(K + M[h_y]) p - rhs||`` from one evaluation.
@@ -201,9 +203,9 @@ def linearized_operator(disc: Discretization, y) -> SpdFactorization:
 def solve_adjoint(disc: Discretization, y, lam, multipliers) -> FeFunction:
     """Solve the adjoint system at state ``y`` with boundary multipliers.
 
-    The solve goes through :meth:`Discretization.jacobian_solve`: the
-    cached factorization at ``y`` (the one :func:`linearized_operator`
-    returns, once taken), or CG preconditioned by the anchor.
+    The solve goes through :meth:`Discretization.jacobian_solve`: exact
+    when the anchor factorizes the operator at ``y`` (as after
+    :func:`linearized_operator` at ``y``), else CG preconditioned by it.
     """
     w, rhs = adjoint_system(disc, y, lam, multipliers)
     return FeFunction(disc.mesh, disc.jacobian_solve(w, rhs))

@@ -499,6 +499,28 @@ def test_pinned_certificate_replaces_control_to_state_map(
     assert len(factorizations) == 1  # the cached entry serves again
 
 
+def _recording(seen: list, method):
+    def wrapper(self, e, *args, **kwargs):
+        seen.append(e)
+        return method(self, e, *args, **kwargs)
+    return wrapper
+
+
+def test_pinned_check_evaluates_no_constraint_derivative(cubic_pinned,
+                                                         monkeypatch):
+    # the certificate makes the cone {0}, and nothing reads dg_i/dy
+    spec, mesh, point = cubic_pinned
+    seen = []
+    for name in ("eval_dom", "eval_bnd", "eval_node"):
+        monkeypatch.setattr(Discretization, name,
+                            _recording(seen, getattr(Discretization, name)))
+    rep = check_ssc(Discretization(spec, mesh), point, n_samples=20,
+                    rng=np.random.default_rng(4))
+    assert rep.n_strong == mesh.n_boundary and rep.positive
+    assert spec.reaction_y in seen  # the certificate's h_y weights
+    assert not any(e is gy for e in seen for gy in spec.constraints_y)
+
+
 def test_pinned_check_draws_every_seed_block(cubic_pinned, monkeypatch):
     # the cone is {0}, yet the seeds are drawn, so the draws after the
     # check (run_sweep's, the CLI's) do not depend on the certificate

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from ctrlstab import (BoundaryFunction, Discretization, SolveOptions,
-                      SolverError, SscHypothesisError, SweepPlan,
-                      SweepPlanError, fit_exponent, make_disk_mesh, run_sweep,
-                      solve_kkt, write_sweep_csv, write_sweep_json)
+                      SolverError, SpdFactorization, SscHypothesisError,
+                      SweepPlan, SweepPlanError, build_discretization,
+                      fit_exponent, make_disk_mesh, parse_instance, run_sweep,
+                      solve_kkt, sweep_plan, write_sweep_csv, write_sweep_json)
 from ctrlstab import stability
 from ctrlstab.stability import CSV_HEADER
 
-from conftest import make_spec
+from conftest import CONFIG_DIR, make_spec
 
 #: the keys of a sweep.json row; a failed row adds "error" and "iterations"
 ROW_KEYS = {"t", "d_L2", "d_Linf", "d_W1r", "kkt_ok"}
@@ -337,3 +338,23 @@ def test_json_writer_round_trips(swept, tmp_path):
     assert data["rows"][0]["kkt_ok"] is True
     assert all(set(row) == ROW_KEYS for row in data["rows"])
     assert data["fits"]["d_Linf"]["n_points"] == len(T_SMALL)
+
+
+def test_sweep_solves_control_to_state_once_per_factorization(monkeypatch):
+    # h = y: K + M[h_y] is one matrix at every state, factorized once, so
+    # the reduced Newton steps of every solve and the SSC check share one T
+    cfg = parse_instance(CONFIG_DIR / "stability_reference.ini")
+    disc = build_discretization(cfg)
+    plan = sweep_plan(cfg, disc)
+    solves = []
+    solve = SpdFactorization.solve
+
+    def recording(self, b):
+        if np.ndim(b) == 2:
+            solves.append(self)
+        return solve(self, b)
+
+    monkeypatch.setattr(SpdFactorization, "solve", recording)
+    report = run_sweep(disc, plan, options=cfg.solve_options)
+    assert all(row.kkt_ok for row in report.rows)
+    assert len(solves) == 1
