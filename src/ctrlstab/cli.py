@@ -30,8 +30,8 @@ import sys
 
 import numpy as np
 
-from .config import (ConfigError, InstanceConfig, build_discretization,
-                     build_mesh, parse_instance, sweep_plan)
+from .config import (ConfigError, build_discretization, build_mesh,
+                     parse_instance, sweep_plan)
 from .expr import ExprError
 from .fem import BoundaryFunction, Discretization, FemError, FeFunction
 from .geometry import MeshError, dump_mesh, mesh_hash, mesh_text
@@ -82,8 +82,7 @@ def load_point(path, disc: Discretization, lam: BoundaryFunction) -> KktPoint:
         raise PointFileError(
             f"{path}: mesh hash {meta['mesh']} does not match the "
             f"instance mesh {mesh_hash(mesh)}")
-    nv, nb = mesh.n_vertices, mesh.n_boundary
-    m = disc.problem.m
+    nv, nb, m = mesh.n_vertices, mesh.n_boundary, disc.problem.m
     try:
         shape = (int(meta["vertices"]), int(meta["boundary"]),
                  int(meta["constraints"]))
@@ -93,27 +92,20 @@ def load_point(path, disc: Discretization, lam: BoundaryFunction) -> KktPoint:
         raise PointFileError(
             f"{path}: header sizes {shape} do not match the instance "
             f"({nv}, {nb}, {m})")
-    expected = nv + nb + nv + m * nb
-    if len(lines) - 1 != expected:
+    sizes = [nv, nb, nv, *[nb] * m]
+    if len(lines) - 1 != sum(sizes):
         raise PointFileError(
-            f"{path}: expected {expected} values, found {len(lines) - 1}")
+            f"{path}: expected {sum(sizes)} values, found {len(lines) - 1}")
     try:
         data = np.array([float(v) for v in lines[1:]])
     except ValueError as exc:
         raise PointFileError(f"{path}: {exc}") from exc
-    pos = 0
-
-    def take(count):
-        nonlocal pos
-        block = data[pos:pos + count]
-        pos += count
-        return block
-
+    state, control, adjoint, *mults = np.split(data, np.cumsum(sizes)[:-1])
     try:
-        state = FeFunction(mesh, take(nv))
-        control = BoundaryFunction(mesh, take(nb))
-        adjoint = FeFunction(mesh, take(nv))
-        mults = tuple(BoundaryFunction(mesh, take(nb)) for _ in range(m))
+        state = FeFunction(mesh, state)
+        control = BoundaryFunction(mesh, control)
+        adjoint = FeFunction(mesh, adjoint)
+        mults = tuple(BoundaryFunction(mesh, e) for e in mults)
     except ValueError as exc:  # a non-finite value
         raise PointFileError(f"{path}: {exc}") from exc
     return KktPoint(state=state, control=control, adjoint=adjoint,
@@ -138,21 +130,25 @@ def _residual_payload(res, sigma1: float) -> dict:
     return payload
 
 
-def _load_instance(args) -> InstanceConfig:
+def _set_up(args, plan: bool = False) -> tuple:
+    """What solve, verify, ssc and sweep share: ``(cfg, disc, lam, plan)``,
+    the instance with the ``--tol`` override, its discretization, the
+    reference parameter and, when ``plan``, the sweep plan (else None).
+    ``--out`` is made last, so a bad instance leaves no directory behind and
+    an unwritable ``--out`` exits before any solve."""
     cfg = parse_instance(args.config)
-    tol = getattr(args, "tol", None)
-    if tol is not None:
-        cfg.solve_options = dataclasses.replace(cfg.solve_options, tol=tol)
-    return cfg
+    if args.tol is not None:
+        cfg.solve_options = dataclasses.replace(cfg.solve_options, tol=args.tol)
+    disc = build_discretization(cfg)
+    sweep = sweep_plan(cfg, disc, seed=args.seed) if plan else None
+    lam = disc.param_reference()
+    if getattr(args, "out", None):
+        os.makedirs(args.out, exist_ok=True)
+    return cfg, disc, lam, sweep
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_instance(args)
-    disc = build_discretization(cfg)
-    lam = disc.param_reference()
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-
+    cfg, disc, lam, _ = _set_up(args)
     report = solve_kkt(disc, lam, options=cfg.solve_options)
     gap = projection_identity_gap(disc, report.point)
     obj = objective_value(disc, report.point.state, report.point.control, lam)
@@ -172,11 +168,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_instance(args)
-    disc = build_discretization(cfg)
-    lam = disc.param_reference()
+    cfg, disc, lam, _ = _set_up(args)
     point = load_point(args.point, disc, lam)
-
     res = residuals(disc, point)
     part = partition_at(disc, point.state.values, lam.values)
     gap = projection_identity_gap(disc, point)
@@ -191,12 +184,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ssc(args) -> int:
-    cfg = _load_instance(args)
-    disc = build_discretization(cfg)
-    lam = disc.param_reference()
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-
+    cfg, disc, lam, _ = _set_up(args)
     report = solve_kkt(disc, lam, options=cfg.solve_options)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     ssc = check_ssc(disc, report.point, n_samples=args.samples, rng=rng)
@@ -208,31 +196,28 @@ def cmd_ssc(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_instance(args)
-    disc = build_discretization(cfg)
-    plan = sweep_plan(cfg, disc, seed=args.seed)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-
+    cfg, disc, _, plan = _set_up(args, plan=True)
     report = run_sweep(disc, plan, options=cfg.solve_options)
+    out_dir = args.out or "."
     csv_path = os.path.join(out_dir, "sweep.csv")
     write_sweep_csv(report, csv_path)
     write_sweep_json(report, os.path.join(out_dir, "sweep.json"))
     for name, fit in report.fits.items():
-        _say(args, f"{name}: exponent {fit.slope:.4f} "
-                   f"(constant {fit.constant:.4g}, r2 {fit.r2:.4f})")
+        _say(args, f"{name}: exponent " + (
+            "undetermined (fewer than 4 positive distances)" if fit is None
+            else f"{fit.slope:.4f} (constant {fit.constant:.4g}, "
+                 f"r2 {fit.r2:.4f})"))
     _say(args, f"holder quotient ratio {report.quotient_ratio:.3f} "
                f"(bounded: {report.holder_bounded}); wrote {csv_path}")
-    if not all(r.kkt_ok for r in report.rows):
-        failed = sum(1 for r in report.rows if not r.kkt_ok)
+    failed = sum(1 for r in report.rows if not r.kkt_ok)
+    if failed:
         print(f"{failed} sweep step(s) did not converge", file=sys.stderr)
         return 3
     return 0
 
 
 def cmd_mesh_dump(args) -> int:
-    cfg = _load_instance(args)
-    mesh = build_mesh(cfg)
+    mesh = build_mesh(parse_instance(args.config))
     if args.out:
         dump_mesh(mesh, args.out)
         _say(args, f"wrote {args.out} (mesh {mesh_hash(mesh)})")
@@ -241,25 +226,26 @@ def cmd_mesh_dump(args) -> int:
     return 0
 
 
-def _sample_count(text: str) -> int:
-    count = int(text)
-    if count < 100:
-        raise argparse.ArgumentTypeError(f"must be >= 100, got {count}")
-    return count
+def _checked(name: str, cast, test, rule: str):
+    """An argparse type named ``name`` (argparse names it when ``cast``
+    fails): cast the text, and refuse a value that fails ``test`` with
+    ``rule``, formatted with the ``value`` and the ``text``."""
+    def convert(text):
+        value = cast(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(rule.format(value=value,
+                                                         text=text))
+        return value
+
+    convert.__name__ = name
+    return convert
 
 
-def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
-
-
-def _tolerance(text: str) -> float:
-    tol = float(text)
-    if not 0.0 < tol < np.inf:
-        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
-    return tol
+_sample_count = _checked("_sample_count", int, lambda n: n >= 100,
+                         "must be >= 100, got {value}")
+_seed = _checked("_seed", int, lambda n: n >= 0, "must be >= 0, got {value}")
+_tolerance = _checked("_tolerance", float, lambda x: 0.0 < x < np.inf,
+                      "must be > 0 and finite, got {text}")
 
 
 def make_parser() -> argparse.ArgumentParser:

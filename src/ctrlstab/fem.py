@@ -267,7 +267,6 @@ class SpdFactorization:
         scale = max(1.0, float(np.max(np.abs(a.data))) if a.nnz else 0.0)
         if asym.nnz and asym.data.max() > 1e-12 * scale:
             raise NotSpdError("matrix is not symmetric")
-        self.n = n
         self.matrix = a
 
         perm = np.asarray(reverse_cuthill_mckee(a, symmetric_mode=True))

@@ -168,17 +168,15 @@ def _residual_record(disc: Discretization, point: KktPoint, r_state: float,
     adj = point.adjoint.values
     r_adjoint = float(np.linalg.norm(disc.jacobian_matrix(w_adj) @ adj
                                      - rhs))
-    e_sum = np.sum([e.values for e in point.multipliers], axis=0)
-    r_stat = float(np.max(np.abs(-disc.trace(adj) + alpha + beta * u + e_sum)))
-
-    r_comp = 0.0
-    r_feas = 0.0
-    for g_i, e in zip(g, point.multipliers):
-        r_comp = max(r_comp,
-                     float(np.max(np.abs(e.values * (g_i + u)))),
-                     float(np.max(-e.values, initial=0.0)))
-        r_feas = max(r_feas, float(np.max(g_i + u, initial=0.0)))
-    r_feas = max(r_feas, 0.0)
+    e = np.array([e_i.values for e_i in point.multipliers])
+    r_stat = float(np.max(np.abs(-disc.trace(adj) + alpha + beta * u
+                                 + np.sum(e, axis=0))))
+    slack = g + u
+    # a NaN slack or product reads NaN; a zero residual reads +0.0 even
+    # where a slack or a -e entry is -0.0 (Python's max keeps its first
+    # argument on a tie, and abs drops the sign of a zero)
+    r_comp = max(float(np.max(np.abs(e * slack))), float(np.max(-e)))
+    r_feas = abs(float(np.max(slack, initial=0.0)))
     return KktResiduals(state=r_state, adjoint=r_adjoint,
                         stationarity=r_stat, complementarity=r_comp,
                         feasibility=r_feas)

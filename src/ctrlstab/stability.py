@@ -134,10 +134,18 @@ def fit_exponent(t_values, distances) -> ExponentFit:
 class StabilityReport:
     """Sweep rows, reference diagnostics, exponent fits, Holder quotients.
 
+    ``fits`` maps each distance column to its :class:`ExponentFit`, or to
+    None (``null`` in JSON) when fewer than 4 successful rows have a
+    positive distance, so that no exponent is determined.
+
     ``holder_constant`` is the largest quotient ``d_Linf / sqrt(t)`` over
-    successful rows and ``holder_bounded`` says whether the quotient stays
-    within a factor 20 of its minimum across the sweep, i.e. whether the
-    sup-norm distances track ``holder_constant * sqrt(t)``.
+    successful rows with a positive ``d_Linf``, ``quotient_ratio`` its
+    largest over its smallest value, and ``holder_bounded`` says whether
+    the quotient stays within a factor 20 of its minimum across the sweep,
+    i.e. whether the sup-norm distances track ``holder_constant * sqrt(t)``.
+    When ``d_Linf`` is 0 on every successful row (the control does not
+    move), there is no quotient: ``holder_constant`` reads 0,
+    ``quotient_ratio`` inf (``null`` in JSON) and ``holder_bounded`` false.
     """
 
     rows: list
@@ -154,7 +162,8 @@ class StabilityReport:
             "rows": [r.to_dict() for r in self.rows],
             "base_residuals": asdict(self.base_residuals),
             "ssc": self.ssc.to_dict(),
-            "fits": {k: asdict(f) for k, f in self.fits.items()},
+            "fits": {k: None if f is None else asdict(f)
+                     for k, f in self.fits.items()},
             "holder_constant": _safe(self.holder_constant),
             "quotient_ratio": _safe(self.quotient_ratio),
             "holder_bounded": self.holder_bounded,
@@ -215,9 +224,9 @@ def run_sweep(disc: Discretization, plan: SweepPlan,
 
     ts = np.array([r.t for r in ok])
     fits = {
-        "d_L2": fit_exponent(ts, [r.d_l2 for r in ok]),
-        "d_Linf": fit_exponent(ts, [r.d_linf for r in ok]),
-        "d_W1r": fit_exponent(ts, [r.d_w1r for r in ok]),
+        "d_L2": _column_fit(ts, [r.d_l2 for r in ok]),
+        "d_Linf": _column_fit(ts, [r.d_linf for r in ok]),
+        "d_W1r": _column_fit(ts, [r.d_w1r for r in ok]),
     }
     quotients = np.array([r.d_linf / math.sqrt(r.t) for r in ok
                           if r.d_linf > 0.0])
@@ -233,6 +242,14 @@ def run_sweep(disc: Discretization, plan: SweepPlan,
                            quotient_ratio=quotient_ratio,
                            holder_bounded=quotient_ratio <= 20.0,
                            seed=plan.seed)
+
+
+def _column_fit(t_values, distances) -> ExponentFit | None:
+    # a column with fewer than 4 positive distances has no fit
+    try:
+        return fit_exponent(t_values, distances)
+    except ValueError:
+        return None
 
 
 def write_sweep_csv(report: StabilityReport, path) -> None:

@@ -38,7 +38,9 @@ subprocess that imports that tree's ``src/``, and prints per file whether
 the counts of all solves agree and, for every field that the fingerprint
 hashes, ``=`` when it is bit-identical in every solve, or else its largest
 absolute move.  A field that no pair of successful solves carries reads
-``-``.
+``-``.  It exits 0 when every file is in both trees and reads
+``counts same`` and ``=`` for every field, else 1 (also when a tree's
+records cannot be collected).
 
 With one BLAS thread on a 2-CPU machine the first form takes about 2 s
 for all instance files and ``--against`` about 3 s;
@@ -184,24 +186,47 @@ def _field(moves) -> str:
     return "-" if not moves else f"{max(found):.2e}" if found else "="
 
 
-def compare(mine: dict, other: dict) -> str:
-    """Whether the counts of two records of one instance file agree, and
-    the move of every hashed field."""
+def _moves(mine: dict, other: dict) -> list:
+    """``(name, reading)`` of the counts and of every hashed field of two
+    records of one instance file."""
     a, b = ([r["cold"], *(r["warm"] or []), r["chain_cold"],
              *(r["chain_warm"] or [])] for r in (mine, other))
     counts = [" ".join(s if isinstance(s, str) else "/".join(
         map(str, s["counts"])) for s in x) for x in (a, b)]
-    out = ["counts " + ("same" if counts[0] == counts[1]
-                        else f"{counts[0]} vs {counts[1]}")]
+    out = [("counts", "same" if counts[0] == counts[1]
+            else f"{counts[0]} vs {counts[1]}")]
     pairs = [(x, y) for x, y in zip(a, b)
              if not isinstance(x, str) and not isinstance(y, str)]
-    out += [f"{key} {_field(_move(x[key], y[key]) for x, y in pairs)}"
+    out += [(key, _field(_move(x[key], y[key]) for x, y in pairs))
             for key in FIELDS if key != "counts"]
     sscs = [(mine[s], other[s]) for s in ("ssc", "chain_ssc")]
-    out += [f"{key} {_field(_move(x[key], y.get(key)) for x, y in sscs)}"
+    out += [(key, _field(_move(x[key], y.get(key)) for x, y in sscs))
             for key in mine["ssc"]]
-    out.append(f"verify {_field([_move(mine['verify'], other['verify'])])}")
-    return ", ".join(out)
+    out.append(("verify", _field([_move(mine["verify"], other["verify"])])))
+    return out
+
+
+def compare(mine: dict, other: dict) -> str:
+    """Whether the counts of two records of one instance file agree, and
+    the move of every hashed field."""
+    return ", ".join(map(" ".join, _moves(mine, other)))
+
+
+def against(mine: dict, other: dict) -> tuple:
+    """The ``--against`` report of two trees' records by file name: its
+    lines, and whether the trees agree, that is every file is in both,
+    with the counts the same and every field ``=``."""
+    lines, same = [], mine.keys() == other.keys()
+    for name in sorted(mine.keys() | other.keys()):
+        if name in mine and name in other:
+            moves = _moves(mine[name], other[name])
+            same = same and all(reading in ("same", "=")
+                                for _, reading in moves)
+            lines.append(f"{name} {', '.join(map(' '.join, moves))}")
+        else:
+            lines.append(f"{name} only in "
+                         f"{'this' if name in mine else 'the other'} tree")
+    return lines, same
 
 
 # --- command line
@@ -238,15 +263,9 @@ def main(argv: list) -> int:
     outputs = [proc.communicate()[0] for proc in procs]
     if any(proc.returncode for proc in procs):
         return 1
-    mine, other = (pickle.loads(out) for out in outputs)
-    for name in sorted(mine.keys() | other.keys()):
-        if name in mine and name in other:
-            print(f"{name} {compare(mine[name], other[name])}")
-        else:
-            print(f"{name} only in {'this' if name in mine else 'the other'}"
-                  " tree")
-    return 0
-
+    lines, same = against(*(pickle.loads(out) for out in outputs))
+    print("\n".join(lines))
+    return 0 if same else 1
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv))

@@ -122,6 +122,9 @@ def test_free_vars():
 
 def test_constant_folding_collapses_numbers():
     assert str(parse("2 + 3*4")) == "14.0"
+    # the identities y^0 = 1, --y = y and y/1 = y fold too
+    assert parse("y^0") == Const(1.0)
+    assert parse("--y") == parse("y/1") == Var("y")
     d = differentiate(parse("5"), "y")
     assert d.eval({}) == 0.0
 
@@ -139,6 +142,8 @@ def test_diff_var_restricted_to_unknowns():
     # numbers and folded constants outside the float range
     "1e400", "10^400", "(1e200)^2", "1e308*10", "1e308/1e-10",
     "1e308 + 1e308", "-1e308 - 1e308",
+    # constant folds that are undefined
+    "y/0", "(-8)^0.5", "0^(-1)",
 ])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
@@ -164,6 +169,11 @@ def test_parse_error_position():
 def test_non_smooth_rejected(name):
     with pytest.raises(ParseError):
         parse(f"{name}(y)")
+
+
+def test_parse_takes_only_a_string():
+    with pytest.raises(TypeError, match="must be a string"):
+        parse(1)
 
 
 def test_non_constant_exponent_rejected():

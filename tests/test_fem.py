@@ -130,6 +130,20 @@ def test_not_spd_rejected():
         SpdFactorization(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
 
 
+def test_non_square_matrix_rejected():
+    with pytest.raises(ValueError, match="must be square"):
+        SpdFactorization(sp.csr_matrix(np.ones((2, 3))))
+
+
+def test_solve_spd_stops_at_non_positive_curvature():
+    # a factor of I preconditions -I: the first search direction p has
+    # p^T (-I) p < 0, so the iteration stops at its start, x = b, whose
+    # residual 2 ||b|| is reported
+    eye = sp.identity(3, format="csr")
+    with pytest.raises(FemError, match=r"residual 3\.464e\+00 exceeds"):
+        solve_spd(-eye, np.ones(3), factor=SpdFactorization(eye))
+
+
 @pytest.mark.parametrize("entries, count", [
     ([[np.nan, 0.0], [0.0, 1.0]], 1),
     ([[1.0, np.nan], [np.nan, 1.0]], 2),

@@ -162,6 +162,19 @@ def test_newton_iteration_limit_raises(disc_cubic, monkeypatch):
     assert err.value.residual > 0.0
 
 
+def test_newton_line_search_failure_raises(lq_disc16):
+    # a load that grows like 1e6 y, which the Jacobian K + M[h_y] does not
+    # see: the Newton direction raises the residual at every step length
+    nv = lq_disc16.mesh.n_vertices
+    with pytest.raises(StateSolveError, match="line search failed") as err:
+        pde_mod._newton(lq_disc16, np.zeros(nv), lambda y: 1.0 + 1e6 * y,
+                        1e-12)
+    # no step was taken: the residual is that of y = 0, where h(0) = 0
+    # leaves the load -1 at every vertex
+    assert err.value.iterations == 0
+    assert err.value.residual == pytest.approx(np.sqrt(nv))
+
+
 def test_adjoint_operator_self_adjoint(disc_cubic):
     nb = disc_cubic.mesh.n_boundary
     rep = solve_state(disc_cubic, np.ones(nb), np.zeros(nb))

@@ -76,3 +76,20 @@ def test_failed_solve_on_one_side_is_reported(record):
     report = _report(point_hashes.compare(other, record))
     assert {report[key] for key in ("state", "residuals")} == {"-"}
     assert point_hashes.line(other).endswith("verify=eq")
+
+
+def test_against_agrees_only_when_nothing_differs(record):
+    # the exit status of ``--against``, decided on records in process
+    lines, same = point_hashes.against({"a.ini": record}, {"a.ini": record})
+    assert same and lines == [
+        f"a.ini {point_hashes.compare(record, record)}"]
+    nudged = copy.deepcopy(record)
+    nudged["chain_ssc"]["n_strong"] += 1
+    failed = copy.deepcopy(record)
+    failed["chain_cold"] = "SolverError"
+    for other in (nudged, failed):
+        assert not point_hashes.against({"a.ini": record},
+                                        {"a.ini": other})[1]
+    lines, same = point_hashes.against({"a.ini": record},
+                                       {"a.ini": record, "b.ini": record})
+    assert not same and lines[1] == "b.ini only in the other tree"

@@ -233,6 +233,47 @@ def test_failed_rows_marked_and_excluded():
         assert fit.n_points == 4
 
 
+def test_three_successful_rows_leave_every_fit_undetermined(tmp_path):
+    # the instance of test_failed_rows_marked_and_excluded without t = 0.3:
+    # three rows remain, one too few for any fit
+    spec = make_spec(beta="0.6 - 1*lam", gamma=0.5)
+    disc = Discretization(spec, make_disk_mesh(16, 0))
+    delta = BoundaryFunction(disc.mesh, np.ones(disc.mesh.n_boundary))
+    report = run_sweep(disc, SweepPlan(delta, [0.05, 0.1, 0.2, 0.4]),
+                       options=SolveOptions(tol=1e-10))
+    assert [r.kkt_ok for r in report.rows] == [True, True, True, False]
+    assert report.fits == {"d_L2": None, "d_Linf": None, "d_W1r": None}
+    # the quotients of the three rows still bound the Holder constant
+    q = [r.d_linf / math.sqrt(r.t) for r in report.rows[:3]]
+    assert report.holder_constant == max(q)
+    path = tmp_path / "sweep.json"
+    write_sweep_json(report, path)
+    assert json.loads(path.read_text())["fits"] == report.fits
+
+
+def test_control_at_its_cap_leaves_the_control_fits_undetermined(tmp_path):
+    # alpha = lam - 5 pushes the control onto its cap u = 1 at every step,
+    # so the control distances are all 0 while the state still moves
+    spec = make_spec(alpha="lam - 5", constraints=("-1", "-2"))
+    disc = Discretization(spec, make_disk_mesh(16, 0))
+    delta = BoundaryFunction(disc.mesh, np.ones(disc.mesh.n_boundary))
+    report = run_sweep(disc, SweepPlan(delta, T_SMALL, ssc_samples=100),
+                       options=SolveOptions(tol=1e-10))
+    assert all(r.kkt_ok and r.d_l2 == r.d_linf == 0.0 for r in report.rows)
+    assert report.fits["d_L2"] is None and report.fits["d_Linf"] is None
+    assert report.fits["d_W1r"].slope == pytest.approx(1.0, abs=1e-8)
+    # no quotient: the documented readings of the three Holder fields
+    assert report.holder_constant == 0.0
+    assert report.quotient_ratio == math.inf
+    assert report.holder_bounded is False
+    path = tmp_path / "sweep.json"
+    write_sweep_json(report, path)
+    data = json.loads(path.read_text())
+    assert data["quotient_ratio"] is None and data["holder_constant"] == 0.0
+    assert data["fits"]["d_Linf"] is None
+    assert data["fits"]["d_W1r"]["n_points"] == len(T_SMALL)
+
+
 def test_failed_row_writes_valid_json(tmp_path):
     # the failing instance of test_failed_rows_marked_and_excluded: its
     # NaN distances must reach sweep.json as null, not as bare NaN tokens
