@@ -51,8 +51,7 @@ class PointFileError(ValueError):
 def save_point(point: KktPoint, path) -> None:
     mesh = point.state.mesh
     fields = [point.state.values, point.control.values,
-              point.adjoint.values]
-    fields.extend(e.values for e in point.multipliers)
+              point.adjoint.values, *point.multipliers]
     lines = [f"# ctrlstab point mesh={mesh_hash(mesh)} "
              f"vertices={mesh.n_vertices} boundary={mesh.n_boundary} "
              f"constraints={point.m}"]
@@ -92,7 +91,7 @@ def load_point(path, disc: Discretization, lam: BoundaryFunction) -> KktPoint:
         raise PointFileError(
             f"{path}: header sizes {shape} do not match the instance "
             f"({nv}, {nb}, {m})")
-    sizes = [nv, nb, nv, *[nb] * m]
+    sizes = [nv, nb, nv, m * nb]
     if len(lines) - 1 != sum(sizes):
         raise PointFileError(
             f"{path}: expected {sum(sizes)} values, found {len(lines) - 1}")
@@ -100,16 +99,14 @@ def load_point(path, disc: Discretization, lam: BoundaryFunction) -> KktPoint:
         data = np.array([float(v) for v in lines[1:]])
     except ValueError as exc:
         raise PointFileError(f"{path}: {exc}") from exc
-    state, control, adjoint, *mults = np.split(data, np.cumsum(sizes)[:-1])
+    state, control, adjoint, mults = np.split(data, np.cumsum(sizes)[:-1])
     try:
-        state = FeFunction(mesh, state)
-        control = BoundaryFunction(mesh, control)
-        adjoint = FeFunction(mesh, adjoint)
-        mults = tuple(BoundaryFunction(mesh, e) for e in mults)
+        return KktPoint(state=FeFunction(mesh, state),
+                        control=BoundaryFunction(mesh, control),
+                        adjoint=FeFunction(mesh, adjoint),
+                        multipliers=mults.reshape(m, nb), param=lam)
     except ValueError as exc:  # a non-finite value
         raise PointFileError(f"{path}: {exc}") from exc
-    return KktPoint(state=state, control=control, adjoint=adjoint,
-                    multipliers=mults, param=lam)
 
 
 def _say(args, message: str) -> None:

@@ -151,8 +151,9 @@ def state_residual_norm(disc: Discretization, y, u, lam) -> float:
 
 
 def adjoint_system(disc: Discretization, y, lam, multipliers) -> tuple:
-    """The adjoint system at state ``y``: ``(w, rhs)`` with ``w`` the h_y
-    weights of ``K + M[w]`` and ``rhs`` the negative gradient loads.
+    """The adjoint system at state ``y`` and the (m, Nb) nodal
+    ``multipliers``: ``(w, rhs)`` with ``w`` the h_y weights of
+    ``K + M[w]`` and ``rhs`` the negative gradient loads.
 
     ``disc.jacobian_solve(w, rhs)`` is the costate of :func:`solve_adjoint`,
     and ``||disc.jacobian_matrix(w) @ p - rhs||`` is the adjoint residual.
@@ -175,8 +176,9 @@ def _adjoint_pieces(disc: Discretization, y, lam) -> tuple:
 
 def _adjoint_rhs(disc: Discretization, pieces: tuple,
                  multipliers) -> np.ndarray:
-    """The adjoint right-hand side from :func:`_adjoint_pieces`; a
-    constraint without a multiplier in ``multipliers`` adds nothing."""
+    """The adjoint right-hand side from :func:`_adjoint_pieces` at the
+    nodal multipliers, an (m, Nb) array with one row per constraint; a
+    constraint without a row in ``multipliers`` adds nothing."""
     _, ly, bnd, gys = pieces
     for gq, e in zip(gys, multipliers):
         e_vals = nodal_values(e, disc.mesh.n_boundary)

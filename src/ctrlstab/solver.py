@@ -71,6 +71,9 @@ right-hand side serve the adjoint solve and its residual, and alpha, beta
 are evaluated once per solve.  The record is built by the builder that
 :func:`ctrlstab.kkt.residuals` (the ``ctrlstab verify`` rule) calls on the
 same pieces, so it is the verify rule's record at the iterate, bit for bit.
+The multipliers are the (m, Nb) array ``point.multipliers`` of each
+iterate (row i the nodal values of e_i): the damped update reads the
+previous iterate's, and the adjoint system and the record read that array.
 """
 
 from __future__ import annotations
@@ -248,8 +251,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     newton = pinned = 0
     pinned_gate = False  # the pinned gate has fired
     m_bb = disc.form.mass_boundary_bb
-    no_mults = tuple(BoundaryFunction(disc.mesh, np.zeros(nb))
-                     for _ in range(m))
+    no_mults = np.zeros((m, nb))
 
     def partition(g):
         # the dominance partition of the constraint values g at the next
@@ -262,18 +264,17 @@ def solve_kkt(disc: Discretization, lam, u0=None,
                 f"is degenerate")
         return part
 
-    def iterate(state, u, adjoint, mults, w_adj, rhs, g, part, e_vals):
-        # the iterate (point, record, partition, damped multipliers,
-        # constraint values) from the solves of its iteration: Newton's
-        # final residual is the state residual at y, and (w_adj, rhs) is
-        # the adjoint system at the multipliers, so the record is the
-        # verify rule's
+    def iterate(state, u, adjoint, mults, w_adj, rhs, g, part):
+        # the iterate (point, record, partition, constraint values) from
+        # the solves of its iteration: Newton's final residual is the state
+        # residual at y, and (w_adj, rhs) is the adjoint system at the
+        # multipliers, so the record is the verify rule's
         point = KktPoint(state=state.state,
                          control=BoundaryFunction(disc.mesh, u.copy()),
                          adjoint=FeFunction(disc.mesh, adjoint),
                          multipliers=mults, param=lam_fn)
         return (point, _residual_record(disc, point, state.residual, w_adj,
-                                        rhs, g, alpha, beta), part, e_vals, g)
+                                        rhs, g, alpha, beta), part, g)
 
     def evaluate(u, e_prev, p_prev):
         # one damped iteration up to its residuals from the control u, the
@@ -294,7 +295,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         part = partition(g_con)
 
         if e_prev is None:
-            e_vals = np.zeros((m, nb))
+            mults = np.zeros((m, nb))
         else:
             # the multiplier refresh shares the damping factor: the
             # undamped costate/multiplier alternation has loop gain above 1
@@ -302,12 +303,10 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             # points
             raw = _separated_multipliers(disc.trace(p_prev), alpha, beta, u,
                                          part.labels, m)
-            e_vals = (1.0 - theta) * e_prev + theta * raw
-        mults = tuple(BoundaryFunction(disc.mesh, row.copy())
-                      for row in e_vals)
+            mults = (1.0 - theta) * e_prev + theta * raw
         w_adj, rhs = adjoint_system(disc, y, lam, mults)
         return iterate(state, u, disc.jacobian_solve(w_adj, rhs), mults,
-                       w_adj, rhs, g_con, part, e_vals)
+                       w_adj, rhs, g_con, part)
 
     def record(step) -> bool:
         # append an evaluated iterate; True when it meets the stopping rule
@@ -326,7 +325,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         # when every trial fails
         point, res = step[:2]
         adjoint = point.adjoint
-        if any(np.any(e.values) for e in point.multipliers):
+        if np.any(point.multipliers):
             # the costate of the reduced cost is the adjoint at zero
             # multipliers, not the one the damped multipliers gave
             adjoint = FeFunction(disc.mesh, disc.jacobian_solve(
@@ -366,23 +365,21 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             return None
         pinned += 1
         nodes = np.arange(nb)
-        # the constraint values at the state the load was last formed at,
-        # matched by identity: Newton forms it once at each trial state,
-        # and the iterate's own values serve its state
-        seen = [y0, step[4]]
 
-        def load(y):
-            if y is not seen[0]:
-                seen[:] = y, constraint_values(disc, y, lam)
+        def load(g):
+            # the pinned load M_B (lam - g_label) of constraint values g
             return disc.form.mass_boundary @ disc.embed(
-                -seen[1][labels, nodes] + lam)
+                -g[labels, nodes] + lam)
 
-        tol_abs = min(_NEWTON_TOL * (1.0 + float(np.linalg.norm(load(y0)))),
-                      0.1 * opts.tol)
+        # the iterate's constraint values give the load at its state
+        tol_abs = min(_NEWTON_TOL * (1.0 + float(np.linalg.norm(
+            load(step[3])))), 0.1 * opts.tol)
         try:
-            state = _newton(disc, y0, load, tol_abs, c=c)
+            state = _newton(disc, y0,
+                            lambda y: load(constraint_values(disc, y, lam)),
+                            tol_abs, c=c)
             y = state.state.values
-            g = seen[1]
+            g = constraint_values(disc, y, lam)
             part = partition(g)
             u = -g[labels, nodes]
             # the adjoint with e = trace(p) - alpha - beta u eliminated:
@@ -393,11 +390,9 @@ def solve_kkt(disc: Discretization, lam, u0=None,
                 disc.form.mass_boundary @ disc.embed(alpha + beta * u))
             adjoint = disc.jacobian_solve(w_adj, rhs, c)
             e = disc.trace(adjoint) - alpha - beta * u
-            mults = tuple(BoundaryFunction(disc.mesh,
-                                           np.where(labels == i, e, 0.0))
-                          for i in range(m))
+            mults = np.where(labels == np.arange(m)[:, None], e, 0.0)
             return iterate(state, u, adjoint, mults, w_adj,
-                           _adjoint_rhs(disc, pieces, mults), g, part, None)
+                           _adjoint_rhs(disc, pieces, mults), g, part)
         except (StateSolveError, PartitionError, FemError, ValueError):
             return None
 
@@ -415,7 +410,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
 
         # reduced Newton steps while the projection binds at no node
         while True:
-            point, _, _, e_vals, g_con = step
+            point, _, _, g_con = step
             adjoint = point.adjoint.values
             cap = -np.max(g_con, axis=0)
             proj = (disc.trace(adjoint) - alpha) / beta
@@ -442,7 +437,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
 
         u = (1.0 - theta) * point.control.values \
             + theta * np.minimum(cap, proj)
-        e_prev, p_prev = e_vals, adjoint
+        e_prev, p_prev = point.multipliers, adjoint
 
     raise SolverError("outer iteration did not converge",
                       opts.max_outer, best)

@@ -143,6 +143,9 @@ class StabilityReport:
     largest over its smallest value, and ``holder_bounded`` says whether
     the quotient stays within a factor 20 of its minimum across the sweep,
     i.e. whether the sup-norm distances track ``holder_constant * sqrt(t)``.
+    The verdict needs the rows of the ``d_Linf`` fit: with fewer than 4
+    successful rows with a positive ``d_Linf`` (the fit is None),
+    ``holder_bounded`` is false whatever ``quotient_ratio`` reads.
     When ``d_Linf`` is 0 on every successful row (the control does not
     move), there is no quotient: ``holder_constant`` reads 0,
     ``quotient_ratio`` inf (``null`` in JSON) and ``holder_bounded`` false.
@@ -240,7 +243,8 @@ def run_sweep(disc: Discretization, plan: SweepPlan,
                            ssc=ssc, fits=fits,
                            holder_constant=holder_constant,
                            quotient_ratio=quotient_ratio,
-                           holder_bounded=quotient_ratio <= 20.0,
+                           holder_bounded=fits["d_Linf"] is not None
+                           and quotient_ratio <= 20.0,
                            seed=plan.seed)
 
 

@@ -90,8 +90,7 @@ def reduced_gradient(disc, lam, u, newton_tol=1e-12):
     lam = nodal_values(lam, disc.mesh.n_boundary)
     u = nodal_values(u, disc.mesh.n_boundary)
     state = solve_state(disc, u, lam, tol=newton_tol)
-    zero = tuple(BoundaryFunction(disc.mesh, np.zeros_like(lam))
-                 for _ in range(disc.problem.m))
+    zero = np.zeros((disc.problem.m, disc.mesh.n_boundary))
     adj = solve_adjoint(disc, state.state.values, lam, zero)
     alpha = disc.eval_node(disc.problem.alpha, lam=lam)
     beta = disc.eval_node(disc.problem.beta, lam=lam)
@@ -225,7 +224,7 @@ def quadrature_curvature(disc, point, y_dir, u_dir):
     q_val = disc.integrate_domain(w_dom * disc.tri_interp(y_dir) ** 2)
     w_bnd = disc.eval_bnd(p.obj_boundary_yy, y=y_base, lam=lam)
     for gyy, e in zip(p.constraints_yy, point.multipliers):
-        w_bnd = w_bnd + disc.edge_interp(e.values) \
+        w_bnd = w_bnd + disc.edge_interp(e) \
             * disc.eval_bnd(gyy, y=y_base, lam=lam)
     ytq = disc.edge_interp(disc.trace(y_dir))
     beta_q = disc.eval_bnd(p.beta, lam=lam)
@@ -253,7 +252,7 @@ def strong_equality_nullspace(disc, point):
     for g, gy, e in zip(p.constraints, p.constraints_y, point.multipliers):
         slack = disc.eval_node(g, y=y, lam=lam) + u
         gy_node = disc.eval_node(gy, y=y, lam=lam)
-        for j in np.flatnonzero((slack >= -eps) & (e.values > eps)):
+        for j in np.flatnonzero((slack >= -eps) & (e > eps)):
             row = gy_node[j] * t_bnd[j]
             row[j] += 1.0
             rows.append(row)
@@ -363,17 +362,14 @@ def damped_solve_kkt(disc, lam, u0=None, options=None):
             raise PartitionError(f"sigma1 = {part.sigma1:.3e} at "
                                  f"iteration {it}")
         raw = recover_multipliers(disc, y_warm, u, adjoint, lam, part)
-        e_vals = (1.0 - theta) * e_vals \
-            + theta * np.stack([e.values for e in raw])
-        mults = tuple(BoundaryFunction(disc.mesh, row.copy())
-                      for row in e_vals)
+        e_vals = (1.0 - theta) * e_vals + theta * raw
         # factorize at y_warm, so that the adjoint solve uses that factor
         linearized_operator(disc, y_warm)
-        adj_fn = solve_adjoint(disc, y_warm, lam, mults)
+        adj_fn = solve_adjoint(disc, y_warm, lam, e_vals)
         adjoint = adj_fn.values
         point = KktPoint(state=state.state,
                          control=BoundaryFunction(disc.mesh, u.copy()),
-                         adjoint=adj_fn, multipliers=mults, param=lam_fn)
+                         adjoint=adj_fn, multipliers=e_vals, param=lam_fn)
         res = residuals(disc, point)
         history.append(res.worst)
         if best is None or res.worst < best.worst:

@@ -69,7 +69,7 @@ def _fields(rep) -> dict:
     p = rep.point
     return dict(zip(FIELDS, (
         p.state.values, p.control.values, p.adjoint.values,
-        np.array([e.values for e in p.multipliers]),
+        np.array([getattr(e, "values", e) for e in p.multipliers]),
         (rep.iterations, rep.newton, rep.pinned), rep.sigma1,
         list(rep.history), dataclasses.astuple(rep.residuals))))
 

@@ -135,10 +135,10 @@ def test_criterion_4_multiplier_support_separation():
     res = residuals(disc, rep.point)
     cells_used = {int(i) for i in part.labels}
     off_cell_zero = all(
-        np.all(e.values[part.labels != i] == 0.0)
+        np.all(e[part.labels != i] == 0.0)
         for i, e in enumerate(rep.point.multipliers))
-    signs_ok = all(np.all(e.values >= 0.0) for e in rep.point.multipliers)
-    nontrivial = all(np.max(e.values) > 0.0 for e in rep.point.multipliers)
+    signs_ok = bool(np.all(rep.point.multipliers >= 0.0))
+    nontrivial = bool(np.all(np.max(rep.point.multipliers, axis=1) > 0.0))
     ok = (part.sigma1 >= 0.5 and off_cell_zero and signs_ok and nontrivial
           and cells_used == {0, 1} and res.complementarity <= 1e-8)
     _report(4, ok, f"sigma1={part.sigma1:.3f} (need >= 0.5), "
@@ -163,8 +163,7 @@ def _curvature_estimates(mesh, c):
         state=FeFunction(disc.mesh, np.zeros(nv)),
         control=BoundaryFunction(disc.mesh, np.zeros(nb)),
         adjoint=FeFunction(disc.mesh, np.zeros(nv)),
-        multipliers=(BoundaryFunction(disc.mesh, np.zeros(nb)),
-                     BoundaryFunction(disc.mesh, np.zeros(nb))),
+        multipliers=np.zeros((2, nb)),
         param=BoundaryFunction(disc.mesh, np.zeros(nb)))
     rep = check_ssc(disc, point, n_samples=100, rng=np.random.default_rng(0))
     return disc, point, rep.min_rayleigh, rep.subspace_min_eig

@@ -235,9 +235,7 @@ def _random_point(disc, rng):
         state=FeFunction(mesh, rng.standard_normal(mesh.n_vertices)),
         control=BoundaryFunction(mesh, rng.standard_normal(mesh.n_boundary)),
         adjoint=FeFunction(mesh, rng.standard_normal(mesh.n_vertices)),
-        multipliers=tuple(
-            BoundaryFunction(mesh, rng.standard_normal(mesh.n_boundary))
-            for _ in range(disc.problem.m)),
+        multipliers=rng.standard_normal((disc.problem.m, mesh.n_boundary)),
         param=BoundaryFunction(mesh, np.zeros(mesh.n_boundary)))
 
 
@@ -257,8 +255,7 @@ def test_point_file_round_trip(small_disc, tmp_path, rng):
     assert np.array_equal(back.state.values, point.state.values)
     assert np.array_equal(back.control.values, point.control.values)
     assert np.array_equal(back.adjoint.values, point.adjoint.values)
-    for a, b in zip(back.multipliers, point.multipliers):
-        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(back.multipliers, point.multipliers)
 
 
 def _tamper(path, mutate):
@@ -298,8 +295,7 @@ def test_point_from_other_mesh_rejected(small_disc, tmp_path, rng):
         state=FeFunction(other, np.zeros(other.n_vertices)),
         control=BoundaryFunction(other, np.zeros(other.n_boundary)),
         adjoint=FeFunction(other, np.zeros(other.n_vertices)),
-        multipliers=(BoundaryFunction(other, np.zeros(other.n_boundary)),
-                     BoundaryFunction(other, np.zeros(other.n_boundary))),
+        multipliers=np.zeros((2, other.n_boundary)),
         param=BoundaryFunction(other, np.zeros(other.n_boundary)))
     path = tmp_path / "point.txt"
     save_point(point, path)

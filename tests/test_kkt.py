@@ -34,8 +34,7 @@ def _zero_point(disc, m=None):
         state=FeFunction(mesh, np.zeros(mesh.n_vertices)),
         control=BoundaryFunction(mesh, np.zeros(nb)),
         adjoint=FeFunction(mesh, np.zeros(mesh.n_vertices)),
-        multipliers=tuple(BoundaryFunction(mesh, np.zeros(nb))
-                          for _ in range(m)),
+        multipliers=np.zeros((m, nb)),
         param=BoundaryFunction(mesh, np.zeros(nb)))
 
 
@@ -54,8 +53,7 @@ def _random_point(disc, rng):
         state=FeFunction(mesh, rng.standard_normal(mesh.n_vertices)),
         control=BoundaryFunction(mesh, rng.standard_normal(nb)),
         adjoint=FeFunction(mesh, rng.standard_normal(mesh.n_vertices)),
-        multipliers=tuple(BoundaryFunction(mesh, rng.standard_normal(nb))
-                          for _ in range(disc.problem.m)),
+        multipliers=rng.standard_normal((disc.problem.m, nb)),
         param=BoundaryFunction(mesh, 0.1 * rng.standard_normal(nb)))
 
 
@@ -79,14 +77,14 @@ def dense_residuals(disc, point):
     bnd = disc.eval_bnd(p.obj_boundary_y, y=y, lam=lam)
     for gy, e in zip(p.constraints_y, point.multipliers):
         bnd = bnd + (disc.eval_bnd(gy, y=y, lam=lam)
-                     * disc.edge_interp(e.values))
+                     * disc.edge_interp(e))
     rhs = (-disc.domain_load(disc.eval_dom(p.obj_domain_y, y=y))
            - disc.boundary_load(bnd))
     r_adjoint = float(np.linalg.norm(op @ adj - rhs))
 
     alpha = disc.eval_node(p.alpha, lam=lam)
     beta = disc.eval_node(p.beta, lam=lam)
-    e_sum = np.sum([e.values for e in point.multipliers], axis=0)
+    e_sum = np.sum(point.multipliers, axis=0)
     r_stat = float(np.max(np.abs(-adj[disc.mesh.boundary_vertices]
                                  + alpha + beta * u + e_sum)))
 
@@ -94,8 +92,8 @@ def dense_residuals(disc, point):
     r_comp = 0.0
     r_feas = 0.0
     for i, e in enumerate(point.multipliers):
-        r_comp = max(r_comp, float(np.max(np.abs(e.values * (g[i] + u)))),
-                     float(np.max(np.maximum(-e.values, 0.0))))
+        r_comp = max(r_comp, float(np.max(np.abs(e * (g[i] + u)))),
+                     float(np.max(np.maximum(-e, 0.0))))
         r_feas = max(r_feas, float(np.max(np.maximum(g[i] + u, 0.0))))
     return np.array([r_state, r_adjoint, r_stat, r_comp, r_feas])
 
@@ -251,12 +249,12 @@ def test_recovered_multipliers_support_and_sign(lq_disc16):
     lam = np.zeros(lq_disc16.mesh.n_boundary)
     part = partition_at(lq_disc16, y, lam)
     mult = recover_multipliers(lq_disc16, y, u, adj, lam, part)
-    assert len(mult) == 2
+    assert mult.shape == (2, lq_disc16.mesh.n_boundary)
     for i, e in enumerate(mult):
-        assert np.all(e.values >= 0.0)
-        assert np.all(e.values[part.labels != i] == 0.0)
+        assert np.all(e >= 0.0)
+        assert np.all(e[part.labels != i] == 0.0)
     # each node carries weight in exactly one cell
-    total = np.sum([e.values for e in mult], axis=0)
+    total = np.sum(mult, axis=0)
     w = np.maximum(lq_disc16.trace(adj) - u, 0.0)  # alpha = lam = 0, beta = 1
     assert np.array_equal(total, w)
 
@@ -273,7 +271,7 @@ def test_recovery_stationarity_equals_clamp_loss(lq_disc16):
     part = partition_at(lq_disc16, y, lam)
     mult = recover_multipliers(lq_disc16, y, u, adj, lam, part)
     w = lq_disc16.trace(adj) - u  # alpha = 0, beta = 1 at lam = 0
-    e_sum = np.sum([e.values for e in mult], axis=0)
+    e_sum = np.sum(mult, axis=0)
     defect = -lq_disc16.trace(adj) + u + e_sum
     clamp = np.maximum(-w, 0.0)
     assert np.array_equal(defect, clamp)
@@ -372,7 +370,7 @@ def test_quadratic_form_matches_lagrangian_fd(cubic_solved):
         val = j + float(point.adjoint.values @ f_vec)
         for g, e in zip(p.constraints, point.multipliers):
             gq = disc.eval_bnd(g, y=yv, lam=lam)
-            val += disc.integrate_boundary(disc.edge_interp(e.values)
+            val += disc.integrate_boundary(disc.edge_interp(e)
                                            * (gq + disc.edge_interp(uv)))
         return val
 
@@ -408,7 +406,7 @@ def test_critical_directions_satisfy_cone_conditions(mixed_active_solved):
     g = constraint_values(disc, point.state.values, point.param.values)
     slack = g + point.control.values
     active = slack >= -1e-8 * (1.0 + np.max(np.abs(point.control.values)))
-    mult = np.stack([e.values for e in point.multipliers])
+    mult = point.multipliers
     strong = active & (mult > 1e-8 * (1.0 + np.max(np.abs(point.control.values))))
     gy = np.stack([disc.eval_node(gyc, y=point.state.values,
                                   lam=point.param.values)
@@ -553,8 +551,8 @@ def _pinned_point(disc, y, i=0):
     nb = mesh.n_boundary
     lam = np.zeros(nb)
     g = constraint_values(disc, y, lam)
-    mults = [BoundaryFunction(mesh, np.full(nb, float(k == i)))
-             for k in range(disc.problem.m)]
+    mults = np.zeros((disc.problem.m, nb))
+    mults[i] = 1.0
     return KktPoint(state=FeFunction(mesh, y),
                     control=BoundaryFunction(mesh, -g[i]),
                     adjoint=FeFunction(mesh, np.zeros(mesh.n_vertices)),
@@ -583,10 +581,8 @@ def test_pinned_certificate_fallbacks_build_the_map(case, lq_disc32,
         disc, point = lq_disc32, lq_solved32.point
     if case == "free_node":
         # a zero multiplier leaves node 0 weakly active
-        point = replace(point, multipliers=tuple(
-            BoundaryFunction(disc.mesh, np.where(
-                np.arange(disc.mesh.n_boundary) == 0, 0.0, e.values))
-            for e in point.multipliers))
+        point = replace(point, multipliers=np.where(
+            np.arange(disc.mesh.n_boundary) == 0, 0.0, point.multipliers))
     if case == "factor_fails":
         original = Discretization.jacobian_factor
 
@@ -673,10 +669,7 @@ def _weakly_active_point(mixed_active_solved):
     disc, solved = mixed_active_solved
     point = solved.point
     nb = disc.mesh.n_boundary
-    mults = tuple(BoundaryFunction(disc.mesh,
-                                   np.where(np.arange(nb) >= nb // 2,
-                                            0.0, e.values))
-                  for e in point.multipliers)
+    mults = np.where(np.arange(nb) >= nb // 2, 0.0, point.multipliers)
     weak = KktPoint(point.state, point.control, point.adjoint, mults,
                     point.param)
     return disc, weak
@@ -914,6 +907,21 @@ def test_kkt_point_mesh_validation(lq_disc16, lq_disc32):
     assert pt.m == 2
 
 
+@pytest.mark.parametrize("mults,needle", [
+    (np.zeros(16), "shape"),
+    (np.zeros((2, 15)), "shape"),
+    (np.zeros((2, 16, 1)), "shape"),
+    (np.where(np.arange(16) == 3, np.nan, np.zeros((2, 16))), "non-finite"),
+    (np.where(np.arange(16) == 3, -np.inf, np.zeros((2, 16))), "non-finite"),
+], ids=["flat", "short-rows", "three-dim", "nan", "inf"])
+def test_kkt_point_checks_its_multiplier_array(lq_disc16, mults, needle):
+    # the multipliers are one (m, Nb) float array, checked on construction
+    point = _zero_point(lq_disc16)
+    assert point.multipliers.shape == (2, 16)
+    with pytest.raises(ValueError, match=needle):
+        replace(point, multipliers=mults)
+
+
 @pytest.mark.parametrize("keep", [slice(0, 1), slice(1, 2), slice(0, 3)],
                          ids=["first-only", "second-only", "extra"])
 def test_point_needs_one_multiplier_per_constraint(keep):
@@ -923,7 +931,7 @@ def test_point_needs_one_multiplier_per_constraint(keep):
     disc = build_discretization(cfg)
     point = solve_kkt(disc, disc.param_reference(),
                       options=cfg.solve_options).point
-    mults = point.multipliers + point.multipliers[:1]
+    mults = np.vstack([point.multipliers, point.multipliers[:1]])
     bad = KktPoint(state=point.state, control=point.control,
                    adjoint=point.adjoint, multipliers=mults[keep],
                    param=point.param)

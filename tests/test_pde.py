@@ -318,7 +318,7 @@ def test_adjoint_radial_against_bessel():
     spec = make_spec(obj_domain="0", obj_boundary="0.5*y")
     disc = Discretization(spec, make_disk_mesh(128, 0))
     nb = disc.mesh.n_boundary
-    zero = tuple(BoundaryFunction(disc.mesh, np.zeros(nb)) for _ in range(2))
+    zero = np.zeros((2, nb))
     adj = solve_adjoint(disc, np.zeros(disc.mesh.n_vertices),
                         np.zeros(nb), zero)
     trace = disc.trace(adj.values)
@@ -330,10 +330,8 @@ def test_adjoint_sees_multipliers(disc_cubic):
     nb = disc_cubic.mesh.n_boundary
     y = np.zeros(disc_cubic.mesh.n_vertices)
     lam = np.zeros(nb)
-    zero = tuple(BoundaryFunction(disc_cubic.mesh, np.zeros(nb))
-                 for _ in range(2))
-    ones = tuple(BoundaryFunction(disc_cubic.mesh, np.ones(nb))
-                 for _ in range(2))
+    zero = np.zeros((2, nb))
+    ones = np.ones((2, nb))
     a0 = solve_adjoint(disc_cubic, y, lam, zero)
     a1 = solve_adjoint(disc_cubic, y, lam, ones)
     # constraints are y - c with dg/dy = 1: each unit multiplier adds the
@@ -348,8 +346,7 @@ def test_adjoint_solve_uses_the_linearized_operator_factor(disc_cubic):
     rng = np.random.default_rng(17)
     y = 0.3 * rng.standard_normal(disc_cubic.mesh.n_vertices)
     lam = rng.standard_normal(nb)
-    mults = tuple(BoundaryFunction(disc_cubic.mesh, rng.random(nb))
-                  for _ in range(2))
+    mults = rng.random((2, nb))
     op = linearized_operator(disc_cubic, y)
     _, rhs = adjoint_system(disc_cubic, y, lam, mults)
     expected = solve_spd(op.matrix, rhs, factor=op)
@@ -364,7 +361,8 @@ def _control_to_state(disc, y):
     zero = BoundaryFunction(mesh, np.zeros(mesh.n_boundary))
     point = KktPoint(state=FeFunction(mesh, y), control=zero,
                      adjoint=FeFunction(mesh, np.zeros(mesh.n_vertices)),
-                     multipliers=(zero,) * disc.problem.m, param=zero)
+                     multipliers=np.zeros((disc.problem.m, mesh.n_boundary)),
+                     param=zero)
     return _ReducedForms(disc, point).t_mat
 
 

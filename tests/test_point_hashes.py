@@ -34,7 +34,7 @@ def test_line_hashes_the_documented_fields(record):
                        options=cfg.solve_options)
     p = rep.point
     cold = [p.state.values, p.control.values, p.adjoint.values,
-            *(e.values for e in p.multipliers),
+            *p.multipliers,
             (rep.iterations, rep.newton, rep.pinned), rep.sigma1,
             list(rep.history), dataclasses.astuple(rep.residuals)]
     ssc = dataclasses.astuple(cs.check_ssc(

@@ -73,8 +73,7 @@ def test_unconstrained_fixed_point():
     u = rep.point.control.values
     adj = disc.trace(rep.point.adjoint.values)
     assert float(np.max(np.abs(u - adj))) <= 1e-8  # alpha = 0, beta = 1
-    for e in rep.point.multipliers:
-        assert np.all(e.values == 0.0)
+    assert np.all(rep.point.multipliers == 0.0)
 
 
 def test_warm_start_not_slower(lq_disc32, lq_solved32):
@@ -288,7 +287,7 @@ def test_newton_gradient_is_the_reduced_gradient(monkeypatch):
     solve_kkt(disc, lam, u0=np.full_like(lam, -3.0), options=opts)
     point, grad = seen[0]
     u = point.control.values
-    assert all(not np.any(e.values) for e in point.multipliers)
+    assert not np.any(point.multipliers)
     _, ref = reduced_gradient(disc, lam, u)
     ref = disc.form.mass_boundary_bb @ ref.values
     assert np.max(np.abs(grad - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -490,7 +489,7 @@ def test_pinned_step_on_cubic_reaction_matches_damped_oracle():
     # every node strongly active: u = -g(y) and a positive multiplier
     y = disc.trace(rep.point.state.values)
     assert np.array_equal(rep.point.control.values, -(y - 0.05))
-    assert np.min(rep.point.multipliers[0].values) > 0.0
+    assert np.min(rep.point.multipliers[0]) > 0.0
 
 
 def test_unfolded_slope_takes_neither_pinned_path():

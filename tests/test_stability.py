@@ -251,6 +251,19 @@ def test_three_successful_rows_leave_every_fit_undetermined(tmp_path):
     assert json.loads(path.read_text())["fits"] == report.fits
 
 
+def test_three_successful_rows_give_no_holder_verdict():
+    # the same three rows: their quotients lie within the factor 20, but
+    # three rows are too few for the d_Linf fit, so there is no verdict
+    spec = make_spec(beta="0.6 - 1*lam", gamma=0.5)
+    disc = Discretization(spec, make_disk_mesh(16, 0))
+    delta = BoundaryFunction(disc.mesh, np.ones(disc.mesh.n_boundary))
+    report = run_sweep(disc, SweepPlan(delta, [0.05, 0.1, 0.2, 0.4]),
+                       options=SolveOptions(tol=1e-10))
+    assert sum(r.kkt_ok and r.d_linf > 0.0 for r in report.rows) == 3
+    assert report.quotient_ratio <= 20.0
+    assert report.holder_bounded is False
+
+
 def test_control_at_its_cap_leaves_the_control_fits_undetermined(tmp_path):
     # alpha = lam - 5 pushes the control onto its cap u = 1 at every step,
     # so the control distances are all 0 while the state still moves
