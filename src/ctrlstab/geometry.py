@@ -1,17 +1,21 @@
 """Triangulations of the unit disk with an exactly parameterized boundary.
 
 The mesh is built from concentric rings of points (alternate rings staggered
-by half an angular step) plus the center, triangulated with Delaunay
-(qhull).  The stagger does not keep four points of adjacent rings off one
-circle: some quads are isosceles trapezoids whose in-circle determinant is
-zero up to rounding (exactly 0.0 in floating point for one interior quad at
-64 boundary nodes, and for three at refinement 2, 5377 vertices).  qhull
-breaks these ties by rounding, so the diagonals of such quads follow its
-arithmetic.  Boundary vertices sit at the exact angles ``2*pi*j/N``; the arc
-parameter ``s`` of a boundary vertex is that angle.  The computational
-domain is therefore the inscribed regular N-gon: its perimeter is
-``2*N*sin(pi/N)`` and its area ``(N/2)*sin(2*pi/N)``, which tests pin
-down exactly.
+by half an angular step) plus the center.  The center and ring 1 form a fan;
+every other triangle joins two adjacent rings, so each ring pair is
+triangulated by merging its edges in the order of their midpoint angles: an
+inner edge takes the outer vertex reached so far, an outer edge the inner
+vertex reached so far.  The midpoint of edge ``(i, i+1)`` on a ring of ``a``
+points with offset ``o`` (0 or 1/2 of a step) lies ``(2i + 2o + 1)/(2a)`` of
+a turn from angle 0, so the merge compares integers, not floats.  Where an
+inner and an outer midpoint coincide (an isosceles trapezoid, whose four
+points lie on one circle) the inner edge goes first: the diagonal joins the
+inner edge's counterclockwise end to the outer edge's clockwise end.  Off
+such ties the merge gives the Delaunay triangulation.  Boundary vertices sit
+at the exact angles ``2*pi*j/N``; the arc parameter ``s`` of a boundary
+vertex is that angle.  The computational domain is therefore the inscribed
+regular N-gon: its perimeter is ``2*N*sin(pi/N)`` and its area
+``(N/2)*sin(2*pi/N)``, which tests pin down exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 
 #: largest boundary point count ``make_disk_mesh`` builds: twice what the
@@ -106,21 +109,29 @@ def make_disk_mesh(n_boundary: int, refinement: int = 0) -> Mesh:
 
     rings = max(1, round(n / (2.0 * math.pi)))
     points = [np.zeros((1, 2))]
+    # per ring: first vertex index, point count, twice the offset in steps
+    layout = [(0, 1, 0)]
     for k in range(1, rings + 1):
         if k == rings:
-            count, offset = n, 0.0
+            count, twice_offset = n, 0
         else:
             count = max(6, round(n * k / rings))
-            offset = 0.5 * ((rings - k) % 2)
-        theta = 2.0 * math.pi * (np.arange(count) + offset) / count
+            twice_offset = (rings - k) % 2
+        theta = 2.0 * math.pi * (np.arange(count) + 0.5 * twice_offset) / count
         radius = k / rings
+        layout.append((layout[-1][0] + layout[-1][1], count, twice_offset))
         points.append(radius * np.column_stack([np.cos(theta), np.sin(theta)]))
     vertices = np.vstack(points)
     n_vert = len(vertices)
     boundary = np.arange(n_vert - n, n_vert)
 
-    tri = Delaunay(vertices)
-    triangles = np.array(tri.simplices, dtype=int)
+    first, count, _ = layout[1]
+    ring1 = first + np.arange(count)
+    triangles = [np.column_stack([np.zeros(count, dtype=int), ring1,
+                                  np.roll(ring1, -1)])]
+    for inner, outer in zip(layout[1:], layout[2:]):
+        triangles.extend(_merge_rings(inner, outer))
+    triangles = np.vstack(triangles)
 
     # orient counterclockwise
     p = vertices[triangles]
@@ -130,7 +141,7 @@ def make_disk_mesh(n_boundary: int, refinement: int = 0) -> Mesh:
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     area2 = np.abs(area2)
     if np.any(area2 <= 1e-14):
-        raise MeshError("degenerate triangle produced by Delaunay")
+        raise MeshError("degenerate triangle in the ring merge")
     if len(np.unique(triangles)) != n_vert:
         raise MeshError("triangulation dropped a vertex")
 
@@ -143,6 +154,27 @@ def make_disk_mesh(n_boundary: int, refinement: int = 0) -> Mesh:
                 boundary_s=s)
     _validate(mesh)
     return mesh
+
+
+def _merge_rings(inner, outer):
+    """Triangles between two adjacent rings, each given as (first vertex
+    index, point count, twice the offset in steps).
+
+    Edge ``i`` of ``a`` points has its midpoint at key ``(2i + 2o + 1) b``
+    in units of ``1/(2ab)`` of a turn, so the keys of both rings lie in
+    ``(0, 2ab]`` in edge order.  Vertex 0 of either ring is the one reached
+    just after angle 0, and each merged edge advances its ring by one
+    vertex: an inner edge faces the outer vertex numbered by the outer edges
+    with smaller keys, and an outer edge the inner vertex numbered by the
+    inner edges with smaller or equal keys (the inner edge goes first).
+    """
+    (ia, a, oa), (ib, b, ob) = inner, outer
+    ea, eb = np.arange(a), np.arange(b)
+    ka, kb = (2 * ea + oa + 1) * b, (2 * eb + ob + 1) * a
+    facing_a = np.searchsorted(kb, ka, side="left") % b
+    facing_b = np.searchsorted(ka, kb, side="right") % a
+    return (np.column_stack([ia + ea, ia + (ea + 1) % a, ib + facing_a]),
+            np.column_stack([ib + eb, ib + (eb + 1) % b, ia + facing_b]))
 
 
 def _validate(mesh: Mesh) -> None:

@@ -157,9 +157,15 @@ def adjoint_system(disc: Discretization, y, lam, multipliers) -> tuple:
 
     ``disc.jacobian_solve(w, rhs)`` is the costate of :func:`solve_adjoint`,
     and ``||disc.jacobian_matrix(w) @ p - rhs||`` is the adjoint residual.
+    Raises ``ValueError`` unless ``multipliers`` has one row per constraint:
+    rows paired by position would otherwise drop or swap constraints.
     """
+    e = np.asarray(multipliers, dtype=float)
+    if e.shape != (disc.problem.m, disc.mesh.n_boundary):
+        raise ValueError(f"multipliers need shape ({disc.problem.m}, "
+                         f"{disc.mesh.n_boundary}), got {e.shape}")
     pieces = _adjoint_pieces(disc, y, lam)
-    return pieces[0], _adjoint_rhs(disc, pieces, multipliers)
+    return pieces[0], _adjoint_rhs(disc, pieces, e)
 
 
 def _adjoint_pieces(disc: Discretization, y, lam) -> tuple:
@@ -177,12 +183,12 @@ def _adjoint_pieces(disc: Discretization, y, lam) -> tuple:
 def _adjoint_rhs(disc: Discretization, pieces: tuple,
                  multipliers) -> np.ndarray:
     """The adjoint right-hand side from :func:`_adjoint_pieces` at the
-    nodal multipliers, an (m, Nb) array with one row per constraint; a
-    constraint without a row in ``multipliers`` adds nothing."""
+    nodal multipliers, rows of Nb values paired with the constraints by
+    position; a constraint without a row adds nothing, as the pinned step's
+    ``()`` needs."""
     _, ly, bnd, gys = pieces
     for gq, e in zip(gys, multipliers):
-        e_vals = nodal_values(e, disc.mesh.n_boundary)
-        bnd = bnd + gq * disc.edge_interp(e_vals)
+        bnd = bnd + gq * disc.edge_interp(e)
     return -disc.domain_load(ly) - disc.boundary_load(bnd)
 
 

@@ -1,15 +1,27 @@
 """Disk triangulation: closed-form perimeter/area of the inscribed polygon,
-topology invariants, boundary cycle structure, refinement behavior, and the
+topology invariants, boundary cycle structure, refinement behavior, the
+ring merge against qhull's Delaunay triangulation with its tie rule, and the
 deterministic mesh fingerprint."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
+import ctrlstab
 from ctrlstab import MeshError, dump_mesh, make_disk_mesh, mesh_hash
 from ctrlstab.geometry import _validate, mesh_text
+
+MERGE_SIZES = [8, 9, 13, 64, 100, 256, 512]
+#: in-circle determinants at most this (relative to the edge length to the
+#: fourth power) count as cocircular
+COCIRCULAR = 1e-12
 
 
 def polygon_perimeter(n):
@@ -165,3 +177,120 @@ def test_mesh_text_and_dump(tmp_path):
     path2 = tmp_path / "mesh2.txt"
     dump_mesh(mesh, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _interior_edges(mesh):
+    """``(a, b, c, d)`` per interior edge ``ab``: ``a b c`` is a
+    counterclockwise triangle and ``b a d`` the one across the edge."""
+    t = mesh.triangles.astype(np.int64)
+    a, b, c = (np.roll(t, -k, axis=1).ravel() for k in range(3))
+    v = mesh.n_vertices
+    key = a * v + b
+    order = np.argsort(key)
+    pos = np.minimum(np.searchsorted(key[order], b * v + a), len(key) - 1)
+    keep = (key[order][pos] == b * v + a) & (a < b)
+    return a[keep], b[keep], c[keep], c[order][pos][keep]
+
+
+def _incircle(mesh, a, b, c, d):
+    """In-circle determinant of ``d`` against the circle through ``a b c``
+    (positive inside), over ``|ab|**4``."""
+    x = mesh.vertices
+    rows = [np.column_stack([x[i] - x[d], np.sum((x[i] - x[d]) ** 2, axis=1)])
+            for i in (a, b, c)]
+    scale = np.sum((x[a] - x[b]) ** 2, axis=1) ** 2
+    return np.linalg.det(np.stack(rows, axis=1)) / scale
+
+
+def _ring_index(mesh):
+    rings = max(1, round(mesh.n_boundary / (2.0 * math.pi)))
+    return np.rint(np.linalg.norm(mesh.vertices, axis=1) * rings).astype(int)
+
+
+def _cross(p, q):
+    return p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
+
+
+@pytest.mark.parametrize("n", MERGE_SIZES)
+def test_merge_is_locally_delaunay(n):
+    mesh = make_disk_mesh(n, 0)
+    a, b, c, d = _interior_edges(mesh)
+    # every edge of a triangulated disk is a boundary edge or shared by two
+    assert 2 * len(a) + n == 3 * mesh.n_triangles
+    assert float(np.max(_incircle(mesh, a, b, c, d))) <= COCIRCULAR
+
+
+@pytest.mark.parametrize("n", MERGE_SIZES)
+def test_triangles_join_adjacent_rings(n):
+    mesh = make_disk_mesh(n, 0)
+    ring = _ring_index(mesh)[mesh.triangles]
+    assert np.array_equal(np.unique(_ring_index(mesh)),
+                          np.arange(max(1, round(n / (2.0 * math.pi))) + 1))
+    # the center fan joins rings 0 and 1, every other triangle two rings
+    assert np.all(ring.max(axis=1) - ring.min(axis=1) == 1)
+
+
+@pytest.mark.parametrize("n", MERGE_SIZES)
+def test_merge_matches_qhull_off_cocircular_quads(n):
+    mesh = make_disk_mesh(n, 0)
+    ours = {tuple(sorted(t)) for t in mesh.triangles.tolist()}
+    qhull = {tuple(sorted(t))
+             for t in Delaunay(mesh.vertices).simplices.tolist()}
+    # every triangle on one side only is half of a quad whose other
+    # diagonal the other side took, and that quad is cocircular
+    only_ours, only_qhull = ours - qhull, qhull - ours
+    a, b, c, d = _interior_edges(mesh)
+    det = _incircle(mesh, a, b, c, d)
+    seen_ours, seen_qhull = set(), set()
+    for i in range(len(a)):
+        pair = {tuple(sorted(t)) for t in
+                ((a[i], b[i], c[i]), (b[i], a[i], d[i]))}
+        flipped = {tuple(sorted(t)) for t in
+                   ((a[i], c[i], d[i]), (b[i], c[i], d[i]))}
+        if not (pair <= only_ours and flipped <= only_qhull):
+            continue
+        assert abs(float(det[i])) <= COCIRCULAR
+        assert not (pair & seen_ours or flipped & seen_qhull)
+        seen_ours |= pair
+        seen_qhull |= flipped
+    assert seen_ours == only_ours
+    assert seen_qhull == only_qhull
+
+
+@pytest.mark.parametrize("n", MERGE_SIZES)
+def test_cocircular_quads_follow_the_tie_rule(n):
+    # on equal midpoint angles the inner edge goes first: the diagonal joins
+    # the inner edge's counterclockwise end to the outer edge's clockwise end
+    mesh = make_disk_mesh(n, 0)
+    a, b, c, d = _interior_edges(mesh)
+    det = _incircle(mesh, a, b, c, d)
+    tied = np.abs(det) <= COCIRCULAR
+    ring = _ring_index(mesh)
+    x = mesh.vertices
+    for i in np.flatnonzero(tied):
+        quad = [a[i], b[i], c[i], d[i]]
+        inner_ring = min(ring[quad])
+        inner = [v for v in quad if ring[v] == inner_ring]
+        outer = [v for v in quad if ring[v] != inner_ring]
+        assert len(inner) == len(outer) == 2
+        diag_in = a[i] if ring[a[i]] == inner_ring else b[i]
+        diag_out = b[i] if diag_in == a[i] else a[i]
+        other_in = inner[0] if inner[1] == diag_in else inner[1]
+        other_out = outer[0] if outer[1] == diag_out else outer[1]
+        assert _cross(x[other_in], x[diag_in]) > 0.0
+        assert _cross(x[diag_out], x[other_out]) > 0.0
+    if n == 64:
+        # the quad with an exactly zero determinant is among them
+        assert np.count_nonzero(tied) == 6
+        assert np.count_nonzero(det == 0.0) == 1
+
+
+def test_import_leaves_scipy_spatial_out():
+    src = str(Path(ctrlstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, ctrlstab, ctrlstab.cli; "
+            "ctrlstab.make_disk_mesh(64, 0); "
+            "print(any(m.startswith('scipy.spatial') for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -11,13 +11,14 @@ import pytest
 import ctrlstab.fem as fem_mod
 import ctrlstab.pde as pde_mod
 from ctrlstab import (BoundaryFunction, Discretization, FeFunction, KktPoint,
-                      SolveOptions, StateSolveError, linearized_operator,
-                      make_disk_mesh, solve_adjoint, solve_kkt, solve_state)
+                      SolveOptions, StateSolveError, build_discretization,
+                      linearized_operator, make_disk_mesh, parse_instance,
+                      solve_adjoint, solve_kkt, solve_state)
 from ctrlstab.fem import solve_spd
 from ctrlstab.kkt import _ReducedForms
 from ctrlstab.pde import adjoint_system, state_residual_norm
 
-from conftest import make_spec
+from conftest import CONFIG_DIR, make_spec
 from oracles import a_priori_ratio, radial_solve, radial_trace_linear
 
 
@@ -352,6 +353,26 @@ def test_adjoint_solve_uses_the_linearized_operator_factor(disc_cubic):
     expected = solve_spd(op.matrix, rhs, factor=op)
     adj = solve_adjoint(disc_cubic, y, lam, mults)
     assert np.array_equal(adj.values, expected)
+
+
+@pytest.mark.parametrize("bad", [lambda e: e[1:], lambda e: e[:1],
+                                 lambda e: np.vstack([e, e[:1]]),
+                                 lambda e: e[0]],
+                         ids=["first-dropped", "second-dropped", "extra",
+                              "flat"])
+def test_adjoint_needs_one_multiplier_row_per_constraint(bad):
+    # rows paired with constraints by position: a short array would pair
+    # row 1 with constraint 0 and drop constraint 1 without complaint
+    cfg = parse_instance(CONFIG_DIR / "lq_reference.ini")
+    disc = build_discretization(cfg)
+    lam = disc.param_reference()
+    point = solve_kkt(disc, lam, options=cfg.solve_options).point
+    assert disc.problem.m == 2
+    y = point.state.values
+    with pytest.raises(ValueError, match="multipliers need shape"):
+        solve_adjoint(disc, y, lam, bad(point.multipliers))
+    with pytest.raises(ValueError, match="multipliers need shape"):
+        adjoint_system(disc, y, lam, bad(point.multipliers))
 
 
 def _control_to_state(disc, y):
