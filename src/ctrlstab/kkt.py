@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fem import (BoundaryFunction, Discretization, FeFunction, FemError,
-                  nodal_values)
+from .fem import BoundaryFunction, Discretization, FeFunction, nodal_values
 from .pde import (_reaction_y, adjoint_system, linearized_operator,
                   state_residual_norm)
 from .problem import AdmissionError
@@ -385,14 +384,24 @@ class _ConeGeometry(_ReducedForms):
         return vt[rank:].T  # (Nb, nz)
 
     def _pinned_certificate(self) -> bool:
-        """True when the strong-equality subspace is {0} by one
-        factorization: every boundary node carries a strong pair, the
-        strong pairs' constraints have a ``y``-derivative that folds to one
-        constant ``c >= 0`` (see
+        """True when the strong-equality subspace is {0} because the pinned
+        operator ``J = K + M[h_y] + c M_B`` is SPD: every boundary node
+        carries a strong pair, the strong pairs' constraints have a
+        ``y``-derivative that folds to one constant ``c >= 0`` (see
         :meth:`ctrlstab.problem.ProblemSpec.common_slope`), the h_y weights
-        are nonnegative and the pinned operator ``J = K + M[h_y] + c M_B``
-        factorizes.  A derivative that takes one value without folding to a
-        constant gets no certificate, and its subspace comes from ``T``.
+        are nonnegative, and
+        :meth:`ctrlstab.fem.Discretization.jacobian_is_spd` holds at them.
+        A derivative that takes one value without folding to a constant
+        gets no certificate, and its subspace comes from ``T``.
+
+        ``J`` needs no factorization of its own when the anchor of ``c``,
+        the last factorization of that operator (after a solve, the one
+        the pinned step of :func:`ctrlstab.solver.solve_kkt` took), was
+        taken at h_y weights nowhere larger than the point's: the interior
+        quadrature weights are positive, so ``J`` exceeds that SPD operator
+        by a positive semidefinite weighted mass.  Equal weights, the
+        anchor's own matrix, are one such case.  Otherwise ``J`` is
+        factorized, and that factorization becomes the anchor of ``c``.
 
         A control ``u`` in the subspace has ``y = T u`` with
         ``(K + M[h_y]) y = M_B u`` and ``u = -c y|_B``, so ``J y = 0``:
@@ -403,8 +412,6 @@ class _ConeGeometry(_ReducedForms):
         smallest singular value is at least ``1 / sqrt(cond(M_bb))``.
         Where ``h_y < 0``, ``K + M[h_y]`` can be indefinite while ``J`` is
         SPD; the T path raises there, and the certificate leaves it to it.
-        The factorization is the ``Discretization``'s entry of ``c``, the
-        one the pinned step of :func:`ctrlstab.solver.solve_kkt` uses.
         """
         if not self.strong.any(axis=0).all():
             return False
@@ -412,11 +419,7 @@ class _ConeGeometry(_ReducedForms):
         w = _reaction_y(self.disc, self.point.state.values)
         if c is None or c < 0.0 or not np.min(w) >= 0.0:
             return False
-        try:
-            self.disc.jacobian_factor(w, c)
-        except FemError:
-            return False
-        return True
+        return self.disc.jacobian_is_spd(w, c)
 
     def project(self, seeds: np.ndarray) -> np.ndarray:
         """Project control seeds (Nb, k) into the discrete critical cone.
@@ -565,16 +568,22 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     ``M_bb + T^T M T``.  ``T`` is built only where the strong-equality
     subspace needs it: at a point where every boundary node is strongly
     active, the strong constraints have a ``y``-derivative that folds to
-    one constant ``c >= 0`` and ``h_y >= 0``, one Cholesky of
-    ``K + M[h_y] + c M_B`` shows the subspace is {0} (see
+    one constant ``c >= 0`` and ``h_y >= 0``, the pinned operator
+    ``J = K + M[h_y] + c M_B`` being SPD shows the subspace is {0} (see
     ``_ConeGeometry._pinned_certificate``), and the report
     ``(inf, inf, 0, n_strong, True)`` comes without ``T``, ``H`` or the
-    curvature operator.  Samples run in blocks of controls, keeping
-    only a running minimum and a count; the draws from ``rng`` come in the
-    same order as one seed per sample, and are drawn even where the cone
-    is {0}, so a seeded report and the draws after it do not depend on the
-    block width or on the certificate.  Raises ``ValueError`` unless the
-    point carries one multiplier per constraint.
+    curvature operator.  ``J`` needs no factorization of its own where the
+    anchor of ``c`` (after a solve, the pinned step's factorization) was
+    taken at h_y weights nowhere larger than the point's: with positive
+    quadrature weights, ``J`` then dominates that SPD operator.  Otherwise
+    one Cholesky of ``J`` decides.
+
+    Samples run in blocks of controls, keeping only a running minimum and
+    a count; the draws from ``rng`` come in the same order as one seed per
+    sample, and are drawn even where the cone is {0}, so a seeded report
+    and the draws after it do not depend on the block width or on the
+    certificate.  Raises ``ValueError`` unless the point carries one
+    multiplier per constraint.
 
     The inverse iteration stops after 50 steps, converged or not.  On the
     ssc_sample benchmark instance (eigen-gap 7.2e-8) it returns

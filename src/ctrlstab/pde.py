@@ -40,6 +40,7 @@ The adjoint problem is linear in the costate::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +85,13 @@ def _state_residual(disc: Discretization, y: np.ndarray,
 
 
 def solve_state(disc: Discretization, u, lam, y0=None,
-                tol: float = 1e-11) -> StateSolveReport:
+                tol: float = 1e-11, cap: float = math.inf
+                ) -> StateSolveReport:
     """Solve the semilinear state equation for boundary data ``u + lam``.
 
-    ``tol`` is scaled by ``1 + ||b||_2`` with ``b`` the assembled load.
+    Newton stops at a residual of ``min(tol (1 + ||b||_2), cap)``, with
+    ``b`` the assembled load: ``tol`` is relative, and ``cap`` bounds it
+    whatever ``||b||``.
     Raises ``StateSolveError`` after ``_NEWTON_MAX_ITER`` Newton steps or a
     failed line search (30 halvings without residual decrease), and
     ``ValueError`` when ``u``, ``lam`` or ``y0`` has a non-finite entry.
@@ -97,11 +101,16 @@ def solve_state(disc: Discretization, u, lam, y0=None,
     u = _as_values(u, nb, "control")
     lam = _as_values(lam, nb, "parameter")
     b = disc.form.mass_boundary @ disc.embed(u + lam)
-    tol_abs = tol * (1.0 + float(np.linalg.norm(b)))
 
     y = np.zeros(mesh.n_vertices) if y0 is None \
         else _as_values(y0, mesh.n_vertices, "initial state").copy()
-    return _newton(disc, y, lambda _: b, tol_abs)
+    return _newton(disc, y, lambda _: b, _residual_bound(b, tol, cap))
+
+
+def _residual_bound(b: np.ndarray, tol: float, cap: float) -> float:
+    """Newton's absolute residual bound for the boundary load ``b``:
+    ``min(tol (1 + ||b||_2), cap)``."""
+    return min(tol * (1.0 + float(np.linalg.norm(b))), cap)
 
 
 def _newton(disc: Discretization, y: np.ndarray, load, tol_abs: float,

@@ -90,7 +90,7 @@ from .kkt import (KktPoint, KktResiduals, _ReducedForms, _residual_record,
                   _separated_multipliers, check_beta_floor, constraint_values,
                   partition_of)
 from .pde import (StateSolveError, _adjoint_pieces, _adjoint_rhs, _newton,
-                  adjoint_system, solve_state)
+                  _residual_bound, adjoint_system, solve_state)
 
 #: Newton tolerance of the state solves, relative to the boundary load
 _NEWTON_TOL = 1e-11
@@ -285,11 +285,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         # Newton stops at _NEWTON_TOL (1 + ||b||), b the boundary load, but
         # the stopping rule bounds the state residual by tol itself: cap
         # Newton's bound at a tenth of tol whatever ||b||
-        b_norm = float(np.linalg.norm(
-            disc.form.mass_boundary @ disc.embed(u + lam)))
-        state = solve_state(disc, u, lam, y0=y_warm,
-                            tol=min(_NEWTON_TOL,
-                                    0.1 * opts.tol / (1.0 + b_norm)))
+        state = solve_state(disc, u, lam, y0=y_warm, tol=_NEWTON_TOL,
+                            cap=0.1 * opts.tol)
         y = state.state.values
         g_con = constraint_values(disc, y, lam)
         part = partition(g_con)
@@ -372,8 +369,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
                 -g[labels, nodes] + lam)
 
         # the iterate's constraint values give the load at its state
-        tol_abs = min(_NEWTON_TOL * (1.0 + float(np.linalg.norm(
-            load(step[3])))), 0.1 * opts.tol)
+        tol_abs = _residual_bound(load(step[3]), _NEWTON_TOL, 0.1 * opts.tol)
         try:
             state = _newton(disc, y0,
                             lambda y: load(constraint_values(disc, y, lam)),

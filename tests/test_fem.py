@@ -189,6 +189,25 @@ def test_band_over_budget_raises_before_allocation(monkeypatch):
     assert peak < need / 2
 
 
+def test_band_is_factorized_in_place():
+    # the same grid matrix within budget: the factorization holds one band
+    # (8 MB), and its peak stays well below a band and a copy of it
+    g = 100
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(g, g))
+    a = (sp.kron(lap, sp.eye(g)) + sp.kron(sp.eye(g), lap)
+         + sp.eye(g * g)).tocsr()
+    band = 101 * 10000 * 8
+    tracemalloc.start()
+    try:
+        f = SpdFactorization(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert band <= peak < 1.5 * band
+    x = f.solve(np.ones(g * g))
+    assert float(np.max(np.abs(a @ x - 1.0))) <= 1e-10
+
+
 def test_boundary_l2_of_one_is_sqrt_perimeter(disc):
     ones = BoundaryFunction(disc.mesh, np.ones(disc.mesh.n_boundary))
     per = float(np.sum(disc.mesh.edge_lengths()))

@@ -497,6 +497,103 @@ def test_pinned_certificate_replaces_control_to_state_map(
     assert len(factorizations) == 1  # the cached entry serves again
 
 
+def _h_y(disc, y):
+    return disc.eval_dom(disc.problem.reaction_y, y=y)
+
+
+def _vacuous(rep, nb):
+    return (rep.min_rayleigh, rep.subspace_min_eig, rep.n_samples,
+            rep.n_strong, rep.positive) == (math.inf, math.inf, 0, nb, True)
+
+
+def test_pinned_check_after_the_solve_factorizes_nothing(cubic_pinned,
+                                                         factorizations):
+    # h_y = 1 + 3 y^2: the pinned step's anchor of c = 1 was taken at
+    # weights nowhere above the solution's, so it certifies J there
+    spec, mesh, _ = cubic_pinned
+    disc = Discretization(spec, mesh)
+    rep = solve_kkt(disc, disc.param_reference(),
+                    options=SolveOptions(tol=1e-10))
+    assert rep.pinned == 1
+    factorizations.clear()
+    ssc = check_ssc(disc, rep.point, n_samples=50,
+                    rng=np.random.default_rng(3))
+    assert factorizations == []
+    assert _vacuous(ssc, mesh.n_boundary)
+
+
+def test_dominated_anchor_certifies_without_factorizing(cubic_pinned,
+                                                        monkeypatch):
+    # the anchor of c = 1 at y = 0 (h_y = 1) lies below the point's
+    # weights everywhere: no factorization, and no T, is needed
+    spec, mesh, point = cubic_pinned
+    disc = Discretization(spec, mesh)
+    w = _h_y(disc, point.state.values)
+    disc.jacobian_factor(_h_y(disc, np.zeros(mesh.n_vertices)), 1.0)
+
+    def failing(self, w_qp, c=0.0):
+        raise NotSpdError("no factorization expected")
+
+    monkeypatch.setattr(Discretization, "jacobian_factor", failing)
+    cone = _ConeGeometry(disc, point)
+    assert cone.z_mat.shape == (mesh.n_boundary, 0)
+    assert "t_mat" not in cone.__dict__
+    rep = check_ssc(disc, point, n_samples=50, rng=np.random.default_rng(3))
+    assert _vacuous(rep, mesh.n_boundary)
+    assert disc.jacobian_is_spd(w, 1.0)
+
+
+def test_anchor_above_the_point_is_replaced_once(cubic_pinned,
+                                                 factorizations):
+    # an anchor at 2 y* has weights above the point's at every nonzero
+    # state: the certificate factorizes J at the point, once, and that
+    # factorization, the new anchor, then certifies the pinned point at
+    # 2 y* with no other
+    spec, mesh, point = cubic_pinned
+    nb = mesh.n_boundary
+    disc = Discretization(spec, mesh)
+    y = point.state.values
+    disc.jacobian_factor(_h_y(disc, 2.0 * y), 1.0)
+    factorizations.clear()
+    rep = check_ssc(disc, point, n_samples=50, rng=np.random.default_rng(3))
+    assert _vacuous(rep, nb)
+    (made,) = factorizations
+    assert disc.jacobian_factor(_h_y(disc, y), 1.0) is made
+
+    far = _pinned_point(disc, 2.0 * y)
+    assert _ConeGeometry(disc, far).strong.all(axis=1)[0]
+    rep = check_ssc(disc, far, n_samples=50, rng=np.random.default_rng(3))
+    assert _vacuous(rep, nb)
+    assert len(factorizations) == 1
+
+
+def test_pinned_cubic_job_factorizes_once_per_slope(cubic_pinned,
+                                                    factorizations,
+                                                    monkeypatch):
+    # a sweep job: the cold solve, its SSC check and two warm re-solves.
+    # The only factorizations are the anchors of c = 0 and of c = 1
+    spec, mesh, _ = cubic_pinned
+    slope_of = {}
+    original = Discretization.jacobian_factor
+
+    def recording(self, w_qp, c=0.0):
+        made = original(self, w_qp, c)
+        slope_of.setdefault(id(made), c)
+        return made
+
+    monkeypatch.setattr(Discretization, "jacobian_factor", recording)
+    disc = Discretization(spec, mesh)
+    lam = disc.param_reference().values
+    opts = SolveOptions(tol=1e-10)
+    factorizations.clear()
+    rep = solve_kkt(disc, lam, options=opts)
+    assert check_ssc(disc, rep.point, n_samples=50).positive
+    for t in (1e-3, 1e-2):
+        rep = solve_kkt(disc, lam + t, u0=rep.point.control, options=opts)
+        assert rep.pinned == 1
+    assert sorted(slope_of[id(f)] for f in factorizations) == [0.0, 1.0]
+
+
 def _recording(seen: list, method):
     def wrapper(self, e, *args, **kwargs):
         seen.append(e)
@@ -584,6 +681,10 @@ def test_pinned_certificate_fallbacks_build_the_map(case, lq_disc32,
         point = replace(point, multipliers=np.where(
             np.arange(disc.mesh.n_boundary) == 0, 0.0, point.multipliers))
     if case == "factor_fails":
+        # a fresh discretization has no anchor of c, so the certificate
+        # must factorize; the solved one holds the pinned step's, which
+        # dominates the point and would certify without a factorization
+        disc = Discretization(disc.problem, disc.mesh)
         original = Discretization.jacobian_factor
 
         def failing(self, w_qp, c=0.0):

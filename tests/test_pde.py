@@ -53,6 +53,19 @@ def test_non_finite_data_rejected(lq_disc16, bad, where):
         solve_state(lq_disc16, data["u"], data["lam"], y0=data["y0"])
 
 
+def test_state_tolerance_is_capped(disc_cubic):
+    # the bound is tol (1 + ||b||), b = M_B (u + lam), unless cap is lower
+    nb = disc_cubic.mesh.n_boundary
+    u = np.full(nb, 3.0)
+    b = disc_cubic.form.mass_boundary @ disc_cubic.embed(u)
+    rel = 1e-11 * (1.0 + float(np.linalg.norm(b)))
+    assert solve_state(disc_cubic, u, np.zeros(nb)).tolerance == rel
+    assert solve_state(disc_cubic, u, np.zeros(nb),
+                       cap=2.0 * rel).tolerance == rel
+    rep = solve_state(disc_cubic, u, np.zeros(nb), cap=1e-13)
+    assert rep.tolerance == 1e-13 and rep.residual <= 1e-13
+
+
 def test_radial_linear_against_bessel(disc_linear):
     # constant flux b=1 with -div grad y + 2 y = 0: the boundary value has
     # the closed form b I0(sqrt(2)) / (sqrt(2) I1(sqrt(2)))
@@ -258,6 +271,29 @@ def test_failed_stale_solve_factorizes_once(disc_cubic, factorizations,
     # exact factor of its entry
     assert disc_cubic.jacobian_factor(w) is factorizations[0]
     assert _meets_contract(_fresh_jacobian(disc_cubic, w), x, b)
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0])
+def test_spd_test_reads_the_anchor_weights(factorizations, c):
+    # weights nowhere below the anchor's need no factorization; one
+    # quadrature point below it does, and that factorization is the new
+    # anchor; an indefinite operator is no SPD one
+    disc = Discretization(make_spec(reaction="y^3 + y"), make_disk_mesh(16, 0))
+    w_a = np.ones(disc.tables.qw_dom.shape)
+    anchor = disc.jacobian_factor(w_a, c)
+    factorizations.clear()
+    assert disc.jacobian_is_spd(w_a, c)
+    assert disc.jacobian_is_spd(w_a + np.arange(w_a.size).reshape(w_a.shape),
+                                c)
+    assert factorizations == []
+    assert disc.jacobian_factor(w_a, c) is anchor
+
+    below = w_a.copy()
+    below[3, 1] = 0.5
+    assert disc.jacobian_is_spd(below, c)
+    (made,) = factorizations
+    assert disc.jacobian_factor(below, c) is made
+    assert not disc.jacobian_is_spd(np.full_like(w_a, -1e4), c)
 
 
 def _pinned_solved():
