@@ -447,6 +447,12 @@ class Discretization:
     preconditions another ``c``: ``M_B`` is not a small perturbation.
     :meth:`control_to_state` keeps ``T`` next to the factorization of
     ``c = 0`` that it was solved with.
+
+    Last, it keeps the last KKT point that
+    :func:`ctrlstab.solver.solve_kkt` returned on it
+    (:meth:`keep_point`), and hands it back only to a control equal to
+    that point's bit for bit (:meth:`resume_point`), so that a re-solve
+    started from that control resumes from the whole point.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh):
@@ -466,10 +472,12 @@ class Discretization:
 
         self.form = self._assemble()
         # c -> (weights copy, K + M[weights] + c M_B); c -> (weights, the
-        # last factorization of that c); and (factorization, T) of c = 0
+        # last factorization of that c); (factorization, T) of c = 0; and
+        # the last point solve_kkt returned
         self._jacobian: dict = {}
         self._anchor: dict = {}
         self._t_map = None
+        self._point = None
 
     # -- expression environments --------------------------------------------
 
@@ -673,6 +681,20 @@ class Discretization:
             rhs = self.form.mass_boundary[:, self.mesh.boundary_vertices]
             self._t_map = (factor, factor.solve(rhs.toarray()))
         return self._t_map[1]
+
+    def keep_point(self, point) -> None:
+        """Keep ``point``, a KKT point solved on this discretization, in
+        place of the one kept before."""
+        self._point = point
+
+    def resume_point(self, control: np.ndarray):
+        """The kept point when ``control`` equals its control bit for bit
+        (shape and values), else None."""
+        point = self._point
+        if point is not None and np.array_equal(point.control.values,
+                                                control):
+            return point
+        return None
 
     def domain_load(self, f_qp: np.ndarray) -> np.ndarray:
         """Assemble ``int f phi_a dx`` into a full nodal vector (V,)."""

@@ -60,6 +60,25 @@ had not been tried.  Where the projection binds somewhere at every iterate
 and no pinned step is accepted, the iteration is the damped one, step for
 step.
 
+A re-solve resumes from the whole last point.  The KKT tuple moves
+Holder-continuously with the parameter, so in a sweep the previous point
+is a close start for the state, the costate and the multipliers, not only
+for the control.  The ``Discretization`` keeps the last point
+:func:`solve_kkt` returned on it; a solve whose ``u0`` equals that point's
+control bit for bit starts its first Newton solve from the point's state,
+and, where some multiplier of the point is nonzero, its damped update
+from the point's multipliers and costate.  At a free point (every
+multiplier zero) the costate is not carried: it would give nonzero
+separated multipliers, and the reduced Newton step would solve the adjoint
+once more to drop them.  Where every node of the point carries a strong
+pair (an active constraint with a multiplier above ``eps_act``, the test
+of the second-order check), the pinned step is tried first, from the
+point's state and the partition of its constraint values at the new
+parameter.  That try follows the pinned step's rules; rejected, it is not
+an iterate, and it leaves the in-loop pinned gate unspent.  Any other
+``u0``, ``None`` included, starts from the control alone, with the state
+solved from zero and the multipliers and costate at zero.
+
 The stopping rule and the residuals are those of the damped iteration;
 each state solve is held to a tenth of ``tol`` in absolute terms, so that
 Newton's relative bound never stops it above the rule.
@@ -87,8 +106,8 @@ import scipy.linalg
 from .fem import (BoundaryFunction, Discretization, FeFunction, FemError,
                   nodal_values)
 from .kkt import (KktPoint, KktResiduals, _ReducedForms, _residual_record,
-                  _separated_multipliers, check_beta_floor, constraint_values,
-                  partition_of)
+                  _separated_multipliers, _strong_at_every_node,
+                  check_beta_floor, constraint_values, partition_of)
 from .pde import (StateSolveError, _adjoint_pieces, _adjoint_rhs, _newton,
                   _residual_bound, adjoint_system, solve_state)
 
@@ -127,8 +146,11 @@ class SolveOptions:
     the evaluated iterates, the trials of the Newton line search included.
     A reduced Newton step has no knob and is taken at every iterate where
     the projection binds at no node, nor has the pinned step, tried once at
-    the first iterate where it binds at every node.  Each state solve stops
-    at a residual of
+    the first iterate where it binds at every node (and once more, first,
+    when a re-solve resumes from a strongly pinned point; see
+    :func:`solve_kkt`).  No knob turns the resume off: it applies exactly
+    when ``u0`` is the control of the last point solved on the
+    discretization.  Each state solve stops at a residual of
     ``min(_NEWTON_TOL (1 + ||b||), 0.1 tol)``, ``b`` the boundary load.  A
     violated bound raises ``ValueError`` naming the field first.
     """
@@ -154,9 +176,11 @@ class KktSolveReport:
     line search included, and ``history`` holds the worst residual of
     each.  ``newton`` counts the reduced Newton steps, one per direction
     computed, whatever the number of its line-search trials.  ``pinned``
-    counts the pinned steps taken, at most one per solve: accepted, it is
-    the last iterate; rejected or failed, it is not an iterate and adds
-    nothing to ``iterations`` or ``history``.
+    counts the pinned steps tried, at most two per solve: the first try of
+    a solve that resumes from a strongly pinned point, and the in-loop
+    gate's.  Accepted, a pinned step is the last iterate; rejected or
+    failed, it is not an iterate and adds nothing to ``iterations`` or
+    ``history``.
     """
 
     point: KktPoint
@@ -190,6 +214,12 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     where no constraint binds and a pinned step where one binds at every
     node, to a KKT point at ``lam``.
 
+    The start is the control ``u0`` (zero when None).  When ``u0`` equals
+    the control of the last point returned on ``disc`` bit for bit, the
+    solve resumes from the whole point, as the module docstring describes,
+    and may try the pinned step before its first iterate.  The point
+    returned is kept on ``disc`` for the next solve.
+
     One damped iteration solves the state at the control ``u``, damps the
     multipliers separated from the previous costate toward their new
     values and solves the adjoint; the next control is
@@ -220,7 +250,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     node's label.  It is returned
     when its record meets ``tol``; otherwise it is dropped, and the
     iteration goes on from the iterate and warm start unchanged.
-    ``report.pinned`` counts it either way.
+    ``report.pinned`` counts each try, the resumed first one included.
 
     ``iterations`` counts the iterates whose residuals were evaluated,
     Newton trials and an accepted pinned step included, and ``max_outer``
@@ -238,7 +268,11 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     opts = options or SolveOptions()
     nb = disc.mesh.n_boundary
     lam = nodal_values(lam, nb)
-    u0 = np.zeros_like(lam) if u0 is None else nodal_values(u0, nb)
+    if u0 is None:
+        u0, last = np.zeros_like(lam), None
+    else:
+        u0 = nodal_values(u0, nb)
+        last = disc.resume_point(u0)
     beta = check_beta_floor(disc, lam)
     alpha = disc.eval_node(disc.problem.alpha, lam=lam)
 
@@ -350,13 +384,12 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             s *= 0.5
         return None
 
-    def pinned_step(step):
-        # the pinned step from the iterate of ``step``, as a step; None when
-        # the label constraints' dg/dy does not fold to one constant c, a
-        # solve fails or the partition degenerates
+    def pinned_step(y0, labels, g0):
+        # the pinned step from the state y0 with the dominance labels of its
+        # constraint values g0, as a step; None when the label constraints'
+        # dg/dy does not fold to one constant c, a solve fails or the
+        # partition degenerates
         nonlocal pinned
-        y0 = step[0].state.values
-        labels = step[2].labels
         c = disc.problem.common_slope(labels)
         if c is None:
             return None
@@ -368,8 +401,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             return disc.form.mass_boundary @ disc.embed(
                 -g[labels, nodes] + lam)
 
-        # the iterate's constraint values give the load at its state
-        tol_abs = _residual_bound(load(step[3]), _NEWTON_TOL, 0.1 * opts.tol)
+        # the constraint values at y0 give the load there
+        tol_abs = _residual_bound(load(g0), _NEWTON_TOL, 0.1 * opts.tol)
         try:
             state = _newton(disc, y0,
                             lambda y: load(constraint_values(disc, y, lam)),
@@ -393,12 +426,29 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             return None
 
     def report(step) -> KktSolveReport:
+        disc.keep_point(step[0])
         return KktSolveReport(point=step[0], residuals=step[1],
                               iterations=len(history),
                               sigma1=step[2].sigma1, history=history,
                               newton=newton, pinned=pinned)
 
     u, e_prev, p_prev = u0, np.zeros((m, nb)), np.zeros(disc.mesh.n_vertices)
+    if last is not None:
+        # resume from the last point (see the module docstring); at a free
+        # point only its state is carried
+        y_warm = last.state.values
+        if np.any(last.multipliers):
+            e_prev, p_prev = last.multipliers, last.adjoint.values
+        # the first pinned try: rejected, it is not an iterate and leaves
+        # the in-loop gate unspent
+        if _strong_at_every_node(disc, last):
+            g = constraint_values(disc, y_warm, lam)
+            part = partition_of(g)
+            if part.sigma1 > 0.0:
+                trial = pinned_step(y_warm, part.labels, g)
+                if trial is not None and trial[1].worst <= opts.tol:
+                    record(trial)
+                    return report(trial)
     while len(history) < opts.max_outer:
         step = evaluate(u, e_prev, p_prev)
         if record(step):
@@ -426,7 +476,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         if not pinned_gate and np.all(proj >= cap) \
                 and len(history) < opts.max_outer:
             pinned_gate = True
-            trial = pinned_step(step)
+            trial = pinned_step(point.state.values, step[2].labels, g_con)
             if trial is not None and trial[1].worst <= opts.tol:
                 record(trial)
                 return report(trial)

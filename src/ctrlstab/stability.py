@@ -78,9 +78,11 @@ class SweepPlan:
 
 @dataclass
 class SweepRow:
-    """One sweep step.  A failed step (``kkt_ok`` false, NaN distances)
-    carries the class name of the error that stopped its solve and, where
-    that error counts them, the solver or Newton iterations it took."""
+    """One sweep step, with the solver iterations its solve took.  A
+    failed step (``kkt_ok`` false, NaN distances) also carries the class
+    name of the error that stopped its solve, and its ``iterations`` are
+    the solver or Newton iterations that error counts (None where it
+    counts none)."""
 
     t: float
     d_l2: float
@@ -93,9 +95,9 @@ class SweepRow:
     def to_dict(self) -> dict:
         row = {"t": self.t, "d_L2": _safe(self.d_l2),
                "d_Linf": _safe(self.d_linf), "d_W1r": _safe(self.d_w1r),
-               "kkt_ok": self.kkt_ok}
+               "kkt_ok": self.kkt_ok, "iterations": self.iterations}
         if not self.kkt_ok:
-            row.update(error=self.error, iterations=self.iterations)
+            row["error"] = self.error
         return row
 
 
@@ -178,11 +180,15 @@ def run_sweep(disc: Discretization, plan: SweepPlan,
               options: SolveOptions | None = None) -> StabilityReport:
     """Solve at the reference parameter, check the second-order condition,
     then solve at each perturbed parameter and report distances and fits.
-    Each perturbed solve starts from the last converged control.
+    Each perturbed solve starts from the last converged control, which
+    :func:`ctrlstab.solver.solve_kkt` resumes from the whole last point
+    (state, costate and multipliers too) while no other solve has run on
+    ``disc`` in between.
 
-    Rows where the inner solve fails are kept with ``kkt_ok = False``, the
-    error's class name and its iteration count (see :class:`SweepRow`), and
-    excluded from the fits; if every row fails, that is an error.
+    Each row records the iterations of its solve.  Rows where the inner
+    solve fails are kept with ``kkt_ok = False``, the error's class name
+    and its iteration count (see :class:`SweepRow`), and excluded from the
+    fits; if every row fails, that is an error.
     """
     if plan.delta.mesh is not disc.mesh:
         raise SweepPlanError("perturbation direction lives on another mesh")
@@ -218,7 +224,7 @@ def run_sweep(disc: Discretization, plan: SweepPlan,
             d_l2=disc.l2_boundary(du),
             d_linf=float(np.max(np.abs(du))),
             d_w1r=norm(FeFunction(disc.mesh, dy), "w1r", disc.problem.r),
-            kkt_ok=True))
+            kkt_ok=True, iterations=rep.iterations))
         u_warm = rep.point.control.values
 
     ok = [r for r in rows if r.kkt_ok]

@@ -12,7 +12,8 @@ of the tree whose ``src/`` is imported.  ``record`` runs, for one file:
 * ``cold``: the solve at the reference parameter with the file's solver
   options;
 * ``warm``: every solve of the chain at the file's ``[sweep] t``, each
-  started from the last converged control as ``run_sweep`` does (none
+  started from the last converged control as ``run_sweep`` does, so that
+  each resumes from the whole last point the discretization keeps (none
   without a sweep);
 * ``ssc``: ``check_ssc`` at the cold point with ``default_rng([0, 0])`` and
   the file's ``ssc_samples`` (200 when the file sets none);
@@ -76,7 +77,10 @@ def _fields(rep) -> dict:
 
 def _warm(cs, cfg, disc, cold) -> list | None:
     """The records of the warm chain from the cold solve (None without a
-    sweep)."""
+    sweep).  Each solve starts from the last converged control, the
+    control of the last point solved on ``disc``, so ``solve_kkt``
+    resumes from that whole point; the caller solves nothing else on
+    ``disc`` between ``cold`` and the chain."""
     if cfg.sweep is None:
         return None
     plan = cs.sweep_plan(cfg, disc)

@@ -77,8 +77,9 @@ def test_unconstrained_fixed_point():
 
 
 def test_warm_start_not_slower(lq_disc32, lq_solved32):
-    # the costate and multipliers restart from zero either way, so the
-    # saving is modest; the start must never hurt and must land on the
+    # the solve resumes from the whole point when lq_solved32 is still the
+    # last point kept on the shared lq_disc32, and starts from the control
+    # alone otherwise; either start must never hurt and must land on the
     # same point
     rep = solve_kkt(lq_disc32, np.zeros(lq_disc32.mesh.n_boundary),
                     u0=lq_solved32.point.control.values,
@@ -369,6 +370,175 @@ def test_warm_resolve_needs_few_iterations(accelerated_and_damped):
     warm = solve_kkt(disc, lam, u0=rep.point.control.values, options=opts)
     assert warm.residuals.worst <= opts.tol
     assert warm.iterations <= 12
+
+
+# ---------------------------------------------------------------------------
+# re-solves that resume from the last point
+# ---------------------------------------------------------------------------
+
+
+def _no_resume(mp):
+    """Turn the resume off: every warm start is the control-only one."""
+    mp.setattr(fem.Discretization, "resume_point", lambda self, control: None)
+
+
+def _resolve_lam(disc, cfg):
+    """The parameter of the first step of the file's sweep."""
+    plan = sweep_plan(cfg, disc)
+    return disc.param_reference().values \
+        + plan.t_values[0] * plan.delta.values
+
+
+def _chain(name):
+    """The cold solve and the warm chain of a config's sweep, each re-solve
+    started from the last converged control, on a new discretization."""
+    cfg = parse_instance(CONFIG_DIR / f"{name}.ini")
+    disc = build_discretization(cfg)
+    plan = sweep_plan(cfg, disc)
+    lam = disc.param_reference().values
+    rep = solve_kkt(disc, lam, options=cfg.solve_options)
+    reps = []
+    for t in plan.t_values:
+        rep = solve_kkt(disc, lam + t * plan.delta.values,
+                        u0=rep.point.control.values,
+                        options=cfg.solve_options)
+        reps.append(rep)
+    return reps
+
+
+def test_resume_at_a_pinned_point_is_one_pinned_step(monkeypatch):
+    # every node of the lq point is strongly pinned, so the re-solve from
+    # its control tries the pinned step from its state before any state
+    # solve, and that step meets tol: one iteration, the control-only start
+    # takes two (a damped evaluation, then the pinned step)
+    cfg = parse_instance(CONFIG_DIR / "lq_reference.ini")
+    disc = build_discretization(cfg)
+    opts = cfg.solve_options
+    cold = solve_kkt(disc, disc.param_reference(), options=opts)
+    calls = []
+    solve_state = solver.solve_state
+
+    def counted(*args, **kw):
+        calls.append(None)
+        return solve_state(*args, **kw)
+
+    monkeypatch.setattr(solver, "solve_state", counted)
+    rep = solve_kkt(disc, _resolve_lam(disc, cfg),
+                    u0=cold.point.control.values, options=opts)
+    assert (rep.iterations, rep.pinned, rep.newton) == (1, 1, 0)
+    assert calls == []
+    assert residuals(disc, rep.point) == rep.residuals
+    assert rep.residuals.worst <= opts.tol
+    assert projection_identity_gap(disc, rep.point) <= 10.0 * opts.tol
+
+
+def test_control_one_ulp_off_takes_the_control_only_start(monkeypatch):
+    # the kept point is handed back only to its own control, bit for bit:
+    # one node one ulp away starts from the control alone
+    cfg = parse_instance(CONFIG_DIR / "lq_reference.ini")
+    disc = build_discretization(cfg)
+    opts = cfg.solve_options
+    cold = solve_kkt(disc, disc.param_reference(), options=opts)
+    u0 = cold.point.control.values.copy()
+    u0[3] = np.nextafter(u0[3], np.inf)
+    lam = _resolve_lam(disc, cfg)
+    rep = solve_kkt(disc, lam, u0=u0, options=opts)
+    with monkeypatch.context() as mp:
+        _no_resume(mp)
+        plain = solve_kkt(disc, lam, u0=u0, options=opts)
+    assert rep.iterations == plain.iterations == 2
+    assert rep.history == plain.history
+    assert np.array_equal(rep.point.control.values,
+                          plain.point.control.values)
+
+
+def test_resume_at_a_free_point_costs_no_solve(monkeypatch):
+    # no constraint binds at the stability point: its multipliers are zero,
+    # so only its state is carried, and the re-solve takes as many
+    # operator solves as the control-only start (a carried costate would
+    # give nonzero separated multipliers, and the Newton step would solve
+    # the adjoint again to drop them)
+    cfg = parse_instance(CONFIG_DIR / "stability_reference.ini")
+    disc = build_discretization(cfg)
+    opts = cfg.solve_options
+    cold = solve_kkt(disc, disc.param_reference(), options=opts)
+    assert not np.any(cold.point.multipliers)
+    lam = _resolve_lam(disc, cfg)
+    counts = []
+    jacobian_solve = fem.Discretization.jacobian_solve
+    for resume in (True, False):
+        calls = []
+
+        def counted(self, *args, **kw):
+            calls.append(None)
+            return jacobian_solve(self, *args, **kw)
+
+        disc.keep_point(cold.point)
+        with monkeypatch.context() as mp:
+            mp.setattr(fem.Discretization, "jacobian_solve", counted)
+            if not resume:
+                _no_resume(mp)
+            rep = solve_kkt(disc, lam, u0=cold.point.control.values,
+                            options=opts)
+        counts.append((len(calls), rep.iterations))
+    assert counts[0] == counts[1]
+
+
+def test_resumed_mixed_chain_takes_fewer_iterations(monkeypatch):
+    # a mixed point carries its multipliers and costate into the damped
+    # update: 23/25/27/31/34 iterations against 42/42/42/39/36 from the
+    # control alone, to the same points within the solves' tolerance
+    resumed = _chain("mixed_reference")
+    with monkeypatch.context() as mp:
+        _no_resume(mp)
+        plain = _chain("mixed_reference")
+    tol = parse_instance(CONFIG_DIR / "mixed_reference.ini").solve_options.tol
+    for rep, ref in zip(resumed, plain, strict=True):
+        assert rep.pinned == ref.pinned == 0
+        assert rep.iterations < ref.iterations
+        gap = rep.point.control.values - ref.point.control.values
+        assert float(np.max(np.abs(gap))) <= 10.0 * tol
+
+
+@pytest.mark.parametrize("failure", ["newton", "record"])
+def test_rejected_resumed_pinned_step_changes_nothing(monkeypatch, failure):
+    # the first pinned try of a resumed re-solve is forced to fail, by a
+    # raising Newton solve or by a record above tol: it is counted, is not
+    # an iterate and leaves the in-loop gate unspent, so the re-solve is
+    # bit for bit the one that never tried it, with the second pinned try
+    # at its second iterate
+    cfg = parse_instance(CONFIG_DIR / "lq_reference.ini")
+    disc = build_discretization(cfg)
+    opts = cfg.solve_options
+    cold = solve_kkt(disc, disc.param_reference(), options=opts)
+    lam = _resolve_lam(disc, cfg)
+    owner = {"newton": "_newton", "record": "_residual_record"}[failure]
+    original = getattr(solver, owner)
+    calls = []
+
+    def failing_first(*args, **kw):
+        calls.append(None)
+        if failure == "newton" and len(calls) == 1:
+            raise StateSolveError("forced", 0, 1.0)
+        out = original(*args, **kw)
+        if failure == "record" and len(calls) == 1:
+            out = dataclasses.replace(out, feasibility=1.0)
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, owner, failing_first)
+        tried = solve_kkt(disc, lam, u0=cold.point.control.values,
+                          options=opts)
+    disc.keep_point(cold.point)
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_strong_at_every_node", lambda disc, point: False)
+        never = solve_kkt(disc, lam, u0=cold.point.control.values,
+                          options=opts)
+    assert (tried.pinned, never.pinned) == (2, 1)
+    assert tried.iterations == never.iterations == 2
+    assert tried.history == never.history
+    assert np.array_equal(tried.point.control.values,
+                          never.point.control.values)
 
 
 def test_newton_stops_below_outer_tolerance(lq_disc16):

@@ -18,8 +18,8 @@ from ctrlstab.stability import CSV_HEADER
 
 from conftest import CONFIG_DIR, make_spec
 
-#: the keys of a sweep.json row; a failed row adds "error" and "iterations"
-ROW_KEYS = {"t", "d_L2", "d_Linf", "d_W1r", "kkt_ok"}
+#: the keys of a sweep.json row; a failed row adds "error"
+ROW_KEYS = {"t", "d_L2", "d_Linf", "d_W1r", "kkt_ok", "iterations"}
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +135,9 @@ def test_sweep_rows_are_consistent(swept):
     assert report.base_residuals.worst <= 1e-10
     assert report.ssc.positive
     assert report.seed == 3
+    # each re-solve resumes from the last point, strongly pinned at every
+    # node, and takes the one pinned step
+    assert [r.iterations for r in report.rows] == [1] * len(T_SMALL)
 
 
 def test_l2_bounded_by_sup(swept, lq_disc16):
@@ -227,7 +230,7 @@ def test_failed_rows_marked_and_excluded():
     assert math.isnan(bad.d_l2) and math.isnan(bad.d_linf)
     # the admission error counts no iterations
     assert (bad.error, bad.iterations) == ("AdmissionError", None)
-    assert all(r.error is None and r.iterations is None
+    assert all(r.error is None and r.iterations >= 1
                for r in report.rows[:-1])
     for fit in report.fits.values():
         assert fit.n_points == 4
@@ -309,8 +312,10 @@ def test_failed_row_writes_valid_json(tmp_path):
     assert bad["d_W1r"] is None
     assert bad["error"] == "AdmissionError" and bad["iterations"] is None
     assert all(row["d_L2"] is not None for row in data["rows"][:-1])
-    # only failed rows carry the reason
+    # only failed rows carry the reason; every row its iterations
     assert all(set(row) == ROW_KEYS for row in data["rows"][:-1])
+    assert [row["iterations"] for row in data["rows"]] == [
+        r.iterations for r in report.rows]
 
 
 def test_failed_row_carries_solver_iterations(monkeypatch, tmp_path):
@@ -329,13 +334,14 @@ def test_failed_row_carries_solver_iterations(monkeypatch, tmp_path):
 
     monkeypatch.setattr(stability, "solve_kkt", out_of_iterations)
     report = run_sweep(disc, plan, options=SolveOptions(tol=1e-10))
-    assert [(r.kkt_ok, r.error, r.iterations) for r in report.rows] == [
-        (True, None, None)] * 4 + [(False, "SolverError", 7)]
+    assert [(r.kkt_ok, r.error) for r in report.rows] == [
+        (True, None)] * 4 + [(False, "SolverError")]
+    assert report.rows[-1].iterations == 7
     path = tmp_path / "sweep.json"
     write_sweep_json(report, path)
     rows = json.loads(path.read_text())["rows"]
     assert all(set(row) == ROW_KEYS for row in rows[:-1])
-    assert set(rows[-1]) == ROW_KEYS | {"error", "iterations"}
+    assert set(rows[-1]) == ROW_KEYS | {"error"}
     assert (rows[-1]["error"], rows[-1]["iterations"]) == ("SolverError", 7)
 
 
