@@ -32,13 +32,11 @@ the pinned operator, in which a constraint ``g + u <= 0`` that binds at
 every boundary node substitutes ``u = -g(y)`` with ``dg/dy = c``.  Each
 ``c`` has one entry, its assembled matrix, reused while the h_y quadrature
 weights asked for are bit-identical to the last ones of that ``c``, and one
-factorization, its anchor: the last one taken for that ``c``, with the
-weights it was taken at.  A solve is exact when the anchor factorizes the
-entry's matrix (the same object), and otherwise runs conjugate gradients
-preconditioned by the anchor.  An operator of ``c`` whose weights are
-nowhere below the anchor's is SPD without a factorization of its own.  The
-dense control-to-state map ``T`` is kept with the factorization of
-``c = 0`` that it was solved with.
+factorization, its anchor: the last one taken for that ``c``.  A solve is
+exact when the anchor factorizes the entry's matrix (the same object), and
+otherwise runs conjugate gradients preconditioned by the anchor; that is
+the anchor's only use.  The dense control-to-state map ``T`` is kept with
+the factorization of ``c = 0`` that it was solved with.
 """
 
 from __future__ import annotations
@@ -418,7 +416,9 @@ class Discretization:
     Holds the quadrature tables, the assembled :class:`EllipticForm`, and
     evaluation helpers that build numpy environments for the problem's
     expressions at interior quadrature points, boundary quadrature points,
-    and boundary nodes.
+    and boundary nodes.  It is built only for an admitted problem whose
+    operator coefficients also pass :func:`ctrlstab.problem.check_operator`
+    at its quadrature points, so its stiffness matrix ``K`` is SPD.
 
     It also keeps one linearized operator ``K + M[w] + c M_B`` per
     boundary weight ``c`` (see :meth:`jacobian_matrix` and
@@ -435,16 +435,12 @@ class Discretization:
     cached ones bit for bit (shape and values); other weights replace the
     entry of that ``c`` and leave the others alone.
     The only factorization of each ``c`` is its anchor, the last one built
-    for that ``c``, kept with the weights ``w_a`` it was taken at.  It is
-    exact for the entry whose matrix it factorizes
+    for that ``c``.  It is exact for the entry whose matrix it factorizes
     (``anchor.matrix is matrix``); on a newer entry of the same ``c``,
     :meth:`jacobian_solve` uses it to precondition conjugate gradients, so
     a state that moves a little costs an assembly and a few band solves,
-    not a factorization.  It also shows that every operator of ``c`` at
-    weights ``w >= w_a`` is SPD, with no factorization of its own
-    (:meth:`jacobian_is_spd`): the interior quadrature weights are
-    positive, so ``M[w - w_a]`` is positive semidefinite.  No anchor
-    preconditions another ``c``: ``M_B`` is not a small perturbation.
+    not a factorization.  No anchor preconditions another ``c``: ``M_B``
+    is not a small perturbation.
     :meth:`control_to_state` keeps ``T`` next to the factorization of
     ``c = 0`` that it was solved with.
 
@@ -471,9 +467,9 @@ class Discretization:
                           "s": mesh.boundary_s}
 
         self.form = self._assemble()
-        # c -> (weights copy, K + M[weights] + c M_B); c -> (weights, the
-        # last factorization of that c); (factorization, T) of c = 0; and
-        # the last point solve_kkt returned
+        # c -> (weights copy, K + M[weights] + c M_B); c -> the last
+        # factorization of that c; (factorization, T) of c = 0; and the
+        # last point solve_kkt returned
         self._jacobian: dict = {}
         self._anchor: dict = {}
         self._t_map = None
@@ -622,32 +618,9 @@ class Discretization:
         anchor of ``c``.  The factorization is shared: do not mutate it."""
         matrix = self.jacobian_matrix(w_qp, c)
         anchor = self._anchor.get(c)
-        if anchor is None or anchor[1].matrix is not matrix:
-            anchor = self._anchor[c] = (self._jacobian[c][0],
-                                        SpdFactorization(matrix))
-        return anchor[1]
-
-    def jacobian_is_spd(self, w_qp: np.ndarray, c: float = 0.0) -> bool:
-        """True when ``K + M[w] + c M_B`` is symmetric positive definite:
-        at once when the anchor of ``c`` was taken at weights nowhere larger
-        than ``w``, else when :meth:`jacobian_factor` succeeds (and its
-        factorization becomes the anchor of ``c``).
-
-        The interior quadrature weights are positive (``area / 3``), so
-        ``w >= w_a`` at every quadrature point makes ``M[w - w_a]``
-        positive semidefinite, and ``J(w) = J(w_a) + M[w - w_a]`` dominates
-        the SPD ``J(w_a)`` in the Loewner order (Horn & Johnson, *Matrix
-        Analysis*, Sec. 7.7).  The anchor's own matrix is the case
-        ``w = w_a``.
-        """
-        anchor = self._anchor.get(c)
-        if anchor is not None and np.all(w_qp >= anchor[0]):
-            return True
-        try:
-            self.jacobian_factor(w_qp, c)
-        except FemError:
-            return False
-        return True
+        if anchor is None or anchor.matrix is not matrix:
+            anchor = self._anchor[c] = SpdFactorization(matrix)
+        return anchor
 
     def jacobian_solve(self, w_qp: np.ndarray, b: np.ndarray,
                        c: float = 0.0) -> np.ndarray:
@@ -661,9 +634,9 @@ class Discretization:
         """
         matrix = self.jacobian_matrix(w_qp, c)
         anchor = self._anchor.get(c)
-        if anchor is not None and anchor[1].matrix is not matrix:
+        if anchor is not None and anchor.matrix is not matrix:
             try:
-                return solve_spd(matrix, b, factor=anchor[1])
+                return solve_spd(matrix, b, factor=anchor)
             except FemError:
                 pass
         return solve_spd(matrix, b, factor=self.jacobian_factor(w_qp, c))

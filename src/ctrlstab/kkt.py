@@ -12,8 +12,8 @@ their linearized states T u) and two estimators for the minimum of the
 curvature form on the critical cone, one sampled, one via the reduced
 Hessian restricted to the strongly-active equality subspace, both on
 boundary-sized forms in the controls.  Where every boundary node is pinned,
-one factorization of the pinned operator shows that subspace is {0}, and
-neither ``T`` nor the forms are built.
+the admission gates show the pinned operator is SPD, so that subspace is
+{0}, and neither ``T`` nor the forms are built.
 """
 
 from __future__ import annotations
@@ -411,20 +411,18 @@ class _ConeGeometry(_ReducedForms):
         operator ``J = K + M[h_y] + c M_B`` is SPD: every boundary node
         carries a strong pair, the strong pairs' constraints have a
         ``y``-derivative that folds to one constant ``c >= 0`` (see
-        :meth:`ctrlstab.problem.ProblemSpec.common_slope`), the h_y weights
-        are nonnegative, and
-        :meth:`ctrlstab.fem.Discretization.jacobian_is_spd` holds at them.
-        A derivative that takes one value without folding to a constant
-        gets no certificate, and its subspace comes from ``T``.
+        :meth:`ctrlstab.problem.ProblemSpec.common_slope`), and the h_y
+        weights are nonnegative.  A derivative that takes one value without
+        folding to a constant gets no certificate, and its subspace comes
+        from ``T``.
 
-        ``J`` needs no factorization of its own when the anchor of ``c``,
-        the last factorization of that operator (after a solve, the one
-        the pinned step of :func:`ctrlstab.solver.solve_kkt` took), was
-        taken at h_y weights nowhere larger than the point's: the interior
-        quadrature weights are positive, so ``J`` exceeds that SPD operator
-        by a positive semidefinite weighted mass.  Equal weights, the
-        anchor's own matrix, are one such case.  Otherwise ``J`` is
-        factorized, and that factorization becomes the anchor of ``c``.
+        The test is algebra on the admission gates, with no factorization:
+        the gates make ``K`` SPD on every ``Discretization`` (see
+        :func:`ctrlstab.problem.check_operator`), and with positive
+        interior quadrature weights, ``h_y >= 0`` and ``c >= 0``,
+        ``M[h_y] + c M_B`` is positive semidefinite, so ``J`` dominates
+        ``K``.  The factorization cache is not read: the anchor of ``c``
+        only preconditions conjugate gradients.
 
         A control ``u`` in the subspace has ``y = T u`` with
         ``(K + M[h_y]) y = M_B u`` and ``u = -c y|_B``, so ``J y = 0``:
@@ -440,9 +438,7 @@ class _ConeGeometry(_ReducedForms):
             return False
         c = self.disc.problem.common_slope(np.nonzero(self.strong)[0])
         w = _reaction_y(self.disc, self.point.state.values)
-        if c is None or c < 0.0 or not np.min(w) >= 0.0:
-            return False
-        return self.disc.jacobian_is_spd(w, c)
+        return c is not None and c >= 0.0 and bool(np.min(w) >= 0.0)
 
     def project(self, seeds: np.ndarray) -> np.ndarray:
         """Project control seeds (Nb, k) into the discrete critical cone.
@@ -595,11 +591,10 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     ``J = K + M[h_y] + c M_B`` being SPD shows the subspace is {0} (see
     ``_ConeGeometry._pinned_certificate``), and the report
     ``(inf, inf, 0, n_strong, True)`` comes without ``T``, ``H`` or the
-    curvature operator.  ``J`` needs no factorization of its own where the
-    anchor of ``c`` (after a solve, the pinned step's factorization) was
-    taken at h_y weights nowhere larger than the point's: with positive
-    quadrature weights, ``J`` then dominates that SPD operator.  Otherwise
-    one Cholesky of ``J`` decides.
+    curvature operator.  The admission gates alone show ``J`` is SPD: it
+    dominates ``K``, SPD on every ``Discretization``, so nothing is
+    factorized; the anchor of ``c`` only preconditions conjugate
+    gradients.
 
     Samples run in blocks of controls, keeping only a running minimum and
     a count; the draws from ``rng`` come in the same order as one seed per

@@ -192,11 +192,10 @@ def _adjoint_pieces(disc: Discretization, y, lam) -> tuple:
 def _adjoint_rhs(disc: Discretization, pieces: tuple,
                  multipliers) -> np.ndarray:
     """The adjoint right-hand side from :func:`_adjoint_pieces` at the
-    nodal multipliers, rows of Nb values paired with the constraints by
-    position; a constraint without a row adds nothing, as the pinned step's
-    ``()`` needs."""
+    nodal multipliers, one row of Nb values per constraint, paired by
+    position."""
     _, ly, bnd, gys = pieces
-    for gq, e in zip(gys, multipliers):
+    for gq, e in zip(gys, multipliers, strict=True):
         bnd = bnd + gq * disc.edge_interp(e)
     return -disc.domain_load(ly) - disc.boundary_load(bnd)
 

@@ -40,14 +40,23 @@ class AdmissionError(ValueError):
 
 
 def check_operator(a11, a12, a22, a0, c0: float, quadrature: bool) -> None:
-    """The (C0) and ``a_0 >= 0`` gates on coefficient values at a set of
-    points: the smallest eigenvalue of the tensor ``[[a11, a12], [a12,
-    a22]]`` stays at or above ``c0`` and ``a0`` stays nonnegative, both to
-    1e-12.  The points are the sampled ones of :meth:`ProblemSpec.validate`,
-    or the quadrature points of the assembly when ``quadrature`` is set.
+    """The (C0), ``a_0 >= 0`` and ``a_0 != 0`` gates on coefficient values
+    at a set of points: the smallest eigenvalue of the tensor ``[[a11,
+    a12], [a12, a22]]`` stays at or above ``c0`` and ``a0`` stays
+    nonnegative, both to 1e-12, and ``a0`` is positive at some point.  The
+    points are the sampled ones of :meth:`ProblemSpec.validate`, or the
+    quadrature points of the assembly when ``quadrature`` is set.
 
-    Both tests are negated comparisons, so a NaN (say, an eigenvalue whose
-    formula overflows on huge finite entries) fails them instead of
+    At the quadrature points these gates make the stiffness matrix ``K``
+    of every ``Discretization`` SPD: ``v' K v = 0`` needs a gradient that
+    vanishes on every triangle, so a constant ``v``, and then
+    ``a0 v^2 = 0`` at the point where ``a0 > 0``.  With ``dh/dy >= 0``
+    and a slope ``dg/dy = c >= 0``, ``K + M[h_y] + c M_B`` dominates ``K``
+    and is SPD too, which the pinned certificate of
+    :func:`ctrlstab.kkt.check_ssc` reads.
+
+    Every test is a negated comparison, so a NaN (say, an eigenvalue whose
+    formula overflows on huge finite entries) fails it instead of
     passing."""
     what, where = (("tensor eigenvalue", " at a quadrature point")
                    if quadrature else ("sampled ellipticity", ""))
@@ -59,6 +68,9 @@ def check_operator(a11, a12, a22, a0, c0: float, quadrature: bool) -> None:
     a0_min = float(np.min(a0))
     if not a0_min >= -1e-12:
         raise AdmissionError("a_0 >= 0", f"a_0 reaches {a0_min:.6g}{where}")
+    if not np.max(a0) > 0.0:
+        raise AdmissionError("a_0 != 0", "a_0 vanishes at every " + (
+            "quadrature point" if quadrature else "sample point"))
 
 
 def _check_vars(e: Expr, allowed: set, label: str, what: str) -> None:
@@ -218,13 +230,10 @@ class ProblemSpec:
             return np.broadcast_to(
                 np.asarray(e.eval(env), dtype=float), (GATE_SAMPLES,))
 
-        # (C0) and a_0 >= 0 at interior samples
-        a0 = sampled(self.a0, xd)
+        # (C0), a_0 >= 0 and a_0 != 0 at interior samples
         check_operator(sampled(self.a11, xd), sampled(self.a12, xd),
-                       sampled(self.a22, xd), a0, self.c0, quadrature=False)
-        if not np.max(a0) > 0.0:
-            raise AdmissionError("a_0 != 0",
-                                 "a_0 vanishes at all sample points")
+                       sampled(self.a22, xd), sampled(self.a0, xd), self.c0,
+                       quadrature=False)
 
         # (H3): beta along the reference parameter stays above gamma
         lam_ref = sampled(self.param_ref, xb)

@@ -415,7 +415,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             # (K + M[h_y] + c M_B) p = rhs(e = 0) + c M_B (alpha + beta u)
             pieces = _adjoint_pieces(disc, y, lam)
             w_adj = pieces[0]
-            rhs = _adjoint_rhs(disc, pieces, ()) + c * (
+            rhs = _adjoint_rhs(disc, pieces, np.zeros((m, nb))) + c * (
                 disc.form.mass_boundary @ disc.embed(alpha + beta * u))
             adjoint = disc.jacobian_solve(w_adj, rhs, c)
             e = disc.trace(adjoint) - alpha - beta * u

@@ -35,11 +35,16 @@ without a sweep), ``ssc`` and ``chain``, and ``verify=eq`` (``verify=ne``
 otherwise).  Lines printed from two trees compare with ``diff``.
 
 ``--against`` records this checkout and ``OTHER_ROOT``, each in its own
-subprocess that imports that tree's ``src/``, and prints per file whether
-the counts of all solves agree and, for every field that the fingerprint
-hashes, ``=`` when it is bit-identical in every solve, or else its largest
-absolute move.  A field that no pair of successful solves carries reads
-``-``.  It exits 0 when every file is in both trees and reads
+subprocess that imports that tree's ``src/``, and prints one line per
+group of each file: ``cold`` (the cold solve and ``verify``), ``warm``,
+``ssc`` and ``chain`` (its solves and its SSC report), so that a change
+that keeps the cold solves bit for bit and moves the warm ones reads as
+such.  A line reads whether the counts of the group's solves agree and,
+for every field that the fingerprint hashes, ``=`` when it is
+bit-identical in every solve of the group, or else its largest absolute
+move.  A field that no pair of successful solves carries reads ``-``, and
+so does a group with nothing to compare (``warm`` without a sweep).  It
+exits 0 when every file is in both trees and every group reads
 ``counts same`` and ``=`` for every field, else 1 (also when a tree's
 records cannot be collected).
 
@@ -190,46 +195,76 @@ def _field(moves) -> str:
     return "-" if not moves else f"{max(found):.2e}" if found else "="
 
 
-def _moves(mine: dict, other: dict) -> list:
-    """``(name, reading)`` of the counts and of every hashed field of two
-    records of one instance file."""
-    a, b = ([r["cold"], *(r["warm"] or []), r["chain_cold"],
-             *(r["chain_warm"] or [])] for r in (mine, other))
-    counts = [" ".join(s if isinstance(s, str) else "/".join(
-        map(str, s["counts"])) for s in x) for x in (a, b)]
-    out = [("counts", "same" if counts[0] == counts[1]
-            else f"{counts[0]} vs {counts[1]}")]
-    pairs = [(x, y) for x, y in zip(a, b)
-             if not isinstance(x, str) and not isinstance(y, str)]
-    out += [(key, _field(_move(x[key], y[key]) for x, y in pairs))
-            for key in FIELDS if key != "counts"]
-    sscs = [(mine[s], other[s]) for s in ("ssc", "chain_ssc")]
-    out += [(key, _field(_move(x[key], y.get(key)) for x, y in sscs))
-            for key in mine["ssc"]]
-    out.append(("verify", _field([_move(mine["verify"], other["verify"])])))
+#: the groups of a record that the move report reads apart: the keys of
+#: their solves (one solve, a list or None) and of their SSC reports
+GROUPS = {"cold": (("cold",), ()), "warm": (("warm",), ()),
+          "ssc": ((), ("ssc",)),
+          "chain": (("chain_cold", "chain_warm"), ("chain_ssc",))}
+
+
+def _solves(rec: dict, keys) -> list:
+    out = []
+    for key in keys:
+        value = rec[key]
+        out.extend(value if isinstance(value, list) else
+                   [] if value is None else [value])
     return out
 
 
-def compare(mine: dict, other: dict) -> str:
-    """Whether the counts of two records of one instance file agree, and
-    the move of every hashed field."""
-    return ", ".join(map(" ".join, _moves(mine, other)))
+def _moves(mine: dict, other: dict, group: str) -> list:
+    """``(name, reading)`` of the counts and of every hashed field of one
+    group of two records of one instance file; none for a group with no
+    solve and no SSC report in either record.  The cold group also reads
+    ``verify``."""
+    solve_keys, ssc_keys = GROUPS[group]
+    a, b = (_solves(r, solve_keys) for r in (mine, other))
+    out = []
+    if a or b:
+        counts = [" ".join(s if isinstance(s, str) else "/".join(
+            map(str, s["counts"])) for s in x) for x in (a, b)]
+        out.append(("counts", "same" if counts[0] == counts[1]
+                    else f"{counts[0]} vs {counts[1]}"))
+        pairs = [(x, y) for x, y in zip(a, b)
+                 if not isinstance(x, str) and not isinstance(y, str)]
+        out += [(key, _field(_move(x[key], y[key]) for x, y in pairs))
+                for key in FIELDS if key != "counts"]
+    sscs = [(mine[s], other[s]) for s in ssc_keys]
+    if sscs:
+        out += [(key, _field(_move(x[key], y.get(key)) for x, y in sscs))
+                for key in mine[ssc_keys[0]]]
+    if group == "cold":
+        out.append(("verify",
+                    _field([_move(mine["verify"], other["verify"])])))
+    return out
+
+
+def _reading(moves: list) -> str:
+    return ", ".join(map(" ".join, moves)) or "-"
+
+
+def compare(mine: dict, other: dict) -> dict:
+    """Per group, whether the counts of two records of one instance file
+    agree and the move of every hashed field (``-`` for a group with
+    nothing to compare)."""
+    return {group: _reading(_moves(mine, other, group)) for group in GROUPS}
 
 
 def against(mine: dict, other: dict) -> tuple:
     """The ``--against`` report of two trees' records by file name: its
-    lines, and whether the trees agree, that is every file is in both,
-    with the counts the same and every field ``=``."""
+    lines, one per group of each file, and whether the trees agree, that
+    is every file is in both, with the counts the same and every field
+    ``=`` in every group."""
     lines, same = [], mine.keys() == other.keys()
     for name in sorted(mine.keys() | other.keys()):
-        if name in mine and name in other:
-            moves = _moves(mine[name], other[name])
-            same = same and all(reading in ("same", "=")
-                                for _, reading in moves)
-            lines.append(f"{name} {', '.join(map(' '.join, moves))}")
-        else:
+        if name not in mine or name not in other:
             lines.append(f"{name} only in "
                          f"{'this' if name in mine else 'the other'} tree")
+            continue
+        for group in GROUPS:
+            moves = _moves(mine[name], other[name], group)
+            same = same and all(reading in ("same", "=")
+                                for _, reading in moves)
+            lines.append(f"{name} {group} {_reading(moves)}")
     return lines, same
 
 

@@ -484,17 +484,11 @@ def test_pinned_certificate_replaces_control_to_state_map(
     factorizations.clear()
     rep = check_ssc(disc, point, n_samples=50, rng=np.random.default_rng(3))
     assert rep == ref
-    # one factorization, of the pinned operator K + M[h_y] + c M_B, c = 1
-    (made,) = factorizations
-    w = disc.eval_dom(spec.reaction_y, y=point.state.values)
-    want = disc.form.stiffness + disc.domain_mass_weighted(w) \
-        + disc.form.mass_boundary
-    assert abs(made.matrix - want).max() <= 1e-12 * abs(want).max()
-
     cone = _ConeGeometry(disc, point)
     assert cone.z_mat.shape == (nb, 0)
     assert "t_mat" not in cone.__dict__
-    assert len(factorizations) == 1  # the cached entry serves again
+    # the admission gates certify the pinned operator: nothing is factorized
+    assert factorizations == []
 
 
 def _h_y(disc, y):
@@ -506,10 +500,31 @@ def _vacuous(rep, nb):
             rep.n_strong, rep.positive) == (math.inf, math.inf, 0, nb, True)
 
 
+def test_pinned_certificate_reads_no_cache(cubic_pinned, factorizations,
+                                           monkeypatch):
+    # a fresh discretization holds no anchor; the certificate is algebra
+    # on the admission gates, so it assembles, factorizes and solves
+    # nothing, and builds no T
+    spec, mesh, point = cubic_pinned
+
+    def cached(self, *args, **kwargs):
+        raise AssertionError("the certificate read a cache")
+
+    disc = Discretization(spec, mesh)
+    for name in ("jacobian_matrix", "jacobian_factor", "jacobian_solve",
+                 "control_to_state"):
+        monkeypatch.setattr(Discretization, name, cached)
+    factorizations.clear()
+    rep = check_ssc(disc, point, n_samples=50, rng=np.random.default_rng(3))
+    assert _vacuous(rep, mesh.n_boundary)
+    assert factorizations == []
+    assert disc._anchor == {} and disc._t_map is None
+
+
 def test_pinned_check_after_the_solve_factorizes_nothing(cubic_pinned,
                                                          factorizations):
-    # h_y = 1 + 3 y^2: the pinned step's anchor of c = 1 was taken at
-    # weights nowhere above the solution's, so it certifies J there
+    # after a solve that the pinned step finished, the check at its point
+    # takes no factorization either
     spec, mesh, _ = cubic_pinned
     disc = Discretization(spec, mesh)
     rep = solve_kkt(disc, disc.param_reference(),
@@ -524,11 +539,10 @@ def test_pinned_check_after_the_solve_factorizes_nothing(cubic_pinned,
 
 def test_dominated_anchor_certifies_without_factorizing(cubic_pinned,
                                                         monkeypatch):
-    # the anchor of c = 1 at y = 0 (h_y = 1) lies below the point's
-    # weights everywhere: no factorization, and no T, is needed
+    # an anchor of c = 1 at y = 0 (h_y = 1) is left as it is: no
+    # factorization, and no T, is needed
     spec, mesh, point = cubic_pinned
     disc = Discretization(spec, mesh)
-    w = _h_y(disc, point.state.values)
     disc.jacobian_factor(_h_y(disc, np.zeros(mesh.n_vertices)), 1.0)
 
     def failing(self, w_qp, c=0.0):
@@ -540,31 +554,28 @@ def test_dominated_anchor_certifies_without_factorizing(cubic_pinned,
     assert "t_mat" not in cone.__dict__
     rep = check_ssc(disc, point, n_samples=50, rng=np.random.default_rng(3))
     assert _vacuous(rep, mesh.n_boundary)
-    assert disc.jacobian_is_spd(w, 1.0)
 
 
 def test_anchor_above_the_point_is_replaced_once(cubic_pinned,
                                                  factorizations):
     # an anchor at 2 y* has weights above the point's at every nonzero
-    # state: the certificate factorizes J at the point, once, and that
-    # factorization, the new anchor, then certifies the pinned point at
-    # 2 y* with no other
+    # state; the certificate reads no anchor, so it stays, and neither the
+    # point nor the pinned point at 2 y* takes a factorization
     spec, mesh, point = cubic_pinned
     nb = mesh.n_boundary
     disc = Discretization(spec, mesh)
     y = point.state.values
-    disc.jacobian_factor(_h_y(disc, 2.0 * y), 1.0)
+    anchor = disc.jacobian_factor(_h_y(disc, 2.0 * y), 1.0)
     factorizations.clear()
     rep = check_ssc(disc, point, n_samples=50, rng=np.random.default_rng(3))
     assert _vacuous(rep, nb)
-    (made,) = factorizations
-    assert disc.jacobian_factor(_h_y(disc, y), 1.0) is made
 
     far = _pinned_point(disc, 2.0 * y)
     assert _ConeGeometry(disc, far).strong.all(axis=1)[0]
     rep = check_ssc(disc, far, n_samples=50, rng=np.random.default_rng(3))
     assert _vacuous(rep, nb)
-    assert len(factorizations) == 1
+    assert factorizations == []
+    assert disc.jacobian_factor(_h_y(disc, 2.0 * y), 1.0) is anchor
 
 
 def test_pinned_cubic_job_factorizes_once_per_slope(cubic_pinned,
@@ -661,7 +672,7 @@ def _sloped_state(disc):
 
 
 @pytest.mark.parametrize("case", ["negative_slope", "varying_slope",
-                                  "free_node", "factor_fails"])
+                                  "free_node"])
 def test_pinned_certificate_fallbacks_build_the_map(case, lq_disc32,
                                                     lq_solved32, monkeypatch):
     if case == "negative_slope":
@@ -680,19 +691,6 @@ def test_pinned_certificate_fallbacks_build_the_map(case, lq_disc32,
         # a zero multiplier leaves node 0 weakly active
         point = replace(point, multipliers=np.where(
             np.arange(disc.mesh.n_boundary) == 0, 0.0, point.multipliers))
-    if case == "factor_fails":
-        # a fresh discretization has no anchor of c, so the certificate
-        # must factorize; the solved one holds the pinned step's, which
-        # dominates the point and would certify without a factorization
-        disc = Discretization(disc.problem, disc.mesh)
-        original = Discretization.jacobian_factor
-
-        def failing(self, w_qp, c=0.0):
-            if c:
-                raise NotSpdError("pinned operator")
-            return original(self, w_qp, c)
-
-        monkeypatch.setattr(Discretization, "jacobian_factor", failing)
 
     cone = _ConeGeometry(disc, point)
     assert cone.strong.any(axis=0).all() == (case != "free_node")

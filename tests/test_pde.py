@@ -273,29 +273,6 @@ def test_failed_stale_solve_factorizes_once(disc_cubic, factorizations,
     assert _meets_contract(_fresh_jacobian(disc_cubic, w), x, b)
 
 
-@pytest.mark.parametrize("c", [0.0, 1.0])
-def test_spd_test_reads_the_anchor_weights(factorizations, c):
-    # weights nowhere below the anchor's need no factorization; one
-    # quadrature point below it does, and that factorization is the new
-    # anchor; an indefinite operator is no SPD one
-    disc = Discretization(make_spec(reaction="y^3 + y"), make_disk_mesh(16, 0))
-    w_a = np.ones(disc.tables.qw_dom.shape)
-    anchor = disc.jacobian_factor(w_a, c)
-    factorizations.clear()
-    assert disc.jacobian_is_spd(w_a, c)
-    assert disc.jacobian_is_spd(w_a + np.arange(w_a.size).reshape(w_a.shape),
-                                c)
-    assert factorizations == []
-    assert disc.jacobian_factor(w_a, c) is anchor
-
-    below = w_a.copy()
-    below[3, 1] = 0.5
-    assert disc.jacobian_is_spd(below, c)
-    (made,) = factorizations
-    assert disc.jacobian_factor(below, c) is made
-    assert not disc.jacobian_is_spd(np.full_like(w_a, -1e4), c)
-
-
 def _pinned_solved():
     """A cubic instance on a fresh discretization after a solve that the
     pinned step finished: the point's state, its h_y weights, and the

@@ -24,6 +24,17 @@ def _report(text: str) -> dict:
     return dict(item.split(" ", 1) for item in text.split(", "))
 
 
+def _reports(mine, other) -> dict:
+    """The move report of two records, per group, parsed; ``-`` for a
+    group with nothing to compare."""
+    return {group: text if text == "-" else _report(text)
+            for group, text in point_hashes.compare(mine, other).items()}
+
+
+SOLVE_FIELDS = set(point_hashes.FIELDS) - {"counts"}
+SSC_FIELDS = {f.name for f in dataclasses.fields(cs.SscReport)}
+
+
 def test_line_hashes_the_documented_fields(record):
     # the layout written out again: a solve's arrays, counts, sigma1,
     # history and residual record; the seeded SSC report; the chain's cold
@@ -48,32 +59,65 @@ def test_line_hashes_the_documented_fields(record):
 
 
 def test_record_against_itself_is_bit_identical(record):
-    report = _report(point_hashes.compare(record, record))
-    assert report.pop("counts") == "same"
-    assert set(report) == {
-        *point_hashes.FIELDS, *(f.name for f in dataclasses.fields(
-            cs.SscReport)), "verify"} - {"counts"}
-    assert set(report.values()) == {"="}
+    # one reading per group; oracle_box has no sweep, so no warm group
+    reports = _reports(record, record)
+    assert list(reports) == ["cold", "warm", "ssc", "chain"]
+    assert reports["warm"] == "-"
+    for group, fields in (("cold", SOLVE_FIELDS | {"verify"}),
+                          ("ssc", SSC_FIELDS),
+                          ("chain", SOLVE_FIELDS | SSC_FIELDS)):
+        report = reports[group]
+        if group != "ssc":
+            assert report.pop("counts") == "same"
+        assert set(report) == fields
+        assert set(report.values()) == {"="}
 
 
 def test_control_nudge_is_the_only_move(record):
     other = copy.deepcopy(record)
     other["cold"]["control"][3] += 1e-12
-    report = _report(point_hashes.compare(record, other))
-    assert report.pop("counts") == "same"
-    assert float(report.pop("control")) == pytest.approx(1e-12, rel=1e-3)
-    assert set(report.values()) == {"="}
+    reports = _reports(record, other)
+    cold = reports.pop("cold")
+    assert cold.pop("counts") == "same"
+    assert float(cold.pop("control")) == pytest.approx(1e-12, rel=1e-3)
+    assert set(cold.values()) == {"="}
+    assert reports.pop("warm") == "-"
+    for report in reports.values():
+        assert set(report.values()) <= {"same", "="}
+
+
+def test_warm_move_reads_in_its_own_group(record):
+    # a warm chain that moves while the cold and chain solves keep their
+    # bits: only the warm group reads the move, with its own counts
+    mine, other = copy.deepcopy(record), copy.deepcopy(record)
+    mine["warm"] = [copy.deepcopy(record["cold"]), "SolverError"]
+    other["warm"] = [copy.deepcopy(record["cold"]), "SolverError"]
+    other["warm"][0]["state"] = other["warm"][0]["state"] + 2e-9
+    other["warm"][0]["counts"] = (1, 0, 1)
+    reports = _reports(mine, other)
+    warm = reports.pop("warm")
+    want = "/".join(map(str, record["cold"]["counts"]))
+    assert warm.pop("counts") == \
+        f"{want} SolverError vs 1/0/1 SolverError"
+    assert float(warm.pop("state")) == pytest.approx(2e-9, rel=1e-6)
+    assert set(warm.values()) == {"="}
+    for report in reports.values():
+        assert set(report.values()) <= {"same", "="}
+    assert not point_hashes.against({"a.ini": mine}, {"a.ini": other})[1]
 
 
 def test_failed_solve_on_one_side_is_reported(record):
     other = copy.deepcopy(record)
     other["chain_cold"] = "SolverError"
-    report = _report(point_hashes.compare(record, other))
-    assert "SolverError" in report.pop("counts")
-    assert set(report.values()) == {"="}
+    reports = _reports(record, other)
+    chain = reports.pop("chain")
+    assert "SolverError" in chain.pop("counts")
     # with no pair of successful solves left, the solve fields read "-"
+    assert {chain.pop(key) for key in SOLVE_FIELDS} == {"-"}
+    assert set(chain.values()) == {"="}
+    assert set(reports["cold"].values()) == {"same", "="}
     other["cold"] = "PartitionError"
-    report = _report(point_hashes.compare(other, record))
+    report = _reports(other, record)["cold"]
     assert {report[key] for key in ("state", "residuals")} == {"-"}
     assert point_hashes.line(other).endswith("verify=eq")
 
@@ -82,7 +126,9 @@ def test_against_agrees_only_when_nothing_differs(record):
     # the exit status of ``--against``, decided on records in process
     lines, same = point_hashes.against({"a.ini": record}, {"a.ini": record})
     assert same and lines == [
-        f"a.ini {point_hashes.compare(record, record)}"]
+        f"a.ini {group} {text}" for group, text in
+        point_hashes.compare(record, record).items()]
+    assert lines[1] == "a.ini warm -"
     nudged = copy.deepcopy(record)
     nudged["chain_ssc"]["n_strong"] += 1
     failed = copy.deepcopy(record)
@@ -92,4 +138,4 @@ def test_against_agrees_only_when_nothing_differs(record):
                                         {"a.ini": other})[1]
     lines, same = point_hashes.against({"a.ini": record},
                                        {"a.ini": record, "b.ini": record})
-    assert not same and lines[1] == "b.ini only in the other tree"
+    assert not same and lines[-1] == "b.ini only in the other tree"

@@ -5,7 +5,9 @@ must pass untouched."""
 import numpy as np
 import pytest
 
-from ctrlstab import AdmissionError, parse_instance
+from ctrlstab import (AdmissionError, Discretization, ProblemSpec,
+                      make_disk_mesh, parse_instance)
+from ctrlstab.problem import check_operator
 
 from conftest import CONFIG_DIR, make_spec
 
@@ -63,6 +65,23 @@ def test_nan_samples_fail_their_gate(overrides, label):
         with pytest.raises(AdmissionError) as err:
             make_spec(**overrides).validate()
     assert err.value.label == label
+
+
+def test_operator_gate_refuses_a0_vanishing_at_every_quadrature_point(
+        monkeypatch):
+    # the gate that makes K SPD on every discretization, at the points the
+    # assembly integrates with, also past the sampled gates
+    ones, zeros = np.ones((4, 3)), np.zeros((4, 3))
+    with pytest.raises(AdmissionError) as err:
+        check_operator(ones, zeros, ones, zeros, 1.0, quadrature=True)
+    assert err.value.label == "a_0 != 0"
+    assert str(err.value).endswith("a_0 vanishes at every quadrature point")
+    check_operator(ones, zeros, ones, np.where(np.eye(4, 3), 1e-3, 0.0),
+                   1.0, quadrature=True)
+    monkeypatch.setattr(ProblemSpec, "validate", lambda self: None)
+    with pytest.raises(AdmissionError, match="quadrature point") as err:
+        Discretization(make_spec(a0="0"), make_disk_mesh(8, 0))
+    assert err.value.label == "a_0 != 0"
 
 
 @pytest.mark.parametrize("overrides,label", [
