@@ -280,7 +280,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ssc", help="second-order condition estimators")
     common(p, "directory for ssc.json", seed=True, quiet=False)
     p.add_argument("--samples", type=_sample_count, default=200,
-                   help="critical directions to sample (>= 100)")
+                   help="directions to sample where a constraint pair is "
+                        "weakly active (>= 100); elsewhere none is needed")
     p.set_defaults(func=cmd_ssc)
 
     p = sub.add_parser("sweep", help="parametric stability sweep")

@@ -7,13 +7,15 @@ nodal values of e_i.  First-order checks: equation residuals
 (max norms), the half-line projection identity for the control, and the
 dominance partition: which constraint is largest at each boundary node,
 and by how much at the closest node (the margin sigma1).  Second
-order: sampling of critical directions (projected boundary controls u with
-their linearized states T u) and two estimators for the minimum of the
-curvature form on the critical cone, one sampled, one via the reduced
-Hessian restricted to the strongly-active equality subspace, both on
-boundary-sized forms in the controls.  Where every boundary node is pinned,
-the admission gates show the pinned operator is SPD, so that subspace is
-{0}, and neither ``T`` nor the forms are built.
+order: two estimators for the minimum of the curvature form on the
+critical cone of controls u with linearized states T u, both on
+boundary-sized forms in the controls: the smallest reduced-Hessian
+eigenvalue on the strongly-active equality subspace, and the minimum of the
+curvature per unit size, exact by a one-parameter eigenvalue search where
+the cone is that subspace, and sampled from projected random directions
+where a weakly active pair makes it smaller.  Where every boundary node is
+pinned, the admission gates show the pinned operator is SPD, so that
+subspace is {0}, and neither ``T`` nor the forms are built.
 """
 
 from __future__ import annotations
@@ -242,6 +244,10 @@ _CONE_SWEEPS = 30
 #: 128 columns on the 64-node reference boundary, never fewer than one
 _BLOCK_FLOATS = 128 * 64
 
+#: eigen-solves of the exact search of :func:`_pencil_minimum` before
+#: ``check_ssc`` gives up on it and samples instead
+_BRACKET_MAX_SOLVES = 60
+
 
 def _curvature_operator(disc: Discretization, point: KktPoint) -> tuple:
     """The curvature form at ``point`` as two assembled matrices::
@@ -377,6 +383,7 @@ class _ConeGeometry(_ReducedForms):
         self.mult = point.multipliers
         self.mult_scale = float(np.max(self.mult, initial=0.0))
         self.strong = self.active & (self.mult > self.eps_act)
+        self.weak = self.active & ~self.strong
 
     @functools.cached_property
     def gy(self) -> np.ndarray:
@@ -452,7 +459,7 @@ class _ConeGeometry(_ReducedForms):
         """
         z = self.z_mat
         u = z @ (z.T @ seeds)
-        weak = (self.active & ~self.strong)[:, :, None]
+        weak = self.weak[:, :, None]
         if weak.any():
             gy = self.gy[:, :, None]
             live = np.arange(u.shape[1])
@@ -516,8 +523,6 @@ def _critical_blocks(cone: _ConeGeometry, n: int,
     width = max(1, _BLOCK_FLOATS // nb)
     for start in range(0, n, width):
         seeds = rng.standard_normal((min(width, n - start), nb)).T
-        if cone.z_mat.shape[1] == 0:  # the cone is {0}: only draw
-            continue
         u, size, ok = _finish_block(cone, seeds)
         retry = np.flatnonzero(~ok)
         if retry.size:
@@ -535,6 +540,81 @@ def _finish_block(cone: _ConeGeometry, seeds: np.ndarray) -> tuple:
     return u, size, ok & cone.admissible(u, size)
 
 
+def _pencil_minimum(h_z: np.ndarray, m_z: np.ndarray, n_z: np.ndarray):
+    """Minimum over coefficient vectors ``c`` of
+    ``v(c) = c^T h_z c / (|c|_m + |c|_n)^2``, with ``|c|_m^2 = c^T m_z c``
+    (``m_z`` SPD) and ``|c|_n^2 = c^T n_z c`` (``n_z`` PSD): ``(value, c)``,
+    or None when the search has not closed within ``_BRACKET_MAX_SOLVES``
+    eigen-solves.
+
+    For ``a, b >= 0``, ``(a + b)^2`` is the minimum over ``theta`` in
+    (0, 1) of ``a^2/theta + b^2/(1 - theta)``, taken at
+    ``theta = a/(a + b)``.  So the smallest eigenpair ``(mu, c)`` of the
+    pencil ``(h_z, m_z/theta + n_z/(1 - theta))`` has ``mu <= v(c)`` when
+    ``mu > 0``, and ``mu`` is a lower bound of the minimum; the two meet
+    where ``theta = a/(a + b)`` at ``c``, a stationary point of ``mu``.
+    Where positive, ``mu`` is quasi-concave in ``theta`` (the pencil's
+    metric is matrix-convex in it), so that point is its maximum and the
+    minimum of ``v``.  ``mu`` has the sign of the smallest eigenvalue of
+    ``h_z`` at every ``theta``; where negative, ``v(c) <= mu`` and both
+    are values of directions, so the result is attained, a stationary
+    value that the minimum can only undercut.
+
+    One generalized eigendecomposition, ``n_z W = m_z W diag(d)`` with
+    ``W^T m_z W = I``, makes each ``theta`` the standard problem
+    ``S (W^T h_z W) S``, ``S = diag((1/theta + d/(1 - theta))^-1/2)``: one
+    smallest eigenpair.  ``theta`` starts at 1/2 and takes the fixed-point
+    step ``theta <- a/(a + b)`` while that stays inside the bracket and the
+    bracket halves at least every second solve, and bisects otherwise.
+    ``a/(a + b) > theta`` says that ``mu`` moves away from zero to the
+    right, whatever its sign, so the bracket keeps the stationary point.
+    The search stops once ``|v(c) - mu| <= 1e-10 (1 + |mu|)`` and returns
+    the smaller of the two.
+    """
+    d, w = scipy.linalg.eigh(n_z, m_z)
+    d = np.maximum(d, 0.0)
+    h_w = w.T @ h_z @ w
+    lo, hi, theta = 0.0, 1.0, 0.5
+    widths = [1.0, 1.0]
+    for _ in range(_BRACKET_MAX_SOLVES):
+        s = (1.0 / theta + d / (1.0 - theta)) ** -0.5
+        mu, x = scipy.linalg.eigh(s[:, None] * h_w * s,
+                                  subset_by_index=[0, 0])
+        mu = float(mu[0])
+        c = s * x[:, 0]  # unit size in the pencil's metric: c^T h_w c = mu
+        a = float(np.linalg.norm(c))
+        b = math.sqrt(float(np.sum(d * c * c)))
+        v = mu / (a + b) ** 2
+        if abs(v - mu) <= 1e-10 * (1.0 + abs(mu)):
+            return min(v, mu), w @ c
+        t = a / (a + b)
+        if t > theta:
+            lo = theta
+        else:
+            hi = theta
+        widths.append(hi - lo)
+        halving = widths[-1] <= 0.5 * widths[-3]
+        theta = t if lo < t < hi and halving else 0.5 * (lo + hi)
+    return None
+
+
+def _exact_minimum(cone: _ConeGeometry, h_z: np.ndarray):
+    """Minimum of the sampled quantity ``u^T H u / size(u)^2`` over the
+    strong-equality subspace, by :func:`_pencil_minimum` in the coordinates
+    of ``z_mat`` (``h_z = Z^T H Z``), where its direction passes the cone
+    checks, so that the subspace's minimum is the cone's.  None where the
+    search does not close or the direction fails them (a point with a
+    multiplier off its strong pairs)."""
+    z = cone.z_mat
+    m_bb, tmt = cone.masses
+    found = _pencil_minimum(h_z, z.T @ m_bb @ z, z.T @ tmt @ z)
+    if found is None:
+        return None
+    value, c = found
+    u = z @ c[:, None]
+    return value if cone.admissible(u, cone.size(u))[0] else None
+
+
 def _safe(x):
     """JSON value of ``x``: ``None`` for a float NaN or infinity, else
     ``x``."""
@@ -545,14 +625,17 @@ def _safe(x):
 class SscReport:
     """Second-order check summary.
 
-    ``min_rayleigh``: smallest curvature value over the sampled unit
-    directions (inf when the cone is numerically trivial).
-    ``n_samples``: the number of accepted sampled directions, plus one for
-    the subspace eigen-direction when that direction is admissible.
-    ``subspace_min_eig``: smallest eigenvalue of the reduced Hessian on the
-    strongly-active equality subspace, in the metric
-    ``||u||^2 + ||y(u)||^2``.  ``positive`` holds when both estimators are
-    strictly positive.
+    ``min_rayleigh``: smallest curvature per unit size,
+    ``u^T H u / (||u|| + ||T u||)^2``, over the critical directions: exact
+    (the lower end of a closed bracket) where no constraint pair is weakly
+    active, else the sampled minimum; inf when the cone is numerically
+    trivial.  ``n_samples``: 1 on the exact path (its minimizing
+    direction); on the sampled path, the accepted sampled directions, plus
+    one for the subspace eigen-direction when that direction is
+    admissible; 0 on a trivial cone.  ``subspace_min_eig``: smallest
+    eigenvalue of the reduced Hessian on the strongly-active equality
+    subspace, in the metric ``||u||^2 + ||y(u)||^2``.  ``positive`` holds
+    when both estimators are strictly positive.
     """
 
     min_rayleigh: float
@@ -573,17 +656,25 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
               rng: np.random.Generator | None = None) -> SscReport:
     """Estimate the minimum of the curvature form over the critical cone.
 
-    Two estimators: the sampled minimum over ``n_samples`` projected random
-    directions (enriched with the subspace eigen-direction when that
-    direction is itself admissible), and the smallest reduced-Hessian
-    eigenvalue on the strongly-active equality subspace via a shifted
-    inverse power iteration.  A direction is in the cone when its
+    Two estimators, both on the strongly-active equality subspace ``Z``.
+    The subspace one is the smallest reduced-Hessian eigenvalue on ``Z``
+    via a shifted inverse power iteration.  The other is the minimum of the
+    curvature per unit size, ``u^T H u / (||u|| + ||T u||)^2``, over the
+    critical cone.  Where no constraint pair is weakly active the cone is
+    ``Z``, and that minimum is computed exactly by a one-parameter
+    eigenvalue search (:func:`_pencil_minimum`), with ``n_samples = 1``;
+    where the eigenvalue is positive, it lies between half of it and it.
+    Where a pair is weakly active, or the search does not close within
+    ``_BRACKET_MAX_SOLVES`` eigen-solves, or its direction fails the cone
+    checks, it is sampled instead: ``n_samples`` projected random
+    directions, enriched with the subspace eigen-direction when that
+    direction is itself admissible.  A direction is in the cone when its
     linearized constraints and complementarity defect stay within
     ``_CONE_TOL`` times its size.
 
-    Both read the boundary-sized forms of ``_ConeGeometry``: a unit
-    sample's value is ``u^T H u``, ``H = T^T A_y T + B_u`` (the integral of
-    :func:`quadratic_form` at ``(T u, u)``), and the subspace metric is
+    Both read the boundary-sized forms of ``_ConeGeometry``: a
+    direction's value is ``u^T H u``, ``H = T^T A_y T + B_u`` (the integral
+    of :func:`quadratic_form` at ``(T u, u)``), and the subspace metric is
     ``M_bb + T^T M T``.  ``T`` is built only where the strong-equality
     subspace needs it: at a point where every boundary node is strongly
     active, the strong constraints have a ``y``-derivative that folds to
@@ -596,12 +687,12 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     factorized; the anchor of ``c`` only preconditions conjugate
     gradients.
 
-    Samples run in blocks of controls, keeping only a running minimum and
-    a count; the draws from ``rng`` come in the same order as one seed per
-    sample, and are drawn even where the cone is {0}, so a seeded report
-    and the draws after it do not depend on the block width or on the
-    certificate.  Raises ``ValueError`` unless the point carries one
-    multiplier per constraint.
+    ``rng`` (default ``default_rng(0)``) is drawn from only where the
+    sampler runs: in blocks of controls, keeping only a running minimum
+    and a count, in the same order as one seed per sample, so a seeded
+    report does not depend on the block width.  On the exact path and on a
+    trivial cone it is left untouched.  Raises ``ValueError`` unless the
+    point carries one multiplier per constraint.
 
     The inverse iteration stops after 50 steps, converged or not.  On the
     ssc_sample benchmark instance (eigen-gap 7.2e-8) it returns
@@ -609,64 +700,68 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     It stays until a benchmark-only change regenerates
     ``perfbench/reference.json``, which pins the unconverged value.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     cone = _ConeGeometry(disc, point)
-    n_accepted = 0
-    min_rayleigh = math.inf
-    for u in _critical_blocks(cone, n_samples, rng):
-        if u.shape[1]:
-            n_accepted += u.shape[1]
-            min_rayleigh = min(min_rayleigh, float(np.min(cone.value(u))))
-
-    # reduced Hessian on the strongly-active equality subspace
     z_mat = cone.z_mat
     n_strong = int(np.sum(cone.strong))
-
     if z_mat.shape[1] == 0:
-        sub_min = math.inf
-    else:
-        a_red = z_mat.T @ cone.hess @ z_mat
-        b_red = z_mat.T @ np.add(*cone.masses) @ z_mat
-        a_red = 0.5 * (a_red + a_red.T)
-        b_red = 0.5 * (b_red + b_red.T)
-        chol_b = np.linalg.cholesky(b_red)
-        half = scipy.linalg.solve_triangular(chol_b, a_red, lower=True)
-        c_sym = scipy.linalg.solve_triangular(chol_b, half.T, lower=True).T
-        c_sym = 0.5 * (c_sym + c_sym.T)
+        return SscReport(min_rayleigh=math.inf, subspace_min_eig=math.inf,
+                         n_samples=0, n_strong=n_strong, positive=True)
 
-        nz = c_sym.shape[0]
-        # Gershgorin lower bound keeps the shift strictly below the smallest
-        # eigenvalue, so the iteration cannot lock onto an interior one.
-        shift = float(np.min(np.diag(c_sym)
-                             - (np.sum(np.abs(c_sym), axis=1)
-                                - np.abs(np.diag(c_sym))))) - 1.0
-        chol_s = scipy.linalg.cho_factor(
-            c_sym - shift * np.eye(nz), lower=True)
-        x = np.ones(nz)
-        x[int(np.argmin(np.diag(c_sym)))] += 1.0
+    # reduced Hessian on the strongly-active equality subspace
+    a_red = z_mat.T @ cone.hess @ z_mat
+    b_red = z_mat.T @ np.add(*cone.masses) @ z_mat
+    a_red = 0.5 * (a_red + a_red.T)
+    b_red = 0.5 * (b_red + b_red.T)
+    chol_b = np.linalg.cholesky(b_red)
+    half = scipy.linalg.solve_triangular(chol_b, a_red, lower=True)
+    c_sym = scipy.linalg.solve_triangular(chol_b, half.T, lower=True).T
+    c_sym = 0.5 * (c_sym + c_sym.T)
+
+    nz = c_sym.shape[0]
+    # Gershgorin lower bound keeps the shift strictly below the smallest
+    # eigenvalue, so the iteration cannot lock onto an interior one.
+    shift = float(np.min(np.diag(c_sym)
+                         - (np.sum(np.abs(c_sym), axis=1)
+                            - np.abs(np.diag(c_sym))))) - 1.0
+    chol_s = scipy.linalg.cho_factor(
+        c_sym - shift * np.eye(nz), lower=True)
+    x = np.ones(nz)
+    x[int(np.argmin(np.diag(c_sym)))] += 1.0
+    x /= np.linalg.norm(x)
+    rq = float(x @ c_sym @ x)
+    for it in range(50):
+        x = scipy.linalg.cho_solve(chol_s, x)
         x /= np.linalg.norm(x)
-        rq = float(x @ c_sym @ x)
-        for it in range(50):
-            x = scipy.linalg.cho_solve(chol_s, x)
-            x /= np.linalg.norm(x)
-            cx = c_sym @ x
-            rq = float(x @ cx)
-            res = float(np.linalg.norm(cx - rq * x))
-            if res <= 1e-13 * (1.0 + abs(rq)):
-                break
-            if it == 24:
-                # once aligned, move the shift to the certified interval edge
-                new_shift = rq - res - 1e-8 * (1.0 + abs(rq))
-                if new_shift > shift:
-                    try:
-                        chol_s = scipy.linalg.cho_factor(
-                            c_sym - new_shift * np.eye(nz), lower=True)
-                        shift = new_shift
-                    except np.linalg.LinAlgError:
-                        pass
-        sub_min = rq
+        cx = c_sym @ x
+        rq = float(x @ cx)
+        res = float(np.linalg.norm(cx - rq * x))
+        if res <= 1e-13 * (1.0 + abs(rq)):
+            break
+        if it == 24:
+            # once aligned, move the shift to the certified interval edge
+            new_shift = rq - res - 1e-8 * (1.0 + abs(rq))
+            if new_shift > shift:
+                try:
+                    chol_s = scipy.linalg.cho_factor(
+                        c_sym - new_shift * np.eye(nz), lower=True)
+                    shift = new_shift
+                except np.linalg.LinAlgError:
+                    pass
+    sub_min = rq
 
+    # no weak pair: the cone is the subspace, and its minimum is exact
+    min_rayleigh = None if cone.weak.any() else _exact_minimum(cone, a_red)
+    n_accepted = 1  # the exact minimum's direction
+    if min_rayleigh is None:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        n_accepted = 0
+        min_rayleigh = math.inf
+        for u in _critical_blocks(cone, n_samples, rng):
+            if u.shape[1]:
+                n_accepted += u.shape[1]
+                min_rayleigh = min(min_rayleigh,
+                                   float(np.min(cone.value(u))))
         # the eigen-direction is a legal sample whenever it lies in the cone
         u_eig = z_mat @ (scipy.linalg.solve_triangular(
             chol_b, x[:, None], lower=True, trans="T"))

@@ -9,9 +9,11 @@ direction-at-a-time critical cone sampler with a quadrature curvature form
 instead of the blocked sampler over the assembled curvature operator, a
 control-to-state map by dense elimination and a null space by
 ``scipy.linalg.null_space`` instead of the band solve and the pinned-point
-certificate, the plain damped projection iteration instead of the
-solver's with its Newton and pinned steps, and a cell-by-cell table of
-partition margins instead of one sort.
+certificate, a grid of full generalized eigenproblems for the critical-cone
+minimum instead of the bracketed search on one diagonalization, the plain
+damped projection iteration instead of the solver's with its Newton and
+pinned steps, and a cell-by-cell table of partition margins instead of one
+sort.
 
 The reduced cost and its adjoint-based gradient, the boundary pairing and
 the a-priori quotient are test references of another kind: they compose the
@@ -233,20 +235,27 @@ def quadrature_curvature(disc, point, y_dir, u_dir):
     return float(q_val)
 
 
+def dense_control_to_state(disc, y):
+    """The control-to-linearized-state map (V, Nb) at the state ``y``, by
+    Gaussian elimination on ``K + M[h_y]``."""
+    op = disc.form.stiffness.toarray() + disc.domain_mass_weighted(
+        disc.eval_dom(disc.problem.reaction_y, y=y)).toarray()
+    bv = disc.mesh.boundary_vertices
+    return dense_solve(op, disc.form.mass_boundary.toarray()[:, bv])
+
+
 def strong_equality_nullspace(disc, point):
     """Orthonormal basis (Nb, nz) of the strong-equality subspace at
     ``point``: the null space of the rows ``g_iy (T u)|_B + u`` at the
     strongly active pairs ``(i, j)``, ``T`` the dense control-to-state map
-    from Gaussian elimination on ``K + M[h_y]``, and activity read with the
+    of :func:`dense_control_to_state`, and activity read with the
     tolerances of ``check_ssc``."""
     p = disc.problem
     y = point.state.values
     lam = point.param.values
     u = point.control.values
     bv = disc.mesh.boundary_vertices
-    op = disc.form.stiffness.toarray() + disc.domain_mass_weighted(
-        disc.eval_dom(p.reaction_y, y=y)).toarray()
-    t_bnd = dense_solve(op, disc.form.mass_boundary.toarray()[:, bv])[bv]
+    t_bnd = dense_control_to_state(disc, y)[bv]
     eps = 1e-8 * (1.0 + float(np.max(np.abs(u))))
     rows = []
     for g, gy, e in zip(p.constraints, p.constraints_y, point.multipliers):
@@ -259,6 +268,53 @@ def strong_equality_nullspace(disc, point):
     if not rows:
         return np.eye(len(bv))
     return scipy.linalg.null_space(np.array(rows), rcond=1e-12)
+
+
+def subspace_minimum_grid(disc, point):
+    """Minimum of ``u^T H u / (||u|| + ||T u||)^2`` over the strong-equality
+    subspace at ``point``, and the generalized eigenvalues of
+    ``(H, M_bb + T^T M T)`` there, ascending: ``(minimum, eigenvalues)``.
+
+    ``Z`` from :func:`strong_equality_nullspace`, ``T`` from
+    :func:`dense_control_to_state`, and ``Z^T H Z`` by polarizing
+    :func:`quadrature_curvature` on the columns of ``Z``.  The minimum is
+    ``max`` (where the eigenvalues are positive; ``min`` where negative)
+    over ``theta`` of the smallest eigenvalue of the full pencil
+    ``(Z^T H Z, Z^T (M_bb/theta + T^T M T/(1 - theta)) Z)``: on 199 equally
+    spaced interior points, then on 21 points across the two grid steps
+    around the best one, again and again until the step is below 1e-12.
+    """
+    z = strong_equality_nullspace(disc, point)
+    y_basis = dense_control_to_state(disc, point.state.values) @ z
+    nz = z.shape[1]
+
+    def q(c):
+        return quadrature_curvature(disc, point, y_basis @ c, z @ c)
+
+    eye = np.eye(nz)
+    diag = [q(e) for e in eye]
+    h = np.array([[0.5 * (q(eye[i] + eye[j]) - diag[i] - diag[j])
+                   for j in range(nz)] for i in range(nz)])
+    m = z.T @ (disc.form.mass_boundary_bb @ z)
+    n = y_basis.T @ (disc.form.mass_domain @ y_basis)
+    eigenvalues = scipy.linalg.eigh(h, m + n, eigvals_only=True)
+    pick = np.argmax if eigenvalues[0] > 0.0 else np.argmin
+
+    def mu(theta):
+        return scipy.linalg.eigh(h, m / theta + n / (1.0 - theta),
+                                 eigvals_only=True,
+                                 subset_by_index=[0, 0])[0]
+
+    grid = np.linspace(0.0, 1.0, 201)[1:-1]
+    step = grid[1] - grid[0]
+    while True:
+        values = np.array([mu(t) for t in grid])
+        best = int(pick(values))
+        if step < 1e-12:
+            return float(values[best]), eigenvalues
+        grid = np.linspace(max(grid[best] - step, 1e-13),
+                           min(grid[best] + step, 1.0 - 1e-13), 21)
+        step = grid[1] - grid[0]
 
 
 def project_one(cone, u):

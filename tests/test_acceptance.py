@@ -170,6 +170,16 @@ def _curvature_estimates(mesh, c):
 
 
 def test_criterion_5_curvature_sign_threshold_agreement():
+    """Bisect, for each estimator, the weight ``c`` at which its sign
+    flips, and ask the two thresholds to agree within 10 %.
+
+    No constraint is active at the probe point, so ``min_rayleigh`` is the
+    exact minimum over the whole control space, and its sign is that of
+    the smallest reduced-Hessian eigenvalue: the two thresholds are one
+    number in exact arithmetic.  The criterion compares the bracketed
+    pencil search with the inverse iteration of ``subspace_min_eig``, two
+    computations of that sign, not a sampled estimate with an exact one.
+    """
     t0 = time.perf_counter()
     mesh = make_disk_mesh(12, 0)
     lo, hi = 0.25, 2.0

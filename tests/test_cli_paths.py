@@ -54,7 +54,8 @@ def test_verify_of_an_unreadable_point_exits_2(tmp_path, capsys):
 
 
 def test_ssc_seed_is_the_rng_seed(tmp_path, capsys, monkeypatch):
-    # a mixed active set, so that check_ssc draws samples from the rng
+    # check_ssc is handed the generator seeded with --seed; on this mixed
+    # active set it draws nothing (no pair is weakly active)
     path = write_ini(tmp_path / "inst.ini", constraints=MIXED)
     states = []
 

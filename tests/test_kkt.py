@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
                       FeFunction, KktPoint, NotSpdError, ProblemSpec,
@@ -15,15 +16,17 @@ from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
                       parse_instance, partition_at, projection_identity_gap,
                       quadratic_form, recover_multipliers, solve_kkt)
 from ctrlstab import kkt
-from ctrlstab.kkt import (_BLOCK_FLOATS, _ConeGeometry, _critical_blocks,
-                          check_beta_floor, constraint_values, residuals)
+from ctrlstab.kkt import (_BLOCK_FLOATS, _BRACKET_MAX_SOLVES, _ConeGeometry,
+                          _critical_blocks, check_beta_floor,
+                          constraint_values, residuals)
 from ctrlstab.pde import linearized_operator
 from ctrlstab.solver import SolveOptions, objective_value
 
 import oracles
 from conftest import CONFIG_DIR, make_spec
 from oracles import (partition_margin, project_one, quadrature_curvature,
-                     sample_directions_one_by_one, strong_equality_nullspace)
+                     sample_directions_one_by_one, strong_equality_nullspace,
+                     subspace_minimum_grid)
 
 
 def _zero_point(disc, m=None):
@@ -627,23 +630,6 @@ def test_pinned_check_evaluates_no_constraint_derivative(cubic_pinned,
     assert not any(e is gy for e in seen for gy in spec.constraints_y)
 
 
-def test_pinned_check_draws_every_seed_block(cubic_pinned, monkeypatch):
-    # the cone is {0}, yet the seeds are drawn, so the draws after the
-    # check (run_sweep's, the CLI's) do not depend on the certificate
-    spec, mesh, point = cubic_pinned
-    monkeypatch.setattr(kkt, "linearized_operator", _no_map)
-    nb = mesh.n_boundary
-    n = 300
-    width = max(1, _BLOCK_FLOATS // nb)
-    assert n > width and n % width
-    rng = np.random.default_rng(11)
-    check_ssc(Discretization(spec, mesh), point, n_samples=n, rng=rng)
-    ref = np.random.default_rng(11)
-    for start in range(0, n, width):
-        ref.standard_normal((min(width, n - start), nb))
-    assert rng.standard_normal() == ref.standard_normal()
-
-
 def _unvalidated_disc(monkeypatch, **overrides):
     # dg/dy < 0 or dh/dy < 0 fails the (H4) gates; these points are built
     # to reach the fallbacks of the certificate past them
@@ -737,13 +723,17 @@ def test_check_ssc_deterministic_with_seed(mixed_active_solved):
     assert a.n_samples == b.n_samples
 
 
-def test_check_ssc_flags_concave_objective():
-    # flip the domain objective sign: the curvature form goes negative and
-    # both estimators must see it
+def _concave_point():
+    # flip the domain objective sign: the curvature form goes negative
     spec = make_spec(obj_domain="-2*y^2", alpha="0",
                      constraints=("-1", "-2"))
     disc = Discretization(spec, make_disk_mesh(16, 0))
-    point = _zero_point(disc)
+    return disc, _zero_point(disc)
+
+
+def test_check_ssc_flags_concave_objective():
+    # both estimators must see the negative curvature
+    disc, point = _concave_point()
     assert residuals(disc, point).worst == 0.0
     rep = check_ssc(disc, point, n_samples=120,
                     rng=np.random.default_rng(8))
@@ -760,6 +750,18 @@ def _double_well_point():
     point = _zero_point(disc)
     assert residuals(disc, point).worst == 0.0
     return disc, point
+
+
+def _near_degenerate_double_well():
+    # the ssc_sample double well on 16 nodes: no constraint is active, and
+    # the two smallest curvature eigenvalues nearly coincide
+    spec = make_spec(obj_domain="-2*(y + 0.5)^2 + 0.5*(y + 0.5)^4",
+                     alpha="2*lam", param_ref="0.6",
+                     constraints=("y - 50", "y - 52"))
+    disc = Discretization(spec, make_disk_mesh(16, 0))
+    rep = solve_kkt(disc, disc.param_reference(),
+                    options=SolveOptions(tol=1e-10))
+    return disc, rep.point
 
 
 def _weakly_active_point(mixed_active_solved):
@@ -796,16 +798,21 @@ def test_block_sampler_matches_one_by_one_reference(case,
         assert np.allclose(y, y_ref, rtol=0.0, atol=1e-12)
         assert np.allclose(u, u_ref, rtol=0.0, atol=1e-12)
 
+    rep = check_ssc(disc, point, n_samples=n, rng=np.random.default_rng(4))
+    if case != "weakly_active":
+        # no weak pair: the cone is the strong-equality subspace, and
+        # check_ssc takes its exact minimum instead of sampling
+        assert rep.n_samples == 1
+        assert rep.min_rayleigh <= min(ref_values)
+        return
     # the eigen-direction alone: what check_ssc adds to the samples
     eig = check_ssc(disc, point, n_samples=0)
-    rep = check_ssc(disc, point, n_samples=n, rng=np.random.default_rng(4))
     assert rep.n_samples == len(ref) + eig.n_samples
     expected = min(min(ref_values), eig.min_rayleigh)
     assert abs(rep.min_rayleigh - expected) <= 1e-12 * abs(expected)
-    if case == "weakly_active":
-        # the eigen-direction is not admissible here, so the minimum is
-        # the sampled one
-        assert eig.n_samples == 0
+    # the eigen-direction is not admissible here, so the minimum is the
+    # sampled one
+    assert eig.n_samples == 0
 
 
 def test_flipped_seed_retry_matches_one_by_one_reference(mixed_active_solved,
@@ -857,9 +864,138 @@ def test_flipped_seed_retry_matches_one_by_one_reference(mixed_active_solved,
     after.standard_normal((n, nb))
     assert rng.standard_normal() == after.standard_normal()
 
-    eig = check_ssc(disc, point, n_samples=0)
+    # no weak pair: check_ssc's minimum undercuts every sample
     rep = check_ssc(disc, point, n_samples=n, rng=np.random.default_rng(4))
-    assert rep.n_samples == len(ref) + eig.n_samples
+    assert rep.min_rayleigh <= min(quadrature_curvature(disc, point, y, u)
+                                   for y, u in ref)
+
+
+@pytest.mark.parametrize("case", ["near_degenerate", "mixed_active",
+                                  "concave"])
+def test_exact_minimum_matches_dense_oracle(case, mixed_active_solved):
+    if case == "near_degenerate":
+        disc, point = _near_degenerate_double_well()
+    elif case == "mixed_active":
+        disc, point = mixed_active_solved[0], mixed_active_solved[1].point
+    else:
+        disc, point = _concave_point()
+    rep = check_ssc(disc, point, n_samples=100, rng=np.random.default_rng(3))
+    value, eigenvalues = subspace_minimum_grid(disc, point)
+    assert rep.n_samples == 1
+    assert rep.positive == (case != "concave")
+    assert abs(rep.min_rayleigh - value) <= 1e-9 * (1.0 + abs(value))
+    lam = eigenvalues[0]
+    if lam > 0.0:
+        # the lower end of the bracket: never above the grid's maximum
+        assert rep.min_rayleigh <= value + 1e-12 * value
+    if case == "near_degenerate":
+        assert eigenvalues[1] - lam < 1e-3 * lam
+    # no direction of the cone goes below the minimum
+    ref = sample_directions_one_by_one(_ConeGeometry(disc, point), 200,
+                                       np.random.default_rng(5))
+    assert len(ref) == 200
+    assert min(quadrature_curvature(disc, point, y, u)
+               for y, u in ref) >= value
+    # a^2 + b^2 <= (a + b)^2 <= 2 (a^2 + b^2) puts the minimum between the
+    # subspace eigenvalue lam and lam/2: the benchmark's gate
+    assert min(lam, 0.5 * lam) <= rep.min_rayleigh <= max(lam, 0.5 * lam)
+
+
+@pytest.mark.parametrize("case", ["pinned", "subspace", "weakly_active"])
+def test_check_ssc_draws_only_where_it_samples(case, cubic_pinned,
+                                               mixed_active_solved):
+    # the {0} cone and the exact subspace minimum leave the generator as it
+    # was; a weak pair samples, and draws n seeds in blocks
+    if case == "pinned":
+        spec, mesh, point = cubic_pinned
+        disc = Discretization(spec, mesh)
+    elif case == "subspace":
+        disc, point = mixed_active_solved[0], mixed_active_solved[1].point
+    else:
+        disc, point = _weakly_active_point(mixed_active_solved)
+    nb = disc.mesh.n_boundary
+    n = 300
+    width = max(1, _BLOCK_FLOATS // nb)
+    assert n > width and n % width
+    rng = np.random.default_rng(11)
+    rep = check_ssc(disc, point, n_samples=n, rng=rng)
+    ref = np.random.default_rng(11)
+    if case == "weakly_active":
+        ref.standard_normal((n, nb))
+    else:
+        assert rep.n_samples == (case == "subspace")
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_unclosed_bracket_falls_back_to_the_sampler(mixed_active_solved,
+                                                    monkeypatch):
+    # with no eigen-solve allowed the search never closes, and check_ssc
+    # samples as at a weak pair: the one-by-one reference plus the
+    # eigen-direction, n seeds drawn
+    disc, point = mixed_active_solved[0], mixed_active_solved[1].point
+    exact = check_ssc(disc, point, n_samples=0)
+    monkeypatch.setattr(kkt, "_BRACKET_MAX_SOLVES", 0)
+    n = 300
+    nb = disc.mesh.n_boundary
+    ref = sample_directions_one_by_one(_ConeGeometry(disc, point), n,
+                                       np.random.default_rng(4))
+    ref_values = [quadrature_curvature(disc, point, y, u) for y, u in ref]
+    eig = check_ssc(disc, point, n_samples=0)
+    rng = np.random.default_rng(4)
+    rep = check_ssc(disc, point, n_samples=n, rng=rng)
+    assert exact.n_samples == eig.n_samples == 1
+    assert rep.n_samples == len(ref) + 1
+    expected = min(min(ref_values), eig.min_rayleigh)
+    assert abs(rep.min_rayleigh - expected) <= 1e-12 * abs(expected)
+    assert exact.min_rayleigh < rep.min_rayleigh
+    assert rep.subspace_min_eig == exact.subspace_min_eig
+    after = np.random.default_rng(4)
+    after.standard_normal((n, nb))
+    assert rng.standard_normal() == after.standard_normal()
+
+
+def test_exact_direction_outside_the_cone_falls_back(monkeypatch):
+    # a unit multiplier on an inactive constraint (not a KKT point): no
+    # pair is weak, but the complementarity check refuses every direction
+    # with u != 0, the exact minimizer's too, so check_ssc samples, and
+    # every sample is refused as well
+    disc, point = _concave_point()
+    nb = disc.mesh.n_boundary
+    point = replace(point, multipliers=np.stack([np.ones(nb),
+                                                 np.zeros(nb)]))
+    cone = _ConeGeometry(disc, point)
+    assert not cone.weak.any() and not cone.strong.any()
+    rng = np.random.default_rng(2)
+    rep = check_ssc(disc, point, n_samples=100, rng=rng)
+    assert rep.n_samples == 0 and rep.min_rayleigh == math.inf
+    after = np.random.default_rng(2)
+    after.standard_normal((100, nb))
+    assert rng.standard_normal() == after.standard_normal()
+
+
+def _counting(calls: list, function):
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+    return counted
+
+
+def test_bracket_search_stops_at_its_budget(monkeypatch):
+    # the near-degenerate double well takes more than three eigen-solves;
+    # allowed three, the search stops after them and the sampler takes over
+    disc, point = _near_degenerate_double_well()
+    eighs = []
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        _counting(eighs, scipy.linalg.eigh))
+    full = check_ssc(disc, point, n_samples=50)
+    assert full.n_samples == 1
+    assert 1 + 3 < len(eighs) <= 1 + _BRACKET_MAX_SOLVES
+    monkeypatch.setattr(kkt, "_BRACKET_MAX_SOLVES", 3)
+    eighs.clear()
+    rep = check_ssc(disc, point, n_samples=50)
+    assert len(eighs) == 1 + 3  # the diagonalization and three solves
+    assert rep.n_samples == 50 + 1
+    assert full.min_rayleigh < rep.min_rayleigh
 
 
 def test_quadratic_form_equals_quadrature_sum(cubic_solved,
@@ -894,31 +1030,36 @@ def test_block_projection_matches_per_vector_weak_path(mixed_active_solved):
 
 def test_check_ssc_cost_does_not_grow_with_samples(mixed_active_solved,
                                                    monkeypatch):
-    disc, solved = mixed_active_solved
-    calls = []
+    # evaluations and eigen-solves do not depend on n_samples, on the exact
+    # path or the sampled one, nor does peak memory past one block
+    exact = mixed_active_solved[0], mixed_active_solved[1].point
+    sampled = _weakly_active_point(mixed_active_solved)
+    disc = exact[0]
+    calls, eighs = [], []
     for name in ("eval_dom", "eval_bnd"):
-        original = getattr(Discretization, name)
+        monkeypatch.setattr(Discretization, name,
+                            _counting(calls, getattr(Discretization, name)))
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        _counting(eighs, scipy.linalg.eigh))
 
-        def counting(self, *args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(Discretization, name, counting)
-
-    def evaluations(n):
+    def cost(case, n):
         calls.clear()
-        check_ssc(disc, solved.point, n_samples=n,
-                  rng=np.random.default_rng(1))
-        return len(calls)
+        eighs.clear()
+        check_ssc(*case, n_samples=n, rng=np.random.default_rng(1))
+        return len(calls), len(eighs)
 
-    assert evaluations(50) == evaluations(500) > 0
+    for case in (exact, sampled):
+        assert cost(case, 50) == cost(case, 500)
+        assert cost(case, 50)[0] > 0
+    # one diagonalization, then at most the bracket's budget of solves
+    assert 1 < cost(exact, 50)[1] <= 1 + _BRACKET_MAX_SOLVES
+    assert cost(sampled, 50)[1] == 0
     monkeypatch.undo()
 
-    def peak(n):
+    def peak(case, n):
         tracemalloc.start()
         try:
-            check_ssc(disc, solved.point, n_samples=n,
-                      rng=np.random.default_rng(1))
+            check_ssc(*case, n_samples=n, rng=np.random.default_rng(1))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -927,7 +1068,8 @@ def test_check_ssc_cost_does_not_grow_with_samples(mixed_active_solved,
     width = max(1, _BLOCK_FLOATS // nb)
     block_bytes = 8 * width * nb
     assert 5000 > 500 > width
-    assert peak(5000) <= peak(500) + block_bytes
+    for case in (exact, sampled):
+        assert peak(case, 5000) <= peak(case, 500) + block_bytes
 
 
 @pytest.mark.parametrize("case", ["mixed_active", "double_well",
