@@ -365,20 +365,44 @@ class _Pattern:
     Built once from the node lists ``cells`` (C, k) of an (n, n) matrix:
     entry (t, a, b) of the element matrices has the scalar key
     ``cells[t, a] n + cells[t, b]``, and the sorted distinct keys are the
-    pattern's entries in CSR order.  :meth:`sum` adds element matrices
-    into the pattern's data with one ``bincount``, which sums the
-    duplicates of an entry in element order.
+    pattern's entries in CSR order.  One argsort of the ``C k k`` keys
+    gives them: ``keys`` (nnz,), ``pos`` (C k k,), the entry of each
+    element-matrix entry, the CSR ``indices`` and ``indptr``, and
+    ``mirror`` (nnz,), the entry of each entry's transpose, which is the
+    entry of (t, b, a).  These are the arrays ``np.unique(keys,
+    return_inverse=True)`` and a ``searchsorted`` of the transposed keys
+    would give.  :meth:`sum` adds element matrices into the pattern's data
+    with one ``bincount``, which sums the duplicates of an entry in element
+    order.
     """
 
     def __init__(self, cells: np.ndarray, n: int):
         c = cells.astype(np.int64)
-        self.keys, self.pos = np.unique(
-            (c[:, :, None] * n + c[:, None, :]).ravel(), return_inverse=True)
+        k = c.shape[1]
+        key = (c[:, :, None] * n + c[:, None, :]).ravel()
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        # the first of each run of equal keys starts an entry
+        first = np.empty(len(key), dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        self.keys = ordered[np.flatnonzero(first)]
+        # the entry of each sorted key goes into the buffer of the sorted
+        # keys, and the entry of each transposed element entry into that of
+        # the keys, so that no more arrays of C k k entries are allocated
+        entry = np.cumsum(first, out=ordered)
+        entry -= 1
+        self.pos = np.empty(len(key), dtype=np.intp)
+        self.pos[order] = entry
         self.indices = (self.keys % n).astype(np.int32)
         self.indptr = np.searchsorted(self.keys,
                                       np.arange(n + 1) * n).astype(np.int32)
         self.shape = (n, n)
         self.nnz = len(self.keys)
+        key.reshape(-1, k, k)[...] = \
+            self.pos.reshape(-1, k, k).transpose(0, 2, 1)
+        self.mirror = np.empty(self.nnz, dtype=np.intp)
+        self.mirror[self.pos] = key
 
     def sum(self, elem: np.ndarray) -> np.ndarray:
         """Sum element matrices ``elem``, (C, k, k) or (C, k k), into values
@@ -408,6 +432,24 @@ class EllipticForm:
     mass_domain: sp.csr_matrix     # (V, V)
     mass_boundary: sp.csr_matrix   # (V, V), nonzeros on boundary blocks
     mass_boundary_bb: sp.csr_matrix  # (Nb, Nb), boundary numbering
+
+
+def _stiffness_elements(i11, i12, i22, grads) -> np.ndarray:
+    """Diffusion element matrices (T, 3, 3) from the integrated
+    coefficients ``i11``, ``i12``, ``i22`` (T,) and the P1 gradients
+    ``grads`` (T, 3, 2): entry (t, a, b) is the sum, in this order, of
+    ``(i11 gx_a) gx_b``, ``(i12 gx_a) gy_b``, ``(i12 gy_a) gx_b`` and
+    ``(i22 gy_a) gy_b``, each product rounded left to right, as
+    ``einsum("t,ta,tb->tab", ...)`` rounds it.  The products run with the
+    triangles last, so that every loop is T long."""
+    gx, gy = np.ascontiguousarray(grads.transpose(2, 1, 0))  # (3, T) each
+    elem = np.empty((3, 3, len(grads)))
+    term = np.empty_like(elem)
+    np.multiply((i11 * gx)[:, None], gx, out=elem)
+    for coef, ga, gb in ((i12, gx, gy), (i12, gy, gx), (i22, gy, gy)):
+        np.multiply((coef * ga)[:, None], gb, out=term)
+        elem += term
+    return elem.transpose(2, 0, 1)
 
 
 class Discretization:
@@ -551,25 +593,15 @@ class Discretization:
 
         check_operator(a11, a12, a22, a0, self.problem.c0, quadrature=True)
 
-        i11 = np.sum(t.qw_dom * a11, axis=1)
-        i12 = np.sum(t.qw_dom * a12, axis=1)
-        i22 = np.sum(t.qw_dom * a22, axis=1)
-        gx = t.grads[:, :, 0]
-        gy = t.grads[:, :, 1]
-        elem = (np.einsum("t,ta,tb->tab", i11, gx, gx)
-                + np.einsum("t,ta,tb->tab", i12, gx, gy)
-                + np.einsum("t,ta,tb->tab", i12, gy, gx)
-                + np.einsum("t,ta,tb->tab", i22, gy, gy))
+        elem = _stiffness_elements(np.sum(t.qw_dom * a11, axis=1),
+                                   np.sum(t.qw_dom * a12, axis=1),
+                                   np.sum(t.qw_dom * a22, axis=1), t.grads)
         elem = elem.reshape(-1, 9) + (t.qw_dom * a0) @ _TRI_PRODUCTS
         # the summation order perturbs symmetry at machine level; the
-        # average 0.5 (S + S^T) is symmetric bit for bit.  The triangle
-        # pattern is symmetric, and the key of an entry's mirror swaps its
-        # row and column
+        # average 0.5 (S + S^T) is symmetric bit for bit
         pat = t.tri_pattern
-        n = pat.shape[0]
         s = pat.sum(elem)
-        mirror = np.searchsorted(pat.keys, pat.keys % n * n + pat.keys // n)
-        stiffness = pat.matrix(0.5 * (s + s[mirror]))
+        stiffness = pat.matrix(0.5 * (s + s[pat.mirror]))
 
         unit = np.ones_like(t.qw_bnd)
         return EllipticForm(

@@ -72,10 +72,20 @@ class Mesh:
         return len(self.triangles)
 
     def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        """Signed triangle areas (T,), positive for counterclockwise
+        triangles.
+
+        Computed on first use and kept on the mesh as a read-only array;
+        ``make_disk_mesh`` keeps the areas of its orientation pass, which
+        are the same bits."""
+        areas = vars(self).get("_areas")
+        if areas is None:
+            p = self.vertices[self.triangles]
+            d1 = p[:, 1] - p[:, 0]
+            d2 = p[:, 2] - p[:, 0]
+            areas = _keep_areas(
+                self, 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
+        return areas
 
     def edge_lengths(self) -> np.ndarray:
         p = self.vertices[self.boundary_edges]
@@ -108,32 +118,27 @@ def make_disk_mesh(n_boundary: int, refinement: int = 0) -> Mesh:
     n = int(n_boundary) << int(refinement)
 
     rings = max(1, round(n / (2.0 * math.pi)))
-    points = [np.zeros((1, 2))]
-    # per ring: first vertex index, point count, twice the offset in steps
-    layout = [(0, 1, 0)]
-    for k in range(1, rings + 1):
-        if k == rings:
-            count, twice_offset = n, 0
-        else:
-            count = max(6, round(n * k / rings))
-            twice_offset = (rings - k) % 2
-        theta = 2.0 * math.pi * (np.arange(count) + 0.5 * twice_offset) / count
-        radius = k / rings
-        layout.append((layout[-1][0] + layout[-1][1], count, twice_offset))
-        points.append(radius * np.column_stack([np.cos(theta), np.sin(theta)]))
-    vertices = np.vstack(points)
+    # per ring, innermost first: its point count and twice its offset in
+    # steps; the outermost ring is the boundary
+    count = np.array([max(6, round(n * k / rings))
+                      for k in range(1, rings + 1)])
+    twice = (rings - np.arange(1, rings + 1)) % 2
+    # per vertex after the center: its ring (0-based) and its index there;
+    # the vertices of ring r start at first[r]
+    ring = np.repeat(np.arange(rings), count)
+    first = np.cumsum(count) - count + 1
+    local = np.arange(1, len(ring) + 1) - first[ring]
+    theta = 2.0 * math.pi * (local + 0.5 * twice[ring]) / count[ring]
+    radius = (ring + 1) / rings
+    vertices = np.vstack([np.zeros((1, 2)), radius[:, None] * np.column_stack(
+        [np.cos(theta), np.sin(theta)])])
     n_vert = len(vertices)
     boundary = np.arange(n_vert - n, n_vert)
+    triangles = _ring_triangles(count, twice, ring, local, first)
 
-    first, count, _ = layout[1]
-    ring1 = first + np.arange(count)
-    triangles = [np.column_stack([np.zeros(count, dtype=int), ring1,
-                                  np.roll(ring1, -1)])]
-    for inner, outer in zip(layout[1:], layout[2:]):
-        triangles.extend(_merge_rings(inner, outer))
-    triangles = np.vstack(triangles)
-
-    # orient counterclockwise
+    # orient counterclockwise.  Twice the signed area, by the formula of
+    # Mesh.triangle_areas: swapping two vertices negates it exactly, so
+    # half its magnitude is the oriented triangle's area bit for bit
     p = vertices[triangles]
     area2 = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
              - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
@@ -142,8 +147,6 @@ def make_disk_mesh(n_boundary: int, refinement: int = 0) -> Mesh:
     area2 = np.abs(area2)
     if np.any(area2 <= 1e-14):
         raise MeshError("degenerate triangle in the ring merge")
-    if len(np.unique(triangles)) != n_vert:
-        raise MeshError("triangulation dropped a vertex")
 
     edges = np.column_stack([boundary, np.roll(boundary, -1)])
 
@@ -152,38 +155,88 @@ def make_disk_mesh(n_boundary: int, refinement: int = 0) -> Mesh:
     mesh = Mesh(vertices=vertices, triangles=triangles,
                 boundary_vertices=boundary, boundary_edges=edges,
                 boundary_s=s)
+    _keep_areas(mesh, 0.5 * area2)
     _validate(mesh)
     return mesh
 
 
-def _merge_rings(inner, outer):
-    """Triangles between two adjacent rings, each given as (first vertex
-    index, point count, twice the offset in steps).
+def _keep_areas(mesh: Mesh, areas: np.ndarray) -> np.ndarray:
+    """Keep ``areas`` on ``mesh`` as its read-only triangle areas."""
+    areas.flags.writeable = False
+    object.__setattr__(mesh, "_areas", areas)
+    return areas
 
-    Edge ``i`` of ``a`` points has its midpoint at key ``(2i + 2o + 1) b``
-    in units of ``1/(2ab)`` of a turn, so the keys of both rings lie in
-    ``(0, 2ab]`` in edge order.  Vertex 0 of either ring is the one reached
-    just after angle 0, and each merged edge advances its ring by one
-    vertex: an inner edge faces the outer vertex numbered by the outer edges
-    with smaller keys, and an outer edge the inner vertex numbered by the
-    inner edges with smaller or equal keys (the inner edge goes first).
+
+def _ring_triangles(count, twice, ring, local, first) -> np.ndarray:
+    """The triangles of the fan and of every pair of adjacent rings, given
+    per ring its point count, twice its offset in steps and its first
+    vertex, and per vertex after the center its ring and its index there.
+
+    The fan comes first, then each ring pair in order: the triangles of the
+    inner ring's edges, then those of the outer ring's.  Edge ``i`` of a
+    ring of ``a`` points merged with a ring of ``b`` has its midpoint at
+    key ``(2i + 2o + 1) b`` in units of ``1/(2ab)`` of a turn, so the keys
+    of both rings lie in ``(0, 2ab]`` in edge order; each pair's keys are
+    shifted past those of the pairs before it, so that one ``searchsorted``
+    merges every pair.  Vertex 0 of either ring is the one reached just
+    after angle 0, and each merged edge advances its ring by one vertex: an
+    inner edge faces the outer vertex numbered by the outer edges with
+    smaller keys, and an outer edge the inner vertex numbered by the inner
+    edges with smaller or equal keys (the inner edge goes first).
     """
-    (ia, a, oa), (ib, b, ob) = inner, outer
-    ea, eb = np.arange(a), np.arange(b)
-    ka, kb = (2 * ea + oa + 1) * b, (2 * eb + ob + 1) * a
-    facing_a = np.searchsorted(kb, ka, side="left") % b
-    facing_b = np.searchsorted(ka, kb, side="right") % a
-    return (np.column_stack([ia + ea, ia + (ea + 1) % a, ib + facing_a]),
-            np.column_stack([ib + eb, ib + (eb + 1) % b, ia + facing_b]))
+    fan = first[0] + np.arange(count[0])
+    a, b = count[:-1], count[1:]
+    shift = np.cumsum(2 * a * b) - 2 * a * b
+    # the edges of rings 1 .. rings-1 as inner edges, and of rings
+    # 2 .. rings as outer edges; edge i of a ring starts at its vertex i
+    r_in, e_in = ring[:len(ring) - count[-1]], local[:len(ring) - count[-1]]
+    r_out, e_out = ring[count[0]:] - 1, local[count[0]:]
+    key_in = (2 * e_in + twice[r_in] + 1) * b[r_in] + shift[r_in]
+    key_out = (2 * e_out + twice[r_out + 1] + 1) * a[r_out] + shift[r_out]
+    # the vertex numbered by the other ring's edges, wrapped into its ring
+    f_in, f_out = first[r_in + 1], first[r_out]
+    facing_in = f_in + (count[0] + 1 + np.searchsorted(
+        key_out, key_in, side="left") - f_in) % b[r_in]
+    facing_out = f_out + (1 + np.searchsorted(
+        key_in, key_out, side="right") - f_out) % a[r_out]
+
+    # pair r's triangles start after the fan and the pairs before it
+    start = count[0] + np.cumsum(a + b) - (a + b)
+    tris = np.empty((count[0] + len(r_in) + len(r_out), 3), dtype=int)
+    tris[:count[0]] = np.column_stack([np.zeros_like(fan), fan,
+                                       np.roll(fan, -1)])
+    tris[start[r_in] + e_in] = np.column_stack([
+        first[r_in] + e_in, first[r_in] + (e_in + 1) % a[r_in], facing_in])
+    tris[start[r_out] + a[r_out] + e_out] = np.column_stack([
+        first[r_out + 1] + e_out,
+        first[r_out + 1] + (e_out + 1) % b[r_out], facing_out])
+    return tris
+
+
+def _edge_keys(triangles: np.ndarray, n_vertices: int) -> np.ndarray:
+    """The key ``a V + b`` of the edge of nodes ``a < b`` on each side of
+    each triangle, (T, 3) int64: side ``i`` joins corners ``i`` and
+    ``i + 1`` (mod 3)."""
+    tris = triangles.astype(np.int64)
+    ends = tris[:, [1, 2, 0]]
+    return np.minimum(tris, ends) * n_vertices + np.maximum(tris, ends)
 
 
 def _validate(mesh: Mesh) -> None:
-    # Euler characteristic of a disk: V - E + T = 1; the edge of nodes
-    # a < b has the key a V + b
+    """Raise ``MeshError`` unless ``mesh`` is a P1 triangulation of the
+    disk with its declared boundary: every vertex lies on a triangle,
+    ``V - E + T = 1``, the edges of exactly one triangle are the declared
+    boundary cycle, the boundary vertices lie on the unit circle and every
+    triangle area is positive.  The edges are counted by one sort of the
+    ``3 T`` edge keys (:func:`_edge_keys`)."""
     v = mesh.n_vertices
-    tris = mesh.triangles.astype(np.int64)
-    ends = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)]), axis=0)
-    keys, counts = np.unique(ends[0] * v + ends[1], return_counts=True)
+    if np.count_nonzero(np.bincount(mesh.triangles.ravel(),
+                                    minlength=v)) != v:
+        raise MeshError("triangulation dropped a vertex")
+
+    # Euler characteristic of a disk: V - E + T = 1
+    keys, counts = np.unique(_edge_keys(mesh.triangles, v),
+                             return_counts=True)
     euler = v - len(keys) + mesh.n_triangles
     if euler != 1:
         raise MeshError(f"Euler characteristic {euler} != 1")

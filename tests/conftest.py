@@ -26,6 +26,11 @@ _DEFAULTS = dict(
 )
 
 
+#: the meshes, (n_boundary, refinement), on which the set-up kernels are
+#: held to their oracles
+SETUP_MESHES = [(n, r) for n in (8, 13, 64) for r in (0, 1, 2)]
+
+
 def load_spans():
     """``perfbench/spans.py`` loaded from its file, unchanged: its
     ``TARGETS`` are the functions the benchmark's tracer rebinds."""

@@ -15,6 +15,13 @@ damped projection iteration instead of the solver's with its Newton and
 pinned steps, and a cell-by-cell table of partition margins instead of one
 sort.
 
+The set-up kernels are the earlier versions of the library's: a ring
+merge pair by pair instead of all pairs at once, edge keys by a sort along
+the end axis instead of ``minimum``/``maximum``, a ``np.unique`` pattern
+instead of one argsort, ``einsum`` stiffness element matrices instead of
+broadcast products, and a ``searchsorted`` transpose map instead of the
+pattern's scatter.  The library's must give their bits.
+
 The reduced cost and its adjoint-based gradient, the boundary pairing and
 the a-priori quotient are test references of another kind: they compose the
 package's state and adjoint solves into the quantities that the derivative
@@ -25,9 +32,11 @@ import math
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 # the reference loops share the library's constants, so they cannot drift
-from ctrlstab.fem import BoundaryFunction, FeFunction, nodal_values, norm
+from ctrlstab.fem import (_TRI_PRODUCTS, BoundaryFunction, FeFunction,
+                          nodal_values, norm)
 from ctrlstab.kkt import _CONE_SWEEPS, _CONE_TOL
 from ctrlstab.pde import solve_adjoint, solve_state
 from ctrlstab.solver import _NEWTON_TOL, objective_value
@@ -439,3 +448,96 @@ def damped_solve_kkt(disc, lam, u0=None, options=None):
 
     raise SolverError("outer iteration did not converge", opts.max_outer,
                       best)
+
+
+# --- the set-up kernels
+
+
+def ring_merge_mesh(n):
+    """Vertices (V, 2) and counterclockwise triangles (T, 3) of the disk
+    mesh with ``n`` boundary points, ring by ring and one ring pair at a
+    time: the fan of the center and ring 1, then each pair's triangles of
+    its inner edges and of its outer edges, merged in midpoint-key order."""
+    rings = max(1, round(n / (2.0 * math.pi)))
+    points = [np.zeros((1, 2))]
+    layout = [(0, 1, 0)]   # per ring: first vertex, point count, 2 offset
+    for k in range(1, rings + 1):
+        count = n if k == rings else max(6, round(n * k / rings))
+        twice_offset = 0 if k == rings else (rings - k) % 2
+        theta = 2.0 * math.pi * (np.arange(count) + 0.5 * twice_offset) \
+            / count
+        layout.append((layout[-1][0] + layout[-1][1], count, twice_offset))
+        points.append((k / rings) * np.column_stack([np.cos(theta),
+                                                     np.sin(theta)]))
+    vertices = np.vstack(points)
+    first, count, _ = layout[1]
+    ring1 = first + np.arange(count)
+    triangles = [np.column_stack([np.zeros(count, dtype=int), ring1,
+                                  np.roll(ring1, -1)])]
+    for (ia, a, oa), (ib, b, ob) in zip(layout[1:], layout[2:]):
+        ea, eb = np.arange(a), np.arange(b)
+        ka, kb = (2 * ea + oa + 1) * b, (2 * eb + ob + 1) * a
+        facing_a = np.searchsorted(kb, ka, side="left") % b
+        facing_b = np.searchsorted(ka, kb, side="right") % a
+        triangles += [
+            np.column_stack([ia + ea, ia + (ea + 1) % a, ib + facing_a]),
+            np.column_stack([ib + eb, ib + (eb + 1) % b, ia + facing_b])]
+    triangles = np.vstack(triangles)
+    p = vertices[triangles]
+    area2 = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+             - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
+    flip = area2 < 0
+    triangles[flip] = triangles[flip][:, [0, 2, 1]]
+    return vertices, triangles
+
+
+def sorted_edge_keys(triangles, n_vertices):
+    """The key ``a V + b`` (a < b) of side ``i`` (corners ``i``, ``i + 1``)
+    of each triangle, (T, 3), by sorting each side's two ends."""
+    tris = triangles.astype(np.int64)
+    ends = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)]), axis=0)
+    return ends[0] * n_vertices + ends[1]
+
+
+def unique_pattern(cells, n):
+    """``keys``, ``pos``, ``indices`` and ``indptr`` of the CSR pattern of
+    element matrices over ``cells`` (C, k) of an (n, n) matrix, by
+    ``np.unique`` of the entry keys ``cells[t, a] n + cells[t, b]``."""
+    c = cells.astype(np.int64)
+    keys, pos = np.unique((c[:, :, None] * n + c[:, None, :]).ravel(),
+                          return_inverse=True)
+    indices = (keys % n).astype(np.int32)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    return keys, pos, indices, indptr
+
+
+def searchsorted_mirror(keys, n):
+    """The entry of each entry's transpose in a symmetric pattern, by
+    looking the transposed key up in the sorted ``keys``."""
+    return np.searchsorted(keys, keys % n * n + keys // n)
+
+
+def einsum_stiffness(i11, i12, i22, grads):
+    """Diffusion element matrices (T, 3, 3) by ``einsum``."""
+    gx, gy = grads[:, :, 0], grads[:, :, 1]
+    return (np.einsum("t,ta,tb->tab", i11, gx, gx)
+            + np.einsum("t,ta,tb->tab", i12, gx, gy)
+            + np.einsum("t,ta,tb->tab", i12, gy, gx)
+            + np.einsum("t,ta,tb->tab", i22, gy, gy))
+
+
+def stiffness_matrix(disc):
+    """The stiffness matrix ``K`` of ``disc`` from its coefficients at the
+    quadrature points, with the kernels above: ``einsum`` element matrices
+    plus the ``a0`` mass, summed on the ``np.unique`` pattern and averaged
+    with its transpose through the ``searchsorted`` map."""
+    t, p, n = disc.tables, disc.problem, disc.mesh.n_vertices
+    a11, a12, a22, a0 = (disc.eval_dom(e) for e in (p.a11, p.a12, p.a22,
+                                                    p.a0))
+    elem = einsum_stiffness(*(np.sum(t.qw_dom * a, axis=1)
+                              for a in (a11, a12, a22)), t.grads)
+    elem = elem.reshape(-1, 9) + (t.qw_dom * a0) @ _TRI_PRODUCTS
+    keys, pos, indices, indptr = unique_pattern(disc.mesh.triangles, n)
+    s = np.bincount(pos, weights=elem.ravel(), minlength=len(keys))
+    data = 0.5 * (s + s[searchsorted_mirror(keys, n)])
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))

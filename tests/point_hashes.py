@@ -23,24 +23,33 @@ of the tree whose ``src/`` is imported.  ``record`` runs, for one file:
   check leaves in the discretization's factorization cache shows in the
   warm solves;
 * ``verify``: whether the cold residual record equals
-  ``residuals(disc, point)`` bit for bit.
+  ``residuals(disc, point)`` bit for bit;
+* ``setup``: what the set-up of the first discretization built: the
+  ``mesh_hash``, the mesh tables (areas, gradients, quadrature points and
+  weights), each assembly pattern's ``keys``, ``pos``, ``indptr`` and
+  ``indices`` and the boundary-in-triangle map, and the data, indices and
+  indptr of each ``EllipticForm`` matrix.
 
 Each solve is recorded as its state, control, adjoint and multiplier
 arrays, its (iterations, newton, pinned) counts, sigma1, history and
 residual record, or as its error class name when it failed.
 
+An array is hashed by its dtype, its shape and its bytes, so that a
+change of integer width or of layout reads as a move.
+
 The first form reads ``REPO_ROOT`` (default: this checkout) and prints one
 line per file: 16-hex-digit SHA-256 prefixes of ``cold``, ``warm`` (``-``
-without a sweep), ``ssc`` and ``chain``, and ``verify=eq`` (``verify=ne``
-otherwise).  Lines printed from two trees compare with ``diff``.
+without a sweep), ``ssc``, ``chain`` and ``setup``, and ``verify=eq``
+(``verify=ne`` otherwise).  Lines printed from two trees compare with
+``diff``.
 
 ``--against`` records this checkout and ``OTHER_ROOT``, each in its own
 subprocess that imports that tree's ``src/``, and prints one line per
 group of each file: ``cold`` (the cold solve and ``verify``), ``warm``,
-``ssc`` and ``chain`` (its solves and its SSC report), so that a change
-that keeps the cold solves bit for bit and moves the warm ones reads as
-such.  A line reads whether the counts of the group's solves agree and,
-for every field that the fingerprint hashes, ``=`` when it is
+``ssc``, ``chain`` (its solves and its SSC report) and ``setup``, so that
+a change that keeps the cold solves bit for bit and moves the warm ones
+reads as such.  A line reads whether the counts of the group's solves
+agree and, for every field that the fingerprint hashes, ``=`` when it is
 bit-identical in every solve of the group, or else its largest absolute
 move.  A field that no pair of successful solves carries reads ``-``, and
 so does a group with nothing to compare (``warm`` without a sweep).  It
@@ -112,14 +121,38 @@ def _ssc(cs, cfg, disc, rep) -> dict:
         rng=np.random.default_rng([0, 0])))
 
 
+#: the mesh tables and assembly patterns that ``setup`` reads, by attribute
+TABLES = ("areas", "grads", "qp_dom", "qw_dom", "qp_bnd", "qw_bnd",
+          "qs_bnd", "edge_pos", "bnd_in_tri")
+PATTERNS = ("tri_pattern", "bnd_pattern", "bb_pattern")
+PATTERN_ARRAYS = ("keys", "pos", "indptr", "indices")
+
+
+def _setup(cs, disc) -> dict:
+    """The set-up record of a discretization: its mesh hash, tables,
+    patterns and assembled form, by name."""
+    t = disc.tables
+    out = {"mesh_hash": cs.mesh_hash(disc.mesh)}
+    out.update((name, getattr(t, name)) for name in TABLES)
+    out.update((f"{pattern}.{name}", getattr(getattr(t, pattern), name))
+               for pattern in PATTERNS for name in PATTERN_ARRAYS)
+    for field in dataclasses.fields(disc.form):
+        matrix = getattr(disc.form, field.name)
+        out.update((f"{field.name}.{name}", getattr(matrix, name))
+                   for name in ("data", "indices", "indptr"))
+    return out
+
+
 def record(cs, path: Path) -> dict:
-    """Every solve and SSC report of one instance file, with ``cs`` the
-    imported ``ctrlstab``; the cold solves must succeed."""
+    """Every solve and SSC report of one instance file and the set-up of
+    its first discretization, with ``cs`` the imported ``ctrlstab``; the
+    cold solves must succeed."""
     cfg = cs.parse_instance(path)
     disc = cs.build_discretization(cfg)
+    setup = _setup(cs, disc)
     cold = cs.solve_kkt(disc, disc.param_reference(),
                         options=cfg.solve_options)
-    out = {"cold": _fields(cold),
+    out = {"setup": setup, "cold": _fields(cold),
            "verify": cs.residuals(disc, cold.point) == cold.residuals,
            "warm": _warm(cs, cfg, disc, cold),
            "ssc": _ssc(cs, cfg, disc, cold)}
@@ -137,7 +170,8 @@ def record(cs, path: Path) -> dict:
 
 def _hashed(part) -> bytes:
     if isinstance(part, np.ndarray):
-        return np.ascontiguousarray(part, dtype=float).tobytes()
+        return (repr((part.dtype.str, part.shape)).encode()
+                + np.ascontiguousarray(part).tobytes())
     return repr(part).encode()
 
 
@@ -162,12 +196,14 @@ def _parts(solves) -> list:
 
 
 def line(rec: dict) -> str:
-    """The ``cold=… warm=… ssc=… chain=… verify=…`` fields of a record."""
+    """The ``cold=… warm=… ssc=… chain=… setup=… verify=…`` fields of a
+    record."""
     warm = "-" if rec["warm"] is None else _digest(_parts(rec["warm"]))
     chain = [*_parts([rec["chain_cold"]]), tuple(rec["chain_ssc"].values()),
              *_parts(rec["chain_warm"] or [])]
     return (f"cold={_digest(_parts([rec['cold']]))} warm={warm} "
             f"ssc={_digest(rec['ssc'].values())} chain={_digest(chain)} "
+            f"setup={_digest(rec['setup'].values())} "
             f"verify={'eq' if rec['verify'] else 'ne'}")
 
 
@@ -196,10 +232,12 @@ def _field(moves) -> str:
 
 
 #: the groups of a record that the move report reads apart: the keys of
-#: their solves (one solve, a list or None) and of their SSC reports
+#: their solves (one solve, a list or None) and of their named fields (an
+#: SSC report or the set-up record)
 GROUPS = {"cold": (("cold",), ()), "warm": (("warm",), ()),
           "ssc": ((), ("ssc",)),
-          "chain": (("chain_cold", "chain_warm"), ("chain_ssc",))}
+          "chain": (("chain_cold", "chain_warm"), ("chain_ssc",)),
+          "setup": ((), ("setup",))}
 
 
 def _solves(rec: dict, keys) -> list:
@@ -214,9 +252,9 @@ def _solves(rec: dict, keys) -> list:
 def _moves(mine: dict, other: dict, group: str) -> list:
     """``(name, reading)`` of the counts and of every hashed field of one
     group of two records of one instance file; none for a group with no
-    solve and no SSC report in either record.  The cold group also reads
-    ``verify``."""
-    solve_keys, ssc_keys = GROUPS[group]
+    solve and no named fields in either record.  The cold group also
+    reads ``verify``."""
+    solve_keys, named_keys = GROUPS[group]
     a, b = (_solves(r, solve_keys) for r in (mine, other))
     out = []
     if a or b:
@@ -228,10 +266,10 @@ def _moves(mine: dict, other: dict, group: str) -> list:
                  if not isinstance(x, str) and not isinstance(y, str)]
         out += [(key, _field(_move(x[key], y[key]) for x, y in pairs))
                 for key in FIELDS if key != "counts"]
-    sscs = [(mine[s], other[s]) for s in ssc_keys]
-    if sscs:
-        out += [(key, _field(_move(x[key], y.get(key)) for x, y in sscs))
-                for key in mine[ssc_keys[0]]]
+    named = [(mine[s], other[s]) for s in named_keys]
+    if named:
+        out += [(key, _field(_move(x[key], y.get(key)) for x, y in named))
+                for key in mine[named_keys[0]]]
     if group == "cold":
         out.append(("verify",
                     _field([_move(mine["verify"], other["verify"])])))

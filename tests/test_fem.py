@@ -1,6 +1,7 @@
 """Assembly and linear algebra: mass/stiffness identities with closed-form
-totals, the SPD solver against a dense elimination oracle, the byte budget
-of the banded factorization, and norm formulas."""
+totals, the assembly patterns and the stiffness matrix against their
+earlier kernels bit for bit, the SPD solver against a dense elimination
+oracle, the byte budget of the banded factorization, and norm formulas."""
 
 import gc
 import math
@@ -17,8 +18,9 @@ from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
                       FemError, FeFunction, NotSpdError, SpdFactorization,
                       make_disk_mesh, norm, solve_spd)
 
-from conftest import make_spec
-from oracles import dense_solve
+from conftest import SETUP_MESHES, make_spec
+from oracles import (dense_solve, einsum_stiffness, searchsorted_mirror,
+                     stiffness_matrix, unique_pattern)
 
 
 @pytest.fixture(scope="module")
@@ -391,6 +393,58 @@ def test_pattern_assembly_has_coo_structure_and_sums_to_rounding(
     d = _coo_sum(np.ones_like(elem), cells, n).data.max()
     bound = d * np.finfo(float).eps * _coo_sum(np.abs(elem), cells, n).data
     assert np.all(np.abs(got.data - want.data) <= bound)
+
+
+@pytest.mark.parametrize("n_boundary,refinement", SETUP_MESHES)
+def test_patterns_are_the_unique_based_ones(n_boundary, refinement):
+    # one argsort gives np.unique's keys and inverse, and the scatter of
+    # the transposed element entries the searchsorted transpose map
+    mesh = make_disk_mesh(n_boundary, refinement)
+    t = fem_mod._tables(mesh)
+    for cells, n, pattern in (
+            (mesh.triangles, mesh.n_vertices, t.tri_pattern),
+            (mesh.boundary_edges, mesh.n_vertices, t.bnd_pattern),
+            (t.edge_pos, mesh.n_boundary, t.bb_pattern)):
+        keys, pos, indices, indptr = unique_pattern(cells, n)
+        for got, want in ((pattern.keys, keys), (pattern.pos, pos),
+                          (pattern.indices, indices),
+                          (pattern.indptr, indptr),
+                          (pattern.mirror, searchsorted_mirror(keys, n))):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_stiffness_elements_are_the_einsum_bits():
+    # coefficients and gradients over many magnitudes, so that any other
+    # rounding order shows
+    rng = np.random.default_rng(11)
+    grads = (rng.standard_normal((500, 3, 2))
+             * 10.0 ** rng.integers(-6, 7, size=(500, 3, 2)))
+    i11, i12, i22 = (rng.standard_normal(500)
+                     * 10.0 ** rng.integers(-6, 7, size=500)
+                     for _ in range(3))
+    got = fem_mod._stiffness_elements(i11, i12, i22, grads)
+    want = einsum_stiffness(i11, i12, i22, grads)
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+#: an operator with x-dependent a11, a22 and a0 and a12 != 0; its smallest
+#: tensor eigenvalue stays above 1.2 on the unit disk
+VARIABLE_OPERATOR = dict(a11="3 + x1^2", a12="0.5*x1 - 0.25*x2",
+                         a22="3 + x1*x2", a0="1 + x1^2 + 0.5*x2")
+
+
+@pytest.mark.parametrize("operator", ["constant", "variable"])
+@pytest.mark.parametrize("n_boundary,refinement", SETUP_MESHES)
+def test_stiffness_is_the_einsum_assembly(n_boundary, refinement,
+                                          operator):
+    spec = make_spec(**(VARIABLE_OPERATOR if operator == "variable"
+                        else {}))
+    d = Discretization(spec, make_disk_mesh(n_boundary, refinement))
+    got, want = d.form.stiffness, stiffness_matrix(d)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_jacobian_equals_scipy_addition(disc):

@@ -1,7 +1,9 @@
 """Disk triangulation: closed-form perimeter/area of the inscribed polygon,
 topology invariants, boundary cycle structure, refinement behavior, the
-ring merge against qhull's Delaunay triangulation with its tie rule, and the
-deterministic mesh fingerprint."""
+ring merge against qhull's Delaunay triangulation with its tie rule and
+against the merge one ring pair at a time, the validation's rejections, the
+kept areas and edge keys against their oracles, and the deterministic mesh
+fingerprint."""
 
 import dataclasses
 import math
@@ -16,7 +18,10 @@ from scipy.spatial import Delaunay
 
 import ctrlstab
 from ctrlstab import MeshError, dump_mesh, make_disk_mesh, mesh_hash
-from ctrlstab.geometry import _validate, mesh_text
+from ctrlstab.geometry import _edge_keys, _validate, mesh_text
+
+from conftest import SETUP_MESHES
+from oracles import ring_merge_mesh, sorted_edge_keys
 
 MERGE_SIZES = [8, 9, 13, 64, 100, 256, 512]
 #: in-circle determinants at most this (relative to the edge length to the
@@ -139,6 +144,54 @@ def test_validation_rejects_another_boundary_cycle():
         boundary_edges=np.column_stack([cycle, np.roll(cycle, -1)]))
     with pytest.raises(MeshError, match="does not match the declared cycle"):
         _validate(swapped)
+
+
+def test_validation_rejects_an_unused_vertex():
+    # a vertex that no triangle uses, checked before the Euler count it
+    # would also break
+    mesh = make_disk_mesh(16, 0)
+    extra = dataclasses.replace(
+        mesh, vertices=np.vstack([mesh.vertices, [[0.1, 0.2]]]))
+    with pytest.raises(MeshError, match="dropped a vertex"):
+        _validate(extra)
+
+
+@pytest.mark.parametrize("n,refinement", SETUP_MESHES)
+def test_cached_areas_are_the_formula_and_read_only(n, refinement):
+    # the areas of the orientation pass, kept on the mesh, are the bits of
+    # the area formula on the oriented triangles; nothing can write them
+    mesh = make_disk_mesh(n, refinement)
+    areas = mesh.triangle_areas()
+    assert areas is mesh.triangle_areas()
+    assert not areas.flags.writeable
+    with pytest.raises(ValueError):
+        areas[0] = 1.0
+    fresh = dataclasses.replace(mesh).triangle_areas()
+    assert fresh is not areas and fresh.tobytes() == areas.tobytes()
+    assert not fresh.flags.writeable
+
+
+@pytest.mark.parametrize("n,refinement", SETUP_MESHES)
+def test_edge_keys_are_the_sorted_pairs(n, refinement):
+    mesh = make_disk_mesh(n, refinement)
+    got = _edge_keys(mesh.triangles, mesh.n_vertices)
+    want = sorted_edge_keys(mesh.triangles, mesh.n_vertices)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sizes", [range(8, 130), (256, 333, 512, 1024)])
+def test_mesh_is_the_pairwise_ring_merge(sizes):
+    # all ring pairs merged at once give the points and triangles of the
+    # merge one pair at a time, bit for bit and in the same order; 8 and 9
+    # points make one ring, and the counts and offsets of the rings vary
+    # with every size
+    for n in sizes:
+        mesh = make_disk_mesh(n, 0)
+        vertices, triangles = ring_merge_mesh(n)
+        for got, want in ((mesh.vertices, vertices),
+                          (mesh.triangles, triangles)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), n
 
 
 @pytest.mark.parametrize("n,refinement",

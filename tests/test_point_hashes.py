@@ -33,6 +33,12 @@ def _reports(mine, other) -> dict:
 
 SOLVE_FIELDS = set(point_hashes.FIELDS) - {"counts"}
 SSC_FIELDS = {f.name for f in dataclasses.fields(cs.SscReport)}
+SETUP_FIELDS = {"mesh_hash", *point_hashes.TABLES} | {
+    f"{pattern}.{name}" for pattern in point_hashes.PATTERNS
+    for name in point_hashes.PATTERN_ARRAYS} | {
+    f"{matrix}.{name}" for matrix in ("stiffness", "mass_domain",
+                                      "mass_boundary", "mass_boundary_bb")
+    for name in ("data", "indices", "indptr")}
 
 
 def test_line_hashes_the_documented_fields(record):
@@ -50,24 +56,35 @@ def test_line_hashes_the_documented_fields(record):
             list(rep.history), dataclasses.astuple(rep.residuals)]
     ssc = dataclasses.astuple(cs.check_ssc(
         disc, p, n_samples=200, rng=np.random.default_rng([0, 0])))
+    # the set-up: mesh hash, tables, patterns, then the form's matrices
+    t, form = disc.tables, disc.form
+    setup = [cs.mesh_hash(disc.mesh), t.areas, t.grads, t.qp_dom, t.qw_dom,
+             t.qp_bnd, t.qw_bnd, t.qs_bnd, t.edge_pos, t.bnd_in_tri]
+    for pattern in (t.tri_pattern, t.bnd_pattern, t.bb_pattern):
+        setup += [pattern.keys, pattern.pos, pattern.indptr, pattern.indices]
+    for matrix in (form.stiffness, form.mass_domain, form.mass_boundary,
+                   form.mass_boundary_bb):
+        setup += [matrix.data, matrix.indices, matrix.indptr]
     fields = dict(item.split("=") for item in
                   point_hashes.line(record).split())
     assert fields == {"cold": point_hashes._digest(cold), "warm": "-",
                       "ssc": point_hashes._digest(ssc),
                       "chain": point_hashes._digest([*cold, ssc]),
+                      "setup": point_hashes._digest(setup),
                       "verify": "eq"}
 
 
 def test_record_against_itself_is_bit_identical(record):
     # one reading per group; oracle_box has no sweep, so no warm group
     reports = _reports(record, record)
-    assert list(reports) == ["cold", "warm", "ssc", "chain"]
+    assert list(reports) == ["cold", "warm", "ssc", "chain", "setup"]
     assert reports["warm"] == "-"
     for group, fields in (("cold", SOLVE_FIELDS | {"verify"}),
                           ("ssc", SSC_FIELDS),
-                          ("chain", SOLVE_FIELDS | SSC_FIELDS)):
+                          ("chain", SOLVE_FIELDS | SSC_FIELDS),
+                          ("setup", SETUP_FIELDS)):
         report = reports[group]
-        if group != "ssc":
+        if group in ("cold", "chain"):
             assert report.pop("counts") == "same"
         assert set(report) == fields
         assert set(report.values()) == {"="}
@@ -104,6 +121,29 @@ def test_warm_move_reads_in_its_own_group(record):
     for report in reports.values():
         assert set(report.values()) <= {"same", "="}
     assert not point_hashes.against({"a.ini": mine}, {"a.ini": other})[1]
+
+
+def test_setup_moves_read_in_their_own_group(record):
+    # a pattern position that moves, and one of another integer width with
+    # the same values: only the set-up group reads them, and both are
+    # moves, so ``--against`` fails
+    for name, change, reading in (
+            ("tri_pattern.pos", lambda a: a[::-1].copy(), None),
+            ("tri_pattern.indices", lambda a: a.astype(np.int64),
+             "0.00e+00"),
+            ("mesh_hash", lambda h: h[::-1], "inf")):
+        other = copy.deepcopy(record)
+        other["setup"][name] = change(record["setup"][name])
+        reports = _reports(record, other)
+        setup = reports.pop("setup")
+        moved = setup.pop(name)
+        assert moved != "=" and (reading is None or moved == reading)
+        assert set(setup.values()) == {"="}
+        assert reports.pop("warm") == "-"
+        for report in reports.values():
+            assert set(report.values()) <= {"same", "="}
+        assert not point_hashes.against({"a.ini": record},
+                                        {"a.ini": other})[1]
 
 
 def test_failed_solve_on_one_side_is_reported(record):
