@@ -21,8 +21,8 @@ The solver reorders by reverse Cuthill-McKee, then factorizes by banded
 Cholesky.  That is the only factorization; a matrix whose band would exceed
 a fixed byte budget raises ``FemError`` before the band is allocated.
 :func:`solve_spd` runs conjugate gradients preconditioned by such a
-factorization, which may be one of another matrix; with the matrix's own
-factor it stops after the first step.
+factorization, which may be one of another matrix, and then may start
+from a guess; with the matrix's own factor it stops after the first step.
 
 ``Discretization`` caches everything tied to one (problem, mesh) pair,
 including the linearized operators ``K + M[h_y] + c M_B``, formed by
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -145,8 +146,11 @@ class _MeshTables:
         grads /= (2.0 * self.areas)[:, None, None]
         self.grads = grads
 
-        # interior quadrature points (T, 3, 2) and weights (T, 3)
-        self.qp_dom = np.einsum("qn,tnd->tqd", TRI_BASIS, p)
+        # interior quadrature points (T, 3, 2), point q the sum
+        # B[q, 0] p_0 + B[q, 1] p_1 + B[q, 2] p_2, and weights (T, 3)
+        self.qp_dom = TRI_BASIS[:, 0, None] * p[:, None, 0] \
+            + TRI_BASIS[:, 1, None] * p[:, None, 1] \
+            + TRI_BASIS[:, 2, None] * p[:, None, 2]
         self.qw_dom = np.repeat(self.areas[:, None] / 3.0, 3, axis=1)
 
         # boundary quadrature
@@ -296,16 +300,20 @@ class SpdFactorization:
         b = np.asarray(b, dtype=float)
         if not np.all(np.isfinite(b)):
             raise ValueError("right-hand side contains non-finite entries")
-        z = scipy.linalg.cho_solve_banded((self._chol, False), b[self._perm],
-                                          check_finite=False)
+        # LAPACK's band solve on the permuted b, which is a copy and may be
+        # overwritten
+        z, info = scipy.linalg.lapack.dpbtrs(self._chol, b[self._perm],
+                                             lower=0, overwrite_b=1)
+        if info != 0:
+            raise FemError(f"band solve failed: dpbtrs info = {info}")
         x = np.empty_like(z)
         x[self._perm] = z
         return x
 
 
-#: conjugate-gradient steps a preconditioned solve may take after the
-#: preconditioner's first step; a stale factor close to the matrix needs
-#: two or three
+#: conjugate-gradient steps a preconditioned solve may take after its
+#: start (the preconditioner's first step or a guess); a stale factor close
+#: to the matrix needs two or three
 _CG_MAX_ITER = 8
 
 #: relative residual a solve with a factor of another matrix must reach;
@@ -314,23 +322,31 @@ _CG_MAX_ITER = 8
 _STALE_RTOL = 1e-13
 
 
-def solve_spd(matrix, b: np.ndarray, factor: SpdFactorization) -> np.ndarray:
+def solve_spd(matrix, b: np.ndarray, factor: SpdFactorization,
+              x0: np.ndarray | None = None) -> np.ndarray:
     """Solve ``matrix @ x = b`` for SPD ``matrix``: conjugate gradients
     preconditioned by ``factor``, started from ``factor.solve(b)``.
 
     The residual is always taken with ``matrix``, and the solve stops once
     ``||b - matrix x||_2 <= 1e-10 (1 + ||b||_2)``.  When ``factor.matrix``
     is another object than ``matrix`` (say, a factorization taken at another
-    state), it must also reach ``||b - matrix x||_2 <= 1e-13 ||b||_2``.  With
-    an exact factor the first step meets the bound.  Failure to meet it
-    within a few conjugate-gradient steps raises ``FemError``.
+    state), it must also reach ``||b - matrix x||_2 <= 1e-13 ||b||_2``, and
+    a starting guess ``x0`` replaces ``factor.solve(b)`` as the start: the
+    first step is then the conjugate-gradient step from ``x0``, and the
+    bounds stay those of ``b``, so a close guess only saves band solves.
+    With an exact factor the first step meets the bound, and ``x0`` is not
+    read.  Failure to meet it within a few conjugate-gradient steps raises
+    ``FemError``.
     """
     b = np.asarray(b, dtype=float)
     b_norm = float(np.linalg.norm(b))
     tol = 1e-10 * (1.0 + b_norm)
     if factor.matrix is not matrix:
         tol = min(tol, _STALE_RTOL * b_norm)
-    x = factor.solve(b)
+    if x0 is None or factor.matrix is matrix:
+        x = factor.solve(b)
+    else:
+        x = np.array(x0, dtype=float)
     r = b - matrix @ x
     res = float(np.linalg.norm(r))
     p = rz = None
@@ -452,6 +468,15 @@ def _stiffness_elements(i11, i12, i22, grads) -> np.ndarray:
     return elem.transpose(2, 0, 1)
 
 
+#: points of a warm-start chain: the last one and the two before it, for a
+#: prediction of degree two at most
+_CHAIN_LENGTH = 3
+
+#: how far a chain point's parameter may lie off the line of the
+#: prediction, relative to the largest parameter entry: a few roundings
+_COLLINEAR_RTOL = 64 * np.finfo(float).eps
+
+
 class Discretization:
     """Everything tied to one (problem, mesh) pair.
 
@@ -486,11 +511,18 @@ class Discretization:
     :meth:`control_to_state` keeps ``T`` next to the factorization of
     ``c = 0`` that it was solved with.
 
-    Last, it keeps the last KKT point that
-    :func:`ctrlstab.solver.solve_kkt` returned on it
-    (:meth:`keep_point`), and hands it back only to a control equal to
-    that point's bit for bit (:meth:`resume_point`), so that a re-solve
-    started from that control resumes from the whole point.
+    Last, it keeps the warm-start chain: the last KKT points that
+    :func:`ctrlstab.solver.solve_kkt` returned on it, up to
+    ``_CHAIN_LENGTH`` of them (:meth:`keep_point`).  A point joins the
+    chain when its solve resumed from the chain's last point, and starts a
+    new chain otherwise, so that a sweep's cold solve resets it.  The last
+    point is handed back only to a control equal to its control bit for
+    bit (:meth:`resume_point`), so that a re-solve started from that
+    control resumes from the whole point; :meth:`predict_point`
+    extrapolates the states and costates of the chain's points that lie on
+    the new parameter's line to that parameter, which starts the
+    re-solve's state solve and the conjugate gradients of its pinned
+    adjoint solve.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh):
@@ -511,11 +543,11 @@ class Discretization:
         self.form = self._assemble()
         # c -> (weights copy, K + M[weights] + c M_B); c -> the last
         # factorization of that c; (factorization, T) of c = 0; and the
-        # last point solve_kkt returned
+        # warm-start chain of the points solve_kkt returned, oldest first
         self._jacobian: dict = {}
         self._anchor: dict = {}
         self._t_map = None
-        self._point = None
+        self._chain: list = []
 
     # -- expression environments --------------------------------------------
 
@@ -655,20 +687,23 @@ class Discretization:
         return anchor
 
     def jacobian_solve(self, w_qp: np.ndarray, b: np.ndarray,
-                       c: float = 0.0) -> np.ndarray:
+                       c: float = 0.0, x0: np.ndarray | None = None
+                       ) -> np.ndarray:
         """Solve ``(K + M[w] + c M_B) x = b`` to the :func:`solve_spd`
         bounds.
 
         Uses the anchor of ``c`` when it factorizes this matrix.  Otherwise
         runs conjugate gradients on the assembled matrix, preconditioned by
-        the anchor of ``c``; only when that fails, or ``c`` has no anchor
-        yet, is the matrix factorized (and becomes the anchor of ``c``).
+        the anchor of ``c`` and started from the guess ``x0`` when one is
+        given; only when that fails, or ``c`` has no anchor yet, is the
+        matrix factorized (and becomes the anchor of ``c``).  Only the
+        conjugate gradients on a stale anchor read ``x0``.
         """
         matrix = self.jacobian_matrix(w_qp, c)
         anchor = self._anchor.get(c)
         if anchor is not None and anchor.matrix is not matrix:
             try:
-                return solve_spd(matrix, b, factor=anchor)
+                return solve_spd(matrix, b, factor=anchor, x0=x0)
             except FemError:
                 pass
         return solve_spd(matrix, b, factor=self.jacobian_factor(w_qp, c))
@@ -687,19 +722,64 @@ class Discretization:
             self._t_map = (factor, factor.solve(rhs.toarray()))
         return self._t_map[1]
 
-    def keep_point(self, point) -> None:
-        """Keep ``point``, a KKT point solved on this discretization, in
-        place of the one kept before."""
-        self._point = point
+    def keep_point(self, point, resumed: bool = False) -> None:
+        """Keep ``point``, a KKT point solved on this discretization, as the
+        last point of the warm-start chain.  It joins the chain when its
+        solve ``resumed`` from the chain's last point, and otherwise starts
+        a new chain; the chain keeps its last ``_CHAIN_LENGTH`` points."""
+        chain = self._chain if resumed else []
+        self._chain = [*chain, point][-_CHAIN_LENGTH:]
 
     def resume_point(self, control: np.ndarray):
-        """The kept point when ``control`` equals its control bit for bit
-        (shape and values), else None."""
-        point = self._point
+        """The chain's last point when ``control`` equals its control bit
+        for bit (shape and values), else None."""
+        point = self._chain[-1] if self._chain else None
         if point is not None and np.array_equal(point.control.values,
                                                 control):
             return point
         return None
+
+    def predict_point(self, lam: np.ndarray) -> tuple:
+        """The state and costate that the chain predicts at the parameter
+        ``lam``, as ``(state, costate)`` nodal arrays.
+
+        The chain's last point is always usable.  Going back from it, a
+        point is usable while its parameter lies on the line from the last
+        point's parameter to ``lam``, up to ``_COLLINEAR_RTOL`` of the
+        largest parameter entry, and at a coordinate ``s`` below that of
+        the usable point after it, with ``s = 0`` at the last point and
+        ``s = 1`` at ``lam``: so ``lam`` lies beyond the last point.  The
+        prediction is the Lagrange polynomial in ``s`` through the usable
+        points' states (costates), evaluated at ``s = 1``.  With one usable
+        point it is the last point's state and the costate is None: no
+        guess, as without a chain.  Call it only on a chain with a point,
+        as after :meth:`resume_point` handed one back.
+        """
+        last = self._chain[-1]
+        lam_k = last.param.values
+        d = lam - lam_k
+        dd = float(d @ d)
+        nodes, points = [0.0], [last]
+        # a parameter equal to the last one spans no line
+        earlier = reversed(self._chain[:-1]) if dd > 0.0 else ()
+        for point in earlier:
+            v = point.param.values - lam_k
+            s = float(v @ d) / dd
+            scale = max(np.max(np.abs(lam)), np.max(np.abs(lam_k)),
+                        np.max(np.abs(point.param.values)))
+            if not (s < nodes[-1] and np.max(np.abs(v - s * d))
+                    <= _COLLINEAR_RTOL * scale):
+                break
+            nodes.append(s)
+            points.append(point)
+        if len(points) == 1:
+            return last.state.values, None
+        weights = [math.prod((1.0 - si) / (sj - si)
+                             for i, si in enumerate(nodes) if i != j)
+                   for j, sj in enumerate(nodes)]
+        return tuple(sum(w * getattr(p, name).values
+                         for w, p in zip(weights, points))
+                     for name in ("state", "adjoint"))
 
     def domain_load(self, f_qp: np.ndarray) -> np.ndarray:
         """Assemble ``int f phi_a dx`` into a full nodal vector (V,)."""

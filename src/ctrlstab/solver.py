@@ -60,22 +60,36 @@ had not been tried.  Where the projection binds somewhere at every iterate
 and no pinned step is accepted, the iteration is the damped one, step for
 step.
 
-A re-solve resumes from the whole last point.  The KKT tuple moves
+A re-solve resumes from the whole last point, and starts its state and
+pinned costate from the chain's prediction.  The KKT tuple moves
 Holder-continuously with the parameter, so in a sweep the previous point
 is a close start for the state, the costate and the multipliers, not only
-for the control.  The ``Discretization`` keeps the last point
-:func:`solve_kkt` returned on it; a solve whose ``u0`` equals that point's
-control bit for bit starts its first Newton solve from the point's state,
-and, where some multiplier of the point is nonzero, its damped update
-from the point's multipliers and costate.  At a free point (every
-multiplier zero) the costate is not carried: it would give nonzero
-separated multipliers, and the reduced Newton step would solve the adjoint
-once more to drop them.  Where every node of the point carries a strong
-pair (an active constraint with a multiplier above ``eps_act``, the test
-of the second-order check), the pinned step is tried first, from the
-point's state and the partition of its constraint values at the new
-parameter.  That try follows the pinned step's rules; rejected, it is not
-an iterate, and it leaves the in-loop pinned gate unspent.  Any other
+for the control; and along a line of parameters two or three earlier
+points predict the next one closer still, the predictor of
+predictor-corrector continuation (Allgower & Georg, *Introduction to
+Numerical Continuation Methods*, SIAM 2003).  The ``Discretization``
+keeps the last points :func:`solve_kkt` returned on it as a warm-start
+chain (``Discretization.keep_point``): a point that a resumed solve
+returns joins the chain, any other starts a new one.  A solve whose
+``u0`` equals the control of the chain's last point bit for bit resumes
+from that point.  Its first Newton solve starts from the chain's
+prediction of the state at the new parameter
+(``Discretization.predict_point``: the last point's state when no earlier
+point of the chain lies on the parameter's line behind it), and, where
+some multiplier of the last point is nonzero, its damped update from the
+point's multipliers and costate.  At a free point (every multiplier zero)
+the costate is not carried: it would give nonzero separated multipliers,
+and the reduced Newton step would solve the adjoint once more to drop
+them.  Where every node of the last point carries a strong pair (an
+active constraint with a multiplier above ``eps_act``, the test of the
+second-order check), the pinned step is tried first, from the predicted
+state and the partition of its constraint values at the new parameter,
+with the predicted costate, when there is one, as the starting guess of
+the conjugate gradients of its adjoint solve.  The predictions only start
+the state Newton solve and that SPD adjoint solve, whose solutions are
+unique, so the iterate they reach is the same up to the solves'
+tolerances.  That try follows the pinned step's rules; rejected, it is
+not an iterate, and it leaves the in-loop pinned gate unspent.  Any other
 ``u0``, ``None`` included, starts from the control alone, with the state
 solved from zero and the multipliers and costate at zero.
 
@@ -148,11 +162,12 @@ class SolveOptions:
     the projection binds at no node, nor has the pinned step, tried once at
     the first iterate where it binds at every node (and once more, first,
     when a re-solve resumes from a strongly pinned point; see
-    :func:`solve_kkt`).  No knob turns the resume off: it applies exactly
-    when ``u0`` is the control of the last point solved on the
-    discretization.  Each state solve stops at a residual of
-    ``min(_NEWTON_TOL (1 + ||b||), 0.1 tol)``, ``b`` the boundary load.  A
-    violated bound raises ``ValueError`` naming the field first.
+    :func:`solve_kkt`).  No knob turns the resume or its prediction off:
+    the resume applies exactly when ``u0`` is the control of the last
+    point solved on the discretization.  Each state solve stops at a
+    residual of ``min(_NEWTON_TOL (1 + ||b||), 0.1 tol)``, ``b`` the
+    boundary load.  A violated bound raises ``ValueError`` naming the
+    field first.
     """
 
     max_outer: int = 200
@@ -217,8 +232,12 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     The start is the control ``u0`` (zero when None).  When ``u0`` equals
     the control of the last point returned on ``disc`` bit for bit, the
     solve resumes from the whole point, as the module docstring describes,
-    and may try the pinned step before its first iterate.  The point
-    returned is kept on ``disc`` for the next solve.
+    and may try the pinned step before its first iterate; its state, and
+    the costate guess of that pinned try, start from the prediction of
+    ``disc``'s warm-start chain at ``lam`` (see
+    :meth:`ctrlstab.fem.Discretization.predict_point`).  The point returned
+    is kept on ``disc`` for the next solve: it joins the chain when the
+    solve resumed, and starts a new chain otherwise.
 
     One damped iteration solves the state at the control ``u``, damps the
     multipliers separated from the previous costate toward their new
@@ -384,9 +403,10 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             s *= 0.5
         return None
 
-    def pinned_step(y0, labels, g0):
+    def pinned_step(y0, labels, g0, p0=None):
         # the pinned step from the state y0 with the dominance labels of its
-        # constraint values g0, as a step; None when the label constraints'
+        # constraint values g0, as a step, its adjoint solve started from
+        # the guess p0 when one is given; None when the label constraints'
         # dg/dy does not fold to one constant c, a solve fails or the
         # partition degenerates
         nonlocal pinned
@@ -417,7 +437,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             w_adj = pieces[0]
             rhs = _adjoint_rhs(disc, pieces, np.zeros((m, nb))) + c * (
                 disc.form.mass_boundary @ disc.embed(alpha + beta * u))
-            adjoint = disc.jacobian_solve(w_adj, rhs, c)
+            adjoint = disc.jacobian_solve(w_adj, rhs, c, x0=p0)
             e = disc.trace(adjoint) - alpha - beta * u
             mults = np.where(labels == np.arange(m)[:, None], e, 0.0)
             return iterate(state, u, adjoint, mults, w_adj,
@@ -426,7 +446,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             return None
 
     def report(step) -> KktSolveReport:
-        disc.keep_point(step[0])
+        disc.keep_point(step[0], resumed=last is not None)
         return KktSolveReport(point=step[0], residuals=step[1],
                               iterations=len(history),
                               sigma1=step[2].sigma1, history=history,
@@ -434,9 +454,9 @@ def solve_kkt(disc: Discretization, lam, u0=None,
 
     u, e_prev, p_prev = u0, np.zeros((m, nb)), np.zeros(disc.mesh.n_vertices)
     if last is not None:
-        # resume from the last point (see the module docstring); at a free
-        # point only its state is carried
-        y_warm = last.state.values
+        # resume from the last point and the chain's prediction at lam (see
+        # the module docstring); at a free point only the state is carried
+        y_warm, p_guess = disc.predict_point(lam)
         if np.any(last.multipliers):
             e_prev, p_prev = last.multipliers, last.adjoint.values
         # the first pinned try: rejected, it is not an iterate and leaves
@@ -445,7 +465,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             g = constraint_values(disc, y_warm, lam)
             part = partition_of(g)
             if part.sigma1 > 0.0:
-                trial = pinned_step(y_warm, part.labels, g)
+                trial = pinned_step(y_warm, part.labels, g, p_guess)
                 if trial is not None and trial[1].worst <= opts.tol:
                     record(trial)
                     return report(trial)

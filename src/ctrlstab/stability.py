@@ -183,7 +183,8 @@ def run_sweep(disc: Discretization, plan: SweepPlan,
     Each perturbed solve starts from the last converged control, which
     :func:`ctrlstab.solver.solve_kkt` resumes from the whole last point
     (state, costate and multipliers too) while no other solve has run on
-    ``disc`` in between.
+    ``disc`` in between, with the state predicted from the points of the
+    sweep before it; the cold solve starts a new warm-start chain.
 
     Each row records the iterations of its solve.  Rows where the inner
     solve fails are kept with ``kkt_ok = False``, the error's class name

@@ -18,9 +18,10 @@ sort.
 The set-up kernels are the earlier versions of the library's: a ring
 merge pair by pair instead of all pairs at once, edge keys by a sort along
 the end axis instead of ``minimum``/``maximum``, a ``np.unique`` pattern
-instead of one argsort, ``einsum`` stiffness element matrices instead of
-broadcast products, and a ``searchsorted`` transpose map instead of the
-pattern's scatter.  The library's must give their bits.
+instead of one argsort, ``einsum`` stiffness element matrices and
+quadrature points instead of broadcast products and sums, and a
+``searchsorted`` transpose map instead of the pattern's scatter.  The
+library's must give their bits.
 
 The reduced cost and its adjoint-based gradient, the boundary pairing and
 the a-priori quotient are test references of another kind: they compose the
@@ -35,8 +36,8 @@ import scipy.optimize
 import scipy.sparse
 
 # the reference loops share the library's constants, so they cannot drift
-from ctrlstab.fem import (_TRI_PRODUCTS, BoundaryFunction, FeFunction,
-                          nodal_values, norm)
+from ctrlstab.fem import (_TRI_PRODUCTS, TRI_BASIS, BoundaryFunction,
+                          FeFunction, nodal_values, norm)
 from ctrlstab.kkt import _CONE_SWEEPS, _CONE_TOL
 from ctrlstab.pde import solve_adjoint, solve_state
 from ctrlstab.solver import _NEWTON_TOL, objective_value
@@ -515,6 +516,11 @@ def searchsorted_mirror(keys, n):
     """The entry of each entry's transpose in a symmetric pattern, by
     looking the transposed key up in the sorted ``keys``."""
     return np.searchsorted(keys, keys % n * n + keys // n)
+
+
+def einsum_quadrature_points(mesh):
+    """Interior quadrature points (T, 3, 2) by ``einsum``."""
+    return np.einsum("qn,tnd->tqd", TRI_BASIS, mesh.vertices[mesh.triangles])
 
 
 def einsum_stiffness(i11, i12, i22, grads):

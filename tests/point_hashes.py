@@ -58,7 +58,8 @@ exits 0 when every file is in both trees and every group reads
 records cannot be collected).
 
 With one BLAS thread on a 2-CPU machine the first form takes about 2 s
-for all instance files and ``--against`` about 3 s;
+for all instance files and ``--against`` about 3 s; ``--against`` runs
+each subprocess with one BLAS thread whatever the caller's environment;
 ``tests/test_point_hashes.py`` runs both reports on one file.
 """
 
@@ -67,6 +68,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import os
 import pickle
 import subprocess
 import sys
@@ -308,6 +310,12 @@ def against(mine: dict, other: dict) -> tuple:
 
 # --- command line
 
+#: the thread counts of the BLAS builds numpy may use, pinned to one in each
+#: ``--collect`` subprocess: the two trees collect at once, and more threads
+#: than cores only slow both down
+ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS",
+                                     "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
 
 def _records(root: Path):
     """(file name, record) of every instance file of the tree at ``root``,
@@ -335,7 +343,8 @@ def main(argv: list) -> int:
             print(f"{name} {line(rec)}", flush=True)
         return 0
     procs = [subprocess.Popen([sys.executable, __file__, "--collect",
-                               str(root)], stdout=subprocess.PIPE)
+                               str(root)], stdout=subprocess.PIPE,
+                              env={**os.environ, **ONE_THREAD})
              for root in (here, Path(argv[2]).resolve())]
     outputs = [proc.communicate()[0] for proc in procs]
     if any(proc.returncode for proc in procs):

@@ -11,6 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import ctrlstab.fem as fem_mod
@@ -19,8 +20,9 @@ from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
                       make_disk_mesh, norm, solve_spd)
 
 from conftest import SETUP_MESHES, make_spec
-from oracles import (dense_solve, einsum_stiffness, searchsorted_mirror,
-                     stiffness_matrix, unique_pattern)
+from oracles import (dense_solve, einsum_quadrature_points,
+                     einsum_stiffness, searchsorted_mirror, stiffness_matrix,
+                     unique_pattern)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,57 @@ def test_solve_spd_preconditioned_by_another_matrix(disc):
     res = float(np.linalg.norm(b - a @ x))
     assert res <= 1e-13 * float(np.linalg.norm(b))
     assert float(np.max(np.abs(x - dense_solve(a.toarray(), b)))) <= 1e-9
+
+
+class _Unread:
+    """A starting guess that raises when anything reads it."""
+
+    def __array__(self, *args, **kw):
+        raise AssertionError("the guess was read")
+
+
+def test_solve_spd_from_a_guess_meets_the_stale_bounds(disc, monkeypatch):
+    # a stale factor as in the test above: started from a guess, the solve
+    # meets the bounds of b whatever the guess, and a close guess saves
+    # band solves; with an exact factor the guess is never read
+    k, m = disc.form.stiffness, disc.form.mass_domain
+    f = SpdFactorization(k + 0.5 * m)
+    a = (k + 0.8 * m).tocsr()
+    b = np.random.default_rng(10).standard_normal(disc.mesh.n_vertices)
+    exact = dense_solve(a.toarray(), b)
+    band = []
+    solve = SpdFactorization.solve
+
+    def counted(self, rhs):
+        band.append(None)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(SpdFactorization, "solve", counted)
+    counts = []
+    for x0 in (None, np.zeros_like(b), 10.0 * b, exact * (1.0 + 1e-6)):
+        band.clear()
+        x = solve_spd(a, b, factor=f, x0=x0)
+        counts.append(len(band))
+        assert float(np.linalg.norm(b - a @ x)) \
+            <= 1e-13 * float(np.linalg.norm(b))
+        assert float(np.max(np.abs(x - exact))) <= 1e-9
+    assert counts[-1] < counts[0]
+    exact_factor = SpdFactorization(a)
+    assert np.array_equal(solve_spd(a, b, factor=exact_factor, x0=_Unread()),
+                          solve_spd(a, b, factor=exact_factor))
+
+
+def test_band_solve_is_cho_solve_banded(disc):
+    # the LAPACK band solve that cho_solve_banded wraps, on the permuted b,
+    # one and several right-hand sides
+    f = SpdFactorization(disc.form.stiffness)
+    rng = np.random.default_rng(6)
+    for shape in ((disc.mesh.n_vertices,), (disc.mesh.n_vertices, 3)):
+        b = rng.standard_normal(shape)
+        z = scipy.linalg.cho_solve_banded((f._chol, False), b[f._perm])
+        want = np.empty_like(z)
+        want[f._perm] = z
+        assert f.solve(b).tobytes() == want.tobytes()
 
 
 def test_non_finite_rhs_rejected(disc):
@@ -411,6 +464,15 @@ def test_patterns_are_the_unique_based_ones(n_boundary, refinement):
                           (pattern.indptr, indptr),
                           (pattern.mirror, searchsorted_mirror(keys, n))):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_boundary,refinement", SETUP_MESHES)
+def test_quadrature_points_are_the_einsum_bits(n_boundary, refinement):
+    mesh = make_disk_mesh(n_boundary, refinement)
+    got = fem_mod._tables(mesh).qp_dom
+    want = einsum_quadrature_points(mesh)
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_stiffness_elements_are_the_einsum_bits():

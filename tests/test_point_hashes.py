@@ -3,6 +3,8 @@ instance file: its fingerprint layout and its move report."""
 
 import copy
 import dataclasses
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -179,3 +181,27 @@ def test_against_agrees_only_when_nothing_differs(record):
     lines, same = point_hashes.against({"a.ini": record},
                                        {"a.ini": record, "b.ini": record})
     assert not same and lines[-1] == "b.ini only in the other tree"
+
+
+def test_collecting_subprocesses_run_on_one_blas_thread(monkeypatch, tmp_path):
+    # ``--against`` starts one ``--collect`` child per tree, each with the
+    # caller's environment and the three BLAS thread counts set to 1
+    envs = []
+
+    class Child:
+        returncode = 0
+
+        def __init__(self, args, stdout, env):
+            envs.append(env)
+
+        def communicate(self):
+            return pickle.dumps({}), None
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.setattr(point_hashes.subprocess, "Popen", Child)
+    assert point_hashes.main(["point_hashes.py", "--against",
+                              str(tmp_path)]) == 0
+    assert len(envs) == 2
+    for env in envs:
+        assert env == {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                       "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}

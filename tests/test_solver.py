@@ -541,6 +541,107 @@ def test_rejected_resumed_pinned_step_changes_nothing(monkeypatch, failure):
                           never.point.control.values)
 
 
+#: the parameter steps of a chain on the cubic lq instance, along delta = 1
+CHAIN_T = (0.001, 0.003, 0.01, 0.03)
+
+
+def _cubic_lq():
+    """The lq instance with the monotone cubic reaction h = y + y^3, on 16
+    boundary nodes: every node is strongly pinned, and the Jacobian moves
+    with the state, so the pinned steps solve on a stale anchor."""
+    disc = Discretization(make_spec(reaction="y + y^3"), make_disk_mesh(16, 0))
+    return disc, np.zeros(disc.mesh.n_boundary), SolveOptions(tol=1e-9)
+
+
+def test_predicted_chain_takes_fewer_spd_solves(monkeypatch):
+    # from its third point on, each re-solve of a chain starts from the
+    # states and costates of the points before it extrapolated to its
+    # parameter: one Newton step fewer than from the last point alone (the
+    # chain cleared before each re-solve), to the same points within the
+    # oracle tolerance
+    calls = []
+    solve_spd = fem.solve_spd
+
+    def counted(*args, **kw):
+        calls.append(None)
+        return solve_spd(*args, **kw)
+
+    monkeypatch.setattr(fem, "solve_spd", counted)
+    counts = {}
+    for clear in (False, True):
+        disc, lam0, opts = _cubic_lq()
+        rep = solve_kkt(disc, lam0, options=opts)
+        counts[clear] = []
+        for t in CHAIN_T:
+            if clear:
+                disc.keep_point(rep.point)
+            calls.clear()
+            rep = solve_kkt(disc, lam0 + t, u0=rep.point.control.values,
+                            options=opts)
+            counts[clear].append(len(calls))
+            assert (rep.iterations, rep.pinned) == (1, 1)
+            assert residuals(disc, rep.point) == rep.residuals
+            assert rep.residuals.worst <= opts.tol
+            assert projection_identity_gap(disc, rep.point) \
+                <= 10.0 * opts.tol
+            # on another discretization, which leaves this chain be
+            cold = solve_kkt(Discretization(disc.problem, disc.mesh),
+                             lam0 + t, options=opts)
+            gap = rep.point.control.values - cold.point.control.values
+            assert float(np.max(np.abs(gap))) <= 10.0 * opts.tol
+    assert sum(counts[False]) < sum(counts[True])
+    assert counts[False][0] == counts[True][0]
+
+
+def _resume_case(case, predict=None):
+    """The last re-solve of a chain on :func:`_cubic_lq` in one of the
+    cases where the chain predicts no more than the last point, solved on
+    a new discretization.  When ``predict`` is given,
+    ``Discretization.predict_point`` is replaced by ``predict(before)``,
+    ``before`` the report of the solve before the last."""
+    disc, lam0, opts = _cubic_lq()
+    delta = np.ones_like(lam0)
+    off = np.sin(disc.mesh.boundary_s)
+    # (parameter step, resumed) before the last re-solve, and the last one
+    steps, last = {
+        "one point": ([], 0.001 * delta),
+        "broken": ([(0.001 * delta, True), (0.003 * delta, False)],
+                   0.01 * delta),
+        "off the line": ([(0.001 * delta, True), (0.003 * delta, True)],
+                         0.003 * delta + 0.007 * off),
+        "behind": ([(0.001 * delta, True), (0.003 * delta, True)],
+                   0.002 * delta),
+    }[case]
+    rep = solve_kkt(disc, lam0, options=opts)
+    for dlam, resumed in steps:
+        u0 = rep.point.control.values if resumed else None
+        rep = solve_kkt(disc, lam0 + dlam, u0=u0, options=opts)
+    with pytest.MonkeyPatch.context() as mp:
+        if predict is not None:
+            mp.setattr(fem.Discretization, "predict_point", predict(rep))
+        return solve_kkt(disc, lam0 + last, u0=rep.point.control.values,
+                         options=opts)
+
+
+@pytest.mark.parametrize("case", ["one point", "broken", "off the line",
+                                  "behind"])
+def test_resume_without_a_prediction_is_the_last_point(case):
+    # a chain of one point, one that a solve not resumed from it broke, a
+    # parameter off the chain's line and one behind its last point: the
+    # re-solve resumes from the last point alone, its state and no
+    # costate guess, bit for bit
+    rep = _resume_case(case)
+    ref = _resume_case(case, predict=lambda before: (
+        lambda self, lam: (before.point.state.values, None)))
+    assert (rep.iterations, rep.pinned) == (ref.iterations, ref.pinned) \
+        == (1, 1)
+    assert rep.history == ref.history
+    for name in ("state", "control", "adjoint"):
+        assert np.array_equal(getattr(rep.point, name).values,
+                              getattr(ref.point, name).values)
+    assert np.array_equal(rep.point.multipliers, ref.point.multipliers)
+
+
 def test_newton_stops_below_outer_tolerance(lq_disc16):
     # the state solve stops at newton_tol (1 + ||b||) = 1.035e-11 here; a
     # warm Newton start that meets that bound takes no step, so unless the
