@@ -31,8 +31,9 @@ pattern.  ``c = 0`` is the state and adjoint operator; a nonzero ``c`` is
 the pinned operator, in which a constraint ``g + u <= 0`` that binds at
 every boundary node substitutes ``u = -g(y)`` with ``dg/dy = c``.  Each
 ``c`` has one entry, its assembled matrix, reused while the h_y quadrature
-weights asked for are bit-identical to the last ones of that ``c``, and one
-factorization, its anchor: the last one taken for that ``c``.  A solve is
+weights asked for are bit-identical to the last ones of that ``c`` (the
+values of ``M[h_y]`` are summed once per weights, whatever the ``c``), and
+one factorization, its anchor: the last one taken for that ``c``.  A solve is
 exact when the anchor factorizes the entry's matrix (the same object), and
 otherwise runs conjugate gradients preconditioned by the anchor; that is
 the anchor's only use.  The dense control-to-state map ``T`` is kept with
@@ -50,6 +51,7 @@ import scipy.linalg.lapack
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from .expr import Const
 from .geometry import Mesh
 from .problem import AdmissionError, ProblemSpec, check_operator
 
@@ -231,6 +233,15 @@ def norm(f, kind: str, r: float = 3.0) -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
+def _norm2(v: np.ndarray) -> float:
+    """The 2-norm of a float array, bit for bit ``np.linalg.norm(v)``:
+    numpy's own formula, ``sqrt(w . w)`` with ``w = v.ravel(order="K")``,
+    without its dispatch.  The ravel is a view of a contiguous ``v`` and a
+    copy of a strided one, which BLAS would sum in another order."""
+    v = v.ravel(order="K")
+    return math.sqrt(float(v @ v))
+
+
 # ---------------------------------------------------------------------------
 # SPD solver
 # ---------------------------------------------------------------------------
@@ -339,7 +350,7 @@ def solve_spd(matrix, b: np.ndarray, factor: SpdFactorization,
     ``FemError``.
     """
     b = np.asarray(b, dtype=float)
-    b_norm = float(np.linalg.norm(b))
+    b_norm = _norm2(b)
     tol = 1e-10 * (1.0 + b_norm)
     if factor.matrix is not matrix:
         tol = min(tol, _STALE_RTOL * b_norm)
@@ -348,7 +359,7 @@ def solve_spd(matrix, b: np.ndarray, factor: SpdFactorization,
     else:
         x = np.array(x0, dtype=float)
     r = b - matrix @ x
-    res = float(np.linalg.norm(r))
+    res = _norm2(r)
     p = rz = None
     for _ in range(_CG_MAX_ITER):
         if res <= tol:
@@ -364,7 +375,7 @@ def solve_spd(matrix, b: np.ndarray, factor: SpdFactorization,
         step = rz / curv
         x = x + step * p
         r = r - step * q
-        res = float(np.linalg.norm(r))
+        res = _norm2(r)
     if not res <= tol:
         raise FemError(f"linear solve residual {res:.3e} exceeds {tol:.3e}")
     return x
@@ -468,6 +479,35 @@ def _stiffness_elements(i11, i12, i22, grads) -> np.ndarray:
     return elem.transpose(2, 0, 1)
 
 
+def _broadcast(value: float, shape: tuple) -> np.ndarray:
+    """``np.broadcast_to(value, shape)`` of a float, built directly: a
+    read-only array of ``shape`` with every stride 0, viewing one value."""
+    out = np.ndarray(shape, buffer=np.array([value]),
+                     strides=(0,) * len(shape))
+    out.flags.writeable = False
+    return out
+
+
+def _shaped(out, shape: tuple) -> np.ndarray:
+    """An expression's value as a read-only float array of ``shape``.
+
+    A value of that shape already comes back as a read-only view of
+    itself, so that a result aliasing an environment array (``x1`` is a
+    view of the quadrature table) never hands out writable memory; a
+    scalar or a broadcastable value as ``np.broadcast_to`` gives it, which
+    is read-only too.  A folded ``Const`` does not get here: the ``eval_*``
+    methods return its broadcast before they build an environment, so a
+    constant interpolates neither ``y`` nor ``lam`` (see
+    :func:`_broadcast`).
+    """
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        return np.broadcast_to(out, shape)
+    out = out.view()
+    out.flags.writeable = False
+    return out
+
+
 #: points of a warm-start chain: the last one and the two before it, for a
 #: prediction of degree two at most
 _CHAIN_LENGTH = 3
@@ -500,7 +540,11 @@ class Discretization:
     scipy's addition would drop it.
     An entry is reused only when its ``c`` and the weights ``w`` equal the
     cached ones bit for bit (shape and values); other weights replace the
-    entry of that ``c`` and leave the others alone.
+    entry of that ``c`` and leave the others alone.  The values of
+    ``M[w]`` are summed once per weights: a new entry whose weights equal
+    the last ones summed, bit for bit, whatever its ``c``, adds those
+    values again, so that the pinned operator and the state operator at
+    one state share one sum.
     The only factorization of each ``c`` is its anchor, the last one built
     for that ``c``.  It is exact for the entry whose matrix it factorizes
     (``anchor.matrix is matrix``); on a newer entry of the same ``c``,
@@ -541,10 +585,12 @@ class Discretization:
                           "s": mesh.boundary_s}
 
         self.form = self._assemble()
-        # c -> (weights copy, K + M[weights] + c M_B); c -> the last
-        # factorization of that c; (factorization, T) of c = 0; and the
-        # warm-start chain of the points solve_kkt returned, oldest first
+        # c -> (weights copy, K + M[weights] + c M_B); the last weights
+        # summed and their M[weights] values; c -> the last factorization
+        # of that c; (factorization, T) of c = 0; and the warm-start chain
+        # of the points solve_kkt returned, oldest first
         self._jacobian: dict = {}
+        self._mass = None
         self._anchor: dict = {}
         self._t_map = None
         self._chain: list = []
@@ -552,35 +598,49 @@ class Discretization:
     # -- expression environments --------------------------------------------
 
     def eval_dom(self, e, y: np.ndarray | None = None) -> np.ndarray:
-        """Evaluate ``e`` at interior quadrature points, (T, 3)."""
+        """Evaluate ``e`` at interior quadrature points, (T, 3), read-only.
+
+        A folded ``Const`` returns its broadcast at once: no environment,
+        and ``y`` is not interpolated.  Any other value comes back through
+        :func:`_shaped`, as a read-only view when it has the shape already.
+        So do those of :meth:`eval_bnd` and :meth:`eval_node`.
+        """
+        shape = self.tables.qw_dom.shape
+        if isinstance(e, Const):
+            return _broadcast(e.value, shape)
         env = dict(self._env_dom)
         if y is not None:
             env["y"] = self.tri_interp(y)
-        out = np.asarray(e.eval(env), dtype=float)
-        return np.broadcast_to(out, self.tables.qw_dom.shape)
+        return _shaped(e.eval(env), shape)
 
     def eval_bnd(self, e, y=None, lam=None) -> np.ndarray:
-        """Evaluate ``e`` at boundary quadrature points, (Nb, 2).
+        """Evaluate ``e`` at boundary quadrature points, (Nb, 2), read-only,
+        with the fast paths of :meth:`eval_dom`.
 
         ``y`` is a full nodal array (traced), ``lam`` boundary nodal.
         """
+        shape = self.tables.qw_bnd.shape
+        if isinstance(e, Const):
+            return _broadcast(e.value, shape)
         env = dict(self._env_bnd)
         if y is not None:
             env["y"] = self.edge_interp(self.trace(y))
         if lam is not None:
             env["lam"] = self.edge_interp(lam)
-        out = np.asarray(e.eval(env), dtype=float)
-        return np.broadcast_to(out, self.tables.qw_bnd.shape)
+        return _shaped(e.eval(env), shape)
 
     def eval_node(self, e, y=None, lam=None) -> np.ndarray:
-        """Evaluate ``e`` at boundary nodes, (Nb,)."""
+        """Evaluate ``e`` at boundary nodes, (Nb,), read-only, with the fast
+        paths of :meth:`eval_dom`."""
+        shape = (self.mesh.n_boundary,)
+        if isinstance(e, Const):
+            return _broadcast(e.value, shape)
         env = dict(self._env_node)
         if y is not None:
             env["y"] = self.trace(y)
         if lam is not None:
             env["lam"] = np.asarray(lam, dtype=float)
-        out = np.asarray(e.eval(env), dtype=float)
-        return np.broadcast_to(out, (self.mesh.n_boundary,))
+        return _shaped(e.eval(env), shape)
 
     def tri_interp(self, v: np.ndarray) -> np.ndarray:
         """Nodal (V,) -> values at interior quadrature points (T, 3)."""
@@ -661,15 +721,17 @@ class Discretization:
         mutate it."""
         entry = self._jacobian.get(c)
         if entry is None or not np.array_equal(entry[0], w_qp):
-            w = np.array(w_qp, dtype=float)
+            mass = self._mass
+            if mass is None or not np.array_equal(mass[0], w_qp):
+                w = np.array(w_qp, dtype=float)
+                mass = self._mass = (w, self.domain_mass_weighted(w).data)
             # both on the triangle pattern: adding the values adds as
             # scipy's K + M[w] would; c M_B adds onto the boundary edges
-            mass = self.domain_mass_weighted(w)
-            data = self.form.stiffness.data + mass.data
+            data = self.form.stiffness.data + mass[1]
             if c:
                 data[self.tables.bnd_in_tri] += \
                     c * self.form.mass_boundary.data
-            entry = (w, self.tables.tri_pattern.matrix(data))
+            entry = (mass[0], self.tables.tri_pattern.matrix(data))
             self._jacobian[c] = entry
             if not c:
                 self._t_map = None

@@ -26,8 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
-from .fem import BoundaryFunction, Discretization, FeFunction, nodal_values
+from .expr import Const
+from .fem import (BoundaryFunction, Discretization, FeFunction, _norm2,
+                  nodal_values)
 from .pde import (_reaction_y, adjoint_system, linearized_operator,
                   state_residual_norm)
 from .problem import AdmissionError
@@ -178,8 +181,7 @@ def _residual_record(disc: Discretization, point: KktPoint, r_state: float,
     _require_multipliers(disc, point)
     u = point.control.values
     adj = point.adjoint.values
-    r_adjoint = float(np.linalg.norm(disc.jacobian_matrix(w_adj) @ adj
-                                     - rhs))
+    r_adjoint = _norm2(disc.jacobian_matrix(w_adj) @ adj - rhs)
     e = point.multipliers
     r_stat = float(np.max(np.abs(-disc.trace(adj) + alpha + beta * u
                                  + np.sum(e, axis=0))))
@@ -249,6 +251,73 @@ _BLOCK_FLOATS = 128 * 64
 _BRACKET_MAX_SOLVES = 60
 
 
+# The dense kernels of the reduced Newton step and the SSC check call LAPACK
+# directly: each calls the routine its scipy.linalg counterpart calls, with
+# the same arguments and the same workspace, so it returns the same bits,
+# and keeps the wrapper's checks and errors, without its dispatch.
+_dpotrf, _dpotrs, _dsyevr, _dsyevr_lwork = \
+    scipy.linalg.lapack.get_lapack_funcs(
+        ("potrf", "potrs", "syevr", "syevr_lwork"), dtype=np.float64)
+
+
+def _cho_factor(a: np.ndarray, lower: bool = False) -> tuple:
+    """``scipy.linalg.cho_factor(a, lower)`` of a square float array:
+    ``dpotrf`` with ``clean=0`` on a copy of ``a``.  A non-finite entry
+    raises ``ValueError`` and a leading minor that is not positive definite
+    ``np.linalg.LinAlgError``, as there."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = _dpotrf(a, lower=lower, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
+                         f"argument on entry to \"POTRF\".")
+    return c, lower
+
+
+def _cho_solve(c_and_lower: tuple, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve(c_and_lower, b)`` for a factor of
+    :func:`_cho_factor`: ``dpotrs`` on a copy of ``b``.  A non-finite entry
+    of ``b`` raises ``ValueError``; the factor needs no check, since
+    ``dpotrf`` succeeded on finite entries."""
+    c, lower = c_and_lower
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = _dpotrs(c, b, lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal "
+                         f"potrs")
+    return x
+
+
+@functools.lru_cache(maxsize=16)
+def _syevr_workspace(n: int) -> tuple:
+    """``(lwork, liwork)`` of ``dsyevr`` on an n x n matrix, as
+    ``scipy.linalg.eigh`` queries them: the default workspace of the f2py
+    wrapper runs ``dsytrd`` unblocked, which sums in another order."""
+    return scipy.linalg.lapack._compute_lwork(_dsyevr_lwork, n=n, lower=1)
+
+
+def _smallest_eigenpair(a: np.ndarray) -> tuple:
+    """``scipy.linalg.eigh(a, subset_by_index=[0, 0])`` of a symmetric
+    float array, as ``(mu, x)`` with ``x`` (n,): ``dsyevr`` with
+    ``range='I', il=iu=1, lower=1`` and the workspace of
+    :func:`_syevr_workspace`, on the lower triangle of ``a``, which it may
+    overwrite.  A non-finite entry raises ``ValueError`` and a failure of
+    the routine ``np.linalg.LinAlgError``, as there."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lwork, liwork = _syevr_workspace(a.shape[0])
+    w, v, _, _, info = _dsyevr(a, compute_v=1, range="I", il=1, iu=1,
+                               lower=1, lwork=lwork, liwork=liwork,
+                               overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed: info = {info}")
+    return float(w[0]), v[:, 0]
+
+
 def _curvature_operator(disc: Discretization, point: KktPoint) -> tuple:
     """The curvature form at ``point`` as two assembled matrices::
 
@@ -257,22 +326,50 @@ def _curvature_operator(disc: Discretization, point: KktPoint) -> tuple:
 
     The mass matrices use the module's quadrature rules, so
     ``int w (sum_a y_a phi_a)^2 = y^T M[w] y`` holds exactly.
+
+    ``A_y`` is one matrix on the triangle pattern: the domain sum of
+    ``domain_mass_weighted``, onto whose boundary-edge entries the values
+    of ``boundary_mass_weighted`` are added in place, as
+    ``Discretization.jacobian_matrix`` adds ``c M_B``.  Those are the sums
+    scipy's ``M[.] + M_B[.]`` computes, without its pattern merge.  A term
+    whose folded second derivative is ``Const(0.0)`` (``h_yy`` for a
+    linear ``h``, ``l_yy`` for ``l = 0``, ``g_iyy`` for a linear
+    constraint) is neither evaluated nor summed, and a weight without a
+    term adds no boundary sum; the terms left are added in their order.
+    A skipped term only added zeros, and a sum into the pattern starts
+    from +0.0, so the values are those of the full sum bit for bit.  The
+    one difference is that an entry that sums to exactly zero stays,
+    where scipy's addition would drop it, which changes no product with a
+    finite vector.
     """
     p = disc.problem
-    y_base = point.state.values
+    y = point.state.values
     lam = point.param.values
-    w_dom = disc.eval_dom(p.obj_domain_yy, y=y_base) \
-        + disc.tri_interp(point.adjoint.values) \
-        * disc.eval_dom(p.reaction_yy, y=y_base)
-    w_bnd = disc.eval_bnd(p.obj_boundary_yy, y=y_base, lam=lam)
+    dom = []
+    if not _is_zero(p.obj_domain_yy):
+        dom.append(disc.eval_dom(p.obj_domain_yy, y=y))
+    if not _is_zero(p.reaction_yy):
+        dom.append(disc.tri_interp(point.adjoint.values)
+                   * disc.eval_dom(p.reaction_yy, y=y))
+    bnd = []
+    if not _is_zero(p.obj_boundary_yy):
+        bnd.append(disc.eval_bnd(p.obj_boundary_yy, y=y, lam=lam))
     for gyy, e in zip(p.constraints_yy, point.multipliers):
-        w_bnd = w_bnd + disc.edge_interp(e) \
-            * disc.eval_bnd(gyy, y=y_base, lam=lam)
-    a_y = disc.domain_mass_weighted(w_dom) \
-        + disc.boundary_mass_weighted(w_bnd)
+        if not _is_zero(gyy):
+            bnd.append(disc.edge_interp(e) * disc.eval_bnd(gyy, y=y, lam=lam))
+    a_y = disc.domain_mass_weighted(
+        sum(dom[1:], dom[0]) if dom else np.zeros(disc.tables.qw_dom.shape))
+    if bnd:
+        a_y.data[disc.tables.bnd_in_tri] += \
+            disc.boundary_mass_weighted(sum(bnd[1:], bnd[0])).data
     b_u = disc.boundary_mass_weighted(disc.eval_bnd(p.beta, lam=lam),
                                       boundary_numbering=True)
     return a_y, b_u
+
+
+def _is_zero(e) -> bool:
+    """True for an expression folded to the constant zero."""
+    return isinstance(e, Const) and e.value == 0.0
 
 
 def quadratic_form(disc: Discretization, point: KktPoint,
@@ -328,7 +425,9 @@ class _ReducedForms:
 
     @functools.cached_property
     def hess(self) -> np.ndarray:
-        """Reduced Hessian ``H = T^T (A_y T) + B_u``, (Nb, Nb)."""
+        """Reduced Hessian ``H = T^T (A_y T) + B_u``, (Nb, Nb), with the
+        operator of :func:`_curvature_operator`: ``A_y`` one matrix on the
+        triangle pattern, without the terms that fold to zero."""
         a_y, b_u = _curvature_operator(self.disc, self.point)
         return self.t_mat.T @ (a_y @ self.t_mat) + b_u.toarray()
 
@@ -563,9 +662,13 @@ def _pencil_minimum(h_z: np.ndarray, m_z: np.ndarray, n_z: np.ndarray):
     One generalized eigendecomposition, ``n_z W = m_z W diag(d)`` with
     ``W^T m_z W = I``, makes each ``theta`` the standard problem
     ``S (W^T h_z W) S``, ``S = diag((1/theta + d/(1 - theta))^-1/2)``: one
-    smallest eigenpair.  ``theta`` starts at 1/2 and takes the fixed-point
-    step ``theta <- a/(a + b)`` while that stays inside the bracket and the
-    bracket halves at least every second solve, and bisects otherwise.
+    smallest eigenpair, by :func:`_smallest_eigenpair`, LAPACK's
+    ``dsyevr`` with the arguments and workspace of
+    ``scipy.linalg.eigh(..., subset_by_index=[0, 0])``, so with its bits,
+    on the temporary matrix, which it overwrites.  ``theta`` starts at 1/2
+    and takes the fixed-point step ``theta <- a/(a + b)`` while that stays
+    inside the bracket and the bracket halves at least every second solve,
+    and bisects otherwise.
     ``a/(a + b) > theta`` says that ``mu`` moves away from zero to the
     right, whatever its sign, so the bracket keeps the stationary point.
     The search stops once ``|v(c) - mu| <= 1e-10 (1 + |mu|)`` and returns
@@ -578,11 +681,9 @@ def _pencil_minimum(h_z: np.ndarray, m_z: np.ndarray, n_z: np.ndarray):
     widths = [1.0, 1.0]
     for _ in range(_BRACKET_MAX_SOLVES):
         s = (1.0 / theta + d / (1.0 - theta)) ** -0.5
-        mu, x = scipy.linalg.eigh(s[:, None] * h_w * s,
-                                  subset_by_index=[0, 0])
-        mu = float(mu[0])
-        c = s * x[:, 0]  # unit size in the pencil's metric: c^T h_w c = mu
-        a = float(np.linalg.norm(c))
+        mu, x = _smallest_eigenpair(s[:, None] * h_w * s)
+        c = s * x  # unit size in the pencil's metric: c^T h_w c = mu
+        a = _norm2(c)
         b = math.sqrt(float(np.sum(d * c * c)))
         v = mu / (a + b) ** 2
         if abs(v - mu) <= 1e-10 * (1.0 + abs(mu)):
@@ -694,6 +795,13 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     trivial cone it is left untouched.  Raises ``ValueError`` unless the
     point carries one multiplier per constraint.
 
+    The curvature operator skips the terms that fold to zero (see
+    :func:`_curvature_operator`), and the inverse iteration factorizes and
+    solves with LAPACK's ``dpotrf`` and ``dpotrs`` called directly, the
+    routines of ``scipy.linalg.cho_factor`` and ``cho_solve`` with the same
+    arguments and workspace (:func:`_cho_factor`, :func:`_cho_solve`), so
+    the report has the bits of the full sums and the scipy wrappers.
+
     The inverse iteration stops after 50 steps, converged or not.  On the
     ssc_sample benchmark instance (eigen-gap 7.2e-8) it returns
     1.0000599..., above the 1.0000097... of a dense ``scipy.linalg.eigh``.
@@ -723,18 +831,17 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     shift = float(np.min(np.diag(c_sym)
                          - (np.sum(np.abs(c_sym), axis=1)
                             - np.abs(np.diag(c_sym))))) - 1.0
-    chol_s = scipy.linalg.cho_factor(
-        c_sym - shift * np.eye(nz), lower=True)
+    chol_s = _cho_factor(c_sym - shift * np.eye(nz), lower=True)
     x = np.ones(nz)
     x[int(np.argmin(np.diag(c_sym)))] += 1.0
-    x /= np.linalg.norm(x)
+    x /= _norm2(x)
     rq = float(x @ c_sym @ x)
     for it in range(50):
-        x = scipy.linalg.cho_solve(chol_s, x)
-        x /= np.linalg.norm(x)
+        x = _cho_solve(chol_s, x)
+        x /= _norm2(x)
         cx = c_sym @ x
         rq = float(x @ cx)
-        res = float(np.linalg.norm(cx - rq * x))
+        res = _norm2(cx - rq * x)
         if res <= 1e-13 * (1.0 + abs(rq)):
             break
         if it == 24:
@@ -742,8 +849,8 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
             new_shift = rq - res - 1e-8 * (1.0 + abs(rq))
             if new_shift > shift:
                 try:
-                    chol_s = scipy.linalg.cho_factor(
-                        c_sym - new_shift * np.eye(nz), lower=True)
+                    chol_s = _cho_factor(c_sym - new_shift * np.eye(nz),
+                                         lower=True)
                     shift = new_shift
                 except np.linalg.LinAlgError:
                     pass

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import (Discretization, FeFunction, SpdFactorization, _as_values,
-                  nodal_values)
+                  _norm2, nodal_values)
 
 #: Newton steps of a state solve before it raises
 _NEWTON_MAX_ITER = 50
@@ -110,7 +110,7 @@ def solve_state(disc: Discretization, u, lam, y0=None,
 def _residual_bound(b: np.ndarray, tol: float, cap: float) -> float:
     """Newton's absolute residual bound for the boundary load ``b``:
     ``min(tol (1 + ||b||_2), cap)``."""
-    return min(tol * (1.0 + float(np.linalg.norm(b))), cap)
+    return min(tol * (1.0 + _norm2(b)), cap)
 
 
 def _newton(disc: Discretization, y: np.ndarray, load, tol_abs: float,
@@ -124,7 +124,7 @@ def _newton(disc: Discretization, y: np.ndarray, load, tol_abs: float,
     norm decreases; errors as in :func:`solve_state`.
     """
     f_vec = _state_residual(disc, y, load(y))
-    res = float(np.linalg.norm(f_vec))
+    res = _norm2(f_vec)
     iterations = 0
     while res > tol_abs:
         if iterations >= _NEWTON_MAX_ITER:
@@ -136,7 +136,7 @@ def _newton(disc: Discretization, y: np.ndarray, load, tol_abs: float,
         for _ in range(30):
             y_try = y + sigma * delta
             f_try = _state_residual(disc, y_try, load(y_try))
-            res_try = float(np.linalg.norm(f_try))
+            res_try = _norm2(f_try)
             if res_try <= (1.0 - 1e-4 * sigma) * res:
                 break
             sigma *= 0.5
@@ -156,7 +156,7 @@ def state_residual_norm(disc: Discretization, y, u, lam) -> float:
     u = nodal_values(u, disc.mesh.n_boundary)
     lam = nodal_values(lam, disc.mesh.n_boundary)
     b = disc.form.mass_boundary @ disc.embed(u + lam)
-    return float(np.linalg.norm(_state_residual(disc, y, b)))
+    return _norm2(_state_residual(disc, y, b))
 
 
 def adjoint_system(disc: Discretization, y, lam, multipliers) -> tuple:

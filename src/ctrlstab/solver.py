@@ -119,9 +119,10 @@ import scipy.linalg
 
 from .fem import (BoundaryFunction, Discretization, FeFunction, FemError,
                   nodal_values)
-from .kkt import (KktPoint, KktResiduals, _ReducedForms, _residual_record,
-                  _separated_multipliers, _strong_at_every_node,
-                  check_beta_floor, constraint_values, partition_of)
+from .kkt import (KktPoint, KktResiduals, _cho_factor, _cho_solve,
+                  _ReducedForms, _residual_record, _separated_multipliers,
+                  _strong_at_every_node, check_beta_floor, constraint_values,
+                  partition_of)
 from .pde import (StateSolveError, _adjoint_pieces, _adjoint_rhs, _newton,
                   _residual_bound, adjoint_system, solve_state)
 
@@ -212,11 +213,20 @@ def _newton_direction(forms: _ReducedForms, grad: np.ndarray) -> np.ndarray:
     Where ``H`` is not positive definite, take the eigenvalue-modified step
     ``du = -V |Lambda|^-1 V^T grad`` of ``H V = M_bb V Lambda`` instead
     (Nocedal & Wright, *Numerical Optimization*, Sec. 3.4): a descent
-    direction of the reduced cost whatever the inertia of ``H``."""
+    direction of the reduced cost whatever the inertia of ``H``.
+
+    The Cholesky factorization and solve call LAPACK's ``dpotrf`` and
+    ``dpotrs`` directly (``ctrlstab.kkt._cho_factor``, ``_cho_solve``):
+    the routines of ``scipy.linalg.cho_factor`` and ``cho_solve``, with
+    the same arguments and workspace, so the step has their bits.  A
+    factorization that fails raises ``LinAlgError`` and takes the modified
+    step, as the wrappers' did; a non-finite ``H``, or a non-finite
+    ``grad`` with a positive definite ``H``, raises ``ValueError``, as
+    theirs did."""
     hess = forms.hess
     hess = 0.5 * (hess + hess.T)
     try:
-        return -scipy.linalg.cho_solve(scipy.linalg.cho_factor(hess), grad)
+        return -_cho_solve(_cho_factor(hess), grad)
     except np.linalg.LinAlgError:
         eig, vec = scipy.linalg.eigh(
             hess, forms.disc.form.mass_boundary_bb.toarray())

@@ -21,7 +21,9 @@ the end axis instead of ``minimum``/``maximum``, a ``np.unique`` pattern
 instead of one argsort, ``einsum`` stiffness element matrices and
 quadrature points instead of broadcast products and sums, and a
 ``searchsorted`` transpose map instead of the pattern's scatter.  The
-library's must give their bits.
+library's must give their bits.  So must its curvature operator, against
+the earlier sum of a domain and a boundary mass matrix with every term
+evaluated, zero or not.
 
 The reduced cost and its adjoint-based gradient, the boundary pairing and
 the a-priori quotient are test references of another kind: they compose the
@@ -547,3 +549,24 @@ def stiffness_matrix(disc):
     s = np.bincount(pos, weights=elem.ravel(), minlength=len(keys))
     data = 0.5 * (s + s[searchsorted_mirror(keys, n)])
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def curvature_operator_sum(disc, point):
+    """The curvature operator ``(A_y, B_u)`` at ``point`` as the library
+    built it before: every term of the weights evaluated, zero or not, and
+    ``A_y`` scipy's sum of the domain and the boundary mass matrices."""
+    p = disc.problem
+    y_base = point.state.values
+    lam = point.param.values
+    w_dom = disc.eval_dom(p.obj_domain_yy, y=y_base) \
+        + disc.tri_interp(point.adjoint.values) \
+        * disc.eval_dom(p.reaction_yy, y=y_base)
+    w_bnd = disc.eval_bnd(p.obj_boundary_yy, y=y_base, lam=lam)
+    for gyy, e in zip(p.constraints_yy, point.multipliers):
+        w_bnd = w_bnd + disc.edge_interp(e) \
+            * disc.eval_bnd(gyy, y=y_base, lam=lam)
+    a_y = disc.domain_mass_weighted(w_dom) \
+        + disc.boundary_mass_weighted(w_bnd)
+    b_u = disc.boundary_mass_weighted(disc.eval_bnd(p.beta, lam=lam),
+                                      boundary_numbering=True)
+    return a_y, b_u

@@ -17,7 +17,8 @@ import scipy.sparse as sp
 import ctrlstab.fem as fem_mod
 from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
                       FemError, FeFunction, NotSpdError, SpdFactorization,
-                      make_disk_mesh, norm, solve_spd)
+                      make_disk_mesh, norm, parse, solve_spd)
+from ctrlstab.expr import Const
 
 from conftest import SETUP_MESHES, make_spec
 from oracles import (dense_solve, einsum_quadrature_points,
@@ -557,3 +558,81 @@ def test_tables_die_with_their_mesh(lq_spec):
     del mesh, d
     gc.collect()
     assert ref() is None
+
+
+def _counting(calls: list, function):
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+    return counted
+
+
+def test_operator_entries_share_one_mass_sum_per_weights(monkeypatch):
+    # the state operator and the pinned one at one state sum M[h_y] once;
+    # their values stay K + M[w] (+ c M_B) bit for bit
+    d = Discretization(make_spec(reaction="y + y^3"), make_disk_mesh(16, 0))
+    rng = np.random.default_rng(8)
+    w, w2 = (rng.uniform(0.5, 3.0, d.tables.qw_dom.shape) for _ in range(2))
+    want = {id(v): d.domain_mass_weighted(v).data for v in (w, w2)}
+    sums = []
+    monkeypatch.setattr(Discretization, "domain_mass_weighted",
+                        _counting(sums, Discretization.domain_mass_weighted))
+    c = 1.5
+    for v, n_sums in ((w, 1), (w2, 2), (w, 3)):
+        state, pinned = d.jacobian_matrix(v), d.jacobian_matrix(v.copy(), c)
+        assert len(sums) == n_sums
+        data = d.form.stiffness.data + want[id(v)]
+        assert state.data.tobytes() == data.tobytes()
+        data[d.tables.bnd_in_tri] += c * d.form.mass_boundary.data
+        assert pinned.data.tobytes() == data.tobytes()
+
+
+def test_norm2_is_numpys_norm_bit_for_bit():
+    # contiguous, strided, C- and F-ordered arrays: BLAS sums a strided dot
+    # product in another order, so the ravel must copy it first
+    rng = np.random.default_rng(9)
+    for n in (1, 3, 64, 353, 5000):
+        base = rng.standard_normal(6 * n) * 10.0 ** rng.uniform(-5, 5)
+        two = base.reshape(6, n)
+        for v in (base, base[::3], two, two.T, two[:, ::2], two[::2].T):
+            assert fem_mod._norm2(v) == float(np.linalg.norm(v))
+
+
+def _evaluations(disc):
+    # each eval_* with a state and a parameter where it takes them
+    y = np.linspace(-1.0, 1.0, disc.mesh.n_vertices)
+    lam = np.linspace(0.0, 1.0, disc.mesh.n_boundary)
+    return (lambda e: disc.eval_dom(e, y=y),
+            lambda e: disc.eval_bnd(e, y=y, lam=lam),
+            lambda e: disc.eval_node(e, y=y, lam=lam))
+
+
+def test_evaluations_never_hand_out_writable_memory(disc):
+    # a constant, the quadrature table itself, a scalar of no variable, and
+    # values that already have the target shape
+    table = disc.tables.qp_dom.copy()
+    exprs = [Const(2.5), parse("x1"), parse("sin(1)"),
+             parse("y + x1"), disc.problem.reaction_y]
+    for i, evaluate in enumerate(_evaluations(disc)):
+        for e in exprs + ([parse("y*lam"), disc.problem.alpha] if i else []):
+            out = evaluate(e)
+            assert not out.flags.writeable, e
+            with pytest.raises(ValueError):
+                out[...] = 0.0
+    assert np.array_equal(disc.tables.qp_dom, table)
+    assert np.shares_memory(disc.eval_dom(parse("x1")), disc.tables.qp_dom)
+
+
+def test_folded_constant_is_its_broadcast_without_interpolation(
+        disc, monkeypatch):
+    def refused(*args):
+        raise AssertionError("a constant interpolated its environment")
+
+    for name in ("tri_interp", "edge_interp", "trace"):
+        monkeypatch.setattr(disc, name, refused)
+    for evaluate in _evaluations(disc):
+        out = evaluate(Const(-0.0))
+        want = np.broadcast_to(-0.0, out.shape)
+        assert out.tobytes() == want.tobytes()
+        assert out.strides == want.strides
+        assert not out.flags.writeable

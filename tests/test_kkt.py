@@ -15,6 +15,7 @@ from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
                       build_discretization, check_ssc, make_disk_mesh, norm,
                       parse_instance, partition_at, projection_identity_gap,
                       quadratic_form, recover_multipliers, solve_kkt)
+from ctrlstab import fem as fem_mod
 from ctrlstab import kkt
 from ctrlstab.kkt import (_BLOCK_FLOATS, _BRACKET_MAX_SOLVES, _ConeGeometry,
                           _critical_blocks, check_beta_floor,
@@ -980,13 +981,21 @@ def _counting(calls: list, function):
     return counted
 
 
+def _count_eigen_solves(monkeypatch, eighs: list) -> None:
+    # the pencil's diagonalization is scipy's eigh, and each of its
+    # smallest-eigenpair solves a direct LAPACK call
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        _counting(eighs, scipy.linalg.eigh))
+    monkeypatch.setattr(kkt, "_smallest_eigenpair",
+                        _counting(eighs, kkt._smallest_eigenpair))
+
+
 def test_bracket_search_stops_at_its_budget(monkeypatch):
     # the near-degenerate double well takes more than three eigen-solves;
     # allowed three, the search stops after them and the sampler takes over
     disc, point = _near_degenerate_double_well()
     eighs = []
-    monkeypatch.setattr(scipy.linalg, "eigh",
-                        _counting(eighs, scipy.linalg.eigh))
+    _count_eigen_solves(monkeypatch, eighs)
     full = check_ssc(disc, point, n_samples=50)
     assert full.n_samples == 1
     assert 1 + 3 < len(eighs) <= 1 + _BRACKET_MAX_SOLVES
@@ -1039,8 +1048,7 @@ def test_check_ssc_cost_does_not_grow_with_samples(mixed_active_solved,
     for name in ("eval_dom", "eval_bnd"):
         monkeypatch.setattr(Discretization, name,
                             _counting(calls, getattr(Discretization, name)))
-    monkeypatch.setattr(scipy.linalg, "eigh",
-                        _counting(eighs, scipy.linalg.eigh))
+    _count_eigen_solves(monkeypatch, eighs)
 
     def cost(case, n):
         calls.clear()
@@ -1186,3 +1194,122 @@ def test_point_needs_one_multiplier_per_constraint(keep):
                                          np.zeros(nb))):
         with pytest.raises(ValueError, match="multipliers"):
             check()
+
+
+# ---------------------------------------------------------------------------
+# direct LAPACK kernels and the curvature operator on the triangle pattern
+# ---------------------------------------------------------------------------
+
+#: matrix orders of the kernel checks: the smallest, and either side of a
+#: LAPACK block size
+_KERNEL_ORDERS = (1, 2, 63, 64, 65)
+
+
+def _nearly_symmetric(rng, n, shift=0.0):
+    # symmetric up to rounding, as the pencil's scaled matrices are: the
+    # strict upper triangle is off by about 1e-15, so that reading the
+    # other triangle changes the bits
+    a = rng.standard_normal((n, n))
+    a = a + a.T + shift * np.eye(n)
+    return a * (1.0 + 1e-15 * np.triu(rng.standard_normal((n, n)), 1))
+
+
+@pytest.mark.parametrize("n", _KERNEL_ORDERS)
+def test_smallest_eigenpair_is_scipys_eigh_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        a = _nearly_symmetric(rng, n)
+        w, v = scipy.linalg.eigh(a, subset_by_index=[0, 0])
+        mu, x = kkt._smallest_eigenpair(a.copy())
+        assert np.float64(mu).tobytes() == w[0].tobytes()
+        assert x.tobytes() == v[:, 0].tobytes()
+    a[0, -1] = np.nan
+    for solve in (kkt._smallest_eigenpair,
+                  lambda m: scipy.linalg.eigh(m, subset_by_index=[0, 0])):
+        with pytest.raises(ValueError):
+            solve(a.copy())
+
+
+@pytest.mark.parametrize("n", _KERNEL_ORDERS)
+@pytest.mark.parametrize("lower", [False, True])
+def test_cholesky_kernels_are_scipys_bit_for_bit(n, lower):
+    rng = np.random.default_rng(100 + n)
+    a = _nearly_symmetric(rng, n, shift=4.0 * n)
+    b = rng.standard_normal(n)
+    factor = kkt._cho_factor(a, lower=lower)
+    want = scipy.linalg.cho_factor(a, lower=lower)
+    assert factor[1] == want[1]
+    assert factor[0].tobytes(order="A") == want[0].tobytes(order="A")
+    assert kkt._cho_solve(factor, b).tobytes() == \
+        scipy.linalg.cho_solve(want, b).tobytes()
+    # the failures are scipy's: not positive definite, a non-finite entry
+    # in the matrix or in the right-hand side
+    bad_a, bad_b = a.copy(), b.copy()
+    bad_a[-1, 0] = bad_b[-1] = np.nan
+    for error, matrix in ((np.linalg.LinAlgError, -a), (ValueError, bad_a)):
+        for factorize in (kkt._cho_factor, scipy.linalg.cho_factor):
+            with pytest.raises(error):
+                factorize(matrix, lower=lower)
+    for solve, c in ((kkt._cho_solve, factor), (scipy.linalg.cho_solve, want)):
+        with pytest.raises(ValueError):
+            solve(c, bad_b)
+
+
+def _every_term_point(nonzero: bool):
+    # a point, solved or not, on an instance whose curvature weights have
+    # every term, h_yy, L_yy, l_yy and each g_iyy, nonzero, or else the
+    # linear-quadratic one where h_yy, l_yy and g_iyy fold to zero
+    spec = make_spec(obj_domain="0.5*(y - 1)^2 + 0.25*y^4",
+                     obj_boundary="0.5*y^2 + lam*y^3", reaction="y + y^3",
+                     constraints=("y^3 + y - 2", "y^3 + 2*y - 3")) \
+        if nonzero else make_spec()
+    disc = Discretization(spec, make_disk_mesh(16, 1))
+    rng = np.random.default_rng(21)
+    nv, nb = disc.mesh.n_vertices, disc.mesh.n_boundary
+    point = KktPoint(state=FeFunction(disc.mesh, rng.standard_normal(nv)),
+                     control=BoundaryFunction(disc.mesh, np.zeros(nb)),
+                     adjoint=FeFunction(disc.mesh, rng.standard_normal(nv)),
+                     multipliers=rng.uniform(0.5, 2.0, (2, nb)),
+                     param=BoundaryFunction(disc.mesh,
+                                            rng.standard_normal(nb)))
+    p = spec
+    terms = (p.obj_domain_yy, p.reaction_yy, p.obj_boundary_yy,
+             *p.constraints_yy)
+    assert [kkt._is_zero(e) for e in terms] == \
+        ([False] * 5 if nonzero else [False, True, True, True, True])
+    return disc, point
+
+
+@pytest.mark.parametrize("nonzero", [True, False])
+def test_curvature_operator_is_the_full_sum_bit_for_bit(nonzero):
+    disc, point = _every_term_point(nonzero)
+    a_y, b_u = kkt._curvature_operator(disc, point)
+    want_a, want_b = oracles.curvature_operator_sum(disc, point)
+    assert a_y.toarray().tobytes() == want_a.toarray().tobytes()
+    for field in ("data", "indices", "indptr"):
+        assert getattr(b_u, field).tobytes() == \
+            getattr(want_b, field).tobytes()
+    rng = np.random.default_rng(22)
+    y = rng.standard_normal((disc.mesh.n_vertices, 3))
+    u = rng.standard_normal(disc.mesh.n_boundary)
+    assert (a_y @ y).tobytes() == (want_a @ y).tobytes()
+    assert quadratic_form(disc, point, y[:, 0], u) == float(
+        np.sum(y[:, 0] * (want_a @ y[:, 0])) + np.sum(u * (want_b @ u)))
+
+
+def test_curvature_operator_builds_one_matrix_for_a_y(monkeypatch):
+    # h = y, l = 0 and linear constraints: A_y is the domain sum alone, one
+    # CSR matrix on the triangle pattern, and no boundary sum or addition
+    disc, point = _every_term_point(False)
+    built = []
+    original = fem_mod._Pattern.matrix
+
+    def recorded(pattern, data):
+        built.append(pattern)
+        return original(pattern, data)
+
+    monkeypatch.setattr(fem_mod._Pattern, "matrix", recorded)
+    a_y, _ = kkt._curvature_operator(disc, point)
+    t = disc.tables
+    assert [p for p in built if p is not t.bb_pattern] == [t.tri_pattern]
+    assert a_y.indptr.tobytes() == t.tri_pattern.indptr.tobytes()

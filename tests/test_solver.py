@@ -3,10 +3,12 @@ the unconstrained fixed point, reduced-cost calculus, and failure modes."""
 
 import dataclasses
 import sys
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ctrlstab import (BoundaryFunction, Discretization, FeFunction,
                       PartitionError, ProblemSpec, SolveOptions, SolverError,
@@ -961,3 +963,39 @@ def test_objective_decreases_along_negative_gradient(lq_disc16):
     better = reduced_cost(lq_disc16, lam,
                           u - step * grad.values)
     assert better < val
+
+
+def _scipy_direction(hess, m_bb, grad):
+    # the reduced Newton direction through scipy's wrappers
+    hess = 0.5 * (hess + hess.T)
+    try:
+        return -scipy.linalg.cho_solve(scipy.linalg.cho_factor(hess), grad)
+    except np.linalg.LinAlgError:
+        eig, vec = scipy.linalg.eigh(hess, m_bb.toarray())
+        return -vec @ ((vec.T @ grad) / np.abs(eig))
+
+
+@pytest.mark.parametrize("shift", [40.0, -40.0, 0.0])
+def test_newton_direction_is_the_scipy_one_bit_for_bit(lq_disc16, shift):
+    # SPD, negative definite and indefinite: the last two take the
+    # eigenvalue-modified step, as scipy's LinAlgError did
+    nb = lq_disc16.mesh.n_boundary
+    rng = np.random.default_rng(int(shift) + 50)
+    a = rng.standard_normal((nb, nb))
+    hess = a + a.T + shift * np.eye(nb)
+    hess[0, 1] *= 1.0 + 1e-15
+    grad = rng.standard_normal(nb)
+    forms = types.SimpleNamespace(hess=hess, disc=lq_disc16)
+    got = solver._newton_direction(forms, grad)
+    want = _scipy_direction(hess, lq_disc16.form.mass_boundary_bb, grad)
+    assert got.tobytes() == want.tobytes()
+    # a non-finite gradient: the Cholesky solve refuses it, the modified
+    # step carries it through
+    nan = np.full(nb, np.nan)
+    if shift > 0.0:
+        for direction in (solver._newton_direction,
+                          lambda f, g: _scipy_direction(f.hess, None, g)):
+            with pytest.raises(ValueError):
+                direction(forms, nan)
+    else:
+        assert np.isnan(solver._newton_direction(forms, nan)).all()
