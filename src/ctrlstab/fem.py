@@ -10,12 +10,14 @@ The module provides nodal field containers, weighted mass/stiffness
 assembly, discrete norms, and a sparse symmetric-positive-definite solver.
 
 Assembly has one path: each mesh keeps a fixed CSR pattern for its
-triangles, its boundary edges and its boundary numbering, and a matrix is
-one ``bincount`` of element matrices into a pattern, which sums the
-duplicates of an entry in element order (see ``_Pattern``).  A mass
-element matrix is one product of weighted quadrature values with a table
-of basis products, and a load vector's element part one product with the
-basis.
+triangles and one for its boundary edges in boundary numbering, and a
+matrix is one ``bincount`` of element matrices into a pattern, which sums
+the duplicates of an entry in element order (see ``_Pattern``).  Every
+boundary operator is an (Nb, Nb) matrix or an (Nb,) vector in boundary
+numbering, as the control, the parameter and the multipliers are; a
+full nodal load is its ``embed``.  A mass element matrix is one product
+of weighted quadrature values with a table of basis products, and a load
+vector's element part one product with the basis.
 
 The solver reorders by reverse Cuthill-McKee, then factorizes by banded
 Cholesky.  That is the only factorization; a matrix whose band would exceed
@@ -26,10 +28,11 @@ from a guess; with the matrix's own factor it stops after the first step.
 
 ``Discretization`` caches everything tied to one (problem, mesh) pair,
 including the linearized operators ``K + M[h_y] + c M_B``, formed by
-adding the values of ``K``, ``M[h_y]`` and ``c M_B`` on the shared triangle
-pattern.  ``c = 0`` is the state and adjoint operator; a nonzero ``c`` is
-the pinned operator, in which a constraint ``g + u <= 0`` that binds at
-every boundary node substitutes ``u = -g(y)`` with ``dg/dy = c``.  Each
+adding the values of ``K`` and ``M[h_y]`` on the shared triangle pattern
+and those of ``c M_B`` at the triangle entries of the boundary edges.
+``c = 0`` is the state and adjoint operator; a nonzero ``c`` is the pinned
+operator, in which a constraint ``g + u <= 0`` that binds at every
+boundary node substitutes ``u = -g(y)`` with ``dg/dy = c``.  Each
 ``c`` has one entry, its assembled matrix, reused while the h_y quadrature
 weights asked for are bit-identical to the last ones of that ``c`` (the
 values of ``M[h_y]`` are summed once per weights, whatever the ``c``), and
@@ -37,7 +40,8 @@ one factorization, its anchor: the last one taken for that ``c``.  A solve is
 exact when the anchor factorizes the entry's matrix (the same object), and
 otherwise runs conjugate gradients preconditioned by the anchor; that is
 the anchor's only use.  The dense control-to-state map ``T`` is kept with
-the factorization of ``c = 0`` that it was solved with.
+the factorization of ``c = 0`` that it was solved with, and follows it
+alone.
 """
 
 from __future__ import annotations
@@ -131,8 +135,8 @@ class BoundaryFunction:
 
 class _MeshTables:
     """Per-mesh geometry: P1 gradients, quadrature points and weights, and
-    the assembly patterns of triangles, boundary edges and boundary
-    numbering."""
+    the assembly patterns of the triangles and of the boundary edges in
+    boundary numbering."""
 
     def __init__(self, mesh: Mesh):
         tris = mesh.triangles
@@ -171,13 +175,17 @@ class _MeshTables:
         self.qs_bnd = np.outer(1.0 - EDGE_T, s0).T + np.outer(EDGE_T, s1).T
 
         self.tri_pattern = _Pattern(tris, mesh.n_vertices)
-        self.bnd_pattern = _Pattern(mesh.boundary_edges, mesh.n_vertices)
         self.bb_pattern = _Pattern(self.edge_pos, nb)
         # every boundary edge is a triangle edge: the position in the
-        # triangle pattern of each boundary-edge pattern entry, so that the
-        # boundary mass adds onto the triangle pattern's values
-        self.bnd_in_tri = np.searchsorted(self.tri_pattern.keys,
-                                          self.bnd_pattern.keys)
+        # triangle pattern of each boundary pattern entry, its key in
+        # vertex numbering, so that a boundary mass adds onto the triangle
+        # pattern's values; the needles need no order, so any boundary
+        # numbering works
+        bv = mesh.boundary_vertices.astype(np.int64)
+        bb = self.bb_pattern.keys
+        self.bnd_in_tri = np.searchsorted(
+            self.tri_pattern.keys,
+            bv[bb // nb] * mesh.n_vertices + bv[bb % nb])
 
     def l2_boundary(self, w) -> float:
         """L2 boundary norm of a boundary nodal array."""
@@ -453,11 +461,12 @@ class _Pattern:
 
 @dataclass
 class EllipticForm:
-    """Assembled matrices of the linear part of the state operator."""
+    """Assembled matrices of the linear part of the state operator.  The
+    boundary mass is in boundary numbering only: ``M_B`` applied to a
+    boundary array ``w`` is the full nodal load ``embed(M_bb @ w)``."""
 
     stiffness: sp.csr_matrix       # diffusion + a0 reaction, (V, V)
     mass_domain: sp.csr_matrix     # (V, V)
-    mass_boundary: sp.csr_matrix   # (V, V), nonzeros on boundary blocks
     mass_boundary_bb: sp.csr_matrix  # (Nb, Nb), boundary numbering
 
 
@@ -535,9 +544,10 @@ class Discretization:
     ``M[w]`` each sum their element matrices in element order, with no
     COO-to-CSR conversion.  The operator's values are
     ``K.data + M[w].data`` on the triangle pattern, the sums scipy's
-    ``K + M[w]`` computes, plus ``c M_B.data`` on the boundary edges; an
-    entry that sums to exactly zero stays as an explicit zero, where
-    scipy's addition would drop it.
+    ``K + M[w]`` computes, plus ``c M_bb.data`` at the triangle entries of
+    the boundary edges (``tables.bnd_in_tri``); an entry that sums to
+    exactly zero stays as an explicit zero, where scipy's addition would
+    drop it.
     An entry is reused only when its ``c`` and the weights ``w`` equal the
     cached ones bit for bit (shape and values); other weights replace the
     entry of that ``c`` and leave the others alone.  The values of
@@ -553,7 +563,8 @@ class Discretization:
     not a factorization.  No anchor preconditions another ``c``: ``M_B``
     is not a small perturbation.
     :meth:`control_to_state` keeps ``T`` next to the factorization of
-    ``c = 0`` that it was solved with.
+    ``c = 0`` that it was solved with; a new entry of ``c = 0`` leaves it,
+    since ``T`` depends on that factorization alone.
 
     Last, it keeps the warm-start chain: the last KKT points that
     :func:`ctrlstab.solver.solve_kkt` returned on it, up to
@@ -695,11 +706,9 @@ class Discretization:
         s = pat.sum(elem)
         stiffness = pat.matrix(0.5 * (s + s[pat.mirror]))
 
-        unit = np.ones_like(t.qw_bnd)
         return EllipticForm(
             stiffness, self.domain_mass_weighted(np.ones_like(t.qw_dom)),
-            self.boundary_mass_weighted(unit),
-            self.boundary_mass_weighted(unit, boundary_numbering=True))
+            self.boundary_mass_weighted(np.ones_like(t.qw_bnd)))
 
     def domain_mass_weighted(self, w_qp: np.ndarray) -> sp.csr_matrix:
         """Assemble ``int w phi_a phi_b dx`` from weight values at interior
@@ -707,12 +716,12 @@ class Discretization:
         elem = (self.tables.qw_dom * w_qp) @ _TRI_PRODUCTS
         return self.tables.tri_pattern.assemble(elem)
 
-    def boundary_mass_weighted(self, w_qp: np.ndarray,
-                               boundary_numbering: bool = False) -> sp.csr_matrix:
-        """Assemble ``int_boundary w phi_a phi_b ds``."""
+    def boundary_mass_weighted(self, w_qp: np.ndarray) -> sp.csr_matrix:
+        """Assemble ``int_boundary w phi_a phi_b ds`` from weight values at
+        boundary quadrature points, (Nb, Nb) in boundary numbering on
+        ``tables.bb_pattern``."""
         t = self.tables
-        pat = t.bb_pattern if boundary_numbering else t.bnd_pattern
-        return pat.assemble((t.qw_bnd * w_qp) @ _EDGE_PRODUCTS)
+        return t.bb_pattern.assemble((t.qw_bnd * w_qp) @ _EDGE_PRODUCTS)
 
     def jacobian_matrix(self, w_qp: np.ndarray, c: float = 0.0
                         ) -> sp.csr_matrix:
@@ -730,11 +739,9 @@ class Discretization:
             data = self.form.stiffness.data + mass[1]
             if c:
                 data[self.tables.bnd_in_tri] += \
-                    c * self.form.mass_boundary.data
+                    c * self.form.mass_boundary_bb.data
             entry = (mass[0], self.tables.tri_pattern.matrix(data))
             self._jacobian[c] = entry
-            if not c:
-                self._t_map = None
         return entry[1]
 
     def jacobian_factor(self, w_qp: np.ndarray, c: float = 0.0
@@ -776,12 +783,14 @@ class Discretization:
         (as :func:`ctrlstab.pde.linearized_operator` returns).
 
         ``T`` is solved once per factorization: it is kept with the
-        factorization it was solved with, and dropped when the weights of
-        ``c = 0`` change.  The array is shared: do not mutate it.
+        factorization it was solved with, and solved again only for another
+        one.  The array is shared: do not mutate it.
         """
         if self._t_map is None or self._t_map[0] is not factor:
-            rhs = self.form.mass_boundary[:, self.mesh.boundary_vertices]
-            self._t_map = (factor, factor.solve(rhs.toarray()))
+            rhs = np.zeros((self.mesh.n_vertices, self.mesh.n_boundary))
+            rhs[self.mesh.boundary_vertices] = \
+                self.form.mass_boundary_bb.toarray()
+            self._t_map = (factor, factor.solve(rhs))
         return self._t_map[1]
 
     def keep_point(self, point, resumed: bool = False) -> None:
@@ -850,11 +859,12 @@ class Discretization:
                            minlength=self.mesh.n_vertices)
 
     def boundary_load(self, f_qp: np.ndarray) -> np.ndarray:
-        """Assemble ``int_boundary f phi_a ds`` into a full nodal vector."""
+        """Assemble ``int_boundary f phi_a ds`` over the boundary nodes and
+        embed it into a full nodal vector (V,)."""
         contrib = (self.tables.qw_bnd * f_qp) @ EDGE_BASIS
-        return np.bincount(self.mesh.boundary_edges.ravel(),
-                           weights=contrib.ravel(),
-                           minlength=self.mesh.n_vertices)
+        return self.embed(np.bincount(self.tables.edge_pos.ravel(),
+                                      weights=contrib.ravel(),
+                                      minlength=self.mesh.n_boundary))
 
     def integrate_domain(self, f_qp: np.ndarray) -> float:
         return float(np.sum(self.tables.qw_dom * f_qp))

@@ -362,8 +362,7 @@ def _curvature_operator(disc: Discretization, point: KktPoint) -> tuple:
     if bnd:
         a_y.data[disc.tables.bnd_in_tri] += \
             disc.boundary_mass_weighted(sum(bnd[1:], bnd[0])).data
-    b_u = disc.boundary_mass_weighted(disc.eval_bnd(p.beta, lam=lam),
-                                      boundary_numbering=True)
+    b_u = disc.boundary_mass_weighted(disc.eval_bnd(p.beta, lam=lam))
     return a_y, b_u
 
 
@@ -805,7 +804,11 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     The inverse iteration stops after 50 steps, converged or not.  On the
     ssc_sample benchmark instance (eigen-gap 7.2e-8) it returns
     1.0000599..., above the 1.0000097... of a dense ``scipy.linalg.eigh``.
-    It stays until a benchmark-only change regenerates
+    It also recomputes a value that the pencil search already has: the
+    search's first solve, at ``theta = 1/2``, is the smallest eigenvalue of
+    ``(h_z, m_z/(1/2) + n_z/(1/2)) = (h_z, 2 (m_z + n_z))``, so the exact
+    subspace eigenvalue is twice it (1.0000096640595901 there, the
+    ``eigh`` value).  It stays until a benchmark-only change regenerates
     ``perfbench/reference.json``, which pins the unconverged value.
     """
     cone = _ConeGeometry(disc, point)

@@ -13,7 +13,10 @@ Every solve with this operator reads its cached entry of the
 not change is not assembled again.  The pinned step of
 :func:`ctrlstab.solver.solve_kkt` runs the same Newton iteration on a load
 that moves with the state, ``M_B (lam - g(y))``, with the Jacobian
-``K + M[h_y] + c M_B`` of its own entry, ``c = dg/dy``:
+``K + M[h_y] + c M_B`` of its own entry, ``c = dg/dy``.  ``M_B`` is kept
+in boundary numbering only, as the (Nb, Nb) ``M_bb``: the load of the
+boundary data ``u + lam`` is ``embed(M_bb @ (u + lam))``.  Solves with
+these operators:
 
 * Newton steps and :func:`solve_adjoint` call
   ``Discretization.jacobian_solve``.  Each ``c`` keeps one factorization,
@@ -100,7 +103,7 @@ def solve_state(disc: Discretization, u, lam, y0=None,
     nb = mesh.n_boundary
     u = _as_values(u, nb, "control")
     lam = _as_values(lam, nb, "parameter")
-    b = disc.form.mass_boundary @ disc.embed(u + lam)
+    b = disc.embed(disc.form.mass_boundary_bb @ (u + lam))
 
     y = np.zeros(mesh.n_vertices) if y0 is None \
         else _as_values(y0, mesh.n_vertices, "initial state").copy()
@@ -155,7 +158,7 @@ def state_residual_norm(disc: Discretization, y, u, lam) -> float:
     y = nodal_values(y, disc.mesh.n_vertices)
     u = nodal_values(u, disc.mesh.n_boundary)
     lam = nodal_values(lam, disc.mesh.n_boundary)
-    b = disc.form.mass_boundary @ disc.embed(u + lam)
+    b = disc.embed(disc.form.mass_boundary_bb @ (u + lam))
     return _norm2(_state_residual(disc, y, b))
 
 

@@ -428,8 +428,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
 
         def load(g):
             # the pinned load M_B (lam - g_label) of constraint values g
-            return disc.form.mass_boundary @ disc.embed(
-                -g[labels, nodes] + lam)
+            return disc.embed(m_bb @ (-g[labels, nodes] + lam))
 
         # the constraint values at y0 give the load there
         tol_abs = _residual_bound(load(g0), _NEWTON_TOL, 0.1 * opts.tol)
@@ -445,8 +444,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             # (K + M[h_y] + c M_B) p = rhs(e = 0) + c M_B (alpha + beta u)
             pieces = _adjoint_pieces(disc, y, lam)
             w_adj = pieces[0]
-            rhs = _adjoint_rhs(disc, pieces, np.zeros((m, nb))) + c * (
-                disc.form.mass_boundary @ disc.embed(alpha + beta * u))
+            rhs = _adjoint_rhs(disc, pieces, np.zeros((m, nb))) + c * \
+                disc.embed(m_bb @ (alpha + beta * u))
             adjoint = disc.jacobian_solve(w_adj, rhs, c, x0=p0)
             e = disc.trace(adjoint) - alpha - beta * u
             mults = np.where(labels == np.arange(m)[:, None], e, 0.0)

@@ -20,8 +20,10 @@ merge pair by pair instead of all pairs at once, edge keys by a sort along
 the end axis instead of ``minimum``/``maximum``, a ``np.unique`` pattern
 instead of one argsort, ``einsum`` stiffness element matrices and
 quadrature points instead of broadcast products and sums, and a
-``searchsorted`` transpose map instead of the pattern's scatter.  The
-library's must give their bits.  So must its curvature operator, against
+``searchsorted`` transpose map instead of the pattern's scatter, and a
+boundary mass and boundary load in vertex numbering, summed over
+``mesh.boundary_edges``, instead of the boundary-numbered ones and their
+``embed``.  The library's must give their bits.  So must its curvature operator, against
 the earlier sum of a domain and a boundary mass matrix with every term
 evaluated, zero or not.
 
@@ -38,8 +40,9 @@ import scipy.optimize
 import scipy.sparse
 
 # the reference loops share the library's constants, so they cannot drift
-from ctrlstab.fem import (_TRI_PRODUCTS, TRI_BASIS, BoundaryFunction,
-                          FeFunction, nodal_values, norm)
+from ctrlstab.fem import (_EDGE_PRODUCTS, _TRI_PRODUCTS, EDGE_BASIS,
+                          TRI_BASIS, BoundaryFunction, FeFunction,
+                          nodal_values, norm)
 from ctrlstab.kkt import _CONE_SWEEPS, _CONE_TOL
 from ctrlstab.pde import solve_adjoint, solve_state
 from ctrlstab.solver import _NEWTON_TOL, objective_value
@@ -253,7 +256,7 @@ def dense_control_to_state(disc, y):
     op = disc.form.stiffness.toarray() + disc.domain_mass_weighted(
         disc.eval_dom(disc.problem.reaction_y, y=y)).toarray()
     bv = disc.mesh.boundary_vertices
-    return dense_solve(op, disc.form.mass_boundary.toarray()[:, bv])
+    return dense_solve(op, vertex_boundary_mass(disc).toarray()[:, bv])
 
 
 def strong_equality_nullspace(disc, point):
@@ -551,10 +554,43 @@ def stiffness_matrix(disc):
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
+def vertex_boundary_mass(disc, w_qp=None):
+    """The boundary mass ``int_bnd w phi_a phi_b ds`` (``w = 1`` when
+    ``w_qp`` is None) as a (V, V) CSR matrix in vertex numbering, nonzero
+    on the boundary blocks: the library's boundary element matrices summed
+    on the ``np.unique`` pattern of ``mesh.boundary_edges``, in element
+    order."""
+    t, n = disc.tables, disc.mesh.n_vertices
+    w = np.ones_like(t.qw_bnd) if w_qp is None else w_qp
+    keys, pos, indices, indptr = unique_pattern(disc.mesh.boundary_edges, n)
+    data = np.bincount(pos, weights=((t.qw_bnd * w) @ _EDGE_PRODUCTS).ravel(),
+                       minlength=len(keys))
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def vertex_boundary_in_triangles(disc):
+    """The position in the triangle pattern of each entry of the
+    vertex-numbered boundary mass, by ``searchsorted`` of its sorted
+    keys."""
+    mesh = disc.mesh
+    keys = unique_pattern(mesh.boundary_edges, mesh.n_vertices)[0]
+    return np.searchsorted(disc.tables.tri_pattern.keys, keys)
+
+
+def vertex_boundary_load(disc, f_qp):
+    """``int_bnd f phi_a ds`` as a full nodal vector (V,), counted over
+    ``mesh.boundary_edges`` in vertex numbering."""
+    contrib = (disc.tables.qw_bnd * f_qp) @ EDGE_BASIS
+    return np.bincount(disc.mesh.boundary_edges.ravel(),
+                       weights=contrib.ravel(),
+                       minlength=disc.mesh.n_vertices)
+
+
 def curvature_operator_sum(disc, point):
     """The curvature operator ``(A_y, B_u)`` at ``point`` as the library
     built it before: every term of the weights evaluated, zero or not, and
-    ``A_y`` scipy's sum of the domain and the boundary mass matrices."""
+    ``A_y`` scipy's sum of the domain and the vertex-numbered boundary mass
+    matrices."""
     p = disc.problem
     y_base = point.state.values
     lam = point.param.values
@@ -565,8 +601,6 @@ def curvature_operator_sum(disc, point):
     for gyy, e in zip(p.constraints_yy, point.multipliers):
         w_bnd = w_bnd + disc.edge_interp(e) \
             * disc.eval_bnd(gyy, y=y_base, lam=lam)
-    a_y = disc.domain_mass_weighted(w_dom) \
-        + disc.boundary_mass_weighted(w_bnd)
-    b_u = disc.boundary_mass_weighted(disc.eval_bnd(p.beta, lam=lam),
-                                      boundary_numbering=True)
+    a_y = disc.domain_mass_weighted(w_dom) + vertex_boundary_mass(disc, w_bnd)
+    b_u = disc.boundary_mass_weighted(disc.eval_bnd(p.beta, lam=lam))
     return a_y, b_u

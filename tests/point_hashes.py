@@ -52,10 +52,13 @@ reads as such.  A line reads whether the counts of the group's solves
 agree and, for every field that the fingerprint hashes, ``=`` when it is
 bit-identical in every solve of the group, or else its largest absolute
 move.  A field that no pair of successful solves carries reads ``-``, and
-so does a group with nothing to compare (``warm`` without a sweep).  It
-exits 0 when every file is in both trees and every group reads
-``counts same`` and ``=`` for every field, else 1 (also when a tree's
-records cannot be collected).
+so does a group with nothing to compare (``warm`` without a sweep).  The
+named fields of a group (an SSC report, the set-up record) are those of
+either tree, and a field that one tree records and the other does not
+reads ``only in this tree`` or ``only in the other tree``.  It exits 0
+when every file is in both trees and every group reads ``counts same``
+and ``=`` for every field, else 1 (also when a tree's records cannot be
+collected, and when a field is recorded on one side only).
 
 With one BLAS thread on a 2-CPU machine the first form takes about 2 s
 for all instance files and ``--against`` about 3 s; ``--against`` runs
@@ -126,7 +129,7 @@ def _ssc(cs, cfg, disc, rep) -> dict:
 #: the mesh tables and assembly patterns that ``setup`` reads, by attribute
 TABLES = ("areas", "grads", "qp_dom", "qw_dom", "qp_bnd", "qw_bnd",
           "qs_bnd", "edge_pos", "bnd_in_tri")
-PATTERNS = ("tri_pattern", "bnd_pattern", "bb_pattern")
+PATTERNS = ("tri_pattern", "bb_pattern")
 PATTERN_ARRAYS = ("keys", "pos", "indptr", "indices")
 
 
@@ -225,6 +228,17 @@ def _move(a, b) -> float | None:
     return math.inf
 
 
+def _named_field(named: list, key: str) -> str:
+    """The reading of the named field ``key`` over the ``(mine, other)``
+    pairs of dicts ``named``: where it is on one side only, that side,
+    else as :func:`_field`."""
+    if any(key not in y for _, y in named):
+        return "only in this tree"
+    if any(key not in x for x, _ in named):
+        return "only in the other tree"
+    return _field(_move(x[key], y[key]) for x, y in named)
+
+
 def _field(moves) -> str:
     """``=`` when no pair moved, else the largest move; ``-`` without a
     pair."""
@@ -269,9 +283,9 @@ def _moves(mine: dict, other: dict, group: str) -> list:
         out += [(key, _field(_move(x[key], y[key]) for x, y in pairs))
                 for key in FIELDS if key != "counts"]
     named = [(mine[s], other[s]) for s in named_keys]
-    if named:
-        out += [(key, _field(_move(x[key], y.get(key)) for x, y in named))
-                for key in mine[named_keys[0]]]
+    # the keys of both sides, this tree's first, in their order
+    keys = dict.fromkeys(key for pair in named for d in pair for key in d)
+    out += [(key, _named_field(named, key)) for key in keys]
     if group == "cold":
         out.append(("verify",
                     _field([_move(mine["verify"], other["verify"])])))

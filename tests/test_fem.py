@@ -16,14 +16,17 @@ import scipy.sparse as sp
 
 import ctrlstab.fem as fem_mod
 from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
-                      FemError, FeFunction, NotSpdError, SpdFactorization,
-                      make_disk_mesh, norm, parse, solve_spd)
+                      FemError, FeFunction, Mesh, NotSpdError,
+                      SpdFactorization, make_disk_mesh, norm, parse,
+                      solve_spd)
 from ctrlstab.expr import Const
+from ctrlstab.pde import solve_state, state_residual_norm
 
 from conftest import SETUP_MESHES, make_spec
 from oracles import (dense_solve, einsum_quadrature_points,
                      einsum_stiffness, searchsorted_mirror, stiffness_matrix,
-                     unique_pattern)
+                     unique_pattern, vertex_boundary_in_triangles,
+                     vertex_boundary_load, vertex_boundary_mass)
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +45,14 @@ def test_boundary_mass_total_is_perimeter(disc):
     per = float(np.sum(disc.mesh.edge_lengths()))
     ones_v = np.ones(disc.mesh.n_vertices)
     ones_b = np.ones(disc.mesh.n_boundary)
-    assert abs(float(ones_v @ (disc.form.mass_boundary @ ones_v)) - per) <= 1e-12
+    big = vertex_boundary_mass(disc)
+    assert abs(float(ones_v @ (big @ ones_v)) - per) <= 1e-12
     assert abs(float(ones_b @ (disc.form.mass_boundary_bb @ ones_b)) - per) <= 1e-12
 
 
 def test_boundary_mass_numberings_agree(disc):
     bb = disc.form.mass_boundary_bb.toarray()
-    big = disc.form.mass_boundary.toarray()
+    big = vertex_boundary_mass(disc).toarray()
     bv = disc.mesh.boundary_vertices
     assert np.allclose(big[np.ix_(bv, bv)], bb, atol=1e-14)
     mask = np.ones(disc.mesh.n_vertices, bool)
@@ -430,8 +434,11 @@ def test_pattern_assembly_has_coo_structure_and_sums_to_rounding(
     t = fem_mod._tables(mesh)
     cells, n, pattern = {
         "triangles": (mesh.triangles, mesh.n_vertices, t.tri_pattern),
+        # the library keeps no pattern in vertex numbering of the
+        # boundary; _Pattern still serves cells that skip vertices
         "boundary_edges": (mesh.boundary_edges, mesh.n_vertices,
-                           t.bnd_pattern),
+                           fem_mod._Pattern(mesh.boundary_edges,
+                                            mesh.n_vertices)),
         "boundary_numbering": (t.edge_pos, mesh.n_boundary, t.bb_pattern),
     }[cells_of]
     rng = np.random.default_rng(n_boundary + refinement)
@@ -457,7 +464,8 @@ def test_patterns_are_the_unique_based_ones(n_boundary, refinement):
     t = fem_mod._tables(mesh)
     for cells, n, pattern in (
             (mesh.triangles, mesh.n_vertices, t.tri_pattern),
-            (mesh.boundary_edges, mesh.n_vertices, t.bnd_pattern),
+            (mesh.boundary_edges, mesh.n_vertices,
+             fem_mod._Pattern(mesh.boundary_edges, mesh.n_vertices)),
             (t.edge_pos, mesh.n_boundary, t.bb_pattern)):
         keys, pos, indices, indptr = unique_pattern(cells, n)
         for got, want in ((pattern.keys, keys), (pattern.pos, pos),
@@ -583,8 +591,85 @@ def test_operator_entries_share_one_mass_sum_per_weights(monkeypatch):
         assert len(sums) == n_sums
         data = d.form.stiffness.data + want[id(v)]
         assert state.data.tobytes() == data.tobytes()
-        data[d.tables.bnd_in_tri] += c * d.form.mass_boundary.data
+        data[vertex_boundary_in_triangles(d)] += \
+            c * vertex_boundary_mass(d).data
         assert pinned.data.tobytes() == data.tobytes()
+
+
+class _RhsFactor:
+    """A factorization stand-in whose solve hands back a copy of its
+    right-hand side, so that ``control_to_state`` returns ``T``'s."""
+
+    def solve(self, b):
+        return np.array(b)
+
+
+def _relabeled(mesh, rng):
+    """``mesh`` with its vertices renumbered at random, so that the
+    boundary is neither last nor in increasing order."""
+    perm = rng.permutation(mesh.n_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices
+    return Mesh(vertices, perm[mesh.triangles], perm[mesh.boundary_vertices],
+                perm[mesh.boundary_edges], mesh.boundary_s)
+
+
+@pytest.mark.parametrize("n_boundary,refinement", SETUP_MESHES)
+def test_boundary_operators_are_the_vertex_numbered_ones(n_boundary,
+                                                         refinement):
+    # every boundary operator is kept in boundary numbering: the state
+    # loads, the c M_B add of the pinned operator, T's right-hand side and
+    # the boundary load give the bits of the vertex-numbered assembly
+    mesh = make_disk_mesh(n_boundary, refinement)
+    d = Discretization(make_spec(reaction="y + y^3"), mesh)
+    rng = np.random.default_rng(n_boundary + refinement)
+    nb, bv = mesh.n_boundary, mesh.boundary_vertices
+    mb = vertex_boundary_mass(d)
+    u, lam = rng.standard_normal((2, nb))
+    load = mb @ d.embed(u + lam)
+
+    def residual(y):
+        hq = d.eval_dom(d.problem.reaction, y=y)
+        return fem_mod._norm2(d.form.stiffness @ y + d.domain_load(hq) - load)
+
+    assert d.embed(d.form.mass_boundary_bb @ (u + lam)).tobytes() \
+        == load.tobytes()
+    y = rng.standard_normal(mesh.n_vertices)
+    assert state_residual_norm(d, y, u, lam) == residual(y)
+    rep = solve_state(d, u, lam)
+    assert rep.residual == residual(rep.state.values)
+    assert d.form.mass_boundary_bb.toarray().tobytes() \
+        == mb[bv][:, bv].toarray().tobytes()
+
+    at = vertex_boundary_in_triangles(d)
+    assert d.tables.bnd_in_tri.dtype == at.dtype
+    assert np.array_equal(d.tables.bnd_in_tri, at)
+    w = rng.uniform(0.5, 3.0, d.tables.qw_dom.shape)
+    data = d.form.stiffness.data + d.domain_mass_weighted(w).data
+    data[at] += 1.5 * mb.data
+    assert d.jacobian_matrix(w, 1.5).data.tobytes() == data.tobytes()
+
+    rhs = d.control_to_state(_RhsFactor())
+    assert rhs.tobytes() == mb[:, bv].toarray().tobytes()
+    f = rng.standard_normal(d.tables.qw_bnd.shape)
+    assert d.boundary_load(f).tobytes() \
+        == vertex_boundary_load(d, f).tobytes()
+
+    # on a mesh whose boundary is numbered in no order, the boundary
+    # entries still add onto their triangle entries; a row's sum may then
+    # run in another order
+    d = Discretization(make_spec(), _relabeled(mesh, rng))
+    mb = vertex_boundary_mass(d)
+    data = d.form.stiffness.data + d.domain_mass_weighted(w).data
+    data[vertex_boundary_in_triangles(d)] += 1.5 * mb.data
+    assert d.jacobian_matrix(w, 1.5).data.tobytes() == data.tobytes()
+    bv = d.mesh.boundary_vertices
+    assert np.array_equal(d.form.mass_boundary_bb.toarray(),
+                          mb[bv][:, bv].toarray())
+    assert np.allclose(d.embed(d.form.mass_boundary_bb @ u),
+                       mb @ d.embed(u), rtol=1e-15, atol=1e-15)
+    assert np.allclose(d.boundary_load(f), vertex_boundary_load(d, f),
+                       rtol=1e-15, atol=1e-15)
 
 
 def test_norm2_is_numpys_norm_bit_for_bit():

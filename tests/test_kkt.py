@@ -27,7 +27,8 @@ import oracles
 from conftest import CONFIG_DIR, make_spec
 from oracles import (partition_margin, project_one, quadrature_curvature,
                      sample_directions_one_by_one, strong_equality_nullspace,
-                     subspace_minimum_grid)
+                     subspace_minimum_grid, vertex_boundary_load,
+                     vertex_boundary_mass)
 
 
 def _zero_point(disc, m=None):
@@ -70,7 +71,7 @@ def dense_residuals(disc, point):
     lam = point.param.values
     adj = point.adjoint.values
     k = disc.form.stiffness.toarray()
-    mb = disc.form.mass_boundary.toarray()
+    mb = vertex_boundary_mass(disc).toarray()
 
     f_state = (k @ y + disc.domain_load(disc.eval_dom(p.reaction, y=y))
                - mb @ disc.embed(u + lam))
@@ -83,7 +84,7 @@ def dense_residuals(disc, point):
         bnd = bnd + (disc.eval_bnd(gy, y=y, lam=lam)
                      * disc.edge_interp(e))
     rhs = (-disc.domain_load(disc.eval_dom(p.obj_domain_y, y=y))
-           - disc.boundary_load(bnd))
+           - vertex_boundary_load(disc, bnd))
     r_adjoint = float(np.linalg.norm(op @ adj - rhs))
 
     alpha = disc.eval_node(p.alpha, lam=lam)
@@ -363,7 +364,7 @@ def test_quadratic_form_matches_lagrangian_fd(cubic_solved):
     point = rep.point
     p = disc.problem
     lam = point.param.values
-    mb = disc.form.mass_boundary
+    mb = vertex_boundary_mass(disc)
 
     def lagrangian(yv, uv):
         j = objective_value(disc, FeFunction(disc.mesh, yv),
@@ -421,7 +422,8 @@ def test_critical_directions_satisfy_cone_conditions(mixed_active_solved):
                                              "l2")
         assert abs(size - 1.0) <= 1e-9
         # (i) linearized state equation
-        res = op.matrix @ y_d - disc.form.mass_boundary @ disc.embed(u_d)
+        res = (op.matrix @ y_d
+               - vertex_boundary_mass(disc) @ disc.embed(u_d))
         assert float(np.linalg.norm(res)) <= 1e-8
         # (iii) cone inequalities on active nodes
         yb = disc.trace(y_d)

@@ -14,12 +14,13 @@ from ctrlstab import (BoundaryFunction, Discretization, FeFunction, KktPoint,
                       SolveOptions, StateSolveError, build_discretization,
                       linearized_operator, make_disk_mesh, parse_instance,
                       solve_adjoint, solve_kkt, solve_state)
-from ctrlstab.fem import solve_spd
+from ctrlstab.fem import SpdFactorization, solve_spd
 from ctrlstab.kkt import _ReducedForms
 from ctrlstab.pde import adjoint_system, state_residual_norm
 
 from conftest import CONFIG_DIR, make_spec
-from oracles import a_priori_ratio, radial_solve, radial_trace_linear
+from oracles import (a_priori_ratio, radial_solve, radial_trace_linear,
+                     vertex_boundary_mass)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,7 @@ def test_state_tolerance_is_capped(disc_cubic):
     # the bound is tol (1 + ||b||), b = M_B (u + lam), unless cap is lower
     nb = disc_cubic.mesh.n_boundary
     u = np.full(nb, 3.0)
-    b = disc_cubic.form.mass_boundary @ disc_cubic.embed(u)
+    b = vertex_boundary_mass(disc_cubic) @ disc_cubic.embed(u)
     rel = 1e-11 * (1.0 + float(np.linalg.norm(b)))
     assert solve_state(disc_cubic, u, np.zeros(nb)).tolerance == rel
     assert solve_state(disc_cubic, u, np.zeros(nb),
@@ -108,7 +109,7 @@ def test_newton_locally_quadratic(disc_cubic):
         op = linearized_operator(disc_cubic, y0)
         hq = disc_cubic.eval_dom(disc_cubic.problem.reaction, y=y0)
         vec = (disc_cubic.form.stiffness @ y0 + disc_cubic.domain_load(hq)
-               - disc_cubic.form.mass_boundary @ disc_cubic.embed(u + lam))
+               - vertex_boundary_mass(disc_cubic) @ disc_cubic.embed(u + lam))
         y1 = y0 + op.solve(-vec)
         return f0, state_residual_norm(disc_cubic, y1, u, lam)
 
@@ -282,7 +283,8 @@ def _pinned_solved():
                     options=SolveOptions(tol=1e-10))
     y = rep.point.state.values
     w = disc.eval_dom(disc.problem.reaction_y, y=y)
-    return disc, rep, w, _fresh_jacobian(disc, w) + disc.form.mass_boundary
+    return (disc, rep, w,
+            _fresh_jacobian(disc, w) + vertex_boundary_mass(disc))
 
 
 def test_state_operator_after_pinned_solve_is_not_pinned():
@@ -321,7 +323,7 @@ def test_each_operator_preconditions_on_its_own_anchor(factorizations):
     factorizations.clear()
     for c in (0.0, 1.0, 0.0):
         x = disc.jacobian_solve(w2, b, c)
-        fresh = _fresh_jacobian(disc, w2) + c * disc.form.mass_boundary
+        fresh = _fresh_jacobian(disc, w2) + c * vertex_boundary_mass(disc)
         assert _meets_contract(fresh, x, b, rtol=1e-13)
     assert factorizations == []
 
@@ -427,7 +429,8 @@ def test_linearized_state_is_linear(disc_cubic):
     rep = solve_state(disc_cubic, np.ones(nb), np.zeros(nb))
     op = linearized_operator(disc_cubic, rep.state.values)
     t_mat = _control_to_state(disc_cubic, rep.state.values)
-    rhs = disc_cubic.form.mass_boundary[:, disc_cubic.mesh.boundary_vertices]
+    bv = disc_cubic.mesh.boundary_vertices
+    rhs = vertex_boundary_mass(disc_cubic)[:, bv]
     assert np.allclose(op.matrix @ t_mat, rhs.toarray(), rtol=0.0, atol=1e-12)
     rng = np.random.default_rng(5)
     a = rng.standard_normal(nb)
@@ -436,6 +439,40 @@ def test_linearized_state_is_linear(disc_cubic):
     yb = t_mat @ b
     yab = t_mat @ (2.0 * a - 3.0 * b)
     assert np.allclose(yab, 2.0 * ya - 3.0 * yb, atol=1e-9)
+
+
+def test_control_to_state_follows_its_factorization(monkeypatch):
+    # T = F^-1 M_B[:, boundary] depends on the factorization F alone: at
+    # two states it is solved once per factorization, and at one state it
+    # is shared, also after a solve at other weights made a new c = 0
+    # entry on the same anchor
+    disc = Discretization(make_spec(reaction="y^3 + y"),
+                          make_disk_mesh(32, 0))
+    nb = disc.mesh.n_boundary
+    solved = []  # the factorization of each solve of T
+    solve = SpdFactorization.solve
+
+    def counted(self, b):
+        if np.ndim(b) == 2:
+            solved.append(self)
+        return solve(self, b)
+
+    monkeypatch.setattr(SpdFactorization, "solve", counted)
+    ys = [solve_state(disc, a * np.ones(nb), np.zeros(nb)).state.values
+          for a in (1.0, 1.5)]
+    factors, maps = [], []
+    for y in ys:
+        factors.append(linearized_operator(disc, y))
+        maps.append(disc.control_to_state(factors[-1]))
+    assert factors[0] is not factors[1] and solved == factors
+    assert not np.array_equal(maps[0], maps[1])
+    assert _control_to_state(disc, ys[1]) is maps[1]
+
+    w = disc.eval_dom(disc.problem.reaction_y, y=ys[0])
+    disc.jacobian_solve(w, np.ones(disc.mesh.n_vertices))
+    assert disc._anchor[0.0] is factors[1]
+    assert disc.control_to_state(factors[1]) is maps[1]
+    assert solved == factors
 
 
 def test_shape_validation(lq_disc16):

@@ -39,7 +39,7 @@ SETUP_FIELDS = {"mesh_hash", *point_hashes.TABLES} | {
     f"{pattern}.{name}" for pattern in point_hashes.PATTERNS
     for name in point_hashes.PATTERN_ARRAYS} | {
     f"{matrix}.{name}" for matrix in ("stiffness", "mass_domain",
-                                      "mass_boundary", "mass_boundary_bb")
+                                      "mass_boundary_bb")
     for name in ("data", "indices", "indptr")}
 
 
@@ -62,10 +62,9 @@ def test_line_hashes_the_documented_fields(record):
     t, form = disc.tables, disc.form
     setup = [cs.mesh_hash(disc.mesh), t.areas, t.grads, t.qp_dom, t.qw_dom,
              t.qp_bnd, t.qw_bnd, t.qs_bnd, t.edge_pos, t.bnd_in_tri]
-    for pattern in (t.tri_pattern, t.bnd_pattern, t.bb_pattern):
+    for pattern in (t.tri_pattern, t.bb_pattern):
         setup += [pattern.keys, pattern.pos, pattern.indptr, pattern.indices]
-    for matrix in (form.stiffness, form.mass_domain, form.mass_boundary,
-                   form.mass_boundary_bb):
+    for matrix in (form.stiffness, form.mass_domain, form.mass_boundary_bb):
         setup += [matrix.data, matrix.indices, matrix.indptr]
     fields = dict(item.split("=") for item in
                   point_hashes.line(record).split())
@@ -146,6 +145,32 @@ def test_setup_moves_read_in_their_own_group(record):
             assert set(report.values()) <= {"same", "="}
         assert not point_hashes.against({"a.ini": record},
                                         {"a.ini": other})[1]
+
+
+def test_one_sided_setup_fields_read_their_side(record):
+    # a set-up key that only one tree records reads as that side, whichever
+    # side it is, and is a difference, so ``--against`` fails
+    mine, other = copy.deepcopy(record), copy.deepcopy(record)
+    del mine["setup"]["mesh_hash"]
+    del other["setup"]["bb_pattern.keys"]
+    for a, b, readings in (
+            (mine, other, {"mesh_hash": "only in the other tree",
+                           "bb_pattern.keys": "only in this tree"}),
+            (other, mine, {"mesh_hash": "only in this tree",
+                           "bb_pattern.keys": "only in the other tree"})):
+        reports = _reports(a, b)
+        setup = reports.pop("setup")
+        assert set(setup) == SETUP_FIELDS
+        for name, reading in readings.items():
+            assert setup.pop(name) == reading
+        assert set(setup.values()) == {"="}
+        assert reports.pop("warm") == "-"
+        for report in reports.values():
+            assert set(report.values()) <= {"same", "="}
+        lines, same = point_hashes.against({"a.ini": a}, {"a.ini": b})
+        assert not same
+        assert all(f"{name} {reading}" in lines[-1]
+                   for name, reading in readings.items())
 
 
 def test_failed_solve_on_one_side_is_reported(record):
