@@ -12,7 +12,13 @@ assembly, discrete norms, and a sparse symmetric-positive-definite solver.
 Assembly has one path: each mesh keeps a fixed CSR pattern for its
 triangles and one for its boundary edges in boundary numbering, and a
 matrix is one ``bincount`` of element matrices into a pattern, which sums
-the duplicates of an entry in element order (see ``_Pattern``).  Every
+the duplicates of an entry in element order (see ``_Pattern``).  A
+pattern is laid out by counting from the edges of its cells, which a
+mesh sorts once (:meth:`ctrlstab.geometry.Mesh.edges`), with no sort of
+its element entries.  The set-up builds the tables and matrices that
+every solve reads; the interior quadrature points (read only by an
+expression in ``x1`` or ``x2``) and the domain mass (read only by the
+second-order check) are built when first read.  Every
 boundary operator is an (Nb, Nb) matrix or an (Nb,) vector in boundary
 numbering, as the control, the parameter and the multipliers are; a
 full nodal load is its ``embed``.  A mass element matrix is one product
@@ -46,6 +52,7 @@ alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +63,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .expr import Const
-from .geometry import Mesh
+from .geometry import Mesh, _edge_sort
 from .problem import AdmissionError, ProblemSpec, check_operator
 
 #: interior quadrature: barycentric coordinates (rows: points, cols: nodes)
@@ -136,27 +143,32 @@ class BoundaryFunction:
 class _MeshTables:
     """Per-mesh geometry: P1 gradients, quadrature points and weights, and
     the assembly patterns of the triangles and of the boundary edges in
-    boundary numbering."""
+    boundary numbering.
+
+    The interior quadrature points ``qp_dom`` are computed when first read,
+    as only an expression in ``x1`` or ``x2`` needs them.  The tables keep
+    the mesh's vertex and triangle arrays for that, never the mesh itself,
+    which keeps its tables (see :func:`_tables`): a reference back would
+    make a cycle that only the garbage collector frees.
+    """
 
     def __init__(self, mesh: Mesh):
         tris = mesh.triangles
-        p = mesh.vertices[tris]  # (T, 3, 2)
+        self._vertices, self._triangles = mesh.vertices, tris
+        # corner coordinates (T, 3), gathered one coordinate at a time
+        x, y = mesh.vertices[:, 0][tris], mesh.vertices[:, 1][tris]
         self.areas = mesh.triangle_areas()
 
         # grad phi_i = (y_{i+1} - y_{i+2}, x_{i+2} - x_{i+1}) / (2 area)
         grads = np.empty((len(tris), 3, 2))
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
-            grads[:, i, 0] = p[:, j, 1] - p[:, k, 1]
-            grads[:, i, 1] = p[:, k, 0] - p[:, j, 0]
+            grads[:, i, 0] = y[:, j] - y[:, k]
+            grads[:, i, 1] = x[:, k] - x[:, j]
         grads /= (2.0 * self.areas)[:, None, None]
         self.grads = grads
 
-        # interior quadrature points (T, 3, 2), point q the sum
-        # B[q, 0] p_0 + B[q, 1] p_1 + B[q, 2] p_2, and weights (T, 3)
-        self.qp_dom = TRI_BASIS[:, 0, None] * p[:, None, 0] \
-            + TRI_BASIS[:, 1, None] * p[:, None, 1] \
-            + TRI_BASIS[:, 2, None] * p[:, None, 2]
+        # interior quadrature weights (T, 3)
         self.qw_dom = np.repeat(self.areas[:, None] / 3.0, 3, axis=1)
 
         # boundary quadrature
@@ -174,7 +186,7 @@ class _MeshTables:
         s1[-1] = 2.0 * math.pi
         self.qs_bnd = np.outer(1.0 - EDGE_T, s0).T + np.outer(EDGE_T, s1).T
 
-        self.tri_pattern = _Pattern(tris, mesh.n_vertices)
+        self.tri_pattern = _Pattern(tris, mesh.n_vertices, mesh.edges())
         self.bb_pattern = _Pattern(self.edge_pos, nb)
         # every boundary edge is a triangle edge: the position in the
         # triangle pattern of each boundary pattern entry, its key in
@@ -186,6 +198,19 @@ class _MeshTables:
         self.bnd_in_tri = np.searchsorted(
             self.tri_pattern.keys,
             bv[bb // nb] * mesh.n_vertices + bv[bb % nb])
+
+    @functools.cached_property
+    def qp_dom(self) -> np.ndarray:
+        """Interior quadrature points (T, 3, 2): point q of a triangle is
+        the sum ``B[q, 0] p_0 + B[q, 1] p_1 + B[q, 2] p_2`` of its corners
+        ``p``, the bits of ``einsum("qn,tnd->tqd", TRI_BASIS, p)``."""
+        qp = np.empty((len(self._triangles), 3, 2))
+        for d in range(2):
+            p = self._vertices[:, d][self._triangles]
+            qp[:, :, d] = TRI_BASIS[:, 0] * p[:, 0, None] \
+                + TRI_BASIS[:, 1] * p[:, 1, None] \
+                + TRI_BASIS[:, 2] * p[:, 2, None]
+        return qp
 
     def l2_boundary(self, w) -> float:
         """L2 boundary norm of a boundary nodal array."""
@@ -397,12 +422,19 @@ def solve_spd(matrix, b: np.ndarray, factor: SpdFactorization,
 class _Pattern:
     """Fixed CSR pattern of element matrices over one list of cells.
 
-    Built once from the node lists ``cells`` (C, k) of an (n, n) matrix:
-    entry (t, a, b) of the element matrices has the scalar key
+    Built once from the node lists ``cells`` (C, k), ``k`` 2 or 3, of an
+    (n, n) matrix and their edges ``(keys, sides)``, as
+    :func:`ctrlstab.geometry._edge_sort` gives them (sorted here when not
+    given; a mesh keeps those of its triangles, :meth:`Mesh.edges`).
+    Entry (t, a, b) of the element matrices has the scalar key
     ``cells[t, a] n + cells[t, b]``, and the sorted distinct keys are the
-    pattern's entries in CSR order.  One argsort of the ``C k k`` keys
-    gives them: ``keys`` (nnz,), ``pos`` (C k k,), the entry of each
-    element-matrix entry, the CSR ``indices`` and ``indptr``, and
+    pattern's entries in CSR order: the diagonal of each node on a cell and
+    both orientations of each edge.  They are laid out by counting, with no
+    sort of the ``C k k`` keys: row r holds the edges ending at r (in the
+    order of their other end: the edges stably sorted by their larger
+    end), then its diagonal, then the edges starting at r (consecutive in
+    edge order).  That gives ``keys`` (nnz,), ``pos`` (C k k,), the entry
+    of each element-matrix entry, the CSR ``indices`` and ``indptr``, and
     ``mirror`` (nnz,), the entry of each entry's transpose, which is the
     entry of (t, b, a).  These are the arrays ``np.unique(keys,
     return_inverse=True)`` and a ``searchsorted`` of the transposed keys
@@ -411,33 +443,55 @@ class _Pattern:
     order.
     """
 
-    def __init__(self, cells: np.ndarray, n: int):
-        c = cells.astype(np.int64)
-        k = c.shape[1]
-        key = (c[:, :, None] * n + c[:, None, :]).ravel()
-        order = np.argsort(key, kind="stable")
-        ordered = key[order]
-        # the first of each run of equal keys starts an entry
-        first = np.empty(len(key), dtype=bool)
-        first[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        self.keys = ordered[np.flatnonzero(first)]
-        # the entry of each sorted key goes into the buffer of the sorted
-        # keys, and the entry of each transposed element entry into that of
-        # the keys, so that no more arrays of C k k entries are allocated
-        entry = np.cumsum(first, out=ordered)
-        entry -= 1
-        self.pos = np.empty(len(key), dtype=np.intp)
-        self.pos[order] = entry
-        self.indices = (self.keys % n).astype(np.int32)
-        self.indptr = np.searchsorted(self.keys,
-                                      np.arange(n + 1) * n).astype(np.int32)
+    def __init__(self, cells: np.ndarray, n: int,
+                 edges: tuple | None = None):
+        edge_keys, sides = _edge_sort(cells, n) if edges is None else edges
+        lo, hi = np.divmod(edge_keys, n)
+        n_up = np.bincount(lo, minlength=n)
+        n_low = np.bincount(hi, minlength=n)
+        deg = n_up + n_low
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg + (deg > 0), out=indptr[1:])
+        # a node's diagonal entry follows the edges ending there.  Edge e's
+        # entry in the row of its smaller end follows that diagonal at e's
+        # rank among the edges starting there; the entries in the rows of
+        # the larger ends are in the order of the edges stably sorted by
+        # that end, the j-th after j of them and after the other entries
+        # of the rows before its own
+        diag = indptr[:-1] + n_low
+        e = np.arange(len(edge_keys))
+        up = e + (diag + 1 - (np.cumsum(n_up) - n_up))[lo]
+        order = np.argsort(hi, kind="stable")
+        low = np.empty_like(up)
+        low[order] = e + (indptr[:-1] - (np.cumsum(n_low) - n_low))[hi[order]]
+        node = np.flatnonzero(deg)
+        at = diag[node]
+
+        self.nnz = int(indptr[-1])
         self.shape = (n, n)
-        self.nnz = len(self.keys)
-        key.reshape(-1, k, k)[...] = \
-            self.pos.reshape(-1, k, k).transpose(0, 2, 1)
+        self.indptr = indptr.astype(np.int32)
+        self.keys = np.empty(self.nnz, dtype=np.int64)
+        self.indices = np.empty(self.nnz, dtype=np.int32)
         self.mirror = np.empty(self.nnz, dtype=np.intp)
-        self.mirror[self.pos] = key
+        for where, row, col, mirror in ((at, node, node, at),
+                                        (up, lo, hi, low), (low, hi, lo, up)):
+            self.keys[where] = row * n + col
+            self.indices[where] = col
+            self.mirror[where] = mirror
+
+        # element entry (i, j) off the diagonal lies on the side joining
+        # corners i and j = i + 1 (mod k), in the row of its smaller node
+        # when that is corner i
+        k = cells.shape[1]
+        pos = np.empty((len(cells), k, k), dtype=np.intp)
+        for i in range(k):
+            j = (i + 1) % k
+            forward = cells[:, i] < cells[:, j]
+            upper, lower = up[sides[:, i]], low[sides[:, i]]
+            pos[:, i, i] = diag[cells[:, i]]
+            pos[:, i, j] = np.where(forward, upper, lower)
+            pos[:, j, i] = np.where(forward, lower, upper)
+        self.pos = pos.reshape(-1)
 
     def sum(self, elem: np.ndarray) -> np.ndarray:
         """Sum element matrices ``elem``, (C, k, k) or (C, k k), into values
@@ -459,15 +513,31 @@ class _Pattern:
         return self.matrix(self.sum(elem))
 
 
-@dataclass
 class EllipticForm:
     """Assembled matrices of the linear part of the state operator.  The
     boundary mass is in boundary numbering only: ``M_B`` applied to a
-    boundary array ``w`` is the full nodal load ``embed(M_bb @ w)``."""
+    boundary array ``w`` is the full nodal load ``embed(M_bb @ w)``.
 
-    stiffness: sp.csr_matrix       # diffusion + a0 reaction, (V, V)
-    mass_domain: sp.csr_matrix     # (V, V)
-    mass_boundary_bb: sp.csr_matrix  # (Nb, Nb), boundary numbering
+    ``stiffness`` (V, V) is diffusion plus the a0 reaction and
+    ``mass_boundary_bb`` (Nb, Nb) the boundary mass.  The domain mass
+    ``mass_domain`` (V, V) is assembled when first read, as only the
+    second-order check reads it, from the mesh tables the form keeps: no
+    reference to the :class:`Discretization`, which keeps the form.
+    """
+
+    def __init__(self, stiffness: sp.csr_matrix,
+                 mass_boundary_bb: sp.csr_matrix, tables: _MeshTables):
+        self.stiffness = stiffness
+        self.mass_boundary_bb = mass_boundary_bb
+        self._tables = tables
+
+    @functools.cached_property
+    def mass_domain(self) -> sp.csr_matrix:
+        """``int phi_a phi_b dx``, (V, V): the bits of
+        ``domain_mass_weighted`` at weight 1, since ``qw_dom * 1`` is
+        ``qw_dom``."""
+        t = self._tables
+        return t.tri_pattern.assemble(t.qw_dom @ _TRI_PRODUCTS)
 
 
 def _stiffness_elements(i11, i12, i22, grads) -> np.ndarray:
@@ -497,6 +567,32 @@ def _broadcast(value: float, shape: tuple) -> np.ndarray:
     return out
 
 
+def _constant(w: np.ndarray) -> float | None:
+    """The one value that ``w`` views when every stride is 0, as in a
+    folded constant's :func:`_broadcast`, else None."""
+    if w.size and not any(w.strides):
+        return float(w.flat[0])
+    return None
+
+
+def _kept_weights(w_qp) -> np.ndarray:
+    """A copy of the weights ``w_qp`` to keep and compare with later ones:
+    a broadcast of one value stays one, on a buffer of its own."""
+    w = np.asarray(w_qp, dtype=float)
+    value = _constant(w)
+    return np.array(w) if value is None else _broadcast(value, w.shape)
+
+
+def _same_weights(kept: np.ndarray, w_qp) -> bool:
+    """``np.array_equal(kept, w_qp)``: two broadcasts of one value each
+    compare by that value, with no pass over their entries."""
+    w = np.asarray(w_qp)
+    value, other = _constant(kept), _constant(w)
+    if value is not None and other is not None and kept.shape == w.shape:
+        return value == other
+    return np.array_equal(kept, w)
+
+
 def _shaped(out, shape: tuple) -> np.ndarray:
     """An expression's value as a read-only float array of ``shape``.
 
@@ -515,6 +611,24 @@ def _shaped(out, shape: tuple) -> np.ndarray:
     out = out.view()
     out.flags.writeable = False
     return out
+
+
+class _DomainEnv(dict):
+    """The environment of an expression at the interior quadrature points:
+    ``x1`` and ``x2`` are views of ``tables.qp_dom`` looked up when the
+    expression reads them, so that one in neither builds no table."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self, tables: _MeshTables):
+        super().__init__()
+        self.tables = tables
+
+    def __missing__(self, name: str) -> np.ndarray:
+        coordinate = {"x1": 0, "x2": 1}.get(name)
+        if coordinate is None:
+            raise KeyError(name)
+        return self.tables.qp_dom[:, :, coordinate]
 
 
 #: points of a warm-start chain: the last one and the two before it, for a
@@ -549,12 +663,13 @@ class Discretization:
     exactly zero stays as an explicit zero, where scipy's addition would
     drop it.
     An entry is reused only when its ``c`` and the weights ``w`` equal the
-    cached ones bit for bit (shape and values); other weights replace the
-    entry of that ``c`` and leave the others alone.  The values of
-    ``M[w]`` are summed once per weights: a new entry whose weights equal
-    the last ones summed, bit for bit, whatever its ``c``, adds those
-    values again, so that the pinned operator and the state operator at
-    one state share one sum.
+    cached ones bit for bit (shape and values); two broadcasts of a folded
+    constant compare by their one value (:func:`_same_weights`).  Other
+    weights replace the entry of that ``c`` and leave the others alone.
+    The values of ``M[w]`` are summed once per weights: a new entry whose
+    weights equal the last ones summed, bit for bit, whatever its ``c``,
+    adds those values again, so that the pinned operator and the state
+    operator at one state share one sum.
     The only factorization of each ``c`` is its anchor, the last one built
     for that ``c``.  It is exact for the entry whose matrix it factorizes
     (``anchor.matrix is matrix``); on a newer entry of the same ``c``,
@@ -588,7 +703,6 @@ class Discretization:
         self.tables = t
 
         bv = mesh.boundary_vertices
-        self._env_dom = {"x1": t.qp_dom[:, :, 0], "x2": t.qp_dom[:, :, 1]}
         self._env_bnd = {"x1": t.qp_bnd[:, :, 0], "x2": t.qp_bnd[:, :, 1],
                          "s": t.qs_bnd}
         self._env_node = {"x1": mesh.vertices[bv, 0],
@@ -619,7 +733,7 @@ class Discretization:
         shape = self.tables.qw_dom.shape
         if isinstance(e, Const):
             return _broadcast(e.value, shape)
-        env = dict(self._env_dom)
+        env = _DomainEnv(self.tables)
         if y is not None:
             env["y"] = self.tri_interp(y)
         return _shaped(e.eval(env), shape)
@@ -707,8 +821,7 @@ class Discretization:
         stiffness = pat.matrix(0.5 * (s + s[pat.mirror]))
 
         return EllipticForm(
-            stiffness, self.domain_mass_weighted(np.ones_like(t.qw_dom)),
-            self.boundary_mass_weighted(np.ones_like(t.qw_bnd)))
+            stiffness, self.boundary_mass_weighted(np.ones_like(t.qw_bnd)), t)
 
     def domain_mass_weighted(self, w_qp: np.ndarray) -> sp.csr_matrix:
         """Assemble ``int w phi_a phi_b dx`` from weight values at interior
@@ -729,10 +842,10 @@ class Discretization:
         points, without factorizing it.  The matrix is shared: do not
         mutate it."""
         entry = self._jacobian.get(c)
-        if entry is None or not np.array_equal(entry[0], w_qp):
+        if entry is None or not _same_weights(entry[0], w_qp):
             mass = self._mass
-            if mass is None or not np.array_equal(mass[0], w_qp):
-                w = np.array(w_qp, dtype=float)
+            if mass is None or not _same_weights(mass[0], w_qp):
+                w = _kept_weights(w_qp)
                 mass = self._mass = (w, self.domain_mass_weighted(w).data)
             # both on the triangle pattern: adding the values adds as
             # scipy's K + M[w] would; c M_B adds onto the boundary edges

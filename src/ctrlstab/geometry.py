@@ -16,6 +16,11 @@ at the exact angles ``2*pi*j/N``; the arc parameter ``s`` of a boundary
 vertex is that angle.  The computational domain is therefore the inscribed
 regular N-gon: its perimeter is ``2*N*sin(pi/N)`` and its area
 ``(N/2)*sin(2*pi/N)``, which tests pin down exactly.
+
+The edges of a triangulation are sorted once: one stable argsort of the
+side keys gives the sorted distinct edges and each triangle side's edge
+(:meth:`Mesh.edges`), which the validation counts and the assembly
+patterns of :mod:`ctrlstab.fem` are laid out from.
 """
 
 from __future__ import annotations
@@ -87,6 +92,23 @@ class Mesh:
                 self, 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
         return areas
 
+    def edges(self) -> tuple:
+        """The edges of the triangulation as ``(keys, sides)``: the
+        sorted distinct keys ``a V + b`` (``a < b``), (E,) int64, and the
+        edge of each triangle side, (T, 3) intp, side ``i`` joining corners
+        ``i`` and ``i + 1`` (mod 3), so that ``keys[sides]`` are the side
+        keys (:func:`_edge_keys`).
+
+        Sorted on first use (:func:`_edge_sort`) and kept on the mesh as
+        read-only arrays, the way :meth:`triangle_areas` are."""
+        edges = vars(self).get("_edges")
+        if edges is None:
+            edges = _edge_sort(self.triangles, self.n_vertices)
+            for a in edges:
+                a.flags.writeable = False
+            object.__setattr__(self, "_edges", edges)
+        return edges
+
     def edge_lengths(self) -> np.ndarray:
         p = self.vertices[self.boundary_edges]
         return np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
@@ -139,9 +161,9 @@ def make_disk_mesh(n_boundary: int, refinement: int = 0) -> Mesh:
     # orient counterclockwise.  Twice the signed area, by the formula of
     # Mesh.triangle_areas: swapping two vertices negates it exactly, so
     # half its magnitude is the oriented triangle's area bit for bit
-    p = vertices[triangles]
-    area2 = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-             - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
+    x, y = vertices[:, 0][triangles], vertices[:, 1][triangles]
+    area2 = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+             - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
     flip = area2 < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     area2 = np.abs(area2)
@@ -213,13 +235,35 @@ def _ring_triangles(count, twice, ring, local, first) -> np.ndarray:
     return tris
 
 
-def _edge_keys(triangles: np.ndarray, n_vertices: int) -> np.ndarray:
+def _edge_keys(cells: np.ndarray, n_vertices: int) -> np.ndarray:
     """The key ``a V + b`` of the edge of nodes ``a < b`` on each side of
-    each triangle, (T, 3) int64: side ``i`` joins corners ``i`` and
-    ``i + 1`` (mod 3)."""
-    tris = triangles.astype(np.int64)
-    ends = tris[:, [1, 2, 0]]
-    return np.minimum(tris, ends) * n_vertices + np.maximum(tris, ends)
+    each cell of ``cells`` (C, k), (C, k) int64: side ``i`` joins corners
+    ``i`` and ``i + 1`` (mod k), so the two sides of a 2-node cell are its
+    one edge."""
+    c = cells.astype(np.int64)
+    ends = c[:, [*range(1, c.shape[1]), 0]]
+    return np.minimum(c, ends) * n_vertices + np.maximum(c, ends)
+
+
+def _edge_sort(cells: np.ndarray, n_vertices: int) -> tuple:
+    """``(keys, sides)`` of the cells ``cells`` (C, k): the sorted distinct
+    edge keys (E,) int64 and the index into them of each cell side,
+    (C, k) intp, by one stable argsort of the ``C k`` side keys
+    (:func:`_edge_keys`)."""
+    key = _edge_keys(cells, n_vertices).ravel()
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    # the first of each run of equal keys starts an edge
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    keys = ordered[first]
+    # the edge of each sorted key goes into the buffer of the sorted keys
+    edge = np.cumsum(first, out=ordered)
+    edge -= 1
+    sides = np.empty(len(key), dtype=np.intp)
+    sides[order] = edge
+    return keys, sides.reshape(cells.shape)
 
 
 def _validate(mesh: Mesh) -> None:
@@ -227,22 +271,22 @@ def _validate(mesh: Mesh) -> None:
     disk with its declared boundary: every vertex lies on a triangle,
     ``V - E + T = 1``, the edges of exactly one triangle are the declared
     boundary cycle, the boundary vertices lie on the unit circle and every
-    triangle area is positive.  The edges are counted by one sort of the
-    ``3 T`` edge keys (:func:`_edge_keys`)."""
+    triangle area is positive.  The edges and their triangle counts come
+    from the mesh's one edge sort (:meth:`Mesh.edges`)."""
     v = mesh.n_vertices
     if np.count_nonzero(np.bincount(mesh.triangles.ravel(),
                                     minlength=v)) != v:
         raise MeshError("triangulation dropped a vertex")
 
     # Euler characteristic of a disk: V - E + T = 1
-    keys, counts = np.unique(_edge_keys(mesh.triangles, v),
-                             return_counts=True)
+    keys, sides = mesh.edges()
     euler = v - len(keys) + mesh.n_triangles
     if euler != 1:
         raise MeshError(f"Euler characteristic {euler} != 1")
 
     # boundary edges of the triangulation (those of one triangle) = the
     # declared boundary cycle
+    counts = np.bincount(sides.ravel(), minlength=len(keys))
     declared = np.sort(mesh.boundary_edges.astype(np.int64), axis=1)
     if not np.array_equal(keys[counts == 1],
                           np.unique(declared[:, 0] * v + declared[:, 1])):

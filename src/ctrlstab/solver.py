@@ -111,6 +111,7 @@ previous iterate's, and the adjoint system and the record read that array.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -394,7 +395,10 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         u = point.control.values
         grad = m_bb @ (alpha + beta * u - disc.trace(adjoint.values))
         du = _newton_direction(_ReducedForms(disc, point), grad)
-        cost = objective_value(disc, point.state, u, lam)
+        # the iterate's cost, evaluated when an Armijo test first reads it,
+        # before the trial's cost
+        cost = functools.cache(
+            lambda: objective_value(disc, point.state, u, lam))
         slope = float(grad @ du)
         s = 1.0
         for _ in range(_NEWTON_HALVINGS + 1):
@@ -407,8 +411,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
                 trial = None
             if trial is not None and math.isfinite(trial[1].worst) and (
                     record(trial) or trial[1].worst < res.worst
-                    or objective_value(disc, trial[0].state, u_try, lam)
-                    <= cost + _ARMIJO * s * slope):
+                    or cost() + _ARMIJO * s * slope
+                    >= objective_value(disc, trial[0].state, u_try, lam)):
                 return trial
             s *= 0.5
         return None

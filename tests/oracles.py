@@ -517,6 +517,30 @@ def unique_pattern(cells, n):
     return keys, pos, indices, indptr
 
 
+def argsort_pattern(cells, n):
+    """``keys``, ``pos``, ``indices``, ``indptr`` and ``mirror`` of the CSR
+    pattern of element matrices over ``cells`` (C, k) of an (n, n) matrix,
+    by one stable argsort of the ``C k k`` entry keys: the first of each
+    run of equal sorted keys starts an entry, and the entry of each
+    transposed element entry is its mirror."""
+    c = cells.astype(np.int64)
+    k = c.shape[1]
+    key = (c[:, :, None] * n + c[:, None, :]).ravel()
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    keys = ordered[np.flatnonzero(first)]
+    pos = np.empty(len(key), dtype=np.intp)
+    pos[order] = np.cumsum(first) - 1
+    indices = (keys % n).astype(np.int32)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    mirror = np.empty(len(keys), dtype=np.intp)
+    mirror[pos] = pos.reshape(-1, k, k).transpose(0, 2, 1).ravel()
+    return keys, pos, indices, indptr, mirror
+
+
 def searchsorted_mirror(keys, n):
     """The entry of each entry's transpose in a symmetric pattern, by
     looking the transposed key up in the sorted ``keys``."""

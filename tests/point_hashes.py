@@ -25,10 +25,13 @@ of the tree whose ``src/`` is imported.  ``record`` runs, for one file:
 * ``verify``: whether the cold residual record equals
   ``residuals(disc, point)`` bit for bit;
 * ``setup``: what the set-up of the first discretization built: the
-  ``mesh_hash``, the mesh tables (areas, gradients, quadrature points and
-  weights), each assembly pattern's ``keys``, ``pos``, ``indptr`` and
-  ``indices`` and the boundary-in-triangle map, and the data, indices and
-  indptr of each ``EllipticForm`` matrix.
+  ``mesh_hash``, the mesh's edge sort (its sorted edge keys and each
+  triangle side's edge; for a tree whose mesh keeps no edge sort, the
+  ``np.unique`` of its side keys, which are those arrays), the mesh tables
+  (areas, gradients, quadrature points and weights), each assembly
+  pattern's ``keys``, ``pos``, ``indptr`` and ``indices`` and the
+  boundary-in-triangle map, and the data, indices and indptr of each
+  ``EllipticForm`` matrix, read by name (``FORM``).
 
 Each solve is recorded as its state, control, adjoint and multiplier
 arrays, its (iterations, newton, pinned) counts, sigma1, history and
@@ -131,19 +134,35 @@ TABLES = ("areas", "grads", "qp_dom", "qw_dom", "qp_bnd", "qw_bnd",
           "qs_bnd", "edge_pos", "bnd_in_tri")
 PATTERNS = ("tri_pattern", "bb_pattern")
 PATTERN_ARRAYS = ("keys", "pos", "indptr", "indices")
+#: the mesh's edge arrays and the ``EllipticForm`` matrices, by name
+EDGES = ("edges.keys", "edges.sides")
+FORM = ("stiffness", "mass_domain", "mass_boundary_bb")
+
+
+def _edges(cs, mesh) -> tuple:
+    """The sorted edge keys of ``mesh`` and the edge of each triangle
+    side: its kept edge sort, or ``np.unique`` of its side keys where the
+    tree's mesh keeps none."""
+    if hasattr(mesh, "edges"):
+        return mesh.edges()
+    keys, sides = np.unique(cs.geometry._edge_keys(mesh.triangles,
+                                                   mesh.n_vertices),
+                            return_inverse=True)
+    return keys, sides.reshape(mesh.triangles.shape)
 
 
 def _setup(cs, disc) -> dict:
-    """The set-up record of a discretization: its mesh hash, tables,
-    patterns and assembled form, by name."""
+    """The set-up record of a discretization: its mesh hash, edges,
+    tables, patterns and assembled form, by name."""
     t = disc.tables
     out = {"mesh_hash": cs.mesh_hash(disc.mesh)}
+    out.update(zip(EDGES, _edges(cs, disc.mesh)))
     out.update((name, getattr(t, name)) for name in TABLES)
     out.update((f"{pattern}.{name}", getattr(getattr(t, pattern), name))
                for pattern in PATTERNS for name in PATTERN_ARRAYS)
-    for field in dataclasses.fields(disc.form):
-        matrix = getattr(disc.form, field.name)
-        out.update((f"{field.name}.{name}", getattr(matrix, name))
+    for field in FORM:
+        matrix = getattr(disc.form, field)
+        out.update((f"{field}.{name}", getattr(matrix, name))
                    for name in ("data", "indices", "indptr"))
     return out
 

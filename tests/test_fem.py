@@ -17,13 +17,13 @@ import scipy.sparse as sp
 import ctrlstab.fem as fem_mod
 from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
                       FemError, FeFunction, Mesh, NotSpdError,
-                      SpdFactorization, make_disk_mesh, norm, parse,
-                      solve_spd)
+                      SpdFactorization, check_ssc, make_disk_mesh, norm,
+                      parse, solve_kkt, solve_spd)
 from ctrlstab.expr import Const
 from ctrlstab.pde import solve_state, state_residual_norm
 
 from conftest import SETUP_MESHES, make_spec
-from oracles import (dense_solve, einsum_quadrature_points,
+from oracles import (argsort_pattern, dense_solve, einsum_quadrature_points,
                      einsum_stiffness, searchsorted_mirror, stiffness_matrix,
                      unique_pattern, vertex_boundary_in_triangles,
                      vertex_boundary_load, vertex_boundary_mass)
@@ -458,21 +458,31 @@ def test_pattern_assembly_has_coo_structure_and_sums_to_rounding(
 
 @pytest.mark.parametrize("n_boundary,refinement", SETUP_MESHES)
 def test_patterns_are_the_unique_based_ones(n_boundary, refinement):
-    # one argsort gives np.unique's keys and inverse, and the scatter of
-    # the transposed element entries the searchsorted transpose map
+    # the patterns laid out from the edges by counting are np.unique's
+    # keys and inverse, the searchsorted transpose map, and the arrays of
+    # one argsort of the element keys, dtypes included; also on the mesh
+    # numbered at random, whose rows mix lower and upper neighbours freely
     mesh = make_disk_mesh(n_boundary, refinement)
-    t = fem_mod._tables(mesh)
-    for cells, n, pattern in (
-            (mesh.triangles, mesh.n_vertices, t.tri_pattern),
-            (mesh.boundary_edges, mesh.n_vertices,
-             fem_mod._Pattern(mesh.boundary_edges, mesh.n_vertices)),
-            (t.edge_pos, mesh.n_boundary, t.bb_pattern)):
+    relabeled = _relabeled(mesh, np.random.default_rng(n_boundary))
+    cases = []
+    for m in (mesh, relabeled):
+        t = fem_mod._tables(m)
+        cases += [(m.triangles, m.n_vertices, t.tri_pattern),
+                  (m.boundary_edges, m.n_vertices,
+                   fem_mod._Pattern(m.boundary_edges, m.n_vertices)),
+                  (t.edge_pos, m.n_boundary, t.bb_pattern)]
+    for cells, n, pattern in cases:
         keys, pos, indices, indptr = unique_pattern(cells, n)
-        for got, want in ((pattern.keys, keys), (pattern.pos, pos),
-                          (pattern.indices, indices),
-                          (pattern.indptr, indptr),
-                          (pattern.mirror, searchsorted_mirror(keys, n))):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        got = (pattern.keys, pattern.pos, pattern.indices, pattern.indptr,
+               pattern.mirror)
+        for arrays in ((keys, pos, indices, indptr,
+                        searchsorted_mirror(keys, n)),
+                       argsort_pattern(cells, n)):
+            for a, want in zip(got, arrays):
+                assert a.dtype == want.dtype and np.array_equal(a, want)
+        assert pattern.nnz == len(keys) and pattern.shape == (n, n)
+        # the mirror of an entry holds its transposed key
+        assert np.array_equal(keys[pattern.mirror], keys % n * n + keys // n)
 
 
 @pytest.mark.parametrize("n_boundary,refinement", SETUP_MESHES)
@@ -566,6 +576,76 @@ def test_tables_die_with_their_mesh(lq_spec):
     del mesh, d
     gc.collect()
     assert ref() is None
+
+
+def test_solved_discretization_is_freed_without_the_collector(lq_spec):
+    # no reference cycle: with the cycle collector off, dropping the last
+    # reference to a solved and checked discretization frees it, its mesh
+    # and the mesh's tables, whatever the set-up built when first read
+    mesh = make_disk_mesh(16, 0)
+    d = Discretization(lq_spec, mesh)
+    rep = solve_kkt(d, d.param_reference())
+    check_ssc(d, rep.point)
+    d.eval_dom(parse("x1*x2"))
+    d.form.mass_domain
+    refs = [weakref.ref(obj) for obj in (d, mesh, d.tables, d.form)]
+    gc.disable()
+    try:
+        del d, mesh, rep
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_set_up_builds_what_a_solve_reads_when_first_read(lq_spec):
+    # a problem with no expression in x solves and checks without the
+    # quadrature points, and the domain mass is assembled when first read;
+    # both have the bits that the set-up built before
+    mesh = make_disk_mesh(16, 1)
+    d = Discretization(lq_spec, mesh)
+    rep = solve_kkt(d, d.param_reference())
+    check_ssc(d, rep.point)
+    assert "qp_dom" not in vars(d.tables)
+    table = einsum_quadrature_points(mesh)
+    for name, axis in (("x1", 0), ("x2", 1)):
+        got = d.eval_dom(parse(name))
+        assert got.tobytes() == np.ascontiguousarray(
+            table[:, :, axis]).tobytes()
+    assert np.shares_memory(got, d.tables.qp_dom)
+
+    d = Discretization(lq_spec, mesh)
+    solve_kkt(d, d.param_reference())
+    assert "mass_domain" not in vars(d.form)
+    want = d.domain_mass_weighted(np.ones_like(d.tables.qw_dom))
+    got = d.form.mass_domain
+    assert got is d.form.mass_domain
+    _assert_same_csr(got, want)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_constant_weights_compare_by_their_value(monkeypatch):
+    # a folded constant's broadcast meets the kept one by its single value,
+    # without np.array_equal; any other weights are compared entry by
+    # entry, and weights that differ replace the entry
+    d = Discretization(make_spec(reaction="y + y^3"), make_disk_mesh(16, 0))
+    shape = d.tables.qw_dom.shape
+    state = d.jacobian_matrix(fem_mod._broadcast(1.0, shape))
+    compared = []
+    monkeypatch.setattr(fem_mod.np, "array_equal",
+                        _counting(compared, np.array_equal))
+    assert d.jacobian_matrix(fem_mod._broadcast(1.0, shape)) is state
+    assert compared == []
+    assert d.jacobian_matrix(np.ones(shape)) is state
+    assert len(compared) == 1
+    base = np.array([2.0])
+    other = d.jacobian_matrix(np.broadcast_to(base, shape))
+    assert other is not state
+    want = d.form.stiffness + d.domain_mass_weighted(np.full(shape, 2.0))
+    assert other.data.tobytes() == want.data.tobytes()
+    # the kept weights view no caller memory
+    base[0] = 1.0
+    assert d.jacobian_matrix(fem_mod._broadcast(2.0, shape)) is other
+    assert d.jacobian_matrix(fem_mod._broadcast(1.0, shape)) is not other
 
 
 def _counting(calls: list, function):

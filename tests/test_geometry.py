@@ -179,6 +179,27 @@ def test_edge_keys_are_the_sorted_pairs(n, refinement):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n,refinement", SETUP_MESHES)
+def test_kept_edges_are_the_unique_sides_and_read_only(n, refinement):
+    # one sort of the side keys, kept on the mesh: np.unique's keys and
+    # inverse, dtypes included, so that a second read sorts nothing
+    mesh = make_disk_mesh(n, refinement)
+    keys, sides = mesh.edges()
+    assert mesh.edges()[0] is keys and mesh.edges()[1] is sides
+    side_keys = sorted_edge_keys(mesh.triangles, mesh.n_vertices)
+    want, inverse = np.unique(side_keys, return_inverse=True)
+    assert keys.dtype == want.dtype and np.array_equal(keys, want)
+    assert sides.dtype == np.intp and sides.shape == mesh.triangles.shape
+    assert np.array_equal(sides, inverse.reshape(sides.shape))
+    for a in (keys, sides):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    fresh = dataclasses.replace(mesh).edges()
+    assert fresh[0] is not keys
+    assert all(f.tobytes() == k.tobytes() for f, k in zip(fresh, (keys, sides)))
+
+
 @pytest.mark.parametrize("sizes", [range(8, 130), (256, 333, 512, 1024)])
 def test_mesh_is_the_pairwise_ring_merge(sizes):
     # all ring pairs merged at once give the points and triangles of the

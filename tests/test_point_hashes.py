@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import os
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ def _reports(mine, other) -> dict:
 
 SOLVE_FIELDS = set(point_hashes.FIELDS) - {"counts"}
 SSC_FIELDS = {f.name for f in dataclasses.fields(cs.SscReport)}
-SETUP_FIELDS = {"mesh_hash", *point_hashes.TABLES} | {
+SETUP_FIELDS = {"mesh_hash", "edges.keys", "edges.sides",
+                *point_hashes.TABLES} | {
     f"{pattern}.{name}" for pattern in point_hashes.PATTERNS
     for name in point_hashes.PATTERN_ARRAYS} | {
     f"{matrix}.{name}" for matrix in ("stiffness", "mass_domain",
@@ -58,10 +60,12 @@ def test_line_hashes_the_documented_fields(record):
             list(rep.history), dataclasses.astuple(rep.residuals)]
     ssc = dataclasses.astuple(cs.check_ssc(
         disc, p, n_samples=200, rng=np.random.default_rng([0, 0])))
-    # the set-up: mesh hash, tables, patterns, then the form's matrices
+    # the set-up: mesh hash, edges, tables, patterns, then the form's
+    # matrices
     t, form = disc.tables, disc.form
-    setup = [cs.mesh_hash(disc.mesh), t.areas, t.grads, t.qp_dom, t.qw_dom,
-             t.qp_bnd, t.qw_bnd, t.qs_bnd, t.edge_pos, t.bnd_in_tri]
+    setup = [cs.mesh_hash(disc.mesh), *disc.mesh.edges(), t.areas, t.grads,
+             t.qp_dom, t.qw_dom, t.qp_bnd, t.qw_bnd, t.qs_bnd, t.edge_pos,
+             t.bnd_in_tri]
     for pattern in (t.tri_pattern, t.bb_pattern):
         setup += [pattern.keys, pattern.pos, pattern.indptr, pattern.indices]
     for matrix in (form.stiffness, form.mass_domain, form.mass_boundary_bb):
@@ -73,6 +77,16 @@ def test_line_hashes_the_documented_fields(record):
                       "chain": point_hashes._digest([*cold, ssc]),
                       "setup": point_hashes._digest(setup),
                       "verify": "eq"}
+
+
+def test_edges_without_a_kept_sort_are_the_unique_sides():
+    # a tree whose mesh keeps no edge sort records np.unique of its side
+    # keys, which hashes as the kept sort does
+    mesh = cs.make_disk_mesh(13, 1)
+    bare = types.SimpleNamespace(triangles=mesh.triangles,
+                                 n_vertices=mesh.n_vertices)
+    for got, want in zip(point_hashes._edges(cs, bare), mesh.edges()):
+        assert point_hashes._hashed(got) == point_hashes._hashed(want)
 
 
 def test_record_against_itself_is_bit_identical(record):

@@ -273,6 +273,30 @@ def test_newton_line_search_accepts_residual_decrease(monkeypatch):
     assert float(np.max(np.abs(gap))) <= 1e-7
 
 
+def test_armijo_cost_is_evaluated_only_for_a_comparison(monkeypatch):
+    # the cost of the iterate is read only by the Armijo test of a trial
+    # that neither meets the stopping rule nor lowers the worst residual:
+    # no Newton step of the cold fold solve needs it, and the re-solve at
+    # t = 0.1 compares once, reading the iterate's cost, then the trial's
+    controls = []
+
+    def counted(disc, y, u, lam):
+        controls.append(np.array(u))
+        return value(disc, y, u, lam)
+
+    value = solver.objective_value
+    monkeypatch.setattr(solver, "objective_value", counted)
+    disc, lam, opts = _instance("stability_reference", None)
+    base = solve_kkt(disc, lam, options=opts)
+    assert base.newton > 0 and controls == []
+    plan = sweep_plan(parse_instance(CONFIG_DIR / "stability_reference.ini"),
+                      disc)
+    rep = solve_kkt(disc, lam + 0.1 * plan.delta.values,
+                    u0=base.point.control.values, options=opts)
+    assert rep.newton > 1 and len(controls) == 2
+    assert not np.array_equal(*controls)
+
+
 def test_newton_gradient_is_the_reduced_gradient(monkeypatch):
     # from u0 = -3 the damped multipliers are still nonzero when the
     # projection first binds nowhere; the Newton step must read the
