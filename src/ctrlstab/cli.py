@@ -150,7 +150,7 @@ def cmd_solve(args) -> int:
     gap = projection_identity_gap(disc, report.point)
     obj = objective_value(disc, report.point.state, report.point.control, lam)
     _say(args, f"converged in {report.iterations} iterations "
-               f"({report.newton} Newton, {report.pinned} pinned): "
+               f"({report.newton} Newton, {report.pinned} pinned tried): "
                f"worst residual {report.residuals.worst:.3e}, "
                f"objective {obj:.9g}, sigma1 {report.sigma1:.6g}, "
                f"projection gap {gap:.3e}")

@@ -445,22 +445,6 @@ def _activity_tolerance(u: np.ndarray) -> float:
     return 1e-8 * (1.0 + float(np.max(np.abs(u))))
 
 
-def _strong_at_every_node(disc: Discretization, point: KktPoint) -> bool:
-    """True when every boundary node of ``point`` carries a strong pair in
-    the sense of :class:`_ConeGeometry`: an active constraint whose
-    multiplier exceeds ``eps_act``, not merely a positive one.  The
-    multipliers are read first, so a point with a node where none exceeds
-    ``eps_act`` evaluates no constraint."""
-    u = point.control.values
-    eps = _activity_tolerance(u)
-    strong = point.multipliers > eps
-    if not strong.any(axis=0).all():
-        return False
-    slack = constraint_values(disc, point.state.values,
-                              point.param.values) + u
-    return bool((strong & (slack >= -eps)).any(axis=0).all())
-
-
 class _ConeGeometry(_ReducedForms):
     """Active-set data and the reduced forms shared by both estimators.
 

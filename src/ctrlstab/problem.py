@@ -181,8 +181,10 @@ class ProblemSpec:
         The slope is read from the folded derivative, not sampled: a
         derivative that takes one value but does not fold to a ``Const``
         (say, that of ``y*exp(0) - 3``, as ``exp(0)`` is not folded) has
-        none.  The pinned step of :func:`ctrlstab.solver.solve_kkt` and the
-        pinned certificate of :func:`ctrlstab.kkt.check_ssc` read it."""
+        none.  :func:`ctrlstab.solver.solve_kkt` tries its pinned step at an
+        iterate only where the labels of its dominance partition have one,
+        and the pinned certificate of :func:`ctrlstab.kkt.check_ssc` reads
+        it too."""
         slopes = {self.constraint_slopes[i] for i in indices}
         return slopes.pop() if len(slopes) == 1 else None
 

@@ -40,14 +40,15 @@ Where the projection target binds at every boundary node,
 constraints all bind strongly is ``u = -g_l(y)``, ``l`` the label of each
 node in the dominance partition; this is the primal-dual active-set step
 (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13:865, 2002) with every
-node active.  When the label constraints have a ``y``-derivative that
-folds to one constant ``c`` (``ProblemSpec.common_slope``; a derivative
-that takes one value without folding to a constant does not count),
-:func:`solve_kkt` takes it once per solve, at the first such iterate:
-Newton on the state equation with ``u = -g_l(y)`` substituted, from the
-iterate's state, whose Jacobian is ``K + M[h_y] + c M_B``, then the
-adjoint with the multiplier ``e = trace(p) - alpha - beta u`` eliminated,
-which has the same symmetric operator::
+node active.  :func:`solve_kkt` tries it at every such iterate whose
+dominance partition separates (``sigma1 > 0``) and whose label
+constraints have a ``y``-derivative that folds to one constant ``c``
+(``ProblemSpec.common_slope``; a derivative that takes one value without
+folding to a constant does not count): Newton on the state equation with
+``u = -g_l(y)`` substituted, from the iterate's state, whose Jacobian is
+``K + M[h_y] + c M_B``, then the adjoint with the multiplier
+``e = trace(p) - alpha - beta u`` eliminated, which has the same
+symmetric operator::
 
     (K + M[h_y] + c M_B) p = rhs(e = 0) + c M_B (alpha + beta u).
 
@@ -80,16 +81,14 @@ some multiplier of the last point is nonzero, its damped update from the
 point's multipliers and costate.  At a free point (every multiplier zero)
 the costate is not carried: it would give nonzero separated multipliers,
 and the reduced Newton step would solve the adjoint once more to drop
-them.  Where every node of the last point carries a strong pair (an
-active constraint with a multiplier above ``eps_act``, the test of the
-second-order check), the pinned step is tried first, from the predicted
-state and the partition of its constraint values at the new parameter,
-with the predicted costate, when there is one, as the starting guess of
-the conjugate gradients of its adjoint solve.  The predictions only start
+them.  Where some multiplier is nonzero, the pinned step is tried first,
+by the same rule, from the predicted state, the last point's costate and
+the constraint values at the predicted state and the new parameter, with
+the predicted costate, when there is one, as the starting guess of the
+conjugate gradients of its adjoint solve.  The predictions only start
 the state Newton solve and that SPD adjoint solve, whose solutions are
 unique, so the iterate they reach is the same up to the solves'
-tolerances.  That try follows the pinned step's rules; rejected, it is
-not an iterate, and it leaves the in-loop pinned gate unspent.  Any other
+tolerances.  Rejected, that try is not an iterate either.  Any other
 ``u0``, ``None`` included, starts from the control alone, with the state
 solved from zero and the multipliers and costate at zero.
 
@@ -122,8 +121,7 @@ from .fem import (BoundaryFunction, Discretization, FeFunction, FemError,
                   nodal_values)
 from .kkt import (KktPoint, KktResiduals, _cho_factor, _cho_solve,
                   _ReducedForms, _residual_record, _separated_multipliers,
-                  _strong_at_every_node, check_beta_floor, constraint_values,
-                  partition_of)
+                  check_beta_floor, constraint_values, partition_of)
 from .pde import (StateSolveError, _adjoint_pieces, _adjoint_rhs, _newton,
                   _residual_bound, adjoint_system, solve_state)
 
@@ -161,9 +159,9 @@ class SolveOptions:
     damping factor of every damped step of the solve.  ``max_outer`` bounds
     the evaluated iterates, the trials of the Newton line search included.
     A reduced Newton step has no knob and is taken at every iterate where
-    the projection binds at no node, nor has the pinned step, tried once at
-    the first iterate where it binds at every node (and once more, first,
-    when a re-solve resumes from a strongly pinned point; see
+    the projection binds at no node, nor has the pinned step, tried at
+    every iterate where it binds at every node (and first, when a re-solve
+    resumes from a point with a nonzero multiplier; see
     :func:`solve_kkt`).  No knob turns the resume or its prediction off:
     the resume applies exactly when ``u0`` is the control of the last
     point solved on the discretization.  Each state solve stops at a
@@ -193,11 +191,11 @@ class KktSolveReport:
     line search included, and ``history`` holds the worst residual of
     each.  ``newton`` counts the reduced Newton steps, one per direction
     computed, whatever the number of its line-search trials.  ``pinned``
-    counts the pinned steps tried, at most two per solve: the first try of
-    a solve that resumes from a strongly pinned point, and the in-loop
-    gate's.  Accepted, a pinned step is the last iterate; rejected or
-    failed, it is not an iterate and adds nothing to ``iterations`` or
-    ``history``.
+    counts the pinned steps tried: the one before the first iterate of a
+    resumed solve, and one at each iterate where the projection binds at
+    every node, the partition separates and the labels share a slope.
+    Accepted, a pinned step is the last iterate; rejected or failed, it is
+    not an iterate and adds nothing to ``iterations`` or ``history``.
     """
 
     point: KktPoint
@@ -270,17 +268,19 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     search fails ``_NEWTON_HALVINGS`` times, goes on with the damped step
     from itself.
 
-    At the first iterate whose projection target binds at every node,
+    At every iterate whose projection target binds at every node,
     ``(trace(p) - alpha) / beta >= -max_i g_i`` everywhere, the pinned step
-    is tried when the label constraints have a ``y``-derivative that folds
-    to one constant ``c`` (see the module docstring): ``u = -g_label(y)``
-    with ``y`` solved by Newton on ``K + M[h_y] + c M_B`` from the
-    iterate's state, the costate from the same operator with the
-    multiplier eliminated, and ``e = trace(p) - alpha - beta u`` on each
-    node's label.  It is returned
-    when its record meets ``tol``; otherwise it is dropped, and the
-    iteration goes on from the iterate and warm start unchanged.
-    ``report.pinned`` counts each try, the resumed first one included.
+    is tried when the partition separates and the label constraints have a
+    ``y``-derivative that folds to one constant ``c`` (see the module
+    docstring): ``u = -g_label(y)`` with ``y`` solved by Newton on
+    ``K + M[h_y] + c M_B`` from the iterate's state, the costate from the
+    same operator with the multiplier eliminated, and
+    ``e = trace(p) - alpha - beta u`` on each node's label.  It is
+    returned when its record meets ``tol``; otherwise it is dropped, and
+    the iteration goes on from the iterate and warm start unchanged.  A
+    resumed solve whose last point has a nonzero multiplier tries it by
+    the same rule before its first iterate, from the predicted state and
+    the last point's costate.  ``report.pinned`` counts each try.
 
     ``iterations`` counts the iterates whose residuals were evaluated,
     Newton trials and an accepted pinned step included, and ``max_outer``
@@ -313,7 +313,6 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     history: list = []
     lam_fn = BoundaryFunction(disc.mesh, lam)
     newton = pinned = 0
-    pinned_gate = False  # the pinned gate has fired
     m_bb = disc.form.mass_boundary_bb
     no_mults = np.zeros((m, nb))
 
@@ -417,14 +416,21 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             s *= 0.5
         return None
 
-    def pinned_step(y0, labels, g0, p0=None):
-        # the pinned step from the state y0 with the dominance labels of its
-        # constraint values g0, as a step, its adjoint solve started from
-        # the guess p0 when one is given; None when the label constraints'
-        # dg/dy does not fold to one constant c, a solve fails or the
-        # partition degenerates
+    def pinned_step(y0, costate, g0, p0=None):
+        # the pinned step from the state y0, with the costate and the
+        # constraint values g0 at y0, its adjoint solve started from the
+        # guess p0 when one is given: tried where the projection binds at
+        # every node, the partition of g0 separates and its labels'
+        # dg/dy folds to one constant c; the step when its record meets
+        # tol, None when it is not tried, a solve fails, the partition
+        # degenerates or the record does not meet tol
         nonlocal pinned
-        c = disc.problem.common_slope(labels)
+        proj = (disc.trace(costate) - alpha) / beta
+        if not np.all(proj >= -np.max(g0, axis=0)):
+            return None
+        start = partition_of(g0)
+        labels = start.labels
+        c = disc.problem.common_slope(labels) if start.sigma1 > 0.0 else None
         if c is None:
             return None
         pinned += 1
@@ -453,10 +459,11 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             adjoint = disc.jacobian_solve(w_adj, rhs, c, x0=p0)
             e = disc.trace(adjoint) - alpha - beta * u
             mults = np.where(labels == np.arange(m)[:, None], e, 0.0)
-            return iterate(state, u, adjoint, mults, w_adj,
+            step = iterate(state, u, adjoint, mults, w_adj,
                            _adjoint_rhs(disc, pieces, mults), g, part)
         except (StateSolveError, PartitionError, FemError, ValueError):
             return None
+        return step if step[1].worst <= opts.tol else None
 
     def report(step) -> KktSolveReport:
         disc.keep_point(step[0], resumed=last is not None)
@@ -472,16 +479,12 @@ def solve_kkt(disc: Discretization, lam, u0=None,
         y_warm, p_guess = disc.predict_point(lam)
         if np.any(last.multipliers):
             e_prev, p_prev = last.multipliers, last.adjoint.values
-        # the first pinned try: rejected, it is not an iterate and leaves
-        # the in-loop gate unspent
-        if _strong_at_every_node(disc, last):
-            g = constraint_values(disc, y_warm, lam)
-            part = partition_of(g)
-            if part.sigma1 > 0.0:
-                trial = pinned_step(y_warm, part.labels, g, p_guess)
-                if trial is not None and trial[1].worst <= opts.tol:
-                    record(trial)
-                    return report(trial)
+            # the first pinned try; rejected, it is not an iterate
+            trial = pinned_step(y_warm, p_prev,
+                                constraint_values(disc, y_warm, lam), p_guess)
+            if trial is not None:
+                record(trial)
+                return report(trial)
     while len(history) < opts.max_outer:
         step = evaluate(u, e_prev, p_prev)
         if record(step):
@@ -503,14 +506,11 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             if step[1].worst <= opts.tol:
                 return report(step)
 
-        # the pinned gate, at the first iterate where the projection binds
-        # at every node; a rejected step is not an iterate, and the
+        # the pinned step; rejected, it is not an iterate, and the
         # iteration goes on from this one as if it had not been tried
-        if not pinned_gate and np.all(proj >= cap) \
-                and len(history) < opts.max_outer:
-            pinned_gate = True
-            trial = pinned_step(point.state.values, step[2].labels, g_con)
-            if trial is not None and trial[1].worst <= opts.tol:
+        if len(history) < opts.max_outer:
+            trial = pinned_step(point.state.values, adjoint, g_con)
+            if trial is not None:
                 record(trial)
                 return report(trial)
 

@@ -63,10 +63,22 @@ when every file is in both trees and every group reads ``counts same``
 and ``=`` for every field, else 1 (also when a tree's records cannot be
 collected, and when a field is recorded on one side only).
 
+``--against`` also records, in both trees, the members of this
+checkout's ``tests/random_family.py`` drawn with ``FAMILY_SEED``: each
+member's cold solve with the default solver options and ``verify``,
+``check_ssc`` at its point and a warm chain at ``lam_ref + t`` for each
+``t`` of ``FAMILY_T``, in ``run_sweep``'s order.  After the files' lines
+it prints one line per member whose records differ, with the counts of
+each group (``cold``, ``warm``, ``ssc``) whose counts differ and the
+largest finite move, and a summary line.  The family lines measure how far
+a change moves instances that no file ships; the exit status is the
+files' alone.
+
 With one BLAS thread on a 2-CPU machine the first form takes about 2 s
-for all instance files and ``--against`` about 3 s; ``--against`` runs
-each subprocess with one BLAS thread whatever the caller's environment;
-``tests/test_point_hashes.py`` runs both reports on one file.
+for all instance files and ``--against``, with the family, about 3 s;
+``--against`` runs each subprocess with one BLAS thread whatever the
+caller's environment; ``tests/test_point_hashes.py`` runs both reports
+on one file and the family report on two members.
 """
 
 from __future__ import annotations
@@ -98,21 +110,26 @@ def _fields(rep) -> dict:
 
 
 def _warm(cs, cfg, disc, cold) -> list | None:
-    """The records of the warm chain from the cold solve (None without a
-    sweep).  Each solve starts from the last converged control, the
-    control of the last point solved on ``disc``, so ``solve_kkt``
-    resumes from that whole point; the caller solves nothing else on
-    ``disc`` between ``cold`` and the chain."""
+    """The records of the warm chain of an instance file from the cold
+    solve (None without a sweep), as :func:`_chain` solves it."""
     if cfg.sweep is None:
         return None
     plan = cs.sweep_plan(cfg, disc)
-    lam_ref = disc.param_reference()
+    lam_ref = disc.param_reference().values
+    return _chain(cs, disc, [lam_ref + t * plan.delta.values
+                             for t in plan.t_values], cfg.solve_options, cold)
+
+
+def _chain(cs, disc, lams, options, cold) -> list:
+    """The records of the solves at the parameters ``lams`` from the cold
+    solve.  Each solve starts from the last converged control, the
+    control of the last point solved on ``disc``, so ``solve_kkt``
+    resumes from that whole point; the caller solves nothing else on
+    ``disc`` between ``cold`` and the chain."""
     out, u_warm = [], cold.point.control.values
-    for t in plan.t_values:
-        lam_t = lam_ref.values + t * plan.delta.values
+    for lam in lams:
         try:
-            rep = cs.solve_kkt(disc, lam_t, u0=u_warm,
-                               options=cfg.solve_options)
+            rep = cs.solve_kkt(disc, lam, u0=u_warm, options=options)
         except (cs.SolverError, cs.PartitionError, cs.StateSolveError,
                 cs.AdmissionError) as exc:
             out.append(type(exc).__name__)
@@ -122,8 +139,7 @@ def _warm(cs, cfg, disc, cold) -> list | None:
     return out
 
 
-def _ssc(cs, cfg, disc, rep) -> dict:
-    n_samples = cfg.sweep.ssc_samples if cfg.sweep is not None else 200
+def _ssc(cs, disc, rep, n_samples=200) -> dict:
     return dataclasses.asdict(cs.check_ssc(
         disc, rep.point, n_samples=n_samples,
         rng=np.random.default_rng([0, 0])))
@@ -172,6 +188,7 @@ def record(cs, path: Path) -> dict:
     its first discretization, with ``cs`` the imported ``ctrlstab``; the
     cold solves must succeed."""
     cfg = cs.parse_instance(path)
+    n_samples = cfg.sweep.ssc_samples if cfg.sweep is not None else 200
     disc = cs.build_discretization(cfg)
     setup = _setup(cs, disc)
     cold = cs.solve_kkt(disc, disc.param_reference(),
@@ -179,14 +196,54 @@ def record(cs, path: Path) -> dict:
     out = {"setup": setup, "cold": _fields(cold),
            "verify": cs.residuals(disc, cold.point) == cold.residuals,
            "warm": _warm(cs, cfg, disc, cold),
-           "ssc": _ssc(cs, cfg, disc, cold)}
+           "ssc": _ssc(cs, disc, cold, n_samples)}
     disc = cs.build_discretization(cfg)
     first = cs.solve_kkt(disc, disc.param_reference(),
                          options=cfg.solve_options)
     out["chain_cold"] = _fields(first)
-    out["chain_ssc"] = _ssc(cs, cfg, disc, first)
+    out["chain_ssc"] = _ssc(cs, disc, first, n_samples)
     out["chain_warm"] = _warm(cs, cfg, disc, first)
     return out
+
+
+#: the seed of the ``tests/random_family.py`` members that ``--against``
+#: records, and the parameter steps ``t`` of each member's warm chain
+FAMILY_SEED = 0
+FAMILY_T = (0.001, 0.003, 0.01, 0.03)
+
+
+def family_record(cs, spec, n_boundary, refinement) -> dict:
+    """The record of one family member, in ``run_sweep``'s order: the cold
+    solve at its reference parameter with the default solver options and
+    ``verify``, as for an instance file; ``check_ssc`` at its point, as for
+    ``ssc``; and the warm chain at ``lam_ref + t``, ``t`` in ``FAMILY_T``.
+    A member whose discretization or cold solve fails is recorded as the
+    error's class name, with no SSC report and no chain."""
+    options = cs.SolveOptions()
+    try:
+        disc = cs.Discretization(spec, cs.make_disk_mesh(n_boundary,
+                                                         refinement))
+        cold = cs.solve_kkt(disc, disc.param_reference(), options=options)
+    except (cs.SolverError, cs.PartitionError, cs.StateSolveError,
+            cs.AdmissionError, cs.FemError) as exc:
+        return {"cold": type(exc).__name__, "verify": None, "ssc": {},
+                "warm": None}
+    lam_ref = disc.param_reference().values
+    return {"cold": _fields(cold),
+            "verify": cs.residuals(disc, cold.point) == cold.residuals,
+            "ssc": _ssc(cs, disc, cold),
+            "warm": _chain(cs, disc, [lam_ref + t for t in FAMILY_T],
+                           options, cold)}
+
+
+def family(cs) -> dict:
+    """The records of the members of ``tests/random_family.py`` drawn with
+    ``FAMILY_SEED``, by spec name, in member order."""
+    import random_family
+
+    return {spec.name: family_record(cs, spec, n_boundary, refinement)
+            for _, spec, n_boundary, refinement
+            in random_family.members(seed=FAMILY_SEED)}
 
 
 # --- the fingerprint line
@@ -341,6 +398,55 @@ def against(mine: dict, other: dict) -> tuple:
     return lines, same
 
 
+def family_lines(mine: dict, other: dict) -> list:
+    """The family part of the ``--against`` report of two trees' family
+    records by member name: one line per member whose records differ,
+    then a summary line.  A member's line reads the counts of each of its
+    groups (``cold``, ``warm``, ``ssc``) whose counts differ, its largest
+    finite move, with the group and field where it is, and the fields
+    that do not compare (a history of another length, a field on one side
+    only)."""
+    lines, moved = [], 0
+    names = dict.fromkeys([*mine, *other])
+    for name in names:
+        if name not in mine or name not in other:
+            lines.append(f"{name} only in "
+                         f"{'this' if name in mine else 'the other'} tree")
+            moved += 1
+            continue
+        changed = [(group, key, reading)
+                   for group in ("cold", "warm", "ssc")
+                   for key, reading in _moves(mine[name], other[name], group)
+                   if reading not in ("same", "=", "-")]
+        if not changed:
+            continue
+        moved += 1
+        parts = [f"{group} counts {reading}"
+                 for group, key, reading in changed if key == "counts"]
+        fields = [(_size(reading), f"{group} {key}")
+                  for group, key, reading in changed if key != "counts"]
+        finite = [field for field in fields if math.isfinite(field[0])]
+        if finite:
+            size, where = max(finite)
+            parts.append(f"largest move {size:.2e} ({where})")
+        apart = [where for size, where in fields if math.isinf(size)]
+        if apart:
+            parts.append(f"not comparable: {', '.join(apart)}")
+        lines.append(f"{name} {', '.join(parts)}")
+    lines.append(f"family seed {FAMILY_SEED}: {moved} of {len(names)} "
+                 f"members moved")
+    return lines
+
+
+def _size(reading: str) -> float:
+    """The move of a field reading; inf for one that is not a number (a
+    field on one side only)."""
+    try:
+        return float(reading)
+    except ValueError:
+        return math.inf
+
+
 # --- command line
 
 #: the thread counts of the BLAS builds numpy may use, pinned to one in each
@@ -350,12 +456,17 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS",
                                      "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def _records(root: Path):
-    """(file name, record) of every instance file of the tree at ``root``,
-    with its ``src/`` imported."""
+def _ctrlstab(root: Path):
+    """``ctrlstab`` imported from the ``src/`` of the tree at ``root``."""
     sys.path.insert(0, str(root / "src"))
     import ctrlstab as cs
 
+    return cs
+
+
+def _records(cs, root: Path):
+    """(file name, record) of every instance file of the tree at ``root``,
+    with ``cs`` its ``ctrlstab``."""
     for path in sorted((root / "configs").glob("*.ini")) \
             + sorted((root / "perfbench" / "instances").glob("*.ini")):
         yield str(path.relative_to(root)), record(cs, path)
@@ -368,11 +479,14 @@ def main(argv: list) -> int:
               "OTHER_ROOT]", file=sys.stderr)
         return 2
     if argv[1:2] == ["--collect"]:
-        pickle.dump(dict(_records(Path(argv[2]))), sys.stdout.buffer)
+        root = Path(argv[2])
+        cs = _ctrlstab(root)
+        pickle.dump((dict(_records(cs, root)), family(cs)),
+                    sys.stdout.buffer)
         return 0
     if argv[1:2] != ["--against"]:
         root = Path(argv[1]).resolve() if len(argv) > 1 else here
-        for name, rec in _records(root):
+        for name, rec in _records(_ctrlstab(root), root):
             print(f"{name} {line(rec)}", flush=True)
         return 0
     procs = [subprocess.Popen([sys.executable, __file__, "--collect",
@@ -382,8 +496,10 @@ def main(argv: list) -> int:
     outputs = [proc.communicate()[0] for proc in procs]
     if any(proc.returncode for proc in procs):
         return 1
-    lines, same = against(*(pickle.loads(out) for out in outputs))
-    print("\n".join(lines))
+    (files, members), (other_files, other_members) = (
+        pickle.loads(out) for out in outputs)
+    lines, same = against(files, other_files)
+    print("\n".join(lines + family_lines(members, other_members)))
     return 0 if same else 1
 
 if __name__ == "__main__":

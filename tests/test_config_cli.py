@@ -311,10 +311,10 @@ def test_point_from_other_mesh_rejected(small_disc, tmp_path, rng):
 
 
 def _printed_counts(out: str) -> tuple:
-    """Iterations, Newton steps and pinned steps from the "converged in"
-    line of ``ctrlstab solve``."""
+    """Iterations, Newton steps and pinned steps tried from the "converged
+    in" line of ``ctrlstab solve``."""
     counts = re.search(r"converged in (\d+) iterations \((\d+) Newton, "
-                       r"(\d+) pinned\)", out)
+                       r"(\d+) pinned tried\)", out)
     assert counts is not None, out
     return tuple(map(int, counts.groups()))
 

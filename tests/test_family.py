@@ -86,6 +86,31 @@ def test_family_reaches_every_active_set():
     assert {"free", "pinned", "split", "mixed"} <= set(kinds), kinds
 
 
+def test_one_slope_pinned_members_take_the_pinned_step():
+    # a member whose solved point is pinned with one slope reaches it by
+    # the pinned step within five iterations, also where the labels of its
+    # first iterates mix two slopes, and no solve of its warm chain (the
+    # cold one included) tries more than two pinned steps
+    pinned = [i for i in range(len(MEMBERS))
+              if _outcome(i).get("kind") == "pinned"]
+    assert pinned
+    for i in pinned:
+        rep = _outcome(i)["report"]
+        assert rep.pinned >= 1 and rep.iterations <= 5, \
+            (i, rep.iterations, rep.pinned)
+        _, spec, n_boundary, refinement = MEMBERS[i]
+        disc = cs.Discretization(spec, cs.make_disk_mesh(n_boundary,
+                                                         refinement))
+        lam = disc.param_reference().values
+        chain = [cs.solve_kkt(disc, lam, options=OPTIONS)]
+        for t in T_VALUES:
+            chain.append(cs.solve_kkt(disc, lam + t,
+                                      u0=chain[-1].point.control.values,
+                                      options=OPTIONS))
+        assert max(r.pinned for r in chain) <= 2, \
+            (i, [r.pinned for r in chain])
+
+
 def test_exact_constraint_tie_raises_partition_error():
     # two constraints of one slope that are equal at the node s = 3 pi / 2,
     # where sin(s) = cos(2 s) = -1 in floating point too: they tie at every

@@ -12,6 +12,7 @@ import pytest
 
 import ctrlstab as cs
 import point_hashes
+import random_family
 
 from conftest import CONFIG_DIR
 
@@ -234,7 +235,7 @@ def test_collecting_subprocesses_run_on_one_blas_thread(monkeypatch, tmp_path):
             envs.append(env)
 
         def communicate(self):
-            return pickle.dumps({}), None
+            return pickle.dumps(({}, {})), None
 
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
     monkeypatch.setattr(point_hashes.subprocess, "Popen", Child)
@@ -244,3 +245,31 @@ def test_collecting_subprocesses_run_on_one_blas_thread(monkeypatch, tmp_path):
     for env in envs:
         assert env == {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                        "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def test_family_lines_read_the_members_that_move():
+    # two family members recorded as ``--against`` records them: against
+    # themselves only the summary line; against a copy whose first cold
+    # solve took other counts and moved its control, one line for that
+    # member, with its counts and its largest move
+    members = random_family.members(seed=point_hashes.FAMILY_SEED, n=2)
+    mine = {spec.name: point_hashes.family_record(cs, spec, nb, ref)
+            for _, spec, nb, ref in members}
+    first, second = mine.values()
+    assert second["verify"] and len(second["warm"]) == \
+        len(point_hashes.FAMILY_T)
+    assert set(second["ssc"]) == SSC_FIELDS
+    summary = f"family seed {point_hashes.FAMILY_SEED}: {{}} of 2 members " \
+        "moved"
+    assert point_hashes.family_lines(mine, mine) == [summary.format(0)]
+    other = copy.deepcopy(mine)
+    name = next(iter(other))
+    cold = other[name]["cold"]
+    cold["counts"] = (36, 0, 0)
+    cold["control"] = cold["control"] + 3e-11
+    cold["history"] = cold["history"] + [1.0]
+    counts = "/".join(map(str, first["cold"]["counts"]))
+    assert point_hashes.family_lines(mine, other) == [
+        f"{name} cold counts {counts} vs 36/0/0, largest move "
+        f"{3e-11:.2e} (cold control), not comparable: cold history",
+        summary.format(1)]

@@ -256,15 +256,52 @@ def test_newton_line_search_accepts_residual_decrease(monkeypatch):
     opts = dataclasses.replace(opts, max_outer=50)
     plain = solve_kkt(disc, lam_t, u0=u_base, options=opts)
 
-    calls = []
+    calls, outcomes, directions, controls = [], [], [], []
+
+    class Cost(float):
+        # a cost whose Armijo comparisons, the iterate's cost plus the
+        # Armijo term against the trial's, are counted with their outcome
+        def __add__(self, other):
+            return Cost(float(self) + other)
+
+        def __ge__(self, other):
+            outcomes.append(float(self) >= other)
+            return outcomes[-1]
 
     def rising(*args):
         calls.append(None)
-        return float(len(calls))
+        return Cost(len(calls))
 
+    def direction(forms, grad):
+        # (evaluations so far, iterate control, direction) of each step
+        du = newton_direction(forms, grad)
+        directions.append((len(controls), forms.point.control.values, du))
+        return du
+
+    def state(disc, u, lam, **kw):
+        controls.append(np.array(u))
+        return solve_state(disc, u, lam, **kw)
+
+    newton_direction, solve_state = solver._newton_direction, \
+        solver.solve_state
     monkeypatch.setattr(solver, "objective_value", rising)
+    monkeypatch.setattr(solver, "_newton_direction", direction)
+    monkeypatch.setattr(solver, "solve_state", state)
     no_decrease = solve_kkt(disc, lam_t, u0=u_base, options=opts)
     assert calls
+    # the stand-in lets no trial through: every Armijo comparison fails
+    assert outcomes and not any(outcomes)
+    # and a Newton step starts from a trial u + s du of the step before it,
+    # which the line search accepted for the drop of its worst residual,
+    # above tol; each evaluation is an iterate, so controls[i] is that of
+    # history[i]
+    history = no_decrease.history
+    assert len(controls) == len(history)
+    accepted = [(a - 1, b - 1) for (a, u, du), (b, *_)
+                in zip(directions, directions[1:])
+                if any(np.array_equal(controls[b - 1], u + s * du)
+                       for s in 0.5 ** np.arange(solver._NEWTON_HALVINGS + 1))]
+    assert any(opts.tol < history[j] < history[i] for i, j in accepted)
     for rep in (plain, no_decrease):
         assert rep.newton > 0
         assert rep.residuals.worst <= opts.tol
@@ -433,10 +470,11 @@ def _chain(name):
 
 
 def test_resume_at_a_pinned_point_is_one_pinned_step(monkeypatch):
-    # every node of the lq point is strongly pinned, so the re-solve from
-    # its control tries the pinned step from its state before any state
-    # solve, and that step meets tol: one iteration, the control-only start
-    # takes two (a damped evaluation, then the pinned step)
+    # the lq point is pinned at every node, with nonzero multipliers, so
+    # the re-solve from its control tries the pinned step from its state
+    # before any state solve, and that step meets tol: one iteration, the
+    # control-only start takes two (a damped evaluation, then the pinned
+    # step)
     cfg = parse_instance(CONFIG_DIR / "lq_reference.ini")
     disc = build_discretization(cfg)
     opts = cfg.solve_options
@@ -529,10 +567,10 @@ def test_resumed_mixed_chain_takes_fewer_iterations(monkeypatch):
 @pytest.mark.parametrize("failure", ["newton", "record"])
 def test_rejected_resumed_pinned_step_changes_nothing(monkeypatch, failure):
     # the first pinned try of a resumed re-solve is forced to fail, by a
-    # raising Newton solve or by a record above tol: it is counted, is not
-    # an iterate and leaves the in-loop gate unspent, so the re-solve is
-    # bit for bit the one that never tried it, with the second pinned try
-    # at its second iterate
+    # raising Newton solve or by a record above tol: it is counted and is
+    # not an iterate, so the re-solve is bit for bit the one that never
+    # tried it (its first slope reads None), with the second pinned try at
+    # its second iterate
     cfg = parse_instance(CONFIG_DIR / "lq_reference.ini")
     disc = build_discretization(cfg)
     opts = cfg.solve_options
@@ -556,8 +594,15 @@ def test_rejected_resumed_pinned_step_changes_nothing(monkeypatch, failure):
         tried = solve_kkt(disc, lam, u0=cold.point.control.values,
                           options=opts)
     disc.keep_point(cold.point)
+    common_slope = ProblemSpec.common_slope
+    slopes = []
+
+    def none_first(self, indices):
+        slopes.append(None)
+        return None if len(slopes) == 1 else common_slope(self, indices)
+
     with monkeypatch.context() as mp:
-        mp.setattr(solver, "_strong_at_every_node", lambda disc, point: False)
+        mp.setattr(ProblemSpec, "common_slope", none_first)
         never = solve_kkt(disc, lam, u0=cold.point.control.values,
                           options=opts)
     assert (tried.pinned, never.pinned) == (2, 1)
@@ -726,10 +771,11 @@ def mixed_binding():
 
 
 def test_rejected_pinned_step_changes_nothing(mixed_binding, monkeypatch):
-    # from u0 = 5 every node is pinned at the first iterate, so the gate
-    # fires; the pinned point has a negative multiplier at 13 nodes
-    # (complementarity 0.135), its record fails, and the iteration goes on
-    # from the first iterate bit for bit as without the gate.  A pinned
+    # from u0 = 5 every node is pinned at the first iterate, so the pinned
+    # step is tried there, and only there; the pinned point has a negative
+    # multiplier at 13 nodes (complementarity 0.135), its record fails, and
+    # the iteration goes on from the first iterate bit for bit as without
+    # the try.  A pinned
     # step whose Newton solve raises, or whose operator K + M[h_y] + c M_B
     # fails, is counted and dropped the same way
     disc, lam, opts, rep, ref = mixed_binding
