@@ -33,7 +33,7 @@ from .fem import BoundaryFunction, Discretization
 from .geometry import Mesh, make_disk_mesh
 from .problem import ProblemSpec
 from .solver import SolveOptions
-from .stability import SweepPlan, SweepPlanError
+from .stability import SweepPlan, SweepPlanError, _step_sizes
 
 
 class ConfigError(ValueError):
@@ -203,15 +203,11 @@ def parse_instance(path) -> InstanceConfig:
     if cp.has_section("sweep"):
         t_raw = _get(cp, "sweep", "t").replace(",", " ").split()
         try:
-            t_values = np.array([float(v) for v in t_raw])
+            t_values = _step_sizes([float(v) for v in t_raw], "[sweep] t")
+        except SweepPlanError as exc:
+            raise ConfigError(str(exc)) from exc
         except ValueError as exc:
             raise ConfigError(f"[sweep] t: {exc}") from exc
-        if len(t_values) < 4:
-            raise ConfigError("[sweep] t: need at least 4 step sizes")
-        if not np.all((0.0 < t_values) & (t_values < np.inf)) \
-                or np.any(np.diff(t_values) <= 0):
-            raise ConfigError("[sweep] t: must be positive, finite and "
-                              "strictly increasing")
         delta = _expr(cp, "sweep", "delta")
         bad = delta.free_vars() - {"x1", "x2", "s"}
         if bad:

@@ -47,7 +47,8 @@ exact when the anchor factorizes the entry's matrix (the same object), and
 otherwise runs conjugate gradients preconditioned by the anchor; that is
 the anchor's only use.  The dense control-to-state map ``T`` is kept with
 the factorization of ``c = 0`` that it was solved with, and follows it
-alone.
+alone.  Last, a ``Discretization`` keeps the last KKT points solved on it,
+from which a re-solve starts (``Discretization.resume``).
 """
 
 from __future__ import annotations
@@ -683,16 +684,13 @@ class Discretization:
 
     Last, it keeps the warm-start chain: the last KKT points that
     :func:`ctrlstab.solver.solve_kkt` returned on it, up to
-    ``_CHAIN_LENGTH`` of them (:meth:`keep_point`).  A point joins the
-    chain when its solve resumed from the chain's last point, and starts a
-    new chain otherwise, so that a sweep's cold solve resets it.  The last
-    point is handed back only to a control equal to its control bit for
-    bit (:meth:`resume_point`), so that a re-solve started from that
-    control resumes from the whole point; :meth:`predict_point`
-    extrapolates the states and costates of the chain's points that lie on
-    the new parameter's line to that parameter, which starts the
-    re-solve's state solve and the conjugate gradients of its pinned
-    adjoint solve.
+    ``_CHAIN_LENGTH`` of them (:meth:`keep_point`).  :meth:`resume` hands
+    the last point back only to a control equal to its control bit for
+    bit, so that a re-solve started from that control resumes from the
+    whole point, with the states and costates of the chain's points that
+    lie on the new parameter's line, behind it, extrapolated to that
+    parameter: they start the re-solve's state solve and the conjugate
+    gradients of its pinned adjoint solve.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh):
@@ -906,40 +904,40 @@ class Discretization:
             self._t_map = (factor, factor.solve(rhs))
         return self._t_map[1]
 
-    def keep_point(self, point, resumed: bool = False) -> None:
+    def keep_point(self, point) -> None:
         """Keep ``point``, a KKT point solved on this discretization, as the
-        last point of the warm-start chain.  It joins the chain when its
-        solve ``resumed`` from the chain's last point, and otherwise starts
-        a new chain; the chain keeps its last ``_CHAIN_LENGTH`` points."""
-        chain = self._chain if resumed else []
-        self._chain = [*chain, point][-_CHAIN_LENGTH:]
+        last point of the warm-start chain, which keeps its last
+        ``_CHAIN_LENGTH`` points."""
+        self._chain = [*self._chain, point][-_CHAIN_LENGTH:]
 
-    def resume_point(self, control: np.ndarray):
-        """The chain's last point when ``control`` equals its control bit
-        for bit (shape and values), else None."""
-        point = self._chain[-1] if self._chain else None
-        if point is not None and np.array_equal(point.control.values,
-                                                control):
-            return point
-        return None
+    def resume(self, control: np.ndarray, lam: np.ndarray):
+        """The start of a re-solve at the parameter ``lam`` from
+        ``control``: ``(point, state, costate)`` when ``control`` equals the
+        control of the chain's last point bit for bit (shape and values),
+        else None.
 
-    def predict_point(self, lam: np.ndarray) -> tuple:
-        """The state and costate that the chain predicts at the parameter
-        ``lam``, as ``(state, costate)`` nodal arrays.
-
-        The chain's last point is always usable.  Going back from it, a
-        point is usable while its parameter lies on the line from the last
-        point's parameter to ``lam``, up to ``_COLLINEAR_RTOL`` of the
-        largest parameter entry, and at a coordinate ``s`` below that of
-        the usable point after it, with ``s = 0`` at the last point and
-        ``s = 1`` at ``lam``: so ``lam`` lies beyond the last point.  The
-        prediction is the Lagrange polynomial in ``s`` through the usable
-        points' states (costates), evaluated at ``s = 1``.  With one usable
-        point it is the last point's state and the costate is None: no
-        guess, as without a chain.  Call it only on a chain with a point,
-        as after :meth:`resume_point` handed one back.
+        ``point`` is the chain's last point, and ``state`` and ``costate``
+        are what the chain predicts at ``lam``, nodal arrays.  The last
+        point is always usable.  Going back from it, a point is usable
+        while its parameter lies on the line from the last point's
+        parameter to ``lam``, up to ``_COLLINEAR_RTOL`` of the largest
+        parameter entry, and at a coordinate ``s`` below that of the usable
+        point after it, with ``s = 0`` at the last point and ``s = 1`` at
+        ``lam``: so ``lam`` lies beyond the last point.  The point of a
+        solve that did not resume counts like any other.  After a cold
+        solve at a sweep's base, the points of an earlier sweep from that
+        base lie ahead of it when the sweeps share their direction and off
+        the new line when the directions are not parallel, so the walk
+        stops at them; only a sweep along the opposite direction left
+        points behind the base, on the line.  The prediction is
+        the Lagrange polynomial in ``s`` through the usable points' states
+        (costates), evaluated at ``s = 1``.  With one usable point it is
+        the last point's state and the costate is None: no guess, as
+        without a chain.
         """
-        last = self._chain[-1]
+        last = self._chain[-1] if self._chain else None
+        if last is None or not np.array_equal(last.control.values, control):
+            return None
         lam_k = last.param.values
         d = lam - lam_k
         dd = float(d @ d)
@@ -957,13 +955,13 @@ class Discretization:
             nodes.append(s)
             points.append(point)
         if len(points) == 1:
-            return last.state.values, None
+            return last, last.state.values, None
         weights = [math.prod((1.0 - si) / (sj - si)
                              for i, si in enumerate(nodes) if i != j)
                    for j, sj in enumerate(nodes)]
-        return tuple(sum(w * getattr(p, name).values
-                         for w, p in zip(weights, points))
-                     for name in ("state", "adjoint"))
+        return (last, *(sum(w * getattr(p, name).values
+                            for w, p in zip(weights, points))
+                        for name in ("state", "adjoint")))
 
     def domain_load(self, f_qp: np.ndarray) -> np.ndarray:
         """Assemble ``int f phi_a dx`` into a full nodal vector (V,)."""

@@ -107,26 +107,23 @@ def solve_state(disc: Discretization, u, lam, y0=None,
 
     y = np.zeros(mesh.n_vertices) if y0 is None \
         else _as_values(y0, mesh.n_vertices, "initial state").copy()
-    return _newton(disc, y, lambda _: b, _residual_bound(b, tol, cap))
+    return _newton(disc, y, lambda _: b, tol, cap)
 
 
-def _residual_bound(b: np.ndarray, tol: float, cap: float) -> float:
-    """Newton's absolute residual bound for the boundary load ``b``:
-    ``min(tol (1 + ||b||_2), cap)``."""
-    return min(tol * (1.0 + _norm2(b)), cap)
-
-
-def _newton(disc: Discretization, y: np.ndarray, load, tol_abs: float,
-            c: float = 0.0) -> StateSolveReport:
+def _newton(disc: Discretization, y: np.ndarray, load, tol: float,
+            cap: float, c: float = 0.0) -> StateSolveReport:
     """Newton's method from ``y`` on the state equation with the boundary
-    load ``load(y)``, to the absolute residual bound ``tol_abs``.
+    load ``load(y)``, to the absolute residual bound
+    ``min(tol (1 + ||load(y)||_2), cap)`` of the load at the start.
 
     ``K + M[h_y] + c M_B`` is its Jacobian: ``c = 0`` for a fixed load, and
     ``c = dg/dy`` for the pinned load ``M_B (lam - g(y))`` of
     :func:`ctrlstab.solver.solve_kkt`.  Steps halve until the residual
     norm decreases; errors as in :func:`solve_state`.
     """
-    f_vec = _state_residual(disc, y, load(y))
+    b = load(y)
+    tol_abs = min(tol * (1.0 + _norm2(b)), cap)
+    f_vec = _state_residual(disc, y, b)
     res = _norm2(f_vec)
     iterations = 0
     while res > tol_abs:

@@ -57,9 +57,13 @@ like any iterate's.  The step is accepted only when that record meets the
 stopping rule; a negative multiplier (a node that should be free), an
 infeasible node or a failed solve rejects it.  A rejected step is not an
 iterate: the iteration goes on from the iterate it was tried at as if it
-had not been tried.  Where the projection binds somewhere at every iterate
-and no pinned step is accepted, the iteration is the damped one, step for
-step.
+had not been tried.  Labels equal to those of the last step rejected on its
+record are not tried again: with one slope ``c`` and a monotone ``h`` the
+pinned state of given labels is unique, and so is its record.  A try that
+fails before its record is built (a failed solve, a degenerate partition)
+does not mark its labels, since another start may succeed.  Where
+the projection binds somewhere at every iterate and no pinned step is
+accepted, the iteration is the damped one, step for step.
 
 A re-solve resumes from the whole last point, and starts its state and
 pinned costate from the chain's prediction.  The KKT tuple moves
@@ -70,27 +74,26 @@ points predict the next one closer still, the predictor of
 predictor-corrector continuation (Allgower & Georg, *Introduction to
 Numerical Continuation Methods*, SIAM 2003).  The ``Discretization``
 keeps the last points :func:`solve_kkt` returned on it as a warm-start
-chain (``Discretization.keep_point``): a point that a resumed solve
-returns joins the chain, any other starts a new one.  A solve whose
-``u0`` equals the control of the chain's last point bit for bit resumes
-from that point.  Its first Newton solve starts from the chain's
-prediction of the state at the new parameter
-(``Discretization.predict_point``: the last point's state when no earlier
-point of the chain lies on the parameter's line behind it), and, where
-some multiplier of the last point is nonzero, its damped update from the
-point's multipliers and costate.  At a free point (every multiplier zero)
-the costate is not carried: it would give nonzero separated multipliers,
-and the reduced Newton step would solve the adjoint once more to drop
-them.  Where some multiplier is nonzero, the pinned step is tried first,
-by the same rule, from the predicted state, the last point's costate and
-the constraint values at the predicted state and the new parameter, with
-the predicted costate, when there is one, as the starting guess of the
-conjugate gradients of its adjoint solve.  The predictions only start
-the state Newton solve and that SPD adjoint solve, whose solutions are
-unique, so the iterate they reach is the same up to the solves'
-tolerances.  Rejected, that try is not an iterate either.  Any other
-``u0``, ``None`` included, starts from the control alone, with the state
-solved from zero and the multipliers and costate at zero.
+chain (``Discretization.keep_point``).  A solve whose ``u0`` equals the
+control of the chain's last point bit for bit resumes from that point
+(``Discretization.resume``), which gives the loop its initial data: its
+first Newton solve starts from the chain's prediction of the state at the
+new parameter (the last point's state when no earlier point of the chain
+lies on the parameter's line behind it), and, where some multiplier of the
+last point is nonzero, its damped update from the point's multipliers and
+costate.  At a free point (every multiplier zero) the costate is not
+carried: it would give nonzero separated multipliers, and the reduced
+Newton step would solve the adjoint once more to drop them.  Where some
+multiplier is nonzero, the first pinned try comes before the first
+iterate, by the same rule, from the predicted state, the last point's
+costate and the constraint values at the predicted state and the new
+parameter, with the predicted costate, when there is one, as the starting
+guess of the conjugate gradients of its adjoint solve.  The predictions
+only start the state Newton solve and that SPD adjoint solve, whose
+solutions are unique, so the iterate they reach is the same up to the
+solves' tolerances.  Rejected, that try is not an iterate either.  Any
+other ``u0``, ``None`` included, starts from the control alone, with the
+state solved from zero and the multipliers and costate at zero.
 
 The stopping rule and the residuals are those of the damped iteration;
 each state solve is held to a tenth of ``tol`` in absolute terms, so that
@@ -123,7 +126,7 @@ from .kkt import (KktPoint, KktResiduals, _cho_factor, _cho_solve,
                   _ReducedForms, _residual_record, _separated_multipliers,
                   check_beta_floor, constraint_values, partition_of)
 from .pde import (StateSolveError, _adjoint_pieces, _adjoint_rhs, _newton,
-                  _residual_bound, adjoint_system, solve_state)
+                  adjoint_system, solve_state)
 
 #: Newton tolerance of the state solves, relative to the boundary load
 _NEWTON_TOL = 1e-11
@@ -161,8 +164,9 @@ class SolveOptions:
     A reduced Newton step has no knob and is taken at every iterate where
     the projection binds at no node, nor has the pinned step, tried at
     every iterate where it binds at every node (and first, when a re-solve
-    resumes from a point with a nonzero multiplier; see
-    :func:`solve_kkt`).  No knob turns the resume or its prediction off:
+    resumes from a point with a nonzero multiplier), unless its labels are
+    those of the last try rejected on its record (see :func:`solve_kkt`).
+    No knob turns the resume or its prediction off:
     the resume applies exactly when ``u0`` is the control of the last
     point solved on the discretization.  Each state solve stops at a
     residual of ``min(_NEWTON_TOL (1 + ||b||), 0.1 tol)``, ``b`` the
@@ -193,9 +197,11 @@ class KktSolveReport:
     computed, whatever the number of its line-search trials.  ``pinned``
     counts the pinned steps tried: the one before the first iterate of a
     resumed solve, and one at each iterate where the projection binds at
-    every node, the partition separates and the labels share a slope.
-    Accepted, a pinned step is the last iterate; rejected or failed, it is
-    not an iterate and adds nothing to ``iterations`` or ``history``.
+    every node, the partition separates, the labels share a slope and they
+    are not those of the last try rejected on its record, which is skipped
+    and not counted.  Accepted, a pinned step is the last iterate; rejected
+    or failed, it is not an iterate and adds nothing to ``iterations`` or
+    ``history``.
     """
 
     point: KktPoint
@@ -240,13 +246,13 @@ def solve_kkt(disc: Discretization, lam, u0=None,
 
     The start is the control ``u0`` (zero when None).  When ``u0`` equals
     the control of the last point returned on ``disc`` bit for bit, the
-    solve resumes from the whole point, as the module docstring describes,
-    and may try the pinned step before its first iterate; its state, and
-    the costate guess of that pinned try, start from the prediction of
-    ``disc``'s warm-start chain at ``lam`` (see
-    :meth:`ctrlstab.fem.Discretization.predict_point`).  The point returned
-    is kept on ``disc`` for the next solve: it joins the chain when the
-    solve resumed, and starts a new chain otherwise.
+    solve resumes from the whole point, as the module docstring describes
+    (see :meth:`ctrlstab.fem.Discretization.resume`): the prediction of
+    ``disc``'s warm-start chain at ``lam`` starts its state, and where the
+    last point has a nonzero multiplier, its multipliers and costate start
+    the damped update and the predicted state, with the predicted costate
+    as the guess, is the first pinned candidate, tried before the first
+    iterate.  The point returned is kept on ``disc`` for the next solve.
 
     One damped iteration solves the state at the control ``u``, damps the
     multipliers separated from the previous costate toward their new
@@ -278,9 +284,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     ``e = trace(p) - alpha - beta u`` on each node's label.  It is
     returned when its record meets ``tol``; otherwise it is dropped, and
     the iteration goes on from the iterate and warm start unchanged.  A
-    resumed solve whose last point has a nonzero multiplier tries it by
-    the same rule before its first iterate, from the predicted state and
-    the last point's costate.  ``report.pinned`` counts each try.
+    try whose labels equal those of the last try rejected on its record is
+    skipped.  ``report.pinned`` counts each try.
 
     ``iterations`` counts the iterates whose residuals were evaluated,
     Newton trials and an accepted pinned step included, and ``max_outer``
@@ -299,10 +304,10 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     nb = disc.mesh.n_boundary
     lam = nodal_values(lam, nb)
     if u0 is None:
-        u0, last = np.zeros_like(lam), None
+        u0, start = np.zeros_like(lam), None
     else:
         u0 = nodal_values(u0, nb)
-        last = disc.resume_point(u0)
+        start = disc.resume(u0, lam)
     beta = check_beta_floor(disc, lam)
     alpha = disc.eval_node(disc.problem.alpha, lam=lam)
 
@@ -313,6 +318,8 @@ def solve_kkt(disc: Discretization, lam, u0=None,
     history: list = []
     lam_fn = BoundaryFunction(disc.mesh, lam)
     newton = pinned = 0
+    # the labels of the last pinned try rejected on its record
+    rejected = None
     m_bb = disc.form.mass_boundary_bb
     no_mults = np.zeros((m, nb))
 
@@ -416,36 +423,36 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             s *= 0.5
         return None
 
-    def pinned_step(y0, costate, g0, p0=None):
+    def pinned_step(y0, costate, g0, p0):
         # the pinned step from the state y0, with the costate and the
         # constraint values g0 at y0, its adjoint solve started from the
-        # guess p0 when one is given: tried where the projection binds at
-        # every node, the partition of g0 separates and its labels'
-        # dg/dy folds to one constant c; the step when its record meets
-        # tol, None when it is not tried, a solve fails, the partition
-        # degenerates or the record does not meet tol
-        nonlocal pinned
+        # guess p0 when it is not None: tried where the projection binds
+        # at every node, the partition of g0 separates, its labels' dg/dy
+        # folds to one constant c and the labels are not those of the
+        # last try rejected on its record (with one c and a monotone h,
+        # the pinned point of given labels is unique, and so is its
+        # record); the step when its record meets tol, None when it is
+        # not tried, a solve fails, the partition degenerates or the
+        # record does not meet tol
+        nonlocal pinned, rejected
         proj = (disc.trace(costate) - alpha) / beta
         if not np.all(proj >= -np.max(g0, axis=0)):
             return None
-        start = partition_of(g0)
-        labels = start.labels
-        c = disc.problem.common_slope(labels) if start.sigma1 > 0.0 else None
-        if c is None:
+        part = partition_of(g0)
+        labels = part.labels
+        c = disc.problem.common_slope(labels) if part.sigma1 > 0.0 else None
+        if c is None or np.array_equal(labels, rejected):
             return None
         pinned += 1
         nodes = np.arange(nb)
 
-        def load(g):
-            # the pinned load M_B (lam - g_label) of constraint values g
+        def load(y):
+            # the pinned load M_B (lam - g_label) at the state y
+            g = constraint_values(disc, y, lam)
             return disc.embed(m_bb @ (-g[labels, nodes] + lam))
 
-        # the constraint values at y0 give the load there
-        tol_abs = _residual_bound(load(g0), _NEWTON_TOL, 0.1 * opts.tol)
         try:
-            state = _newton(disc, y0,
-                            lambda y: load(constraint_values(disc, y, lam)),
-                            tol_abs, c=c)
+            state = _newton(disc, y0, load, _NEWTON_TOL, 0.1 * opts.tol, c)
             y = state.state.values
             g = constraint_values(disc, y, lam)
             part = partition(g)
@@ -463,29 +470,36 @@ def solve_kkt(disc: Discretization, lam, u0=None,
                            _adjoint_rhs(disc, pieces, mults), g, part)
         except (StateSolveError, PartitionError, FemError, ValueError):
             return None
-        return step if step[1].worst <= opts.tol else None
+        if step[1].worst > opts.tol:
+            step, rejected = None, labels
+        return step
 
     def report(step) -> KktSolveReport:
-        disc.keep_point(step[0], resumed=last is not None)
+        disc.keep_point(step[0])
         return KktSolveReport(point=step[0], residuals=step[1],
                               iterations=len(history),
                               sigma1=step[2].sigma1, history=history,
                               newton=newton, pinned=pinned)
 
     u, e_prev, p_prev = u0, np.zeros((m, nb)), np.zeros(disc.mesh.n_vertices)
-    if last is not None:
+    # the arguments of the next pinned try
+    pin = None
+    if start is not None:
         # resume from the last point and the chain's prediction at lam (see
         # the module docstring); at a free point only the state is carried
-        y_warm, p_guess = disc.predict_point(lam)
+        last, y_warm, p_guess = start
         if np.any(last.multipliers):
             e_prev, p_prev = last.multipliers, last.adjoint.values
-            # the first pinned try; rejected, it is not an iterate
-            trial = pinned_step(y_warm, p_prev,
-                                constraint_values(disc, y_warm, lam), p_guess)
+            pin = (y_warm, p_prev, constraint_values(disc, y_warm, lam),
+                   p_guess)
+    while len(history) < opts.max_outer:
+        # the pinned step; rejected, it is not an iterate, and the
+        # iteration goes on as if it had not been tried
+        if pin is not None:
+            trial = pinned_step(*pin)
             if trial is not None:
                 record(trial)
                 return report(trial)
-    while len(history) < opts.max_outer:
         step = evaluate(u, e_prev, p_prev)
         if record(step):
             return report(step)
@@ -506,14 +520,7 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             if step[1].worst <= opts.tol:
                 return report(step)
 
-        # the pinned step; rejected, it is not an iterate, and the
-        # iteration goes on from this one as if it had not been tried
-        if len(history) < opts.max_outer:
-            trial = pinned_step(point.state.values, adjoint, g_con)
-            if trial is not None:
-                record(trial)
-                return report(trial)
-
+        pin = (point.state.values, adjoint, g_con, None)
         u = (1.0 - theta) * point.control.values \
             + theta * np.minimum(cap, proj)
         e_prev, p_prev = point.multipliers, adjoint

@@ -44,13 +44,28 @@ class SscHypothesisError(RuntimeError):
     stability prediction does not apply."""
 
 
+def _step_sizes(t_values, name: str) -> np.ndarray:
+    """``t_values`` as a float array, checked as a sweep's step sizes: at
+    least 4 entries, positive, finite and strictly increasing;
+    ``SweepPlanError`` naming them ``name`` otherwise."""
+    t = np.asarray(t_values, dtype=float)
+    if t.ndim != 1 or len(t) < 4:
+        raise SweepPlanError(f"{name}: need at least 4 step sizes")
+    if not np.all((0.0 < t) & (t < np.inf)):
+        raise SweepPlanError(f"{name}: must be positive and finite")
+    if np.any(np.diff(t) <= 0.0):
+        raise SweepPlanError(f"{name}: must be strictly increasing")
+    return t
+
+
 @dataclass
 class SweepPlan:
     """Perturbation direction, step list, and reproducibility knobs.
 
     ``delta`` must have sup-norm 1; ``t_values`` must be strictly
     increasing, positive and finite, with at least 4 entries so the
-    exponent fit is determined; ``seed`` must be >= 0.
+    exponent fit is determined (the check an instance file's ``[sweep] t``
+    passes at parse time); ``seed`` must be >= 0.
     """
 
     delta: BoundaryFunction
@@ -59,13 +74,7 @@ class SweepPlan:
     ssc_samples: int = 200
 
     def __post_init__(self):
-        self.t_values = np.asarray(self.t_values, dtype=float)
-        if self.t_values.ndim != 1 or len(self.t_values) < 4:
-            raise SweepPlanError("need at least 4 step sizes")
-        if not np.all((0.0 < self.t_values) & (self.t_values < np.inf)):
-            raise SweepPlanError("step sizes must be positive and finite")
-        if np.any(np.diff(self.t_values) <= 0.0):
-            raise SweepPlanError("step sizes must be strictly increasing")
+        self.t_values = _step_sizes(self.t_values, "t_values")
         sup = float(np.max(np.abs(self.delta.values)))
         if abs(sup - 1.0) > 1e-12:
             raise SweepPlanError(
@@ -184,7 +193,7 @@ def run_sweep(disc: Discretization, plan: SweepPlan,
     :func:`ctrlstab.solver.solve_kkt` resumes from the whole last point
     (state, costate and multipliers too) while no other solve has run on
     ``disc`` in between, with the state predicted from the points of the
-    sweep before it; the cold solve starts a new warm-start chain.
+    sweep before it, the cold solve included, that lie on its line.
 
     Each row records the iterations of its solve.  Rows where the inner
     solve fails are kept with ``kkt_ok = False``, the error's class name

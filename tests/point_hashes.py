@@ -64,18 +64,18 @@ and ``=`` for every field, else 1 (also when a tree's records cannot be
 collected, and when a field is recorded on one side only).
 
 ``--against`` also records, in both trees, the members of this
-checkout's ``tests/random_family.py`` drawn with ``FAMILY_SEED``: each
-member's cold solve with the default solver options and ``verify``,
-``check_ssc`` at its point and a warm chain at ``lam_ref + t`` for each
-``t`` of ``FAMILY_T``, in ``run_sweep``'s order.  After the files' lines
-it prints one line per member whose records differ, with the counts of
-each group (``cold``, ``warm``, ``ssc``) whose counts differ and the
-largest finite move, and a summary line.  The family lines measure how far
-a change moves instances that no file ships; the exit status is the
-files' alone.
+checkout's ``tests/random_family.py`` drawn with each seed of
+``FAMILY_SEEDS``: each member's cold solve with the default solver options
+and ``verify``, ``check_ssc`` at its point and a warm chain at
+``lam_ref + t`` for each ``t`` of ``FAMILY_T``, in ``run_sweep``'s order.
+After the files' lines it prints, seed by seed, one line per member whose
+records differ, with the counts of each group (``cold``, ``warm``,
+``ssc``) whose counts differ and the largest finite move, and a summary
+line for the seed.  The family lines measure how far a change moves
+instances that no file ships; the exit status is the files' alone.
 
 With one BLAS thread on a 2-CPU machine the first form takes about 2 s
-for all instance files and ``--against``, with the family, about 3 s;
+for all instance files and ``--against``, with the family, 5 to 9 s;
 ``--against`` runs each subprocess with one BLAS thread whatever the
 caller's environment; ``tests/test_point_hashes.py`` runs both reports
 on one file and the family report on two members.
@@ -206,9 +206,9 @@ def record(cs, path: Path) -> dict:
     return out
 
 
-#: the seed of the ``tests/random_family.py`` members that ``--against``
+#: the seeds of the ``tests/random_family.py`` members that ``--against``
 #: records, and the parameter steps ``t`` of each member's warm chain
-FAMILY_SEED = 0
+FAMILY_SEEDS = (0, 1, 2)
 FAMILY_T = (0.001, 0.003, 0.01, 0.03)
 
 
@@ -237,13 +237,14 @@ def family_record(cs, spec, n_boundary, refinement) -> dict:
 
 
 def family(cs) -> dict:
-    """The records of the members of ``tests/random_family.py`` drawn with
-    ``FAMILY_SEED``, by spec name, in member order."""
+    """The records of the members of ``tests/random_family.py`` by seed of
+    ``FAMILY_SEEDS``, and for each seed by spec name, in member order."""
     import random_family
 
-    return {spec.name: family_record(cs, spec, n_boundary, refinement)
-            for _, spec, n_boundary, refinement
-            in random_family.members(seed=FAMILY_SEED)}
+    return {seed: {spec.name: family_record(cs, spec, n_boundary, refinement)
+                   for _, spec, n_boundary, refinement
+                   in random_family.members(seed=seed)}
+            for seed in FAMILY_SEEDS}
 
 
 # --- the fingerprint line
@@ -398,10 +399,10 @@ def against(mine: dict, other: dict) -> tuple:
     return lines, same
 
 
-def family_lines(mine: dict, other: dict) -> list:
-    """The family part of the ``--against`` report of two trees' family
-    records by member name: one line per member whose records differ,
-    then a summary line.  A member's line reads the counts of each of its
+def family_lines(mine: dict, other: dict, seed: int) -> list:
+    """The family part of the ``--against`` report of two trees' records,
+    by member name, of the members drawn with ``seed``: one line per member
+    whose records differ, then a summary line.  A member's line reads the counts of each of its
     groups (``cold``, ``warm``, ``ssc``) whose counts differ, its largest
     finite move, with the group and field where it is, and the fields
     that do not compare (a history of another length, a field on one side
@@ -433,7 +434,7 @@ def family_lines(mine: dict, other: dict) -> list:
         if apart:
             parts.append(f"not comparable: {', '.join(apart)}")
         lines.append(f"{name} {', '.join(parts)}")
-    lines.append(f"family seed {FAMILY_SEED}: {moved} of {len(names)} "
+    lines.append(f"family seed {seed}: {moved} of {len(names)} "
                  f"members moved")
     return lines
 
@@ -499,7 +500,9 @@ def main(argv: list) -> int:
     (files, members), (other_files, other_members) = (
         pickle.loads(out) for out in outputs)
     lines, same = against(files, other_files)
-    print("\n".join(lines + family_lines(members, other_members)))
+    for seed in FAMILY_SEEDS:
+        lines += family_lines(members[seed], other_members[seed], seed)
+    print("\n".join(lines))
     return 0 if same else 1
 
 if __name__ == "__main__":

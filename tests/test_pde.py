@@ -183,7 +183,7 @@ def test_newton_line_search_failure_raises(lq_disc16):
     nv = lq_disc16.mesh.n_vertices
     with pytest.raises(StateSolveError, match="line search failed") as err:
         pde_mod._newton(lq_disc16, np.zeros(nv), lambda y: 1.0 + 1e6 * y,
-                        1e-12)
+                        1e-12, np.inf)
     # no step was taken: the residual is that of y = 0, where h(0) = 0
     # leaves the load -1 at every vertex
     assert err.value.iterations == 0

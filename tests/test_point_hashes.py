@@ -223,9 +223,11 @@ def test_against_agrees_only_when_nothing_differs(record):
     assert not same and lines[-1] == "b.ini only in the other tree"
 
 
-def test_collecting_subprocesses_run_on_one_blas_thread(monkeypatch, tmp_path):
+def test_collecting_subprocesses_run_on_one_blas_thread(monkeypatch, tmp_path,
+                                                       capsys):
     # ``--against`` starts one ``--collect`` child per tree, each with the
-    # caller's environment and the three BLAS thread counts set to 1
+    # caller's environment and the three BLAS thread counts set to 1, and
+    # prints the family summary of each seed
     envs = []
 
     class Child:
@@ -235,7 +237,8 @@ def test_collecting_subprocesses_run_on_one_blas_thread(monkeypatch, tmp_path):
             envs.append(env)
 
         def communicate(self):
-            return pickle.dumps(({}, {})), None
+            return pickle.dumps(({}, dict.fromkeys(
+                point_hashes.FAMILY_SEEDS, {}))), None
 
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
     monkeypatch.setattr(point_hashes.subprocess, "Popen", Child)
@@ -245,6 +248,9 @@ def test_collecting_subprocesses_run_on_one_blas_thread(monkeypatch, tmp_path):
     for env in envs:
         assert env == {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                        "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    assert capsys.readouterr().out.splitlines() == [
+        f"family seed {seed}: 0 of 0 members moved"
+        for seed in point_hashes.FAMILY_SEEDS]
 
 
 def test_family_lines_read_the_members_that_move():
@@ -252,16 +258,16 @@ def test_family_lines_read_the_members_that_move():
     # themselves only the summary line; against a copy whose first cold
     # solve took other counts and moved its control, one line for that
     # member, with its counts and its largest move
-    members = random_family.members(seed=point_hashes.FAMILY_SEED, n=2)
+    seed = point_hashes.FAMILY_SEEDS[0]
+    members = random_family.members(seed=seed, n=2)
     mine = {spec.name: point_hashes.family_record(cs, spec, nb, ref)
             for _, spec, nb, ref in members}
     first, second = mine.values()
     assert second["verify"] and len(second["warm"]) == \
         len(point_hashes.FAMILY_T)
     assert set(second["ssc"]) == SSC_FIELDS
-    summary = f"family seed {point_hashes.FAMILY_SEED}: {{}} of 2 members " \
-        "moved"
-    assert point_hashes.family_lines(mine, mine) == [summary.format(0)]
+    summary = f"family seed {seed}: {{}} of 2 members moved"
+    assert point_hashes.family_lines(mine, mine, seed) == [summary.format(0)]
     other = copy.deepcopy(mine)
     name = next(iter(other))
     cold = other[name]["cold"]
@@ -269,7 +275,7 @@ def test_family_lines_read_the_members_that_move():
     cold["control"] = cold["control"] + 3e-11
     cold["history"] = cold["history"] + [1.0]
     counts = "/".join(map(str, first["cold"]["counts"]))
-    assert point_hashes.family_lines(mine, other) == [
+    assert point_hashes.family_lines(mine, other, seed) == [
         f"{name} cold counts {counts} vs 36/0/0, largest move "
         f"{3e-11:.2e} (cold control), not comparable: cold history",
         summary.format(1)]

@@ -442,7 +442,7 @@ def test_warm_resolve_needs_few_iterations(accelerated_and_damped):
 
 def _no_resume(mp):
     """Turn the resume off: every warm start is the control-only one."""
-    mp.setattr(fem.Discretization, "resume_point", lambda self, control: None)
+    mp.setattr(fem.Discretization, "resume", lambda self, control, lam: None)
 
 
 def _resolve_lam(disc, cfg):
@@ -568,9 +568,12 @@ def test_resumed_mixed_chain_takes_fewer_iterations(monkeypatch):
 def test_rejected_resumed_pinned_step_changes_nothing(monkeypatch, failure):
     # the first pinned try of a resumed re-solve is forced to fail, by a
     # raising Newton solve or by a record above tol: it is counted and is
-    # not an iterate, so the re-solve is bit for bit the one that never
-    # tried it (its first slope reads None), with the second pinned try at
-    # its second iterate
+    # not an iterate, so the re-solve starts as the one that never tried it
+    # (its first slope reads None).  A failed solve marks no labels: the
+    # second pinned try, at the second iterate, finishes bit for bit as the
+    # never-tried run.  A record above tol marks the labels, which are those
+    # of every later iterate, so no other pinned step is tried and the
+    # damped iteration finishes to the verify rule
     cfg = parse_instance(CONFIG_DIR / "lq_reference.ini")
     disc = build_discretization(cfg)
     opts = cfg.solve_options
@@ -605,11 +608,22 @@ def test_rejected_resumed_pinned_step_changes_nothing(monkeypatch, failure):
         mp.setattr(ProblemSpec, "common_slope", none_first)
         never = solve_kkt(disc, lam, u0=cold.point.control.values,
                           options=opts)
-    assert (tried.pinned, never.pinned) == (2, 1)
-    assert tried.iterations == never.iterations == 2
-    assert tried.history == never.history
-    assert np.array_equal(tried.point.control.values,
-                          never.point.control.values)
+    assert (never.pinned, never.iterations) == (1, 2)
+    assert tried.history[0] == never.history[0]
+    if failure == "newton":
+        assert (tried.pinned, never.pinned) == (2, 1)
+        assert tried.iterations == never.iterations == 2
+        assert tried.history == never.history
+        assert np.array_equal(tried.point.control.values,
+                              never.point.control.values)
+        return
+    assert tried.pinned == 1
+    assert tried.iterations > 2
+    assert residuals(disc, tried.point) == tried.residuals
+    assert tried.residuals.worst <= opts.tol
+    assert projection_identity_gap(disc, tried.point) <= 10.0 * opts.tol
+    gap = tried.point.control.values - never.point.control.values
+    assert float(np.max(np.abs(gap))) <= 10.0 * opts.tol
 
 
 #: the parameter steps of a chain on the cubic lq instance, along delta = 1
@@ -628,7 +642,8 @@ def test_predicted_chain_takes_fewer_spd_solves(monkeypatch):
     # from its third point on, each re-solve of a chain starts from the
     # states and costates of the points before it extrapolated to its
     # parameter: one Newton step fewer than from the last point alone (the
-    # chain cleared before each re-solve), to the same points within the
+    # last point kept again before each re-solve: at its own parameter, it
+    # stops the walk back along the chain), to the same points within the
     # oracle tolerance
     calls = []
     solve_spd = fem.solve_spd
@@ -664,20 +679,22 @@ def test_predicted_chain_takes_fewer_spd_solves(monkeypatch):
     assert counts[False][0] == counts[True][0]
 
 
-def _resume_case(case, predict=None):
+def _resume_case(case, resume=None):
     """The last re-solve of a chain on :func:`_cubic_lq` in one of the
     cases where the chain predicts no more than the last point, solved on
-    a new discretization.  When ``predict`` is given,
-    ``Discretization.predict_point`` is replaced by ``predict(before)``,
-    ``before`` the report of the solve before the last."""
+    a new discretization.  When ``resume`` is given,
+    ``Discretization.resume`` is replaced by ``resume(before)``, ``before``
+    the report of the solve before the last."""
     disc, lam0, opts = _cubic_lq()
     delta = np.ones_like(lam0)
     off = np.sin(disc.mesh.boundary_s)
     # (parameter step, resumed) before the last re-solve, and the last one
     steps, last = {
         "one point": ([], 0.001 * delta),
-        "broken": ([(0.001 * delta, True), (0.003 * delta, False)],
-                   0.01 * delta),
+        "broken": ([(0.001 * delta, True), (0.003 * delta, True),
+                    (0.003 * delta, False)], 0.01 * delta),
+        "ahead": ([(0.001 * delta, True), (0.003 * delta, True),
+                   (0.0 * delta, False)], 0.002 * delta),
         "off the line": ([(0.001 * delta, True), (0.003 * delta, True)],
                          0.003 * delta + 0.007 * off),
         "behind": ([(0.001 * delta, True), (0.003 * delta, True)],
@@ -688,22 +705,25 @@ def _resume_case(case, predict=None):
         u0 = rep.point.control.values if resumed else None
         rep = solve_kkt(disc, lam0 + dlam, u0=u0, options=opts)
     with pytest.MonkeyPatch.context() as mp:
-        if predict is not None:
-            mp.setattr(fem.Discretization, "predict_point", predict(rep))
+        if resume is not None:
+            mp.setattr(fem.Discretization, "resume", resume(rep))
         return solve_kkt(disc, lam0 + last, u0=rep.point.control.values,
                          options=opts)
 
 
-@pytest.mark.parametrize("case", ["one point", "broken", "off the line",
-                                  "behind"])
+@pytest.mark.parametrize("case", ["one point", "broken", "ahead",
+                                  "off the line", "behind"])
 def test_resume_without_a_prediction_is_the_last_point(case):
-    # a chain of one point, one that a solve not resumed from it broke, a
-    # parameter off the chain's line and one behind its last point: the
-    # re-solve resumes from the last point alone, its state and no
-    # costate guess, bit for bit
+    # a chain of one point; one that a cold solve at the last parameter
+    # broke, whose earlier point at that parameter is not behind it; an
+    # older sweep's points ahead on the same line after a new cold solve at
+    # its base; a parameter off the chain's line; and one behind its last
+    # point: the re-solve resumes from the last point alone, its state and
+    # no costate guess, bit for bit
     rep = _resume_case(case)
-    ref = _resume_case(case, predict=lambda before: (
-        lambda self, lam: (before.point.state.values, None)))
+    ref = _resume_case(case, resume=lambda before: (
+        lambda self, control, lam: (before.point, before.point.state.values,
+                                    None)))
     assert (rep.iterations, rep.pinned) == (ref.iterations, ref.pinned) \
         == (1, 1)
     assert rep.history == ref.history
@@ -812,6 +832,25 @@ def test_rejected_pinned_step_changes_nothing(mixed_binding, monkeypatch):
         assert raised.history == plain.history
         assert np.array_equal(raised.point.control.values,
                               plain.point.control.values)
+
+
+def test_labels_rejected_on_their_record_are_tried_once():
+    # from u0 = 20 at theta = 0.05, the damped iterates approach the mixed
+    # point from the side where the projection binds at every node, with
+    # the labels of a pinned step whose record fails; those labels are
+    # tried once, not again at each of the 35 later iterates that bind at
+    # every node with them, and the damped finish lands within tol of the
+    # damped oracle
+    disc, lam, _, opts = _binding_instance()
+    u0 = np.full_like(lam, 20.0)
+    opts = dataclasses.replace(opts, theta=0.05, max_outer=1000)
+    rep = solve_kkt(disc, lam, u0=u0, options=opts)
+    ref = damped_solve_kkt(disc, lam, u0=u0, options=opts)
+    assert (rep.pinned, rep.newton) == (1, 0)
+    assert residuals(disc, rep.point) == rep.residuals
+    assert rep.residuals.worst <= opts.tol
+    gap = rep.point.control.values - ref.point.control.values
+    assert float(np.max(np.abs(gap))) <= opts.tol
 
 
 def test_pinned_step_on_cubic_reaction_matches_damped_oracle():
