@@ -682,20 +682,20 @@ def _pencil_minimum(h_z: np.ndarray, m_z: np.ndarray, n_z: np.ndarray):
     return None
 
 
-def _exact_minimum(cone: _ConeGeometry, h_z: np.ndarray):
+def _exact_minimum(cone: _ConeGeometry, h_z: np.ndarray, m_z: np.ndarray,
+                   n_z: np.ndarray):
     """Minimum of the sampled quantity ``u^T H u / size(u)^2`` over the
     strong-equality subspace, by :func:`_pencil_minimum` in the coordinates
-    of ``z_mat`` (``h_z = Z^T H Z``), where its direction passes the cone
-    checks, so that the subspace's minimum is the cone's.  None where the
-    search does not close or the direction fails them (a point with a
-    multiplier off its strong pairs)."""
-    z = cone.z_mat
-    m_bb, tmt = cone.masses
-    found = _pencil_minimum(h_z, z.T @ m_bb @ z, z.T @ tmt @ z)
+    of ``z_mat`` (``h_z = Z^T H Z``, ``m_z = Z^T M_bb Z``,
+    ``n_z = Z^T T^T M T Z``), where its direction passes the cone checks,
+    so that the subspace's minimum is the cone's.  None where the search
+    does not close or the direction fails them (a point with a multiplier
+    off its strong pairs)."""
+    found = _pencil_minimum(h_z, m_z, n_z)
     if found is None:
         return None
     value, c = found
-    u = z @ c[:, None]
+    u = cone.z_mat @ c[:, None]
     return value if cone.admissible(u, cone.size(u))[0] else None
 
 
@@ -759,12 +759,14 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     Both read the boundary-sized forms of ``_ConeGeometry``: a
     direction's value is ``u^T H u``, ``H = T^T A_y T + B_u`` (the integral
     of :func:`quadratic_form` at ``(T u, u)``), and the subspace metric is
-    ``M_bb + T^T M T``.  ``T`` is built only where the strong-equality
-    subspace needs it: at a point where every boundary node is strongly
-    active, the strong constraints have a ``y``-derivative that folds to
-    one constant ``c >= 0`` and ``h_y >= 0``, the pinned operator
-    ``J = K + M[h_y] + c M_B`` being SPD shows the subspace is {0} (see
-    ``_ConeGeometry._pinned_certificate``), and the report
+    ``M_bb + T^T M T``.  ``M_bb`` and ``T^T M T`` are each projected onto
+    ``Z`` once: the metric is the sum of the two projections, and the
+    pencil search reads them apart.  ``T`` is built only where the
+    strong-equality subspace needs it: at a point where every boundary
+    node is strongly active, the strong constraints have a ``y``-derivative
+    that folds to one constant ``c >= 0`` and ``h_y >= 0``, the pinned
+    operator ``J = K + M[h_y] + c M_B`` being SPD shows the subspace is
+    {0} (see ``_ConeGeometry._pinned_certificate``), and the report
     ``(inf, inf, 0, n_strong, True)`` comes without ``T``, ``H`` or the
     curvature operator.  The admission gates alone show ``J`` is SPD: it
     dominates ``K``, SPD on every ``Discretization``, so nothing is
@@ -804,9 +806,9 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
 
     # reduced Hessian on the strongly-active equality subspace
     a_red = z_mat.T @ cone.hess @ z_mat
-    b_red = z_mat.T @ np.add(*cone.masses) @ z_mat
-    a_red = 0.5 * (a_red + a_red.T)
-    b_red = 0.5 * (b_red + b_red.T)
+    # the subspace metric: M_bb and T^T M T, each projected once
+    m_z, n_z = (z_mat.T @ mass @ z_mat for mass in cone.masses)
+    a_red, b_red = (0.5 * (a + a.T) for a in (a_red, m_z + n_z))
     chol_b = np.linalg.cholesky(b_red)
     half = scipy.linalg.solve_triangular(chol_b, a_red, lower=True)
     c_sym = scipy.linalg.solve_triangular(chol_b, half.T, lower=True).T
@@ -844,7 +846,8 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     sub_min = rq
 
     # no weak pair: the cone is the subspace, and its minimum is exact
-    min_rayleigh = None if cone.weak.any() else _exact_minimum(cone, a_red)
+    min_rayleigh = None if cone.weak.any() else _exact_minimum(
+        cone, a_red, m_z, n_z)
     n_accepted = 1  # the exact minimum's direction
     if min_rayleigh is None:
         if rng is None:

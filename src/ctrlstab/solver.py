@@ -103,9 +103,13 @@ One iteration evaluates each quantity at its state once: the state
 residual is Newton's final one, the constraint values serve the partition,
 the residuals and the projection target, the h_y weights and the adjoint
 right-hand side serve the adjoint solve and its residual, and alpha, beta
-are evaluated once per solve.  The record is built by the builder that
-:func:`ctrlstab.kkt.residuals` (the ``ctrlstab verify`` rule) calls on the
-same pieces, so it is the verify rule's record at the iterate, bit for bit.
+are evaluated once per solve.  So does a pinned try: its Newton load
+keeps the last state it read and that state's constraint values, starting
+from the state and values it is tried with, and the control and partition
+of the state Newton returns come from the load's values.  The record is
+built by the builder that :func:`ctrlstab.kkt.residuals` (the ``ctrlstab
+verify`` rule) calls on the same pieces, so it is the verify rule's record
+at the iterate, bit for bit.
 The multipliers are the (m, Nb) array ``point.multipliers`` of each
 iterate (row i the nodal values of e_i): the damped update reads the
 previous iterate's, and the adjoint system and the record read that array.
@@ -445,23 +449,27 @@ def solve_kkt(disc: Discretization, lam, u0=None,
             return None
         pinned += 1
         nodes = np.arange(nb)
+        # the last state the load read and its constraint values
+        kept = [y0, g0]
 
         def load(y):
             # the pinned load M_B (lam - g_label) at the state y
-            g = constraint_values(disc, y, lam)
-            return disc.embed(m_bb @ (-g[labels, nodes] + lam))
+            if y is not kept[0]:
+                kept[:] = y, constraint_values(disc, y, lam)
+            return disc.embed(m_bb @ (-kept[1][labels, nodes] + lam))
 
         try:
             state = _newton(disc, y0, load, _NEWTON_TOL, 0.1 * opts.tol, c)
-            y = state.state.values
-            g = constraint_values(disc, y, lam)
+            # Newton reads the load last at the state it returns: its
+            # start or its last accepted trial
+            y, g = kept
             part = partition(g)
             u = -g[labels, nodes]
             # the adjoint with e = trace(p) - alpha - beta u eliminated:
             # (K + M[h_y] + c M_B) p = rhs(e = 0) + c M_B (alpha + beta u)
             pieces = _adjoint_pieces(disc, y, lam)
             w_adj = pieces[0]
-            rhs = _adjoint_rhs(disc, pieces, np.zeros((m, nb))) + c * \
+            rhs = _adjoint_rhs(disc, pieces, no_mults) + c * \
                 disc.embed(m_bb @ (alpha + beta * u))
             adjoint = disc.jacobian_solve(w_adj, rhs, c, x0=p0)
             e = disc.trace(adjoint) - alpha - beta * u

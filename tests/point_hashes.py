@@ -31,7 +31,12 @@ of the tree whose ``src/`` is imported.  ``record`` runs, for one file:
   (areas, gradients, quadrature points and weights), each assembly
   pattern's ``keys``, ``pos``, ``indptr`` and ``indices`` and the
   boundary-in-triangle map, and the data, indices and indptr of each
-  ``EllipticForm`` matrix, read by name (``FORM``).
+  ``EllipticForm`` matrix, read by name (``FORM``);
+* ``evaluations``: for each of the groups ``cold`` (the cold solve),
+  ``warm``, ``ssc`` and ``chain`` (its three parts together), the calls of
+  ``Discretization.eval_dom``, ``eval_bnd`` and ``eval_node``
+  (``EVALUATIONS``), counted as the benchmark's tracer counts
+  ``expr.eval.calls``.
 
 Each solve is recorded as its state, control, adjoint and multiplier
 arrays, its (iterations, newton, pinned) counts, sigma1, history and
@@ -43,8 +48,8 @@ change of integer width or of layout reads as a move.
 The first form reads ``REPO_ROOT`` (default: this checkout) and prints one
 line per file: 16-hex-digit SHA-256 prefixes of ``cold``, ``warm`` (``-``
 without a sweep), ``ssc``, ``chain`` and ``setup``, and ``verify=eq``
-(``verify=ne`` otherwise).  Lines printed from two trees compare with
-``diff``.
+(``verify=ne`` otherwise); the evaluation counts are not hashed.  Lines
+printed from two trees compare with ``diff``.
 
 ``--against`` records this checkout and ``OTHER_ROOT``, each in its own
 subprocess that imports that tree's ``src/``, and prints one line per
@@ -61,7 +66,12 @@ either tree, and a field that one tree records and the other does not
 reads ``only in this tree`` or ``only in the other tree``.  It exits 0
 when every file is in both trees and every group reads ``counts same``
 and ``=`` for every field, else 1 (also when a tree's records cannot be
-collected, and when a field is recorded on one side only).
+collected, and when a field is recorded on one side only).  After the
+groups it prints one line for each file whose expression evaluations
+differ in some group, ``<file> evaluations cold <this> vs <other>, ...``
+with each group's counts as ``eval_dom/eval_bnd/eval_node``, so that a
+claim to compute less can be checked on every file; these lines do not
+change the exit status.
 
 ``--against`` also records, in both trees, the members of this
 checkout's ``tests/random_family.py`` drawn with each seed of
@@ -83,6 +93,7 @@ on one file and the family report on two members.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -183,27 +194,68 @@ def _setup(cs, disc) -> dict:
     return out
 
 
+#: the expression evaluations of ``Discretization`` that ``record`` counts
+EVALUATIONS = ("eval_dom", "eval_bnd", "eval_node")
+
+
+@contextlib.contextmanager
+def _counting(cs):
+    """Count the calls of the ``EVALUATIONS`` of ``cs.Discretization``
+    within the block; yields ``taken()``, which returns the counts, one per
+    method, since its last call or the block's start."""
+    calls = dict.fromkeys(EVALUATIONS, 0)
+    methods = {name: getattr(cs.Discretization, name)
+               for name in EVALUATIONS}
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return methods[name](*args, **kwargs)
+        return call
+
+    def taken() -> tuple:
+        out = tuple(calls.values())
+        calls.update(dict.fromkeys(EVALUATIONS, 0))
+        return out
+
+    try:
+        for name in EVALUATIONS:
+            setattr(cs.Discretization, name, counted(name))
+        yield taken
+    finally:
+        for name, method in methods.items():
+            setattr(cs.Discretization, name, method)
+
+
 def record(cs, path: Path) -> dict:
-    """Every solve and SSC report of one instance file and the set-up of
-    its first discretization, with ``cs`` the imported ``ctrlstab``; the
-    cold solves must succeed."""
+    """Every solve and SSC report of one instance file, the set-up of its
+    first discretization and the expression evaluations of each group, with
+    ``cs`` the imported ``ctrlstab``; the cold solves must succeed."""
     cfg = cs.parse_instance(path)
     n_samples = cfg.sweep.ssc_samples if cfg.sweep is not None else 200
     disc = cs.build_discretization(cfg)
     setup = _setup(cs, disc)
-    cold = cs.solve_kkt(disc, disc.param_reference(),
-                        options=cfg.solve_options)
-    out = {"setup": setup, "cold": _fields(cold),
-           "verify": cs.residuals(disc, cold.point) == cold.residuals,
-           "warm": _warm(cs, cfg, disc, cold),
-           "ssc": _ssc(cs, disc, cold, n_samples)}
-    disc = cs.build_discretization(cfg)
-    first = cs.solve_kkt(disc, disc.param_reference(),
-                         options=cfg.solve_options)
-    out["chain_cold"] = _fields(first)
-    out["chain_ssc"] = _ssc(cs, disc, first, n_samples)
-    out["chain_warm"] = _warm(cs, cfg, disc, first)
-    return out
+    with _counting(cs) as taken:
+        cold = cs.solve_kkt(disc, disc.param_reference(),
+                            options=cfg.solve_options)
+        evals = {"cold": taken()}
+        verify = cs.residuals(disc, cold.point) == cold.residuals
+        taken()
+        warm = _warm(cs, cfg, disc, cold)
+        evals["warm"] = taken()
+        ssc = _ssc(cs, disc, cold, n_samples)
+        evals["ssc"] = taken()
+        disc = cs.build_discretization(cfg)
+        taken()
+        first = cs.solve_kkt(disc, disc.param_reference(),
+                             options=cfg.solve_options)
+        chain_ssc = _ssc(cs, disc, first, n_samples)
+        chain_warm = _warm(cs, cfg, disc, first)
+        evals["chain"] = taken()
+    return {"setup": setup, "cold": _fields(cold), "verify": verify,
+            "warm": warm, "ssc": ssc, "chain_cold": _fields(first),
+            "chain_ssc": chain_ssc, "chain_warm": chain_warm,
+            "evaluations": evals}
 
 
 #: the seeds of the ``tests/random_family.py`` members that ``--against``
@@ -399,6 +451,21 @@ def against(mine: dict, other: dict) -> tuple:
     return lines, same
 
 
+def evaluation_lines(mine: dict, other: dict) -> list:
+    """One line per instance file in both trees' records whose expression
+    evaluations differ in some group: both trees' counts of each group,
+    as ``eval_dom/eval_bnd/eval_node``."""
+    lines = []
+    for name in sorted(mine.keys() & other.keys()):
+        evals = [mine[name]["evaluations"], other[name]["evaluations"]]
+        if evals[0] != evals[1]:
+            lines.append(f"{name} evaluations " + ", ".join(
+                f"{group} " + " vs ".join("/".join(map(str, e[group]))
+                                          for e in evals)
+                for group in evals[0]))
+    return lines
+
+
 def family_lines(mine: dict, other: dict, seed: int) -> list:
     """The family part of the ``--against`` report of two trees' records,
     by member name, of the members drawn with ``seed``: one line per member
@@ -500,6 +567,7 @@ def main(argv: list) -> int:
     (files, members), (other_files, other_members) = (
         pickle.loads(out) for out in outputs)
     lines, same = against(files, other_files)
+    lines += evaluation_lines(files, other_files)
     for seed in FAMILY_SEEDS:
         lines += family_lines(members[seed], other_members[seed], seed)
     print("\n".join(lines))

@@ -1,8 +1,10 @@
 """The seeded random family of ``tests/random_family.py``: every member
 solves to a point that meets the ``ctrlstab verify`` rule, passes the
 second-order check and sweeps without a failed row, or fails with one of
-the library's typed errors; and the family reaches every kind of active
-set, where only one shipped instance ends at a mixed one."""
+the library's typed errors (no member of this seed does); the members
+that end mixed or split are solved by the damped iteration of
+``tests/oracles.py``; and the family reaches every kind of active set,
+where only one shipped instance ends at a mixed one."""
 
 import functools
 
@@ -15,6 +17,7 @@ from ctrlstab.kkt import (_activity_tolerance, constraint_values,
 
 import random_family
 from conftest import make_spec
+from oracles import damped_solve_kkt
 
 MEMBERS = random_family.members(seed=0, n=24)
 
@@ -77,6 +80,36 @@ def test_member_verifies_or_raises_a_typed_error(i):
     assert isinstance(out["ssc"], cs.SscReport)
     assert [row.t for row in out["rows"]] == list(T_VALUES)
     assert all(row.kkt_ok for row in out["rows"]), out["rows"]
+
+
+def test_no_member_cold_solve_raises():
+    # the typed errors are allowed by the test above, but no member of
+    # this seed raises one: a member that does points at the solver
+    errors = {i: _outcome(i)["error"] for i in range(len(MEMBERS))
+              if "error" in _outcome(i)}
+    assert not errors
+
+
+def test_damped_members_are_the_damped_oracle():
+    # a mixed point (bound on some nodes only) or a split one (two slopes)
+    # is reached with neither the reduced Newton step nor the pinned step,
+    # so the solve is the damped iteration: the oracle's iteration count,
+    # and its control and multipliers up to the solves' rounding
+    damped = [i for i in range(len(MEMBERS))
+              if _outcome(i).get("kind") in ("mixed", "split")]
+    assert damped
+    for i in damped:
+        rep = _outcome(i)["report"]
+        _, spec, n_boundary, refinement = MEMBERS[i]
+        disc = cs.Discretization(spec, cs.make_disk_mesh(n_boundary,
+                                                         refinement))
+        ref = damped_solve_kkt(disc, disc.param_reference(), options=OPTIONS)
+        assert rep.iterations == ref.iterations, (i, rep.iterations,
+                                                  ref.iterations)
+        for got, want in ((rep.point.control.values,
+                           ref.point.control.values),
+                          (rep.point.multipliers, ref.point.multipliers)):
+            assert float(np.max(np.abs(got - want))) <= 1e-12, i
 
 
 def test_family_reaches_every_active_set():

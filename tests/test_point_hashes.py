@@ -46,14 +46,31 @@ SETUP_FIELDS = {"mesh_hash", "edges.keys", "edges.sides",
     for name in ("data", "indices", "indptr")}
 
 
-def test_line_hashes_the_documented_fields(record):
+def _evaluations(calls: list) -> tuple:
+    """The counts of each expression evaluation in ``calls``, which is
+    emptied."""
+    out = tuple(calls.count(name) for name in point_hashes.EVALUATIONS)
+    calls.clear()
+    return out
+
+
+def test_line_hashes_the_documented_fields(record, monkeypatch):
     # the layout written out again: a solve's arrays, counts, sigma1,
     # history and residual record; the seeded SSC report; the chain's cold
     # solve and its SSC report (oracle_box has no sweep, so no warm chain)
     cfg = cs.parse_instance(PATH)
     disc = cs.build_discretization(cfg)
+    calls = []
+    for name in ("eval_dom", "eval_bnd", "eval_node"):
+        def counted(*args, _name=name,
+                    _method=getattr(cs.Discretization, name), **kwargs):
+            calls.append(_name)
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(cs.Discretization, name, counted)
     rep = cs.solve_kkt(disc, disc.param_reference(),
                        options=cfg.solve_options)
+    evals = {"cold": _evaluations(calls)}
     p = rep.point
     cold = [p.state.values, p.control.values, p.adjoint.values,
             *p.multipliers,
@@ -61,6 +78,12 @@ def test_line_hashes_the_documented_fields(record):
             list(rep.history), dataclasses.astuple(rep.residuals)]
     ssc = dataclasses.astuple(cs.check_ssc(
         disc, p, n_samples=200, rng=np.random.default_rng([0, 0])))
+    evals["ssc"] = _evaluations(calls)
+    # the expression evaluations of each group, none in the warm one; the
+    # chain's cold solve and check on a new discretization count as these
+    assert record["evaluations"] == {
+        "cold": evals["cold"], "warm": (0, 0, 0), "ssc": evals["ssc"],
+        "chain": tuple(map(sum, zip(evals["cold"], evals["ssc"])))}
     # the set-up: mesh hash, edges, tables, patterns, then the form's
     # matrices
     t, form = disc.tables, disc.form
@@ -221,23 +244,30 @@ def test_against_agrees_only_when_nothing_differs(record):
     lines, same = point_hashes.against({"a.ini": record},
                                        {"a.ini": record, "b.ini": record})
     assert not same and lines[-1] == "b.ini only in the other tree"
+    assert point_hashes.evaluation_lines({"a.ini": record},
+                                         {"a.ini": record}) == []
 
 
-def test_collecting_subprocesses_run_on_one_blas_thread(monkeypatch, tmp_path,
-                                                       capsys):
+def test_collecting_subprocesses_run_on_one_blas_thread(record, monkeypatch,
+                                                       tmp_path, capsys):
     # ``--against`` starts one ``--collect`` child per tree, each with the
     # caller's environment and the three BLAS thread counts set to 1, and
-    # prints the family summary of each seed
+    # prints each file's groups, a line for a file whose expression
+    # evaluations differ, which leaves the exit status at 0, and the family
+    # summary of each seed
     envs = []
+    other = copy.deepcopy(record)
+    other["evaluations"]["cold"] = (1, 2, 3)
 
     class Child:
         returncode = 0
 
         def __init__(self, args, stdout, env):
             envs.append(env)
+            self.file = other if args[-1] == str(tmp_path) else record
 
         def communicate(self):
-            return pickle.dumps(({}, dict.fromkeys(
+            return pickle.dumps(({"a.ini": self.file}, dict.fromkeys(
                 point_hashes.FAMILY_SEEDS, {}))), None
 
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
@@ -248,9 +278,16 @@ def test_collecting_subprocesses_run_on_one_blas_thread(monkeypatch, tmp_path,
     for env in envs:
         assert env == {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                        "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    mine = {group: "/".join(map(str, counts))
+            for group, counts in record["evaluations"].items()}
     assert capsys.readouterr().out.splitlines() == [
-        f"family seed {seed}: 0 of 0 members moved"
-        for seed in point_hashes.FAMILY_SEEDS]
+        *(f"a.ini {group} {text}" for group, text in
+          point_hashes.compare(record, other).items()),
+        f"a.ini evaluations cold {mine['cold']} vs 1/2/3, "
+        f"warm 0/0/0 vs 0/0/0, ssc {mine['ssc']} vs {mine['ssc']}, "
+        f"chain {mine['chain']} vs {mine['chain']}",
+        *(f"family seed {seed}: 0 of 0 members moved"
+          for seed in point_hashes.FAMILY_SEEDS)]
 
 
 def test_family_lines_read_the_members_that_move():

@@ -996,6 +996,31 @@ def test_solver_evaluates_each_state_once(monkeypatch):
     assert calls["eval"] <= 12 * rep.iterations
 
 
+@pytest.mark.parametrize("reaction", ["y", "y + y^3"])
+def test_constraints_are_evaluated_once_per_state(monkeypatch, reaction):
+    # a cold solve and a warm chain whose re-solves are pinned steps: the
+    # pinned load keeps the constraint values of the last state it read,
+    # so no (state, parameter) pair is evaluated twice (17 calls on 7
+    # states with h = y, 22 on 12 with the cubic h, when the try's first
+    # state and its accepted state were evaluated again)
+    disc = Discretization(make_spec(reaction=reaction), make_disk_mesh(16, 0))
+    seen = []
+    original = solver.constraint_values
+
+    def recorded(disc, y, lam):
+        seen.append((np.asarray(y).tobytes(), np.asarray(lam).tobytes()))
+        return original(disc, y, lam)
+
+    monkeypatch.setattr(solver, "constraint_values", recorded)
+    lam = disc.param_reference().values
+    rep = solve_kkt(disc, lam)
+    for t in (0.001, 0.003, 0.01, 0.03):
+        rep = solve_kkt(disc, lam + t, u0=rep.point.control.values)
+        assert rep.pinned >= 1
+    assert seen
+    assert len(set(seen)) == len(seen)
+
+
 # ---------------------------------------------------------------------------
 # reduced cost and gradient
 # ---------------------------------------------------------------------------
