@@ -27,7 +27,12 @@ vector's element part one product with the basis.
 
 The solver reorders by reverse Cuthill-McKee, then factorizes by banded
 Cholesky.  That is the only factorization; a matrix whose band would exceed
-a fixed byte budget raises ``FemError`` before the band is allocated.
+a fixed byte budget raises ``FemError`` before the band is allocated.  Its
+symbolic half (the ordering, the bandwidth and each entry's place in the
+band) reads only a matrix's structure, so an assembly pattern analyzes it
+once, at the first factorization of one of its matrices, and every later
+factorization on the pattern only tests, scatters and factorizes the
+values; a matrix on no pattern is analyzed on its own, by the same code.
 :func:`solve_spd` runs conjugate gradients preconditioned by such a
 factorization, which may be one of another matrix, and then may start
 from a guess; with the matrix's own factor it stops after the first step.
@@ -58,7 +63,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -286,6 +290,68 @@ def _norm2(v: np.ndarray) -> float:
 _BAND_BUDGET = 2 ** 31
 
 
+def _transposed_entries(rows: np.ndarray, indices: np.ndarray,
+                        n: int) -> tuple:
+    """``(mirror, lone)`` of a canonical CSR structure of an (n, n) matrix
+    with entry rows ``rows``: the entry of each entry's transpose, found by
+    its key ``row n + column`` among the sorted keys, and the entries whose
+    transpose is not stored, which are their own mirror."""
+    cols = indices.astype(np.int64)
+    keys, transposed = rows * n + cols, cols * n + rows
+    mirror = np.minimum(np.searchsorted(keys, transposed),
+                        max(len(keys) - 1, 0))
+    lone = np.flatnonzero(keys[mirror] != transposed)
+    mirror[lone] = lone
+    return mirror, lone
+
+
+class _BandPlan:
+    """The symbolic half of a banded Cholesky factorization: all it reads of
+    a canonical CSR structure (sorted indices, no duplicates) of an (n, n)
+    matrix, and nothing of its values.
+
+    ``perm`` is the reverse Cuthill-McKee ordering of the structure and
+    ``bw`` the bandwidth of the permuted structure, whose band takes
+    ``need = (bw + 1) n 8`` bytes.  The entries on and above the permuted
+    diagonal fill the Fortran-order ``(bw + 1, n)`` band that LAPACK
+    factorizes: entry ``src[i]`` of ``data`` goes to the flat position
+    ``dst[i]``.  For the symmetry test, ``mirror`` is the entry of each
+    entry's transpose, and ``lone`` the entries whose transpose is not
+    stored (their ``mirror`` is themselves).  A pattern's plan takes the
+    pattern's ``mirror``; without one it is looked up by key.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
+                 mirror: np.ndarray | None = None):
+        n = len(indptr) - 1
+        self.indptr, self.indices = indptr, indices
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        if mirror is None:
+            self.mirror, self.lone = _transposed_entries(rows, indices, n)
+        else:
+            self.mirror, self.lone = mirror, np.zeros(0, dtype=np.intp)
+
+        self.perm = np.asarray(reverse_cuthill_mckee(
+            sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                          shape=(n, n)), symmetric_mode=True))
+        rank = np.empty(n, dtype=np.int64)
+        rank[self.perm] = np.arange(n)
+        # entry (r, c) lies at (rank r, rank c) of the permuted matrix, and
+        # on or above its diagonal at d = rank c - rank r >= 0, in band row
+        # bw - d
+        col = rank[indices]
+        d = col - rank[rows]
+        self.bw = int(np.max(np.abs(d))) if len(indices) else 0
+        self.need = (self.bw + 1) * n * 8
+        self.src = np.flatnonzero(d >= 0)
+        self.dst = (self.bw + 1) * col[self.src] + (self.bw - d[self.src])
+
+    def fits(self, a: sp.csr_matrix) -> bool:
+        """Whether the CSR matrix ``a`` has this plan's structure."""
+        return (np.array_equal(a.indptr, self.indptr)
+                and np.array_equal(a.indices, self.indices))
+
+
 class SpdFactorization:
     """Cholesky factorization of a sparse SPD matrix.
 
@@ -296,48 +362,70 @@ class SpdFactorization:
     non-positive pivot surfaces as ``NotSpdError``, and a right-hand side
     with a non-finite entry as ``ValueError``.
 
+    The factorization has two halves.  The analysis (:class:`_BandPlan`)
+    reads only the structure: the ordering, the bandwidth and where each
+    entry goes in the band.  The numeric step reads the values: it
+    confirms the matrix has the plan's structure, tests its entries
+    finite and symmetric, scatters them into a zeroed band and factorizes
+    it.  A matrix of an assembly pattern (``_pattern``, private, as
+    :meth:`Discretization.jacobian_factor` passes it) uses the pattern's
+    plan, analyzed once, at its first factorization; any other matrix, or
+    one whose structure no longer is the pattern's, is analyzed on its
+    own, after its duplicate entries are summed.
+
     ``matrix`` is the CSR matrix factorized: the argument itself when it is
     a ``csr_matrix`` (so ``factor.matrix is A`` tells that ``factor``
     factorizes ``A``, the test :func:`solve_spd` makes), else its CSR
     conversion.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, _pattern: _Pattern | None = None):
         a = matrix if isinstance(matrix, sp.csr_matrix) \
             else sp.csr_matrix(matrix)
         n = a.shape[0]
         if a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
+        self.matrix = a
+        plan = None if _pattern is None else _pattern.band_plan
+        if plan is None or not plan.fits(a):
+            # the matrix that a's arrays hold, whatever format flags a
+            # carries: a copy with its duplicates summed when it has any or
+            # an unsorted row
+            a = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+            if not a.has_canonical_format:
+                a = a.copy()
+                a.sum_duplicates()
+            plan = _BandPlan(a.indptr, a.indices)
+        data = a.data
         # before the symmetry test, which a NaN passes: NaN > tol is false
-        bad = int(np.count_nonzero(~np.isfinite(a.data)))
+        bad = int(np.count_nonzero(~np.isfinite(data)))
         if bad:
             raise NotSpdError(f"matrix has {bad} non-finite entries")
-        asym = abs(a - a.T)
-        scale = max(1.0, float(np.max(np.abs(a.data))) if a.nnz else 0.0)
-        if asym.nnz and asym.data.max() > 1e-12 * scale:
+        partner = data[plan.mirror]
+        partner[plan.lone] = 0.0
+        scale = max(1.0, float(np.max(np.abs(data))) if len(data) else 0.0)
+        if len(data) and np.max(np.abs(data - partner)) > 1e-12 * scale:
             raise NotSpdError("matrix is not symmetric")
-        self.matrix = a
 
-        perm = np.asarray(reverse_cuthill_mckee(a, symmetric_mode=True))
-        ap = a[perm, :][:, perm].tocoo()
-        bw = int(np.max(np.abs(ap.row - ap.col))) if ap.nnz else 0
-        self._perm = perm
-        need = (bw + 1) * n * 8
-        if need > _BAND_BUDGET:
+        bw = plan.bw
+        if plan.need > _BAND_BUDGET:
             raise FemError(f"banded Cholesky of n={n} with bandwidth {bw} "
-                           f"needs {need} bytes, above the budget of "
+                           f"needs {plan.need} bytes, above the budget of "
                            f"{_BAND_BUDGET} bytes")
+        self._perm = plan.perm
         # in LAPACK's (Fortran) order, so that the band is factorized in
         # place: one band per factorization, not a band and its copy.  Its
         # entries were checked finite above
-        ab = np.zeros((bw + 1, n), order="F")
-        up = ap.row <= ap.col
-        ab[bw + ap.row[up] - ap.col[up], ap.col[up]] = ap.data[up]
-        try:
-            self._chol = scipy.linalg.cholesky_banded(
-                ab, lower=False, overwrite_ab=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotSpdError(f"matrix is not positive definite: {exc}") from exc
+        band = np.zeros((bw + 1) * n)
+        band[plan.dst] = data[plan.src]
+        self._chol, info = scipy.linalg.lapack.dpbtrf(
+            band.reshape((bw + 1, n), order="F"), lower=0, overwrite_ab=1)
+        if info > 0:
+            raise NotSpdError(f"matrix is not positive definite: {info}-th "
+                              "leading minor not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in {info}-th argument of "
+                             "internal pbtrf")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         # the band was checked when it was factorized; only b can bring
@@ -493,6 +581,12 @@ class _Pattern:
             pos[:, i, j] = np.where(forward, upper, lower)
             pos[:, j, i] = np.where(forward, lower, upper)
         self.pos = pos.reshape(-1)
+
+    @functools.cached_property
+    def band_plan(self) -> _BandPlan:
+        """The analysis of this pattern's banded Cholesky factorization,
+        done when a matrix of the pattern is first factorized."""
+        return _BandPlan(self.indptr, self.indices, self.mirror)
 
     def sum(self, elem: np.ndarray) -> np.ndarray:
         """Sum element matrices ``elem``, (C, k, k) or (C, k k), into values
@@ -691,6 +785,9 @@ class Discretization:
     lie on the new parameter's line, behind it, extrapolated to that
     parameter: they start the re-solve's state solve and the conjugate
     gradients of its pinned adjoint solve.
+    It also keeps ``M_B[beta(lam)]`` of the last parameter
+    (:meth:`beta_mass`), the control's part of the curvature form, which
+    the reduced Newton steps of one solve share.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh):
@@ -709,11 +806,13 @@ class Discretization:
 
         self.form = self._assemble()
         # c -> (weights copy, K + M[weights] + c M_B); the last weights
-        # summed and their M[weights] values; c -> the last factorization
-        # of that c; (factorization, T) of c = 0; and the warm-start chain
-        # of the points solve_kkt returned, oldest first
+        # summed and their M[weights] values; (lam copy, M_B[beta(lam)]);
+        # c -> the last factorization of that c; (factorization, T) of
+        # c = 0; and the warm-start chain of the points solve_kkt returned,
+        # oldest first
         self._jacobian: dict = {}
         self._mass = None
+        self._beta_mass = None
         self._anchor: dict = {}
         self._t_map = None
         self._chain: list = []
@@ -834,6 +933,19 @@ class Discretization:
         t = self.tables
         return t.bb_pattern.assemble((t.qw_bnd * w_qp) @ _EDGE_PRODUCTS)
 
+    def beta_mass(self, lam: np.ndarray) -> sp.csr_matrix:
+        """``M_B[beta(lam)]``, (Nb, Nb) in boundary numbering, the control's
+        part of the curvature form: assembled once per parameter, and kept
+        while the ``lam`` asked for has the shape and bytes of the last
+        one.  The matrix is shared: do not mutate it."""
+        lam = np.asarray(lam, dtype=float)
+        kept = self._beta_mass
+        if kept is None or kept[0].shape != lam.shape \
+                or kept[0].tobytes() != lam.tobytes():
+            kept = self._beta_mass = (lam.copy(), self.boundary_mass_weighted(
+                self.eval_bnd(self.problem.beta, lam=lam)))
+        return kept[1]
+
     def jacobian_matrix(self, w_qp: np.ndarray, c: float = 0.0
                         ) -> sp.csr_matrix:
         """Assembled ``K + M[w] + c M_B`` for weights at interior quadrature
@@ -859,11 +971,15 @@ class Discretization:
                         ) -> SpdFactorization:
         """Factorized ``K + M[w] + c M_B``: the anchor of ``c`` when it
         factorizes this matrix, else a new factorization, which becomes the
-        anchor of ``c``.  The factorization is shared: do not mutate it."""
+        anchor of ``c``.  Every ``c`` shares the triangle pattern's
+        analysis, made at the first factorization (see
+        :class:`SpdFactorization`).  The factorization is shared: do not
+        mutate it."""
         matrix = self.jacobian_matrix(w_qp, c)
         anchor = self._anchor.get(c)
         if anchor is None or anchor.matrix is not matrix:
-            anchor = self._anchor[c] = SpdFactorization(matrix)
+            anchor = self._anchor[c] = SpdFactorization(
+                matrix, _pattern=self.tables.tri_pattern)
         return anchor
 
     def jacobian_solve(self, w_qp: np.ndarray, b: np.ndarray,

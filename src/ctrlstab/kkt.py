@@ -325,7 +325,10 @@ def _curvature_operator(disc: Discretization, point: KktPoint) -> tuple:
         B_u = M_B[beta]                      (Nb, Nb), boundary numbering
 
     The mass matrices use the module's quadrature rules, so
-    ``int w (sum_a y_a phi_a)^2 = y^T M[w] y`` holds exactly.
+    ``int w (sum_a y_a phi_a)^2 = y^T M[w] y`` holds exactly.  ``B_u``
+    depends on the parameter alone; the discretization assembles it once
+    per parameter (:meth:`ctrlstab.fem.Discretization.beta_mass`), so the
+    Newton steps of one solve share it.
 
     ``A_y`` is one matrix on the triangle pattern: the domain sum of
     ``domain_mass_weighted``, onto whose boundary-edge entries the values
@@ -362,8 +365,7 @@ def _curvature_operator(disc: Discretization, point: KktPoint) -> tuple:
     if bnd:
         a_y.data[disc.tables.bnd_in_tri] += \
             disc.boundary_mass_weighted(sum(bnd[1:], bnd[0])).data
-    b_u = disc.boundary_mass_weighted(disc.eval_bnd(p.beta, lam=lam))
-    return a_y, b_u
+    return a_y, disc.beta_mass(lam)
 
 
 def _is_zero(e) -> bool:

@@ -104,13 +104,14 @@ def rng():
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Records every ``SpdFactorization`` constructed while the test runs."""
+    """Records every ``SpdFactorization`` constructed while the test runs;
+    the private pattern argument is passed on."""
     made = []
     init = SpdFactorization.__init__
 
-    def counting_init(self, matrix):
+    def counting_init(self, matrix, **kwargs):
         made.append(self)
-        init(self, matrix)
+        init(self, matrix, **kwargs)
 
     monkeypatch.setattr(SpdFactorization, "__init__", counting_init)
     return made

@@ -19,13 +19,14 @@ The set-up kernels are the earlier versions of the library's: a ring
 merge pair by pair instead of all pairs at once, edge keys by a sort along
 the end axis instead of ``minimum``/``maximum``, a ``np.unique`` pattern
 instead of one argsort, ``einsum`` stiffness element matrices and
-quadrature points instead of broadcast products and sums, and a
-``searchsorted`` transpose map instead of the pattern's scatter, and a
-boundary mass and boundary load in vertex numbering, summed over
-``mesh.boundary_edges``, instead of the boundary-numbered ones and their
-``embed``.  The library's must give their bits.  So must its curvature operator, against
-the earlier sum of a domain and a boundary mass matrix with every term
-evaluated, zero or not.
+quadrature points instead of broadcast products and sums, a
+``searchsorted`` transpose map instead of the pattern's scatter, a banded
+Cholesky that permutes and scatters the matrix itself instead of reading a
+plan analyzed once per pattern, and a boundary mass and boundary load in
+vertex numbering, summed over ``mesh.boundary_edges``, instead of the
+boundary-numbered ones and their ``embed``.  The library's must give
+their bits.  So must its curvature operator, against the earlier sum of a
+domain and a boundary mass matrix with every term evaluated, zero or not.
 
 The reduced cost and its adjoint-based gradient, the boundary pairing and
 the a-priori quotient are test references of another kind: they compose the
@@ -38,6 +39,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 # the reference loops share the library's constants, so they cannot drift
 from ctrlstab.fem import (_EDGE_PRODUCTS, _TRI_PRODUCTS, EDGE_BASIS,
@@ -545,6 +547,22 @@ def searchsorted_mirror(keys, n):
     """The entry of each entry's transpose in a symmetric pattern, by
     looking the transposed key up in the sorted ``keys``."""
     return np.searchsorted(keys, keys % n * n + keys // n)
+
+
+def band_cholesky(a):
+    """``(perm, chol)`` of the CSR matrix ``a`` by the earlier, one-pass
+    banded Cholesky: reverse Cuthill-McKee on ``a`` itself, the permuted
+    ``a[perm][:, perm]`` as COO, its upper entries scattered into the
+    Fortran-order band by row and column, and ``cholesky_banded``."""
+    perm = np.asarray(reverse_cuthill_mckee(a, symmetric_mode=True))
+    ap = a[perm, :][:, perm].tocoo()
+    bw = int(np.max(np.abs(ap.row - ap.col))) if ap.nnz else 0
+    ab = np.zeros((bw + 1, a.shape[0]), order="F")
+    up = ap.row <= ap.col
+    ab[bw + ap.row[up] - ap.col[up], ap.col[up]] = ap.data[up]
+    return perm, scipy.linalg.cholesky_banded(ab, lower=False,
+                                              overwrite_ab=True,
+                                              check_finite=False)
 
 
 def einsum_quadrature_points(mesh):

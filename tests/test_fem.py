@@ -17,16 +17,17 @@ import scipy.sparse as sp
 import ctrlstab.fem as fem_mod
 from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
                       FemError, FeFunction, Mesh, NotSpdError,
-                      SpdFactorization, check_ssc, make_disk_mesh, norm,
-                      parse, solve_kkt, solve_spd)
+                      SolveOptions, SpdFactorization, check_ssc,
+                      make_disk_mesh, norm, parse, solve_kkt, solve_spd)
 from ctrlstab.expr import Const
 from ctrlstab.pde import solve_state, state_residual_norm
 
 from conftest import SETUP_MESHES, make_spec
-from oracles import (argsort_pattern, dense_solve, einsum_quadrature_points,
-                     einsum_stiffness, searchsorted_mirror, stiffness_matrix,
-                     unique_pattern, vertex_boundary_in_triangles,
-                     vertex_boundary_load, vertex_boundary_mass)
+from oracles import (argsort_pattern, band_cholesky, dense_solve,
+                     einsum_quadrature_points, einsum_stiffness,
+                     searchsorted_mirror, stiffness_matrix, unique_pattern,
+                     vertex_boundary_in_triangles, vertex_boundary_load,
+                     vertex_boundary_mass)
 
 
 @pytest.fixture(scope="module")
@@ -183,11 +184,42 @@ def test_non_finite_rhs_rejected(disc):
             solve_spd(k, b, factor=f)
 
 
-def test_not_spd_rejected():
-    with pytest.raises(NotSpdError):
-        SpdFactorization(sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]])))
-    with pytest.raises(NotSpdError):
-        SpdFactorization(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+#: the two routes of a factorization: a matrix analyzed on its own, and a
+#: matrix of an assembly pattern factorized with the pattern's plan
+ROUTES = ("generic", "pattern")
+
+
+def _routed(route, a, cells):
+    """``(matrix, keywords)`` that factorize the CSR matrix ``a`` by
+    ``route``: ``a`` itself for ``"generic"``; for ``"pattern"``, ``a``'s
+    values on the assembly pattern of the 2-node ``cells`` (a zero stored
+    where ``a`` stores none), with that pattern."""
+    if route == "generic":
+        return a, {}
+    pattern = fem_mod._Pattern(np.asarray(cells), a.shape[0])
+    rows, cols = np.divmod(pattern.keys, a.shape[0])
+    return (pattern.matrix(np.asarray(a[rows, cols]).ravel()),
+            {"_pattern": pattern})
+
+
+def _grid_matrix(g=100):
+    """The 5-point Laplacian of a g x g grid plus the identity, and its
+    edges as 2-node cells."""
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(g, g))
+    a = (sp.kron(lap, sp.eye(g)) + sp.kron(sp.eye(g), lap)
+         + sp.eye(g * g)).tocsr()
+    upper = sp.triu(a, k=1).tocoo()
+    return a, np.column_stack([upper.row, upper.col])
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_not_spd_rejected(route):
+    for entries, message in (([[1.0, 2.0], [0.0, 1.0]], "not symmetric"),
+                             ([[1.0, 2.0], [2.0, 1.0]],
+                              "not positive definite")):
+        m, kw = _routed(route, sp.csr_matrix(np.array(entries)), [[0, 1]])
+        with pytest.raises(NotSpdError, match=message):
+            SpdFactorization(m, **kw)
 
 
 def test_non_square_matrix_rejected():
@@ -209,11 +241,13 @@ def test_solve_spd_stops_at_non_positive_curvature():
     ([[1.0, np.nan], [np.nan, 1.0]], 2),
     ([[1.0, np.inf], [np.inf, 1.0]], 2),
 ], ids=["nan-diagonal", "nan-symmetric", "inf-symmetric"])
-def test_non_finite_entry_rejected(entries, count):
+@pytest.mark.parametrize("route", ROUTES)
+def test_non_finite_entry_rejected(entries, count, route):
     # a NaN passes the symmetry test (NaN > tol is false), and so does a
     # symmetric pair of infs (inf - inf is NaN)
+    m, kw = _routed(route, sp.csr_matrix(np.array(entries)), [[0, 1]])
     with pytest.raises(NotSpdError, match=f"has {count} non-finite entries"):
-        SpdFactorization(sp.csr_matrix(np.array(entries)))
+        SpdFactorization(m, **kw)
 
 
 def test_multiple_rhs(disc):
@@ -226,19 +260,17 @@ def test_multiple_rhs(disc):
     assert float(np.max(np.abs(k @ x - b))) <= 1e-8
 
 
-def test_band_over_budget_raises_before_allocation(monkeypatch):
+@pytest.mark.parametrize("route", ROUTES)
+def test_band_over_budget_raises_before_allocation(route, monkeypatch):
     monkeypatch.setattr(fem_mod, "_BAND_BUDGET", 0)
     # 5-point grid Laplacian plus identity: its band (101 x 10^4 doubles,
     # 8 MB) is several times the sparse matrix, so a traced peak below half
     # of it shows the band was never allocated
-    g = 100
-    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(g, g))
-    a = (sp.kron(lap, sp.eye(g)) + sp.kron(sp.eye(g), lap)
-         + sp.eye(g * g)).tocsr()
+    a, kw = _routed(route, *_grid_matrix())
     tracemalloc.start()
     try:
         with pytest.raises(FemError) as err:
-            SpdFactorization(a)
+            SpdFactorization(a, **kw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -249,23 +281,128 @@ def test_band_over_budget_raises_before_allocation(monkeypatch):
     assert peak < need / 2
 
 
-def test_band_is_factorized_in_place():
+@pytest.mark.parametrize("route", ROUTES)
+def test_band_is_factorized_in_place(route):
     # the same grid matrix within budget: the factorization holds one band
     # (8 MB), and its peak stays well below a band and a copy of it
-    g = 100
-    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(g, g))
-    a = (sp.kron(lap, sp.eye(g)) + sp.kron(sp.eye(g), lap)
-         + sp.eye(g * g)).tocsr()
+    a, kw = _routed(route, *_grid_matrix())
     band = 101 * 10000 * 8
     tracemalloc.start()
     try:
-        f = SpdFactorization(a)
+        f = SpdFactorization(a, **kw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert band <= peak < 1.5 * band
-    x = f.solve(np.ones(g * g))
+    x = f.solve(np.ones(a.shape[0]))
     assert float(np.max(np.abs(a @ x - 1.0))) <= 1e-10
+
+
+@pytest.mark.parametrize("n_boundary,refinement", SETUP_MESHES)
+def test_pattern_plan_gives_the_one_pass_bits(n_boundary, refinement):
+    # a Jacobian factorized with its pattern's plan, the same matrix
+    # analyzed on its own and the earlier one-pass factorization give one
+    # ordering, band factor and solve, bit for bit: the state and the
+    # pinned operator, on the mesh and on the mesh numbered at random
+    mesh = make_disk_mesh(n_boundary, refinement)
+    rng = np.random.default_rng(n_boundary + refinement)
+    for m in (mesh, _relabeled(mesh, rng)):
+        d = Discretization(make_spec(), m)
+        w = rng.uniform(0.5, 3.0, d.tables.qw_dom.shape)
+        b = rng.standard_normal(m.n_vertices)
+        for c in (0.0, 1.5):
+            a = d.jacobian_matrix(w, c)
+            planned = d.jacobian_factor(w, c)
+            alone = SpdFactorization(a)
+            perm, chol = band_cholesky(a)
+            for f in (planned, alone):
+                assert f.matrix is a
+                assert f._perm.dtype == perm.dtype
+                assert np.array_equal(f._perm, perm)
+                assert f._chol.shape == chol.shape
+                assert f._chol.tobytes() == chol.tobytes()
+            assert planned.solve(b).tobytes() == alone.solve(b).tobytes()
+        assert "band_plan" in vars(d.tables.tri_pattern)
+
+
+def test_one_ordering_per_pattern_over_a_solve_and_a_warm_chain(
+        factorizations, monkeypatch):
+    # h = y + y^3, pinned at every node: the cold solve factorizes the
+    # state and the pinned operator and the warm chain runs on their
+    # anchors; both share the triangle pattern's ordering, computed once
+    calls = []
+    rcm = fem_mod.reverse_cuthill_mckee
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rcm(*args, **kwargs)
+
+    monkeypatch.setattr(fem_mod, "reverse_cuthill_mckee", counted)
+    disc = Discretization(make_spec(reaction="y + y^3"),
+                          make_disk_mesh(32, 0))
+    opts = SolveOptions(tol=1e-9)
+    lam = disc.param_reference().values
+    rep = solve_kkt(disc, lam, options=opts)
+    for t in (0.001, 0.003, 0.01):
+        rep = solve_kkt(disc, lam + t, u0=rep.point.control.values,
+                        options=opts)
+    assert len(factorizations) == 2
+    assert calls == [(disc.mesh.n_vertices,) * 2]
+
+
+def test_a_changed_structure_is_analyzed_on_its_own(lq_spec, monkeypatch):
+    # a caller that changes a Jacobian's structure gets the factorization
+    # of the matrix its arrays now hold, from an analysis of its own: the
+    # pattern's plan would put its entries in the wrong places
+    own = []
+    init = fem_mod._BandPlan.__init__
+
+    def recorded(self, indptr, indices, mirror=None):
+        if mirror is None:
+            own.append(indices.copy())
+        init(self, indptr, indices, mirror)
+
+    monkeypatch.setattr(fem_mod._BandPlan, "__init__", recorded)
+    d = Discretization(lq_spec, make_disk_mesh(16, 0))
+    w = np.full(d.tables.qw_dom.shape, 2.0)
+    b = np.random.default_rng(3).standard_normal(d.mesh.n_vertices)
+
+    # each row's entries reversed: the same matrix, in rows no longer
+    # sorted, which its format flags still claim they are
+    jac = d.jacobian_matrix(w)
+    perm, chol = band_cholesky(jac)
+    for lo, hi in zip(jac.indptr[:-1], jac.indptr[1:]):
+        jac.indices[lo:hi] = jac.indices[lo:hi][::-1].copy()
+        jac.data[lo:hi] = jac.data[lo:hi][::-1].copy()
+    f = d.jacobian_factor(w)
+    assert f.matrix is jac and len(own) == 1
+    assert np.array_equal(f._perm, perm)
+    assert f._chol.tobytes() == chol.tobytes()
+
+    # one coupling dropped from the matrix of other weights
+    jac = d.jacobian_matrix(2.0 * w)
+    k = jac.indptr[1]
+    jac.data[[k, d.tables.tri_pattern.mirror[k]]] = 0.0
+    jac.eliminate_zeros()
+    f = d.jacobian_factor(2.0 * w)
+    assert f.matrix is jac and len(own) == 2
+    assert np.array_equal(own[-1], jac.indices)
+    perm, chol = band_cholesky(jac)
+    assert f._chol.tobytes() == chol.tobytes()
+    assert float(np.max(np.abs(jac @ f.solve(b) - b))) <= 1e-10
+
+
+def test_duplicate_entries_are_summed():
+    # a CSR matrix may store an entry more than once; the factorization is
+    # that of the matrix it represents, in which they are summed
+    data = np.array([1.0, 3.0, 0.5, 0.5, 2.0])
+    a = sp.csr_matrix((data, np.array([0, 0, 1, 0, 1]),
+                       np.array([0, 3, 5])), shape=(2, 2))
+    want = np.array([[4.0, 0.5], [0.5, 2.0]])
+    f = SpdFactorization(a)
+    assert f.matrix is a
+    assert np.allclose(f.solve(np.array([1.0, 2.0])),
+                       np.linalg.solve(want, [1.0, 2.0]), rtol=1e-14)
 
 
 def test_boundary_l2_of_one_is_sqrt_perimeter(disc):

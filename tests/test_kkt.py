@@ -1315,3 +1315,34 @@ def test_curvature_operator_builds_one_matrix_for_a_y(monkeypatch):
     t = disc.tables
     assert [p for p in built if p is not t.bb_pattern] == [t.tri_pattern]
     assert a_y.indptr.tobytes() == t.tri_pattern.indptr.tobytes()
+
+
+def test_control_curvature_is_assembled_once_per_parameter(monkeypatch):
+    # B_u = M_B[beta(lam)] reads lam alone: the reduced Newton steps of a
+    # fold_sweep-style solve share one assembly, a parameter of other bits
+    # assembles it again, and a caller's later change to its lam array
+    # leaves the kept one alone
+    cfg = parse_instance(CONFIG_DIR / "stability_reference.ini")
+    disc = build_discretization(cfg)
+    beta = []
+    original = Discretization.eval_bnd
+
+    def recorded(self, e, y=None, lam=None):
+        if e is self.problem.beta:
+            beta.append(lam)
+        return original(self, e, y, lam)
+
+    monkeypatch.setattr(Discretization, "eval_bnd", recorded)
+    lam = disc.param_reference().values
+    rep = solve_kkt(disc, lam, options=cfg.solve_options)
+    assert rep.newton > 1 and len(beta) == 1
+
+    other = lam + 0.5
+    b_u = disc.beta_mass(other)
+    assert len(beta) == 2 and disc.beta_mass(other.copy()) is b_u
+    want = disc.boundary_mass_weighted(
+        original(disc, disc.problem.beta, lam=other))
+    for field in ("data", "indices", "indptr"):
+        assert getattr(b_u, field).tobytes() == getattr(want, field).tobytes()
+    other += 1.0
+    assert disc.beta_mass(other) is not b_u and len(beta) == 3

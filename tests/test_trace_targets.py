@@ -1,4 +1,5 @@
-"""The names the benchmark's tracer wraps must exist in the package.
+"""The names the benchmark's tracer wraps must exist in the package, and
+its layer counts must see the calls they name.
 
 ``perfbench/spans.py`` rebinds the functions and methods in its ``TARGETS``
 table at run time, so a renamed or deleted target would only fail a traced
@@ -9,9 +10,10 @@ import inspect
 
 import pytest
 
-from ctrlstab import check_ssc
+from ctrlstab import (Discretization, SolveOptions, check_ssc,
+                      make_disk_mesh, solve_kkt)
 
-from conftest import load_spans
+from conftest import load_spans, make_spec
 
 SPANS = load_spans()
 
@@ -33,3 +35,24 @@ def test_ssc_span_reads_n_samples():
     bound = inspect.signature(check_ssc).bind(None, None)
     bound.apply_defaults()
     assert "n_samples" in bound.arguments
+
+
+def test_tracer_counts_planned_factorizations():
+    # a fine_sweep-style cold solve (h = y + y^3, pinned at every node)
+    # factorizes the state and the pinned operator, both with the triangle
+    # pattern's plan: the tracer counts each as fem.factor
+    disc = Discretization(make_spec(reaction="y + y^3"),
+                          make_disk_mesh(32, 0))
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        rep = solve_kkt(disc, disc.param_reference(),
+                        options=SolveOptions(tol=1e-9))
+    finally:
+        tracer.uninstall()
+    assert rep.pinned >= 1
+    assert tracer.summary("")["calls"]["fem.factor"] == 2
+    plan = disc.tables.tri_pattern.band_plan
+    assert sorted(disc._anchor) == [0.0, 1.0]
+    assert all(f._perm is plan.perm for f in disc._anchor.values())
