@@ -184,14 +184,10 @@ def test_non_finite_rhs_rejected(disc):
             solve_spd(k, b, factor=f)
 
 
-#: the two routes of a factorization: a matrix analyzed on its own, and a
-#: matrix of an assembly pattern factorized with the pattern's plan
-ROUTES = ("generic", "pattern")
-
-
 def _routed(route, a, cells):
-    """``(matrix, keywords)`` that factorize the CSR matrix ``a`` by
-    ``route``: ``a`` itself for ``"generic"``; for ``"pattern"``, ``a``'s
+    """``(matrix, keywords)`` that factorize the CSR matrix ``a`` by one of
+    the two routes of a factorization: for ``"generic"``, ``a`` itself,
+    analyzed on its own; for ``"pattern"``, ``a``'s
     values on the assembly pattern of the 2-node ``cells`` (a zero stored
     where ``a`` stores none), with that pattern."""
     if route == "generic":
@@ -212,14 +208,21 @@ def _grid_matrix(g=100):
     return a, np.column_stack([upper.row, upper.col])
 
 
-@pytest.mark.parametrize("route", ROUTES)
-def test_not_spd_rejected(route):
+def _check_not_spd_rejected(route):
     for entries, message in (([[1.0, 2.0], [0.0, 1.0]], "not symmetric"),
                              ([[1.0, 2.0], [2.0, 1.0]],
                               "not positive definite")):
         m, kw = _routed(route, sp.csr_matrix(np.array(entries)), [[0, 1]])
         with pytest.raises(NotSpdError, match=message):
             SpdFactorization(m, **kw)
+
+
+def test_not_spd_rejected():
+    _check_not_spd_rejected("generic")
+
+
+def test_not_spd_rejected_on_the_pattern_route():
+    _check_not_spd_rejected("pattern")
 
 
 def test_non_square_matrix_rejected():
@@ -236,18 +239,30 @@ def test_solve_spd_stops_at_non_positive_curvature():
         solve_spd(-eye, np.ones(3), factor=SpdFactorization(eye))
 
 
-@pytest.mark.parametrize("entries, count", [
+#: matrices with non-finite entries, and how many each holds
+NON_FINITE = pytest.mark.parametrize("entries, count", [
     ([[np.nan, 0.0], [0.0, 1.0]], 1),
     ([[1.0, np.nan], [np.nan, 1.0]], 2),
     ([[1.0, np.inf], [np.inf, 1.0]], 2),
 ], ids=["nan-diagonal", "nan-symmetric", "inf-symmetric"])
-@pytest.mark.parametrize("route", ROUTES)
-def test_non_finite_entry_rejected(entries, count, route):
+
+
+def _check_non_finite_entry_rejected(entries, count, route):
     # a NaN passes the symmetry test (NaN > tol is false), and so does a
     # symmetric pair of infs (inf - inf is NaN)
     m, kw = _routed(route, sp.csr_matrix(np.array(entries)), [[0, 1]])
     with pytest.raises(NotSpdError, match=f"has {count} non-finite entries"):
         SpdFactorization(m, **kw)
+
+
+@NON_FINITE
+def test_non_finite_entry_rejected(entries, count):
+    _check_non_finite_entry_rejected(entries, count, "generic")
+
+
+@NON_FINITE
+def test_non_finite_entry_rejected_on_the_pattern_route(entries, count):
+    _check_non_finite_entry_rejected(entries, count, "pattern")
 
 
 def test_multiple_rhs(disc):
@@ -260,8 +275,7 @@ def test_multiple_rhs(disc):
     assert float(np.max(np.abs(k @ x - b))) <= 1e-8
 
 
-@pytest.mark.parametrize("route", ROUTES)
-def test_band_over_budget_raises_before_allocation(route, monkeypatch):
+def _check_band_over_budget_raises_before_allocation(route, monkeypatch):
     monkeypatch.setattr(fem_mod, "_BAND_BUDGET", 0)
     # 5-point grid Laplacian plus identity: its band (101 x 10^4 doubles,
     # 8 MB) is several times the sparse matrix, so a traced peak below half
@@ -281,8 +295,16 @@ def test_band_over_budget_raises_before_allocation(route, monkeypatch):
     assert peak < need / 2
 
 
-@pytest.mark.parametrize("route", ROUTES)
-def test_band_is_factorized_in_place(route):
+def test_band_over_budget_raises_before_allocation(monkeypatch):
+    _check_band_over_budget_raises_before_allocation("generic", monkeypatch)
+
+
+def test_band_over_budget_raises_before_allocation_on_the_pattern_route(
+        monkeypatch):
+    _check_band_over_budget_raises_before_allocation("pattern", monkeypatch)
+
+
+def _check_band_is_factorized_in_place(route):
     # the same grid matrix within budget: the factorization holds one band
     # (8 MB), and its peak stays well below a band and a copy of it
     a, kw = _routed(route, *_grid_matrix())
@@ -296,6 +318,14 @@ def test_band_is_factorized_in_place(route):
     assert band <= peak < 1.5 * band
     x = f.solve(np.ones(a.shape[0]))
     assert float(np.max(np.abs(a @ x - 1.0))) <= 1e-10
+
+
+def test_band_is_factorized_in_place():
+    _check_band_is_factorized_in_place("generic")
+
+
+def test_band_is_factorized_in_place_on_the_pattern_route():
+    _check_band_is_factorized_in_place("pattern")
 
 
 @pytest.mark.parametrize("n_boundary,refinement", SETUP_MESHES)
