@@ -137,7 +137,7 @@ def _set_up(args, plan: bool = False) -> tuple:
     if args.tol is not None:
         cfg.solve_options = dataclasses.replace(cfg.solve_options, tol=args.tol)
     disc = build_discretization(cfg)
-    sweep = sweep_plan(cfg, disc, seed=args.seed) if plan else None
+    sweep = sweep_plan(cfg, disc) if plan else None
     lam = disc.param_reference()
     if getattr(args, "out", None):
         os.makedirs(args.out, exist_ok=True)
@@ -183,8 +183,7 @@ def cmd_verify(args) -> int:
 def cmd_ssc(args) -> int:
     cfg, disc, lam, _ = _set_up(args)
     report = solve_kkt(disc, lam, options=cfg.solve_options)
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    ssc = check_ssc(disc, report.point, n_samples=args.samples, rng=rng)
+    ssc = check_ssc(disc, report.point)
     _write_json(ssc.to_dict())
     if args.out:
         with open(os.path.join(args.out, "ssc.json"), "w") as fh:
@@ -223,26 +222,13 @@ def cmd_mesh_dump(args) -> int:
     return 0
 
 
-def _checked(name: str, cast, test, rule: str):
-    """An argparse type named ``name`` (argparse names it when ``cast``
-    fails): cast the text, and refuse a value that fails ``test`` with
-    ``rule``, formatted with the ``value`` and the ``text``."""
-    def convert(text):
-        value = cast(text)
-        if not test(value):
-            raise argparse.ArgumentTypeError(rule.format(value=value,
-                                                         text=text))
-        return value
-
-    convert.__name__ = name
-    return convert
-
-
-_sample_count = _checked("_sample_count", int, lambda n: n >= 100,
-                         "must be >= 100, got {value}")
-_seed = _checked("_seed", int, lambda n: n >= 0, "must be >= 0, got {value}")
-_tolerance = _checked("_tolerance", float, lambda x: 0.0 < x < np.inf,
-                      "must be > 0 and finite, got {text}")
+def _tolerance(text: str) -> float:
+    """The argparse type of ``--tol``: a positive, finite float."""
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be > 0 and finite, got {text}")
+    return value
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -252,15 +238,12 @@ def make_parser() -> argparse.ArgumentParser:
                     "solve, verify, second-order check, stability sweep.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out_help=None, seed=False, tol=True, quiet=True):
+    def common(p, out_help=None, tol=True, quiet=True):
         """Register the shared flags that the subcommand reads."""
         p.add_argument("--config", required=True,
                        help="instance file (INI)")
         if out_help:
             p.add_argument("--out", default=None, help=out_help)
-        if seed:
-            p.add_argument("--seed", type=_seed, default=None,
-                           help="random seed override (>= 0)")
         if tol:
             p.add_argument("--tol", type=_tolerance, default=None,
                            help="tolerance override (positive, finite)")
@@ -278,14 +261,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ssc", help="second-order condition estimators")
-    common(p, "directory for ssc.json", seed=True, quiet=False)
-    p.add_argument("--samples", type=_sample_count, default=200,
-                   help="directions to sample where a constraint pair is "
-                        "weakly active (>= 100); elsewhere none is needed")
+    common(p, "directory for ssc.json", quiet=False)
     p.set_defaults(func=cmd_ssc)
 
     p = sub.add_parser("sweep", help="parametric stability sweep")
-    common(p, "directory for sweep.csv and sweep.json", seed=True)
+    common(p, "directory for sweep.csv and sweep.json")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("mesh-dump", help="write the node/element file")

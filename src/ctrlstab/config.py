@@ -9,11 +9,13 @@ Sections and keys::
     [constraints] g_1 ... g_m           (consecutive indices from 1)
     [parameter]   lambda_bar
     [solver]      max_outer, tol, theta                     (all optional)
-    [sweep]       delta, t, seed, ssc_samples               (optional section)
+    [sweep]       delta, t                                  (optional section)
 
 The retired keys ``[sweep] warm_start`` and ``[solver] adaptive`` accept
 only ``true`` and ``false``: sweeps always warm-start, and a solve runs at
-one fixed damping factor.
+one fixed damping factor.  The retired keys ``[sweep] seed`` and
+``ssc_samples`` accept any value and are not read: the second-order check
+samples nothing.
 Coefficient values are expressions in the grammar of :mod:`ctrlstab.expr`;
 ``t`` is a whitespace- or comma-separated list of step sizes.  The sweep
 direction ``delta`` is normalized to sup-norm 1 at the mesh nodes.  Every
@@ -44,8 +46,6 @@ class ConfigError(ValueError):
 class SweepConfig:
     delta: Expr
     t_values: np.ndarray
-    seed: int
-    ssc_samples: int
 
 
 @dataclass
@@ -98,12 +98,14 @@ _KEYS = {
     "state": ("h",),
     "parameter": ("lambda_bar",),
     "solver": tuple(f.name for f in fields(SolveOptions)),
-    "sweep": ("delta", "t", "seed", "ssc_samples"),
+    "sweep": ("delta", "t"),
 }
 _SECTIONS = (*_KEYS, "constraints")
 
-#: retired keys by section, each with the only value it accepts
-_RETIRED = {"solver": {"adaptive": False}, "sweep": {"warm_start": True}}
+#: retired keys by section, each with the only value it accepts, or None
+#: for a key accepted with any value
+_RETIRED = {"solver": {"adaptive": False},
+            "sweep": {"warm_start": True, "seed": None, "ssc_samples": None}}
 
 
 def _reject_unknown(cp, section, known) -> None:
@@ -136,6 +138,8 @@ def parse_instance(path) -> InstanceConfig:
         retired = _RETIRED.get(section, {})
         _reject_unknown(cp, section, (*known, *retired))
         for key, only in retired.items():
+            if only is None:
+                continue
             try:
                 value = cp.getboolean(section, key, fallback=only)
             except ValueError:
@@ -213,13 +217,7 @@ def parse_instance(path) -> InstanceConfig:
         if bad:
             raise ConfigError(f"[sweep] delta: may only use x1, x2, s; "
                               f"found {sorted(bad)}")
-        sweep = SweepConfig(
-            delta=delta,
-            t_values=t_values,
-            seed=_number(cp, "sweep", "seed", int, fallback=0),
-            ssc_samples=_number(cp, "sweep", "ssc_samples", int,
-                                fallback=200),
-        )
+        sweep = SweepConfig(delta=delta, t_values=t_values)
     return InstanceConfig(problem=problem, n_boundary=n_boundary,
                           refinement=refinement, solve_options=options,
                           sweep=sweep, path=str(path))
@@ -234,8 +232,7 @@ def build_discretization(config: InstanceConfig) -> Discretization:
     return Discretization(config.problem, build_mesh(config))
 
 
-def sweep_plan(config: InstanceConfig, disc: Discretization,
-               seed: int | None = None) -> SweepPlan:
+def sweep_plan(config: InstanceConfig, disc: Discretization) -> SweepPlan:
     """Realize the [sweep] section on the mesh: evaluate delta at the
     boundary nodes and normalize it to sup-norm 1."""
     if config.sweep is None:
@@ -250,9 +247,7 @@ def sweep_plan(config: InstanceConfig, disc: Discretization,
                           "boundary node")
     delta = BoundaryFunction(disc.mesh, vals / sup)
     try:
-        return SweepPlan(delta=delta, t_values=config.sweep.t_values,
-                         seed=config.sweep.seed if seed is None else seed,
-                         ssc_samples=config.sweep.ssc_samples)
+        return SweepPlan(delta=delta, t_values=config.sweep.t_values)
     except SweepPlanError as exc:
         raise ConfigError(f"[sweep] {exc}") from exc
 

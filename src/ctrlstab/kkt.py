@@ -7,15 +7,14 @@ nodal values of e_i.  First-order checks: equation residuals
 (max norms), the half-line projection identity for the control, and the
 dominance partition: which constraint is largest at each boundary node,
 and by how much at the closest node (the margin sigma1).  Second
-order: two estimators for the minimum of the curvature form on the
-critical cone of controls u with linearized states T u, both on
-boundary-sized forms in the controls: the smallest reduced-Hessian
-eigenvalue on the strongly-active equality subspace, and the minimum of the
-curvature per unit size, exact by a one-parameter eigenvalue search where
-the cone is that subspace, and sampled from projected random directions
-where a weakly active pair makes it smaller.  Where every boundary node is
-pinned, the admission gates show the pinned operator is SPD, so that
-subspace is {0}, and neither ``T`` nor the forms are built.
+order: two values of the curvature form on the strongly-active equality
+subspace of controls u with linearized states T u, which contains the
+critical cone, both on boundary-sized forms in the controls: the smallest
+reduced-Hessian eigenvalue, and the minimum of the curvature per unit
+size by a one-parameter eigenvalue search, which is the cone's minimum
+wherever the subspace is the cone.  Where every boundary node is pinned,
+the admission gates show the pinned operator is SPD, so that subspace is
+{0}, and neither ``T`` nor the forms are built.
 """
 
 from __future__ import annotations
@@ -236,18 +235,8 @@ def projection_identity_gap(disc: Discretization, point: KktPoint) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: tolerance of the critical cone checks, relative to the direction size
-_CONE_TOL = 1e-8
-
-#: cap sweeps of the weak-inequality projection onto the critical cone
-_CONE_SWEEPS = 30
-
-#: entries of one control block (Nb, k) in the sampled estimator:
-#: 128 columns on the 64-node reference boundary, never fewer than one
-_BLOCK_FLOATS = 128 * 64
-
-#: eigen-solves of the exact search of :func:`_pencil_minimum` before
-#: ``check_ssc`` gives up on it and samples instead
+#: eigen-solves of the search of :func:`_pencil_minimum`; a search that
+#: has not closed after them returns the value of its last solve
 _BRACKET_MAX_SOLVES = 60
 
 
@@ -448,26 +437,25 @@ def _activity_tolerance(u: np.ndarray) -> float:
 
 
 class _ConeGeometry(_ReducedForms):
-    """Active-set data and the reduced forms shared by both estimators.
+    """The strong pairs at ``point`` and the reduced forms that
+    :func:`check_ssc` reads.
 
-    A critical direction is a control ``u`` with linearized state ``T u``;
-    every method reads it through the (Nb, Nb) forms of
-    :class:`_ReducedForms`, so a sample costs O(Nb^2), not O(V).  The
-    sampling methods act on control blocks (Nb, k).
+    A pair (constraint, node) is active where the constraint is within
+    ``eps_act`` of binding, and strong where it also carries a multiplier
+    above ``eps_act``.  The critical cone lies in the subspace of controls
+    ``u`` whose linearized constraints ``g_y (Tb u) + u`` vanish at every
+    strong pair; an active pair that is not strong (weak) would cut it to
+    a part of that subspace.
     """
 
     def __init__(self, disc: Discretization, point: KktPoint):
         _require_multipliers(disc, point)
         super().__init__(disc, point)
         u = point.control.values
-        lam = point.param.values
-        self.eps_act = _activity_tolerance(u)
-        slack = constraint_values(disc, point.state.values, lam) + u  # <= 0
-        self.active = slack >= -self.eps_act  # (m, Nb)
-        self.mult = point.multipliers
-        self.mult_scale = float(np.max(self.mult, initial=0.0))
-        self.strong = self.active & (self.mult > self.eps_act)
-        self.weak = self.active & ~self.strong
+        eps_act = _activity_tolerance(u)
+        slack = constraint_values(disc, point.state.values,
+                                  point.param.values) + u  # <= 0
+        self.strong = (slack >= -eps_act) & (point.multipliers > eps_act)
 
     @functools.cached_property
     def gy(self) -> np.ndarray:
@@ -531,105 +519,11 @@ class _ConeGeometry(_ReducedForms):
         w = _reaction_y(self.disc, self.point.state.values)
         return c is not None and c >= 0.0 and bool(np.min(w) >= 0.0)
 
-    def project(self, seeds: np.ndarray) -> np.ndarray:
-        """Project control seeds (Nb, k) into the discrete critical cone.
-
-        The strong equalities are enforced exactly by restricting to their
-        nullspace basis; the remaining weakly active inequalities are handled
-        by alternating the cap ``u <= -g_y Tb u`` with re-projection onto the
-        subspace.  Each column stops at the first sweep whose cap moves it
-        by at most ``1e-14 (1 + max|u|)``, or after ``_CONE_SWEEPS`` sweeps.
-        Returns the controls (Nb, k).
-        """
-        z = self.z_mat
-        u = z @ (z.T @ seeds)
-        weak = self.weak[:, :, None]
-        if weak.any():
-            gy = self.gy[:, :, None]
-            live = np.arange(u.shape[1])
-            for _ in range(_CONE_SWEEPS):
-                u_live = u[:, live]
-                bound = np.min(np.where(weak, -gy * (self.t_bnd @ u_live),
-                                        math.inf), axis=0)
-                u_new = np.minimum(u_live, bound)
-                done = (np.max(np.abs(u_new - u_live), axis=0)
-                        <= 1e-14 * (1.0 + np.max(np.abs(u_live), axis=0)))
-                live = live[~done]
-                if live.size == 0:
-                    break
-                u[:, live] = z @ (z.T @ u_new[:, ~done])
-        return u
-
-    def size(self, u: np.ndarray) -> np.ndarray:
-        """Per column ``||u||_L2bnd + ||T u||_L2dom``, from ``M_bb`` and
-        ``T^T M T``."""
-        norms = [np.sqrt(np.maximum(np.sum(u * (mass @ u), axis=0), 0.0))
-                 for mass in self.masses]
-        return norms[0] + norms[1]
-
-    def value(self, u: np.ndarray) -> np.ndarray:
-        """Per column curvature ``Q(T u, u) = u^T H u``."""
-        return np.sum(u * (self.hess @ u), axis=0)
-
-    def admissible(self, u: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        """Check (iii) on active nodes and first-order criticality, per
-        column (``scale`` holds one value per column).
-
-        Criticality is the nodal complementarity product: each multiplier
-        weight must sit where the linearized constraint is tight.  (The
-        quadrature pairing <grad J, d> is not a valid substitute here: on
-        edges joining a strongly active node to an inactive one it picks up
-        an interpolation cross term of order h^2 that never vanishes.)
-        Without an active pair or a nonzero multiplier there is nothing to
-        check, and every column passes.
-        """
-        if not (self.active.any() or self.mult.any()):
-            return np.ones(u.shape[1], dtype=bool)
-        lin = self.gy[:, :, None] * (self.t_bnd @ u) + u  # (m, Nb, k)
-        viol = np.max(np.where(self.active[:, :, None], lin, -math.inf),
-                      axis=(0, 1), initial=-math.inf)
-        defect = np.max(np.abs(self.mult[:, :, None] * lin), axis=(0, 1),
-                        initial=0.0)
-        return ((viol <= _CONE_TOL * scale)
-                & (defect <= _CONE_TOL * scale * (1.0 + self.mult_scale)))
-
-
-def _critical_blocks(cone: _ConeGeometry, n: int,
-                     rng: np.random.Generator):
-    """Yield the accepted unit controls as blocks (Nb, k), in sample order.
-
-    Seeds are drawn ``k`` at a time with ``rng.standard_normal((k, Nb))``,
-    the same stream as ``k`` draws of one seed each, so the result does not
-    depend on ``k``.  A seed whose projection fails the cone checks is
-    retried flipped; if that fails too, the sample is dropped.
-    """
-    nb = cone.disc.mesh.n_boundary
-    width = max(1, _BLOCK_FLOATS // nb)
-    for start in range(0, n, width):
-        seeds = rng.standard_normal((min(width, n - start), nb)).T
-        u, size, ok = _finish_block(cone, seeds)
-        retry = np.flatnonzero(~ok)
-        if retry.size:
-            u[:, retry], size[retry], ok[retry] = \
-                _finish_block(cone, -seeds[:, retry])
-        yield u[:, ok] / size[ok]
-
-
-def _finish_block(cone: _ConeGeometry, seeds: np.ndarray) -> tuple:
-    """Project seed columns and run the cone checks: ``(U, size, ok)`` with
-    ``ok`` marking the columns that pass."""
-    u = cone.project(seeds)
-    size = cone.size(u)
-    ok = size > 1e-12 * (1.0 + np.max(np.abs(seeds), axis=0))
-    return u, size, ok & cone.admissible(u, size)
-
 
 def _pencil_minimum(h_z: np.ndarray, m_z: np.ndarray, n_z: np.ndarray):
     """Minimum over coefficient vectors ``c`` of
     ``v(c) = c^T h_z c / (|c|_m + |c|_n)^2``, with ``|c|_m^2 = c^T m_z c``
-    (``m_z`` SPD) and ``|c|_n^2 = c^T n_z c`` (``n_z`` PSD): ``(value, c)``,
-    or None when the search has not closed within ``_BRACKET_MAX_SOLVES``
-    eigen-solves.
+    (``m_z`` SPD) and ``|c|_n^2 = c^T n_z c`` (``n_z`` PSD).
 
     For ``a, b >= 0``, ``(a + b)^2`` is the minimum over ``theta`` in
     (0, 1) of ``a^2/theta + b^2/(1 - theta)``, taken at
@@ -656,8 +550,16 @@ def _pencil_minimum(h_z: np.ndarray, m_z: np.ndarray, n_z: np.ndarray):
     and bisects otherwise.
     ``a/(a + b) > theta`` says that ``mu`` moves away from zero to the
     right, whatever its sign, so the bracket keeps the stationary point.
-    The search stops once ``|v(c) - mu| <= 1e-10 (1 + |mu|)`` and returns
-    the smaller of the two.
+    The search stops once ``|v(c) - mu| <= 1e-10 (1 + |mu|)``, or after
+    ``_BRACKET_MAX_SOLVES`` solves, and returns the smaller of the two at
+    its last solve.  Every solve's metric has ``a^2/theta + b^2/(1 - theta)
+    = 1``, so ``(a + b)^2 <= 1``: an unclosed search returns ``mu``, a
+    lower bound of the minimum, where ``mu > 0``, and otherwise
+    ``v(c) <= mu``, an attained value.  A pencil whose generalized
+    eigenvalues ``(h_z, m_z + n_z)`` all coincide can take every solve
+    without closing: ``mu(1/2)`` is then the minimum, but ``v(c)`` meets
+    it only at a ``c`` with ``a = b``, which the eigensolver need not
+    return.
     """
     d, w = scipy.linalg.eigh(n_z, m_z)
     d = np.maximum(d, 0.0)
@@ -672,7 +574,7 @@ def _pencil_minimum(h_z: np.ndarray, m_z: np.ndarray, n_z: np.ndarray):
         b = math.sqrt(float(np.sum(d * c * c)))
         v = mu / (a + b) ** 2
         if abs(v - mu) <= 1e-10 * (1.0 + abs(mu)):
-            return min(v, mu), w @ c
+            break
         t = a / (a + b)
         if t > theta:
             lo = theta
@@ -681,24 +583,7 @@ def _pencil_minimum(h_z: np.ndarray, m_z: np.ndarray, n_z: np.ndarray):
         widths.append(hi - lo)
         halving = widths[-1] <= 0.5 * widths[-3]
         theta = t if lo < t < hi and halving else 0.5 * (lo + hi)
-    return None
-
-
-def _exact_minimum(cone: _ConeGeometry, h_z: np.ndarray, m_z: np.ndarray,
-                   n_z: np.ndarray):
-    """Minimum of the sampled quantity ``u^T H u / size(u)^2`` over the
-    strong-equality subspace, by :func:`_pencil_minimum` in the coordinates
-    of ``z_mat`` (``h_z = Z^T H Z``, ``m_z = Z^T M_bb Z``,
-    ``n_z = Z^T T^T M T Z``), where its direction passes the cone checks,
-    so that the subspace's minimum is the cone's.  None where the search
-    does not close or the direction fails them (a point with a multiplier
-    off its strong pairs)."""
-    found = _pencil_minimum(h_z, m_z, n_z)
-    if found is None:
-        return None
-    value, c = found
-    u = cone.z_mat @ c[:, None]
-    return value if cone.admissible(u, cone.size(u))[0] else None
+    return min(v, mu)
 
 
 def _safe(x):
@@ -712,16 +597,17 @@ class SscReport:
     """Second-order check summary.
 
     ``min_rayleigh``: smallest curvature per unit size,
-    ``u^T H u / (||u|| + ||T u||)^2``, over the critical directions: exact
-    (the lower end of a closed bracket) where no constraint pair is weakly
-    active, else the sampled minimum; inf when the cone is numerically
-    trivial.  ``n_samples``: 1 on the exact path (its minimizing
-    direction); on the sampled path, the accepted sampled directions, plus
-    one for the subspace eigen-direction when that direction is
-    admissible; 0 on a trivial cone.  ``subspace_min_eig``: smallest
-    eigenvalue of the reduced Hessian on the strongly-active equality
-    subspace, in the metric ``||u||^2 + ||y(u)||^2``.  ``positive`` holds
-    when both estimators are strictly positive.
+    ``u^T H u / (||u|| + ||T u||)^2``, over the strongly-active equality
+    subspace ``Z``, by the search of :func:`_pencil_minimum`: the lower end
+    of its bracket, or an attained value where that is not positive; inf
+    when ``Z`` is numerically trivial.  It is the minimum over the critical
+    cone wherever the cone is ``Z`` (no weakly active pair) or half of it
+    (one weak pair: the quotient is even in ``u``), and a lower bound of
+    that minimum elsewhere where it is positive.  ``n_samples``: 1 where
+    the search ran (its one direction), 0 on a trivial ``Z``.
+    ``subspace_min_eig``: smallest eigenvalue of the reduced Hessian on
+    ``Z``, in the metric ``||u||^2 + ||y(u)||^2``.  ``positive`` holds when
+    both are strictly positive; the two have the same sign.
     """
 
     min_rayleigh: float
@@ -742,21 +628,18 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
               rng: np.random.Generator | None = None) -> SscReport:
     """Estimate the minimum of the curvature form over the critical cone.
 
-    Two estimators, both on the strongly-active equality subspace ``Z``.
-    The subspace one is the smallest reduced-Hessian eigenvalue on ``Z``
-    via a shifted inverse power iteration.  The other is the minimum of the
-    curvature per unit size, ``u^T H u / (||u|| + ||T u||)^2``, over the
-    critical cone.  Where no constraint pair is weakly active the cone is
-    ``Z``, and that minimum is computed exactly by a one-parameter
-    eigenvalue search (:func:`_pencil_minimum`), with ``n_samples = 1``;
-    where the eigenvalue is positive, it lies between half of it and it.
-    Where a pair is weakly active, or the search does not close within
-    ``_BRACKET_MAX_SOLVES`` eigen-solves, or its direction fails the cone
-    checks, it is sampled instead: ``n_samples`` projected random
-    directions, enriched with the subspace eigen-direction when that
-    direction is itself admissible.  A direction is in the cone when its
-    linearized constraints and complementarity defect stay within
-    ``_CONE_TOL`` times its size.
+    Two estimators, both on the strongly-active equality subspace ``Z``,
+    which contains the critical cone.  The subspace one is the smallest
+    reduced-Hessian eigenvalue on ``Z`` via a shifted inverse power
+    iteration.  The other is the minimum of the curvature per unit size,
+    ``u^T H u / (||u|| + ||T u||)^2``, over ``Z``, by a one-parameter
+    eigenvalue search (:func:`_pencil_minimum`) that ends within
+    ``_BRACKET_MAX_SOLVES`` eigen-solves.  Its value has the eigenvalue's
+    sign at every solve, and where the search closes on a positive value,
+    that value lies between half of the eigenvalue and the eigenvalue.  So
+    ``positive`` is the sign of the curvature on ``Z``: the second-order
+    condition wherever ``Z`` is the cone, and a sufficient one elsewhere.
+    See :class:`SscReport` for where the value is the cone's minimum.
 
     Both read the boundary-sized forms of ``_ConeGeometry``: a
     direction's value is ``u^T H u``, ``H = T^T A_y T + B_u`` (the integral
@@ -775,12 +658,9 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
     factorized; the anchor of ``c`` only preconditions conjugate
     gradients.
 
-    ``rng`` (default ``default_rng(0)``) is drawn from only where the
-    sampler runs: in blocks of controls, keeping only a running minimum
-    and a count, in the same order as one seed per sample, so a seeded
-    report does not depend on the block width.  On the exact path and on a
-    trivial cone it is left untouched.  Raises ``ValueError`` unless the
-    point carries one multiplier per constraint.
+    ``n_samples`` and ``rng`` are accepted and not read: nothing is
+    sampled, and ``rng`` is left untouched.  Raises ``ValueError`` unless
+    the point carries one multiplier per constraint.
 
     The curvature operator skips the terms that fold to zero (see
     :func:`_curvature_operator`), and the inverse iteration factorizes and
@@ -847,33 +727,11 @@ def check_ssc(disc: Discretization, point: KktPoint, n_samples: int = 200,
                     pass
     sub_min = rq
 
-    # no weak pair: the cone is the subspace, and its minimum is exact
-    min_rayleigh = None if cone.weak.any() else _exact_minimum(
-        cone, a_red, m_z, n_z)
-    n_accepted = 1  # the exact minimum's direction
-    if min_rayleigh is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        n_accepted = 0
-        min_rayleigh = math.inf
-        for u in _critical_blocks(cone, n_samples, rng):
-            if u.shape[1]:
-                n_accepted += u.shape[1]
-                min_rayleigh = min(min_rayleigh,
-                                   float(np.min(cone.value(u))))
-        # the eigen-direction is a legal sample whenever it lies in the cone
-        u_eig = z_mat @ (scipy.linalg.solve_triangular(
-            chol_b, x[:, None], lower=True, trans="T"))
-        size = cone.size(u_eig)
-        if size[0] > 1e-12 and cone.admissible(u_eig, size)[0]:
-            n_accepted += 1
-            min_rayleigh = min(min_rayleigh,
-                               float(cone.value(u_eig / size)[0]))
-
+    min_rayleigh = _pencil_minimum(a_red, m_z, n_z)
     positive = (min_rayleigh > 0.0) and (sub_min > 0.0)
     return SscReport(min_rayleigh=float(min_rayleigh),
                      subspace_min_eig=float(sub_min),
-                     n_samples=n_accepted, n_strong=n_strong,
+                     n_samples=1, n_strong=n_strong,
                      positive=positive)
 
 

@@ -4,9 +4,8 @@ Everything here deliberately avoids the package's own assembly and solver
 paths: dense Gaussian elimination instead of the banded Cholesky, a 1-D
 finite-volume radial solver instead of the 2-D triangulation, a power-series
 Bessel evaluation instead of any library special function, a quasi-Newton
-penalty minimizer instead of the KKT fixed-point iteration, a
-direction-at-a-time critical cone sampler with a quadrature curvature form
-instead of the blocked sampler over the assembled curvature operator, a
+penalty minimizer instead of the KKT fixed-point iteration, a quadrature
+curvature form instead of the assembled curvature operator, a
 control-to-state map by dense elimination and a null space by
 ``scipy.linalg.null_space`` instead of the band solve and the pinned-point
 certificate, a grid of full generalized eigenproblems for the critical-cone
@@ -45,7 +44,6 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from ctrlstab.fem import (_EDGE_PRODUCTS, _TRI_PRODUCTS, EDGE_BASIS,
                           TRI_BASIS, BoundaryFunction, FeFunction,
                           nodal_values, norm)
-from ctrlstab.kkt import _CONE_SWEEPS, _CONE_TOL
 from ctrlstab.pde import solve_adjoint, solve_state
 from ctrlstab.solver import _NEWTON_TOL, objective_value
 
@@ -332,69 +330,6 @@ def subspace_minimum_grid(disc, point):
         grid = np.linspace(max(grid[best] - step, 1e-13),
                            min(grid[best] + step, 1.0 - 1e-13), 21)
         step = grid[1] - grid[0]
-
-
-def project_one(cone, u):
-    """Project one control seed into the discrete critical cone described by
-    ``cone`` (a ``ctrlstab.kkt._ConeGeometry``), one vector at a time.
-
-    Returns ``(y, u, n_sweeps)``, where ``n_sweeps`` counts the cap sweeps
-    run before the cap stopped moving ``u`` (0 without weak nodes).
-    """
-    disc = cone.disc
-    z = cone.z_mat
-    if z.shape[1] == 0:
-        return np.zeros(disc.mesh.n_vertices), np.zeros_like(u), 0
-    u = z @ (z.T @ u)
-    y = cone.t_mat @ u
-    weak = cone.active & ~cone.strong
-    n_sweeps = 0
-    if weak.any():
-        for _ in range(_CONE_SWEEPS):
-            n_sweeps += 1
-            yb = disc.trace(y)
-            bound = np.min(np.where(weak, -cone.gy * yb, math.inf), axis=0)
-            u_new = np.minimum(u, bound)
-            if np.max(np.abs(u_new - u)) <= 1e-14 * (1.0 + np.max(np.abs(u))):
-                break
-            u = z @ (z.T @ u_new)
-            y = cone.t_mat @ u
-    return y, u, n_sweeps
-
-
-def _admissible_one(cone, y, u, scale):
-    lin = cone.gy * cone.disc.trace(y) + u
-    viol = np.where(cone.active, lin, -math.inf)
-    if float(np.max(viol, initial=-math.inf)) > _CONE_TOL * scale:
-        return False
-    defect = float(np.max(np.abs(cone.mult * lin), initial=0.0))
-    return defect <= _CONE_TOL * scale * (1.0 + cone.mult_scale)
-
-
-def _finish_one(cone, seed):
-    disc = cone.disc
-    y, u, _ = project_one(cone, seed.copy())
-    size = disc.l2_boundary(u) + norm(FeFunction(disc.mesh, y), "l2")
-    if size <= 1e-12 * (1.0 + float(np.max(np.abs(seed)))):
-        return None
-    if not _admissible_one(cone, y, u, size):
-        return None
-    return y / size, u / size
-
-
-def sample_directions_one_by_one(cone, n, rng):
-    """Critical directions drawn, projected and checked one seed at a time,
-    the flipped seed retried on rejection; returns ``[(y, u), ...]`` of unit
-    size (quadrature norms) in sample order."""
-    out = []
-    for _ in range(n):
-        seed = rng.standard_normal(cone.disc.mesh.n_boundary)
-        direction = _finish_one(cone, seed)
-        if direction is None:
-            direction = _finish_one(cone, -seed)
-        if direction is not None:
-            out.append(direction)
-    return out
 
 
 def damped_solve_kkt(disc, lam, u0=None, options=None):

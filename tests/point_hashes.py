@@ -16,7 +16,8 @@ of the tree whose ``src/`` is imported.  ``record`` runs, for one file:
   each resumes from the whole last point the discretization keeps (none
   without a sweep);
 * ``ssc``: ``check_ssc`` at the cold point with ``default_rng([0, 0])`` and
-  the file's ``ssc_samples`` (200 when the file sets none);
+  the file's ``ssc_samples`` where the tree's sweep config still has that
+  field, else 200 (also for a file without a sweep);
 * ``chain``: on a new discretization, in the order of ``run_sweep`` and of
   the benchmark's jobs, the cold solve, ``check_ssc`` at its point (as for
   ``ssc``) and then the warm chain (as for ``warm``), so that what the
@@ -232,7 +233,7 @@ def record(cs, path: Path) -> dict:
     first discretization and the expression evaluations of each group, with
     ``cs`` the imported ``ctrlstab``; the cold solves must succeed."""
     cfg = cs.parse_instance(path)
-    n_samples = cfg.sweep.ssc_samples if cfg.sweep is not None else 200
+    n_samples = getattr(cfg.sweep, "ssc_samples", 200)
     disc = cs.build_discretization(cfg)
     setup = _setup(cs, disc)
     with _counting(cs) as taken:

@@ -1,19 +1,15 @@
 """Instance-file and command-line paths beside ``tests/test_config_cli.py``:
-malformed files and defaulted keys, an unreadable point file, a valid
-``--seed``, and sweeps whose distance columns leave an exponent
-undetermined."""
+malformed files and defaulted keys, an unreadable point file, and sweeps
+whose distance columns leave an exponent undetermined."""
 
 import json
 
-import numpy as np
 import pytest
 
-from ctrlstab import (ConfigError, build_discretization, check_ssc,
-                      parse_instance, solve_kkt)
-from ctrlstab import cli
+from ctrlstab import ConfigError, parse_instance
 from ctrlstab.cli import main
 
-from test_config_cli import MIXED, SWEEP_SMALL, write_ini
+from test_config_cli import SWEEP_SMALL, write_ini
 
 
 def test_duplicate_section_is_config_error(tmp_path):
@@ -38,11 +34,9 @@ def test_non_numeric_step_size_is_named(tmp_path):
 
 def test_optional_keys_take_their_defaults(tmp_path):
     path = write_ini(tmp_path / "i.ini", sweep=SWEEP_SMALL,
-                     drop=("domain.refinement", "domain.r", "sweep.seed",
-                           "sweep.ssc_samples"))
+                     drop=("domain.refinement", "domain.r"))
     cfg = parse_instance(path)
     assert (cfg.refinement, cfg.problem.r) == (0, 3.0)
-    assert (cfg.sweep.seed, cfg.sweep.ssc_samples) == (0, 200)
 
 
 def test_verify_of_an_unreadable_point_exits_2(tmp_path, capsys):
@@ -51,38 +45,6 @@ def test_verify_of_an_unreadable_point_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", cfg, "--point", str(point)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {point}")
-
-
-def test_ssc_seed_is_the_rng_seed(tmp_path, capsys, monkeypatch):
-    # check_ssc is handed the generator seeded with --seed; on this mixed
-    # active set it draws nothing (no pair is weakly active)
-    path = write_ini(tmp_path / "inst.ini", constraints=MIXED)
-    states = []
-
-    def recording(disc, point, n_samples, rng):
-        states.append(rng.bit_generator.state)
-        return check_ssc(disc, point, n_samples=n_samples, rng=rng)
-
-    monkeypatch.setattr(cli, "check_ssc", recording)
-    assert main(["ssc", "--config", path, "--samples", "100",
-                 "--seed", "7"]) == 0
-    printed = json.loads(capsys.readouterr().out)
-    assert states == [np.random.default_rng(7).bit_generator.state]
-    cfg = parse_instance(path)
-    disc = build_discretization(cfg)
-    rep = solve_kkt(disc, disc.param_reference(), options=cfg.solve_options)
-    ssc = check_ssc(disc, rep.point, n_samples=100,
-                    rng=np.random.default_rng(7))
-    assert ssc.n_samples > 0
-    assert printed == ssc.to_dict()
-
-
-def test_sweep_seed_is_written(tmp_path, capsys):
-    cfg = write_ini(tmp_path / "inst.ini", sweep=SWEEP_SMALL)
-    out = tmp_path / "sw"
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--seed", "7",
-                 "--quiet"]) == 0
-    assert json.loads((out / "sweep.json").read_text())["seed"] == 7
 
 
 def test_sweep_with_three_successful_rows_exits_3(tmp_path, capsys):

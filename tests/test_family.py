@@ -63,7 +63,7 @@ def _outcome(i: int) -> dict:
            "ssc": cs.check_ssc(disc, rep.point),
            "kind": _kind(disc, rep.point)}
     delta = cs.BoundaryFunction(disc.mesh, np.ones(disc.mesh.n_boundary))
-    plan = cs.SweepPlan(delta=delta, t_values=T_VALUES, ssc_samples=100)
+    plan = cs.SweepPlan(delta=delta, t_values=T_VALUES)
     out["rows"] = cs.run_sweep(disc, plan, options=OPTIONS).rows
     return out
 

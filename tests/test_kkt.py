@@ -3,7 +3,6 @@ partition on closed-form examples, multiplier recovery identities, the
 half-line projection, and both second-order estimators."""
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,16 +16,15 @@ from ctrlstab import (AdmissionError, BoundaryFunction, Discretization,
                       quadratic_form, recover_multipliers, solve_kkt)
 from ctrlstab import fem as fem_mod
 from ctrlstab import kkt
-from ctrlstab.kkt import (_BLOCK_FLOATS, _BRACKET_MAX_SOLVES, _ConeGeometry,
-                          _critical_blocks, check_beta_floor,
-                          constraint_values, residuals)
+from ctrlstab.kkt import (_BRACKET_MAX_SOLVES, _ConeGeometry,
+                          check_beta_floor, constraint_values, residuals)
 from ctrlstab.pde import linearized_operator
 from ctrlstab.solver import SolveOptions, objective_value
 
 import oracles
 from conftest import CONFIG_DIR, make_spec
-from oracles import (partition_margin, project_one, quadrature_curvature,
-                     sample_directions_one_by_one, strong_equality_nullspace,
+from oracles import (dense_control_to_state, partition_margin,
+                     quadrature_curvature, strong_equality_nullspace,
                      subspace_minimum_grid, vertex_boundary_load,
                      vertex_boundary_mass)
 
@@ -43,12 +41,18 @@ def _zero_point(disc, m=None):
         param=BoundaryFunction(mesh, np.zeros(nb)))
 
 
-def _critical_directions(disc, point, n, rng):
-    """The unit directions ``(T u, u)`` that the sampler of ``check_ssc``
-    accepts, in sample order."""
+def _unit(disc, y, u):
+    """``(y, u)`` scaled to unit size ``||u||_L2bnd + ||y||_L2dom``."""
+    size = disc.l2_boundary(u) + norm(FeFunction(disc.mesh, y), "l2")
+    return y / size, u / size
+
+
+def _subspace_directions(disc, point, n, rng):
+    """``n`` unit directions ``(T u, u)`` of the strong-equality subspace
+    that ``check_ssc`` searches: ``u = Z c`` for normal random ``c``."""
     cone = _ConeGeometry(disc, point)
-    return [(y, u) for us in _critical_blocks(cone, n, rng)
-            for y, u in zip((cone.t_mat @ us).T, us.T)]
+    us = cone.z_mat @ rng.standard_normal((cone.z_mat.shape[1], n))
+    return [_unit(disc, y, u) for y, u in zip((cone.t_mat @ us).T, us.T)]
 
 
 def _random_point(disc, rng):
@@ -404,7 +408,7 @@ def test_critical_directions_satisfy_cone_conditions(mixed_active_solved):
     disc, rep = mixed_active_solved
     point = rep.point
     rng = np.random.default_rng(6)
-    dirs = _critical_directions(disc, point, 20, rng)
+    dirs = _subspace_directions(disc, point, 20, rng)
     assert len(dirs) > 0
     from ctrlstab.pde import linearized_operator
     op = linearized_operator(disc, point.state.values)
@@ -779,100 +783,6 @@ def _weakly_active_point(mixed_active_solved):
     return disc, weak
 
 
-@pytest.mark.parametrize("case", ["mixed_active", "double_well",
-                                  "weakly_active"])
-def test_block_sampler_matches_one_by_one_reference(case,
-                                                    mixed_active_solved):
-    if case == "mixed_active":
-        disc, point = mixed_active_solved[0], mixed_active_solved[1].point
-    elif case == "double_well":
-        disc, point = _double_well_point()
-    else:
-        disc, point = _weakly_active_point(mixed_active_solved)
-    n = 300
-    cone = _ConeGeometry(disc, point)
-    ref = sample_directions_one_by_one(cone, n, np.random.default_rng(4))
-    ref_values = [quadrature_curvature(disc, point, y, u) for y, u in ref]
-    assert len(ref) > 0
-
-    dirs = _critical_directions(disc, point, n, np.random.default_rng(4))
-    assert len(dirs) == len(ref)
-    for (y, u), (y_ref, u_ref) in zip(dirs, ref):
-        assert np.allclose(y, y_ref, rtol=0.0, atol=1e-12)
-        assert np.allclose(u, u_ref, rtol=0.0, atol=1e-12)
-
-    rep = check_ssc(disc, point, n_samples=n, rng=np.random.default_rng(4))
-    if case != "weakly_active":
-        # no weak pair: the cone is the strong-equality subspace, and
-        # check_ssc takes its exact minimum instead of sampling
-        assert rep.n_samples == 1
-        assert rep.min_rayleigh <= min(ref_values)
-        return
-    # the eigen-direction alone: what check_ssc adds to the samples
-    eig = check_ssc(disc, point, n_samples=0)
-    assert rep.n_samples == len(ref) + eig.n_samples
-    expected = min(min(ref_values), eig.min_rayleigh)
-    assert abs(rep.min_rayleigh - expected) <= 1e-12 * abs(expected)
-    # the eigen-direction is not admissible here, so the minimum is the
-    # sampled one
-    assert eig.n_samples == 0
-
-
-def test_flipped_seed_retry_matches_one_by_one_reference(mixed_active_solved,
-                                                        monkeypatch):
-    # no shipped instance rejects a seed whose flip is admitted, so force
-    # it: a direction whose first node is positive fails admission, in the
-    # block checks and the one-by-one reference alike.  The projection is
-    # linear here (no weak node), so the flip of a rejected seed passes
-    disc, solved = mixed_active_solved
-    point = solved.point
-    admissible = _ConeGeometry.admissible
-    admissible_one = oracles._admissible_one
-    monkeypatch.setattr(_ConeGeometry, "admissible",
-                        lambda self, u, scale:
-                        admissible(self, u, scale) & (u[0] <= 0.0))
-    monkeypatch.setattr(oracles, "_admissible_one",
-                        lambda cone, y, u, scale:
-                        admissible_one(cone, y, u, scale) and u[0] <= 0.0)
-    blocks = []
-    finish_block = kkt._finish_block
-
-    def recorded(cone, seeds):
-        u, size, ok = finish_block(cone, seeds)
-        blocks.append(int(np.sum(ok)))
-        return u, size, ok
-
-    monkeypatch.setattr(kkt, "_finish_block", recorded)
-    n = 300
-    nb = disc.mesh.n_boundary
-    cone = _ConeGeometry(disc, point)
-    assert not (cone.active & ~cone.strong).any()
-    ref = sample_directions_one_by_one(cone, n, np.random.default_rng(4))
-    assert len(ref) > 0
-    assert all(u[0] <= 0.0 for _, u in ref)
-
-    rng = np.random.default_rng(4)
-    dirs = _critical_directions(disc, point, n, rng)
-    width = max(1, _BLOCK_FLOATS // nb)
-    n_blocks = -(-n // width)
-    # every block retried some columns, and some flipped seeds passed
-    assert len(blocks) == 2 * n_blocks
-    assert sum(blocks[1::2]) > 0
-    assert len(dirs) == len(ref) == sum(blocks)
-    for (y, u), (y_ref, u_ref) in zip(dirs, ref):
-        assert np.allclose(y, y_ref, rtol=0.0, atol=1e-12)
-        assert np.allclose(u, u_ref, rtol=0.0, atol=1e-12)
-    # the retry draws nothing: the stream goes on as after n seeds
-    after = np.random.default_rng(4)
-    after.standard_normal((n, nb))
-    assert rng.standard_normal() == after.standard_normal()
-
-    # no weak pair: check_ssc's minimum undercuts every sample
-    rep = check_ssc(disc, point, n_samples=n, rng=np.random.default_rng(4))
-    assert rep.min_rayleigh <= min(quadrature_curvature(disc, point, y, u)
-                                   for y, u in ref)
-
-
 @pytest.mark.parametrize("case", ["near_degenerate", "mixed_active",
                                   "concave"])
 def test_exact_minimum_matches_dense_oracle(case, mixed_active_solved):
@@ -893,87 +803,16 @@ def test_exact_minimum_matches_dense_oracle(case, mixed_active_solved):
         assert rep.min_rayleigh <= value + 1e-12 * value
     if case == "near_degenerate":
         assert eigenvalues[1] - lam < 1e-3 * lam
-    # no direction of the cone goes below the minimum
-    ref = sample_directions_one_by_one(_ConeGeometry(disc, point), 200,
-                                       np.random.default_rng(5))
-    assert len(ref) == 200
-    assert min(quadrature_curvature(disc, point, y, u)
-               for y, u in ref) >= value
+    # no direction of the cone, here the strong-equality subspace, goes
+    # below the minimum
+    z = strong_equality_nullspace(disc, point)
+    t_map = dense_control_to_state(disc, point.state.values)
+    for c in np.random.default_rng(5).standard_normal((200, z.shape[1])):
+        y, u = _unit(disc, t_map @ (z @ c), z @ c)
+        assert quadrature_curvature(disc, point, y, u) >= value
     # a^2 + b^2 <= (a + b)^2 <= 2 (a^2 + b^2) puts the minimum between the
     # subspace eigenvalue lam and lam/2: the benchmark's gate
     assert min(lam, 0.5 * lam) <= rep.min_rayleigh <= max(lam, 0.5 * lam)
-
-
-@pytest.mark.parametrize("case", ["pinned", "subspace", "weakly_active"])
-def test_check_ssc_draws_only_where_it_samples(case, cubic_pinned,
-                                               mixed_active_solved):
-    # the {0} cone and the exact subspace minimum leave the generator as it
-    # was; a weak pair samples, and draws n seeds in blocks
-    if case == "pinned":
-        spec, mesh, point = cubic_pinned
-        disc = Discretization(spec, mesh)
-    elif case == "subspace":
-        disc, point = mixed_active_solved[0], mixed_active_solved[1].point
-    else:
-        disc, point = _weakly_active_point(mixed_active_solved)
-    nb = disc.mesh.n_boundary
-    n = 300
-    width = max(1, _BLOCK_FLOATS // nb)
-    assert n > width and n % width
-    rng = np.random.default_rng(11)
-    rep = check_ssc(disc, point, n_samples=n, rng=rng)
-    ref = np.random.default_rng(11)
-    if case == "weakly_active":
-        ref.standard_normal((n, nb))
-    else:
-        assert rep.n_samples == (case == "subspace")
-    assert rng.standard_normal() == ref.standard_normal()
-
-
-def test_unclosed_bracket_falls_back_to_the_sampler(mixed_active_solved,
-                                                    monkeypatch):
-    # with no eigen-solve allowed the search never closes, and check_ssc
-    # samples as at a weak pair: the one-by-one reference plus the
-    # eigen-direction, n seeds drawn
-    disc, point = mixed_active_solved[0], mixed_active_solved[1].point
-    exact = check_ssc(disc, point, n_samples=0)
-    monkeypatch.setattr(kkt, "_BRACKET_MAX_SOLVES", 0)
-    n = 300
-    nb = disc.mesh.n_boundary
-    ref = sample_directions_one_by_one(_ConeGeometry(disc, point), n,
-                                       np.random.default_rng(4))
-    ref_values = [quadrature_curvature(disc, point, y, u) for y, u in ref]
-    eig = check_ssc(disc, point, n_samples=0)
-    rng = np.random.default_rng(4)
-    rep = check_ssc(disc, point, n_samples=n, rng=rng)
-    assert exact.n_samples == eig.n_samples == 1
-    assert rep.n_samples == len(ref) + 1
-    expected = min(min(ref_values), eig.min_rayleigh)
-    assert abs(rep.min_rayleigh - expected) <= 1e-12 * abs(expected)
-    assert exact.min_rayleigh < rep.min_rayleigh
-    assert rep.subspace_min_eig == exact.subspace_min_eig
-    after = np.random.default_rng(4)
-    after.standard_normal((n, nb))
-    assert rng.standard_normal() == after.standard_normal()
-
-
-def test_exact_direction_outside_the_cone_falls_back(monkeypatch):
-    # a unit multiplier on an inactive constraint (not a KKT point): no
-    # pair is weak, but the complementarity check refuses every direction
-    # with u != 0, the exact minimizer's too, so check_ssc samples, and
-    # every sample is refused as well
-    disc, point = _concave_point()
-    nb = disc.mesh.n_boundary
-    point = replace(point, multipliers=np.stack([np.ones(nb),
-                                                 np.zeros(nb)]))
-    cone = _ConeGeometry(disc, point)
-    assert not cone.weak.any() and not cone.strong.any()
-    rng = np.random.default_rng(2)
-    rep = check_ssc(disc, point, n_samples=100, rng=rng)
-    assert rep.n_samples == 0 and rep.min_rayleigh == math.inf
-    after = np.random.default_rng(2)
-    after.standard_normal((100, nb))
-    assert rng.standard_normal() == after.standard_normal()
 
 
 def _counting(calls: list, function):
@@ -992,21 +831,82 @@ def _count_eigen_solves(monkeypatch, eighs: list) -> None:
                         _counting(eighs, kkt._smallest_eigenpair))
 
 
-def test_bracket_search_stops_at_its_budget(monkeypatch):
+def test_weak_pair_minimum_is_the_dense_oracle(mixed_active_solved):
+    # one weak pair cuts the strong-equality subspace to a half of it, on
+    # which the even quotient has the same minimum: the subspace's
+    disc, point = _weakly_active_point(mixed_active_solved)
+    cone = _ConeGeometry(disc, point)
+    g = constraint_values(disc, point.state.values, point.param.values)
+    active = g + point.control.values >= -kkt._activity_tolerance(
+        point.control.values)
+    assert int(np.sum(active & ~cone.strong)) == 1
+    rep = check_ssc(disc, point)
+    value, _ = subspace_minimum_grid(disc, point)
+    assert abs(rep.min_rayleigh - value) <= 1e-9 * (1.0 + abs(value))
+    assert (rep.n_samples, rep.positive) == (1, True)
+
+
+def _free_lq_point():
+    # family seed 0 member 4: L = 0.5 (y - y_d)^2, beta = 1 and h = 0.3 y,
+    # no constraint active, so H = M_bb + T^T M T is the subspace metric
+    # and every generalized eigenvalue is 1
+    spec = make_spec(
+        a11="1 + 0.413*x1^2", a22="1 + 0.399*x2^2", a12="0.095*x1*x2",
+        a0="1 + 0.109*x1", c0=0.5, obj_domain="0.5*(y - 0.851)^2",
+        reaction="0.3*y", param_ref="-0.097*cos(s)",
+        constraints=("y - (2.11) + 0.138*sin(s)",
+                     "y - (3.223) + 0.154*cos(2*s)"))
+    disc = Discretization(spec, make_disk_mesh(18, 0))
+    return disc, solve_kkt(disc, disc.param_reference()).point
+
+
+def test_free_lq_point_reads_one_half(monkeypatch):
+    # the minimum of 1/(a + b)^2 over a^2 + b^2 = 1 is 1/2, mu(1/2); the
+    # search does not close on this flat pencil and returns its last mu
+    disc, point = _free_lq_point()
+    eighs = []
+    _count_eigen_solves(monkeypatch, eighs)
+    rep = check_ssc(disc, point)
+    assert abs(rep.min_rayleigh - 0.5) <= 1e-12
+    assert abs(rep.subspace_min_eig - 1.0) <= 1e-12
+    assert rep.n_strong == 0 and rep.n_samples == 1
+    assert len(eighs) == 1 + _BRACKET_MAX_SOLVES
+
+
+@pytest.mark.parametrize("case", ["pinned", "subspace", "weakly_active",
+                                  "double_well"])
+def test_check_ssc_draws_nothing(case, cubic_pinned, mixed_active_solved):
+    if case == "pinned":
+        spec, mesh, point = cubic_pinned
+        disc = Discretization(spec, mesh)
+    elif case == "subspace":
+        disc, point = mixed_active_solved[0], mixed_active_solved[1].point
+    elif case == "weakly_active":
+        disc, point = _weakly_active_point(mixed_active_solved)
+    else:
+        disc, point = _double_well_point()
+    rng = np.random.default_rng(11)
+    rep = check_ssc(disc, point, n_samples=300, rng=rng)
+    assert rep.n_samples == (case != "pinned")
+    assert rng.standard_normal() == np.random.default_rng(11).standard_normal()
+    assert check_ssc(disc, point) == rep
+
+
+def test_unclosed_search_returns_its_last_solve(monkeypatch):
     # the near-degenerate double well takes more than three eigen-solves;
-    # allowed three, the search stops after them and the sampler takes over
+    # allowed three, the search returns its last mu, a lower bound
     disc, point = _near_degenerate_double_well()
     eighs = []
     _count_eigen_solves(monkeypatch, eighs)
-    full = check_ssc(disc, point, n_samples=50)
-    assert full.n_samples == 1
+    full = check_ssc(disc, point)
     assert 1 + 3 < len(eighs) <= 1 + _BRACKET_MAX_SOLVES
     monkeypatch.setattr(kkt, "_BRACKET_MAX_SOLVES", 3)
     eighs.clear()
-    rep = check_ssc(disc, point, n_samples=50)
+    rep = check_ssc(disc, point)
     assert len(eighs) == 1 + 3  # the diagonalization and three solves
-    assert rep.n_samples == 50 + 1
-    assert full.min_rayleigh < rep.min_rayleigh
+    assert rep.n_samples == 1
+    assert 0.0 < rep.min_rayleigh <= full.min_rayleigh
+    assert rep.subspace_min_eig == full.subspace_min_eig
 
 
 def test_quadratic_form_equals_quadrature_sum(cubic_solved,
@@ -1021,94 +921,6 @@ def test_quadratic_form_equals_quadrature_sum(cubic_solved,
             assert abs(q - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
-def test_block_projection_matches_per_vector_weak_path(mixed_active_solved):
-    disc, point = _weakly_active_point(mixed_active_solved)
-    cone = _ConeGeometry(disc, point)
-    assert (cone.active & ~cone.strong).any()
-    seeds = np.random.default_rng(0).standard_normal(
-        (60, disc.mesh.n_boundary)).T
-    u_block = cone.project(seeds)
-    y_block = cone.t_mat @ u_block
-    sweeps = set()
-    for j in range(seeds.shape[1]):
-        y, u, n_sweeps = project_one(cone, seeds[:, j])
-        sweeps.add(n_sweeps)
-        assert np.allclose(y_block[:, j], y, rtol=0.0, atol=1e-12)
-        assert np.allclose(u_block[:, j], u, rtol=0.0, atol=1e-12)
-    # columns stop at different sweeps, so per-column stopping is exercised
-    assert len(sweeps) > 1
-
-
-def test_check_ssc_cost_does_not_grow_with_samples(mixed_active_solved,
-                                                   monkeypatch):
-    # evaluations and eigen-solves do not depend on n_samples, on the exact
-    # path or the sampled one, nor does peak memory past one block
-    exact = mixed_active_solved[0], mixed_active_solved[1].point
-    sampled = _weakly_active_point(mixed_active_solved)
-    disc = exact[0]
-    calls, eighs = [], []
-    for name in ("eval_dom", "eval_bnd"):
-        monkeypatch.setattr(Discretization, name,
-                            _counting(calls, getattr(Discretization, name)))
-    _count_eigen_solves(monkeypatch, eighs)
-
-    def cost(case, n):
-        calls.clear()
-        eighs.clear()
-        check_ssc(*case, n_samples=n, rng=np.random.default_rng(1))
-        return len(calls), len(eighs)
-
-    for case in (exact, sampled):
-        assert cost(case, 50) == cost(case, 500)
-        assert cost(case, 50)[0] > 0
-    # one diagonalization, then at most the bracket's budget of solves
-    assert 1 < cost(exact, 50)[1] <= 1 + _BRACKET_MAX_SOLVES
-    assert cost(sampled, 50)[1] == 0
-    monkeypatch.undo()
-
-    def peak(case, n):
-        tracemalloc.start()
-        try:
-            check_ssc(*case, n_samples=n, rng=np.random.default_rng(1))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    nb = disc.mesh.n_boundary
-    width = max(1, _BLOCK_FLOATS // nb)
-    block_bytes = 8 * width * nb
-    assert 5000 > 500 > width
-    for case in (exact, sampled):
-        assert peak(case, 5000) <= peak(case, 500) + block_bytes
-
-
-@pytest.mark.parametrize("case", ["mixed_active", "double_well",
-                                  "weakly_active"])
-def test_ssc_report_does_not_depend_on_block_width(case, mixed_active_solved,
-                                                   monkeypatch):
-    if case == "mixed_active":
-        disc, point = mixed_active_solved[0], mixed_active_solved[1].point
-    elif case == "double_well":
-        disc, point = _double_well_point()
-    else:
-        disc, point = _weakly_active_point(mixed_active_solved)
-    nb = disc.mesh.n_boundary
-    n = 1200
-    reports = []
-    for block_floats in (nb, 7 * nb, _BLOCK_FLOATS):
-        monkeypatch.setattr(kkt, "_BLOCK_FLOATS", block_floats)
-        reports.append(check_ssc(disc, point, n_samples=n,
-                                 rng=np.random.default_rng(5)))
-    ref = reports[-1]
-    assert n > _BLOCK_FLOATS // nb > 7
-    assert ref.n_samples > 0
-    for rep in reports[:-1]:
-        assert (rep.n_samples, rep.n_strong, rep.subspace_min_eig) \
-            == (ref.n_samples, ref.n_strong, ref.subspace_min_eig)
-        assert abs(rep.min_rayleigh - ref.min_rayleigh) \
-            <= 1e-14 * abs(ref.min_rayleigh)
-
-
 def test_curvature_operator_assembled_only_when_needed(
         mixed_active_solved, lq_disc32, lq_solved32, monkeypatch):
     calls = []
@@ -1120,7 +932,7 @@ def test_curvature_operator_assembled_only_when_needed(
 
     monkeypatch.setattr(kkt, "_curvature_operator", counting)
     disc, point = mixed_active_solved[0], mixed_active_solved[1].point
-    dirs = _critical_directions(disc, point, 50, np.random.default_rng(2))
+    dirs = _subspace_directions(disc, point, 50, np.random.default_rng(2))
     assert dirs and not calls
     check_ssc(disc, point, n_samples=50, rng=np.random.default_rng(2))
     assert len(calls) == 1
