@@ -3,14 +3,18 @@
 Sections and keys::
 
     [domain]      n_boundary, refinement, r
-    [operator]    a11, a12, a22, a0, c0
-    [cost]        L, ell, alpha, beta, gamma
-    [state]       h
+    [operator]    expression keys, c0
+    [cost]        expression keys, gamma
+    [state]       expression key
     [constraints] g_1 ... g_m           (consecutive indices from 1)
-    [parameter]   lambda_bar
+    [parameter]   expression key
     [solver]      max_outer, tol, theta                     (all optional)
     [sweep]       delta, t                                  (optional section)
 
+The expression keys, each with the field of ``ProblemSpec`` it fills and
+the variables it may use, are declared once, in the table
+``ctrlstab.problem._EXPRESSIONS``; README's "Config format" table names
+them too, and a test holds it to the table.
 The retired keys ``[sweep] warm_start`` and ``[solver] adaptive`` accept
 only ``true`` and ``false``: sweeps always warm-start, and a solve runs at
 one fixed damping factor.  The retired keys ``[sweep] seed`` and
@@ -33,7 +37,7 @@ import numpy as np
 from .expr import Expr, ExprError, parse
 from .fem import BoundaryFunction, Discretization
 from .geometry import Mesh, make_disk_mesh
-from .problem import ProblemSpec
+from .problem import _EXPRESSIONS, ProblemSpec
 from .solver import SolveOptions
 from .stability import SweepPlan, SweepPlanError, _step_sizes
 
@@ -89,14 +93,21 @@ def _number(cp, section, key, cast, fallback=None):
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
+def _section_keys(section: str, *numbers: str) -> tuple:
+    """The keys of ``section``: its expression keys, in the order of
+    ``_EXPRESSIONS``, then its number keys ``numbers``."""
+    return (*(key for _, sec, key, *_ in _EXPRESSIONS if sec == section),
+            *numbers)
+
+
 #: the keys of every section but [constraints] (g_1 .. g_m); those of
 #: [solver] are the fields of SolveOptions
 _KEYS = {
     "domain": ("n_boundary", "refinement", "r"),
-    "operator": ("a11", "a12", "a22", "a0", "c0"),
-    "cost": ("L", "ell", "alpha", "beta", "gamma"),
-    "state": ("h",),
-    "parameter": ("lambda_bar",),
+    "operator": _section_keys("operator", "c0"),
+    "cost": _section_keys("cost", "gamma"),
+    "state": _section_keys("state"),
+    "parameter": _section_keys("parameter"),
     "solver": tuple(f.name for f in fields(SolveOptions)),
     "sweep": ("delta", "t"),
 }
@@ -174,22 +185,11 @@ def parse_instance(path) -> InstanceConfig:
         raise ConfigError("[constraints]: need at least g_1 and g_2")
 
     problem = ProblemSpec(
-        a11=_expr(cp, "operator", "a11"),
-        a12=_expr(cp, "operator", "a12"),
-        a22=_expr(cp, "operator", "a22"),
-        a0=_expr(cp, "operator", "a0"),
+        **{name: _expr(cp, section, key)
+           for name, section, key, *_ in _EXPRESSIONS},
         c0=_number(cp, "operator", "c0", float),
-        obj_domain=_expr(cp, "cost", "L"),
-        obj_boundary=_expr(cp, "cost", "ell"),
-        alpha=_expr(cp, "cost", "alpha"),
-        beta=_expr(cp, "cost", "beta"),
         gamma=_number(cp, "cost", "gamma", float),
-        reaction=_expr(cp, "state", "h"),
-        constraints=tuple(constraints),
-        param_ref=_expr(cp, "parameter", "lambda_bar"),
-        r=r_exp,
-        name=str(path),
-    )
+        constraints=tuple(constraints), r=r_exp, name=str(path))
 
     options = SolveOptions()
     if cp.has_section("solver"):

@@ -45,7 +45,7 @@ and those of ``c M_B`` at the triangle entries of the boundary edges.
 operator, in which a constraint ``g + u <= 0`` that binds at every
 boundary node substitutes ``u = -g(y)`` with ``dg/dy = c``.  Each
 ``c`` has one entry, its assembled matrix, reused while the h_y quadrature
-weights asked for are bit-identical to the last ones of that ``c`` (the
+weights asked for and the last ones of that ``c`` have equal values (the
 values of ``M[h_y]`` are summed once per weights, whatever the ``c``), and
 one factorization, its anchor: the last one taken for that ``c``.  A solve is
 exact when the anchor factorizes the entry's matrix (the same object), and
@@ -757,12 +757,14 @@ class Discretization:
     the boundary edges (``tables.bnd_in_tri``); an entry that sums to
     exactly zero stays as an explicit zero, where scipy's addition would
     drop it.
-    An entry is reused only when its ``c`` and the weights ``w`` equal the
-    cached ones bit for bit (shape and values); two broadcasts of a folded
-    constant compare by their one value (:func:`_same_weights`).  Other
+    An entry is reused only when its ``c`` equals the cached one and the
+    weights ``w`` and the cached ones have one shape and equal values
+    (:func:`_same_weights`: ``-0.0`` equals ``0.0``, and the matrix those
+    values assemble is the same bits either way); two broadcasts of a
+    folded constant compare by their one value.  Other
     weights replace the entry of that ``c`` and leave the others alone.
     The values of ``M[w]`` are summed once per weights: a new entry whose
-    weights equal the last ones summed, bit for bit, whatever its ``c``,
+    weights equal the last ones summed, whatever its ``c``,
     adds those values again, so that the pinned operator and the state
     operator at one state share one sum.
     The only factorization of each ``c`` is its anchor, the last one built
@@ -936,12 +938,11 @@ class Discretization:
     def beta_mass(self, lam: np.ndarray) -> sp.csr_matrix:
         """``M_B[beta(lam)]``, (Nb, Nb) in boundary numbering, the control's
         part of the curvature form: assembled once per parameter, and kept
-        while the ``lam`` asked for has the shape and bytes of the last
-        one.  The matrix is shared: do not mutate it."""
+        while the ``lam`` asked for equals the last one, shape and values
+        (:func:`_same_weights`).  The matrix is shared: do not mutate it."""
         lam = np.asarray(lam, dtype=float)
         kept = self._beta_mass
-        if kept is None or kept[0].shape != lam.shape \
-                or kept[0].tobytes() != lam.tobytes():
+        if kept is None or not _same_weights(kept[0], lam):
             kept = self._beta_mass = (lam.copy(), self.boundary_mass_weighted(
                 self.eval_bnd(self.problem.beta, lam=lam)))
         return kept[1]

@@ -210,7 +210,7 @@ def linearized_operator(disc: Discretization, y) -> SpdFactorization:
     control-to-state solves at the same state.
 
     The factorization is the ``Discretization``'s cached one whenever the
-    h_y weights at ``y`` are bit-identical to the cached weights, so the
+    h_y weights at ``y`` and the cached weights have equal values, so the
     returned object is shared: do not mutate it or its ``matrix``.
     """
     return disc.jacobian_factor(_reaction_y(disc, y))

@@ -12,12 +12,12 @@ with a fixed seed, so admission is deterministic.  A violated gate raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .expr import Const, Expr, differentiate
+from .expr import VARIABLES, Const, Expr, differentiate
 
 #: sample count per admission gate
 GATE_SAMPLES = 1000
@@ -73,6 +73,29 @@ def check_operator(a11, a12, a22, a0, c0: float, quadrature: bool) -> None:
             "quadrature point" if quadrature else "sample point"))
 
 
+#: The instance model, one row per expression field of ``ProblemSpec``: the
+#: field, its instance-file section and key, the variables it may use, the
+#: label of the assumption a stray variable violates, and the words its
+#: error names the field by.  :meth:`ProblemSpec.validate` and
+#: :func:`ctrlstab.config.parse_instance` read it; the constraints g_i
+#: (``[constraints] g_1 .. g_m``, every variable, (H4)) are a tuple and stay
+#: outside it.
+_EXPRESSIONS = (
+    ("a11", "operator", "a11", "x1 x2", "(C0)", "operator coefficient a11"),
+    ("a12", "operator", "a12", "x1 x2", "(C0)", "operator coefficient a12"),
+    ("a22", "operator", "a22", "x1 x2", "(C0)", "operator coefficient a22"),
+    ("a0", "operator", "a0", "x1 x2", "(C0)", "operator coefficient a0"),
+    ("obj_domain", "cost", "L", "x1 x2 y", "objective", "domain objective"),
+    ("obj_boundary", "cost", "ell", "x1 x2 s y lam", "objective",
+     "boundary objective"),
+    ("alpha", "cost", "alpha", "lam", "(H3)", "control cost weight alpha"),
+    ("beta", "cost", "beta", "lam", "(H3)", "control cost weight beta"),
+    ("reaction", "state", "h", "x1 x2 y", "(H4)", "reaction h"),
+    ("param_ref", "parameter", "lambda_bar", "x1 x2 s", "parameter",
+     "reference parameter"),
+)
+
+
 def _check_vars(e: Expr, allowed: set, label: str, what: str) -> None:
     extra = e.free_vars() - allowed
     if extra:
@@ -81,33 +104,51 @@ def _check_vars(e: Expr, allowed: set, label: str, what: str) -> None:
                    f"{sorted(extra)} in '{e}'")
 
 
+def _y_derivatives(name: str) -> tuple:
+    """The first and second y-derivatives of the field ``name``, entry by
+    entry for a tuple, as two cached properties: each is computed on its
+    first read and kept on the instance."""
+    def derivative(order):
+        def compute(spec):
+            e = getattr(spec, name)
+            if isinstance(e, tuple):
+                return tuple(differentiate(g, "y", order) for g in e)
+            return differentiate(e, "y", order)
+        return cached_property(compute)
+    return derivative(1), derivative(2)
+
+
 @dataclass
 class ProblemSpec:
     """Data of one control instance.
 
+    Each expression field's instance-file key, the variables it may use and
+    the assumption a stray variable violates are stated once, in the table
+    ``_EXPRESSIONS`` of this module.
+
     Attributes
     ----------
-    a11, a12, a22 : Expr in (x1, x2)
+    a11, a12, a22 : Expr
         Symmetric diffusion tensor entries (a21 = a12).
-    a0 : Expr in (x1, x2)
+    a0 : Expr
         Reaction coefficient of the linear operator, >= 0 and not
         identically 0.
     c0 : float
         Declared ellipticity constant: xi' a(x) xi >= c0 |xi|^2.
-    obj_domain : Expr in (x1, x2, y)
+    obj_domain : Expr
         Volume objective integrand.
-    obj_boundary : Expr in (x1, x2, s, y, lam)
+    obj_boundary : Expr
         Boundary objective integrand (excluding the control terms).
-    alpha, beta : Expr in (lam,)
+    alpha, beta : Expr
         Linear/quadratic control cost weights; beta(lam_ref) >= gamma > 0.
     gamma : float
         Declared lower bound for beta along the reference parameter.
-    reaction : Expr in (x1, x2, y)
+    reaction : Expr
         Monotone semilinear term h: h(x, 0) = 0 and dh/dy >= 0.
     constraints : tuple of Expr in (x1, x2, s, y, lam)
         Constraint functions g_i; the mixed constraints read
         g_i(x, y, lam) + u <= 0 on the boundary, with dg_i/dy >= 0.
-    param_ref : Expr in (x1, x2, s)
+    param_ref : Expr
         Reference boundary parameter.
     r : float in (2, 4)
         Exponent of the W^{1,r} norm used for state distances.
@@ -134,37 +175,10 @@ class ProblemSpec:
         return len(self.constraints)
 
     # first and second y-derivatives used by the optimality system
-    @cached_property
-    def obj_domain_y(self) -> Expr:
-        return differentiate(self.obj_domain, "y")
-
-    @cached_property
-    def obj_domain_yy(self) -> Expr:
-        return differentiate(self.obj_domain, "y", 2)
-
-    @cached_property
-    def obj_boundary_y(self) -> Expr:
-        return differentiate(self.obj_boundary, "y")
-
-    @cached_property
-    def obj_boundary_yy(self) -> Expr:
-        return differentiate(self.obj_boundary, "y", 2)
-
-    @cached_property
-    def reaction_y(self) -> Expr:
-        return differentiate(self.reaction, "y")
-
-    @cached_property
-    def reaction_yy(self) -> Expr:
-        return differentiate(self.reaction, "y", 2)
-
-    @cached_property
-    def constraints_y(self) -> tuple:
-        return tuple(differentiate(g, "y") for g in self.constraints)
-
-    @cached_property
-    def constraints_yy(self) -> tuple:
-        return tuple(differentiate(g, "y", 2) for g in self.constraints)
+    obj_domain_y, obj_domain_yy = _y_derivatives("obj_domain")
+    obj_boundary_y, obj_boundary_yy = _y_derivatives("obj_boundary")
+    reaction_y, reaction_yy = _y_derivatives("reaction")
+    constraints_y, constraints_yy = _y_derivatives("constraints")
 
     @cached_property
     def constraint_slopes(self) -> tuple:
@@ -200,21 +214,10 @@ class ProblemSpec:
         if not (self.gamma > 0.0):
             raise AdmissionError("(H3)", f"gamma = {self.gamma}")
 
-        xx = {"x1", "x2"}
-        for name in ("a11", "a12", "a22", "a0"):
-            _check_vars(getattr(self, name), xx, "(C0)",
-                        f"operator coefficient {name}")
-        _check_vars(self.reaction, xx | {"y"}, "(H4)", "reaction h")
-        _check_vars(self.obj_domain, xx | {"y"}, "objective",
-                    "domain objective")
-        bnd = xx | {"s", "y", "lam"}
-        _check_vars(self.obj_boundary, bnd, "objective", "boundary objective")
-        for e, nm in ((self.alpha, "alpha"), (self.beta, "beta")):
-            _check_vars(e, {"lam"}, "(H3)", f"control cost weight {nm}")
+        for name, _, _, names, label, what in _EXPRESSIONS:
+            _check_vars(getattr(self, name), set(names.split()), label, what)
         for i, g in enumerate(self.constraints, start=1):
-            _check_vars(g, bnd, "(H4)", f"constraint g_{i}")
-        _check_vars(self.param_ref, xx | {"s"}, "parameter",
-                    "reference parameter")
+            _check_vars(g, set(VARIABLES), "(H4)", f"constraint g_{i}")
 
         # every sampled gate is a negated comparison, so that a NaN sample
         # (say, inf - inf from an overflow) fails it instead of passing

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from .fem import BoundaryFunction, Discretization, FeFunction, norm
 from .kkt import KktResiduals, SscReport, _safe, check_ssc
 from .pde import StateSolveError
 from .problem import AdmissionError
-from .solver import (KktSolveReport, PartitionError, SolveOptions,
-                     SolverError, solve_kkt)
+from .solver import PartitionError, SolveOptions, SolverError, solve_kkt
 
 CSV_HEADER = "t,d_L2,d_Linf,d_W1r,kkt_ok"
 

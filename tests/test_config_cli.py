@@ -3,18 +3,20 @@ command line subcommands driven in process through ``main``."""
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ctrlstab import (AdmissionError, ConfigError, build_discretization,
-                      build_mesh, make_disk_mesh, parse_instance, solve_kkt,
+                      make_disk_mesh, parse, parse_instance, solve_kkt,
                       sweep_plan)
 from ctrlstab import cli, stability
 from ctrlstab.cli import PointFileError, load_point, main, save_point
 from ctrlstab.geometry import mesh_hash, mesh_text
 from ctrlstab.kkt import KktPoint
 from ctrlstab.fem import BoundaryFunction, FeFunction
+from ctrlstab.problem import _EXPRESSIONS
 from ctrlstab.solver import SolveOptions
 
 from conftest import CONFIG_DIR
@@ -188,6 +190,45 @@ def test_c_0_is_an_unknown_key(tmp_path):
     path = write_ini(tmp_path / "i.ini", operator={"c_0": "0.25"})
     with pytest.raises(ConfigError, match=r"\[operator\] c_0: unknown key"):
         parse_instance(path)
+
+
+#: each expression key of an instance file and the ProblemSpec field it fills
+KEY_FIELDS = [
+    ("operator", "a11", "a11"), ("operator", "a12", "a12"),
+    ("operator", "a22", "a22"), ("operator", "a0", "a0"),
+    ("cost", "L", "obj_domain"), ("cost", "ell", "obj_boundary"),
+    ("cost", "alpha", "alpha"), ("cost", "beta", "beta"),
+    ("state", "h", "reaction"), ("parameter", "lambda_bar", "param_ref"),
+]
+
+
+def test_key_fields_are_the_declared_ones():
+    assert sorted(KEY_FIELDS) == sorted(
+        (section, key, field) for field, section, key, *_ in _EXPRESSIONS)
+
+
+@pytest.mark.parametrize("section,key,field", KEY_FIELDS,
+                         ids=[key for _, key, _ in KEY_FIELDS])
+def test_each_expression_key_fills_its_field(tmp_path, section, key, field):
+    # parsing reads no variable gate: that is admission, at build time
+    text = "0.25 + x1*s*y*lam"
+    base = parse_instance(write_ini(tmp_path / "base.ini")).problem
+    problem = parse_instance(
+        write_ini(tmp_path / "i.ini", **{section: {key: text}})).problem
+    assert getattr(base, field) != parse(text)
+    assert problem == replace(base, name=problem.name, **{field: parse(text)})
+
+
+@pytest.mark.parametrize("row", _EXPRESSIONS, ids=lambda row: row[0])
+def test_readme_names_each_expression_key_with_its_variables(row):
+    # README's "Config format" table restates the instance model: the row
+    # of each expression key's section names it as key(vars), with exactly
+    # the declared variables
+    _, section, key, names = row[:4]
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    cells = dict(re.findall(r"^\| `\[(\w+)\]` \|(.*)\|$", readme, re.M))
+    assert re.findall(rf"`{key}\(([^)]*)\)`", cells[section]) == [
+        ",".join(names.split())]
 
 
 def test_unreadable_path_is_config_error(tmp_path):

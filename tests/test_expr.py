@@ -5,7 +5,6 @@ random points, so every rule in the differentiator has an independent
 numeric witness.
 """
 
-import math
 import re
 
 import numpy as np

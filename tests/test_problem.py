@@ -84,6 +84,16 @@ def test_operator_gate_refuses_a0_vanishing_at_every_quadrature_point(
     assert err.value.label == "a_0 != 0"
 
 
+#: the words an error of the variable gate names each field by
+_ERROR_WORDS = {
+    "a11": "operator coefficient a11", "a12": "operator coefficient a12",
+    "a22": "operator coefficient a22", "a0": "operator coefficient a0",
+    "obj_domain": "domain objective", "alpha": "control cost weight alpha",
+    "beta": "control cost weight beta", "reaction": "reaction h",
+    "param_ref": "reference parameter",
+}
+
+
 @pytest.mark.parametrize("overrides,label", [
     (dict(a11="1 + y"), "(C0)"),               # operator may not see the state
     (dict(a0="lam"), "(C0)"),
@@ -95,11 +105,15 @@ def test_operator_gate_refuses_a0_vanishing_at_every_quadrature_point(
     (dict(obj_domain="y + s"), "objective"),
     (dict(param_ref="y"), "parameter"),
     (dict(param_ref="lam"), "parameter"),
+    (dict(a12="y"), "(C0)"),
+    (dict(a22="s"), "(C0)"),
 ])
 def test_variable_vocabulary_gates(overrides, label):
     with pytest.raises(AdmissionError) as err:
         make_spec(**overrides).validate()
     assert err.value.label == label
+    (name,) = overrides
+    assert f"{_ERROR_WORDS[name]} may only use" in str(err.value)
 
 
 def test_boundary_data_may_use_full_vocabulary():
